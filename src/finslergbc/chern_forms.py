@@ -23,10 +23,23 @@ from .algebra import (
     pfaffian,
     sort_with_parity,
 )
-from .connection import AXES, CurvatureData, FrameConnection, curvature
+from .connection import (
+    AXES,
+    CurvatureData,
+    FrameConnection,
+    curvature,
+    omega_tables,
+    pi_entries,
+)
 from .errors import ValidationError
-from .metric import FinslerMetric, fiber_volume_form
-from .quadrature import ChartPoints, FormField, PointwiseForm, gauss_legendre
+from .metric import FinslerMetric, fiber_volume
+from .quadrature import (
+    ChartPoints,
+    FormField,
+    PointwiseForm,
+    central_partials,
+    d_from_partials,
+)
 
 __all__ = [
     "TransgressionBundle",
@@ -166,14 +179,14 @@ def omega_pfaffian(curv: CurvatureData) -> FormField:
     """Omega^nabla = Pf(-Omega)/(2 pi)^{n/2} through the Berezin integral;
     identically zero for odd rank."""
     n = curv.conn.n
+    return FormField(AXES, n, lambda pts: _euler_form(curv.omega(pts), n))
+
+
+def _euler_form(om, n: int) -> PointwiseForm:
+    """Pf(-Omega)/(2 pi)^{n/2} of curvature tables, through their skew part."""
     norm = 1.0 / (2.0 * math.pi) ** (n / 2.0)
-
-    def func(pts: ChartPoints) -> PointwiseForm:
-        om = curv.omega(pts)
-        table = pfaffian(_skew_symmetrized(om, n))
-        return PointwiseForm({K: norm * _real_part(c) for K, c in table.items()})
-
-    return FormField(AXES, n, func)
+    table = pfaffian(_skew_symmetrized(om, n))
+    return PointwiseForm({K: norm * _real_part(c) for K, c in table.items()})
 
 
 def _real_part(c):
@@ -204,19 +217,18 @@ def _skew_symmetrized(om, n: int) -> SkewMatrixValuedForm:
 # Chern-Weil interpolation term
 
 
-def chern_weil_upsilon0(D: FrameConnection, nabla: FrameConnection,
-                        s_order: int = 8) -> FormField:
+def chern_weil_upsilon0(D: FrameConnection, nabla: FrameConnection) -> FormField:
     """Upsilon_0 = int_0^1 B(exp(-Omega_s) . dD_s/ds) ds / (2 pi)^{n/2}
     for the family D_s = s nabla + (1-s) D.
 
     dD_s/ds = nabla - D embeds in A^{1,2}; exp(-Omega_s) contributes only
     fiber degrees up to n-2 against it, which vanishes below rank 4, so
-    the curvature factor is skipped exactly for n = 2, 3."""
+    the curvature factor is skipped exactly for n = 2, 3.  The
+    s-integrand is then constant, so the s-integral is its value."""
     n = D.n
     norm = 1.0 / (2.0 * math.pi) ** (n / 2.0)
     if n >= 4:
         raise ValidationError("upsilon0 with curvature factors needs rank < 4 here")
-    s_nodes, s_w = gauss_legendre(0.0, 1.0, s_order)
 
     def func(pts: ChartPoints) -> PointwiseForm:
         pa = D.pi(pts)
@@ -229,9 +241,7 @@ def chern_weil_upsilon0(D: FrameConnection, nabla: FrameConnection,
                 for a in range(AXES):
                     diff.add_term((a,), (i, j), 0.5 * (pb[i][j][a] - pa[i][j][a]))
         table = berezin(diff)
-        # the integrand is s-independent once the curvature factor dies
-        weight = float(np.sum(s_w))
-        return PointwiseForm({K: norm * weight * _real_part(c) for K, c in table.items()})
+        return PointwiseForm({K: norm * _real_part(c) for K, c in table.items()})
 
     return FormField(AXES, n - 1, func)
 
@@ -244,11 +254,11 @@ def transgression_check(curv: CurvatureData, conn: FrameConnection,
 
 
 def frak_e(upsilon0: FormField, upsilon1: FormField, upsilon2: FormField | None,
-           dlogv: FormField, h: float = 1e-4) -> FormField:
+           dlogv: FormField) -> FormField:
     """FrakE = -d Upsilon_0 - d log V ^ Upsilon_1 - d Upsilon_2."""
-    out = (-1.0) * upsilon0.d(h=h) - dlogv.wedge(upsilon1)
+    out = (-1.0) * upsilon0.d() - dlogv.wedge(upsilon1)
     if upsilon2 is not None:
-        out = out - upsilon2.d(h=h)
+        out = out - upsilon2.d()
     return out
 
 
@@ -301,60 +311,37 @@ class TransgressionForms:
     keeps the shared volume functions cached."""
 
     def __init__(self, metric: FinslerMetric, D: FrameConnection,
-                 nabla: FrameConnection, order_fiber: int = 64,
-                 h: float = 1e-4, richardson: bool = True,
-                 dv_step: float = 1e-3):
+                 nabla: FrameConnection, order_fiber: int = 64):
         self.metric = metric
         self.D = D
         self.nabla = nabla
         self.n = nabla.n
         self.order_fiber = order_fiber
-        self.h = h
-        self.richardson = richardson
-        self.dv_step = dv_step
         self.token = next(_FORMS_SEQ)
-        self.curv_D = curvature(D, h=h, richardson=richardson)
-        self.curv_nabla = curvature(nabla, h=h, richardson=richardson)
-        self._th_nodes, self._th_weights = gauss_legendre(0.0, 2.0 * math.pi, order_fiber)
+        self.curv_D = curvature(D)
+        self.curv_nabla = curvature(nabla)
 
     # --- fiber volume -------------------------------------------------------
     def volume(self, pts: ChartPoints) -> np.ndarray:
         key = ("V", self.token)
         hit = pts.cache.get(key)
         if hit is None:
-            hit = self._volume_raw(pts.chart, pts.coords[0], pts.coords[1])
+            hit = fiber_volume(self.metric, pts.coords[:2], pts.chart, self.order_fiber)
             pts.cache[key] = hit
         return hit
 
-    def _volume_raw(self, chart: str, x1, x2) -> np.ndarray:
-        x1 = np.atleast_1d(np.asarray(x1, dtype=float))[:, None]
-        x2 = np.atleast_1d(np.asarray(x2, dtype=float))[:, None]
-        th = self._th_nodes[None, :]
-        rho = fiber_volume_form(self.metric, [x1, x2], th, chart)
-        rho = np.broadcast_to(rho, (x1.shape[0], self._th_nodes.size))
-        return rho @ self._th_weights
-
     def dlog_volume(self, pts: ChartPoints):
-        """(d log V / dx1, d log V / dx2) by central differences with
-        Richardson at step dv_step."""
+        """(d log V / dx1, d log V / dx2) by central differences on the
+        base points of the batch."""
         key = ("dlogV", self.token)
         hit = pts.cache.get(key)
         if hit is None:
-            x1 = np.asarray(pts.coords[0], dtype=float)
-            x2 = np.asarray(pts.coords[1], dtype=float)
-            h = self.dv_step
-            out = []
-            for axis in range(2):
-                def vol_at(delta):
-                    if axis == 0:
-                        return self._volume_raw(pts.chart, x1 + delta, x2)
-                    return self._volume_raw(pts.chart, x1, x2 + delta)
-
-                d1 = (vol_at(+h) - vol_at(-h)) / (2.0 * h)
-                d2 = (vol_at(+0.5 * h) - vol_at(-0.5 * h)) / h
-                out.append((4.0 * d2 - d1) / 3.0)
+            base = ChartPoints(pts.chart, pts.coords[:2])
+            dV = central_partials(
+                lambda q: {"V": fiber_volume(self.metric, q.coords, q.chart,
+                                             self.order_fiber)}, base)
             V = self.volume(pts)
-            hit = (out[0] / V, out[1] / V)
+            hit = (dV[0]["V"] / V, dV[1]["V"] / V)
             pts.cache[key] = hit
         return hit
 
@@ -397,7 +384,7 @@ class TransgressionForms:
 
     def frak_e_field(self) -> FormField:
         return frak_e(self.upsilon0(), self.upsilon1(), self.upsilon2(),
-                      self.dlogv_field(), h=self.h)
+                      self.dlogv_field())
 
     def bundle(self) -> TransgressionBundle:
         return TransgressionBundle(
@@ -478,43 +465,16 @@ class TransgressionForms:
         def payload(q: ChartPoints) -> dict:
             pa = self.D.pi(q)
             pb = self.nabla.pi(q)
-            out = {}
-            for i in range(n):
-                for j in range(n):
-                    for a in range(AXES):
-                        out[("piD", i, j, a)] = pa[i][j][a]
+            out = pi_entries(pa, n)
             for a in range(AXES):
                 out[("u0", a)] = norm * (pb[0][1][a] - pa[0][1][a])
             return out
 
         def func(pts: ChartPoints) -> PointwiseForm:
-            center = payload(pts)
-            partials = _stencil_partials(payload, pts, self.h, self.richardson)
-            # curvature of D and the pfaffian form
-            om_entries = [[{} for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    for a in range(AXES):
-                        for b in range(a + 1, AXES):
-                            wedge = sum(
-                                center[("piD", i, k, a)] * center[("piD", k, j, b)]
-                                - center[("piD", i, k, b)] * center[("piD", k, j, a)]
-                                for k in range(n)
-                            )
-                            om_entries[i][j][(a, b)] = (
-                                partials[a][("piD", i, j, b)]
-                                - partials[b][("piD", i, j, a)]
-                                - wedge
-                            )
-            pf = pfaffian(_skew_symmetrized(om_entries, n))
-            omega_D = PointwiseForm({K: norm * _real_part(c) for K, c in pf.items()})
-            # d Upsilon0
-            d_u0 = PointwiseForm()
-            for a in range(AXES):
-                for b in range(a + 1, AXES):
-                    d_u0.add_term(
-                        (a, b), partials[a][("u0", b)] - partials[b][("u0", a)]
-                    )
+            partials = central_partials(payload, pts)
+            omega_D = _euler_form(omega_tables(n, self.D.pi(pts), partials), n)
+            d_u0 = d_from_partials(
+                [{(a,): p[("u0", a)] for a in range(AXES)} for p in partials])
             # d log V ^ Upsilon1
             pb = self.nabla.pi(pts)
             ups1 = PointwiseForm({(a,): u1c * pb[0][1][a] for a in range(AXES)})
@@ -525,22 +485,3 @@ class TransgressionForms:
             return (1.0 / V) * (omega_D + frak)
 
         return FormField(AXES, 2, func)
-
-
-def _stencil_partials(payload, pts: ChartPoints, h: float, richardson: bool):
-    """partials[axis][key]: Richardson central differences of every payload
-    entry, sharing the displaced batches across all entries."""
-    out = []
-    for axis in range(AXES):
-        pp = payload(pts.shifted(axis, +h))
-        pm = payload(pts.shifted(axis, -h))
-        d1 = {k: (pp[k] - pm[k]) / (2.0 * h) for k in pp}
-        if richardson:
-            pp2 = payload(pts.shifted(axis, +0.5 * h))
-            pm2 = payload(pts.shifted(axis, -0.5 * h))
-            d1 = {
-                k: (4.0 * ((pp2[k] - pm2[k]) / h) - d1[k]) / 3.0
-                for k in d1
-            }
-        out.append(d1)
-    return out

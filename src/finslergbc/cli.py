@@ -33,6 +33,7 @@ from .connection import (
 from .errors import FinslerError, ValidationError
 from .manifolds import Atlas, install_metric, sphere_atlas, torus_atlas
 from .metric import (
+    fiber_volume,
     fiber_volume_form,
     quartic_norm,
     randers_norm,
@@ -91,7 +92,6 @@ class ExperimentConfig:
     order_fiber: int = 64
     order_base: int = 48
     epsilon_schedule: tuple = (0.2, 0.1, 0.05)
-    richardson: bool = True
     identity_samples: int = 200
     tolerance: float | None = None
     out_dir: str | None = None
@@ -137,11 +137,25 @@ class ExperimentConfig:
                 cfg.epsilon_schedule = tuple(
                     float(s) for s in ini.get("quadrature", "epsilon_schedule").split(",")
                 )
-            cfg.richardson = ini.get("quadrature", "richardson", fallback="on") != "off"
         if ini.has_section("output"):
             cfg.out_dir = ini.get("output", "dir", fallback=None)
             cfg.fmt = ini.get("output", "format", fallback=cfg.fmt)
         return cfg
+
+    def validate(self) -> None:
+        """Reject settings that no scenario can run correctly with."""
+        if self.order_base < 1 or self.order_fiber < 1:
+            raise ValidationError(
+                f"quadrature orders must be at least 1, got base {self.order_base}, "
+                f"fiber {self.order_fiber}")
+        radii = tuple(self.epsilon_schedule)
+        if not radii or not all(r > 0.0 for r in radii):
+            raise ValidationError(f"epsilon schedule needs positive radii, got {radii}")
+        if len(set(radii)) != len(radii):
+            raise ValidationError(f"epsilon schedule repeats a radius: {radii}")
+        if self.manifold == "sphere" and max(radii) >= 1.0:
+            raise ValidationError(
+                f"epsilon schedule {radii} leaves the unit chart disk of the sphere")
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +339,7 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
     """Full pipeline: certify metric, locate zeros, check Poincare-Hopf,
     build forms, pull back, integrate the excised domain per epsilon, and
     extrapolate to the topological target chi / vol(S^1)."""
+    cfg.validate()
     t0 = time.perf_counter()
     atlas = _build_atlas(cfg)
     metric = install_metric(atlas, cfg.metric, _metric_params(cfg))
@@ -333,8 +348,7 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
     chi = check_euler_characteristic(zeros, atlas)
 
     fcD, fcN, _, _ = _build_connections(cfg, atlas, metric)
-    forms = TransgressionForms(metric, fcD, fcN, order_fiber=cfg.order_fiber,
-                               richardson=cfg.richardson)
+    forms = TransgressionForms(metric, fcD, fcN, order_fiber=cfg.order_fiber)
     integrand = pullback_by_section(forms.gbc_integrand(), X)
 
     rows = [ReportRow("poincare_hopf_sum", float(chi), float(atlas.chi), 0.0, True)]
@@ -364,7 +378,7 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
             )
             total += base_integral_excised(integrand, shells, order=cfg.order_base)
             per_eps.append((eps, VOL_S1 * total))
-        if cfg.richardson and len(per_eps) >= 2:
+        if len(per_eps) >= 2:
             extrap = extrapolate_to_zero([e for e, _ in per_eps], [v for _, v in per_eps])
         else:
             extrap = per_eps[-1][1]
@@ -385,7 +399,6 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
         "field": X.label,
         "order_base": cfg.order_base,
         "order_fiber": cfg.order_fiber,
-        "richardson": cfg.richardson,
         "epsilon_schedule": ",".join(f"{e:g}" for e in schedule),
         "runtime_s": f"{runtime:.2f}",
         "seed": cfg.seed,
@@ -399,8 +412,8 @@ def _volume_spread(forms: TransgressionForms, atlas: Atlas) -> float:
     for chart in atlas.chart_ids:
         g1, g2 = np.meshgrid(xs, xs, indexing="ij")
         keep = g1 ** 2 + g2 ** 2 <= 1.0
-        V = forms._volume_raw(chart, g1[keep], g2[keep])
-        vals.append(V)
+        vals.append(fiber_volume(forms.metric, (g1[keep], g2[keep]), chart,
+                                 forms.order_fiber))
     V = np.concatenate(vals)
     return float(np.max(V) / np.min(V) - 1.0)
 
@@ -428,12 +441,12 @@ def _bundle_samples(cfg: ExperimentConfig, atlas: Atlas, count: int):
 
 def run_identity_suite(cfg: ExperimentConfig) -> Report:
     """Pointwise residuals of every identity the pipeline relies on."""
+    cfg.validate()
     t0 = time.perf_counter()
     atlas = _build_atlas(cfg)
     metric = install_metric(atlas, cfg.metric, _metric_params(cfg))
     fcD, fcN, nabla_data, eh = _build_connections(cfg, atlas, metric)
-    forms = TransgressionForms(metric, fcD, fcN, order_fiber=cfg.order_fiber,
-                               richardson=cfg.richardson)
+    forms = TransgressionForms(metric, fcD, fcN, order_fiber=cfg.order_fiber)
     batches = _bundle_samples(cfg, atlas, cfg.identity_samples)
 
     res = {
@@ -446,13 +459,14 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
         "lemma35_transgression_ode": 0.0,
     }
     inv_v = lambda p: 1.0 / forms.volume(p)
+    integrand = forms.gbc_integrand()
     for pts in batches:
         dpi = exterior_derivative(forms.pi())(pts)
         omn = forms.omega_nabla()(pts)
         res["eq33_dPi_minus_omega_nabla"] = max(
             res["eq33_dPi_minus_omega_nabla"], (dpi - omn).max_abs())
 
-        lhs = (forms.omega_D() + forms.frak_e_field()).scale_by(inv_v)(pts)
+        lhs = integrand(pts)
         rhs = forms.upsilon1().scale_by(inv_v).d()(pts)
         res["eq34_gbc_exactness"] = max(res["eq34_gbc_exactness"], (lhs - rhs).max_abs())
 
@@ -584,6 +598,7 @@ def _dump_forms(cfg: ExperimentConfig, forms: TransgressionForms, batches):
 
 def run_minkowski_props(cfg: ExperimentConfig) -> Report:
     """Sum-of-norms positivity sweep and Cartan tensor identities."""
+    cfg.validate()
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     pairs, rays = 200, 100
@@ -651,6 +666,7 @@ def _random_norm(rng):
 
 def run_degrees(cfg: ExperimentConfig) -> Report:
     """Winding-number recovery and Poincare-Hopf sums for the zoo."""
+    cfg.validate()
     t0 = time.perf_counter()
     sphere = sphere_atlas()
     torus = torus_atlas()
@@ -686,7 +702,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order-base", type=int, default=None)
     p.add_argument("--epsilon-schedule", default=None,
                    help="comma separated radii, e.g. 0.2,0.1,0.05")
-    p.add_argument("--richardson", choices=("on", "off"), default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--manifold", choices=("sphere", "torus"), default=None)
     p.add_argument("--metric", default=None)
@@ -713,8 +728,6 @@ def _merge(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "epsilon_schedule", None):
         updates["epsilon_schedule"] = tuple(
             float(s) for s in args.epsilon_schedule.split(","))
-    if getattr(args, "richardson", None):
-        updates["richardson"] = args.richardson == "on"
     return replace(cfg, **updates)
 
 

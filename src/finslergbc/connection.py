@@ -24,7 +24,7 @@ import numpy as np
 from .ad import Dual, partial, value
 from .errors import ValidationError
 from .metric import FinslerMetric, MetricJets, metric_jets
-from .quadrature import ChartPoints, FormField, PointwiseForm
+from .quadrature import ChartPoints, FormField, PointwiseForm, central_partials
 
 __all__ = [
     "EhresmannData",
@@ -42,6 +42,8 @@ __all__ = [
     "to_orthonormal_frame",
     "frame_transform",
     "curvature",
+    "pi_entries",
+    "omega_tables",
     "perturb_metric_compatible",
     "connection_family",
     "metric_compat_residual",
@@ -69,15 +71,12 @@ class EhresmannData:
     token: int = field(default_factory=lambda: next(_EHRESMANN_SEQ))
 
     def at(self, x, y, chart: str | None = None) -> np.ndarray:
-        chart = _chart_of(self.metric, chart) if self.metric else chart
         if self.kind == "explicit":
             return np.asarray(self.table(chart, x, y), dtype=float)
-        th = math.atan2(float(y[1]), float(y[0]))
+        tens = _point_tensors(self.metric, None, x, y, chart)
+        # spray N is 1-homogeneous; the tensors were taken at the unit ray
         scale = math.hypot(float(y[0]), float(y[1]))
-        jets = metric_jets(self.metric, chart, float(x[0]), float(x[1]), th)
-        tens = _derived_tensors(jets)
-        # spray N is 1-homogeneous; jets were taken at the unit ray
-        return np.array([[float(tens["N"][i][j]) * scale for j in range(N_RANK)]
+        return np.array([[float(tens.N[i][j]) * scale for j in range(N_RANK)]
                          for i in range(N_RANK)])
 
 
@@ -267,20 +266,21 @@ def bundle_tensors(metric: FinslerMetric, pts: ChartPoints,
     return tens
 
 
+def _point_tensors(metric: FinslerMetric, ehresmann, x, y, chart: str | None) -> ChartTensors:
+    """bundle_tensors at the single bundle point (x, [y])."""
+    th = math.atan2(float(y[1]), float(y[0]))
+    pts = ChartPoints(_chart_of(metric, chart), (float(x[0]), float(x[1]), th))
+    return bundle_tensors(metric, pts, ehresmann)
+
+
 def chern_horizontal(metric: FinslerMetric, ehresmann, x, y, chart: str | None = None):
     """Horizontal coefficients gamma^i_{jA} of the Chern-type connection,
     solving the partial metric-compatibility + symmetry system at (x, y)
     in the splitting defined by ``ehresmann`` (spray when None)."""
-    chart = _chart_of(metric, chart)
-    th = math.atan2(float(y[1]), float(y[0]))
-    jets = metric_jets(metric, chart, float(x[0]), float(x[1]), th)
-    N_override = None
-    if ehresmann is not None and getattr(ehresmann, "kind", "spray") == "explicit":
-        N_override = ehresmann.table(chart, [float(x[0]), float(x[1])], jets.u)
-    der = _derived_tensors(jets, N_override)
+    gamma = _point_tensors(metric, ehresmann, x, y, chart).gamma_chern
     n = N_RANK
     return np.array(
-        [[[float(der["gamma"][i][j][Aa]) for Aa in range(n)] for j in range(n)]
+        [[[float(gamma[i][j][Aa]) for Aa in range(n)] for j in range(n)]
          for i in range(n)]
     )
 
@@ -512,15 +512,15 @@ class CurvatureData:
     omega[i][j] as {(a, b): coeff} with a < b."""
 
     conn: FrameConnection
-    h: float = 1e-4
-    richardson: bool = True
 
     def omega(self, pts: ChartPoints):
-        key = ("omega", self.conn.token, self.h)
+        key = ("omega", self.conn.token)
         hit = pts.cache.get(key)
         if hit is not None:
             return hit
-        out = _curvature_tables(self.conn, pts, self.h, self.richardson)
+        n = self.conn.n
+        partials = central_partials(lambda q: pi_entries(self.conn.pi(q), n), pts)
+        out = omega_tables(n, self.conn.pi(pts), partials)
         pts.cache[key] = out
         return out
 
@@ -531,10 +531,15 @@ class CurvatureData:
         return FormField(AXES, 2, func)
 
 
-def _curvature_tables(conn: FrameConnection, pts: ChartPoints, h: float, richardson: bool):
-    n = conn.n
-    pi0 = conn.pi(pts)
-    dpi = _dpi_tables(conn, pts, h, richardson)
+def pi_entries(pi, n: int) -> dict:
+    """Frame forms pi[i][j][axis] as a flat {(i, j, axis): coeff} table."""
+    return {(i, j, a): pi[i][j][a] for i in range(n) for j in range(n) for a in range(AXES)}
+
+
+def omega_tables(n: int, pi0, partials):
+    """Omega_i^j = d varpi_i^j - varpi_i^k ^ varpi_k^j as {(a, b): coeff}
+    tables, from the frame forms pi0[i][j][axis] and the partials of
+    their pi_entries."""
     out = [[{} for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -544,48 +549,15 @@ def _curvature_tables(conn: FrameConnection, pts: ChartPoints, h: float, richard
                         pi0[i][k][a] * pi0[k][j][b] - pi0[i][k][b] * pi0[k][j][a]
                         for k in range(n)
                     )
-                    out[i][j][(a, b)] = dpi[i][j][(a, b)] - wedge
-    return out
-
-
-def _dpi_tables(conn: FrameConnection, pts: ChartPoints, h: float, richardson: bool):
-    n = conn.n
-    partials = []
-    for axis in range(AXES):
-        pp = conn.pi(pts.shifted(axis, +h))
-        pm = conn.pi(pts.shifted(axis, -h))
-        d1 = _pi_diff(pp, pm, 2.0 * h, n)
-        if richardson:
-            pp2 = conn.pi(pts.shifted(axis, +0.5 * h))
-            pm2 = conn.pi(pts.shifted(axis, -0.5 * h))
-            d2 = _pi_diff(pp2, pm2, h, n)
-            d1 = [
-                [
-                    [(4.0 * d2[i][j][a] - d1[i][j][a]) / 3.0 for a in range(AXES)]
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        partials.append(d1)
-    out = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for a in range(AXES):
-                for b in range(a + 1, AXES):
                     # (d varpi)_{ab} = d_a varpi_b - d_b varpi_a
-                    out[i][j][(a, b)] = partials[a][i][j][b] - partials[b][i][j][a]
+                    out[i][j][(a, b)] = (
+                        partials[a][(i, j, b)] - partials[b][(i, j, a)] - wedge
+                    )
     return out
 
 
-def _pi_diff(pp, pm, denom, n):
-    return [
-        [[(pp[i][j][a] - pm[i][j][a]) / denom for a in range(AXES)] for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def curvature(conn: FrameConnection, h: float = 1e-4, richardson: bool = True) -> CurvatureData:
-    return CurvatureData(conn, h, richardson)
+def curvature(conn: FrameConnection) -> CurvatureData:
+    return CurvatureData(conn)
 
 
 # ---------------------------------------------------------------------------

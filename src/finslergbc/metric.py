@@ -336,26 +336,18 @@ def _det_g(metric, chart, x, y1, y2):
     return g00 * g11 - g01 * g01
 
 
-def fiber_circle_rule(order: int):
-    """Composite Gauss rule on [0, 2 pi]: four panels, order/4 nodes each."""
-    panels = 4
-    per = max(4, order // panels)
-    nodes, weights = [], []
-    for k in range(panels):
-        a = 2.0 * math.pi * k / panels
-        b = 2.0 * math.pi * (k + 1) / panels
-        t, w = gauss_legendre(a, b, per)
-        nodes.append(t)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+def fiber_volume(metric: FinslerMetric, x, chart: str | None = None, order: int = 64):
+    """V(x): Riemannian volume of the indicatrix fiber at each base point.
 
-
-def fiber_volume(metric: FinslerMetric, x, chart: str | None = None, order: int = 64) -> float:
-    """V(x): Riemannian volume of the indicatrix fiber at x."""
+    x = (x1, x2) holds scalars or arrays; the result has their broadcast
+    shape.  The density is integrated by the order-point Gauss-Legendre
+    rule on [0, 2 pi]."""
     chart = _default_chart(metric, chart)
-    th, w = fiber_circle_rule(order)
-    rho = fiber_volume_form(metric, x, th, chart)
-    return float(np.sum(w * rho))
+    x1, x2 = (np.asarray(c, dtype=float) for c in x)
+    th, w = gauss_legendre(0.0, 2.0 * math.pi, order)
+    rho = fiber_volume_form(metric, [x1[..., None], x2[..., None]], th, chart)
+    shape = np.broadcast_shapes(x1.shape, x2.shape) + th.shape
+    return np.broadcast_to(rho, shape) @ w
 
 
 def orthonormal_frame(metric: FinslerMetric, x, y, chart: str | None = None) -> OrthonormalFrame:

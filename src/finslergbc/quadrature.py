@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import merge_sign
+from .algebra import merge_sign, sort_with_parity
 
 __all__ = [
     "ChartPoints",
@@ -22,6 +22,9 @@ __all__ = [
     "ExcisedDomain",
     "AnnulusRegion",
     "BoxRegion",
+    "FD_STEP",
+    "central_partials",
+    "d_from_partials",
     "exterior_derivative",
     "pullback_by_section",
     "base_integral_excised",
@@ -32,6 +35,10 @@ __all__ = [
 ]
 
 Index = tuple[int, ...]
+
+# The one finite-difference step of the package: central differences at
+# FD_STEP and FD_STEP/2, Richardson-combined (see central_partials).
+FD_STEP = 1e-4
 
 
 class QuadratureError(ValueError):
@@ -84,7 +91,7 @@ class PointwiseForm:
         return self.coeffs.get(tuple(key), default)
 
     def add_term(self, key, value) -> None:
-        key_s, sign = _sort_axes(key)
+        key_s, sign = sort_with_parity(key)
         if sign == 0:
             return
         prev = self.coeffs.get(key_s)
@@ -121,21 +128,6 @@ class PointwiseForm:
         return max(float(np.max(np.abs(v))) for v in self.coeffs.values())
 
 
-def _sort_axes(key) -> tuple[Index, int]:
-    seq = list(key)
-    sign = 1
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and seq[j - 1] > seq[j]:
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(seq, seq[1:]):
-        if a == b:
-            return tuple(seq), 0
-    return tuple(seq), sign
-
-
 class FormField:
     """A degree-k form field on a chart of dimension dim: a pure function
     from ChartPoints to a PointwiseForm coefficient table."""
@@ -170,46 +162,55 @@ class FormField:
             self.dim, self.degree + other.degree, lambda p: self(p).wedge(other(p))
         )
 
-    def d(self, h: float = 1e-4, richardson: bool = True) -> "FormField":
-        return exterior_derivative(self, h=h, richardson=richardson)
+    def d(self) -> "FormField":
+        return exterior_derivative(self)
 
 
-def exterior_derivative(f: FormField, h: float = 1e-4, richardson: bool = True) -> FormField:
-    """Exterior derivative by central differences on the coefficients.
+def central_partials(payload, pts: ChartPoints) -> list[dict]:
+    """partials[axis][key]: the derivative of every entry of the dict
+    payload(pts) along each chart axis of the batch.
 
-    Each partial is a central difference at step h; with Richardson the
-    h and h/2 stencils combine to an O(h^4) estimate.  Coefficients must
-    be evaluable in a neighborhood of the batch (charts here are global,
-    so displacements never leave the domain).
+    Central differences at steps FD_STEP and FD_STEP/2 are combined by
+    Richardson extrapolation to an O(h^4) estimate.  All entries share the
+    four displaced batches per axis; an entry missing from one of them
+    counts as 0 there.  The payload must be evaluable in a neighbourhood
+    of the batch (charts here are global, so displacements never leave
+    the domain).
     """
+    h = FD_STEP
+    out = []
+    for axis in range(pts.dim):
+        pp = payload(pts.shifted(axis, +h))
+        pm = payload(pts.shifted(axis, -h))
+        pp2 = payload(pts.shifted(axis, +0.5 * h))
+        pm2 = payload(pts.shifted(axis, -0.5 * h))
+        by_key = {}
+        for k in set(pp) | set(pm) | set(pp2) | set(pm2):
+            d1 = (pp.get(k, 0.0) - pm.get(k, 0.0)) / (2.0 * h)
+            d2 = (pp2.get(k, 0.0) - pm2.get(k, 0.0)) / h
+            by_key[k] = (4.0 * d2 - d1) / 3.0
+        out.append(by_key)
+    return out
+
+
+def d_from_partials(partials) -> PointwiseForm:
+    """The exterior derivative of a form from the partials[axis][key] of
+    its coefficient table, keyed by ordered axis tuples."""
+    out = PointwiseForm()
+    for axis, by_key in enumerate(partials):
+        for key, dc in by_key.items():
+            if axis not in key:
+                out.add_term((axis,) + key, dc)
+    return out
+
+
+def exterior_derivative(f: FormField) -> FormField:
+    """Exterior derivative by central differences on the coefficients."""
 
     def dfunc(pts: ChartPoints) -> PointwiseForm:
-        out = PointwiseForm()
-        for axis in range(f.dim):
-            deriv_by_key = _partial_of_coeffs(f, pts, axis, h, richardson)
-            for key, dc in deriv_by_key.items():
-                if axis in key:
-                    continue
-                out.add_term((axis,) + key, dc)
-        return out
+        return d_from_partials(central_partials(lambda q: f(q).coeffs, pts))
 
     return FormField(f.dim, f.degree + 1, dfunc)
-
-
-def _partial_of_coeffs(f, pts, axis, h, richardson):
-    cp = f(pts.shifted(axis, +h)).coeffs
-    cm = f(pts.shifted(axis, -h)).coeffs
-    keys = set(cp) | set(cm)
-    d1 = {k: (cp.get(k, 0.0) - cm.get(k, 0.0)) / (2 * h) for k in keys}
-    if not richardson:
-        return d1
-    cp2 = f(pts.shifted(axis, +h / 2)).coeffs
-    cm2 = f(pts.shifted(axis, -h / 2)).coeffs
-    out = {}
-    for k in keys:
-        d2 = (cp2.get(k, 0.0) - cm2.get(k, 0.0)) / h
-        out[k] = (4.0 * d2 - d1[k]) / 3.0
-    return out
 
 
 def pullback_by_section(f: FormField, section) -> FormField:
@@ -228,7 +229,6 @@ def pullback_by_section(f: FormField, section) -> FormField:
         t1, t2 = section.theta_grad(pts.chart, x1, x2)
         w = f(ChartPoints(pts.chart, (x1, x2, th)))
         out = PointwiseForm()
-        subs = {0: ((0,), 1.0), 1: ((1,), 1.0)}
         for key, c in w.coeffs.items():
             # expand dtheta -> t1 dx1 + t2 dx2 in each slot
             expansions = [[]]

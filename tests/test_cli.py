@@ -39,7 +39,7 @@ class TestConfig:
             "[connection]\ntype = perturbed\nperturbation_amplitude = 0.1\n"
             "[vector_field]\ntype = stereographic_power\npower = 2\n"
             "[quadrature]\norder_fiber = 32\norder_base = 24\n"
-            "epsilon_schedule = 0.3,0.15\nrichardson = off\n"
+            "epsilon_schedule = 0.3,0.15\n"
             "[output]\ndir = out\nformat = csv\n"
         )
         cfg = ExperimentConfig.from_file(str(path))
@@ -48,7 +48,6 @@ class TestConfig:
         assert cfg.connection == "perturbed" and cfg.perturbation_amplitude == 0.1
         assert cfg.vector_field == "stereographic_power" and cfg.field_power == 2
         assert cfg.epsilon_schedule == (0.3, 0.15)
-        assert cfg.richardson is False
         assert cfg.out_dir == "out" and cfg.fmt == "csv"
 
     def test_custom_field_exprs(self, tmp_path):
@@ -150,6 +149,19 @@ class TestMainEntry:
         rc = cli.main(["gbc", "--order-base", "8", "--order-fiber", "32",
                        "--epsilon-schedule", "0.3", "--tolerance", "1e-9"])
         assert rc == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--epsilon-schedule", "-0.1"],
+        ["--epsilon-schedule", "0.2,0.2"],
+        ["--epsilon-schedule", "1.5,0.5"],
+        ["--order-base", "0"],
+        ["--order-fiber", "0"],
+    ])
+    def test_invalid_config_rejected(self, flags, capsys):
+        """Nonpositive or repeated radii, radii past the unit chart disk
+        and empty quadrature rules exit 2 before any work is done."""
+        assert main(["gbc", *flags]) == 2
+        assert "ValidationError" in capsys.readouterr().err
 
     def test_error_reporting(self, capsys):
         rc = main(["gbc", "--manifold", "torus", "--metric", "euclidean",

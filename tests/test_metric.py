@@ -314,6 +314,19 @@ class TestFiberVolume:
         v128 = fiber_volume(randers_metric, [0.3, 0.3], "south", order=128)
         assert abs(v64 - v128) < 1e-12
 
+    def test_batched_matches_pointwise(self, randers_metric):
+        """One call over a grid of base points equals one call per point
+        and keeps the shape of the grid."""
+        rng = np.random.default_rng(8)
+        x1 = rng.uniform(-0.7, 0.7, (3, 4))
+        x2 = rng.uniform(-0.7, 0.7, (3, 4))
+        V = fiber_volume(randers_metric, (x1, x2), "south")
+        assert V.shape == (3, 4)
+        assert np.shape(fiber_volume(randers_metric, (0.1, 0.2), "south")) == ()
+        for idx in np.ndindex(V.shape):
+            one = fiber_volume(randers_metric, (x1[idx], x2[idx]), "south")
+            assert V[idx] == pytest.approx(one, rel=1e-14)
+
 
 class TestOrthonormalFrame:
     @pytest.mark.parametrize("metric_name", ["round", "randers"])

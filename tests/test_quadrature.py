@@ -15,6 +15,7 @@ from finslergbc.quadrature import (
     PointwiseForm,
     base_integral_excised,
     boundary_circle_integral,
+    central_partials,
     exterior_derivative,
     extrapolate_to_zero,
     fiber_integral,
@@ -75,6 +76,38 @@ class TestExteriorDerivative:
         pts = ChartPoints.of("c", [0.1], [0.2], [0.3])
         w = exterior_derivative(f)(pts)
         assert np.allclose(w.get((0, 1, 2)), 1.0, atol=1e-10)
+
+
+class TestCentralPartials:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_quartic_payload_exact(self, dim):
+        """Richardson central differences are exact on quartics, so only
+        rounding is left.  x2 = 0 on the batch, so the "sparse" entry is
+        zero, and left out, everywhere but along axis 1."""
+        rng = np.random.default_rng(11)
+        x = [rng.uniform(-1.0, 1.0, 6) for _ in range(dim)]
+        x[1] = np.zeros(6)
+        pts = ChartPoints.of("c", *x)
+
+        def payload(q):
+            y, z = q.coords[0], q.coords[-1]
+            out = {"p": y ** 4 - 2.0 * y * y * z + 3.0 * z ** 3 + q.coords[1]}
+            sparse = q.coords[1] * (1.0 + y ** 3)
+            if np.any(sparse != 0.0):
+                out["sparse"] = sparse
+            return out
+
+        y, z = x[0], x[-1]
+        want_p = [4.0 * y ** 3 - 4.0 * y * z] + [np.ones(6)] * (dim - 2) + [
+            -2.0 * y * y + 9.0 * z * z + (1.0 if dim == 2 else 0.0)]
+        want_sparse = [np.zeros(6), 1.0 + y ** 3] + [np.zeros(6)] * (dim - 2)
+        partials = central_partials(payload, pts)
+        assert len(partials) == dim
+        assert "sparse" in partials[1] and "sparse" not in partials[0]
+        for axis in range(dim):
+            assert np.allclose(partials[axis]["p"], want_p[axis], rtol=0.0, atol=1e-9)
+            got = partials[axis].get("sparse", 0.0)
+            assert np.allclose(got, want_sparse[axis], rtol=0.0, atol=1e-9)
 
 
 class TestPullback:
@@ -188,7 +221,7 @@ class TestBaseIntegral:
             return fn
 
         f1 = FormField(2, 1, lambda p: omega(p.chart)(p))
-        f2 = exterior_derivative(f1, h=1e-5)
+        f2 = exterior_derivative(f1)
         eps = 0.25
         dom = sphere.excised_domain(
             [("south", (0.0, 0.0), eps), ("north", (0.0, 0.0), eps)]
