@@ -9,7 +9,12 @@ single evaluation differentiates a whole batch of points at once.
 
 from __future__ import annotations
 
+import ast
+import operator
+
 import numpy as np
+
+from .errors import ValidationError
 
 __all__ = [
     "Dual",
@@ -23,6 +28,7 @@ __all__ = [
     "cos",
     "atan2",
     "nth_derivative",
+    "expression",
 ]
 
 
@@ -163,3 +169,43 @@ def nth_derivative(f, x0: float, order: int) -> float:
     for _ in range(order):
         out = partial(out)
     return value(out)
+
+
+_EXPRESSION_FUNCTIONS = {"sin": sin, "cos": cos, "sqrt": sqrt, "exp": exp, "log": log}
+_EXPRESSION_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+                         ast.Div: operator.truediv, ast.Pow: operator.pow}
+
+
+def expression(source: str, names):
+    """Compile a user expression in the given variable names, e.g. "u*u - v".
+
+    Only numeric constants, those names, + - * / **, unary minus and calls
+    of sin, cos, sqrt, exp and log (the dual-aware versions above) are
+    accepted; anything else, and text that does not parse, raises
+    ValidationError.  The result takes the variables as keyword arguments.
+    """
+    try:
+        tree = ast.parse(source, mode="eval").body
+    except (SyntaxError, ValueError) as exc:
+        raise ValidationError(f"expression {source!r} does not parse: {exc}") from None
+
+    def build(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return lambda env, c=node.value: c
+        if isinstance(node, ast.Name) and node.id in names:
+            return lambda env, k=node.id: env[k]
+        if isinstance(node, ast.BinOp) and type(node.op) in _EXPRESSION_OPERATORS:
+            op, a, b = _EXPRESSION_OPERATORS[type(node.op)], build(node.left), build(node.right)
+            return lambda env: op(a(env), b(env))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            a = build(node.operand)
+            return lambda env: -a(env)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _EXPRESSION_FUNCTIONS
+                and len(node.args) == 1 and not node.keywords):
+            fn, a = _EXPRESSION_FUNCTIONS[node.func.id], build(node.args[0])
+            return lambda env: fn(a(env))
+        raise ValidationError(f"expression {source!r}: {ast.unparse(node)!r} is not allowed")
+
+    run = build(tree)
+    return lambda **env: run(env)

@@ -125,11 +125,12 @@ class ExperimentConfig:
             cfg.vector_field = ini.get("vector_field", "type", fallback=cfg.vector_field)
             cfg.field_power = ini.getint("vector_field", "power", fallback=cfg.field_power)
             for chart in ("south", "north", "torus"):
-                if ini.has_option("vector_field", f"{chart}_u"):
-                    cfg.field_exprs[chart] = (
-                        ini.get("vector_field", f"{chart}_u"),
-                        ini.get("vector_field", f"{chart}_v"),
-                    )
+                keys = (f"{chart}_u", f"{chart}_v")
+                given = [ini.has_option("vector_field", k) for k in keys]
+                if any(given) and not all(given):
+                    raise ValidationError(f"[vector_field] needs both {keys[0]} and {keys[1]}")
+                if all(given):
+                    cfg.field_exprs[chart] = tuple(ini.get("vector_field", k) for k in keys)
         if ini.has_section("quadrature"):
             cfg.order_fiber = ini.getint("quadrature", "order_fiber", fallback=cfg.order_fiber)
             cfg.order_base = ini.getint("quadrature", "order_base", fallback=cfg.order_base)
@@ -144,6 +145,9 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Reject settings that no scenario can run correctly with."""
+        if self.identity_samples < 1:
+            raise ValidationError(
+                f"identity samples must be at least 1, got {self.identity_samples}")
         if self.order_base < 1 or self.order_fiber < 1:
             raise ValidationError(
                 f"quadrature orders must be at least 1, got base {self.order_base}, "
@@ -290,15 +294,11 @@ def _build_ehresmann(cfg: ExperimentConfig):
         raise ValidationError(f"unknown ehresmann type {cfg.ehresmann!r}")
     from . import ad
 
-    ns = {"sin": ad.sin, "cos": ad.cos, "sqrt": ad.sqrt, "exp": ad.exp}
-    compiled = {
-        key: compile(cfg.ehresmann_exprs.get(key, "0.0*u"), "<ehresmann>", "eval")
-        for key in ("n11", "n12", "n21", "n22")
-    }
+    exprs = {k: ad.expression(cfg.ehresmann_exprs.get(k, "0.0*u"), ("u", "v", "y1", "y2"))
+             for k in ("n11", "n12", "n21", "n22")}
 
     def table(chart, x, y):
-        env = dict(ns, u=x[0], v=x[1], y1=y[0], y2=y[1])
-        ev = {k: eval(c, {"__builtins__": {}}, env) for k, c in compiled.items()}
+        ev = {k: e(u=x[0], v=x[1], y1=y[0], y2=y[1]) for k, e in exprs.items()}
         return [[ev["n11"], ev["n12"]], [ev["n21"], ev["n22"]]]
 
     return explicit_ehresmann(table)
@@ -610,15 +610,14 @@ def run_minkowski_props(cfg: ExperimentConfig) -> Report:
         f2 = _random_norm(rng)
         fs = sum_norms(f1, f2)
         th = rng.uniform(0.0, 2.0 * math.pi, rays)
-        for c, s in zip(np.cos(th), np.sin(th)):
-            y = [float(c), float(s)]
-            lam = float(rng.uniform(0.2, 5.0))
-            r = abs(float(fs([lam * y[0], lam * y[1]])) - lam * float(fs(y)))
-            homog_worst = max(homog_worst, r / max(1.0, abs(lam * float(fs(y)))))
-            ev = float(np.min(np.linalg.eigvalsh(fs.fundamental(y))))
-            eig_min = min(eig_min, ev)
-            if ev <= 0.0 or r > 1e-9:
-                failures += 1
+        y = [np.cos(th), np.sin(th)]
+        lam = rng.uniform(0.2, 5.0, rays)
+        lam_F = lam * fs(y)
+        r = np.abs(fs([lam * y[0], lam * y[1]]) - lam_F)
+        homog_worst = max(homog_worst, float(np.max(r / np.maximum(1.0, np.abs(lam_F)))))
+        ev = np.linalg.eigvalsh(np.moveaxis(fs.fundamental(y), -1, 0)).min(axis=1)
+        eig_min = min(eig_min, float(np.min(ev)))
+        failures += int(np.count_nonzero((ev <= 0.0) | (r > 1e-9)))
     ycontract = 0.0
     riem_cartan = 0.0
     for _ in range(50):
@@ -741,10 +740,6 @@ def main(argv=None) -> int:
         _add_common(sub.add_parser(name))
     args = parser.parse_args(argv)
 
-    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    cfg = _merge(cfg, args)
-    cfg.scenario = args.command
-
     runners = {
         "gbc": run_gbc,
         "identities": run_identity_suite,
@@ -752,6 +747,9 @@ def main(argv=None) -> int:
         "degrees": run_degrees,
     }
     try:
+        cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
+        cfg = _merge(cfg, args)
+        cfg.scenario = args.command
         report = runners[args.command](cfg)
     except FinslerError as exc:
         sys.stderr.write(f"error [{type(exc).__name__}]: {exc}\n")

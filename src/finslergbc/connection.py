@@ -23,7 +23,7 @@ import numpy as np
 
 from .ad import Dual, partial, value
 from .errors import ValidationError
-from .metric import FinslerMetric, MetricJets, metric_jets
+from .metric import FinslerMetric, MetricJets, _default_chart, metric_jets
 from .quadrature import ChartPoints, FormField, PointwiseForm, central_partials
 
 __all__ = [
@@ -92,12 +92,6 @@ def spray_connection(metric: FinslerMetric, x=None, y=None, chart: str | None = 
 def explicit_ehresmann(table) -> EhresmannData:
     """General-bundle mode: the caller supplies N^j_A directly."""
     return EhresmannData("explicit", table=table)
-
-
-def _chart_of(metric: FinslerMetric, chart: str | None) -> str:
-    if chart is not None:
-        return chart
-    return next(iter(metric.charts))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +263,7 @@ def bundle_tensors(metric: FinslerMetric, pts: ChartPoints,
 def _point_tensors(metric: FinslerMetric, ehresmann, x, y, chart: str | None) -> ChartTensors:
     """bundle_tensors at the single bundle point (x, [y])."""
     th = math.atan2(float(y[1]), float(y[0]))
-    pts = ChartPoints(_chart_of(metric, chart), (float(x[0]), float(x[1]), th))
+    pts = ChartPoints(_default_chart(metric, chart), (float(x[0]), float(x[1]), th))
     return bundle_tensors(metric, pts, ehresmann)
 
 

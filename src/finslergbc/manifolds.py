@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ad
 from .errors import InvalidMetricError, ValidationError
-from .metric import FinslerMetric, MinkowskiNorm, quartic_norm
+from .metric import FinslerMetric, MinkowskiNorm, euclidean_norm, quartic_norm, riemannian_norm
 from .quadrature import AnnulusRegion, BoxRegion, ExcisedDomain
 
 __all__ = [
@@ -178,28 +178,15 @@ def _norm_metric(atlas: Atlas, norm: MinkowskiNorm) -> FinslerMetric:
     return FinslerMetric(atlas.name, charts, label=norm.label)
 
 
-def _riemannian_metric(atlas: Atlas, G) -> FinslerMetric:
-    G = np.asarray(G, dtype=float)
-    if np.any(np.linalg.eigvalsh(G) <= 0):
-        raise InvalidMetricError("riemannian zoo entry needs a positive matrix")
-
-    def fn(x, y):
-        return ad.sqrt(
-            sum(G[i, j] * y[i] * y[j] for i in range(2) for j in range(2))
-        )
-
-    return FinslerMetric(atlas.name, {c: fn for c in atlas.chart_ids}, label="riemannian")
-
-
 def install_metric(atlas: Atlas, zoo_id: str, params: dict | None = None,
                    certify: bool = True) -> FinslerMetric:
     """Instantiate a zoo metric on the atlas and certify the Minkowski
     axioms on a sample sweep before any pipeline consumes it."""
     params = params or {}
     if zoo_id in ("euclidean", "flat_torus"):
-        metric = _norm_metric(atlas, MinkowskiNorm(2, lambda y: ad.sqrt(y[0] * y[0] + y[1] * y[1]), "euclidean"))
+        metric = _norm_metric(atlas, euclidean_norm(2))
     elif zoo_id == "riemannian":
-        metric = _riemannian_metric(atlas, params.get("G", np.eye(2)))
+        metric = _norm_metric(atlas, riemannian_norm(params.get("G", np.eye(2))))
     elif zoo_id == "round_sphere":
         if atlas.name != "sphere":
             raise ValidationError("round_sphere lives on the sphere atlas")

@@ -1,9 +1,10 @@
 """Finsler and Minkowski metric kernels.
 
 Everything here reduces to derivatives of E = F^2 taken with nested dual
-numbers: the fundamental tensor is the y-Hessian of E/2, the Cartan
-tensor is (F/4) times the third y-derivative, and the indicatrix volume
-density comes from the coordinate formula for the fiber volume form.
+numbers, and every y-derivative comes from one kernel, ``y_jets``: the
+fundamental tensor is the y-Hessian of E/2, the Cartan tensor is (F/4)
+times the third y-derivative, and the indicatrix volume density comes
+from the coordinate formula for the fiber volume form.
 Evaluations accept numpy arrays in every coordinate slot, so one call
 covers a whole batch of points.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import combinations_with_replacement, count, permutations, product
 
 import numpy as np
 
@@ -33,7 +34,7 @@ __all__ = [
     "randers_norm",
     "quartic_norm",
     "sum_norms",
-    "nested_jet",
+    "y_jets",
     "metric_jets",
     "fundamental_tensor",
     "cartan_tensor",
@@ -67,12 +68,29 @@ def _eval_wrapped(E, x, y, dirs):
     return E(xx, yy)
 
 
-def nested_jet(E, x, y, dirs):
-    """Mixed partial of E(x, y) along the given coordinate directions."""
-    r = _eval_wrapped(E, x, y, dirs)
-    for _ in dirs:
-        r = partial(r)
-    return value(r)
+def y_jets(E, x, y, order: int) -> dict:
+    """Every y-derivative of E(x, y) up to the given order, keyed by index
+    tuple: jets[(i,)] = dE/dy_i, jets[(i, j)] = d^2E/dy_i dy_j, and so on.
+
+    One nested-dual evaluation per sorted index tuple of length order;
+    peeling its layers one by one reads off the derivatives along every
+    prefix of the tuple, and each is stored under all its permutations.
+    Slots of x and y may hold arrays, so one call covers a batch."""
+    jets = {}
+    for idx in combinations_with_replacement(range(len(y)), order):
+        r = _eval_wrapped(E, x, y, [("y", i) for i in reversed(idx)])
+        for m in range(1, order + 1):
+            r = partial(r)
+            d = value(r)
+            for p in permutations(idx[:m]):
+                jets[p] = d
+    return jets
+
+
+def _tensor(jets: dict, n: int, rank: int, scale) -> np.ndarray:
+    """scale * jets as one array of shape (n,) * rank + batch shape."""
+    parts = np.broadcast_arrays(*(scale * jets[p] for p in product(range(n), repeat=rank)))
+    return np.stack(parts).reshape((n,) * rank + parts[0].shape)
 
 
 # ---------------------------------------------------------------------------
@@ -92,30 +110,18 @@ class MinkowskiNorm:
         return self.fn(list(y))
 
     def fundamental(self, y) -> np.ndarray:
-        """g_ij = (1/2) d^2 F^2 / dy_i dy_j at y."""
+        """g_ij = (1/2) d^2 F^2 / dy_i dy_j at y; batch axes of y trail."""
         _require_nonzero(y)
-        E = lambda x, yy: self.fn(yy) ** 2
-        g = np.empty((self.n, self.n))
-        for i in range(self.n):
-            for j in range(i, self.n):
-                g[i, j] = g[j, i] = 0.5 * nested_jet(E, [], list(y), [("y", j), ("y", i)])
-        return g
+        return _tensor(y_jets(self._E, [], list(y), 2), self.n, 2, 0.5)
 
     def cartan(self, y) -> np.ndarray:
-        """A_ijk = (F/4) d^3 F^2 / dy_i dy_j dy_k at y."""
+        """A_ijk = (F/4) d^3 F^2 / dy_i dy_j dy_k at y; batch axes of y trail."""
         _require_nonzero(y)
-        E = lambda x, yy: self.fn(yy) ** 2
-        F = float(self(y))
-        A = np.empty((self.n, self.n, self.n))
-        for i in range(self.n):
-            for j in range(i, self.n):
-                for k in range(j, self.n):
-                    v = 0.25 * F * nested_jet(
-                        E, [], list(y), [("y", k), ("y", j), ("y", i)]
-                    )
-                    for p in ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
-                        A[p] = v
-        return A
+        F = np.asarray(self(y), dtype=float)
+        return _tensor(y_jets(self._E, [], list(y), 3), self.n, 3, 0.25 * F)
+
+    def _E(self, x, y):
+        return self.fn(y) ** 2
 
 
 def _require_nonzero(y) -> None:
@@ -227,14 +233,7 @@ class OrthonormalFrame:
 
 
 def fundamental_tensor(metric: FinslerMetric, x, y, chart: str | None = None) -> FundamentalTensor:
-    chart = _default_chart(metric, chart)
-    _require_nonzero(y)
-    E = lambda xx, yy: metric.charts[chart](xx, yy) ** 2
-    n = metric.n
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = 0.5 * nested_jet(E, list(x), list(y), [("y", j), ("y", i)])
+    g = metric.norm_at(_default_chart(metric, chart), x).fundamental(y)
     if np.any(np.linalg.eigvalsh(g) <= 0):
         raise InvalidMetricError("fundamental tensor is not positive definite")
     return FundamentalTensor(g, np.linalg.inv(g))
@@ -247,6 +246,10 @@ def cartan_tensor(metric: FinslerMetric, x, y, chart: str | None = None) -> Cart
     A = norm.cartan(y)
     g_inv = fundamental_tensor(metric, x, y, chart).g_inv
     return CartanTensor(A, np.einsum("il,ljk->ijk", g_inv, A))
+
+
+def _squared(metric: FinslerMetric, chart: str):
+    return lambda xx, yy: metric.charts[chart](xx, yy) ** 2
 
 
 def _default_chart(metric: FinslerMetric, chart: str | None) -> str:
@@ -323,17 +326,9 @@ def fiber_volume_form(metric: FinslerMetric, x, theta, chart: str | None = None)
     F = metric.charts[chart]([Dual(c, 0.0) for c in x], u)
     l1, l2 = u[0] / F, u[1] / F
     rho_skew = value(l1) * value(partial(l2)) - value(l2) * value(partial(l1))
-    detg = _det_g(metric, chart, x, np.cos(th), np.sin(th))
-    return np.sqrt(detg) * rho_skew
-
-
-def _det_g(metric, chart, x, y1, y2):
-    E = lambda xx, yy: metric.charts[chart](xx, yy) ** 2
-    y = [y1, y2]
-    g00 = 0.5 * nested_jet(E, x, y, [("y", 0), ("y", 0)])
-    g01 = 0.5 * nested_jet(E, x, y, [("y", 1), ("y", 0)])
-    g11 = 0.5 * nested_jet(E, x, y, [("y", 1), ("y", 1)])
-    return g00 * g11 - g01 * g01
+    T = y_jets(_squared(metric, chart), x, [np.cos(th), np.sin(th)], 2)
+    g00, g01, g11 = 0.5 * T[0, 0], 0.5 * T[0, 1], 0.5 * T[1, 1]
+    return np.sqrt(g00 * g11 - g01 * g01) * rho_skew
 
 
 def fiber_volume(metric: FinslerMetric, x, chart: str | None = None, order: int = 64):
@@ -420,32 +415,20 @@ class MetricJets:
 
 
 def metric_jets(metric: FinslerMetric, chart: str, x1, x2, th) -> MetricJets:
-    E = lambda xx, yy: metric.charts[chart](xx, yy) ** 2
+    E = _squared(metric, chart)
     x = [np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)]
     th = np.asarray(th, dtype=float)
     u = [np.cos(th), np.sin(th)]
     v = [-np.sin(th), np.cos(th)]
     n = 2
 
-    T1 = [None] * n
-    T2 = [[None] * n for _ in range(n)]
-    T3 = [[[None] * n for _ in range(n)] for _ in range(n)]
+    T = y_jets(E, x, u, 3)
+    T1 = [T[(i,)] for i in range(n)]
+    T2 = [[T[i, j] for j in range(n)] for i in range(n)]
+    T3 = [[[T[i, j, k] for k in range(n)] for j in range(n)] for i in range(n)]
     X1 = [None] * n
     X2 = [[None] * n for _ in range(n)]
     X3 = [[[None] * n for _ in range(n)] for _ in range(n)]
-
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                r = _eval_wrapped(E, x, u, [("y", k), ("y", j), ("y", i)])
-                d1 = partial(r)
-                d2 = partial(d1)
-                d3 = partial(d2)
-                T1[i] = value(d1)
-                T2[i][j] = T2[j][i] = value(d2)
-                val3 = value(d3)
-                for p in ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
-                    T3[p[0]][p[1]][p[2]] = val3
 
     for A in range(n):
         for i in range(n):
@@ -461,4 +444,3 @@ def metric_jets(metric: FinslerMetric, chart: str, x1, x2, th) -> MetricJets:
 
     F = np.sqrt(np.asarray(value(E(x, u)), dtype=float))
     return MetricJets(F=F, u=u, v=v, T1=T1, T2=T2, T3=T3, X1=X1, X2=X2, X3=X3)
-

@@ -333,15 +333,6 @@ class ExcisedDomain:
 
     regions: list
 
-    def with_inner_radius(self, eps: float) -> "ExcisedDomain":
-        out = []
-        for reg in self.regions:
-            if isinstance(reg, AnnulusRegion) and reg.r_inner > 0.0:
-                out.append(AnnulusRegion(reg.chart, reg.center, eps, reg.r_outer))
-            else:
-                out.append(reg)
-        return ExcisedDomain(out)
-
 
 def base_integral_excised(f: FormField, domain: ExcisedDomain, order: int = 48) -> float:
     """Integrate a base 2-form over the excised domain, region by region."""

@@ -130,20 +130,14 @@ def stereographic_power_field(atlas: Atlas, k: int) -> SectionField:
 def custom_field(atlas: Atlas, exprs: dict, label: str = "custom") -> SectionField:
     """Per-chart component expressions in (u, v), e.g. "u**2 - v**2".
 
-    Expressions are evaluated with the ad-aware namespace (sin, cos, sqrt,
-    exp, log); global consistency across charts is the caller's problem.
+    Expressions are compiled by ``ad.expression`` (arithmetic and the
+    ad-aware sin, cos, sqrt, exp, log); global consistency across charts is
+    the caller's problem.
     """
-    ns = {"sin": ad.sin, "cos": ad.cos, "sqrt": ad.sqrt, "exp": ad.exp, "log": ad.log}
 
     def make(pair):
-        c1 = compile(pair[0], "<field>", "eval")
-        c2 = compile(pair[1], "<field>", "eval")
-
-        def fn(u, v):
-            env = dict(ns, u=u, v=v)
-            return eval(c1, {"__builtins__": {}}, env), eval(c2, {"__builtins__": {}}, env)
-
-        return fn
+        e1, e2 = (ad.expression(src, ("u", "v")) for src in pair)
+        return lambda u, v: (e1(u=u, v=v), e2(u=u, v=v))
 
     return SectionField(atlas, {c: make(p) for c, p in exprs.items()}, label)
 

@@ -7,6 +7,7 @@ import pytest
 
 from finslergbc import ad
 from finslergbc.ad import Dual, nth_derivative, partial, value
+from finslergbc.errors import ValidationError
 
 
 class TestFirstOrder:
@@ -76,3 +77,41 @@ class TestNumpyInterop:
     def test_division_chain(self):
         d = 1.0 / Dual(2.0, 1.0)
         assert d.val == 0.5 and d.eps == pytest.approx(-0.25)
+
+
+class TestExpression:
+    def test_whitelist_matches_python(self):
+        f = ad.expression("sin(u)*y1 - 2**v / 3 + -u + log(exp(v)) - sqrt(cos(u)**2)",
+                          ("u", "v", "y1"))
+        u, v, y1 = 0.7, -0.4, 1.3
+        want = (math.sin(u) * y1 - 2 ** v / 3 + -u + math.log(math.exp(v))
+                - math.sqrt(math.cos(u) ** 2))
+        assert f(u=u, v=v, y1=y1) == want
+
+    def test_duals_pass_through(self):
+        f = ad.expression("u*u*v", ("u", "v"))
+        out = f(u=Dual(3.0, 1.0), v=2.0)
+        assert value(out) == 18.0 and partial(out) == 12.0
+
+    @pytest.mark.parametrize("src", [
+        "u +",
+        "w",
+        "u.__class__",
+        "().__class__",
+        "__import__('os')",
+        "abs(u)",
+        "sin(u, v)",
+        "sin",
+        "[u][0]",
+        "u if v else v",
+        "u < v",
+        "+u",
+        "u // v",
+        "True * u",
+        "1j * u",
+        "'a' * 2",
+        "lambda: u",
+    ])
+    def test_rejected(self, src):
+        with pytest.raises(ValidationError):
+            ad.expression(src, ("u", "v"))

@@ -156,11 +156,28 @@ class TestMainEntry:
         ["--epsilon-schedule", "1.5,0.5"],
         ["--order-base", "0"],
         ["--order-fiber", "0"],
+        ["--samples", "0"],
     ])
     def test_invalid_config_rejected(self, flags, capsys):
-        """Nonpositive or repeated radii, radii past the unit chart disk
-        and empty quadrature rules exit 2 before any work is done."""
+        """Nonpositive or repeated radii, radii past the unit chart disk,
+        empty quadrature rules and no identity samples exit 2 before any
+        work is done."""
         assert main(["gbc", *flags]) == 2
+        assert "ValidationError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", [
+        "[vector_field]\ntype = custom\nsouth_u = u\n",
+        "[vector_field]\ntype = custom\nsouth_u = u +\nsouth_v = v\n",
+        "[vector_field]\ntype = custom\nsouth_v = v\n"
+        "south_u = u + 0*(().__class__.__mro__[1].__subclasses__().__len__())\n",
+        "[ehresmann]\ntype = explicit\nn11 = __import__('os').getpid() * y1\n",
+    ], ids=["missing-v", "syntax", "attribute-escape", "call-escape"])
+    def test_invalid_ini_rejected(self, section, tmp_path, capsys):
+        """An incomplete field pair and expressions outside the arithmetic
+        whitelist exit 2 with a ValidationError, not a traceback."""
+        path = tmp_path / "bad.ini"
+        path.write_text(section)
+        assert main(["gbc", "--config", str(path)]) == 2
         assert "ValidationError" in capsys.readouterr().err
 
     def test_error_reporting(self, capsys):

@@ -24,7 +24,7 @@ from finslergbc.connection import (
     spray_connection,
     to_orthonormal_frame,
 )
-from finslergbc.errors import ValidationError
+from finslergbc.errors import DomainError, ValidationError
 
 from conftest import bundle_points
 
@@ -89,6 +89,16 @@ class TestChernHorizontal:
 
     def test_flat_torus_zero(self, flat_metric):
         got = chern_horizontal(flat_metric, None, [1.0, 2.0], [0.3, 0.9], "torus")
+        assert np.max(np.abs(got)) < 1e-14
+
+    def test_two_chart_metric_needs_a_chart(self, randers_metric, flat_metric):
+        """On the two-chart sphere no chart is a default; a one-chart
+        metric still needs none."""
+        with pytest.raises(DomainError):
+            chern_horizontal(randers_metric, None, [0.2, 0.1], [0.6, 0.8])
+        with pytest.raises(DomainError):
+            spray_connection(randers_metric, [0.2, 0.1], [0.6, 0.8])
+        got = chern_horizontal(flat_metric, None, [1.0, 2.0], [0.3, 0.9])
         assert np.max(np.abs(got)) < 1e-14
 
     def test_partial_compat_residual(self, randers_metric):

@@ -20,6 +20,7 @@ from finslergbc.metric import (
     randers_norm,
     riemannian_norm,
     sum_norms,
+    y_jets,
 )
 
 
@@ -121,6 +122,44 @@ class TestMinkowskiAxioms:
     def test_randers_validity_guard(self):
         with pytest.raises(InvalidMetricError):
             randers_norm([1.0, 0.3])
+
+
+class TestBatchedJets:
+    """fundamental / cartan take a batch of rays on the trailing axes and
+    give the same bits as one call per ray.  Each single ray is passed as
+    one-element arrays: numpy's vectorised pow may differ from the scalar
+    libm pow in the last bit, and that is numpy's choice, not the kernel's."""
+
+    @pytest.mark.parametrize(
+        "norm",
+        [
+            randers_norm([0.3, -0.2], [[2.0, 0.3], [0.3, 1.0]]),
+            quartic_norm(0.05),
+            riemannian_norm([[4.0, 1.0], [1.0, 2.0]]),
+            sum_norms(quartic_norm(0.2), randers_norm([0.1, 0.4])),
+        ],
+        ids=["randers", "quartic", "riemannian", "sum"],
+    )
+    def test_batch_matches_per_ray(self, norm):
+        rng = np.random.default_rng(12)
+        th = rng.uniform(0.0, 2.0 * math.pi, (4, 4))
+        r = rng.uniform(0.5, 2.0, (4, 4))
+        y = np.stack([r * np.cos(th), r * np.sin(th)])  # 16 rays, batch shape (4, 4)
+        g, A = norm.fundamental(y), norm.cartan(y)
+        assert g.shape == (2, 2, 4, 4) and A.shape == (2, 2, 2, 4, 4)
+        for a in range(4):
+            for b in range(4):
+                ray = y[:, a, b, None]
+                assert np.array_equal(g[..., a, b], norm.fundamental(ray)[..., 0])
+                assert np.array_equal(A[..., a, b], norm.cartan(ray)[..., 0])
+
+    def test_jets_symmetric_under_permutation(self):
+        norm = randers_norm([0.3, -0.2])
+        y = [np.array([0.4, -1.1]), np.array([0.9, 0.2])]
+        jets = y_jets(lambda x, yy: norm.fn(yy) ** 2, [], y, 3)
+        assert len(jets) == 2 + 4 + 8
+        for key, val in jets.items():
+            assert np.array_equal(val, jets[tuple(sorted(key))])
 
 
 class TestFundamentalTensor:
