@@ -20,7 +20,7 @@ __all__ = [
     "Dual",
     "value",
     "partial",
-    "seed",
+    "linear_map",
     "sqrt",
     "exp",
     "log",
@@ -112,9 +112,10 @@ def partial(x):
     return x.eps if isinstance(x, Dual) else 0.0
 
 
-def seed(x, direction=1.0):
-    """Wrap ``x`` in one dual layer with the given seed derivative."""
-    return Dual(x, direction)
+def linear_map(fn, x):
+    """Apply a linear map of arrays to the value and every derivative of x
+    (linear maps commute with differentiation)."""
+    return Dual(linear_map(fn, x.val), linear_map(fn, x.eps)) if isinstance(x, Dual) else fn(x)
 
 
 def sqrt(x):

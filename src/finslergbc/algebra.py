@@ -29,6 +29,7 @@ __all__ = [
     "component",
     "sort_with_parity",
     "merge_sign",
+    "pfaffian_norm_constant",
 ]
 
 Index = tuple[int, ...]
@@ -155,9 +156,6 @@ class BigradedElement:
         for c in self.terms.values():
             m = max(m, float(np.max(np.abs(c))))
         return m
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.max_abs() <= tol
 
 
 def bigraded_product(a: BigradedElement, b: BigradedElement) -> BigradedElement:

@@ -15,12 +15,14 @@ from itertools import count, permutations
 
 import numpy as np
 
+from .ad import Dual, partial
 from .algebra import (
     BigradedElement,
     SkewMatrixValuedForm,
     berezin,
     exp_truncated,
     pfaffian,
+    pfaffian_norm_constant,
     sort_with_parity,
 )
 from .connection import (
@@ -184,7 +186,7 @@ def omega_pfaffian(curv: CurvatureData) -> FormField:
 
 def _euler_form(om, n: int) -> PointwiseForm:
     """Pf(-Omega)/(2 pi)^{n/2} of curvature tables, through their skew part."""
-    norm = 1.0 / (2.0 * math.pi) ** (n / 2.0)
+    norm = pfaffian_norm_constant(n)
     table = pfaffian(_skew_symmetrized(om, n))
     return PointwiseForm({K: norm * _real_part(c) for K, c in table.items()})
 
@@ -226,7 +228,7 @@ def chern_weil_upsilon0(D: FrameConnection, nabla: FrameConnection) -> FormField
     the curvature factor is skipped exactly for n = 2, 3.  The
     s-integrand is then constant, so the s-integral is its value."""
     n = D.n
-    norm = 1.0 / (2.0 * math.pi) ** (n / 2.0)
+    norm = pfaffian_norm_constant(n)
     if n >= 4:
         raise ValidationError("upsilon0 with curvature factors needs rank < 4 here")
 
@@ -331,17 +333,17 @@ class TransgressionForms:
         return hit
 
     def dlog_volume(self, pts: ChartPoints):
-        """(d log V / dx1, d log V / dx2) by central differences on the
-        base points of the batch."""
+        """(d log V / dx1, d log V / dx2), exact: one fiber-volume pass per
+        chart axis with that base coordinate seeded by a dual layer."""
         key = ("dlogV", self.token)
         hit = pts.cache.get(key)
         if hit is None:
-            base = ChartPoints(pts.chart, pts.coords[:2])
-            dV = central_partials(
-                lambda q: {"V": fiber_volume(self.metric, q.coords, q.chart,
-                                             self.order_fiber)}, base)
+            x1, x2 = pts.coords[:2]
             V = self.volume(pts)
-            hit = (dV[0]["V"] / V, dV[1]["V"] / V)
+            hit = tuple(
+                np.broadcast_to(partial(fiber_volume(self.metric, x, pts.chart,
+                                                     self.order_fiber)), V.shape) / V
+                for x in ([Dual(x1, 1.0), x2], [x1, Dual(x2, 1.0)]))
             pts.cache[key] = hit
         return hit
 
@@ -459,7 +461,7 @@ class TransgressionForms:
         d Upsilon_0: every displaced batch evaluates both connections
         once through the shared tensor cache."""
         n = self.n
-        norm = 1.0 / (2.0 * math.pi) ** (n / 2.0)
+        norm = pfaffian_norm_constant(n)
         u1c = upsilon1_coefficient(n)
 
         def payload(q: ChartPoints) -> dict:

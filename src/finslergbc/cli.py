@@ -100,6 +100,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
+        """Read an INI config; an unreadable file, malformed INI text or a
+        value that is not a number where one is expected raises
+        ValidationError."""
+        try:
+            return cls._from_ini(path)
+        except (OSError, configparser.Error, ValueError) as exc:
+            raise ValidationError(f"config {path!r}: {exc}") from None
+
+    @classmethod
+    def _from_ini(cls, path: str) -> "ExperimentConfig":
         ini = configparser.ConfigParser()
         with open(path) as fh:
             ini.read_file(fh)
@@ -135,9 +145,7 @@ class ExperimentConfig:
             cfg.order_fiber = ini.getint("quadrature", "order_fiber", fallback=cfg.order_fiber)
             cfg.order_base = ini.getint("quadrature", "order_base", fallback=cfg.order_base)
             if ini.has_option("quadrature", "epsilon_schedule"):
-                cfg.epsilon_schedule = tuple(
-                    float(s) for s in ini.get("quadrature", "epsilon_schedule").split(",")
-                )
+                cfg.epsilon_schedule = _radii(ini.get("quadrature", "epsilon_schedule"))
         if ini.has_section("output"):
             cfg.out_dir = ini.get("output", "dir", fallback=None)
             cfg.fmt = ini.get("output", "format", fallback=cfg.fmt)
@@ -160,6 +168,13 @@ class ExperimentConfig:
         if self.manifold == "sphere" and max(radii) >= 1.0:
             raise ValidationError(
                 f"epsilon schedule {radii} leaves the unit chart disk of the sphere")
+
+
+def _radii(text: str) -> tuple:
+    try:
+        return tuple(float(s) for s in text.split(","))
+    except ValueError:
+        raise ValidationError(f"epsilon schedule {text!r} is not comma separated numbers") from None
 
 
 # ---------------------------------------------------------------------------
@@ -725,8 +740,7 @@ def _merge(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
         if val is not None:
             updates[name] = val
     if getattr(args, "epsilon_schedule", None):
-        updates["epsilon_schedule"] = tuple(
-            float(s) for s in args.epsilon_schedule.split(","))
+        updates["epsilon_schedule"] = _radii(args.epsilon_schedule)
     return replace(cfg, **updates)
 
 

@@ -16,6 +16,7 @@ curvature is  Omega_i^j = d varpi_i^j - varpi_i^k ^ varpi_k^j.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -107,7 +108,6 @@ class ChartTensors:
     jets: MetricJets
     g: list
     ginv: list
-    detg: object
     A: list
     Ar: list
     N: list
@@ -115,6 +115,8 @@ class ChartTensors:
     l: list
     dg: list  # dg[i][j][axis]
     dl: list  # dl[i][axis]
+    # a weakref.ref to the batch, whose cache holds these tensors: a strong
+    # reference would keep every batch alive until the cyclic collector runs
     pts: object = None
     frame: dict = field(default_factory=dict)
 
@@ -200,7 +202,7 @@ def _derived_tensors(jets: MetricJets, N_override=None) -> dict:
         ]
         for i in range(n)
     ]
-    return {"g": g, "ginv": ginv, "detg": detg, "A": A, "Ar": Ar, "N": N, "gamma": gamma}
+    return {"g": g, "ginv": ginv, "A": A, "Ar": Ar, "N": N, "gamma": gamma}
 
 
 def bundle_tensors(metric: FinslerMetric, pts: ChartPoints,
@@ -246,7 +248,6 @@ def bundle_tensors(metric: FinslerMetric, pts: ChartPoints,
         jets=jets,
         g=der["g"],
         ginv=der["ginv"],
-        detg=der["detg"],
         A=der["A"],
         Ar=der["Ar"],
         N=der["N"],
@@ -254,7 +255,7 @@ def bundle_tensors(metric: FinslerMetric, pts: ChartPoints,
         l=l,
         dg=dg,
         dl=dl,
-        pts=pts,
+        pts=weakref.ref(pts),
     )
     pts.cache[key] = tens
     return tens
@@ -679,7 +680,7 @@ def _natural_perturbation(tens: ChartTensors, P):
     if hit is not None:
         return hit
     B, Binv, _ = _frame_fields(tens)
-    Ptab = P(tens.pts)
+    Ptab = P(tens.pts())
     n = N_RANK
     Q = [
         [

@@ -186,7 +186,10 @@ def install_metric(atlas: Atlas, zoo_id: str, params: dict | None = None,
     if zoo_id in ("euclidean", "flat_torus"):
         metric = _norm_metric(atlas, euclidean_norm(2))
     elif zoo_id == "riemannian":
-        metric = _norm_metric(atlas, riemannian_norm(params.get("G", np.eye(2))))
+        G = np.asarray(params.get("G", np.eye(2)), dtype=float)
+        if G.shape != (2, 2):
+            raise InvalidMetricError(f"riemannian G must be 2x2 on a surface, got shape {G.shape}")
+        metric = _norm_metric(atlas, riemannian_norm(G))
     elif zoo_id == "round_sphere":
         if atlas.name != "sphere":
             raise ValidationError("round_sphere lives on the sphere atlas")
@@ -213,18 +216,17 @@ def certify_metric(atlas: Atlas, metric: FinslerMetric, samples: int = 60,
     probes = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]
     for chart in metric.charts:
         (lo1, hi1), (lo2, hi2) = atlas.region_box(chart)
-        for k in range(samples):
-            x = [rng.uniform(lo1, hi1), rng.uniform(lo2, hi2)]
-            th = probes[k] if k < len(probes) else rng.uniform(0.0, 2.0 * math.pi)
-            y = [math.cos(th), math.sin(th)]
-            F1 = float(metric.F(chart, x, y))
-            if not F1 > 0.0:
-                raise InvalidMetricError(f"{metric.label}: F not positive at sample")
-            lam = rng.uniform(0.1, 10.0)
-            Flam = float(metric.F(chart, x, [lam * y[0], lam * y[1]]))
-            if abs(Flam - lam * F1) > tol_homog * max(1.0, abs(Flam)):
-                raise InvalidMetricError(f"{metric.label}: homogeneity violated")
-            norm = metric.norm_at(chart, x)
-            g = norm.fundamental(y)
-            if np.any(np.linalg.eigvalsh(g) <= 0.0):
-                raise InvalidMetricError(f"{metric.label}: Hessian not positive definite")
+        draws = [(rng.uniform(lo1, hi1), rng.uniform(lo2, hi2),
+                  probes[k] if k < len(probes) else rng.uniform(0.0, 2.0 * math.pi),
+                  rng.uniform(0.1, 10.0)) for k in range(samples)]
+        x1, x2, th, lam = (np.array(c) for c in zip(*draws))
+        y = [np.cos(th), np.sin(th)]
+        F1 = np.asarray(metric.F(chart, [x1, x2], y), dtype=float)
+        if not np.all(F1 > 0.0):
+            raise InvalidMetricError(f"{metric.label}: F not positive at sample")
+        Flam = np.asarray(metric.F(chart, [x1, x2], [lam * y[0], lam * y[1]]), dtype=float)
+        if np.any(np.abs(Flam - lam * F1) > tol_homog * np.maximum(1.0, np.abs(Flam))):
+            raise InvalidMetricError(f"{metric.label}: homogeneity violated")
+        g = metric.norm_at(chart, [x1, x2]).fundamental(y)
+        if np.any(np.linalg.eigvalsh(np.moveaxis(g, -1, 0)) <= 0.0):
+            raise InvalidMetricError(f"{metric.label}: Hessian not positive definite")

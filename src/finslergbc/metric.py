@@ -2,9 +2,9 @@
 
 Everything here reduces to derivatives of E = F^2 taken with nested dual
 numbers, and every y-derivative comes from one kernel, ``y_jets``: the
-fundamental tensor is the y-Hessian of E/2, the Cartan tensor is (F/4)
-times the third y-derivative, and the indicatrix volume density comes
-from the coordinate formula for the fiber volume form.
+fundamental tensor is the y-Hessian of E/2 and the Cartan tensor is (F/4)
+times the third y-derivative.  The indicatrix volume density (n = 2)
+comes from one theta-jet of F along the unit circle.
 Evaluations accept numpy arrays in every coordinate slot, so one call
 covers a whole batch of points.
 """
@@ -135,6 +135,8 @@ def euclidean_norm(n: int = 2) -> MinkowskiNorm:
 
 def riemannian_norm(G) -> MinkowskiNorm:
     G = np.asarray(G, dtype=float)
+    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+        raise InvalidMetricError(f"riemannian norm needs a square matrix, got shape {G.shape}")
     n = G.shape[0]
     if not np.allclose(G, G.T) or np.any(np.linalg.eigvalsh(G) <= 0):
         raise InvalidMetricError("riemannian norm needs a symmetric positive matrix")
@@ -197,7 +199,6 @@ class FinslerMetric:
     charts: dict[str, callable]
     label: str = "metric"
     n: int = 2
-    orientation: int = 1
     # distinguishes metric instances in evaluation caches (ids get reused)
     token: int = field(default_factory=lambda: next(_METRIC_SEQ))
 
@@ -205,8 +206,10 @@ class FinslerMetric:
         return self.charts[chart](list(x), list(y))
 
     def norm_at(self, chart: str, x) -> MinkowskiNorm:
-        """Freeze the base point: the fiber Minkowski norm at x."""
-        x = [float(c) for c in x]
+        """Freeze the base point: the fiber Minkowski norm at x.  Array
+        slots freeze a batch of base points, matched against the batch
+        axes of y."""
+        x = [c if np.ndim(c) else float(c) for c in x]
         return MinkowskiNorm(self.n, lambda y: self.charts[chart](x, list(y)),
                              f"{self.label}@{chart}")
 
@@ -241,9 +244,7 @@ def fundamental_tensor(metric: FinslerMetric, x, y, chart: str | None = None) ->
 
 def cartan_tensor(metric: FinslerMetric, x, y, chart: str | None = None) -> CartanTensor:
     chart = _default_chart(metric, chart)
-    _require_nonzero(y)
-    norm = metric.norm_at(chart, x)
-    A = norm.cartan(y)
+    A = metric.norm_at(chart, x).cartan(y)
     g_inv = fundamental_tensor(metric, x, y, chart).g_inv
     return CartanTensor(A, np.einsum("il,ljk->ijk", g_inv, A))
 
@@ -267,9 +268,8 @@ def _default_chart(metric: FinslerMetric, chart: str | None) -> str:
 def indicatrix_param(metric: FinslerMetric, x, chart: str | None = None):
     """Parameterise the indicatrix {F(x, y) = 1}: theta -> y(theta).
 
-    Solves F(x, r u(theta)) = 1 for r by Newton (bisection fallback); by
-    positive homogeneity Newton lands in one step, the iteration guards
-    against eval functions that are only approximately homogeneous.
+    By positive homogeneity F(x, r u) = r F(x, u), so the point on the
+    ray through u(theta) is u(theta) / F(x, u(theta)).
     """
     chart = _default_chart(metric, chart)
     if metric.n != 2:
@@ -277,58 +277,33 @@ def indicatrix_param(metric: FinslerMetric, x, chart: str | None = None):
     xf = [float(c) for c in x]
 
     def y_of_theta(theta: float) -> np.ndarray:
-        u = [math.cos(theta), math.sin(theta)]
-        r = _solve_indicatrix_radius(metric, chart, xf, u)
-        return np.array([r * u[0], r * u[1]])
+        u = np.array([math.cos(theta), math.sin(theta)])
+        F = float(value(metric.charts[chart](xf, list(u))))
+        if not F > 0.0:
+            raise MetricEvaluationError("metric not positive along the sampled ray")
+        return u / F
 
     return y_of_theta
-
-
-def _solve_indicatrix_radius(metric, chart, x, u) -> float:
-    f_of = lambda r: float(value(metric.charts[chart](x, [r * u[0], r * u[1]]))) - 1.0
-    f_unit = f_of(1.0) + 1.0
-    if not f_unit > 0.0:
-        raise MetricEvaluationError("metric not positive along the sampled ray")
-    r = 1.0 / f_unit
-    lo, hi = 0.0, None
-    for _ in range(50):
-        fr = f_of(r)
-        if abs(fr) < 1e-12:
-            return r
-        if fr > 0:
-            hi = r if hi is None else min(hi, r)
-        else:
-            lo = max(lo, r)
-        rd = Dual(r, 1.0)
-        dfr = value(partial(metric.charts[chart](x, [rd * u[0], rd * u[1]])))
-        step = fr / dfr if dfr != 0 else None
-        nxt = r - step if step is not None else None
-        if nxt is None or nxt <= lo or (hi is not None and nxt >= hi):
-            nxt = 0.5 * (lo + hi) if hi is not None else 2.0 * r
-        r = nxt
-    raise MetricEvaluationError("indicatrix radius solve did not converge")
 
 
 def fiber_volume_form(metric: FinslerMetric, x, theta, chart: str | None = None):
     """Density rho(theta) with  d nu_x = rho(theta) d theta.
 
-    Pulls the coordinate formula
-      d nu = sqrt(det g) * sum_i (-1)^{i-1} (y^i/F) d(y^1/F) ^ ... ^ d(y^n/F)
-    back along theta -> [u(theta)]; for n = 2 this is
-      sqrt(det g) * (l^1 dl^2/dtheta - l^2 dl^1/dtheta).
+    With f(theta) = F(x, cos theta, sin theta), homogeneity gives
+    det g = f^3 (f + f'') and l^1 dl^2/dtheta - l^2 dl^1/dtheta = 1/f^2
+    along y = (cos theta, sin theta), so the pulled-back volume form
+    sqrt(det g) (l^1 dl^2 - l^2 dl^1) is rho = sqrt((f + f'') / f), read
+    off one two-level theta-jet of F.  A slot of x may carry one dual
+    layer (a seeded base point); rho then carries it too.
     """
     chart = _default_chart(metric, chart)
-    th = np.asarray(theta, dtype=float)
-    x = [np.asarray(c, dtype=float) for c in x]
-    # l(theta) and its theta-derivative by one dual layer
-    thd = Dual(th, 1.0)
-    u = [ad.cos(thd), ad.sin(thd)]
-    F = metric.charts[chart]([Dual(c, 0.0) for c in x], u)
-    l1, l2 = u[0] / F, u[1] / F
-    rho_skew = value(l1) * value(partial(l2)) - value(l2) * value(partial(l1))
-    T = y_jets(_squared(metric, chart), x, [np.cos(th), np.sin(th)], 2)
-    g00, g01, g11 = 0.5 * T[0, 0], 0.5 * T[0, 1], 0.5 * T[1, 1]
-    return np.sqrt(g00 * g11 - g01 * g01) * rho_skew
+    th = Dual(Dual(np.asarray(theta, dtype=float), 1.0), 1.0)
+    # the base slots sit inside both theta layers
+    x = [Dual(Dual(c, 0.0), 0.0) if isinstance(c, Dual) else np.asarray(c, dtype=float)
+         for c in x]
+    jet = metric.charts[chart](x, [ad.cos(th), ad.sin(th)])
+    f, f2 = jet.val.val, partial(partial(jet))
+    return ad.sqrt((f + f2) / f)
 
 
 def fiber_volume(metric: FinslerMetric, x, chart: str | None = None, order: int = 64):
@@ -336,13 +311,15 @@ def fiber_volume(metric: FinslerMetric, x, chart: str | None = None, order: int 
 
     x = (x1, x2) holds scalars or arrays; the result has their broadcast
     shape.  The density is integrated by the order-point Gauss-Legendre
-    rule on [0, 2 pi]."""
+    rule on [0, 2 pi].  A slot of x may carry one dual layer (a seeded
+    base point); V then carries the exact derivative along the seed."""
     chart = _default_chart(metric, chart)
-    x1, x2 = (np.asarray(c, dtype=float) for c in x)
     th, w = gauss_legendre(0.0, 2.0 * math.pi, order)
-    rho = fiber_volume_form(metric, [x1[..., None], x2[..., None]], th, chart)
-    shape = np.broadcast_shapes(x1.shape, x2.shape) + th.shape
-    return np.broadcast_to(rho, shape) @ w
+    x = [ad.linear_map(lambda a: np.asarray(a, dtype=float)[..., None], c) for c in x]
+    rho = fiber_volume_form(metric, x, th, chart)
+    shape = np.broadcast_shapes(*(np.shape(value(c)) for c in x), th.shape)
+    return ad.linear_map(
+        lambda r: np.broadcast_to(r, np.broadcast_shapes(np.shape(r), shape)) @ w, rho)
 
 
 def orthonormal_frame(metric: FinslerMetric, x, y, chart: str | None = None) -> OrthonormalFrame:

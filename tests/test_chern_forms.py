@@ -424,6 +424,38 @@ class TestGlobalConsistency:
             assert Vs == pytest.approx(Vn, abs=1e-11)
 
 
+class TestDlogVolume:
+    def test_round_sphere_zero(self, round_forms):
+        """Every Riemannian fiber has V = 2 pi, so d log V vanishes; the
+        exact x-derivative shows it to rounding."""
+        pts = bundle_points("south", 40, seed=90)
+        d1, d2 = round_forms.dlog_volume(pts)
+        assert max(np.max(np.abs(d1)), np.max(np.abs(d2))) <= 1e-14
+
+    def test_matches_finite_differences(self, randers_forms, randers_metric):
+        """The dual-seeded derivative agrees with the central-difference
+        stencil applied to fiber_volume on the base points."""
+        from finslergbc.quadrature import central_partials
+
+        pts = bundle_points("south", 30, seed=91)
+        base = ChartPoints(pts.chart, pts.coords[:2])
+        dV = central_partials(
+            lambda q: {"V": fiber_volume(randers_metric, q.coords, q.chart)}, base)
+        V = fiber_volume(randers_metric, pts.coords[:2], "south")
+        got = randers_forms.dlog_volume(pts)
+        for A in range(2):
+            assert np.max(np.abs(got[A] - dV[A]["V"] / V)) < 1e-10
+
+    def test_constant_volume_zero(self, quartic_metric):
+        """An x-independent norm gives d log V = 0 on the whole batch."""
+        fc = to_orthonormal_frame(cartan_connection(), quartic_metric)
+        forms = TransgressionForms(quartic_metric, fc, fc)
+        pts = bundle_points("torus", 6, seed=92)
+        d1, d2 = forms.dlog_volume(pts)
+        assert np.shape(d1) == np.shape(d2) == (6,)
+        assert not np.any(d1) and not np.any(d2)
+
+
 class TestCohomologyStability:
     def test_two_connections_same_integral(self, sphere, randers_metric,
                                            cartan_frame_randers, perturbed_setup):

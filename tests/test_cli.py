@@ -157,11 +157,13 @@ class TestMainEntry:
         ["--order-base", "0"],
         ["--order-fiber", "0"],
         ["--samples", "0"],
+        ["--epsilon-schedule", "0.2,abc"],
+        ["--config", "no-such-config.ini"],
     ])
     def test_invalid_config_rejected(self, flags, capsys):
-        """Nonpositive or repeated radii, radii past the unit chart disk,
-        empty quadrature rules and no identity samples exit 2 before any
-        work is done."""
+        """Nonpositive, repeated or non-numeric radii, radii past the unit
+        chart disk, empty quadrature rules, no identity samples and a
+        config file that does not exist exit 2 before any work is done."""
         assert main(["gbc", *flags]) == 2
         assert "ValidationError" in capsys.readouterr().err
 
@@ -171,10 +173,12 @@ class TestMainEntry:
         "[vector_field]\ntype = custom\nsouth_v = v\n"
         "south_u = u + 0*(().__class__.__mro__[1].__subclasses__().__len__())\n",
         "[ehresmann]\ntype = explicit\nn11 = __import__('os').getpid() * y1\n",
-    ], ids=["missing-v", "syntax", "attribute-escape", "call-escape"])
+        "[scenario]\nseed = abc\n",
+    ], ids=["missing-v", "syntax", "attribute-escape", "call-escape", "bad-number"])
     def test_invalid_ini_rejected(self, section, tmp_path, capsys):
-        """An incomplete field pair and expressions outside the arithmetic
-        whitelist exit 2 with a ValidationError, not a traceback."""
+        """An incomplete field pair, expressions outside the arithmetic
+        whitelist and a malformed number exit 2 with a ValidationError, not
+        a traceback."""
         path = tmp_path / "bad.ini"
         path.write_text(section)
         assert main(["gbc", "--config", str(path)]) == 2

@@ -370,6 +370,29 @@ class TestPerturbation:
         assert d1 > 1e-3 and d2 > 1e-3
 
 
+    def test_evaluated_batch_freed_without_collector(self, randers_metric, sphere,
+                                                     cartan_frame_randers):
+        """A batch evaluated through the perturbed frame forms dies by
+        reference count alone: its cached tensors hold no strong reference
+        back to it."""
+        import gc
+        import weakref
+
+        P = sinusoidal_perturbation(sphere, cartan_frame_randers, 0.2)
+        Dd = perturbed_connection_data(sphere, randers_metric, cartan_connection(), P)
+        fc = to_orthonormal_frame(modify(Dd), randers_metric)
+        gc.collect()
+        gc.disable()
+        try:
+            pts = bundle_points("south", 5, seed=22)
+            fc.pi(pts)
+            ref = weakref.ref(pts)
+            del pts
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
 class TestConnectionFamily:
     def test_endpoints(self, randers_metric, sphere, cartan_frame_randers):
         P = sinusoidal_perturbation(sphere, cartan_frame_randers, 0.2)

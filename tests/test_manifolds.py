@@ -130,6 +130,26 @@ class TestMetricZoo:
         with pytest.raises(InvalidMetricError):
             install_metric(torus, "quartic", {"eps": 0.0})
 
+    @pytest.mark.parametrize("G", [np.eye(3), np.ones((2, 3)), np.ones(2)],
+                             ids=["3x3", "2x3", "vector"])
+    def test_riemannian_G_shape_rejected(self, torus, G):
+        """A G that is not the 2x2 matrix of a surface metric is rejected
+        before any chart function runs."""
+        with pytest.raises(InvalidMetricError):
+            install_metric(torus, "riemannian", {"G": G})
+
+    def test_certification_one_fundamental_call_per_chart(self, sphere, monkeypatch):
+        """The Hessian check evaluates every sample of a chart in one
+        batched call."""
+        from finslergbc.metric import MinkowskiNorm
+
+        calls = []
+        original = MinkowskiNorm.fundamental
+        monkeypatch.setattr(MinkowskiNorm, "fundamental",
+                            lambda self, y: calls.append(1) or original(self, y))
+        install_metric(sphere, "randers", {"eps": 0.1})
+        assert len(calls) == len(sphere.chart_ids)
+
     def test_randers_axioms_dense_sweep(self, sphere, randers_metric):
         """randers(0.1) passes the Minkowski axioms at 1000 samples (the
         Hessian eigenvalue oracle over both charts)."""

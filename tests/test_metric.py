@@ -367,6 +367,31 @@ class TestFiberVolume:
             assert V[idx] == pytest.approx(one, rel=1e-14)
 
 
+    @pytest.mark.parametrize("name", ["randers", "quartic", "riemannian"])
+    def test_density_matches_det_g_oracle(self, name, sphere, torus):
+        """The theta-jet density sqrt((f + f'')/f) equals sqrt(det g)/F^2 at
+        y = (cos theta, sin theta), with g from MinkowskiNorm.fundamental."""
+        from finslergbc.manifolds import install_metric
+
+        met, chart = {
+            "randers": (install_metric(sphere, "randers", {"eps": 0.3}), "south"),
+            "quartic": (install_metric(torus, "quartic", {"eps": 0.05}), "torus"),
+            "riemannian": (install_metric(torus, "riemannian",
+                                          {"G": [[2.0, 0.7], [0.7, 1.0]]}), "torus"),
+        }[name]
+        rng = np.random.default_rng(13)
+        th = np.linspace(0.0, 2 * math.pi, 17)
+        u = [np.cos(th), np.sin(th)]
+        for _ in range(4):
+            x = list(rng.uniform(-0.8, 0.8, 2))
+            g = met.norm_at(chart, x).fundamental(u)
+            detg = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+            F = np.asarray(met.F(chart, x, u), dtype=float)
+            oracle = np.sqrt(detg) / F ** 2
+            rho = fiber_volume_form(met, x, th, chart)
+            assert np.max(np.abs(rho - oracle) / oracle) < 1e-13
+
+
 class TestOrthonormalFrame:
     @pytest.mark.parametrize("metric_name", ["round", "randers"])
     def test_defining_properties(self, metric_name, round_metric, randers_metric):
