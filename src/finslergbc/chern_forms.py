@@ -15,7 +15,7 @@ from itertools import count, permutations
 
 import numpy as np
 
-from .ad import Dual, partial
+from .ad import Dual, partial, value
 from .algebra import (
     BigradedElement,
     SkewMatrixValuedForm,
@@ -334,16 +334,22 @@ class TransgressionForms:
 
     def dlog_volume(self, pts: ChartPoints):
         """(d log V / dx1, d log V / dx2), exact: one fiber-volume pass per
-        chart axis with that base coordinate seeded by a dual layer."""
+        chart axis with that base coordinate seeded by a dual layer.  The
+        value part of the first pass is V, which is cached for ``volume``
+        if no plain pass has run yet."""
         key = ("dlogV", self.token)
         hit = pts.cache.get(key)
         if hit is None:
             x1, x2 = pts.coords[:2]
-            V = self.volume(pts)
-            hit = tuple(
-                np.broadcast_to(partial(fiber_volume(self.metric, x, pts.chart,
-                                                     self.order_fiber)), V.shape) / V
-                for x in ([Dual(x1, 1.0), x2], [x1, Dual(x2, 1.0)]))
+            v_key = ("V", self.token)
+            V = pts.cache.get(v_key)
+            dV = []
+            for x in ([Dual(x1, 1.0), x2], [x1, Dual(x2, 1.0)]):
+                jet = fiber_volume(self.metric, x, pts.chart, self.order_fiber)
+                if V is None:
+                    V = pts.cache[v_key] = value(jet)
+                dV.append(np.broadcast_to(partial(jet), V.shape))
+            hit = tuple(d / V for d in dV)
             pts.cache[key] = hit
         return hit
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -48,10 +49,12 @@ class Atlas:
         return np.asarray(x, dtype=float)
 
     def transition_jacobian(self, src: str, dst: str, x):
+        """d(transition)/dx as a 2x2 matrix; array slots of x give the
+        batch axes after the two matrix axes."""
         if src == dst:
             return np.eye(2)
         if self.name == "sphere":
-            z1, z2 = float(x[0]), float(x[1])
+            z1, z2 = np.asarray(x[0], dtype=float), np.asarray(x[1], dtype=float)
             r2 = z1 * z1 + z2 * z2
             # d(1/z)/dz = -1/z^2, written as a real 2x2 matrix
             a = -(z1 * z1 - z2 * z2) / (r2 * r2)
@@ -210,7 +213,10 @@ def install_metric(atlas: Atlas, zoo_id: str, params: dict | None = None,
 def certify_metric(atlas: Atlas, metric: FinslerMetric, samples: int = 60,
                    seed: int = 7, tol_homog: float = 1e-9) -> None:
     """Fail fast unless F is positive, positively homogeneous and strictly
-    convex (positive definite y-Hessian of F^2/2) at random chart samples."""
+    convex (positive definite y-Hessian of F^2/2) at random chart samples,
+    and, on an atlas with several charts, the same function on the sphere
+    bundle: F_dst(phi(x), J(x) y) = F_src(x, y) at overlap samples
+    0.5 <= |x| <= 2, drawn after the axiom samples."""
     rng = np.random.default_rng(seed)
     # axis rays catch norms that degenerate exactly on coordinate directions
     probes = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]
@@ -230,3 +236,16 @@ def certify_metric(atlas: Atlas, metric: FinslerMetric, samples: int = 60,
         g = metric.norm_at(chart, [x1, x2]).fundamental(y)
         if np.any(np.linalg.eigvalsh(np.moveaxis(g, -1, 0)) <= 0.0):
             raise InvalidMetricError(f"{metric.label}: Hessian not positive definite")
+    for src, dst in permutations(metric.charts, 2):
+        r, ph, th = rng.uniform([0.5, 0.0, 0.0], [2.0, 2.0 * math.pi, 2.0 * math.pi],
+                                (samples, 3)).T
+        x = [r * np.cos(ph), r * np.sin(ph)]
+        y = [np.cos(th), np.sin(th)]
+        J = atlas.transition_jacobian(src, dst, x)
+        F_src = np.asarray(metric.F(src, x, y), dtype=float)
+        F_dst = np.asarray(metric.F(dst, list(atlas.transition(src, dst, x)),
+                                    [J[i, 0] * y[0] + J[i, 1] * y[1] for i in range(2)]),
+                           dtype=float)
+        if np.any(np.abs(F_dst - F_src) > tol_homog * np.maximum(1.0, np.abs(F_src))):
+            raise InvalidMetricError(
+                f"{metric.label}: charts {src} and {dst} disagree on their overlap")

@@ -1,10 +1,14 @@
 """Finsler and Minkowski metric kernels.
 
 Everything here reduces to derivatives of E = F^2 taken with nested dual
-numbers, and every y-derivative comes from one kernel, ``y_jets``: the
-fundamental tensor is the y-Hessian of E/2 and the Cartan tensor is (F/4)
-times the third y-derivative.  The indicatrix volume density (n = 2)
-comes from one theta-jet of F along the unit circle.
+numbers.  A Minkowski norm of any rank gets its y-derivatives from one
+Cartesian kernel, ``y_jets``: the fundamental tensor is the y-Hessian of
+E/2 and the Cartan tensor is (F/4) times the third y-derivative.  On a
+surface, homogeneity fixes every y-derivative at the unit ray by the
+theta-jet of E or F along the unit circle y = (cos theta, sin theta), so
+the chart pipeline reads them off theta-jets instead: ``metric_jets``
+gives g, A and the mixed x-y jets from three evaluations, and
+``fiber_volume_form`` the indicatrix volume density from one.
 Evaluations accept numpy arrays in every coordinate slot, so one call
 covers a whole batch of points.
 """
@@ -50,24 +54,6 @@ __all__ = [
 # nested-dual jet extraction
 
 
-def _eval_wrapped(E, x, y, dirs):
-    """Evaluate E(x, y) with one dual layer per entry of dirs.
-
-    dirs is a sequence of ("x"|"y", index) pairs, innermost first.  Both
-    argument groups are wrapped at every level so each level carries one
-    independent epsilon; mixed partials are read off by peeling.
-    """
-    xx, yy = list(x), list(y)
-    for kind, idx in dirs:
-        if kind == "y":
-            yy = [Dual(c, 1.0 if k == idx else 0.0) for k, c in enumerate(yy)]
-            xx = [Dual(c, 0.0) for c in xx]
-        else:
-            xx = [Dual(c, 1.0 if k == idx else 0.0) for k, c in enumerate(xx)]
-            yy = [Dual(c, 0.0) for c in yy]
-    return E(xx, yy)
-
-
 def y_jets(E, x, y, order: int) -> dict:
     """Every y-derivative of E(x, y) up to the given order, keyed by index
     tuple: jets[(i,)] = dE/dy_i, jets[(i, j)] = d^2E/dy_i dy_j, and so on.
@@ -78,13 +64,29 @@ def y_jets(E, x, y, order: int) -> dict:
     Slots of x and y may hold arrays, so one call covers a batch."""
     jets = {}
     for idx in combinations_with_replacement(range(len(y)), order):
-        r = _eval_wrapped(E, x, y, [("y", i) for i in reversed(idx)])
+        yy = list(y)
+        for i in reversed(idx):
+            yy = [Dual(c, 1.0 if k == i else 0.0) for k, c in enumerate(yy)]
+        r = E(list(x), yy)
         for m in range(1, order + 1):
             r = partial(r)
             d = value(r)
             for p in permutations(idx[:m]):
                 jets[p] = d
     return jets
+
+
+def _circle_jet(theta, layers: int):
+    """(cos theta, sin theta) as nested duals with the given number of
+    theta seeds, built from the four arrays +-cos theta, +-sin theta:
+    d^m cos theta = cos(theta + m pi/2) cycles through them, and
+    sin theta = cos(theta + 3 pi/2).  Same bits as ad.cos / ad.sin of a
+    nested theta dual, without their recursion."""
+    c, s = np.cos(theta), np.sin(theta)
+    jets = [c, -s, -c, s]
+    for _ in range(layers):
+        jets = [Dual(jets[m], jets[(m + 1) % 4]) for m in range(4)]
+    return jets[0], jets[3]
 
 
 def _tensor(jets: dict, n: int, rank: int, scale) -> np.ndarray:
@@ -297,11 +299,10 @@ def fiber_volume_form(metric: FinslerMetric, x, theta, chart: str | None = None)
     layer (a seeded base point); rho then carries it too.
     """
     chart = _default_chart(metric, chart)
-    th = Dual(Dual(np.asarray(theta, dtype=float), 1.0), 1.0)
     # the base slots sit inside both theta layers
     x = [Dual(Dual(c, 0.0), 0.0) if isinstance(c, Dual) else np.asarray(c, dtype=float)
          for c in x]
-    jet = metric.charts[chart](x, [ad.cos(th), ad.sin(th)])
+    jet = metric.charts[chart](x, list(_circle_jet(np.asarray(theta, dtype=float), 2)))
     f, f2 = jet.val.val, partial(partial(jet))
     return ad.sqrt((f + f2) / f)
 
@@ -391,33 +392,72 @@ class MetricJets:
     X3: list
 
 
+def _gradient(u, v, e, e1) -> list:
+    """y-gradient at y = u of a function 2-homogeneous in y, from its
+    theta-jet e, e' (Euler: the gradient pairs to 2e with u, e' with v)."""
+    return [2.0 * e * u[i] + e1 * v[i] for i in range(2)]
+
+
+def _hessian(u, v, e, e1, e2) -> list:
+    """y-Hessian at y = u of a function 2-homogeneous in y, from its
+    theta-jet e, e', e'' (it pairs to 2e on u u, e' on u v and 2e + e'' on
+    v v); the off-diagonal entry is one array under both index orders."""
+    evv = 2.0 * e + e2
+    h = {(i, j): 2.0 * e * u[i] * u[j] + e1 * (u[i] * v[j] + v[i] * u[j]) + evv * v[i] * v[j]
+         for i, j in combinations_with_replacement(range(2), 2)}
+    return [[h[min(i, j), max(i, j)] for j in range(2)] for i in range(2)]
+
+
+def _theta_derivative(r, m: int, layers: int):
+    """The m-th derivative of r along its outer `layers` theta seeds, with
+    any inner dual layer (a seeded base coordinate) kept."""
+    for _ in range(m):
+        r = partial(r)
+    for _ in range(layers - m):
+        r = r.val
+    return r
+
+
 def metric_jets(metric: FinslerMetric, chart: str, x1, x2, th) -> MetricJets:
+    """The jets of E = F^2 at y = u = (cos theta, sin theta) from three
+    chart evaluations.
+
+    E is 2-homogeneous in y, so its y-derivatives at u follow from the
+    theta-jet of e(theta) = E(x, u(theta)).  With v = (-sin theta,
+    cos theta), the gradient and the Hessian come from e, e', e'' by
+    Euler's relation, and the third derivative, which vanishes along u,
+    is (4 e' + e''') v v v.  One evaluation with three theta seeds gives
+    e to e'''; one with two theta seeds around a seeded x_A gives d_A e,
+    d_A e' and d_A e'' for each chart axis A.  Symmetric entries share
+    one array.
+    """
     E = _squared(metric, chart)
     x = [np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)]
     th = np.asarray(th, dtype=float)
     u = [np.cos(th), np.sin(th)]
-    v = [-np.sin(th), np.cos(th)]
-    n = 2
+    v = [-u[1], u[0]]
 
-    T = y_jets(E, x, u, 3)
-    T1 = [T[(i,)] for i in range(n)]
-    T2 = [[T[i, j] for j in range(n)] for i in range(n)]
-    T3 = [[[T[i, j, k] for k in range(n)] for j in range(n)] for i in range(n)]
-    X1 = [None] * n
-    X2 = [[None] * n for _ in range(n)]
-    X3 = [[[None] * n for _ in range(n)] for _ in range(n)]
+    r = E(x, list(_circle_jet(th, 3)))
+    e, e1, e2, e3 = (value(_theta_derivative(r, m, 3)) for m in range(4))
+    c = 4.0 * e1 + e3
+    t3 = {idx: c * v[idx[0]] * v[idx[1]] * v[idx[2]]
+          for idx in combinations_with_replacement(range(2), 3)}
+    T3 = [[[t3[tuple(sorted((i, j, k)))] for k in range(2)] for j in range(2)] for i in range(2)]
 
-    for A in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                r = _eval_wrapped(E, x, u, [("y", j), ("y", i), ("x", A)])
-                d1 = partial(r)
-                d2 = partial(d1)
-                d3 = partial(d2)
-                X1[A] = value(d1)
-                X2[i][A] = value(d2)
-                val3 = value(d3)
-                X3[i][j][A] = X3[j][i][A] = val3
-
-    F = np.sqrt(np.asarray(value(E(x, u)), dtype=float))
-    return MetricJets(F=F, u=u, v=v, T1=T1, T2=T2, T3=T3, X1=X1, X2=X2, X3=X3)
+    y = list(_circle_jet(th, 2))
+    X1, grads, hessians = [], [], []
+    for A in range(2):
+        # the seeded base slot sits inside both theta layers
+        xA = list(x)
+        xA[A] = Dual(Dual(Dual(x[A], 1.0), 0.0), 0.0)
+        r = E(xA, y)
+        jets = [_theta_derivative(r, m, 2) for m in range(3)]
+        dA = [np.broadcast_to(partial(j), np.shape(value(j))) for j in jets]
+        X1.append(dA[0])
+        grads.append(_gradient(u, v, *dA[:2]))
+        hessians.append(_hessian(u, v, *dA))
+    return MetricJets(
+        F=np.sqrt(e), u=u, v=v,
+        T1=_gradient(u, v, e, e1), T2=_hessian(u, v, e, e1, e2), T3=T3, X1=X1,
+        X2=[[grads[A][i] for A in range(2)] for i in range(2)],
+        X3=[[[hessians[A][i][j] for A in range(2)] for j in range(2)] for i in range(2)])

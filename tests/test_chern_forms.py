@@ -446,6 +446,24 @@ class TestDlogVolume:
         for A in range(2):
             assert np.max(np.abs(got[A] - dV[A]["V"] / V)) < 1e-10
 
+    def test_volume_reused_from_seeded_pass(self, randers_metric, cartan_frame_randers,
+                                            monkeypatch):
+        """After dlog_volume, V is the value part of its first seeded pass:
+        two fiber-volume passes per batch, and V agrees with a fresh plain
+        pass to 1e-14 relative."""
+        import finslergbc.chern_forms as cf
+
+        forms = TransgressionForms(randers_metric, cartan_frame_randers, cartan_frame_randers)
+        pts = bundle_points("south", 30, seed=93)
+        calls = []
+        monkeypatch.setattr(cf, "fiber_volume",
+                            lambda *a, **k: calls.append(1) or fiber_volume(*a, **k))
+        forms.dlog_volume(pts)
+        V = forms.volume(pts)
+        assert len(calls) == 2
+        plain = fiber_volume(randers_metric, pts.coords[:2], "south")
+        assert np.max(np.abs(V - plain) / plain) < 1e-14
+
     def test_constant_volume_zero(self, quartic_metric):
         """An x-independent norm gives d log V = 0 on the whole batch."""
         fc = to_orthonormal_frame(cartan_connection(), quartic_metric)

@@ -184,6 +184,13 @@ class TestMainEntry:
         assert main(["gbc", "--config", str(path)]) == 2
         assert "ValidationError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("metric", ["euclidean", "quartic", "riemannian"])
+    def test_chart_constant_metric_on_sphere_rejected(self, metric, capsys):
+        """A chart-constant norm is not a metric on the sphere: exit 2 with
+        InvalidMetricError before any integral is taken."""
+        assert main(["gbc", "--metric", metric]) == 2
+        assert "InvalidMetricError" in capsys.readouterr().err
+
     def test_error_reporting(self, capsys):
         rc = main(["gbc", "--manifold", "torus", "--metric", "euclidean",
                    "--field", "rotational"])

@@ -130,6 +130,25 @@ class TestMetricZoo:
         with pytest.raises(InvalidMetricError):
             install_metric(torus, "quartic", {"eps": 0.0})
 
+    @pytest.mark.parametrize("zoo_id", ["euclidean", "quartic", "riemannian"])
+    def test_chart_inconsistent_norm_rejected(self, sphere, zoo_id):
+        """A norm that is the same in both sphere charts is not one function
+        on the sphere bundle: F_north(phi(x), J y) != F_south(x, y)."""
+        with pytest.raises(InvalidMetricError, match="disagree on their overlap"):
+            install_metric(sphere, zoo_id)
+
+    def test_chart_consistency_checks_overlap_draws(self, sphere, monkeypatch):
+        """The chart check compares the two charts at the same bundle
+        points, so breaking the transition map breaks certification."""
+        from finslergbc.manifolds import certify_metric
+
+        randers = install_metric(sphere, "randers", {"eps": 0.1}, certify=False)
+        certify_metric(sphere, randers)
+        monkeypatch.setattr(type(sphere), "transition",
+                            lambda self, src, dst, x: np.asarray(x, dtype=float))
+        with pytest.raises(InvalidMetricError, match="disagree on their overlap"):
+            certify_metric(sphere, randers)
+
     @pytest.mark.parametrize("G", [np.eye(3), np.ones((2, 3)), np.ones(2)],
                              ids=["3x3", "2x3", "vector"])
     def test_riemannian_G_shape_rejected(self, torus, G):

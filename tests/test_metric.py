@@ -3,6 +3,7 @@ tensors against finite-difference oracles, indicatrix geometry, fiber
 volume, and the sum-of-norms construction."""
 
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from finslergbc.metric import (
     fiber_volume_form,
     fundamental_tensor,
     indicatrix_param,
+    metric_jets,
     orthonormal_frame,
     quartic_norm,
     randers_norm,
@@ -451,3 +453,112 @@ class TestOrthonormalFrame:
             assert np.linalg.det(fr.B_inv) == pytest.approx(
                 math.sqrt(np.linalg.det(g)), rel=1e-10
             )
+
+
+def _mixed_jets(E, x, y):
+    """Oracle for the mixed jets: X1[A] = dE/dx_A, X2[i][A] = d2E/dy_i dx_A
+    and X3[i][j][A] = d3E/dy_i dy_j dx_A, each from one Cartesian
+    nested-dual evaluation (x_A seeded outermost, y_i and y_j inside)."""
+    from finslergbc.ad import Dual, partial, value
+
+    X1 = [None] * 2
+    X2 = [[None] * 2 for _ in range(2)]
+    X3 = [[[None] * 2 for _ in range(2)] for _ in range(2)]
+    for A in range(2):
+        for i in range(2):
+            for j in range(2):
+                xx, yy = list(x), list(y)
+                for kind, idx in (("y", j), ("y", i), ("x", A)):
+                    xx = [Dual(c, 1.0 if (kind, k) == ("x", idx) else 0.0) for k, c in enumerate(xx)]
+                    yy = [Dual(c, 1.0 if (kind, k) == ("y", idx) else 0.0) for k, c in enumerate(yy)]
+                d1 = partial(E(xx, yy))
+                d2 = partial(d1)
+                X1[A], X2[i][A], X3[i][j][A] = value(d1), value(d2), value(partial(d2))
+    return X1, X2, X3
+
+
+@pytest.fixture(scope="module")
+def jet_metrics(sphere, torus):
+    from finslergbc.manifolds import install_metric
+
+    randers = install_metric(sphere, "randers", {"eps": 0.3})
+    return {
+        "randers-south": (randers, "south"),
+        "randers-north": (randers, "north"),
+        "round": (install_metric(sphere, "round_sphere"), "south"),
+        "quartic": (install_metric(torus, "quartic", {"eps": 0.05}), "torus"),
+        "riemannian": (install_metric(torus, "riemannian",
+                                      {"G": [[2.0, 0.7], [0.7, 1.0]]}), "torus"),
+    }
+
+
+class TestMetricJets:
+    """metric_jets reads every jet off theta-jets of e = F^2 along the unit
+    circle; Cartesian nested-dual derivatives of E are the oracle."""
+
+    @pytest.mark.parametrize("name", ["randers-south", "randers-north", "round",
+                                      "quartic", "riemannian"])
+    def test_matches_cartesian_oracle(self, name, jet_metrics):
+        met, chart = jet_metrics[name]
+        rng = np.random.default_rng(41)
+        x1, x2 = rng.uniform(-0.9, 0.9, 25), rng.uniform(-0.9, 0.9, 25)
+        th = rng.uniform(0.0, 2.0 * math.pi, 25)
+        jets = metric_jets(met, chart, x1, x2, th)
+        E = lambda xx, yy: met.F(chart, xx, yy) ** 2
+        u = [np.cos(th), np.sin(th)]
+        T = y_jets(E, [x1, x2], u, 3)
+        X1, X2, X3 = _mixed_jets(E, [x1, x2], u)
+        want = {
+            "F": np.asarray(met.F(chart, [x1, x2], u), dtype=float),
+            "T1": [T[(i,)] for i in range(2)],
+            "T2": [[T[i, j] for j in range(2)] for i in range(2)],
+            "T3": [[[T[i, j, k] for k in range(2)] for j in range(2)] for i in range(2)],
+            "X1": X1, "X2": X2, "X3": X3,
+        }
+        for field, ref in want.items():
+            ref = np.asarray(ref, dtype=float)
+            got = np.asarray(getattr(jets, field), dtype=float)
+            assert got.shape == ref.shape, field
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref))), field
+        assert np.array_equal(jets.u, u)
+        assert np.array_equal(jets.v, [-u[1], u[0]])
+
+    def test_three_chart_evaluations(self, jet_metrics):
+        """One call evaluates the chart function three times, and each
+        symmetric entry is one array under every index order."""
+        from finslergbc.metric import FinslerMetric
+
+        met, chart = jet_metrics["randers-south"]
+        calls = []
+        counted = FinslerMetric(met.atlas_id, {
+            chart: lambda x, y: calls.append(1) or met.charts[chart](x, y)})
+        th = np.linspace(0.0, 2.0 * math.pi, 7)
+        jets = metric_jets(counted, chart, 0.3 + 0.0 * th, -0.2 + 0.0 * th, th)
+        assert len(calls) == 3
+        assert jets.T2[0][1] is jets.T2[1][0]
+        for idx in [(0, 0, 1), (0, 1, 1)]:
+            for i, j, k in permutations(idx):
+                assert jets.T3[i][j][k] is jets.T3[idx[0]][idx[1]][idx[2]]
+        for A in range(2):
+            assert jets.X3[0][1][A] is jets.X3[1][0][A]
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_circle_jet_matches_ad(self, layers):
+        """The nested-dual (cos, sin) jet equals ad.cos / ad.sin of a
+        nested theta dual bit for bit."""
+        from finslergbc import ad
+        from finslergbc.metric import _circle_jet
+
+        theta = np.linspace(-4.0, 9.0, 41)
+        th = theta
+        for _ in range(layers):
+            th = ad.Dual(th, 1.0)
+        for got, ref in zip(_circle_jet(theta, layers), (ad.cos(th), ad.sin(th))):
+            stack = [(got, ref)]
+            while stack:
+                a, b = stack.pop()
+                assert isinstance(a, ad.Dual) == isinstance(b, ad.Dual)
+                if isinstance(b, ad.Dual):
+                    stack += [(a.val, b.val), (a.eps, b.eps)]
+                else:
+                    assert np.array_equal(a, b)
