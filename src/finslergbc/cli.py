@@ -504,22 +504,30 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
         res["lemma35_closedness"] = max(
             res["lemma35_closedness"],
             exterior_derivative(forms.mathai_quillen_field(1.0))(pts).max_abs())
+        # U_t = exp(-t^2/2) P(t) with P(t) = B(exp(-(i t nabla l + Omega))).
+        # At rank 2 (N_RANK) the Berezin integral keeps fiber degree 2 only,
+        # reached by (i t nabla l)^2 and by Omega, so P has degree at most 2
+        # in t and its central difference is exact: dU/dt = exp(-t^2/2)
+        # (P'(t) - t P(t)) carries rounding only, whatever h is.
         h = 1e-3
-        dudt = (1.0 / (2 * h)) * (
-            forms.mathai_quillen_field(1.0 + h)(pts)
-            - forms.mathai_quillen_field(1.0 - h)(pts))
+        P = lambda t: math.exp(0.5 * t * t) * forms.mathai_quillen_field(t)(pts)
+        u1 = forms.mathai_quillen_field(1.0)(pts)
+        dudt = (math.exp(-0.5) / (2 * h)) * (P(1.0 + h) - P(1.0 - h)) - u1
         dprim = exterior_derivative(forms.mathai_quillen_primitive_field(1.0))(pts)
         res["lemma35_transgression_ode"] = max(
             res["lemma35_transgression_ode"], (dudt + 1j * dprim).max_abs())
 
+    # The FD-based bounds are 40-70x the worst residual over seeds 1-20 on
+    # every metric/connection pair the suite accepts: eq33 2.3e-12, eq34
+    # 4.7e-13, prop51 9.4e-14, lemma35 closedness 1.5e-11 and ODE 8.9e-12.
     rows = [
-        _bound("eq33_dPi_minus_omega_nabla", res["eq33_dPi_minus_omega_nabla"], 1e-5),
-        _bound("eq34_gbc_exactness", res["eq34_gbc_exactness"], 1e-5),
-        _bound("prop51_chern_weil", res["prop51_chern_weil"], 1e-5),
+        _bound("eq33_dPi_minus_omega_nabla", res["eq33_dPi_minus_omega_nabla"], 1e-10),
+        _bound("eq34_gbc_exactness", res["eq34_gbc_exactness"], 2e-11),
+        _bound("prop51_chern_weil", res["prop51_chern_weil"], 5e-12),
         _bound("prop33_fiber_volume_form", res["prop33_fiber_volume_form"], 1e-8),
         _bound("prop32_metric_compatibility", res["prop32_metric_compatibility"], 1e-8),
-        _bound("lemma35_closedness", res["lemma35_closedness"], 1e-4),
-        _bound("lemma35_transgression_ode", res["lemma35_transgression_ode"], 1e-4),
+        _bound("lemma35_closedness", res["lemma35_closedness"], 1e-9),
+        _bound("lemma35_transgression_ode", res["lemma35_transgression_ode"], 5e-10),
     ]
     rows.append(_bound("eq32_component_identity", _eq32_residual(cfg.seed), 1e-10))
     rows.append(_bound("gamma_coefficient_identity", _gamma_identity_residual(), 1e-12))

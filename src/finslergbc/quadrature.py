@@ -69,9 +69,13 @@ class ChartPoints:
         arrs = np.broadcast_arrays(*arrs)
         return cls(chart, tuple(arrs))
 
-    def shifted(self, axis: int, h: float) -> "ChartPoints":
-        coords = list(self.coords)
-        coords[axis] = coords[axis] + h
+    def shifted(self, axis: int, steps) -> "ChartPoints":
+        """The batch displaced along one chart axis by each of ``steps``,
+        stacked as one batch on a new leading axis: slice s holds the
+        points with coords[axis] + steps[s]."""
+        base = np.broadcast_arrays(*self.coords)
+        coords = [np.stack([c] * len(steps)) for c in base]
+        coords[axis] = np.stack([base[axis] + h for h in steps])
         return ChartPoints(self.chart, tuple(coords))
 
 
@@ -171,23 +175,25 @@ def central_partials(payload, pts: ChartPoints) -> list[dict]:
     payload(pts) along each chart axis of the batch.
 
     Central differences at steps FD_STEP and FD_STEP/2 are combined by
-    Richardson extrapolation to an O(h^4) estimate.  All entries share the
-    four displaced batches per axis; an entry missing from one of them
-    counts as 0 there.  The payload must be evaluable in a neighbourhood
-    of the batch (charts here are global, so displacements never leave
-    the domain).
+    Richardson extrapolation to an O(h^4) estimate.  The payload runs once
+    per chart axis, on the four displaced copies of the batch stacked on a
+    leading axis (``ChartPoints.shifted``); every entry is broadcast to the
+    stacked shape, so a constant entry such as 0.0 differentiates to 0.
+    The payload must be elementwise over the batch and evaluable in a
+    neighbourhood of it (charts here are global, so displacements never
+    leave the domain).
     """
     h = FD_STEP
+    steps = (h, -h, 0.5 * h, -0.5 * h)
     out = []
     for axis in range(pts.dim):
-        pp = payload(pts.shifted(axis, +h))
-        pm = payload(pts.shifted(axis, -h))
-        pp2 = payload(pts.shifted(axis, +0.5 * h))
-        pm2 = payload(pts.shifted(axis, -0.5 * h))
+        stack = pts.shifted(axis, steps)
+        shape = stack.coords[0].shape
         by_key = {}
-        for k in set(pp) | set(pm) | set(pp2) | set(pm2):
-            d1 = (pp.get(k, 0.0) - pm.get(k, 0.0)) / (2.0 * h)
-            d2 = (pp2.get(k, 0.0) - pm2.get(k, 0.0)) / h
+        for k, c in payload(stack).items():
+            pp, pm, pp2, pm2 = np.broadcast_to(c, shape)
+            d1 = (pp - pm) / (2.0 * h)
+            d2 = (pp2 - pm2) / h
             by_key[k] = (4.0 * d2 - d1) / 3.0
         out.append(by_key)
     return out

@@ -27,7 +27,7 @@ from finslergbc.connection import (
     to_orthonormal_frame,
 )
 from finslergbc.metric import fiber_volume
-from finslergbc.quadrature import ChartPoints, exterior_derivative, gauss_legendre
+from finslergbc.quadrature import FD_STEP, ChartPoints, exterior_derivative, gauss_legendre
 
 from conftest import bundle_points
 
@@ -492,3 +492,87 @@ class TestCohomologyStability:
             f2 = pullback_by_section(forms.gbc_integrand(), X)
             vals.append(base_integral_excised(f2, dom, order=24))
         assert vals[0] == pytest.approx(vals[1], abs=2e-6)
+
+
+def _per_displacement_partials(payload, pts):
+    """The stencil as one payload call per displaced batch: the oracle the
+    stacked stencil must reproduce bit for bit."""
+    h = FD_STEP
+    out = []
+    for axis in range(pts.dim):
+        vals = []
+        for step in (h, -h, 0.5 * h, -0.5 * h):
+            coords = list(pts.coords)
+            coords[axis] = coords[axis] + step
+            vals.append(payload(ChartPoints(pts.chart, tuple(coords))))
+        pp, pm, pp2, pm2 = vals
+        by_key = {}
+        for k in set(pp) | set(pm) | set(pp2) | set(pm2):
+            d1 = (pp.get(k, 0.0) - pm.get(k, 0.0)) / (2.0 * h)
+            d2 = (pp2.get(k, 0.0) - pm2.get(k, 0.0)) / h
+            by_key[k] = (4.0 * d2 - d1) / 3.0
+        out.append(by_key)
+    return out
+
+
+class TestStackedStencil:
+    @staticmethod
+    def _with_oracle(monkeypatch, evaluate):
+        """evaluate() with every stencil caller, nested ones included, on
+        the one-call-per-displacement oracle."""
+        import finslergbc.chern_forms as cf
+        import finslergbc.connection as cn
+        import finslergbc.quadrature as qd
+
+        with monkeypatch.context() as m:
+            for mod in (cf, cn, qd):
+                m.setattr(mod, "central_partials", _per_displacement_partials)
+            return evaluate()
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert set(got.coeffs) == set(want.coeffs)
+        for k, c in want.coeffs.items():
+            assert np.array_equal(*np.broadcast_arrays(got.coeffs[k], c)), k
+
+    def test_gbc_integrand_bit_identical(self, perturbed_setup, monkeypatch):
+        """The fused Randers integrand with D != nabla (its payload carries
+        both connections and the Upsilon_0 entries) equals the oracle."""
+        integrand = perturbed_setup.gbc_integrand()
+        fresh = lambda: bundle_points("south", 25, seed=95)
+        got = integrand(fresh())
+        want = self._with_oracle(monkeypatch, lambda: integrand(fresh()))
+        assert got.max_abs() > 1e-3
+        self._assert_same(got, want)
+
+    def test_nested_closedness_bit_identical(self, randers_forms, monkeypatch):
+        """d U_1: a stencil over stacked batches whose payload runs the
+        curvature stencil on them, so coordinates carry two leading axes."""
+        dU = exterior_derivative(randers_forms.mathai_quillen_field(1.0))
+        fresh = lambda: bundle_points("north", 12, seed=96)
+        got = dU(fresh())
+        want = self._with_oracle(monkeypatch, lambda: dU(fresh()))
+        self._assert_same(got, want)
+
+    def test_stencil_batches_freed_on_return(self, perturbed_setup, monkeypatch):
+        """Every stacked batch, with the tensors cached on it, is released by
+        reference counting alone once the stencil returns."""
+        import gc
+        import weakref
+
+        refs = []
+        shifted = ChartPoints.shifted
+
+        def spy(self, axis, steps):
+            q = shifted(self, axis, steps)
+            refs.append(weakref.ref(q))
+            return q
+
+        monkeypatch.setattr(ChartPoints, "shifted", spy)
+        gc.disable()
+        try:
+            perturbed_setup.gbc_integrand()(bundle_points("south", 10, seed=97))
+            assert len(refs) == 3
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()

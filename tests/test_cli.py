@@ -271,3 +271,66 @@ class TestEhresmannModes:
             lines = path.read_text().splitlines()
             assert lines[0] == "chart,x1,x2,theta,component,value"
             assert len(lines) > 4
+
+
+def _scale_pi_weights(m, cf, cn):
+    """Pi = c_0 Phi_0 with c_0 off by a relative 1e-6."""
+    weights = cf.pi_coefficients
+    m.setattr(cf, "pi_coefficients", lambda n: [(1.0 + 1e-6) * c for c in weights(n)])
+
+
+def _scale_dlogv(m, cf, cn):
+    """The d log V ^ Upsilon_1 term of the GBC integrand off by 0.1%."""
+    dlog = cf.TransgressionForms.dlog_volume
+    m.setattr(cf.TransgressionForms, "dlog_volume",
+              lambda self, pts: tuple((1.0 - 1e-3) * d for d in dlog(self, pts)))
+
+
+def _scale_upsilon0(m, cf, cn):
+    """Upsilon_0 off by a relative 1e-6."""
+    u0 = cf.chern_weil_upsilon0
+    m.setattr(cf, "chern_weil_upsilon0", lambda D, nabla: (1.0 + 1e-6) * u0(D, nabla))
+
+
+def _tilt_curvature(m, cf, cn):
+    """Omega off by a relative 1e-6 x1, which no longer closes U_t."""
+    omega = cn.CurvatureData.omega
+
+    def tilted(self, pts):
+        s = 1.0 + 1e-6 * pts.coords[0]
+        return [[{k: s * c for k, c in e.items()} for e in row] for row in omega(self, pts)]
+
+    m.setattr(cn.CurvatureData, "omega", tilted)
+
+
+def _scale_primitive(m, cf, cn):
+    """The t-transgression primitive B(l . exp(-Theta_t)) off by 1e-6."""
+    prim = cf.TransgressionForms.mathai_quillen_primitive_field
+    m.setattr(cf.TransgressionForms, "mathai_quillen_primitive_field",
+              lambda self, t: (1.0 + 1e-6) * prim(self, t))
+
+
+class TestIdentityBounds:
+    """Each FD-based identity row fails under a seeded mutation that moves
+    it by far less than the earlier bounds (1e-5, lemma35 1e-4) allowed."""
+
+    @pytest.mark.parametrize("row,old_bound,connection,mutate", [
+        ("eq33_dPi_minus_omega_nabla", 1e-5, "cartan", _scale_pi_weights),
+        ("eq34_gbc_exactness", 1e-5, "cartan", _scale_dlogv),
+        ("prop51_chern_weil", 1e-5, "perturbed", _scale_upsilon0),
+        ("lemma35_closedness", 1e-4, "cartan", _tilt_curvature),
+        ("lemma35_transgression_ode", 1e-4, "cartan", _scale_primitive),
+    ], ids=["eq33", "eq34", "prop51", "closedness", "ode"])
+    def test_row_fails_under_mutation(self, row, old_bound, connection, mutate,
+                                      monkeypatch):
+        import finslergbc.chern_forms as cf
+        import finslergbc.connection as cn
+
+        cfg = ExperimentConfig(metric="randers", connection=connection,
+                               identity_samples=20)
+        assert run_identity_suite(cfg).row(row).passed
+        with monkeypatch.context() as m:
+            mutate(m, cf, cn)
+            mutated = run_identity_suite(cfg).row(row)
+        assert not mutated.passed
+        assert mutated.value < old_bound

@@ -109,6 +109,21 @@ class TestCentralPartials:
             got = partials[axis].get("sparse", 0.0)
             assert np.allclose(got, want_sparse[axis], rtol=0.0, atol=1e-9)
 
+    def test_one_stacked_payload_call_per_axis(self):
+        """The payload runs pts.dim times, each time on one batch whose
+        coordinates carry a leading axis of the four displacements."""
+        pts = ChartPoints.of("c", [0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9])
+        shapes = []
+
+        def payload(q):
+            shapes.append([np.shape(c) for c in q.coords])
+            return {"s": q.coords[0] * q.coords[2], "zero": 0.0}
+
+        partials = central_partials(payload, pts)
+        assert shapes == [[(4, 3)] * 3] * pts.dim
+        for axis in range(pts.dim):
+            assert np.array_equal(partials[axis]["zero"], np.zeros(3))
+
 
 class TestPullback:
     class Section:
