@@ -333,23 +333,24 @@ class TransgressionForms:
         return hit
 
     def dlog_volume(self, pts: ChartPoints):
-        """(d log V / dx1, d log V / dx2), exact: one fiber-volume pass per
-        chart axis with that base coordinate seeded by a dual layer.  The
-        value part of the first pass is V, which is cached for ``volume``
-        if no plain pass has run yet."""
+        """(d log V / dx1, d log V / dx2), exact, from one fiber-volume pass:
+        x1 and x2 are seeded on one leading axis of length 2 (the rows of
+        the identity), so the pass carries dV/dx1 and dV/dx2 side by side.
+        Its value part is V, which is cached for ``volume`` if no plain
+        pass has run yet."""
         key = ("dlogV", self.token)
         hit = pts.cache.get(key)
         if hit is None:
             x1, x2 = pts.coords[:2]
+            s = np.eye(2).reshape((2, 2) + (1,) * max(np.ndim(x1), np.ndim(x2)))
+            jet = fiber_volume(self.metric, [Dual(x1, s[0]), Dual(x2, s[1])], pts.chart,
+                               self.order_fiber)
             v_key = ("V", self.token)
             V = pts.cache.get(v_key)
-            dV = []
-            for x in ([Dual(x1, 1.0), x2], [x1, Dual(x2, 1.0)]):
-                jet = fiber_volume(self.metric, x, pts.chart, self.order_fiber)
-                if V is None:
-                    V = pts.cache[v_key] = value(jet)
-                dV.append(np.broadcast_to(partial(jet), V.shape))
-            hit = tuple(d / V for d in dV)
+            if V is None:
+                V = pts.cache[v_key] = value(jet)
+            dV = np.broadcast_to(partial(jet), (2,) + V.shape)
+            hit = (dV[0] / V, dV[1] / V)
             pts.cache[key] = hit
         return hit
 

@@ -307,20 +307,57 @@ def fiber_volume_form(metric: FinslerMetric, x, theta, chart: str | None = None)
     return ad.sqrt((f + f2) / f)
 
 
+# Quadrature nodes (base points x fiber nodes) per fiber-volume block: the
+# ~36 fiber arrays of a plain pass, and the ~250 of a two-seed pass, stay
+# cache-sized instead of growing with the batch.
+_FIBER_NODES = 8192
+
+
 def fiber_volume(metric: FinslerMetric, x, chart: str | None = None, order: int = 64):
     """V(x): Riemannian volume of the indicatrix fiber at each base point.
 
     x = (x1, x2) holds scalars or arrays; the result has their broadcast
     shape.  The density is integrated by the order-point Gauss-Legendre
-    rule on [0, 2 pi].  A slot of x may carry one dual layer (a seeded
-    base point); V then carries the exact derivative along the seed."""
+    rule on [0, 2 pi], over blocks of max(1, _FIBER_NODES // order) base
+    points of the flattened batch; a batch that fits in one block is
+    evaluated as it is.  A slot of x may carry one dual layer (a seeded
+    base point); V then carries the exact derivative along the seed.  The
+    seed may have leading axes of its own, e.g. one per chart axis when
+    both coordinates are seeded at once; V's derivative keeps them in
+    front of the batch axes."""
     chart = _default_chart(metric, chart)
     th, w = gauss_legendre(0.0, 2.0 * math.pi, order)
+    shape = np.broadcast_shapes(*(np.shape(value(c)) for c in x))
+    size, block = math.prod(shape), max(1, _FIBER_NODES // order)
+    if size <= block:
+        return _fiber_integral(metric, x, chart, th, w)
+
+    def flatten(a):
+        lead = np.shape(a)[:max(0, np.ndim(a) - len(shape))]
+        return np.broadcast_to(a, lead + shape).reshape(lead + (size,))
+
+    x = [ad.linear_map(flatten, c) for c in x]
+    parts = [_fiber_integral(metric, [ad.linear_map(lambda a: a[..., i:i + block], c)
+                                      for c in x], chart, th, w)
+             for i in range(0, size, block)]
+    return ad.linear_map(lambda a: a.reshape(a.shape[:-1] + shape), _concatenate(parts))
+
+
+def _fiber_integral(metric: FinslerMetric, x, chart: str, th, w):
+    """The quadrature sum of the fiber density over the nodes th, weights w."""
     x = [ad.linear_map(lambda a: np.asarray(a, dtype=float)[..., None], c) for c in x]
     rho = fiber_volume_form(metric, x, th, chart)
     shape = np.broadcast_shapes(*(np.shape(value(c)) for c in x), th.shape)
     return ad.linear_map(
         lambda r: np.broadcast_to(r, np.broadcast_shapes(np.shape(r), shape)) @ w, rho)
+
+
+def _concatenate(parts):
+    """Join per-block results (all with the same dual layers) along the
+    last axis."""
+    if isinstance(parts[0], Dual):
+        return Dual(_concatenate([p.val for p in parts]), _concatenate([p.eps for p in parts]))
+    return np.concatenate(parts, axis=-1)
 
 
 def orthonormal_frame(metric: FinslerMetric, x, y, chart: str | None = None) -> OrthonormalFrame:

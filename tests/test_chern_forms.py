@@ -448,8 +448,8 @@ class TestDlogVolume:
 
     def test_volume_reused_from_seeded_pass(self, randers_metric, cartan_frame_randers,
                                             monkeypatch):
-        """After dlog_volume, V is the value part of its first seeded pass:
-        two fiber-volume passes per batch, and V agrees with a fresh plain
+        """After dlog_volume, V is the value part of its seeded pass: one
+        fiber-volume pass per batch, and V agrees with a fresh plain
         pass to 1e-14 relative."""
         import finslergbc.chern_forms as cf
 
@@ -460,9 +460,25 @@ class TestDlogVolume:
                             lambda *a, **k: calls.append(1) or fiber_volume(*a, **k))
         forms.dlog_volume(pts)
         V = forms.volume(pts)
-        assert len(calls) == 2
+        assert len(calls) == 1
         plain = fiber_volume(randers_metric, pts.coords[:2], "south")
         assert np.max(np.abs(V - plain) / plain) < 1e-14
+
+    @pytest.mark.parametrize("count", [30, 300])
+    def test_matches_single_seed_passes(self, randers_metric, cartan_frame_randers, count):
+        """The one two-seed pass gives the same bits as one pass per chart
+        axis with a scalar seed, on one block and on several."""
+        from finslergbc.ad import Dual, partial, value
+
+        forms = TransgressionForms(randers_metric, cartan_frame_randers, cartan_frame_randers)
+        pts = bundle_points("south", count, seed=94)
+        got = forms.dlog_volume(pts)
+        x1, x2 = pts.coords[:2]
+        V = None
+        for A, x in enumerate(([Dual(x1, 1.0), x2], [x1, Dual(x2, 1.0)])):
+            jet = fiber_volume(randers_metric, x, "south")
+            V = value(jet) if V is None else V
+            assert np.array_equal(got[A], np.broadcast_to(partial(jet), V.shape) / V)
 
     def test_constant_volume_zero(self, quartic_metric):
         """An x-independent norm gives d log V = 0 on the whole batch."""
