@@ -7,7 +7,7 @@ E/2 and the Cartan tensor is (F/4) times the third y-derivative.  On a
 surface, homogeneity fixes every y-derivative at the unit ray by the
 theta-jet of E or F along the unit circle y = (cos theta, sin theta), so
 the chart pipeline reads them off theta-jets instead: ``metric_jets``
-gives g, A and the mixed x-y jets from three evaluations, and
+gives g, A and the mixed x-y jets from two evaluations, and
 ``fiber_volume_form`` the indicatrix volume density from one.
 Evaluations accept numpy arrays in every coordinate slot, so one call
 covers a whole batch of points.
@@ -456,7 +456,7 @@ def _theta_derivative(r, m: int, layers: int):
 
 
 def metric_jets(metric: FinslerMetric, chart: str, x1, x2, th) -> MetricJets:
-    """The jets of E = F^2 at y = u = (cos theta, sin theta) from three
+    """The jets of E = F^2 at y = u = (cos theta, sin theta) from two
     chart evaluations.
 
     E is 2-homogeneous in y, so its y-derivatives at u follow from the
@@ -464,9 +464,9 @@ def metric_jets(metric: FinslerMetric, chart: str, x1, x2, th) -> MetricJets:
     cos theta), the gradient and the Hessian come from e, e', e'' by
     Euler's relation, and the third derivative, which vanishes along u,
     is (4 e' + e''') v v v.  One evaluation with three theta seeds gives
-    e to e'''; one with two theta seeds around a seeded x_A gives d_A e,
-    d_A e' and d_A e'' for each chart axis A.  Symmetric entries share
-    one array.
+    e to e'''; one with two theta seeds around x1 and x2, seeded on one
+    leading axis of length 2, gives d_A e, d_A e' and d_A e'' for both
+    chart axes A.  Symmetric entries share one array.
     """
     E = _squared(metric, chart)
     x = [np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)]
@@ -481,18 +481,15 @@ def metric_jets(metric: FinslerMetric, chart: str, x1, x2, th) -> MetricJets:
           for idx in combinations_with_replacement(range(2), 3)}
     T3 = [[[t3[tuple(sorted((i, j, k)))] for k in range(2)] for j in range(2)] for i in range(2)]
 
-    y = list(_circle_jet(th, 2))
-    X1, grads, hessians = [], [], []
-    for A in range(2):
-        # the seeded base slot sits inside both theta layers
-        xA = list(x)
-        xA[A] = Dual(Dual(Dual(x[A], 1.0), 0.0), 0.0)
-        r = E(xA, y)
-        jets = [_theta_derivative(r, m, 2) for m in range(3)]
-        dA = [np.broadcast_to(partial(j), np.shape(value(j))) for j in jets]
-        X1.append(dA[0])
-        grads.append(_gradient(u, v, *dA[:2]))
-        hessians.append(_hessian(u, v, *dA))
+    # x1 and x2 seeded on one leading axis (the rows of the identity),
+    # inside both theta layers; d[A] below is the x_A-derivative
+    s = np.eye(2).reshape((2, 2) + (1,) * len(np.broadcast_shapes(*map(np.shape, x), th.shape)))
+    r = E([Dual(Dual(Dual(x[A], s[A]), 0.0), 0.0) for A in range(2)], list(_circle_jet(th, 2)))
+    jets = [_theta_derivative(r, m, 2) for m in range(3)]
+    d = [np.broadcast_to(partial(j), (2,) + np.shape(value(j))) for j in jets]
+    X1 = [d[0][A] for A in range(2)]
+    grads = [_gradient(u, v, d[0][A], d[1][A]) for A in range(2)]
+    hessians = [_hessian(u, v, d[0][A], d[1][A], d[2][A]) for A in range(2)]
     return MetricJets(
         F=np.sqrt(e), u=u, v=v,
         T1=_gradient(u, v, e, e1), T2=_hessian(u, v, e, e1, e2), T3=T3, X1=X1,
