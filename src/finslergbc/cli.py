@@ -160,6 +160,13 @@ class ExperimentConfig:
             raise ValidationError(
                 f"quadrature orders must be at least 1, got base {self.order_base}, "
                 f"fiber {self.order_fiber}")
+        if not math.isfinite(self.perturbation_amplitude):
+            raise ValidationError(
+                f"perturbation amplitude must be finite, got {self.perturbation_amplitude}")
+        if self.tolerance is not None and not (math.isfinite(self.tolerance)
+                                               and self.tolerance > 0.0):
+            raise ValidationError(
+                f"tolerance must be a positive finite number, got {self.tolerance}")
         radii = tuple(self.epsilon_schedule)
         if not radii or not all(r > 0.0 for r in radii):
             raise ValidationError(f"epsilon schedule needs positive radii, got {radii}")

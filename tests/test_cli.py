@@ -159,11 +159,18 @@ class TestMainEntry:
         ["--samples", "0"],
         ["--epsilon-schedule", "0.2,abc"],
         ["--config", "no-such-config.ini"],
+        ["--connection", "perturbed", "--amplitude", "nan"],
+        ["--connection", "perturbed", "--amplitude", "inf"],
+        ["--tolerance", "nan"],
+        ["--tolerance", "-1"],
+        ["--tolerance", "0"],
     ])
     def test_invalid_config_rejected(self, flags, capsys):
         """Nonpositive, repeated or non-numeric radii, radii past the unit
-        chart disk, empty quadrature rules, no identity samples and a
-        config file that does not exist exit 2 before any work is done."""
+        chart disk, empty quadrature rules, no identity samples, a config
+        file that does not exist, a non-finite perturbation amplitude and a
+        tolerance that is not a positive finite number exit 2 before any
+        work is done."""
         assert main(["gbc", *flags]) == 2
         assert "ValidationError" in capsys.readouterr().err
 
@@ -174,11 +181,13 @@ class TestMainEntry:
         "south_u = u + 0*(().__class__.__mro__[1].__subclasses__().__len__())\n",
         "[ehresmann]\ntype = explicit\nn11 = __import__('os').getpid() * y1\n",
         "[scenario]\nseed = abc\n",
-    ], ids=["missing-v", "syntax", "attribute-escape", "call-escape", "bad-number"])
+        "[connection]\ntype = perturbed\nperturbation_amplitude = nan\n",
+    ], ids=["missing-v", "syntax", "attribute-escape", "call-escape", "bad-number",
+            "nan-amplitude"])
     def test_invalid_ini_rejected(self, section, tmp_path, capsys):
         """An incomplete field pair, expressions outside the arithmetic
-        whitelist and a malformed number exit 2 with a ValidationError, not
-        a traceback."""
+        whitelist, a malformed number and a non-finite amplitude exit 2 with
+        a ValidationError, not a traceback."""
         path = tmp_path / "bad.ini"
         path.write_text(section)
         assert main(["gbc", "--config", str(path)]) == 2
