@@ -34,7 +34,7 @@ from .connection import (
     pi_entries,
 )
 from .errors import ValidationError
-from .metric import FinslerMetric, fiber_volume
+from .metric import FIBER_ORDER, FinslerMetric, fiber_volume
 from .quadrature import (
     ChartPoints,
     FormField,
@@ -313,7 +313,7 @@ class TransgressionForms:
     keeps the shared volume functions cached."""
 
     def __init__(self, metric: FinslerMetric, D: FrameConnection,
-                 nabla: FrameConnection, order_fiber: int = 64):
+                 nabla: FrameConnection, order_fiber: int = FIBER_ORDER):
         self.metric = metric
         self.D = D
         self.nabla = nabla

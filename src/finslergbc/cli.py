@@ -33,6 +33,7 @@ from .connection import (
 from .errors import FinslerError, ValidationError
 from .manifolds import Atlas, install_metric, sphere_atlas, torus_atlas
 from .metric import (
+    FIBER_ORDER,
     fiber_volume,
     fiber_volume_form,
     quartic_norm,
@@ -89,7 +90,7 @@ class ExperimentConfig:
     vector_field: str = "rotational"
     field_power: int = 2
     field_exprs: dict = field(default_factory=dict)
-    order_fiber: int = 64
+    order_fiber: int = FIBER_ORDER
     order_base: int = 48
     epsilon_schedule: tuple = (0.2, 0.1, 0.05)
     identity_samples: int = 200

@@ -32,6 +32,7 @@ __all__ = [
     "fiber_integral",
     "gauss_legendre",
     "gauss_panels",
+    "periodic_rule",
 ]
 
 Index = tuple[int, ...]
@@ -265,6 +266,13 @@ def gauss_legendre(a: float, b: float, order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
+
+
+def periodic_rule(order: int):
+    """Trapezoid nodes and weights for one full period [0, 2 pi): order
+    equally spaced nodes of equal weight.  On a smooth periodic integrand
+    the error falls geometrically with the order."""
+    return 2.0 * math.pi * np.arange(order) / order, np.full(order, 2.0 * math.pi / order)
 
 
 def gauss_panels(a: float, b: float, breakpoints, order: int):

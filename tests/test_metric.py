@@ -356,6 +356,21 @@ class TestFiberVolume:
         v128 = fiber_volume(randers_metric, [0.3, 0.3], "south", order=128)
         assert abs(v64 - v128) < 1e-12
 
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 0.8])
+    def test_default_order_against_gauss_legendre(self, eps, sphere):
+        """V at the default fiber order matches a 128-node Gauss-Legendre sum
+        of the same density to 1e-12 on weak and strong Randers metrics."""
+        from finslergbc.manifolds import install_metric
+        from finslergbc.quadrature import gauss_legendre
+
+        met = install_metric(sphere, "randers", {"eps": eps})
+        rng = np.random.default_rng(23)
+        r, ph = np.sqrt(rng.uniform(0.0, 1.0, 50)), rng.uniform(0.0, 2.0 * math.pi, 50)
+        x1, x2 = r * np.cos(ph), r * np.sin(ph)
+        th, w = gauss_legendre(0.0, 2.0 * math.pi, 128)
+        oracle = fiber_volume_form(met, [x1[:, None], x2[:, None]], th, "south") @ w
+        assert np.max(np.abs(fiber_volume(met, [x1, x2], "south") - oracle)) < 1e-12
+
     def test_batched_matches_pointwise(self, randers_metric):
         """One call over a grid of base points equals one call per point
         and keeps the shape of the grid."""

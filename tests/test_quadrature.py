@@ -21,6 +21,7 @@ from finslergbc.quadrature import (
     fiber_integral,
     gauss_legendre,
     gauss_panels,
+    periodic_rule,
     pullback_by_section,
 )
 
@@ -38,6 +39,18 @@ class TestGaussRules:
             got = float(np.sum(w * x ** p))
             want = (3.0 ** (p + 1) - (-1.0) ** (p + 1)) / (p + 1)
             assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("order", [5, 16, 30])
+    def test_periodic_rule_trig_exactness(self, order):
+        """The order-n periodic trapezoid rule integrates cos(k t) and
+        sin(k t) over [0, 2 pi) exactly for k < n, and misses cos(n t)."""
+        t, w = periodic_rule(order)
+        assert t[0] == 0.0 and t[-1] < 2.0 * math.pi
+        for k in range(order):
+            assert float(w @ np.cos(k * t)) == pytest.approx(
+                2.0 * math.pi if k == 0 else 0.0, abs=1e-12)
+            assert abs(float(w @ np.sin(k * t))) < 1e-12
+        assert float(w @ np.cos(order * t)) == pytest.approx(2.0 * math.pi, rel=1e-12)
 
     def test_panels_cover_interval(self):
         x, w = gauss_panels(0.0, 1.0, [0.25, 0.5], 6)
