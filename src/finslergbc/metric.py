@@ -489,7 +489,7 @@ def metric_jets(metric: FinslerMetric, chart: str, x1, x2, th) -> MetricJets:
     T3 = [[[t3[tuple(sorted((i, j, k)))] for k in range(2)] for j in range(2)] for i in range(2)]
 
     # x1 and x2 seeded on one leading axis (the rows of the identity),
-    # inside both theta layers; d[A] below is the x_A-derivative
+    # inside both theta layers; d[m][A] is d_A of the m-th theta-derivative
     s = np.eye(2).reshape((2, 2) + (1,) * len(np.broadcast_shapes(*map(np.shape, x), th.shape)))
     r = E([Dual(Dual(Dual(x[A], s[A]), 0.0), 0.0) for A in range(2)], list(_circle_jet(th, 2)))
     jets = [_theta_derivative(r, m, 2) for m in range(3)]
