@@ -384,7 +384,6 @@ class TestFiberVolume:
             one = fiber_volume(randers_metric, (x1[idx], x2[idx]), "south")
             assert V[idx] == pytest.approx(one, rel=1e-14)
 
-
     @pytest.mark.parametrize("case", ["scalar", "ragged", "stacked", "one-point-blocks",
                                       "scalar-seed", "two-seed"])
     def test_blocked_matches_one_block(self, case, randers_metric, monkeypatch):
@@ -450,7 +449,6 @@ class TestFiberVolume:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
-
 
     @pytest.mark.parametrize("name", ["randers", "quartic", "riemannian"])
     def test_density_matches_det_g_oracle(self, name, sphere, torus):
