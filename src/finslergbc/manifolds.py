@@ -212,11 +212,12 @@ def install_metric(atlas: Atlas, zoo_id: str, params: dict | None = None,
 
 def certify_metric(atlas: Atlas, metric: FinslerMetric, samples: int = 60,
                    seed: int = 7, tol_homog: float = 1e-9) -> None:
-    """Fail fast unless F is positive, positively homogeneous and strictly
-    convex (positive definite y-Hessian of F^2/2) at random chart samples,
-    and, on an atlas with several charts, the same function on the sphere
-    bundle: F_dst(phi(x), J(x) y) = F_src(x, y) at overlap samples
-    0.5 <= |x| <= 2, drawn after the axiom samples."""
+    """Fail fast unless F is finite and positive, positively homogeneous and
+    strictly convex (positive definite y-Hessian of F^2/2) at random chart
+    samples, and, on an atlas with several charts, the same function on the
+    sphere bundle: F_dst(phi(x), J(x) y) = F_src(x, y) at overlap samples
+    0.5 <= |x| <= 2, drawn after the axiom samples.  Every check is written
+    so that a NaN fails it."""
     rng = np.random.default_rng(seed)
     # axis rays catch norms that degenerate exactly on coordinate directions
     probes = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]
@@ -228,13 +229,13 @@ def certify_metric(atlas: Atlas, metric: FinslerMetric, samples: int = 60,
         x1, x2, th, lam = (np.array(c) for c in zip(*draws))
         y = [np.cos(th), np.sin(th)]
         F1 = np.asarray(metric.F(chart, [x1, x2], y), dtype=float)
-        if not np.all(F1 > 0.0):
-            raise InvalidMetricError(f"{metric.label}: F not positive at sample")
+        if not np.all(np.isfinite(F1) & (F1 > 0.0)):
+            raise InvalidMetricError(f"{metric.label}: F not finite and positive at sample")
         Flam = np.asarray(metric.F(chart, [x1, x2], [lam * y[0], lam * y[1]]), dtype=float)
-        if np.any(np.abs(Flam - lam * F1) > tol_homog * np.maximum(1.0, np.abs(Flam))):
+        if not np.all(np.abs(Flam - lam * F1) <= tol_homog * np.maximum(1.0, np.abs(Flam))):
             raise InvalidMetricError(f"{metric.label}: homogeneity violated")
         g = metric.norm_at(chart, [x1, x2]).fundamental(y)
-        if np.any(np.linalg.eigvalsh(np.moveaxis(g, -1, 0)) <= 0.0):
+        if not np.all(np.linalg.eigvalsh(np.moveaxis(g, -1, 0)) > 0.0):
             raise InvalidMetricError(f"{metric.label}: Hessian not positive definite")
     for src, dst in permutations(metric.charts, 2):
         r, ph, th = rng.uniform([0.5, 0.0, 0.0], [2.0, 2.0 * math.pi, 2.0 * math.pi],
@@ -246,6 +247,6 @@ def certify_metric(atlas: Atlas, metric: FinslerMetric, samples: int = 60,
         F_dst = np.asarray(metric.F(dst, list(atlas.transition(src, dst, x)),
                                     [J[i, 0] * y[0] + J[i, 1] * y[1] for i in range(2)]),
                            dtype=float)
-        if np.any(np.abs(F_dst - F_src) > tol_homog * np.maximum(1.0, np.abs(F_src))):
+        if not np.all(np.abs(F_dst - F_src) <= tol_homog * np.maximum(1.0, np.abs(F_src))):
             raise InvalidMetricError(
                 f"{metric.label}: charts {src} and {dst} disagree on their overlap")

@@ -149,6 +149,31 @@ class TestMetricZoo:
         with pytest.raises(InvalidMetricError, match="disagree on their overlap"):
             certify_metric(sphere, randers)
 
+    def test_certification_rejects_infinite_metric(self, torus):
+        """quartic(inf) returns F = inf everywhere; inf > 0 holds, so F must
+        also be finite to pass."""
+        from finslergbc.manifolds import certify_metric
+
+        metric = install_metric(torus, "quartic", {"eps": math.inf}, certify=False)
+        with pytest.raises(InvalidMetricError, match="finite"):
+            certify_metric(torus, metric)
+
+    def test_certification_nan_fails_homogeneity(self, torus):
+        """A norm that is NaN off the unit circle (|y| > 1.5) is finite on
+        every unit ray, so only the homogeneity check sees it: a NaN must
+        fail that comparison, not slip through it."""
+        from finslergbc.ad import value
+        from finslergbc.manifolds import certify_metric
+        from finslergbc.metric import FinslerMetric
+
+        def fn(x, y):
+            r = (y[0] * y[0] + y[1] * y[1]) ** 0.5
+            return r + np.where(np.asarray(value(r)) > 1.5, np.nan, 0.0)
+
+        metric = FinslerMetric(torus.name, {c: fn for c in torus.chart_ids})
+        with pytest.raises(InvalidMetricError, match="homogeneity"):
+            certify_metric(torus, metric)
+
     @pytest.mark.parametrize("G", [np.eye(3), np.ones((2, 3)), np.ones(2)],
                              ids=["3x3", "2x3", "vector"])
     def test_riemannian_G_shape_rejected(self, torus, G):
