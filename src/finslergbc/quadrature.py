@@ -26,6 +26,7 @@ __all__ = [
     "central_partials",
     "d_from_partials",
     "exterior_derivative",
+    "exterior_derivatives",
     "pullback_by_section",
     "base_integral_excised",
     "boundary_circle_integral",
@@ -211,13 +212,28 @@ def d_from_partials(partials) -> PointwiseForm:
     return out
 
 
+def exterior_derivatives(fields, pts: ChartPoints) -> list[PointwiseForm]:
+    """The exterior derivative of every field at the batch, from one
+    central_partials sweep whose payload is the union of the fields'
+    coefficient tables keyed by (field index, axes).  Every displaced
+    batch evaluates all the fields, so what they share through the batch
+    cache (frame forms, curvature) is computed once per displacement; the
+    displaced batches still die axis by axis."""
+
+    def payload(q: ChartPoints) -> dict:
+        return {(i, key): c for i, f in enumerate(fields) for key, c in f(q).coeffs.items()}
+
+    partials = central_partials(payload, pts)
+    return [
+        d_from_partials([{key: c for (j, key), c in by_key.items() if j == i}
+                         for by_key in partials])
+        for i in range(len(fields))
+    ]
+
+
 def exterior_derivative(f: FormField) -> FormField:
     """Exterior derivative by central differences on the coefficients."""
-
-    def dfunc(pts: ChartPoints) -> PointwiseForm:
-        return d_from_partials(central_partials(lambda q: f(q).coeffs, pts))
-
-    return FormField(f.dim, f.degree + 1, dfunc)
+    return FormField(f.dim, f.degree + 1, lambda pts: exterior_derivatives([f], pts)[0])
 
 
 def pullback_by_section(f: FormField, section) -> FormField:

@@ -180,9 +180,9 @@ def test_criterion_7_algebra_suite():
     pf3 = pfaffian(SkewMatrixValuedForm(3, 3, ent))
 
     worst_gamma = 0.0
+    t, w = gauss_legendre(0.0, 14.0, 500)
     for n, k in ((2, 0), (3, 0), (3, 1), (4, 0), (4, 1)):
         m = n - 1 - 2 * k
-        t, w = gauss_legendre(0.0, 14.0, 500)
         quad = float(np.sum(w * t ** m * np.exp(-t * t)))
         worst_gamma = max(worst_gamma, abs(quad - 0.5 * math.gamma((n - 2 * k) / 2.0)))
 

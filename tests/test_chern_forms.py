@@ -27,7 +27,13 @@ from finslergbc.connection import (
     to_orthonormal_frame,
 )
 from finslergbc.metric import fiber_volume
-from finslergbc.quadrature import FD_STEP, ChartPoints, exterior_derivative, gauss_legendre
+from finslergbc.quadrature import (
+    FD_STEP,
+    ChartPoints,
+    exterior_derivative,
+    exterior_derivatives,
+    gauss_legendre,
+)
 
 from conftest import bundle_points
 
@@ -570,6 +576,29 @@ class TestStackedStencil:
         want = self._with_oracle(monkeypatch, lambda: dU(fresh()))
         self._assert_same(got, want)
 
+    @staticmethod
+    def _identity_fields(forms):
+        """The five fields the identity suite differentiates in one sweep:
+        degrees 1 and 2, the primitive with complex coefficients."""
+        return [forms.pi(), forms.upsilon1().scale_by(lambda p: 1.0 / forms.volume(p)),
+                forms.upsilon0(), forms.mathai_quillen_field(1.0),
+                forms.mathai_quillen_primitive_field(1.0)]
+
+    def test_merged_sweep_matches_one_sweep_per_field(self, perturbed_setup):
+        """exterior_derivatives over the identity-suite fields of a Randers
+        batch with D != nabla equals exterior_derivative field by field."""
+        fields = self._identity_fields(perturbed_setup)
+        fresh = lambda: bundle_points("south", 15, seed=98)
+        got = exterior_derivatives(fields, fresh())
+        want = [exterior_derivative(f)(fresh()) for f in fields]
+        assert all(got[i].max_abs() > 1e-6 for i in (0, 1, 2, 4))  # d U_1 = 0
+        assert any(np.iscomplexobj(c) for c in got[4].coeffs.values())
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert set(g.coeffs) == set(w.coeffs)
+            for k, c in w.coeffs.items():
+                assert np.array_equal(g.coeffs[k], c), k
+
     def test_stencil_batches_freed_on_return(self, perturbed_setup, monkeypatch):
         """Every stacked batch, with the tensors cached on it, is released by
         reference counting alone once the stencil returns."""
@@ -585,10 +614,18 @@ class TestStackedStencil:
             return q
 
         monkeypatch.setattr(ChartPoints, "shifted", spy)
+        fields = self._identity_fields(perturbed_setup)
+        runs = [
+            (lambda pts: perturbed_setup.gbc_integrand()(pts), 3),
+            # 3 stacks, and the nested curvature sweep on each of them
+            (lambda pts: exterior_derivatives(fields, pts), 12),
+        ]
         gc.disable()
         try:
-            perturbed_setup.gbc_integrand()(bundle_points("south", 10, seed=97))
-            assert len(refs) == 3
-            assert all(r() is None for r in refs)
+            for evaluate, stacks in runs:
+                refs.clear()
+                evaluate(bundle_points("south", 10, seed=97))
+                assert len(refs) == stacks
+                assert all(r() is None for r in refs)
         finally:
             gc.enable()

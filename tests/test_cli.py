@@ -84,6 +84,27 @@ class TestRunners:
         assert "eq33_dPi_minus_omega_nabla" in names
         assert "eq32_component_identity" in names
 
+    def test_identities_one_stencil_sweep_per_batch(self, monkeypatch):
+        """The five differentiated fields share one stencil sweep per chart
+        batch: 3 displaced stacks, plus 9 for the curvature of nabla on them
+        (computed once, cached on each stack for U_1 and the primitive), plus
+        3 each for gbc_integrand and the curvature at the batch.  Two
+        batches make 36 stacks; one sweep per field made 78."""
+        from finslergbc.quadrature import ChartPoints
+
+        calls = []
+        shifted = ChartPoints.shifted
+
+        def spy(self, axis, steps):
+            calls.append(axis)
+            return shifted(self, axis, steps)
+
+        monkeypatch.setattr(ChartPoints, "shifted", spy)
+        cfg = ExperimentConfig(scenario="identities", metric="randers",
+                               connection="cartan", identity_samples=2)
+        assert run_identity_suite(cfg).passed
+        assert len(calls) == 36
+
     def test_degrees(self, fast_cfg):
         report = run_degrees(fast_cfg)
         assert report.passed
@@ -198,6 +219,14 @@ class TestMainEntry:
         """A chart-constant norm is not a metric on the sphere: exit 2 with
         InvalidMetricError before any integral is taken."""
         assert main(["gbc", "--metric", metric]) == 2
+        assert "InvalidMetricError" in capsys.readouterr().err
+
+    def test_infinite_metric_parameter_rejected(self, capsys):
+        """--metric-eps inf makes F infinite: exit 2 with InvalidMetricError,
+        as nan does, not a run of nan integrals that reports FAIL."""
+        assert main(["gbc", "--manifold", "torus", "--metric", "quartic",
+                     "--metric-eps", "inf", "--field", "constant",
+                     "--order-base", "8", "--order-fiber", "8"]) == 2
         assert "InvalidMetricError" in capsys.readouterr().err
 
     def test_error_reporting(self, capsys):
