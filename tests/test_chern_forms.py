@@ -595,9 +595,7 @@ class TestStackedStencil:
         assert any(np.iscomplexobj(c) for c in got[4].coeffs.values())
         assert len(got) == len(want)
         for g, w in zip(got, want):
-            assert set(g.coeffs) == set(w.coeffs)
-            for k, c in w.coeffs.items():
-                assert np.array_equal(g.coeffs[k], c), k
+            self._assert_same(g, w)
 
     def test_stencil_batches_freed_on_return(self, perturbed_setup, monkeypatch):
         """Every stacked batch, with the tensors cached on it, is released by
@@ -616,7 +614,7 @@ class TestStackedStencil:
         monkeypatch.setattr(ChartPoints, "shifted", spy)
         fields = self._identity_fields(perturbed_setup)
         runs = [
-            (lambda pts: perturbed_setup.gbc_integrand()(pts), 3),
+            (perturbed_setup.gbc_integrand(), 3),
             # 3 stacks, and the nested curvature sweep on each of them
             (lambda pts: exterior_derivatives(fields, pts), 12),
         ]
