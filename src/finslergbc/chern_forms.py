@@ -39,7 +39,7 @@ from .quadrature import (
     ChartPoints,
     FormField,
     PointwiseForm,
-    central_partials,
+    complex_step_partials,
     d_from_partials,
 )
 
@@ -464,9 +464,12 @@ class TransgressionForms:
     def gbc_integrand(self) -> FormField:
         """(Omega^D + FrakE) / V as one fused 2-form field.
 
-        One finite-difference sweep serves both the curvature of D and
-        d Upsilon_0: every displaced batch evaluates both connections
-        once through the shared tensor cache."""
+        The curvature of D and d Upsilon_0 are exact to rounding: one
+        complex-step sweep differentiates the frame forms of both
+        connections, which every complex-shifted batch evaluates once
+        through the shared tensor cache.  The finite-difference stencil is
+        kept for the identity checks, as an oracle independent of this
+        path."""
         n = self.n
         norm = pfaffian_norm_constant(n)
         u1c = upsilon1_coefficient(n)
@@ -480,7 +483,7 @@ class TransgressionForms:
             return out
 
         def func(pts: ChartPoints) -> PointwiseForm:
-            partials = central_partials(payload, pts)
+            partials = complex_step_partials(payload, pts)
             omega_D = _euler_form(omega_tables(n, self.D.pi(pts), partials), n)
             d_u0 = d_from_partials(
                 [{(a,): p[("u0", a)] for a in range(AXES)} for p in partials])

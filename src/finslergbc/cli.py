@@ -486,7 +486,8 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
     u1_field = forms.mathai_quillen_field(1.0)
     # Every finite-difference row reads one stencil sweep per batch, so each
     # displaced batch evaluates pi, V and the curvature of nabla once for all
-    # five fields.  gbc_integrand keeps its own sweep: eq34 tests it as is.
+    # five fields.  gbc_integrand takes its exact complex-step partials as
+    # in production, so eq34 compares them with this FD sweep.
     differentiated = [forms.pi(), forms.upsilon1().scale_by(inv_v), forms.upsilon0(),
                       u1_field, forms.mathai_quillen_primitive_field(1.0)]
     for pts in batches:

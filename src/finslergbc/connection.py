@@ -3,10 +3,14 @@
 The chain runs: metric jets -> geodesic-spray Ehresmann coefficients N ->
 horizontal (Chern-type) coefficients gamma -> vertical modification rho =
 2 A -> natural-frame 1-forms theta -> orthonormal-frame forms varpi ->
-curvature by one finite-difference layer.  All coefficients are assembled
-from analytically differentiated tensors, so the frame forms carry
-AD-exact first derivatives; only the exterior derivative of varpi is
-numeric (central differences + Richardson).
+curvature.  All coefficients are assembled from analytically
+differentiated tensors, so the frame forms carry AD-exact first
+derivatives.  The chain is holomorphic arithmetic on its coordinates, so
+the production GBC integrand differentiates varpi by complex-step partials,
+exact to rounding.  ``CurvatureData`` takes the exterior derivative of
+varpi by the finite-difference stencil (central differences +
+Richardson): it is the identity checks' oracle, independent of the
+production path.
 
 Index conventions follow  D s_i = theta_i^j (x) s_j  and  nabla e_i =
 varpi_i^j (x) e_j, with matrices stored as m[i][j] = (lower i, upper j);
@@ -603,8 +607,7 @@ def sinusoidal_perturbation(atlas, base: FrameConnection, amplitude: float):
     differs from the perturbed modification."""
 
     def P(pts: ChartPoints):
-        x1 = np.asarray(pts.coords[0], dtype=float)
-        x2 = np.asarray(pts.coords[1], dtype=float)
+        x1, x2 = pts.coords[:2]
         X, Y, Z = atlas.global_scalars(pts.chart, x1, x2)
         dX, dY, dZ = [[None] * AXES for _ in range(3)]
         for axis in range(2):

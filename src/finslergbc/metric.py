@@ -473,11 +473,13 @@ def metric_jets(metric: FinslerMetric, chart: str, x1, x2, th) -> MetricJets:
     is (4 e' + e''') v v v.  One evaluation with three theta seeds gives
     e to e'''; one with two theta seeds around x1 and x2, seeded on one
     leading axis of length 2, gives d_A e, d_A e' and d_A e'' for both
-    chart axes A.  Symmetric entries share one array.
+    chart axes A.  Symmetric entries share one array.  The coordinates
+    may be complex, as under complex-step partials; nothing here casts
+    them to float.
     """
     E = _squared(metric, chart)
-    x = [np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)]
-    th = np.asarray(th, dtype=float)
+    x = [np.asarray(x1), np.asarray(x2)]
+    th = np.asarray(th)
     u = [np.cos(th), np.sin(th)]
     v = [-u[1], u[0]]
 

@@ -88,8 +88,8 @@ class TestRunners:
         """The five differentiated fields share one stencil sweep per chart
         batch: 3 displaced stacks, plus 9 for the curvature of nabla on them
         (computed once, cached on each stack for U_1 and the primitive), plus
-        3 each for gbc_integrand and the curvature at the batch.  Two
-        batches make 36 stacks; one sweep per field made 78."""
+        3 for the curvature at the batch; gbc_integrand makes none.  Two
+        batches make 30 stacks; one sweep per field made 78."""
         from finslergbc.quadrature import ChartPoints
 
         calls = []
@@ -103,7 +103,34 @@ class TestRunners:
         cfg = ExperimentConfig(scenario="identities", metric="randers",
                                connection="cartan", identity_samples=2)
         assert run_identity_suite(cfg).passed
-        assert len(calls) == 36
+        assert len(calls) == 30
+
+    def test_gbc_makes_no_displaced_batch(self, monkeypatch):
+        """The production integrand takes its curvature from complex-step
+        partials: a Randers run with D != nabla builds no FD stack."""
+        from finslergbc.quadrature import ChartPoints
+
+        calls = []
+        shifted = ChartPoints.shifted
+        monkeypatch.setattr(ChartPoints, "shifted",
+                            lambda self, *a: calls.append(a) or shifted(self, *a))
+        cfg = ExperimentConfig(metric="randers", connection="perturbed", order_base=12,
+                               order_fiber=16, epsilon_schedule=(0.2, 0.1))
+        assert len(run_gbc(cfg).convergence) == 2
+        assert calls == []
+
+    @pytest.mark.parametrize("field", ["rotational", "height_gradient"])
+    @pytest.mark.parametrize("connection", ["cartan", "perturbed", "chern_modified"])
+    def test_round_sphere_closed_form(self, connection, field):
+        """On the round sphere the per-eps value has the closed form
+        2(1 - eps^2)/(1 + eps^2), whatever the connection and field; exact
+        curvature keeps every per-eps value within 1e-14 of it."""
+        cfg = ExperimentConfig(metric="round_sphere", connection=connection,
+                               vector_field=field)
+        report = run_gbc(cfg)
+        assert len(report.convergence) == 3
+        for eps, value in report.convergence:
+            assert abs(value - 2.0 * (1.0 - eps * eps) / (1.0 + eps * eps)) <= 1e-14, eps
 
     def test_degrees(self, fast_cfg):
         report = run_degrees(fast_cfg)

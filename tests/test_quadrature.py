@@ -1,5 +1,6 @@
-"""Form fields, the finite-difference exterior calculus, pullbacks, and
-the integration rules with their orientation conventions."""
+"""Form fields, the finite-difference and complex-step partials, the
+exterior calculus, pullbacks, and the integration rules with their
+orientation conventions."""
 
 import math
 
@@ -16,6 +17,7 @@ from finslergbc.quadrature import (
     base_integral_excised,
     boundary_circle_integral,
     central_partials,
+    complex_step_partials,
     exterior_derivative,
     extrapolate_to_zero,
     fiber_integral,
@@ -136,6 +138,45 @@ class TestCentralPartials:
         assert shapes == [[(4, 3)] * 3] * pts.dim
         for axis in range(pts.dim):
             assert np.array_equal(partials[axis]["zero"], np.zeros(3))
+
+
+class TestComplexStepPartials:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_analytic_payload_exact(self, dim):
+        """On an analytic payload the partials equal the closed-form
+        derivatives to rounding, a constant entry differentiates to 0 at
+        the batch shape, and the payload runs once per chart axis."""
+        rng = np.random.default_rng(12)
+        x = [rng.uniform(-1.0, 1.0, 6) for _ in range(dim)]
+        pts = ChartPoints.of("c", *x)
+        calls = []
+
+        def payload(q):
+            calls.append(1)
+            y, z = q.coords[0], q.coords[-1]
+            return {"p": np.sin(y) * np.exp(z) + y ** 3 / z, "const": 2.0}
+
+        y, z = x[0], x[-1]
+        want = [np.cos(y) * np.exp(z) + 3.0 * y * y / z] + [np.zeros(6)] * (dim - 2) + [
+            np.sin(y) * np.exp(z) - y ** 3 / (z * z)]
+        partials = complex_step_partials(payload, pts)
+        assert len(calls) == len(partials) == dim
+        for axis in range(dim):
+            scale = np.maximum(1.0, np.abs(want[axis]))
+            assert np.max(np.abs(partials[axis]["p"] - want[axis]) / scale) < 4e-16
+            assert np.array_equal(partials[axis]["const"], np.zeros(6))
+
+    def test_float_cast_raises(self):
+        """A payload that casts the shifted coordinates to float would drop
+        the imaginary part and return a silent zero derivative; it raises
+        instead."""
+        pts = ChartPoints.of("c", [0.1, 0.2], [0.3, 0.4])
+
+        def payload(q):
+            return {"s": np.asarray(q.coords[0], dtype=float) ** 2}
+
+        with pytest.raises(np.exceptions.ComplexWarning):
+            complex_step_partials(payload, pts)
 
 
 class TestPullback:
@@ -289,7 +330,36 @@ class TestBoundaryCircle:
         assert abs(boundary_circle_integral(f, "c", (0.1, -0.2), 0.3)) < 1e-14
 
 
+    @pytest.mark.parametrize("order", [16, 20])
+    def test_trig_exactness(self, order):
+        """On the circle of radius r about c, the form ((x1 - c1)/r)^m dx2
+        pulls back to r cos(phi)^(m+1) d phi.  The periodic rule with n
+        nodes integrates it exactly for m + 1 < n and aliases cos(n phi)
+        onto the constant at m + 1 = n."""
+        c, r = (0.3, -0.1), 0.7
+        for m in range(order):
+            f = FormField(2, 1, lambda p, m=m: PointwiseForm(
+                {(1,): ((p.coords[0] - c[0]) / r) ** m}))
+            got = boundary_circle_integral(f, "c", c, r, order=order)
+            n = m + 1
+            want = r * 2.0 * math.pi * (math.comb(n, n // 2) / 2.0 ** n if n % 2 == 0 else 0.0)
+            if n == order:
+                want += r * 4.0 * math.pi / 2.0 ** n
+            assert abs(got - want) < 1e-14, m
+
+
 class TestFiberIntegral:
+    @pytest.mark.parametrize("order", [16, 24])
+    def test_trig_exactness(self, order):
+        """The fiber rule with n nodes integrates cos(k theta) and
+        sin(k theta) d theta exactly for 0 < k < n, and aliases cos(n theta)
+        onto the constant."""
+        for k in range(1, order + 1):
+            for trig in (np.cos, np.sin):
+                f = FormField(3, 1, lambda p: PointwiseForm({(2,): trig(k * p.coords[2])}))
+                want = 2.0 * math.pi if (k == order and trig is np.cos) else 0.0
+                assert abs(fiber_integral(f, "c", (0.2, 0.4), order=order) - want) < 1e-13
+
     def test_volume_recovery(self, randers_metric, cartan_frame_randers):
         """int_fiber d nu = V(x), via the frame form's theta coefficient."""
         from finslergbc.metric import fiber_volume
