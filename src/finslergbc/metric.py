@@ -351,12 +351,16 @@ def fiber_volume(metric: FinslerMetric, x, chart: str | None = None,
 
 
 def _fiber_integral(metric: FinslerMetric, x, chart: str, th, w):
-    """The quadrature sum of the fiber density over the nodes th, weights w."""
+    """The quadrature sum of the fiber density over the nodes th, weights w.
+    The sum is a ufunc reduction over the node axis, so each base point's
+    sum depends on its own row alone, not on where the row sits in the
+    batch or on the batch size (a matrix-vector product does not promise
+    that)."""
     x = [ad.linear_map(lambda a: np.asarray(a, dtype=float)[..., None], c) for c in x]
     rho = fiber_volume_form(metric, x, th, chart)
     shape = np.broadcast_shapes(*(np.shape(value(c)) for c in x), th.shape)
-    return ad.linear_map(
-        lambda r: np.broadcast_to(r, np.broadcast_shapes(np.shape(r), shape)) @ w, rho)
+    return ad.linear_map(lambda r: np.add.reduce(
+        np.broadcast_to(r, np.broadcast_shapes(np.shape(r), shape)) * w, -1), rho)
 
 
 def _concatenate(parts):

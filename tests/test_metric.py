@@ -391,9 +391,7 @@ class TestFiberVolume:
         every dual layer of V equals the one-block evaluation of the whole
         batch, which the test forces by raising the block size.  With
         fewer fiber nodes per block than the order, each block holds one
-        point and V equals the evaluation of each point on its own (a
-        one-row quadrature sum is a dot product, whose summation order
-        differs from that of the matrix-vector product over many rows)."""
+        point and V equals the evaluation of each point on its own."""
         import finslergbc.metric as metric_mod
 
         rng = np.random.default_rng(17)
@@ -432,6 +430,25 @@ class TestFiberVolume:
         assert np.shape(value(got)) == shape
         if case == "two-seed":
             assert np.shape(got.eps) == (2,) + shape
+
+    @pytest.mark.parametrize("order", [48, 64])
+    def test_point_bits_independent_of_batch_layout(self, order, randers_metric,
+                                                    monkeypatch):
+        """V at a base point has the same bits alone, in a batch, at any
+        offset within its block and in a batch of one block: the fiber sum
+        of a point reads its own row only."""
+        import finslergbc.metric as metric_mod
+
+        rng = np.random.default_rng(29)
+        block = max(1, metric_mod._FIBER_NODES // order)
+        x1, x2 = rng.uniform(-0.7, 0.7, (2, 2 * block + 37))
+        V = fiber_volume(randers_metric, [x1, x2], "south", order)
+        alone = [fiber_volume(randers_metric, [a, b], "south", order) for a, b in zip(x1, x2)]
+        assert np.array_equal(V, alone)
+        shifted = fiber_volume(randers_metric, [x1[5:-3], x2[5:-3]], "south", order)
+        assert np.array_equal(V[5:-3], shifted)
+        monkeypatch.setattr(metric_mod, "_FIBER_NODES", 10 ** 12)
+        assert np.array_equal(V, fiber_volume(randers_metric, [x1, x2], "south", order))
 
     def test_seeded_batch_memory(self, randers_metric):
         """One two-seed pass over 9,216 base points at 64 fiber nodes peaks
