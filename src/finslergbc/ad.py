@@ -1,9 +1,17 @@
-"""Forward-mode automatic differentiation with nestable dual numbers.
+"""Forward-mode automatic differentiation: nestable dual numbers and
+truncated univariate Taylor series.
 
 A ``Dual`` carries a value and the derivative along one seed direction.
 Nesting duals (a ``Dual`` whose value is itself a ``Dual``) yields exact
 higher-order and mixed partial derivatives; every nesting level owns one
-independent epsilon.  Values may be python floats or numpy arrays, so a
+independent epsilon.  A ``Jet`` carries the Taylor coefficients
+f^(m)/m!, m = 0..k, of a function of one variable and propagates them by
+the standard recurrences (Griewank & Walther, Evaluating Derivatives,
+ch. 13): a product of degree-k jets costs (k+1)(k+2)/2 coefficient
+products where k nested duals cost 3^k.  A ``Dual`` is always the outer
+layer: ``Jet`` operations decline ``Dual`` operands, so a ``Dual`` treats a
+``Jet`` as its value or derivative like any other constant.  Values and
+coefficients may be python floats or numpy arrays (complex ones too), so a
 single evaluation differentiates a whole batch of points at once.
 """
 
@@ -18,6 +26,8 @@ from .errors import ValidationError
 
 __all__ = [
     "Dual",
+    "Jet",
+    "taylor_coefficient",
     "value",
     "partial",
     "linear_map",
@@ -26,7 +36,6 @@ __all__ = [
     "log",
     "sin",
     "cos",
-    "atan2",
     "nth_derivative",
     "expression",
 ]
@@ -100,6 +109,118 @@ def _reciprocal(x: Dual) -> Dual:
     return Dual(inv, -x.eps * inv * inv)
 
 
+class Jet:
+    """Truncated Taylor series c[0] + c[1] t + ... + c[k] t^k in one
+    variable t, with c[m] = f^(m)/m!.  Jets of different degrees combine
+    at the lower degree.  Operations with a ``Dual`` operand return
+    NotImplemented, so the ``Dual`` (an outer seed) stays outside."""
+
+    __slots__ = ("c",)
+
+    # as for Dual: binary ops with ndarrays fall through to the Jet methods
+    __array_ufunc__ = None
+
+    def __init__(self, c):
+        self.c = tuple(c)
+
+    def __repr__(self):
+        return f"Jet({list(self.c)!r})"
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return Jet([a + b for a, b in zip(self.c, other.c)])
+        if isinstance(other, Dual):
+            return NotImplemented
+        return Jet((self.c[0] + other,) + self.c[1:])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet([-a for a in self.c])
+
+    def __sub__(self, other):
+        if isinstance(other, Jet):
+            return Jet([a - b for a, b in zip(self.c, other.c)])
+        if isinstance(other, Dual):
+            return NotImplemented
+        return Jet((self.c[0] - other,) + self.c[1:])
+
+    def __rsub__(self, other):
+        return Jet([other - self.c[0]] + [-a for a in self.c[1:]])
+
+    def __mul__(self, other):
+        if isinstance(other, Jet):
+            a, b = self.c, other.c
+            out = []
+            for k in range(min(len(a), len(b))):
+                s = a[0] * b[k]
+                for j in range(1, k + 1):
+                    s = s + a[j] * b[k - j]
+                out.append(s)
+            return Jet(out)
+        if isinstance(other, Dual):
+            return NotImplemented
+        return Jet([a * other for a in self.c])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Jet):
+            return _divide(self.c, other)
+        if isinstance(other, Dual):
+            return NotImplemented
+        return Jet([a / other for a in self.c])
+
+    def __rtruediv__(self, other):
+        return _divide((other,) + (0.0,) * (len(self.c) - 1), self)
+
+    def __pow__(self, p):
+        """Positive integer powers are repeated products, so a zero base is
+        fine; other powers use the recurrence of b = a^p from
+        a b' = p a' b, which divides by the base."""
+        if float(p).is_integer() and p >= 1:
+            n = int(p)
+            out, base = None, self
+            while True:
+                if n & 1:
+                    out = base if out is None else out * base
+                n >>= 1
+                if not n:
+                    return out
+                base = base * base
+        a = self.c
+        b = [a[0] ** p]
+        for k in range(1, len(a)):
+            s = (p * k) * a[k] * b[0]
+            for j in range(1, k):
+                s = s + ((p + 1.0) * j - k) * a[j] * b[k - j]
+            b.append(s / (k * a[0]))
+        return Jet(b)
+
+
+def _divide(a, y: Jet) -> Jet:
+    """The jet a / y for the coefficients a of a numerator:
+    q[k] = (a[k] - sum_{j<k} q[j] y[k-j]) / y[0]."""
+    b = y.c
+    q = []
+    for k in range(min(len(a), len(b))):
+        s = a[k]
+        for j in range(k):
+            s = s - q[j] * b[k - j]
+        q.append(s / b[0])
+    return Jet(q)
+
+
+def taylor_coefficient(x, m: int):
+    """The m-th Taylor coefficient of x, kept under every outer Dual layer;
+    a part of x that is no Jet is constant in t (coefficient 0 for m > 0)."""
+    if isinstance(x, Dual):
+        return Dual(taylor_coefficient(x.val, m), taylor_coefficient(x.eps, m))
+    if isinstance(x, Jet):
+        return x.c[m]
+    return x if m == 0 else 0.0
+
+
 def value(x):
     """Strip all dual layers, returning the underlying float/array."""
     while isinstance(x, Dual):
@@ -122,6 +243,17 @@ def sqrt(x):
     if isinstance(x, Dual):
         s = sqrt(x.val)
         return Dual(s, x.eps * (0.5 / s))
+    if isinstance(x, Jet):
+        # b = sqrt(a): b[k] = (a[k] - sum_{0<j<k} b[j] b[k-j]) / (2 b[0])
+        a = x.c
+        b = [sqrt(a[0])]
+        h = 0.5 / b[0]
+        for k in range(1, len(a)):
+            s = a[k]
+            for j in range(1, k):
+                s = s - b[j] * b[k - j]
+            b.append(s * h)
+        return Jet(b)
     return np.sqrt(x)
 
 
@@ -148,17 +280,6 @@ def cos(x):
     if isinstance(x, Dual):
         return Dual(cos(x.val), -x.eps * sin(x.val))
     return np.cos(x)
-
-
-def atan2(y, x):
-    if isinstance(y, Dual) or isinstance(x, Dual):
-        yv = y.val if isinstance(y, Dual) else y
-        xv = x.val if isinstance(x, Dual) else x
-        ye = y.eps if isinstance(y, Dual) else 0.0
-        xe = x.eps if isinstance(x, Dual) else 0.0
-        denom = xv * xv + yv * yv
-        return Dual(atan2(yv, xv), (xv * ye - yv * xe) / denom)
-    return np.arctan2(y, x)
 
 
 def nth_derivative(f, x0: float, order: int) -> float:

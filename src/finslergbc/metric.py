@@ -1,16 +1,17 @@
 """Finsler and Minkowski metric kernels.
 
-Everything here reduces to derivatives of E = F^2 taken with nested dual
-numbers.  A Minkowski norm of any rank gets its y-derivatives from one
-Cartesian kernel, ``y_jets``: the fundamental tensor is the y-Hessian of
-E/2 and the Cartan tensor is (F/4) times the third y-derivative.  On a
-surface, homogeneity fixes every y-derivative at the unit ray by the
-theta-jet of E or F along the unit circle y = (cos theta, sin theta), so
-the chart pipeline reads them off theta-jets instead: ``metric_jets``
-gives g, A and the mixed x-y jets from two evaluations, and
-``fiber_volume_form`` the indicatrix volume density from one.
-Evaluations accept numpy arrays in every coordinate slot, so one call
-covers a whole batch of points.
+Everything here reduces to derivatives of E = F^2 taken by forward AD.
+A Minkowski norm of any rank gets its y-derivatives from one Cartesian
+kernel, ``y_jets``, with nested dual numbers: the fundamental tensor is
+the y-Hessian of E/2 and the Cartan tensor is (F/4) times the third
+y-derivative.  On a surface, homogeneity fixes every y-derivative at the
+unit ray by the theta-jet of E or F along the unit circle y = (cos theta,
+sin theta), so the chart pipeline reads them off truncated Taylor series
+in theta (``ad.Jet``) instead: ``metric_jets`` gives g, A and the mixed
+x-y jets from two evaluations, and ``fiber_volume_form`` the indicatrix
+volume density from one.  A seeded base coordinate is a ``Dual`` outside
+the theta-jet, never inside it.  Evaluations accept numpy arrays in every
+coordinate slot, so one call covers a whole batch of points.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import combinations_with_replacement, count, permutations, produc
 import numpy as np
 
 from . import ad
-from .ad import Dual, partial, value
+from .ad import Dual, Jet, partial, taylor_coefficient, value
 from .errors import DomainError, InvalidMetricError, MetricEvaluationError
 from .quadrature import periodic_rule
 
@@ -51,7 +52,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# nested-dual jet extraction
+# jet extraction: Cartesian y-jets (nested duals), theta-jets (Taylor)
 
 
 def y_jets(E, x, y, order: int) -> dict:
@@ -76,17 +77,15 @@ def y_jets(E, x, y, order: int) -> dict:
     return jets
 
 
-def _circle_jet(theta, layers: int):
-    """(cos theta, sin theta) as nested duals with the given number of
-    theta seeds, built from the four arrays +-cos theta, +-sin theta:
-    d^m cos theta = cos(theta + m pi/2) cycles through them, and
-    sin theta = cos(theta + 3 pi/2).  Same bits as ad.cos / ad.sin of a
-    nested theta dual, without their recursion."""
+def _circle_taylor(theta, degree: int):
+    """(cos theta, sin theta) as Taylor jets of the given degree in theta,
+    built from the four arrays +-cos theta, +-sin theta: d^m cos theta =
+    cos(theta + m pi/2) cycles through them, and sin theta = cos(theta +
+    3 pi/2); the m-th coefficient is the m-th derivative over m!."""
     c, s = np.cos(theta), np.sin(theta)
-    jets = [c, -s, -c, s]
-    for _ in range(layers):
-        jets = [Dual(jets[m], jets[(m + 1) % 4]) for m in range(4)]
-    return jets[0], jets[3]
+    d = [c, -s, -c, s]
+    return tuple(Jet([d[(m + shift) % 4] / math.factorial(m) for m in range(degree + 1)])
+                 for shift in (0, 3))
 
 
 def _tensor(jets: dict, n: int, rank: int, scale) -> np.ndarray:
@@ -194,8 +193,9 @@ _METRIC_SEQ = count()
 @dataclass
 class FinslerMetric:
     """Chart-local Finsler metric on a surface: per-chart F(x, y) with all
-    arguments accepting dual numbers (y-derivatives to third order and
-    x-derivatives to first order are taken)."""
+    arguments accepting dual numbers and the y slots Taylor jets
+    (y-derivatives to third order and x-derivatives to first order are
+    taken)."""
 
     atlas_id: str
     charts: dict[str, callable]
@@ -295,15 +295,14 @@ def fiber_volume_form(metric: FinslerMetric, x, theta, chart: str | None = None)
     det g = f^3 (f + f'') and l^1 dl^2/dtheta - l^2 dl^1/dtheta = 1/f^2
     along y = (cos theta, sin theta), so the pulled-back volume form
     sqrt(det g) (l^1 dl^2 - l^2 dl^1) is rho = sqrt((f + f'') / f), read
-    off one two-level theta-jet of F.  A slot of x may carry one dual
-    layer (a seeded base point); rho then carries it too.
+    off one degree-2 Taylor jet of F in theta: f = c[0], f'' = 2 c[2].
+    A slot of x may carry one dual layer (a seeded base point), which stays
+    outside the theta-jet; rho then carries it too.
     """
     chart = _default_chart(metric, chart)
-    # the base slots sit inside both theta layers
-    x = [Dual(Dual(c, 0.0), 0.0) if isinstance(c, Dual) else np.asarray(c, dtype=float)
-         for c in x]
-    jet = metric.charts[chart](x, list(_circle_jet(np.asarray(theta, dtype=float), 2)))
-    f, f2 = jet.val.val, partial(partial(jet))
+    x = [c if isinstance(c, Dual) else np.asarray(c, dtype=float) for c in x]
+    jet = metric.charts[chart](x, list(_circle_taylor(np.asarray(theta, dtype=float), 2)))
+    f, f2 = taylor_coefficient(jet, 0), 2.0 * taylor_coefficient(jet, 2)
     return ad.sqrt((f + f2) / f)
 
 
@@ -456,16 +455,6 @@ def _hessian(u, v, e, e1, e2) -> list:
     return [[h[min(i, j), max(i, j)] for j in range(2)] for i in range(2)]
 
 
-def _theta_derivative(r, m: int, layers: int):
-    """The m-th derivative of r along its outer `layers` theta seeds, with
-    any inner dual layer (a seeded base coordinate) kept."""
-    for _ in range(m):
-        r = partial(r)
-    for _ in range(layers - m):
-        r = r.val
-    return r
-
-
 def metric_jets(metric: FinslerMetric, chart: str, x1, x2, th) -> MetricJets:
     """The jets of E = F^2 at y = u = (cos theta, sin theta) from two
     chart evaluations.
@@ -474,12 +463,12 @@ def metric_jets(metric: FinslerMetric, chart: str, x1, x2, th) -> MetricJets:
     theta-jet of e(theta) = E(x, u(theta)).  With v = (-sin theta,
     cos theta), the gradient and the Hessian come from e, e', e'' by
     Euler's relation, and the third derivative, which vanishes along u,
-    is (4 e' + e''') v v v.  One evaluation with three theta seeds gives
-    e to e'''; one with two theta seeds around x1 and x2, seeded on one
-    leading axis of length 2, gives d_A e, d_A e' and d_A e'' for both
-    chart axes A.  Symmetric entries share one array.  The coordinates
-    may be complex, as under complex-step partials; nothing here casts
-    them to float.
+    is (4 e' + e''') v v v.  One evaluation on a degree-3 Taylor jet in
+    theta gives e to e''' (e^(m) = m! c[m]); one on a degree-2 jet, with
+    x1 and x2 as duals seeded on one leading axis of length 2 outside it,
+    gives d_A e, d_A e' and d_A e'' for both chart axes A.  Symmetric
+    entries share one array.  The coordinates may be complex, as under
+    complex-step partials; nothing here casts them to float.
     """
     E = _squared(metric, chart)
     x = [np.asarray(x1), np.asarray(x2)]
@@ -487,19 +476,19 @@ def metric_jets(metric: FinslerMetric, chart: str, x1, x2, th) -> MetricJets:
     u = [np.cos(th), np.sin(th)]
     v = [-u[1], u[0]]
 
-    r = E(x, list(_circle_jet(th, 3)))
-    e, e1, e2, e3 = (value(_theta_derivative(r, m, 3)) for m in range(4))
+    r = E(x, list(_circle_taylor(th, 3)))
+    e, e1, e2, e3 = (math.factorial(m) * taylor_coefficient(r, m) for m in range(4))
     c = 4.0 * e1 + e3
     t3 = {idx: c * v[idx[0]] * v[idx[1]] * v[idx[2]]
           for idx in combinations_with_replacement(range(2), 3)}
     T3 = [[[t3[tuple(sorted((i, j, k)))] for k in range(2)] for j in range(2)] for i in range(2)]
 
     # x1 and x2 seeded on one leading axis (the rows of the identity),
-    # inside both theta layers; d[m][A] is d_A of the m-th theta-derivative
+    # outside the theta-jet; d[m][A] is d_A of the m-th theta-derivative
     s = np.eye(2).reshape((2, 2) + (1,) * len(np.broadcast_shapes(*map(np.shape, x), th.shape)))
-    r = E([Dual(Dual(Dual(x[A], s[A]), 0.0), 0.0) for A in range(2)], list(_circle_jet(th, 2)))
-    jets = [_theta_derivative(r, m, 2) for m in range(3)]
-    d = [np.broadcast_to(partial(j), (2,) + np.shape(value(j))) for j in jets]
+    r = E([Dual(x[A], s[A]) for A in range(2)], list(_circle_taylor(th, 2)))
+    d = [np.broadcast_to(math.factorial(m) * partial(taylor_coefficient(r, m)), (2,) + e.shape)
+         for m in range(3)]
     X1 = [d[0][A] for A in range(2)]
     grads = [_gradient(u, v, d[0][A], d[1][A]) for A in range(2)]
     hessians = [_hessian(u, v, d[0][A], d[1][A], d[2][A]) for A in range(2)]

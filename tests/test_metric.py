@@ -641,23 +641,21 @@ class TestMetricJets:
         for A in range(2):
             assert jets.X3[0][1][A] is jets.X3[1][0][A]
 
-    @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_circle_jet_matches_ad(self, layers):
-        """The nested-dual (cos, sin) jet equals ad.cos / ad.sin of a
-        nested theta dual bit for bit."""
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_circle_jet_matches_ad(self, degree):
+        """The Taylor (cos, sin) jet holds the derivatives of ad.cos / ad.sin
+        of a nested theta dual over m!, bit for bit."""
         from finslergbc import ad
-        from finslergbc.metric import _circle_jet
+        from finslergbc.metric import _circle_taylor
 
         theta = np.linspace(-4.0, 9.0, 41)
         th = theta
-        for _ in range(layers):
+        for _ in range(degree):
             th = ad.Dual(th, 1.0)
-        for got, ref in zip(_circle_jet(theta, layers), (ad.cos(th), ad.sin(th))):
-            stack = [(got, ref)]
-            while stack:
-                a, b = stack.pop()
-                assert isinstance(a, ad.Dual) == isinstance(b, ad.Dual)
-                if isinstance(b, ad.Dual):
-                    stack += [(a.val, b.val), (a.eps, b.eps)]
-                else:
-                    assert np.array_equal(a, b)
+        for got, ref in zip(_circle_taylor(theta, degree), (ad.cos(th), ad.sin(th))):
+            assert isinstance(got, ad.Jet) and len(got.c) == degree + 1
+            for m in range(degree + 1):
+                d = ref
+                for _ in range(m):
+                    d = ad.partial(d)
+                assert np.array_equal(got.c[m], value(d) / math.factorial(m))
