@@ -233,6 +233,28 @@ class TestCurvature:
         om = curvature(fc).omega(pts)
         assert max(float(np.max(np.abs(np.asarray(v)))) for v in om[0][1].values()) < 1e-12
 
+    @pytest.mark.parametrize("chart", ["south", "north"])
+    @pytest.mark.parametrize("make", [cartan_connection, chern_connection])
+    def test_round_sphere_pi_closed_form(self, round_metric, make, chart):
+        """On the round sphere both connections are Levi-Civita and the
+        frame form is pi_0^1 = (2 x2 dx1 - 2 x1 dx2) / (1 + r^2) + dtheta
+        in either chart (the metric is the same conformal form in both);
+        pi_0^0 = pi_1^1 = 0 and pi_1^0 = -pi_0^1.  This pins the whole
+        chain metric jets -> bundle tensors -> pi pointwise, with no
+        finite differences, where the identity rows would miss a smooth
+        error in pi."""
+        pts = bundle_points(chart, 500, seed=31)
+        x1, x2, _ = pts.coords
+        k = 2.0 / (1.0 + x1 ** 2 + x2 ** 2)
+        want = [k * x2, -k * x1, 1.0]
+        pi = to_orthonormal_frame(make(), round_metric).pi(pts)
+        err = 0.0
+        for a in range(3):
+            err = max(err, float(np.max(np.abs(pi[0][1][a] - want[a]))),
+                      float(np.max(np.abs(pi[1][0][a] + want[a]))),
+                      float(np.max(np.abs(pi[0][0][a]))), float(np.max(np.abs(pi[1][1][a]))))
+        assert err <= 1e-14
+
     def test_round_sphere_gauss_curvature(self, round_metric):
         """Omega_1^2 = -K dA with K = 1: the (dx1, dx2) coefficient equals
         minus the conformal area density."""
