@@ -75,6 +75,7 @@ class TestRunners:
         )
         report = run_gbc(cfg)
         assert report.row("normalized_gbc_integral").value == pytest.approx(0.0, abs=1e-9)
+        assert report.row("gbc_disc_limit").value == report.row("normalized_gbc_integral").value
         assert report.passed
 
     def test_identities_fast(self, fast_cfg):
@@ -118,6 +119,54 @@ class TestRunners:
                                order_fiber=16, epsilon_schedule=(0.2, 0.1))
         assert len(run_gbc(cfg).convergence) == 2
         assert calls == []
+
+    def test_gbc_base_points_at_workload_orders(self, monkeypatch):
+        """At base order 48 and eps = 0.2, 0.1, 0.05 a sphere run evaluates
+        two 48 x 48 outer annuli and, per zero, one batch of three 16 x 32
+        discs: 7,680 base points.  The eps-shell annuli it replaced made
+        13,824."""
+        from finslergbc.quadrature import AnnulusRegion, BoxRegion, ChartPoints
+
+        counts = []
+
+        def counting(fn, size):
+            def spy(*args):
+                out = fn(*args)
+                counts.append(size(out))
+                return out
+            return spy
+
+        def nodes(rule):
+            return len(rule[0])
+
+        monkeypatch.setattr(AnnulusRegion, "nodes", counting(AnnulusRegion.nodes, nodes))
+        monkeypatch.setattr(BoxRegion, "nodes", counting(BoxRegion.nodes, nodes))
+        monkeypatch.setattr(ChartPoints, "of",
+                            classmethod(counting(ChartPoints.of.__func__, lambda p: p.size)))
+        cfg = ExperimentConfig(metric="randers", metric_eps=0.1, connection="perturbed",
+                               perturbation_amplitude=0.2, order_base=48, order_fiber=64,
+                               epsilon_schedule=(0.2, 0.1, 0.05))
+        report = run_gbc(cfg)
+        assert report.passed
+        assert sorted(counts) == [1536, 1536, 2304, 2304]
+        assert sum(counts) == 7680
+
+    def test_disc_limit_fails_under_mutation(self, monkeypatch):
+        """gbc_disc_limit can fail: an integrand scaled by 1 + 1e-6 moves
+        it by 2e-6, far outside its 1e-10, while the Neville headline
+        still passes."""
+        from finslergbc.chern_forms import TransgressionForms
+
+        cfg = ExperimentConfig(metric="randers", connection="perturbed", order_base=12,
+                               order_fiber=16)
+        assert run_gbc(cfg).row("gbc_disc_limit").passed
+        integrand = TransgressionForms.gbc_integrand
+        monkeypatch.setattr(TransgressionForms, "gbc_integrand",
+                            lambda self: (1.0 + 1e-6) * integrand(self))
+        report = run_gbc(cfg)
+        assert report.row("normalized_gbc_integral").passed
+        assert not report.row("gbc_disc_limit").passed
+        assert not report.passed
 
     @pytest.mark.parametrize("field", ["rotational", "height_gradient"])
     @pytest.mark.parametrize("connection", ["cartan", "perturbed", "chern_modified"])

@@ -18,6 +18,7 @@ from finslergbc.quadrature import (
     boundary_circle_integral,
     central_partials,
     complex_step_partials,
+    disc_integrals,
     exterior_derivative,
     extrapolate_to_zero,
     fiber_integral,
@@ -307,6 +308,86 @@ class TestBaseIntegral:
         dom = ExcisedDomain([AnnulusRegion("c", (0.0, 0.0), 0.3, 1.0)])
         total = base_integral_excised(f, dom, order=24)
         assert total == pytest.approx(math.pi * (1.0 - 0.09), rel=1e-12)
+
+
+class TestDiscRule:
+    @pytest.mark.parametrize("order", [6, 24, 48])
+    @pytest.mark.parametrize("radius", [0.05, 0.2, 1.0])
+    def test_exact_on_one_over_r(self, order, radius):
+        """The weight r cancels a 1/r singularity at the centre:
+        int dx1^dx2 / r = 2 pi R and int x1^2 / r dx1^dx2 = pi R^3 / 3."""
+
+        def integral(coeff):
+            f = FormField(2, 2, lambda p: PointwiseForm({(0, 1): coeff(*p.coords)}))
+            return disc_integrals(f, "c", (0.0, 0.0), [radius], order=order)[0]
+
+        inv_r = integral(lambda x1, x2: 1.0 / np.hypot(x1, x2))
+        assert inv_r == pytest.approx(2.0 * math.pi * radius, rel=1e-14)
+        x1_sq = integral(lambda x1, x2: x1 * x1 / np.hypot(x1, x2))
+        assert x1_sq == pytest.approx(math.pi * radius ** 3 / 3.0, rel=1e-14)
+
+    def test_difference_matches_annulus(self):
+        """disc(R) - disc(eps) is the annulus eps <= r <= R: it matches
+        AnnulusRegion on a smooth 2-form off the origin."""
+        center = (0.3, -0.2)
+
+        def f(p):
+            x1, x2 = p.coords
+            return PointwiseForm({(0, 1): np.exp(0.7 * x1 - 0.4 * x2) * np.cos(x1 * x2)
+                                  + x1 ** 3})
+
+        field = FormField(2, 2, f)
+        big, small = disc_integrals(field, "c", center, [0.5, 0.1], order=48)
+        ring = base_integral_excised(
+            field, ExcisedDomain([AnnulusRegion("c", center, 0.1, 0.5)]), order=48)
+        assert big - small == pytest.approx(ring, abs=1e-13)
+
+    def test_one_batch_for_all_radii(self):
+        """All radii go through the form as one batch of ChartPoints.of:
+        n_r = max(8, order // 3) radial times 2 n_r angular nodes per disc."""
+        sizes = []
+
+        def f(p):
+            sizes.append(p.size)
+            return PointwiseForm({(0, 1): 1.0 + 0.0 * p.coords[0]})
+
+        areas = disc_integrals(FormField(2, 2, f), "c", (0.0, 0.0), [0.2, 0.1, 0.05], order=48)
+        assert sizes == [3 * 16 * 32]
+        assert areas == pytest.approx([math.pi * r * r for r in (0.2, 0.1, 0.05)], rel=1e-14)
+        sizes.clear()
+        disc_integrals(FormField(2, 2, f), "c", (0.0, 0.0), [0.2], order=6)
+        assert sizes == [8 * 16]
+
+    def test_rejects_non_base_two_form(self):
+        with pytest.raises(ValueError):
+            disc_integrals(FormField(2, 1, lambda p: PointwiseForm()), "c", (0.0, 0.0), [0.1])
+
+    def test_gbc_per_eps_matches_shell_sums(self):
+        """On the Randers integrand with a perturbed connection, the per-eps
+        values outer + disc(eps_0) - disc(eps) equal the sums of the 2-D
+        shell annuli eps <= r <= eps_prev that they replace."""
+        from finslergbc.cli import (
+            VOL_S1, ExperimentConfig, _build_atlas, _build_connections, _build_field,
+            _metric_params, run_gbc,
+        )
+        from finslergbc.chern_forms import TransgressionForms
+        from finslergbc.manifolds import install_metric
+
+        cfg = ExperimentConfig(metric="randers", metric_eps=0.1, connection="perturbed",
+                               perturbation_amplitude=0.2, order_base=16, order_fiber=16,
+                               epsilon_schedule=(0.2, 0.1, 0.05))
+        report = run_gbc(cfg)
+        atlas = _build_atlas(cfg)
+        metric = install_metric(atlas, cfg.metric, _metric_params(cfg))
+        fcD, fcN, _, _ = _build_connections(cfg, atlas, metric)
+        forms = TransgressionForms(metric, fcD, fcN, order_fiber=cfg.order_fiber)
+        f = pullback_by_section(forms.gbc_integrand(), _build_field(cfg, atlas))
+        total = report.convergence[0][1] / VOL_S1
+        for (eps_prev, _), (eps, value) in zip(report.convergence, report.convergence[1:]):
+            shells = ExcisedDomain([AnnulusRegion(chart, (0.0, 0.0), eps, eps_prev)
+                                    for chart in atlas.chart_ids])
+            total += base_integral_excised(f, shells, order=cfg.order_base)
+            assert abs(VOL_S1 * total - value) <= 1e-12, eps
 
 
 class TestBoundaryCircle:
