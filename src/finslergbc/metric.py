@@ -1,16 +1,16 @@
 """Finsler and Minkowski metric kernels.
 
 Everything here reduces to derivatives of E = F^2 taken by forward AD.
-A Minkowski norm of any rank gets its y-derivatives from one Cartesian
-kernel, ``y_jets``, with nested dual numbers: the fundamental tensor is
-the y-Hessian of E/2 and the Cartan tensor is (F/4) times the third
-y-derivative.  On a surface, homogeneity fixes every y-derivative at the
-unit ray by the theta-jet of E or F along the unit circle y = (cos theta,
-sin theta), so the chart pipeline reads them off truncated Taylor series
-in theta (``ad.Jet``) instead: ``metric_jets`` gives g, A and the mixed
-x-y jets from two evaluations, and ``fiber_volume_form`` the indicatrix
-volume density from one.  A seeded base coordinate is a ``Dual`` outside
-the theta-jet, never inside it.  Evaluations accept numpy arrays in every
+On a surface, homogeneity fixes every y-derivative at y by the theta-jet
+of E or F along the unit circle y = (cos theta, sin theta) through the
+angle of y, read off a truncated Taylor series in theta (``ad.Jet``):
+``MinkowskiNorm.fundamental`` and ``cartan`` evaluate the norm once on
+such a jet, ``metric_jets`` gives g, A and the mixed x-y jets from two
+evaluations, and ``fiber_volume_form`` the indicatrix volume density
+from one.  A seeded base coordinate is a ``Dual`` outside the theta-jet,
+never inside it.  ``y_jets`` takes Cartesian y-derivatives with nested
+dual numbers; it serves norms of rank other than 2 and is the tests'
+oracle for the theta-jets.  Evaluations accept numpy arrays in every
 coordinate slot, so one call covers a whole batch of points.
 """
 
@@ -111,23 +111,38 @@ class MinkowskiNorm:
         return self.fn(list(y))
 
     def fundamental(self, y) -> np.ndarray:
-        """g_ij = (1/2) d^2 F^2 / dy_i dy_j at y; batch axes of y trail."""
+        """g_ij = (1/2) d^2 F^2 / dy_i dy_j at y; batch axes of y trail.  g is
+        0-homogeneous, so a surface reads it off the theta-jet of F^2 at the
+        angle of y (``_hessian``); other ranks use the Cartesian ``y_jets``."""
         _require_nonzero(y)
-        return _tensor(y_jets(self._E, [], list(y), 2), self.n, 2, 0.5)
+        if self.n != 2:
+            return _tensor(y_jets(self._E, [], list(y), 2), self.n, 2, 0.5)
+        th = np.arctan2(y[1], y[0])
+        r = self._E([], list(_circle_taylor(th, 2)))
+        e = [math.factorial(m) * taylor_coefficient(r, m) for m in range(3)]
+        return 0.5 * np.array(_hessian([np.cos(th), np.sin(th)], [-np.sin(th), np.cos(th)], *e))
 
     def cartan(self, y) -> np.ndarray:
-        """A_ijk = (F/4) d^3 F^2 / dy_i dy_j dy_k at y; batch axes of y trail."""
+        """A_ijk = (F/4) d^3 F^2 / dy_i dy_j dy_k at y; batch axes of y trail.
+        A is 0-homogeneous, so a surface reads it off the theta-jet of F^2 at
+        the angle of y (``_third``); other ranks use the Cartesian ``y_jets``."""
         _require_nonzero(y)
-        F = np.asarray(self(y), dtype=float)
-        return _tensor(y_jets(self._E, [], list(y), 3), self.n, 3, 0.25 * F)
+        if self.n != 2:
+            return _tensor(y_jets(self._E, [], list(y), 3), self.n, 3, 0.25 * self(y))
+        th = np.arctan2(y[1], y[0])
+        r = self._E([], list(_circle_taylor(th, 3)))
+        e, e1, _, e3 = (math.factorial(m) * taylor_coefficient(r, m) for m in range(4))
+        return 0.25 * np.sqrt(e) * np.array(_third([-np.sin(th), np.cos(th)], 4.0 * e1 + e3))
 
     def _E(self, x, y):
         return self.fn(y) ** 2
 
 
 def _require_nonzero(y) -> None:
-    if float(np.min(sum(np.asarray(c, dtype=float) ** 2 for c in y))) <= 0.0:
-        raise DomainError("metric quantities are undefined at y = 0 (slit bundle)")
+    s = sum(np.abs(np.asarray(c, dtype=float)) for c in y)
+    # written so that a NaN fails it; an infinite component makes s infinite
+    if not (np.all(np.isfinite(s)) and float(np.min(s)) > 0.0):
+        raise DomainError("metric quantities need a finite y != 0 (slit bundle)")
 
 
 def euclidean_norm(n: int = 2) -> MinkowskiNorm:
@@ -455,6 +470,14 @@ def _hessian(u, v, e, e1, e2) -> list:
     return [[h[min(i, j), max(i, j)] for j in range(2)] for i in range(2)]
 
 
+def _third(v, c) -> list:
+    """Third y-derivative at y = u of a function 2-homogeneous in y, c v v v
+    with c = 4 e' + e''' from its theta-jet; symmetric entries share one array."""
+    t = {idx: c * v[idx[0]] * v[idx[1]] * v[idx[2]]
+         for idx in combinations_with_replacement(range(2), 3)}
+    return [[[t[tuple(sorted((i, j, k)))] for k in range(2)] for j in range(2)] for i in range(2)]
+
+
 def metric_jets(metric: FinslerMetric, chart: str, x1, x2, th) -> MetricJets:
     """The jets of E = F^2 at y = u = (cos theta, sin theta) from two
     chart evaluations.
@@ -478,10 +501,6 @@ def metric_jets(metric: FinslerMetric, chart: str, x1, x2, th) -> MetricJets:
 
     r = E(x, list(_circle_taylor(th, 3)))
     e, e1, e2, e3 = (math.factorial(m) * taylor_coefficient(r, m) for m in range(4))
-    c = 4.0 * e1 + e3
-    t3 = {idx: c * v[idx[0]] * v[idx[1]] * v[idx[2]]
-          for idx in combinations_with_replacement(range(2), 3)}
-    T3 = [[[t3[tuple(sorted((i, j, k)))] for k in range(2)] for j in range(2)] for i in range(2)]
 
     # x1 and x2 seeded on one leading axis (the rows of the identity),
     # outside the theta-jet; d[m][A] is d_A of the m-th theta-derivative
@@ -493,7 +512,7 @@ def metric_jets(metric: FinslerMetric, chart: str, x1, x2, th) -> MetricJets:
     grads = [_gradient(u, v, d[0][A], d[1][A]) for A in range(2)]
     hessians = [_hessian(u, v, d[0][A], d[1][A], d[2][A]) for A in range(2)]
     return MetricJets(
-        F=np.sqrt(e), u=u, v=v,
-        T1=_gradient(u, v, e, e1), T2=_hessian(u, v, e, e1, e2), T3=T3, X1=X1,
+        F=np.sqrt(e), u=u, v=v, T1=_gradient(u, v, e, e1), T2=_hessian(u, v, e, e1, e2),
+        T3=_third(v, 4.0 * e1 + e3), X1=X1,
         X2=[[grads[A][i] for A in range(2)] for i in range(2)],
         X3=[[[hessians[A][i][j] for A in range(2)] for j in range(2)] for i in range(2)])

@@ -25,6 +25,7 @@ from finslergbc.metric import (
     sum_norms,
     y_jets,
 )
+from finslergbc.metric import _tensor
 
 
 def fd_hessian(f, y, h=1e-4):
@@ -119,8 +120,16 @@ class TestMinkowskiAxioms:
             assert np.max(np.abs(norm.cartan(y) - norm.cartan(lam * y))) < 1e-9
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(DomainError):
-            euclidean_norm(2).fundamental([0.0, 0.0])
+        """y = 0 and a NaN or infinite component, alone or in a batch, are
+        rejected: [1, inf] would otherwise read as the ray at theta = pi/2."""
+        norm = randers_norm([0.3, -0.2])
+        ok = [np.array([0.3, 1.0]), np.array([-0.5, 2.0])]
+        for bad in ([0.0, 0.0], [math.nan, 1.0], [1.0, math.inf], [-math.inf, 0.5]):
+            batch = [np.array([ok[0][i], bad[i], ok[1][i]]) for i in range(2)]
+            for y in (bad, batch):
+                for method in (norm.fundamental, norm.cartan):
+                    with pytest.raises(DomainError):
+                        method(y)
 
     def test_randers_validity_guard(self):
         with pytest.raises(InvalidMetricError):
@@ -156,6 +165,53 @@ class TestBatchedJets:
                 assert np.array_equal(g[..., a, b], norm.fundamental(ray)[..., 0])
                 assert np.array_equal(A[..., a, b], norm.cartan(ray)[..., 0])
 
+    @pytest.mark.parametrize(
+        "norm",
+        [
+            euclidean_norm(2),
+            riemannian_norm([[4.0, 1.0], [1.0, 2.0]]),
+            randers_norm([0.3, -0.2]),
+            randers_norm([0.3, -0.2], [[2.0, 0.3], [0.3, 1.0]]),
+            quartic_norm(0.05),
+            quartic_norm(0.5),
+            sum_norms(quartic_norm(0.2), randers_norm([0.1, 0.4])),
+        ],
+        ids=["euclidean", "riemannian", "randers", "randers-G", "quartic-0.05",
+             "quartic-0.5", "sum"],
+    )
+    def test_theta_jets_match_cartesian_oracle(self, norm):
+        """On a surface g and A come from theta-jets at the angle of y; the
+        Cartesian nested-dual y_jets at y itself are the oracle, for scaled
+        rays in a batch and one at a time."""
+        rng = np.random.default_rng(43)
+        th = rng.uniform(0.0, 2.0 * math.pi, 200)
+        r = np.exp(rng.uniform(math.log(0.05), math.log(20.0), 200))
+        y = [r * np.cos(th), r * np.sin(th)]
+        rays = [y] + [[float(y[0][k]), float(y[1][k])] for k in range(0, 200, 20)]
+        E = lambda xx, yy: norm.fn(yy) ** 2
+        for ray in rays:
+            F = np.asarray(norm(ray), dtype=float)
+            T2, T3 = y_jets(E, [], ray, 2), y_jets(E, [], ray, 3)
+            for got, ref in ((norm.fundamental(ray), _tensor(T2, 2, 2, 0.5)),
+                             (norm.cartan(ray), _tensor(T3, 2, 3, 0.25 * F))):
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+    def test_surface_norms_build_no_duals(self, monkeypatch):
+        """fundamental and cartan of a 2-D norm construct no Dual; a 3-D norm
+        still does, through y_jets, so the counter sees them."""
+        built = []
+        init = Dual.__init__
+        monkeypatch.setattr(Dual, "__init__",
+                            lambda self, v, e: built.append(1) or init(self, v, e))
+        norm = sum_norms(quartic_norm(0.2), randers_norm([0.1, 0.4], [[2.0, 0.3], [0.3, 1.0]]))
+        for y in ([0.3, -1.2], [np.array([0.3, 2.0, -1.0]), np.array([-1.2, 0.1, 0.5])]):
+            norm.fundamental(y)
+            norm.cartan(y)
+        assert built == []
+        riemannian_norm(np.eye(3)).fundamental([0.3, -1.2, 0.5])
+        assert built
+
     def test_jets_symmetric_under_permutation(self):
         norm = randers_norm([0.3, -0.2])
         y = [np.array([0.4, -1.1]), np.array([0.9, 0.2])]
@@ -174,6 +230,9 @@ class TestFundamentalTensor:
         norm = riemannian_norm(G)
         for y in ([1.0, 0.0], [0.3, 0.7], [-2.0, 1.0]):
             assert np.allclose(norm.fundamental(y), G, atol=1e-12)
+        G3 = np.array([[4.0, 1.0, 0.5], [1.0, 2.0, -0.3], [0.5, -0.3, 1.5]])
+        for y in ([1.0, 0.0, 0.0], [0.3, 0.7, -1.1]):
+            assert np.allclose(riemannian_norm(G3).fundamental(y), G3, atol=1e-12)
 
     def test_randers_against_fd_hessian(self):
         """g at y=(1,0) matches the Richardson central-difference Hessian
@@ -592,7 +651,9 @@ def jet_metrics(sphere, torus):
 
 class TestMetricJets:
     """metric_jets reads every jet off theta-jets of e = F^2 along the unit
-    circle; Cartesian nested-dual derivatives of E are the oracle."""
+    circle; Cartesian nested-dual derivatives of E are the oracle.  The
+    frozen fiber norms at the same points read g and A off the same
+    theta-jet kernels and meet the same oracle."""
 
     @pytest.mark.parametrize("name", ["randers-south", "randers-north", "round",
                                       "quartic", "riemannian"])
@@ -613,9 +674,13 @@ class TestMetricJets:
             "T3": [[[T[i, j, k] for k in range(2)] for j in range(2)] for i in range(2)],
             "X1": X1, "X2": X2, "X3": X3,
         }
+        norm = met.norm_at(chart, [x1, x2])
+        got_of = {"g": norm.fundamental(u), "A": norm.cartan(u)}
+        want.update(g=0.5 * np.asarray(want["T2"]), A=0.25 * want["F"] * np.asarray(want["T3"]))
         for field, ref in want.items():
             ref = np.asarray(ref, dtype=float)
-            got = np.asarray(getattr(jets, field), dtype=float)
+            got = got_of[field] if field in got_of else getattr(jets, field)
+            got = np.asarray(got, dtype=float)
             assert got.shape == ref.shape, field
             assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref))), field
         assert np.array_equal(jets.u, u)
