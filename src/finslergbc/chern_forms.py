@@ -30,8 +30,6 @@ from .connection import (
     CurvatureData,
     FrameConnection,
     curvature,
-    omega_tables,
-    pi_entries,
 )
 from .errors import ValidationError
 from .metric import FIBER_ORDER, FinslerMetric, fiber_volume
@@ -462,38 +460,28 @@ class TransgressionForms:
 
     # --- fused GBC integrand ---------------------------------------------------
     def gbc_integrand(self) -> FormField:
-        """(Omega^D + FrakE) / V as one fused 2-form field.
+        """(Omega^D + FrakE) / V as one fused 2-form field, from the single
+        frame form pi_0^1 of nabla.
 
-        The curvature of D and d Upsilon_0 are exact to rounding: one
-        complex-step sweep differentiates the frame forms of both
-        connections, which every complex-shifted batch evaluates once
-        through the shared tensor cache.  The finite-difference stencil is
-        kept for the identity checks, as an oracle independent of this
-        path."""
-        n = self.n
-        norm = pfaffian_norm_constant(n)
-        u1c = upsilon1_coefficient(n)
+        At rank 2 Pf is linear and so(2) is abelian, so Omega^D - d
+        Upsilon_0 = Omega^nabla = Pf(-d pi_0^1)/(2 pi) point by point, and
+        the integrand is (-c d pi_0^1 - d log V ^ u_1 pi_0^1)/V with c the
+        Euler-form constant and u_1 the Upsilon_1 weight: D enters only
+        through nabla = modify(D).  d pi_0^1 is exact to rounding, from one
+        complex-step sweep.  The identity suite checks this against the
+        general-rank Omega^D + FrakE on the finite-difference stencil."""
+        norm = pfaffian_norm_constant(2)
+        u1c = upsilon1_coefficient(2)
 
         def payload(q: ChartPoints) -> dict:
-            pa = self.D.pi(q)
-            pb = self.nabla.pi(q)
-            out = pi_entries(pa, n)
-            for a in range(AXES):
-                out[("u0", a)] = norm * (pb[0][1][a] - pa[0][1][a])
-            return out
+            pi01 = self.nabla.pi(q)[0][1]
+            return {(a,): pi01[a] for a in range(AXES)}
 
         def func(pts: ChartPoints) -> PointwiseForm:
-            partials = complex_step_partials(payload, pts)
-            omega_D = _euler_form(omega_tables(n, self.D.pi(pts), partials), n)
-            d_u0 = d_from_partials(
-                [{(a,): p[("u0", a)] for a in range(AXES)} for p in partials])
-            # d log V ^ Upsilon1
-            pb = self.nabla.pi(pts)
-            ups1 = PointwiseForm({(a,): u1c * pb[0][1][a] for a in range(AXES)})
+            dpi = d_from_partials(complex_step_partials(payload, pts))
+            ups1 = PointwiseForm({K: u1c * c for K, c in payload(pts).items()})
             d1, d2 = self.dlog_volume(pts)
             dlogv = PointwiseForm({(0,): d1, (1,): d2})
-            frak = (-1.0) * d_u0 - dlogv.wedge(ups1)
-            V = self.volume(pts)
-            return (1.0 / V) * (omega_D + frak)
+            return (1.0 / self.volume(pts)) * ((-norm) * dpi - dlogv.wedge(ups1))
 
         return FormField(AXES, 2, func)

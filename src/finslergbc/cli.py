@@ -24,8 +24,10 @@ from .chern_forms import TransgressionForms
 from .connection import (
     cartan_connection,
     explicit_ehresmann,
+    horizontal_part,
     metric_compat_residual,
     modify,
+    perturb_metric_compatible,
     perturbed_connection_data,
     sinusoidal_perturbation,
     to_orthonormal_frame,
@@ -74,6 +76,14 @@ VOL_S1 = 2.0 * math.pi
 # on the built-in scenarios at every base order from 24 up, so a 1e-6
 # relative change of the integrand fails the row by four orders.
 DISC_LIMIT_TOL = 1e-10
+
+# The largest base or fiber quadrature order.  Both rules converge
+# spectrally (gbc_disc_limit reaches chi to 1e-13 from base order 24), so a
+# higher order gains nothing, while a base region is one batch of about
+# order^2 points at some 2 KiB each: 0.6 GiB and 25 s for a Randers run at
+# 512 (scaled from 125 MiB and 3.2 s at order 192 on 2 vCPU).  Order 1e8
+# asked leggauss for an order x order matrix.
+MAX_QUADRATURE_ORDER = 512
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +171,11 @@ class ExperimentConfig:
         if self.identity_samples < 1:
             raise ValidationError(
                 f"identity samples must be at least 1, got {self.identity_samples}")
-        if self.order_base < 1 or self.order_fiber < 1:
+        if not (1 <= self.order_base <= MAX_QUADRATURE_ORDER
+                and 1 <= self.order_fiber <= MAX_QUADRATURE_ORDER):
             raise ValidationError(
-                f"quadrature orders must be at least 1, got base {self.order_base}, "
-                f"fiber {self.order_fiber}")
+                f"quadrature orders must lie in [1, {MAX_QUADRATURE_ORDER}], got base "
+                f"{self.order_base}, fiber {self.order_fiber}")
         if not math.isfinite(self.perturbation_amplitude):
             raise ValidationError(
                 f"perturbation amplitude must be finite, got {self.perturbation_amplitude}")
@@ -333,7 +344,12 @@ def _build_ehresmann(cfg: ExperimentConfig):
 
 def _build_connections(cfg: ExperimentConfig, atlas: Atlas, metric):
     """Returns (frame forms of D, frame forms of its modification, the
-    natural-frame data of the modification, and the Ehresmann choice)."""
+    natural-frame data of the modification, and the Ehresmann choice).
+
+    The perturbed D is cartan + P and its modification cartan + P^h, both
+    added on the frame side (P^h is P's horizontal part).  Only the
+    prop32 row reads the natural-frame data, so the frame -> natural ->
+    frame round trip of ``perturbed_connection_data`` runs there alone."""
     eh = _build_ehresmann(cfg)
     cart = cartan_connection()
     fc_cartan = to_orthonormal_frame(cart, metric, eh)
@@ -341,10 +357,10 @@ def _build_connections(cfg: ExperimentConfig, atlas: Atlas, metric):
         return fc_cartan, fc_cartan, cart, eh
     if cfg.connection == "perturbed":
         P = sinusoidal_perturbation(atlas, fc_cartan, cfg.perturbation_amplitude)
-        D = perturbed_connection_data(atlas, metric, cart, P)
-        nabla = modify(D)
-        return (to_orthonormal_frame(D, metric, eh),
-                to_orthonormal_frame(nabla, metric, eh), nabla, eh)
+        D = perturb_metric_compatible(fc_cartan, P)
+        nabla = perturb_metric_compatible(fc_cartan, horizontal_part(P, metric, eh))
+        nabla.label = f"mod({D.label})"
+        return D, nabla, modify(perturbed_connection_data(atlas, metric, cart, P)), eh
     raise ValidationError(f"unknown connection type {cfg.connection!r}")
 
 

@@ -50,6 +50,7 @@ __all__ = [
     "pi_entries",
     "omega_tables",
     "perturb_metric_compatible",
+    "horizontal_part",
     "connection_family",
     "metric_compat_residual",
 ]
@@ -473,6 +474,31 @@ def perturb_metric_compatible(base: FrameConnection, P, validate: bool = True) -
     return FrameConnection(f"pert({base.label})", base.metric, pi_of)
 
 
+def horizontal_part(P, metric: FinslerMetric, ehresmann: EhresmannData | None = None):
+    """P's horizontal part in the (dx, delta y) split: P^h_A = P_A -
+    P_theta sum_k v^k N^k_A for A = 1, 2 and P^h_theta = 0.
+
+    modify(D + P) keeps the dx coefficients of D + P and replaces its
+    delta y coefficients by the Cartan ones.  dtheta splits as F v_k
+    delta y^k - v_k N^k_A dx^A, and conjugation by the frame commutes
+    with that scalar split, so ``perturb_metric_compatible(base,
+    horizontal_part(P, ...))`` is modify(D + P) for a modified base D in
+    the orthonormal frame, with no round trip through the natural frame."""
+
+    def Ph(pts: ChartPoints):
+        tens = bundle_tensors(metric, pts, ehresmann)
+        v = tens.jets.v
+        s = [sum(v[k] * tens.N[k][Aa] for k in range(N_RANK)) for Aa in range(2)]
+        pert = P(pts)
+        return [
+            [[pert[i][j][0] - pert[i][j][2] * s[0], pert[i][j][1] - pert[i][j][2] * s[1], 0.0]
+             for j in range(N_RANK)]
+            for i in range(N_RANK)
+        ]
+
+    return Ph
+
+
 def _require_skew(P, pts, tol: float = 1e-10) -> None:
     n = N_RANK
     for i in range(n):
@@ -638,7 +664,9 @@ def sinusoidal_perturbation(atlas, base: FrameConnection, amplitude: float):
 
 def perturbed_connection_data(atlas, metric: FinslerMetric, base: ConnectionData,
                               P) -> ConnectionData:
-    """Natural-frame data of the perturbed connection D' = D + P.
+    """Natural-frame data of the perturbed connection D' = D + P, behind
+    the prop32 metric-compatibility row and the tests' oracle for
+    ``horizontal_part``.
 
     P is given in the orthonormal frame; conjugation by B moves it to the
     natural frame, and the chart 1-form splits into horizontal and

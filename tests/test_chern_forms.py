@@ -684,3 +684,24 @@ class TestExactIntegrand:
             assert got.max_abs() > 1e-3
         for k, c in want.coeffs.items():
             assert np.max(np.abs(got.coeffs[k] - c)) < 3e-12, k
+
+    @pytest.mark.parametrize("eps", [0.1, 0.7])
+    def test_paper_d_form_matches_fused_integrand(self, eps):
+        """The paper's Omega^D + FrakE, through the general-rank algebra on
+        the finite-difference stencil, equals V times the integrand built
+        from nabla's pi_0^1 alone, with D != nabla: |Omega^D - Omega^nabla|
+        reaches 0.08 (eps 0.1) and 0.17 (eps 0.7) on these points, and the
+        two sides agree to 2.9e-12 and 8.0e-12."""
+        from finslergbc.cli import ExperimentConfig, _build_atlas, _build_connections
+        from finslergbc.manifolds import install_metric
+
+        cfg = ExperimentConfig(metric="randers", metric_eps=eps, connection="perturbed")
+        atlas = _build_atlas(cfg)
+        met = install_metric(atlas, "randers", {"eps": eps})
+        D, nabla, _, _ = _build_connections(cfg, atlas, met)
+        forms = TransgressionForms(met, D, nabla)
+        pts = bundle_points("south", 200, seed=98)
+        assert (forms.omega_D()(pts) - forms.omega_nabla()(pts)).max_abs() > 0.05
+        paper = (forms.omega_D() + forms.frak_e_field())(pts)
+        fused = forms.volume(pts) * forms.gbc_integrand()(pts)
+        assert (paper - fused).max_abs() < 5e-11

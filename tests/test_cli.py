@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from finslergbc.cli import (
+    MAX_QUADRATURE_ORDER,
     ExperimentConfig,
     Report,
     ReportRow,
@@ -268,6 +269,19 @@ class TestMainEntry:
         file that does not exist, a non-finite perturbation amplitude and a
         tolerance that is not a positive finite number exit 2 before any
         work is done."""
+        assert main(["gbc", *flags]) == 2
+        assert "ValidationError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--order-base", "100000000"],
+        ["--order-fiber", "100000000"],
+        ["--order-base", str(MAX_QUADRATURE_ORDER + 1)],
+        ["--order-fiber", str(MAX_QUADRATURE_ORDER + 1)],
+    ])
+    def test_huge_quadrature_order_rejected(self, flags, capsys):
+        """An order past MAX_QUADRATURE_ORDER exits 2 with a ValidationError
+        before any rule is built; base order 1e8 used to end in a numpy
+        memory error from leggauss."""
         assert main(["gbc", *flags]) == 2
         assert "ValidationError" in capsys.readouterr().err
 

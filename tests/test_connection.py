@@ -16,6 +16,7 @@ from finslergbc.connection import (
     explicit_ehresmann,
     frame_skew_residual,
     frame_transform,
+    horizontal_part,
     metric_compat_residual,
     modify,
     perturb_metric_compatible,
@@ -394,25 +395,71 @@ class TestPerturbation:
 
     def test_evaluated_batch_freed_without_collector(self, randers_metric, sphere,
                                                      cartan_frame_randers):
-        """A batch evaluated through the perturbed frame forms dies by
-        reference count alone: its cached tensors hold no strong reference
-        back to it."""
+        """A batch evaluated through the perturbed frame forms, by the
+        natural-frame route or on the frame side, dies by reference count
+        alone: its cached tensors hold no strong reference back to it."""
         import gc
         import weakref
 
         P = sinusoidal_perturbation(sphere, cartan_frame_randers, 0.2)
         Dd = perturbed_connection_data(sphere, randers_metric, cartan_connection(), P)
-        fc = to_orthonormal_frame(modify(Dd), randers_metric)
+        routes = [to_orthonormal_frame(modify(Dd), randers_metric),
+                  perturb_metric_compatible(cartan_frame_randers,
+                                            horizontal_part(P, randers_metric))]
         gc.collect()
         gc.disable()
         try:
-            pts = bundle_points("south", 5, seed=22)
-            fc.pi(pts)
-            ref = weakref.ref(pts)
-            del pts
-            assert ref() is None
+            for fc in routes:
+                pts = bundle_points("south", 5, seed=22)
+                fc.pi(pts)
+                ref = weakref.ref(pts)
+                del pts
+                assert ref() is None, fc.label
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("manifold, metric, eps, amplitude, explicit", [
+        ("sphere", "randers", 0.1, 0.2, False),
+        ("sphere", "randers", 0.7, 0.3, False),
+        ("sphere", "round_sphere", 0.1, 0.2, False),
+        ("torus", "quartic", 0.05, 0.3, False),
+        ("torus", "quartic", 0.05, 0.2, True),
+        ("sphere", "randers", 0.1, 0.2, True),
+    ], ids=["randers0.1", "randers0.7", "round", "torus-quartic", "torus-quartic-explicit",
+            "randers0.1-explicit"])
+    def test_frame_side_modification_matches_natural_route(self, manifold, metric, eps,
+                                                           amplitude, explicit):
+        """modify(cartan + P) is cartan + P^h in the orthonormal frame, with
+        P^h_A = P_A - P_theta sum_k v^k N^k_A and P^h_theta = 0: the frame
+        -> natural -> frame route of the modification agrees to 1e-14.  The
+        shadow term P_theta v^k N^k_A exceeds 0.1 on every case but the
+        spray torus (N = 0 there), so dropping it fails this test."""
+        from finslergbc.manifolds import install_metric, sphere_atlas, torus_atlas
+
+        atlas = sphere_atlas() if manifold == "sphere" else torus_atlas()
+        met = install_metric(atlas, metric, {"eps": eps})
+        eh = explicit_ehresmann(
+            lambda chart, x, y: [[0.1 * x[0] * y[0], 0.2 * x[1] * y[1]],
+                                 [np.sin(x[0]) * y[0], 0.05 * y[1]]]) if explicit else None
+        fc = to_orthonormal_frame(cartan_connection(), met, eh)
+        P = sinusoidal_perturbation(atlas, fc, amplitude)
+        frame_side = perturb_metric_compatible(fc, horizontal_part(P, met, eh))
+        natural = to_orthonormal_frame(
+            modify(perturbed_connection_data(atlas, met, cartan_connection(), P)), met, eh)
+        pts = bundle_points(atlas.chart_ids[-1], 200, seed=25)
+        pa, pb = frame_side.pi(pts), natural.pi(pts)
+        worst = max(
+            float(np.max(np.abs(np.asarray(pa[i][j][a]) - np.asarray(pb[i][j][a]))))
+            for i in range(2) for j in range(2) for a in range(3)
+        )
+        assert worst < 1e-14
+        tens = bundle_tensors(met, pts, eh)
+        shadow = max(
+            float(np.max(np.abs(P(pts)[0][1][2] * sum(tens.jets.v[k] * tens.N[k][A]
+                                                       for k in range(2)))))
+            for A in range(2))
+        if explicit or manifold == "sphere":
+            assert shadow > 0.1
 
 
 class TestConnectionFamily:

@@ -3,6 +3,7 @@ tensors against finite-difference oracles, indicatrix geometry, fiber
 volume, and the sum-of-norms construction."""
 
 import math
+import platform
 from itertools import permutations
 
 import numpy as np
@@ -525,6 +526,31 @@ class TestFiberVolume:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="glibc heap trimming, minor faults from getrusage")
+    def test_blocks_reuse_freed_pages(self, randers_metric):
+        """A two-seed pass over 2,304 points (18 blocks) reuses the pages
+        that earlier blocks freed: a repeated pass faults in under 1,000
+        pages.  With glibc's default trim threshold every block faulted
+        its ~4 MiB of arrays in again, about 10,400 pages a pass."""
+        import resource
+
+        rng = np.random.default_rng(7)
+        x1, x2 = rng.uniform(-0.7, 0.7, (2, 2304))
+        s = np.eye(2).reshape(2, 2, 1)
+        x = [Dual(x1, s[0]), Dual(x2, s[1])]
+        fiber_volume(randers_metric, x, "south", 64)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        fiber_volume(randers_metric, x, "south", 64)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+
+    def test_keep_freed_pages_without_mallopt(self, monkeypatch):
+        """Where the C library has no mallopt the allocator is left as it is."""
+        import finslergbc.metric as metric_mod
+
+        monkeypatch.setattr(metric_mod.ctypes, "CDLL", lambda name: object())
+        assert metric_mod._keep_freed_pages.__wrapped__() is None
 
     @pytest.mark.parametrize("name", ["randers", "quartic", "riemannian"])
     def test_density_matches_det_g_oracle(self, name, sphere, torus):
