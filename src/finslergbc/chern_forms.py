@@ -467,9 +467,10 @@ class TransgressionForms:
         Upsilon_0 = Omega^nabla = Pf(-d pi_0^1)/(2 pi) point by point, and
         the integrand is (-c d pi_0^1 - d log V ^ u_1 pi_0^1)/V with c the
         Euler-form constant and u_1 the Upsilon_1 weight: D enters only
-        through nabla = modify(D).  d pi_0^1 is exact to rounding, from one
-        complex-step sweep.  The identity suite checks this against the
-        general-rank Omega^D + FrakE on the finite-difference stencil."""
+        through nabla = modify(D).  pi_0^1 and its d, exact to rounding,
+        come from one complex-step sweep of three passes.  The identity
+        suite checks this against the general-rank Omega^D + FrakE on the
+        finite-difference stencil."""
         norm = pfaffian_norm_constant(2)
         u1c = upsilon1_coefficient(2)
 
@@ -478,8 +479,9 @@ class TransgressionForms:
             return {(a,): pi01[a] for a in range(AXES)}
 
         def func(pts: ChartPoints) -> PointwiseForm:
-            dpi = d_from_partials(complex_step_partials(payload, pts))
-            ups1 = PointwiseForm({K: u1c * c for K, c in payload(pts).items()})
+            pi01, partials = complex_step_partials(payload, pts)
+            dpi = d_from_partials(partials)
+            ups1 = PointwiseForm({K: u1c * c for K, c in pi01.items()})
             d1, d2 = self.dlog_volume(pts)
             dlogv = PointwiseForm({(0,): d1, (1,): d2})
             return (1.0 / self.volume(pts)) * ((-norm) * dpi - dlogv.wedge(ups1))

@@ -362,37 +362,30 @@ def theta_chart_forms(tens: ChartTensors, D: ConnectionData):
 
 def _frame_fields(tens: ChartTensors):
     """B, B^{-1} and the AD-exact chart derivatives dB[i][k][axis]; the
-    frame is e_2 = l with e_1 the positively oriented g-unit normal."""
+    frame is e_2 = l with e_1 the positively oriented g-unit normal.  One
+    dual pass carries all three chart derivatives: g and l are seeded with
+    their x1, x2 and theta derivatives on one leading axis of length 3.
+    B^{-1} is built from the values of B alone."""
     if "B" in tens.frame:
         return tens.frame["B"], tens.frame["Binv"], tens.frame["dB"]
     n = N_RANK
-    B_val = None
-    Binv_val = None
-    dB = [[[None] * AXES for _ in range(n)] for _ in range(n)]
-    for axis in range(AXES):
-        g_d = [
-            [Dual(tens.g[i][j], tens.dg[i][j][axis]) for j in range(n)]
-            for i in range(n)
-        ]
-        l_d = [Dual(tens.l[i], tens.dl[i][axis]) for i in range(n)]
-        lhat = [sum(g_d[i][j] * l_d[j] for j in range(n)) for i in range(n)]
-        w = [lhat[1], -1.0 * lhat[0]]
-        nw = sum(w[i] * g_d[i][j] * w[j] for i in range(n) for j in range(n)) ** 0.5
-        e1 = [w[i] / nw for i in range(n)]
-        B = [e1, l_d]
-        detB = B[0][0] * B[1][1] - B[0][1] * B[1][0]
-        Binv = [
-            [B[1][1] / detB, -1.0 * B[0][1] / detB],
-            [-1.0 * B[1][0] / detB, B[0][0] / detB],
-        ]
-        for i in range(n):
-            for k in range(n):
-                dB[i][k][axis] = value(partial(B[i][k]))
-        if axis == 0:
-            B_val = [[value(B[i][k]) for k in range(n)] for i in range(n)]
-            Binv_val = [[value(Binv[i][k]) for k in range(n)] for i in range(n)]
-    tens.frame.update(B=B_val, Binv=Binv_val, dB=dB)
-    return B_val, Binv_val, dB
+
+    def seeded(val, d):
+        return Dual(val, np.stack(np.broadcast_arrays(*d)))
+
+    g01 = seeded(tens.g[0][1], tens.dg[0][1])  # g and dg are symmetric
+    g_d = [[seeded(tens.g[0][0], tens.dg[0][0]), g01], [g01, seeded(tens.g[1][1], tens.dg[1][1])]]
+    l_d = [seeded(tens.l[i], tens.dl[i]) for i in range(n)]
+    lhat = [sum(g_d[i][j] * l_d[j] for j in range(n)) for i in range(n)]
+    w = [lhat[1], -1.0 * lhat[0]]
+    nw = sum(w[i] * g_d[i][j] * w[j] for i in range(n) for j in range(n)) ** 0.5
+    B_d = [[w[i] / nw for i in range(n)], l_d]
+    B = [[value(B_d[i][k]) for k in range(n)] for i in range(n)]
+    dB = [[partial(B_d[i][k]) for k in range(n)] for i in range(n)]
+    inv = 1.0 / (B[0][0] * B[1][1] - B[0][1] * B[1][0])
+    Binv = [[B[1][1] * inv, -B[0][1] * inv], [-B[1][0] * inv, B[0][0] * inv]]
+    tens.frame.update(B=B, Binv=Binv, dB=dB)
+    return B, Binv, dB
 
 
 def frame_transform(theta, B, dB, Binv):

@@ -92,10 +92,14 @@ class Atlas:
         return ad.cos(x1), ad.sin(x1), ad.cos(x2)
 
     # --- integration regions ------------------------------------------------
-    def in_region(self, chart: str, x) -> bool:
+    def in_region(self, chart: str, x):
+        """Whether each point of x lies in the chart's integration region;
+        x holds scalars or arrays."""
+        x1 = np.asarray(x[0], dtype=float)
+        x2 = np.asarray(x[1], dtype=float)
         if self.name == "sphere":
-            return float(x[0]) ** 2 + float(x[1]) ** 2 <= 1.0 + 1e-12
-        return True
+            return x1 ** 2 + x2 ** 2 <= 1.0 + 1e-12
+        return np.ones(np.broadcast_shapes(x1.shape, x2.shape), dtype=bool)
 
     def region_box(self, chart: str):
         if self.name == "sphere":
@@ -155,7 +159,12 @@ def _round_sphere_metric(atlas: Atlas) -> FinslerMetric:
 
 def _randers_sphere_metric(atlas: Atlas, eps: float) -> FinslerMetric:
     """Round alpha plus eps times the rotational Killing one-form; the
-    alpha-norm of beta is eps * 2|x|/(1+|x|^2) <= eps < 1 globally."""
+    alpha-norm of beta is eps * 2|x|/(1+|x|^2) <= eps < 1 globally.
+
+    F = alpha + b_1(x) y^1 + b_2(x) y^2 with alpha the round metric and
+    b = eps sign lambda (-x2, x1), lambda = 4/(1+|x|^2)^2 the conformal
+    factor: b is formed on the base points before it meets the fiber
+    arrays of y."""
     if not 0.0 < eps < 1.0:
         raise InvalidMetricError("randers parameter must satisfy 0 < eps < 1")
 
@@ -163,11 +172,8 @@ def _randers_sphere_metric(atlas: Atlas, eps: float) -> FinslerMetric:
         sign = 1.0 if chart == "south" else -1.0
 
         def fn(x, y):
-            r2 = x[0] * x[0] + x[1] * x[1]
-            lam = 4.0 / (1.0 + r2) ** 2
-            alpha = ad.sqrt(lam * (y[0] * y[0] + y[1] * y[1]))
-            beta = sign * lam * (-x[1] * y[0] + x[0] * y[1])
-            return alpha + eps * beta
+            c = eps * sign * 4.0 / (1.0 + (x[0] * x[0] + x[1] * x[1])) ** 2
+            return _conformal_round(x, y) + (-1.0 * c * x[1]) * y[0] + (c * x[0]) * y[1]
 
         return fn
 

@@ -6,9 +6,10 @@ Forms are stored as antisymmetric coefficient tables over ordered axis
 subsets of a chart; fields evaluate whole batches of chart points at once,
 so every coefficient is a numpy array over the batch.  Chart partials of a
 coefficient table come from one of two kernels: ``complex_step_partials``,
-exact to rounding, serves the production GBC integrand, and the
-finite-difference stencil ``central_partials`` serves the exterior
-derivatives of the identity checks as an independent oracle.
+exact to rounding, serves the production GBC integrand and returns the
+table's values from the same passes, and the finite-difference stencil
+``central_partials`` serves the exterior derivatives of the identity checks
+as an independent oracle.
 """
 
 from __future__ import annotations
@@ -215,12 +216,18 @@ def central_partials(payload, pts: ChartPoints) -> list[dict]:
     return out
 
 
-def complex_step_partials(payload, pts: ChartPoints) -> list[dict]:
-    """partials[axis][key], as central_partials returns it, by complex-step
-    differentiation (Squire & Trapp, SIAM Rev. 40(1), 1998): the payload
+def complex_step_partials(payload, pts: ChartPoints) -> tuple[dict, list[dict]]:
+    """(values, partials): the entries of the dict payload(pts) and their
+    partials[axis][key], as central_partials returns them, by complex-step
+    differentiation (Squire & Trapp, SIAM Rev. 40(1), 1998).  The payload
     runs once per chart axis, on the batch with coords[axis] + i
     COMPLEX_STEP, and each partial is the imaginary part over the step,
-    exact to rounding.  Every entry is broadcast to the batch shape.
+    exact to rounding; every partial is broadcast to the batch shape.  The
+    values are the real parts of the axis-0 pass: Re f(x + ih) = f(x) +
+    O(h^2), and the O(h^2) term is zero in double precision, so no real
+    pass runs.  They are f in complex arithmetic, which rounds apart from
+    real arithmetic by a few ulp: numpy's complex division multiplies by
+    a reciprocal, and a complex power takes other steps than real pow.
 
     The payload must be holomorphic in the chart coordinates along the way,
     which real-analytic arithmetic on complex arrays is.  A cast that drops
@@ -228,15 +235,17 @@ def complex_step_partials(payload, pts: ChartPoints) -> list[dict]:
     ComplexWarning is raised as an error here."""
     h = COMPLEX_STEP
     shape = np.broadcast_shapes(*map(np.shape, pts.coords))
-    out = []
+    values, out = None, []
     with warnings.catch_warnings():
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
         for axis in range(pts.dim):
             coords = list(pts.coords)
             coords[axis] = coords[axis] + 1j * h
             entries = payload(ChartPoints(pts.chart, tuple(coords)))
+            if values is None:
+                values = {k: np.real(c) for k, c in entries.items()}
             out.append({k: np.broadcast_to(np.imag(c), shape) / h for k, c in entries.items()})
-    return out
+    return values, out
 
 
 def d_from_partials(partials) -> PointwiseForm:

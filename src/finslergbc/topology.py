@@ -162,7 +162,9 @@ def local_field(atlas: Atlas, chart: str, kind: str) -> SectionField:
 def find_zeros(X: SectionField, grid_density: int = 48, threshold: float = 0.3,
                epsilon_schedule=(0.2, 0.1, 0.05)) -> list[ZeroRecord]:
     """Grid scan for |X| minima inside each chart region, Newton-refined
-    to |X| < 1e-12 and deduplicated through the atlas embedding."""
+    to |X| < 1e-12 and deduplicated through the atlas embedding.  The
+    seeds keep their grid order, so the first seed that refines to a zero
+    gives its recorded location."""
     atlas = X.atlas
     records: list[ZeroRecord] = []
     embedded: list[np.ndarray] = []
@@ -175,48 +177,59 @@ def find_zeros(X: SectionField, grid_density: int = 48, threshold: float = 0.3,
         mag = np.hypot(np.asarray(v1, dtype=float), np.asarray(v2, dtype=float))
         mag = np.broadcast_to(mag, U.ravel().shape)  # constant components collapse
         scale = max(float(np.median(mag)), 1e-30)
-        for idx in np.nonzero(mag < threshold * scale)[0]:
-            x0 = (float(U.ravel()[idx]), float(V.ravel()[idx]))
-            refined = _newton_zero(X, chart, x0)
-            if refined is None or not atlas.in_region(chart, refined):
-                continue
-            # zeros are isolated with separation above the excision diameter;
-            # a degenerate (higher-degree) zero is located only to ~sqrt of
-            # the |X| tolerance, so deduplicate at a much coarser scale
-            p = atlas.embed(chart, refined)
-            if any(np.linalg.norm(p - q) < 1e-3 for q in embedded):
-                continue
-            embedded.append(p)
-            records.append(ZeroRecord(chart, tuple(refined),
+        seeds = np.nonzero(mag < threshold * scale)[0]
+        zu, zv = _newton_zeros(X, chart, U.ravel()[seeds], V.ravel()[seeds])
+        keep = atlas.in_region(chart, (zu, zv))
+        zu, zv = zu[keep], zv[keep]
+        # zeros are isolated with separation above the excision diameter;
+        # a degenerate (higher-degree) zero is located only to ~sqrt of
+        # the |X| tolerance, so deduplicate at a much coarser scale
+        p = atlas.embed(chart, (zu, zv))
+        dup = np.zeros(len(p), dtype=bool)
+        for q in embedded:
+            dup |= np.linalg.norm(p - q, axis=-1) < 1e-3
+        while not dup.all():
+            i = int(np.argmin(dup))  # the first seed left in grid order
+            dup |= np.linalg.norm(p - p[i], axis=-1) < 1e-3
+            embedded.append(p[i])
+            records.append(ZeroRecord(chart, (float(zu[i]), float(zv[i])),
                                       epsilon_schedule=tuple(epsilon_schedule)))
     for rec in records:
         rec.degree = local_degree(X, rec, radius=0.5 * min(rec.epsilon_schedule))
     return records
 
 
-def _newton_zero(X: SectionField, chart: str, x0, max_iter: int = 40):
-    u, v = float(x0[0]), float(x0[1])
+def _newton_zeros(X: SectionField, chart: str, u, v, max_iter: int = 40):
+    """Newton's method on X from every seed (u[s], v[s]) at once, with one
+    evaluation of X per iteration: u and v are duals seeded on one leading
+    axis of length 2, so the pass carries both Jacobian columns.  The 2x2
+    step is solved by Cramer's rule.  A seed leaves the batch once
+    |X| < 1e-12 (it is returned), at a Jacobian with |det| < 1e-14, at a
+    non-finite step, or after max_iter iterations (it is dropped).  The
+    converged seeds come back in their input order."""
+    idx = np.arange(np.size(u))
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    done = np.zeros(idx.size, dtype=bool)
+    zu, zv = np.empty_like(u), np.empty_like(v)
+    s = np.eye(2)[:, :, None]
     for _ in range(max_iter):
-        du = Dual(u, 1.0), Dual(v, 0.0)
-        dv = Dual(u, 0.0), Dual(v, 1.0)
-        f1u, f2u = X.value(chart, *du)
-        f1v, f2v = X.value(chart, *dv)
-        f = np.array([value(f1u), value(f2u)], dtype=float)
-        if np.hypot(*f) < 1e-12:
-            return (u, v)
-        J = np.array(
-            [[value(partial(f1u)), value(partial(f1v))],
-             [value(partial(f2u)), value(partial(f2v))]],
-            dtype=float,
-        )
-        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-        if abs(det) < 1e-14:
-            return None
-        step = np.linalg.solve(J, f)
-        u, v = u - step[0], v - step[1]
-        if not (np.isfinite(u) and np.isfinite(v)):
-            return None
-    return None
+        if idx.size == 0:
+            break
+        f1, f2 = X.value(chart, Dual(u, s[0]), Dual(v, s[1]))
+        f1v, f2v = (np.broadcast_to(value(f), u.shape) for f in (f1, f2))
+        (a, b), (c, d) = (np.broadcast_to(partial(f), (2,) + u.shape) for f in (f1, f2))
+        conv = np.hypot(f1v, f2v) < 1e-12
+        done[idx[conv]] = True
+        zu[idx[conv]], zv[idx[conv]] = u[conv], v[conv]
+        det = a * d - b * c
+        go = ~conv & (np.abs(det) >= 1e-14)
+        with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+            u = u[go] - (f1v[go] * d[go] - b[go] * f2v[go]) / det[go]
+            v = v[go] - (a[go] * f2v[go] - c[go] * f1v[go]) / det[go]
+        idx = idx[go]
+        fin = np.isfinite(u) & np.isfinite(v)
+        u, v, idx = u[fin], v[fin], idx[fin]
+    return zu[done], zv[done]
 
 
 def local_degree(X: SectionField, zero: ZeroRecord, radius: float,

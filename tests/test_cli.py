@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from finslergbc.cli import (
+    MAX_IDENTITY_SAMPLES,
     MAX_QUADRATURE_ORDER,
     ExperimentConfig,
     Report,
@@ -17,6 +18,7 @@ from finslergbc.cli import (
     run_identity_suite,
     run_minkowski_props,
 )
+from finslergbc.errors import ValidationError
 
 
 @pytest.fixture()
@@ -58,6 +60,40 @@ class TestConfig:
         )
         cfg = ExperimentConfig.from_file(str(path))
         assert cfg.field_exprs == {"south": ("u", "-v")}
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 199, 200, 201])
+    @pytest.mark.parametrize("manifold", ["sphere", "torus"])
+    def test_bundle_samples_count_exact(self, manifold, count):
+        """The identity suite evaluates exactly the requested number of
+        bundle points: the first charts take the remainder, and a chart
+        with no share gets no batch.  An even count on the sphere draws
+        the same points as the even split it always had, count // 2 per
+        chart in chart order."""
+        from finslergbc.cli import _build_atlas, _bundle_samples
+
+        cfg = ExperimentConfig(manifold=manifold, seed=1234)
+        atlas = _build_atlas(cfg)
+        batches = _bundle_samples(cfg, atlas, count)
+        sizes = [b.size for b in batches]
+        assert sum(sizes) == count
+        assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+        assert all(b.dim == 3 for b in batches)
+        if manifold == "sphere" and count % 2 == 0:
+            rng = np.random.default_rng(1234)
+            for batch in batches:
+                n = count // 2
+                r = np.sqrt(rng.uniform(0.0, 0.92, n))
+                ph = rng.uniform(0.0, 2.0 * np.pi, n)
+                th = rng.uniform(0.0, 2.0 * np.pi, n)
+                for got, want in zip(batch.coords, (r * np.cos(ph), r * np.sin(ph), th)):
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("samples", [MAX_IDENTITY_SAMPLES + 1, 10 ** 9])
+    def test_identity_samples_bounded(self, samples):
+        """A sample count past MAX_IDENTITY_SAMPLES is rejected by validate,
+        before any point is drawn."""
+        with pytest.raises(ValidationError, match="identity samples"):
+            ExperimentConfig(identity_samples=samples).validate()
 
 
 class TestRunners:

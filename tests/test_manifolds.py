@@ -201,6 +201,57 @@ class TestMetricZoo:
 
         certify_metric(sphere, randers_metric, samples=500, seed=99)
 
+    @pytest.mark.parametrize("eps", [0.1, 0.7])
+    @pytest.mark.parametrize("kind", ["float", "complex", "dual", "jet", "dual-jet"])
+    def test_randers_kernel_matches_alpha_plus_eps_beta(self, sphere, kind, eps):
+        """F = alpha + b_1(x) y^1 + b_2(x) y^2, with b formed on the base,
+        is the function alpha + eps beta it replaced, written with
+        lambda = 4/(1+|x|^2)^2 inside one square root, on every input the
+        pipeline feeds it: plain, complex-shifted (complex-step partials),
+        dual (seeded x or y) and theta-jet, with and without a dual layer
+        outside.  Relative to each part's largest entry the values agree
+        to 4e-16 and the derivative and Taylor parts to 8e-16 (the most
+        seen over 50 seeds is 3.6e-16 and 6.7e-16)."""
+        from finslergbc import ad
+        from finslergbc.ad import Dual, Jet
+        from finslergbc.metric import _circle_taylor
+
+        def alpha_plus_eps_beta(sign):
+            def fn(x, y):
+                r2 = x[0] * x[0] + x[1] * x[1]
+                lam = 4.0 / (1.0 + r2) ** 2
+                alpha = ad.sqrt(lam * (y[0] * y[0] + y[1] * y[1]))
+                beta = sign * lam * (-x[1] * y[0] + x[0] * y[1])
+                return alpha + eps * beta
+            return fn
+
+        def parts(z):
+            if isinstance(z, Dual):
+                return parts(z.val) + parts(z.eps)
+            if isinstance(z, Jet):
+                return [p for c in z.c for p in parts(c)]
+            z = np.asarray(z)
+            return [z.real, z.imag] if np.iscomplexobj(z) else [z]
+
+        rng = np.random.default_rng(5)
+        r, ph, th = np.sqrt(rng.uniform(0.0, 1.0, 256)), *rng.uniform(0.0, 2 * math.pi, (2, 256))
+        x, y = [r * np.cos(ph), r * np.sin(ph)], [2.0 * np.cos(th), 2.0 * np.sin(th)]
+        seed = np.eye(2)[:, :, None]
+        x, y = {
+            "float": (x, y),
+            "complex": ([x[0] + 1e-30j, x[1]], y),
+            "dual": ([Dual(x[0], 1.0), Dual(x[1], 0.0)], [Dual(y[0], 0.0), Dual(y[1], 1.0)]),
+            "jet": (x, list(_circle_taylor(th, 3))),
+            "dual-jet": ([Dual(x[0], seed[0]), Dual(x[1], seed[1])], list(_circle_taylor(th, 2))),
+        }[kind]
+        metric = install_metric(sphere, "randers", {"eps": eps})
+        for chart, sign in (("south", 1.0), ("north", -1.0)):
+            got = parts(metric.charts[chart](x, y))
+            want = parts(alpha_plus_eps_beta(sign)(x, y))
+            assert len(got) == len(want) > (kind != "float")
+            for k, (g, w) in enumerate(zip(got, want)):
+                assert np.max(np.abs(g - w)) <= (4e-16 if k == 0 else 8e-16) * np.max(np.abs(w))
+
     def test_excised_domain_rejects_offcenter(self, sphere):
         with pytest.raises(ValidationError):
             sphere.excised_domain([("south", (0.3, 0.0), 0.1)])

@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from finslergbc.ad import Dual, partial, value
 from finslergbc.errors import DomainError, SamplingError, TopologyError, ValidationError
 from finslergbc.topology import (
+    SectionField,
     ZeroRecord,
+    _newton_zeros,
     check_euler_characteristic,
     constant_field,
     custom_field,
@@ -166,3 +169,115 @@ class TestInducedSection:
         fd2 = (X.theta("south", x1, x2 + h) - X.theta("south", x1, x2 - h)) / (2 * h)
         assert float(t1) == pytest.approx(float(fd1), abs=1e-8)
         assert float(t2) == pytest.approx(float(fd2), abs=1e-8)
+
+
+def _newton_zero(X, chart, x0, max_iter=40):
+    """The scalar Newton iteration find_zeros once ran seed by seed, kept
+    as the oracle of the batched one.  Returns the zero or None, the
+    number of iterations (two field evaluations each) and why it stopped."""
+    u, v = float(x0[0]), float(x0[1])
+    for it in range(1, max_iter + 1):
+        f1u, f2u = X.value(chart, Dual(u, 1.0), Dual(v, 0.0))
+        f1v, f2v = X.value(chart, Dual(u, 0.0), Dual(v, 1.0))
+        f = np.array([value(f1u), value(f2u)], dtype=float)
+        if np.hypot(*f) < 1e-12:
+            return (u, v), it, "converged"
+        J = np.array([[value(partial(f1u)), value(partial(f1v))],
+                      [value(partial(f2u)), value(partial(f2v))]], dtype=float)
+        if abs(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]) < 1e-14:
+            return None, it, "singular"
+        step = np.linalg.solve(J, f)
+        u, v = u - step[0], v - step[1]
+        if not (np.isfinite(u) and np.isfinite(v)):
+            return None, it, "non-finite"
+    return None, max_iter, "max_iter"
+
+
+def _scalar_find_zeros(X, grid_density=48, threshold=0.3):
+    """find_zeros as it was with the scalar Newton oracle: (chart,
+    location) per zero, and the most iterations any seed took per chart."""
+    atlas = X.atlas
+    found, embedded, iters = [], [], {}
+    for chart in X.components:
+        (lo1, hi1), (lo2, hi2) = atlas.region_box(chart)
+        U, V = np.meshgrid(np.linspace(lo1, hi1, grid_density),
+                           np.linspace(lo2, hi2, grid_density), indexing="ij")
+        v1, v2 = X.value(chart, U.ravel(), V.ravel())
+        mag = np.broadcast_to(np.hypot(np.asarray(v1, dtype=float),
+                                       np.asarray(v2, dtype=float)), U.ravel().shape)
+        scale = max(float(np.median(mag)), 1e-30)
+        iters[chart] = 0
+        for idx in np.nonzero(mag < threshold * scale)[0]:
+            zero, it, _ = _newton_zero(X, chart, (U.ravel()[idx], V.ravel()[idx]))
+            iters[chart] = max(iters[chart], it)
+            if zero is None or not atlas.in_region(chart, zero):
+                continue
+            p = atlas.embed(chart, zero)
+            if any(np.linalg.norm(p - q) < 1e-3 for q in embedded):
+                continue
+            embedded.append(p)
+            found.append((chart, zero))
+    return found, iters
+
+
+def _counted(X):
+    """X with a per-chart count of its evaluations; it fails on a
+    non-finite point."""
+    calls = dict.fromkeys(X.components, 0)
+
+    def wrap(chart, fn):
+        def counted(u, v):
+            calls[chart] += 1
+            assert np.all(np.isfinite(value(u))) and np.all(np.isfinite(value(v)))
+            return fn(u, v)
+        return counted
+
+    comps = {c: wrap(c, fn) for c, fn in X.components.items()}
+    return SectionField(X.atlas, comps, X.label), calls
+
+
+class TestBatchedNewton:
+    @pytest.mark.parametrize("make", [
+        rotational_field, height_gradient_field,
+        lambda a: stereographic_power_field(a, 0),
+        lambda a: stereographic_power_field(a, 1),
+        lambda a: stereographic_power_field(a, 2),
+    ], ids=["rotational", "height_gradient", "z^0", "z^1", "z^2"])
+    def test_matches_scalar_oracle(self, sphere, make):
+        """Batched Newton finds the zeros the scalar loop found: the same
+        charts and degrees, locations within 1e-10 (z^0 and z^2 have a
+        degenerate zero, reached only to about 1e-6), and X is evaluated
+        once per Newton iteration per chart, for as many iterations as
+        the slowest seed takes, beside the grid scan and one winding
+        circle per zero."""
+        X, calls = _counted(make(sphere))
+        want, iters = _scalar_find_zeros(make(sphere))
+        got = find_zeros(X)
+        assert [z.chart for z in got] == [c for c, _ in want]
+        for z, (chart, loc) in zip(got, want):
+            assert np.max(np.abs(np.subtract(z.location, loc))) < 1e-10
+            oracle = ZeroRecord(chart, loc)
+            assert z.degree == local_degree(make(sphere), oracle, radius=0.025)
+        for chart, n in calls.items():
+            zeros_here = sum(z.chart == chart for z in got)
+            assert n == 1 + iters[chart] + zeros_here
+
+    def test_singular_and_non_finite_seeds_drop_out(self, sphere):
+        """Of four seeds on one batch, one sits at a singular Jacobian
+        (|det| = 2e-15 at u = 1e-15, v = 0, under the 1e-14 cut; its step
+        would be finite) and one steps to infinity: at u = 1e-316, v = 1
+        the determinant is 2e-12, above the cut, while the Newton step is
+        9e317.  Both leave the batch as they leave the scalar loop, the
+        other two reach the zeros (+-0.5, 0) in seed order, and X runs
+        once per iteration of the slowest seed."""
+        X, calls = _counted(custom_field(sphere, {"south": ("exp(700*v)*(u*u - 0.25)", "v")}))
+        seeds = [(0.6, 0.0), (1e-15, 0.0), (1e-316, 1.0), (-0.7, 0.1)]
+        oracle = [_newton_zero(X, "south", s) for s in seeds]
+        assert [why for _, _, why in oracle] == [
+            "converged", "singular", "non-finite", "converged"]
+        calls["south"] = 0
+        zu, zv = _newton_zeros(X, "south", *np.transpose(seeds))
+        assert calls["south"] == max(it for _, it, _ in oracle)
+        want = [zero for zero, _, _ in oracle if zero is not None]
+        assert np.max(np.abs(np.column_stack([zu, zv]) - want)) < 1e-10
+        assert np.allclose(zu, [0.5, -0.5]) and np.allclose(zv, 0.0)
