@@ -459,18 +459,25 @@ class TransgressionForms:
         return FormField(AXES, self.n - 1, func)
 
     # --- fused GBC integrand ---------------------------------------------------
-    def gbc_integrand(self) -> FormField:
+    def gbc_integrand(self, section=None) -> FormField:
         """(Omega^D + FrakE) / V as one fused 2-form field, from the single
-        frame form pi_0^1 of nabla.
+        frame form pi_0^1 of nabla: on the bundle chart, or pulled back to
+        the base by a section x -> (x, theta(x)) that has ``theta`` and
+        ``theta_grad`` as a ``SectionField`` does.
 
         At rank 2 Pf is linear and so(2) is abelian, so Omega^D - d
         Upsilon_0 = Omega^nabla = Pf(-d pi_0^1)/(2 pi) point by point, and
         the integrand is (-c d pi_0^1 - d log V ^ u_1 pi_0^1)/V with c the
         Euler-form constant and u_1 the Upsilon_1 weight: D enters only
         through nabla = modify(D).  pi_0^1 and its d, exact to rounding,
-        come from one complex-step sweep of three passes.  The identity
-        suite checks this against the general-rank Omega^D + FrakE on the
-        finite-difference stencil."""
+        come from one complex-step sweep along the tangent rows J of the
+        chart: the identity on the bundle (three passes), and (1, 0, t_1),
+        (0, 1, t_2) with t = d theta for a section (two passes).  d
+        commutes with pullback, so the pulled-back form is (J pi)_l =
+        sum_j J_lj pi_j with partials D_k (J pi)_l = sum_j J_lj D_k pi_j:
+        J is the section's Jacobian, whose own derivatives cancel in d.
+        The identity suite checks the bundle form against the general-rank
+        Omega^D + FrakE on the finite-difference stencil."""
         norm = pfaffian_norm_constant(2)
         u1c = upsilon1_coefficient(2)
 
@@ -479,11 +486,31 @@ class TransgressionForms:
             return {(a,): pi01[a] for a in range(AXES)}
 
         def func(pts: ChartPoints) -> PointwiseForm:
-            pi01, partials = complex_step_partials(payload, pts)
-            dpi = d_from_partials(partials)
-            ups1 = PointwiseForm({K: u1c * c for K, c in pi01.items()})
+            if section is None:
+                q, rows = pts, _BUNDLE_ROWS
+            else:
+                x1, x2 = pts.coords
+                t1, t2 = section.theta_grad(pts.chart, x1, x2)
+                q = ChartPoints(pts.chart, (x1, x2, section.theta(pts.chart, x1, x2)))
+                rows = ((1.0, 0.0, t1), (0.0, 1.0, t2))
+            pi01, partials = complex_step_partials(payload, q, rows)
+            dpi = d_from_partials([{(l,): _along(row, by_key) for l, row in enumerate(rows)}
+                                   for by_key in partials])
+            ups1 = PointwiseForm({(k,): u1c * _along(row, pi01) for k, row in enumerate(rows)})
             d1, d2 = self.dlog_volume(pts)
             dlogv = PointwiseForm({(0,): d1, (1,): d2})
             return (1.0 / self.volume(pts)) * ((-norm) * dpi - dlogv.wedge(ups1))
 
-        return FormField(AXES, 2, func)
+        return FormField(AXES if section is None else 2, 2, func)
+
+
+# The tangent rows of the bundle chart itself: the sweep runs along the axes.
+_BUNDLE_ROWS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def _along(row, c: dict):
+    """sum_j row[j] c[(j,)]: a 1-form's coefficient table contracted with
+    one tangent row, skipping the weights that are the float 0.0 (x * 1.0
+    is x, so on the bundle rows this is c[(l,)] bit for bit)."""
+    terms = [w * c[(j,)] for j, w in enumerate(row) if not (isinstance(w, float) and w == 0.0)]
+    return sum(terms[1:], terms[0])

@@ -50,7 +50,6 @@ from .quadrature import (
     exterior_derivatives,
     extrapolate_to_zero,
     gauss_legendre,
-    pullback_by_section,
 )
 from .topology import (
     SectionField,
@@ -409,7 +408,7 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
 
     fcD, fcN, _, _ = _build_connections(cfg, atlas, metric)
     forms = TransgressionForms(metric, fcD, fcN, order_fiber=cfg.order_fiber)
-    integrand = pullback_by_section(forms.gbc_integrand(), X)
+    integrand = forms.gbc_integrand(X)
 
     rows = [ReportRow("poincare_hopf_sum", float(chi), float(atlas.chi), 0.0, True)]
     schedule = sorted(cfg.epsilon_schedule, reverse=True)

@@ -628,15 +628,10 @@ def sinusoidal_perturbation(atlas, base: FrameConnection, amplitude: float):
     def P(pts: ChartPoints):
         x1, x2 = pts.coords[:2]
         X, Y, Z = atlas.global_scalars(pts.chart, x1, x2)
-        dX, dY, dZ = [[None] * AXES for _ in range(3)]
-        for axis in range(2):
-            a1 = Dual(x1, 1.0 if axis == 0 else 0.0)
-            a2 = Dual(x2, 1.0 if axis == 1 else 0.0)
-            sx, sy, sz = atlas.global_scalars(pts.chart, a1, a2)
-            dX[axis] = value(partial(sx))
-            dY[axis] = value(partial(sy))
-            dZ[axis] = value(partial(sz))
-        dX[2] = dY[2] = dZ[2] = 0.0
+        # both chart axes from one dual pass, seeded on a leading axis of length 2
+        s = np.eye(2).reshape((2, 2) + (1,) * max(np.ndim(x1), np.ndim(x2)))
+        dX, dY, dZ = ((*partial(c), 0.0)
+                      for c in atlas.global_scalars(pts.chart, Dual(x1, s[0]), Dual(x2, s[1])))
         pi = base.pi(pts)
         f1 = np.sin(2.0 * Z + X)
         f2 = np.cos(Y - Z)

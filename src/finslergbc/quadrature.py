@@ -216,18 +216,22 @@ def central_partials(payload, pts: ChartPoints) -> list[dict]:
     return out
 
 
-def complex_step_partials(payload, pts: ChartPoints) -> tuple[dict, list[dict]]:
+def complex_step_partials(payload, pts: ChartPoints, directions=None) -> tuple[dict, list[dict]]:
     """(values, partials): the entries of the dict payload(pts) and their
-    partials[axis][key], as central_partials returns them, by complex-step
-    differentiation (Squire & Trapp, SIAM Rev. 40(1), 1998).  The payload
-    runs once per chart axis, on the batch with coords[axis] + i
-    COMPLEX_STEP, and each partial is the imaginary part over the step,
-    exact to rounding; every partial is broadcast to the batch shape.  The
-    values are the real parts of the axis-0 pass: Re f(x + ih) = f(x) +
-    O(h^2), and the O(h^2) term is zero in double precision, so no real
-    pass runs.  They are f in complex arithmetic, which rounds apart from
-    real arithmetic by a few ulp: numpy's complex division multiplies by
-    a reciprocal, and a complex power takes other steps than real pow.
+    partials[k][key] along each of the ``directions``, by complex-step
+    differentiation (Squire & Trapp, SIAM Rev. 40(1), 1998).  A direction
+    is one weight per chart axis, a float or an array over the batch; the
+    default is the chart axes, so partials[axis][key] is what
+    central_partials returns.  The payload runs once per direction k, on
+    the batch with coords[j] + i COMPLEX_STEP directions[k][j] (a 0.0
+    weight leaves its axis real), and each partial is the imaginary part
+    over the step, exact to rounding; every partial is broadcast to the
+    batch shape.  The values are the real parts of the first pass: Re f(x
+    + ih) = f(x) + O(h^2), and the O(h^2) term is zero in double
+    precision, so no real pass runs.  They are f in complex arithmetic,
+    which rounds apart from real arithmetic by a few ulp: numpy's complex
+    division multiplies by a reciprocal, and a complex power takes other
+    steps than real pow.
 
     The payload must be holomorphic in the chart coordinates along the way,
     which real-analytic arithmetic on complex arrays is.  A cast that drops
@@ -235,17 +239,22 @@ def complex_step_partials(payload, pts: ChartPoints) -> tuple[dict, list[dict]]:
     ComplexWarning is raised as an error here."""
     h = COMPLEX_STEP
     shape = np.broadcast_shapes(*map(np.shape, pts.coords))
+    if directions is None:
+        directions = [[float(j == k) for j in range(pts.dim)] for k in range(pts.dim)]
     values, out = None, []
     with warnings.catch_warnings():
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
-        for axis in range(pts.dim):
-            coords = list(pts.coords)
-            coords[axis] = coords[axis] + 1j * h
+        for row in directions:
+            coords = [c if _is_zero(w) else c + 1j * h * w for c, w in zip(pts.coords, row)]
             entries = payload(ChartPoints(pts.chart, tuple(coords)))
             if values is None:
                 values = {k: np.real(c) for k, c in entries.items()}
             out.append({k: np.broadcast_to(np.imag(c), shape) / h for k, c in entries.items()})
     return values, out
+
+
+def _is_zero(weight) -> bool:
+    return isinstance(weight, float) and weight == 0.0
 
 
 def d_from_partials(partials) -> PointwiseForm:

@@ -47,15 +47,16 @@ class SectionField:
         return np.arctan2(np.asarray(v2, dtype=float), np.asarray(v1, dtype=float))
 
     def theta_grad(self, chart: str, x1, x2):
-        """d theta_X / dx by forward AD:  (X1 dX2 - X2 dX1) / |X|^2."""
-        out = []
-        for axis in range(2):
-            a1 = Dual(np.asarray(x1, dtype=float), 1.0 if axis == 0 else 0.0)
-            a2 = Dual(np.asarray(x2, dtype=float), 1.0 if axis == 1 else 0.0)
-            v1, v2 = self.value(chart, a1, a2)
-            num = value(v1) * value(partial(v2)) - value(v2) * value(partial(v1))
-            out.append(num / (value(v1) ** 2 + value(v2) ** 2))
-        return out[0], out[1]
+        """d theta_X / dx by forward AD:  (X1 dX2 - X2 dX1) / |X|^2, from
+        one pass with x1 and x2 seeded on a leading axis of length 2."""
+        x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+        s = np.eye(2).reshape((2, 2) + (1,) * max(x1.ndim, x2.ndim))
+        v1, v2 = self.value(chart, Dual(x1, s[0]), Dual(x2, s[1]))
+        X1, X2 = value(v1), value(v2)
+        num = X1 * value(partial(v2)) - X2 * value(partial(v1))
+        shape = (2,) + np.broadcast_shapes(x1.shape, x2.shape)
+        grad = np.broadcast_to(num / (X1 ** 2 + X2 ** 2), shape)
+        return grad[0], grad[1]
 
 
 @dataclass
@@ -159,6 +160,18 @@ def local_field(atlas: Atlas, chart: str, kind: str) -> SectionField:
 # zeros and degrees
 
 
+def _median(a) -> float:
+    """np.median of a 1-D float array, bit for bit (NaN if any entry is),
+    by the same partition and mean but without the NaN check through
+    which np.median imports numpy.ma."""
+    n = a.size
+    k = n // 2
+    part = np.partition(a, [k, -1] if n % 2 else [k - 1, k, -1])
+    if np.isnan(part[-1]):
+        return math.nan
+    return float(np.mean(part[k - 1 + n % 2:k + 1]))
+
+
 def find_zeros(X: SectionField, grid_density: int = 48, threshold: float = 0.3,
                epsilon_schedule=(0.2, 0.1, 0.05)) -> list[ZeroRecord]:
     """Grid scan for |X| minima inside each chart region, Newton-refined
@@ -176,7 +189,7 @@ def find_zeros(X: SectionField, grid_density: int = 48, threshold: float = 0.3,
         v1, v2 = X.value(chart, U.ravel(), V.ravel())
         mag = np.hypot(np.asarray(v1, dtype=float), np.asarray(v2, dtype=float))
         mag = np.broadcast_to(mag, U.ravel().shape)  # constant components collapse
-        scale = max(float(np.median(mag)), 1e-30)
+        scale = max(_median(mag), 1e-30)
         seeds = np.nonzero(mag < threshold * scale)[0]
         zu, zv = _newton_zeros(X, chart, U.ravel()[seeds], V.ravel()[seeds])
         keep = atlas.in_region(chart, (zu, zv))

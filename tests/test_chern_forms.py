@@ -630,12 +630,12 @@ class TestStackedStencil:
 
         refs = []
 
-        def spy(payload, pts):
+        def spy(payload, pts, directions):
             def recorded(q):
                 refs.append(weakref.ref(q))
                 return payload(q)
 
-            return complex_step_partials(recorded, pts)
+            return complex_step_partials(recorded, pts, directions)
 
         monkeypatch.setattr(cf, "complex_step_partials", spy)
         gc.disable()
@@ -678,7 +678,8 @@ class TestExactIntegrand:
         fresh = lambda: bundle_points(atlas.chart_ids[-1], 25, seed=95)
         got = integrand(fresh())
         monkeypatch.setattr(cf, "complex_step_partials",
-                            lambda payload, pts: (payload(pts), central_partials(payload, pts)))
+                            lambda payload, pts, directions: (payload(pts),
+                                                              central_partials(payload, pts)))
         want = integrand(fresh())
         assert set(got.coeffs) == set(want.coeffs)
         if metric in ("round_sphere", "randers") or connection == "perturbed":
@@ -707,8 +708,8 @@ class TestExactIntegrand:
         D, nabla, _, _ = _build_connections(cfg, atlas, met)
         swept = []
 
-        def spy(payload, pts):
-            values, partials = complex_step_partials(payload, pts)
+        def spy(payload, pts, directions):
+            values, partials = complex_step_partials(payload, pts, directions)
             swept.append((payload, values))
             return values, partials
 
@@ -746,3 +747,70 @@ class TestExactIntegrand:
         paper = (forms.omega_D() + forms.frak_e_field())(pts)
         fused = forms.volume(pts) * forms.gbc_integrand()(pts)
         assert (paper - fused).max_abs() < 5e-11
+
+
+class TestSectionIntegrand:
+    @pytest.mark.parametrize("case", [
+        *[("sphere", "randers", eps, conn, field)
+          for eps in (0.1, 0.7) for conn in ("cartan", "perturbed")
+          for field in ("rotational", "height_gradient", "stereographic_power")],
+        ("torus", "quartic", 0.05, "perturbed", "constant"),
+    ])
+    def test_matches_pullback_of_bundle_form(self, case):
+        """gbc_integrand(X), swept along the section's tangent rows (1, 0,
+        t_1), (0, 1, t_2), is the bundle integrand pulled back by X, to
+        1e-13 of the largest coefficient (2.8e-14 is the most seen over
+        seeds 0-29), at random base points away from the zeros.  The
+        t_2 D_1 pi_theta - t_1 D_2 pi_theta part of d(J pi) is about half
+        the value on the rotational and z^2 fields, so dropping it fails
+        those cases; on the height-gradient field it vanishes by the
+        rotational symmetry of the Randers metric, and the torus constant
+        field has t = 0."""
+        from finslergbc.cli import (
+            ExperimentConfig, _build_atlas, _build_connections, _build_field)
+        from finslergbc.manifolds import install_metric
+        from finslergbc.quadrature import pullback_by_section
+
+        manifold, metric, eps, connection, field = case
+        cfg = ExperimentConfig(manifold=manifold, metric=metric, metric_eps=eps,
+                               connection=connection, vector_field=field, field_power=2)
+        atlas = _build_atlas(cfg)
+        met = install_metric(atlas, metric, {"eps": eps})
+        D, nabla, _, _ = _build_connections(cfg, atlas, met)
+        forms = TransgressionForms(met, D, nabla)
+        X = _build_field(cfg, atlas)
+        t_max = 0.0
+        for chart in atlas.chart_ids:
+            x1, x2, _ = bundle_points(chart, 40, seed=41).coords
+            if manifold == "sphere":
+                keep = np.hypot(x1, x2) > 0.05
+                x1, x2 = x1[keep], x2[keep]
+            got = forms.gbc_integrand(X)(ChartPoints.of(chart, x1, x2))
+            want = pullback_by_section(forms.gbc_integrand(), X)(ChartPoints.of(chart, x1, x2))
+            assert set(got.coeffs) == set(want.coeffs) == {(0, 1)}
+            scale = want.max_abs()
+            assert scale > 1e-3
+            assert np.max(np.abs(got.get((0, 1)) - want.get((0, 1)))) <= 1e-13 * scale, chart
+            t_max = max(t_max, np.max(np.hypot(*X.theta_grad(chart, x1, x2))))
+        assert t_max == 0.0 if manifold == "torus" else t_max > 1.0
+
+    def test_section_sweep_takes_two_passes(self, sphere, perturbed_setup, monkeypatch):
+        """With a section the complex-step sweep runs along its two tangent
+        rows: two payload passes per base batch, where the bundle form
+        takes three."""
+        import finslergbc.chern_forms as cf
+        from finslergbc.quadrature import complex_step_partials
+        from finslergbc.topology import rotational_field
+
+        passes = []
+
+        def spy(payload, pts, directions):
+            values, partials = complex_step_partials(payload, pts, directions)
+            passes.append(len(partials))
+            return values, partials
+
+        monkeypatch.setattr(cf, "complex_step_partials", spy)
+        x1, x2, th = bundle_points("south", 10, seed=42).coords
+        perturbed_setup.gbc_integrand(rotational_field(sphere))(ChartPoints.of("south", x1, x2))
+        perturbed_setup.gbc_integrand()(ChartPoints.of("south", x1, x2, th))
+        assert passes == [2, 3]

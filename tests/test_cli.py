@@ -199,11 +199,36 @@ class TestRunners:
         assert run_gbc(cfg).row("gbc_disc_limit").passed
         integrand = TransgressionForms.gbc_integrand
         monkeypatch.setattr(TransgressionForms, "gbc_integrand",
-                            lambda self: (1.0 + 1e-6) * integrand(self))
+                            lambda self, section=None: (1.0 + 1e-6) * integrand(self, section))
         report = run_gbc(cfg)
         assert report.row("normalized_gbc_integral").passed
         assert not report.row("gbc_disc_limit").passed
         assert not report.passed
+
+    def test_gbc_loads_no_numpy_random_or_ma(self):
+        """A gbc run draws its certification samples from the standard
+        library and takes find_zeros' median without np.median, so neither
+        numpy.random nor numpy.ma is imported, in a fresh interpreter."""
+        import subprocess
+        import sys
+
+        import finslergbc
+
+        code = (
+            "import sys\n"
+            "from finslergbc.cli import ExperimentConfig, run_gbc\n"
+            "cfg = ExperimentConfig(metric='randers', connection='perturbed', order_base=12,"
+            " order_fiber=16)\n"
+            "assert run_gbc(cfg).passed\n"
+            "print(sorted(m for m in ('numpy.random', 'numpy.ma') if m in sys.modules))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(finslergbc.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("field", ["rotational", "height_gradient"])
     @pytest.mark.parametrize("connection", ["cartan", "perturbed", "chern_modified"])

@@ -26,6 +26,7 @@ from finslergbc.connection import (
     to_orthonormal_frame,
 )
 from finslergbc.errors import DomainError, ValidationError
+from finslergbc.quadrature import ChartPoints
 
 from conftest import bundle_points
 
@@ -326,7 +327,63 @@ class TestCurvature:
         assert worst < 1e-6
 
 
+def _perturbation_per_axis(atlas, base, amplitude):
+    """sinusoidal_perturbation as it was, with one plain and one dual pass
+    per chart axis through the atlas scalars: the oracle of the one-pass
+    profile."""
+    from finslergbc.ad import Dual, partial, value
+
+    def P(pts):
+        x1, x2 = pts.coords[:2]
+        X, Y, Z = atlas.global_scalars(pts.chart, x1, x2)
+        dX, dY, dZ = [[None] * 3 for _ in range(3)]
+        for axis in range(2):
+            a1 = Dual(x1, 1.0 if axis == 0 else 0.0)
+            a2 = Dual(x2, 1.0 if axis == 1 else 0.0)
+            sx, sy, sz = atlas.global_scalars(pts.chart, a1, a2)
+            dX[axis] = value(partial(sx))
+            dY[axis] = value(partial(sy))
+            dZ[axis] = value(partial(sz))
+        dX[2] = dY[2] = dZ[2] = 0.0
+        pi = base.pi(pts)
+        f1 = np.sin(2.0 * Z + X)
+        f2 = np.cos(Y - Z)
+        f3 = 0.5 + 0.3 * np.sin(X)
+        return [amplitude * (f1 * dX[a] + f2 * dY[a] + f3 * pi[0][1][a]) for a in range(3)]
+
+    return P
+
+
 class TestPerturbation:
+    @pytest.mark.parametrize("manifold", ["sphere", "torus"])
+    def test_one_pass_matches_per_axis_passes(self, manifold, request, monkeypatch):
+        """The profile seeds both chart axes on one leading axis of length 2:
+        two calls of the atlas scalars (the plain values and one dual pass)
+        where there were three, and entries repr-identical to the per-axis
+        passes, on real and complex-shifted batches."""
+        atlas = request.getfixturevalue(manifold)
+        metric = request.getfixturevalue("randers_metric" if manifold == "sphere"
+                                         else "quartic_metric")
+        base = to_orthonormal_frame(cartan_connection(), metric)
+        P = sinusoidal_perturbation(atlas, base, 0.2)
+        oracle = _perturbation_per_axis(atlas, base, 0.2)
+        calls = []
+        scalars = type(atlas).global_scalars
+        monkeypatch.setattr(type(atlas), "global_scalars",
+                            lambda self, *a: calls.append(1) or scalars(self, *a))
+        for chart in atlas.chart_ids:
+            for shift in (0.0, 1e-30j):
+                x1, x2, th = bundle_points(chart, 20, seed=18).coords
+                pts = ChartPoints(chart, (x1 + shift, x2, th))
+                calls.clear()
+                got = P(pts)
+                assert len(calls) == 2
+                want = oracle(ChartPoints(chart, (x1 + shift, x2, th)))
+                assert got[0][0] == got[1][1] == [0.0] * 3
+                for a in range(3):
+                    for entry, sign in ((got[0][1][a], 1.0), (got[1][0][a], -1.0)):
+                        assert repr(np.asarray(entry).tolist()) == repr((sign * want[a]).tolist())
+
     def test_zero_amplitude_is_identity(self, randers_metric, cartan_frame_randers, sphere):
         P = sinusoidal_perturbation(sphere, cartan_frame_randers, 0.0)
         fc = perturb_metric_compatible(cartan_frame_randers, P)

@@ -252,6 +252,59 @@ class TestMetricZoo:
             for k, (g, w) in enumerate(zip(got, want)):
                 assert np.max(np.abs(g - w)) <= (4e-16 if k == 0 else 8e-16) * np.max(np.abs(w))
 
+    @pytest.mark.parametrize("kind", ["float", "complex", "dual", "jet", "dual-jet"])
+    def test_randers_kernel_forms_r2_once(self, sphere, kind):
+        """The Randers kernel forms 1 + |x|^2 once for alpha and b, where it
+        squared each coordinate twice, and returns the same bits as the
+        kernel that did, on every input the pipeline feeds it."""
+        from finslergbc import ad
+        from finslergbc.ad import Dual, Jet
+        from finslergbc.metric import _circle_taylor
+
+        def two_squares(sign):
+            def fn(x, y):
+                r2 = x[0] * x[0] + x[1] * x[1]
+                alpha = 2.0 / (1.0 + r2) * ad.sqrt(y[0] * y[0] + y[1] * y[1])
+                c = 0.7 * sign * 4.0 / (1.0 + (x[0] * x[0] + x[1] * x[1])) ** 2
+                return alpha + (-1.0 * c * x[1]) * y[0] + (c * x[0]) * y[1]
+            return fn
+
+        squares = []
+
+        class Counted(Dual):
+            __slots__ = ()
+
+            def __mul__(self, other):
+                if other is self:
+                    squares.append(1)
+                return Dual.__mul__(self, other)
+
+        def parts(z):
+            if isinstance(z, Dual):
+                return parts(z.val) + parts(z.eps)
+            if isinstance(z, Jet):
+                return [p for c in z.c for p in parts(c)]
+            return [np.asarray(z).tolist()]
+
+        rng = np.random.default_rng(6)
+        r, ph, th = np.sqrt(rng.uniform(0.0, 1.0, 64)), *rng.uniform(0.0, 2 * math.pi, (2, 64))
+        x, y = [r * np.cos(ph), r * np.sin(ph)], [2.0 * np.cos(th), 2.0 * np.sin(th)]
+        seed = np.eye(2)[:, :, None]
+        x, y = {
+            "float": (x, y),
+            "complex": ([x[0] + 1e-30j, x[1]], y),
+            "dual": ([Dual(x[0], 1.0), Dual(x[1], 0.0)], [Dual(y[0], 0.0), Dual(y[1], 1.0)]),
+            "jet": (x, list(_circle_taylor(th, 3))),
+            "dual-jet": ([Counted(x[0], seed[0]), Counted(x[1], seed[1])],
+                         list(_circle_taylor(th, 2))),
+        }[kind]
+        metric = install_metric(sphere, "randers", {"eps": 0.7})
+        for chart, sign in (("south", 1.0), ("north", -1.0)):
+            squares.clear()
+            got = parts(metric.charts[chart](x, y))
+            assert len(squares) == (2 if kind == "dual-jet" else 0)
+            assert repr(got) == repr(parts(two_squares(sign)(x, y)))
+
     def test_excised_domain_rejects_offcenter(self, sphere):
         with pytest.raises(ValidationError):
             sphere.excised_domain([("south", (0.3, 0.0), 0.1)])

@@ -11,6 +11,7 @@ from finslergbc.errors import DomainError, SamplingError, TopologyError, Validat
 from finslergbc.topology import (
     SectionField,
     ZeroRecord,
+    _median,
     _newton_zeros,
     check_euler_characteristic,
     constant_field,
@@ -281,3 +282,71 @@ class TestBatchedNewton:
         want = [zero for zero, _, _ in oracle if zero is not None]
         assert np.max(np.abs(np.column_stack([zu, zv]) - want)) < 1e-10
         assert np.allclose(zu, [0.5, -0.5]) and np.allclose(zv, 0.0)
+
+
+def _theta_grad_per_axis(X, chart, x1, x2):
+    """SectionField.theta_grad as it was, one dual pass per chart axis: the
+    oracle of the one-pass gradient."""
+    out = []
+    for axis in range(2):
+        a1 = Dual(np.asarray(x1, dtype=float), 1.0 if axis == 0 else 0.0)
+        a2 = Dual(np.asarray(x2, dtype=float), 1.0 if axis == 1 else 0.0)
+        v1, v2 = X.value(chart, a1, a2)
+        num = value(v1) * value(partial(v2)) - value(v2) * value(partial(v1))
+        out.append(num / (value(v1) ** 2 + value(v2) ** 2))
+    return out[0], out[1]
+
+
+class TestOnePassSections:
+    @pytest.mark.parametrize("make", [
+        rotational_field,
+        height_gradient_field,
+        *[lambda a, k=k: stereographic_power_field(a, k) for k in range(3)],
+        lambda a: custom_field(a, {"south": ("sin(u)*v + 0.3", "u*u - exp(v)"),
+                                   "north": ("u", "2.0")}),
+    ])
+    def test_theta_grad_matches_per_axis_passes(self, sphere, make):
+        """theta_grad from one pass with both axes seeded on a leading axis
+        of length 2 is repr-identical to one pass per axis, and evaluates
+        the field once."""
+        X, calls = _counted(make(sphere))
+        rng = np.random.default_rng(31)
+        for chart in X.components:
+            x1, x2 = rng.uniform(-0.9, 0.9, (2, 50))
+            calls[chart] = 0
+            got = X.theta_grad(chart, x1, x2)
+            assert calls[chart] == 1
+            want = _theta_grad_per_axis(X, chart, x1, x2)
+            for g, w in zip(got, want):
+                assert np.shape(g) == (50,)
+                assert repr(np.broadcast_to(w, (50,)).tolist()) == repr(g.tolist())
+
+    def test_theta_grad_constant_field(self, torus):
+        """A constant field has a zero gradient at the batch shape."""
+        t1, t2 = constant_field(torus).theta_grad("torus", np.linspace(0.0, 6.0, 7), 1.0)
+        assert np.shape(t1) == np.shape(t2) == (7,)
+        assert not np.any(t1) and not np.any(t2)
+
+
+class TestMedian:
+    @pytest.mark.parametrize("n", [47 * 47, 48 * 48, 1, 2])
+    def test_bit_identical_to_numpy(self, n):
+        """_median is np.median bit for bit on odd and even sizes."""
+        rng = np.random.default_rng(n)
+        for a in (rng.uniform(0.0, 3.0, n), rng.integers(0, 5, n).astype(float)):
+            assert repr(_median(a)) == repr(float(np.median(a)))
+
+    def test_broadcast_constant_field(self, torus):
+        """A field of constant expressions collapses to scalars, so
+        find_zeros takes the median of a read-only broadcast |X| over its
+        48 x 48 grid."""
+        X = custom_field(torus, {"torus": ("1.0", "0.5")})
+        u = np.linspace(0.0, 1.0, 48 * 48)
+        v1, v2 = X.value("torus", u, u)
+        assert np.ndim(v1) == np.ndim(v2) == 0
+        mag = np.broadcast_to(np.hypot(v1, v2), u.shape)
+        assert repr(_median(mag)) == repr(float(np.median(mag))) == repr(math.hypot(1.0, 0.5))
+
+    def test_nan_propagates(self):
+        a = np.array([1.0, np.nan, 3.0, 2.0])
+        assert math.isnan(_median(a)) and math.isnan(np.median(a))
