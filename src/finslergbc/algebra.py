@@ -89,14 +89,6 @@ class BigradedElement:
     def unit(cls, n: int, form_dim: int) -> "BigradedElement":
         return cls(n, form_dim, {((), ()): 1.0 + 0.0j})
 
-    @classmethod
-    def from_terms(cls, n, form_dim, entries) -> "BigradedElement":
-        """Build from (I, J, coeff) triples; indices may be unsorted."""
-        out = cls(n, form_dim, {})
-        for I, J, c in entries:
-            out.add_term(I, J, c)
-        return out
-
     def add_term(self, I, J, coeff) -> None:
         I_s, s1 = sort_with_parity(I)
         J_s, s2 = sort_with_parity(J)

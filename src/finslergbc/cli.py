@@ -44,9 +44,10 @@ from .metric import (
     sum_norms,
 )
 from .quadrature import (
+    AnnulusRegion,
+    BoxRegion,
     ChartPoints,
     base_integral_excised,
-    disc_integrals,
     exterior_derivatives,
     extrapolate_to_zero,
     gauss_legendre,
@@ -71,17 +72,18 @@ __all__ = ["ExperimentConfig", "Report", "ReportRow", "run_gbc",
 
 VOL_S1 = 2.0 * math.pi
 
-# How far gbc_disc_limit may lie from chi.  It reaches chi to about 1e-13
-# on the built-in scenarios at every base order from 24 up, so a 1e-6
-# relative change of the integrand fails the row by four orders.
-DISC_LIMIT_TOL = 1e-10
+# How far gbc_disc_limit may lie from chi.  It reaches chi within 3.1e-13
+# on the built-in sphere scenarios at every base order from 6 up (Randers
+# 0.9 is the worst case; the others are within 1.8e-15), so a 1e-6
+# relative change of the integrand fails the row by six orders.
+DISC_LIMIT_TOL = 1e-12
 
 # The largest base or fiber quadrature order.  Both rules converge
-# spectrally (gbc_disc_limit reaches chi to 1e-13 from base order 24), so a
-# higher order gains nothing, while a base region is one batch of about
-# order^2 points at some 2 KiB each: 0.6 GiB and 25 s for a Randers run at
-# 512 (scaled from 125 MiB and 3.2 s at order 192 on 2 vCPU).  Order 1e8
-# asked leggauss for an order x order matrix.
+# spectrally (gbc_disc_limit reaches chi to 3.1e-13 from base order 6), so
+# a higher order gains nothing, while a chart is one batch of four discs
+# of order/3 x 2 order/3 nodes: about 0.55 GiB and 8 s for a Randers run
+# at 512 (scaled from 110 MiB and 1.1 s at order 192 on 2 vCPU).  Order
+# 1e8 asked leggauss for an order x order matrix.
 MAX_QUADRATURE_ORDER = 512
 
 # The largest identity sample count.  The residuals are maxima over the
@@ -389,15 +391,16 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
     """Full pipeline: certify metric, locate zeros, check Poincare-Hopf,
     build forms, pull back, and integrate.
 
-    The base is integrated once outside the largest excision radius eps_0,
-    and once over each disc r <= eps of the schedule about each zero by
-    the polar disc rule, whose nodes for one zero form one batch.  The
-    per-eps value is vol(S^1) (outer + sum over zeros of disc(eps_0) -
-    disc(eps)); ``normalized_gbc_integral`` is their Neville
-    extrapolation to eps = 0.  The polar rule integrates the O(1/r)
-    integrand through the zero, so ``gbc_disc_limit``, vol(S^1) (outer +
-    sum of the full discs at eps_0), is the eps -> 0 limit itself and is
-    held to chi within DISC_LIMIT_TOL."""
+    On the sphere the two unit discs r <= 1 tile the base, and every zero
+    sits at a chart centre.  Each chart is integrated over r <= 1 and, if
+    it holds a zero, over each disc r <= eps of the schedule, all by the
+    polar rule of ``AnnulusRegion`` and as one batch per chart.  The
+    per-eps value is vol(S^1) sum over charts of I(1) - I(eps), with I(eps)
+    = 0 in a chart without a zero; ``normalized_gbc_integral`` is their
+    Neville extrapolation to eps = 0.  The polar rule integrates the O(1/r)
+    integrand through the zero, so ``gbc_disc_limit``, vol(S^1) sum of
+    I(1), is the eps -> 0 limit itself and is held to chi within
+    DISC_LIMIT_TOL."""
     cfg.validate()
     t0 = time.perf_counter()
     atlas = _build_atlas(cfg)
@@ -413,10 +416,10 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
     rows = [ReportRow("poincare_hopf_sum", float(chi), float(atlas.chi), 0.0, True)]
     schedule = sorted(cfg.epsilon_schedule, reverse=True)
     if atlas.name == "torus":
-        dom = atlas.excised_domain([])
-        total = base_integral_excised(integrand, dom, order=cfg.order_base)
-        per_eps = [(eps, VOL_S1 * total) for eps in schedule]
-        extrap = disc_limit = VOL_S1 * total
+        box = BoxRegion("torus", *atlas.region_box("torus"))
+        total = VOL_S1 * base_integral_excised(integrand, [box], order=cfg.order_base)[0]
+        per_eps = [(eps, total) for eps in schedule]
+        extrap = disc_limit = total
     else:
         for rec in zeros:
             if math.hypot(*rec.location) > 1e-4:
@@ -424,16 +427,14 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
                     "built-in scenarios keep zeros at chart centers; "
                     f"found one at {rec.location} in chart {rec.chart}"
                 )
-        outer = base_integral_excised(
-            integrand,
-            atlas.excised_domain([(rec.chart, (0.0, 0.0), schedule[0]) for rec in zeros]),
-            order=cfg.order_base,
-        )
-        discs = [disc_integrals(integrand, rec.chart, (0.0, 0.0), schedule, order=cfg.order_base)
-                 for rec in zeros]
-        per_eps = [(eps, VOL_S1 * (outer + sum(d[0] - d[k] for d in discs)))
-                   for k, eps in enumerate(schedule)]
-        disc_limit = VOL_S1 * (outer + sum(d[0] for d in discs))
+        held = {rec.chart for rec in zeros}
+        regions = [AnnulusRegion(chart, (0.0, 0.0), 0.0, r) for chart in atlas.chart_ids
+                   for r in [1.0] + (schedule if chart in held else [])]
+        values = base_integral_excised(integrand, regions, order=cfg.order_base)
+        disc = {(region.chart, region.r_outer): v for region, v in zip(regions, values)}
+        per_eps = [(eps, VOL_S1 * sum(disc[c, 1.0] - disc.get((c, eps), 0.0)
+                                      for c in atlas.chart_ids)) for eps in schedule]
+        disc_limit = VOL_S1 * sum(disc[c, 1.0] for c in atlas.chart_ids)
         if len(per_eps) >= 2:
             extrap = extrapolate_to_zero([e for e, _ in per_eps], [v for _, v in per_eps])
         else:

@@ -602,16 +602,6 @@ def metric_compat_residual(metric: FinslerMetric, D: ConnectionData, pts: ChartP
     return worst
 
 
-def frame_skew_residual(conn: FrameConnection, pts: ChartPoints) -> float:
-    pi = conn.pi(pts)
-    worst = 0.0
-    for i in range(conn.n):
-        for j in range(conn.n):
-            for a in range(AXES):
-                worst = max(worst, float(np.max(np.abs(pi[i][j][a] + pi[j][i][a]))))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # a globally defined perturbation profile
 

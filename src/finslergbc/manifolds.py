@@ -19,7 +19,6 @@ import numpy as np
 from . import ad
 from .errors import InvalidMetricError, ValidationError
 from .metric import FinslerMetric, MinkowskiNorm, euclidean_norm, quartic_norm, riemannian_norm
-from .quadrature import AnnulusRegion, BoxRegion, ExcisedDomain
 
 __all__ = [
     "Atlas",
@@ -106,33 +105,6 @@ class Atlas:
         if self.name == "sphere":
             return (-1.0, 1.0), (-1.0, 1.0)
         return (0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)
-
-    def excised_domain(self, excisions) -> ExcisedDomain:
-        """Integration regions with per-chart excision disks removed.
-
-        ``excisions`` is a list of (chart, center, radius).  Excised disks
-        must sit at the chart center (coordinate-disk excision around the
-        built-in zeros); anything else is rejected.
-        """
-        regions = []
-        if self.name == "sphere":
-            for chart in self.chart_ids:
-                eps = 0.0
-                for ch, center, radius in excisions:
-                    if ch != chart:
-                        continue
-                    if math.hypot(*center) > 1e-8:
-                        raise ValidationError(
-                            "excision disks away from the chart center are not supported"
-                        )
-                    eps = max(eps, radius)
-                regions.append(AnnulusRegion(chart, (0.0, 0.0), eps, 1.0))
-            return ExcisedDomain(regions)
-        if excisions:
-            raise ValidationError("torus scenarios expect zero-free sections")
-        return ExcisedDomain(
-            [BoxRegion("torus", (0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi))]
-        )
 
 
 def sphere_atlas() -> Atlas:

@@ -1,6 +1,6 @@
 """Differential-form fields, exterior calculus on coefficient tables, and
-all numeric integration (fiber circles, boundary circles, excised base
-domains, polar discs about the zeros of a section).
+all numeric integration (fiber circles, boundary circles, and base regions:
+polar discs and annuli about a chart centre, boxes on the torus).
 
 Forms are stored as antisymmetric coefficient tables over ordered axis
 subsets of a chart; fields evaluate whole batches of chart points at once,
@@ -26,7 +26,6 @@ __all__ = [
     "ChartPoints",
     "PointwiseForm",
     "FormField",
-    "ExcisedDomain",
     "AnnulusRegion",
     "BoxRegion",
     "FD_STEP",
@@ -39,10 +38,8 @@ __all__ = [
     "pullback_by_section",
     "base_integral_excised",
     "boundary_circle_integral",
-    "disc_integrals",
     "fiber_integral",
     "gauss_legendre",
-    "gauss_panels",
     "periodic_rule",
 ]
 
@@ -347,34 +344,14 @@ def periodic_rule(order: int):
     return 2.0 * math.pi * np.arange(order) / order, np.full(order, 2.0 * math.pi / order)
 
 
-def gauss_panels(a: float, b: float, breakpoints, order: int):
-    """Composite Gauss-Legendre over [a,b] split at interior breakpoints."""
-    edges = [a] + [r for r in breakpoints if a < r < b] + [b]
-    xs, ws = [], []
-    for lo, hi in zip(edges, edges[1:]):
-        x, w = gauss_legendre(lo, hi, order)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-def _geometric_breaks(r0: float, r1: float) -> list[float]:
-    breaks = []
-    r = r0 * 2.0
-    while r < r1 * 0.75:
-        breaks.append(r)
-        r *= 2.0
-    return breaks
-
-
 # ---------------------------------------------------------------------------
 # integration domains
 
 
 @dataclass
 class AnnulusRegion:
-    """Polar region r in [r_inner, r_outer] around a center in one chart;
-    r_inner = 0 is a full disk."""
+    """Polar region r_inner <= r <= r_outer about a centre in one chart;
+    r_inner = 0 is a full disc."""
 
     chart: str
     center: tuple[float, float]
@@ -382,17 +359,19 @@ class AnnulusRegion:
     r_outer: float
 
     def nodes(self, order: int):
-        n_ang = max(8, order)
-        breaks = _geometric_breaks(max(self.r_inner, 1e-8), self.r_outer)
-        per_panel = max(10, int(round(order / (len(breaks) + 1))))
-        r, wr = gauss_panels(self.r_inner, self.r_outer, breaks, per_panel)
-        phi, wphi = gauss_legendre(0.0, 2.0 * math.pi, n_ang)
+        """One Gauss-Legendre panel of n_r = max(16, order // 3) nodes in r
+        times the periodic rule of 2 n_r nodes in phi, with weight r w_r
+        w_phi (dx1 ^ dx2 = r dr ^ dphi).  On a full disc an integrand f that
+        is O(1/r) at the centre, with r f smooth in (r, phi), is integrated
+        to rounding (Duffy, SIAM J. Numer. Anal. 19(6), 1982); n_r = 8
+        would miss chi on the unit disc by up to 1e-7."""
+        n_r = max(16, order // 3)
+        r, wr = gauss_legendre(self.r_inner, self.r_outer, n_r)
+        phi, wphi = periodic_rule(2 * n_r)
         R, PHI = np.meshgrid(r, phi, indexing="ij")
-        WR, WPHI = np.meshgrid(wr, wphi, indexing="ij")
-        x1 = self.center[0] + R * np.cos(PHI)
-        x2 = self.center[1] + R * np.sin(PHI)
-        w = WR * WPHI * R  # dx1 ^ dx2 = r dr ^ dphi
-        return x1.ravel(), x2.ravel(), w.ravel()
+        x1 = self.center[0] + (R * np.cos(PHI)).ravel()
+        x2 = self.center[1] + (R * np.sin(PHI)).ravel()
+        return x1, x2, np.outer(wr * r, wphi).ravel()
 
 
 @dataclass
@@ -411,53 +390,23 @@ class BoxRegion:
         return U.ravel(), V.ravel(), (WU * WV).ravel()
 
 
-@dataclass
-class ExcisedDomain:
-    """A chartwise decomposition of the base manifold with the excision
-    disks already removed; regions are pairwise disjoint up to measure
-    zero and cover M minus the excised disks."""
-
-    regions: list
-
-
-def base_integral_excised(f: FormField, domain: ExcisedDomain, order: int = 48) -> float:
-    """Integrate a base 2-form over the excised domain, region by region."""
+def base_integral_excised(f: FormField, regions, order: int = 48) -> list[float]:
+    """Integrate a base 2-form over each region, one value per region in
+    the order given.  The nodes of all the regions of one chart go through
+    f as one batch."""
     if f.degree != 2 or f.dim != 2:
-        raise QuadratureError("excised base integral expects a base 2-form")
-    total = 0.0
-    for region in domain.regions:
-        x1, x2, w = region.nodes(order)
-        pts = ChartPoints(region.chart, (x1, x2))
-        c = f(pts).get((0, 1))
-        total += float(np.sum(w * c))
-    return total
-
-
-def _disc_rule(radius: float, order: int):
-    """Polar nodes and weights on the coordinate disc r <= radius about the
-    origin: one Gauss-Legendre panel of n_r = max(8, order // 3) nodes in r
-    on [0, radius] times the periodic rule of 2 n_r nodes in phi, with
-    weight r w_r w_phi (dx1 ^ dx2 = r dr ^ dphi).  An integrand f that is
-    O(1/r) at the centre, with r f smooth in (r, phi), is integrated to
-    rounding (Duffy, SIAM J. Numer. Anal. 19(6), 1982)."""
-    n_r = max(8, order // 3)
-    r, wr = gauss_legendre(0.0, radius, n_r)
-    phi, wphi = periodic_rule(2 * n_r)
-    R, PHI = np.meshgrid(r, phi, indexing="ij")
-    return (R * np.cos(PHI)).ravel(), (R * np.sin(PHI)).ravel(), np.outer(wr * r, wphi).ravel()
-
-
-def disc_integrals(f: FormField, chart: str, center, radii, order: int = 48) -> list[float]:
-    """Integrate a base 2-form over the coordinate discs |x - center| <= R,
-    one value per R in ``radii``, by ``_disc_rule``.  The nodes of all the
-    discs go through f as one batch."""
-    if f.degree != 2 or f.dim != 2:
-        raise QuadratureError("disc integral expects a base 2-form")
-    rules = [_disc_rule(radius, order) for radius in radii]
-    x1 = np.concatenate([center[0] + u for u, _, _ in rules])
-    x2 = np.concatenate([center[1] + v for _, v, _ in rules])
-    c = np.broadcast_to(f(ChartPoints.of(chart, x1, x2)).get((0, 1)), x1.shape)
-    return [float(np.sum(w * part)) for (_, _, w), part in zip(rules, np.split(c, len(rules)))]
+        raise QuadratureError("base integral expects a base 2-form")
+    out = [0.0] * len(regions)
+    for chart in dict.fromkeys(region.chart for region in regions):
+        index = [i for i, region in enumerate(regions) if region.chart == chart]
+        rules = [regions[i].nodes(order) for i in index]
+        x1 = np.concatenate([u for u, _, _ in rules])
+        x2 = np.concatenate([v for _, v, _ in rules])
+        c = np.broadcast_to(f(ChartPoints(chart, (x1, x2))).get((0, 1)), x1.shape)
+        parts = np.split(c, np.cumsum([len(w) for _, _, w in rules])[:-1])
+        for i, (_, _, w), part in zip(index, rules, parts):
+            out[i] = float(np.sum(w * part))
+    return out
 
 
 def boundary_circle_integral(

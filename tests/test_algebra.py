@@ -22,7 +22,11 @@ from finslergbc.algebra import (
 
 
 def elem(n, entries, form_dim=3):
-    return BigradedElement.from_terms(n, form_dim, entries)
+    """Build from (I, J, coeff) triples; indices may be unsorted."""
+    out = BigradedElement.zero(n, form_dim)
+    for I, J, c in entries:
+        out.add_term(I, J, c)
+    return out
 
 
 def random_element(rng, n, i, j, form_dim=3):

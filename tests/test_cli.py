@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from finslergbc.cli import (
+    DISC_LIMIT_TOL,
     MAX_IDENTITY_SAMPLES,
     MAX_QUADRATURE_ORDER,
     ExperimentConfig,
@@ -158,39 +159,44 @@ class TestRunners:
         assert calls == []
 
     def test_gbc_base_points_at_workload_orders(self, monkeypatch):
-        """At base order 48 and eps = 0.2, 0.1, 0.05 a sphere run evaluates
-        two 48 x 48 outer annuli and, per zero, one batch of three 16 x 32
-        discs: 7,680 base points.  The eps-shell annuli it replaced made
-        13,824."""
-        from finslergbc.quadrature import AnnulusRegion, BoxRegion, ChartPoints
+        """At base order 48 and eps = 0.2, 0.1, 0.05 a sphere run with a
+        zero in each chart integrates the discs r <= 1, 0.2, 0.1, 0.05 of
+        16 x 32 nodes per chart: 8 regions, 4,096 base points, and one
+        integrand batch per chart."""
+        from finslergbc.chern_forms import TransgressionForms
+        from finslergbc.quadrature import AnnulusRegion, BoxRegion, FormField
 
-        counts = []
+        counts, batches = [], []
 
-        def counting(fn, size):
+        def counting(fn):
             def spy(*args):
                 out = fn(*args)
-                counts.append(size(out))
+                counts.append(len(out[0]))
                 return out
             return spy
 
-        def nodes(rule):
-            return len(rule[0])
+        integrand = TransgressionForms.gbc_integrand
 
-        monkeypatch.setattr(AnnulusRegion, "nodes", counting(AnnulusRegion.nodes, nodes))
-        monkeypatch.setattr(BoxRegion, "nodes", counting(BoxRegion.nodes, nodes))
-        monkeypatch.setattr(ChartPoints, "of",
-                            classmethod(counting(ChartPoints.of.__func__, lambda p: p.size)))
+        def recording(self, section=None):
+            f = integrand(self, section)
+            return FormField(f.dim, f.degree,
+                             lambda p: batches.append((p.chart, p.size)) or f(p))
+
+        monkeypatch.setattr(AnnulusRegion, "nodes", counting(AnnulusRegion.nodes))
+        monkeypatch.setattr(BoxRegion, "nodes", counting(BoxRegion.nodes))
+        monkeypatch.setattr(TransgressionForms, "gbc_integrand", recording)
         cfg = ExperimentConfig(metric="randers", metric_eps=0.1, connection="perturbed",
                                perturbation_amplitude=0.2, order_base=48, order_fiber=64,
                                epsilon_schedule=(0.2, 0.1, 0.05))
         report = run_gbc(cfg)
         assert report.passed
-        assert sorted(counts) == [1536, 1536, 2304, 2304]
-        assert sum(counts) == 7680
+        assert counts == [512] * 8
+        assert sum(counts) == 4096
+        assert batches == [("south", 2048), ("north", 2048)]
 
     def test_disc_limit_fails_under_mutation(self, monkeypatch):
         """gbc_disc_limit can fail: an integrand scaled by 1 + 1e-6 moves
-        it by 2e-6, far outside its 1e-10, while the Neville headline
+        it by 2e-6, far outside its 1e-12, while the Neville headline
         still passes."""
         from finslergbc.chern_forms import TransgressionForms
 
@@ -204,6 +210,16 @@ class TestRunners:
         assert report.row("normalized_gbc_integral").passed
         assert not report.row("gbc_disc_limit").passed
         assert not report.passed
+
+    def test_disc_limit_holds_at_low_order(self):
+        """The polar unit discs reach chi within 1e-12 at base order 6 on
+        the degree-2 stereographic field with a strong Randers metric; a
+        Gauss-Legendre annulus outside the zeros missed it there by
+        4.4e-5."""
+        cfg = ExperimentConfig(metric="randers", metric_eps=0.7, connection="chern_modified",
+                               vector_field="stereographic_power", order_base=6)
+        assert DISC_LIMIT_TOL == 1e-12
+        assert run_gbc(cfg).row("gbc_disc_limit").passed
 
     def test_gbc_loads_no_numpy_random_or_ma(self):
         """A gbc run draws its certification samples from the standard
@@ -379,6 +395,23 @@ class TestMainEntry:
                      "--metric-eps", "inf", "--field", "constant",
                      "--order-base", "8", "--order-fiber", "8"]) == 2
         assert "InvalidMetricError" in capsys.readouterr().err
+
+    def test_offcenter_zero_rejected(self, monkeypatch, capsys):
+        """The unit discs assume every zero sits at a chart centre: a zero
+        found elsewhere is a ValidationError with exit 2, not a per-eps
+        value that integrates the wrong discs."""
+        import finslergbc.cli as cli
+        from finslergbc.topology import ZeroRecord
+
+        def displaced(X, epsilon_schedule):
+            return [ZeroRecord("south", (0.3, 0.0), 1, epsilon_schedule),
+                    ZeroRecord("north", (0.0, 0.0), 1, epsilon_schedule)]
+
+        monkeypatch.setattr(cli, "find_zeros", displaced)
+        rc = cli.main(["gbc", "--order-base", "8", "--order-fiber", "16"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "ValidationError" in err and "(0.3, 0.0)" in err
 
     def test_error_reporting(self, capsys):
         rc = main(["gbc", "--manifold", "torus", "--metric", "euclidean",

@@ -66,9 +66,10 @@ class TestSphereAtlas:
 
 class TestSphereArea:
     def test_round_area_4pi(self, sphere, round_metric):
-        """Chartwise area of the unit round sphere: two half-areas of 2 pi
-        each from the conformal factor, quadrature vs closed form."""
-        from finslergbc.quadrature import base_integral_excised, FormField, PointwiseForm
+        """Area of the unit round sphere from the two unit discs of its
+        stereographic charts, 2 pi each from the conformal factor:
+        quadrature vs closed form."""
+        from finslergbc.quadrature import AnnulusRegion, base_integral_excised, FormField, PointwiseForm
 
         def area_form(pts):
             x1, x2 = pts.coords
@@ -76,15 +77,16 @@ class TestSphereArea:
             return PointwiseForm({(0, 1): lam})
 
         f = FormField(2, 2, area_form)
-        dom = sphere.excised_domain([])
-        total = base_integral_excised(f, dom, order=48)
-        assert total == pytest.approx(4 * math.pi, abs=1e-6)
+        discs = [AnnulusRegion(chart, (0.0, 0.0), 0.0, 1.0) for chart in sphere.chart_ids]
+        total = sum(base_integral_excised(f, discs, order=48))
+        assert total == pytest.approx(4 * math.pi, abs=1e-13)
 
     def test_torus_area(self, torus):
-        from finslergbc.quadrature import base_integral_excised, FormField, PointwiseForm
+        from finslergbc.quadrature import BoxRegion, base_integral_excised, FormField, PointwiseForm
 
         f = FormField(2, 2, lambda pts: PointwiseForm({(0, 1): 1.0 + 0.0 * pts.coords[0]}))
-        total = base_integral_excised(f, torus.excised_domain([]), order=24)
+        box = BoxRegion("torus", *torus.region_box("torus"))
+        (total,) = base_integral_excised(f, [box], order=24)
         assert total == pytest.approx(4 * math.pi ** 2, rel=1e-12)
 
 
@@ -305,6 +307,3 @@ class TestMetricZoo:
             assert len(squares) == (2 if kind == "dual-jet" else 0)
             assert repr(got) == repr(parts(two_squares(sign)(x, y)))
 
-    def test_excised_domain_rejects_offcenter(self, sphere):
-        with pytest.raises(ValidationError):
-            sphere.excised_domain([("south", (0.3, 0.0), 0.1)])

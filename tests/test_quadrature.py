@@ -11,19 +11,16 @@ from finslergbc.quadrature import (
     AnnulusRegion,
     BoxRegion,
     ChartPoints,
-    ExcisedDomain,
     FormField,
     PointwiseForm,
     base_integral_excised,
     boundary_circle_integral,
     central_partials,
     complex_step_partials,
-    disc_integrals,
     exterior_derivative,
     extrapolate_to_zero,
     fiber_integral,
     gauss_legendre,
-    gauss_panels,
     periodic_rule,
     pullback_by_section,
 )
@@ -54,11 +51,6 @@ class TestGaussRules:
                 2.0 * math.pi if k == 0 else 0.0, abs=1e-12)
             assert abs(float(w @ np.sin(k * t))) < 1e-12
         assert float(w @ np.cos(order * t)) == pytest.approx(2.0 * math.pi, rel=1e-12)
-
-    def test_panels_cover_interval(self):
-        x, w = gauss_panels(0.0, 1.0, [0.25, 0.5], 6)
-        assert float(np.sum(w)) == pytest.approx(1.0, rel=1e-14)
-        assert np.all((x > 0) & (x < 1))
 
     def test_extrapolation_quadratic(self):
         xs = [0.2, 0.1, 0.05]
@@ -293,8 +285,8 @@ class TestBaseIntegral:
             x1, x2 = p.coords
             return PointwiseForm({(0, 1): 0.0 * x1 + np.sin(x1) * np.sin(x2)})
 
-        dom = ExcisedDomain([BoxRegion("torus", (0, 2 * math.pi), (0, 2 * math.pi))])
-        total = base_integral_excised(FormField(2, 2, two_form), dom, order=24)
+        box = BoxRegion("torus", (0, 2 * math.pi), (0, 2 * math.pi))
+        (total,) = base_integral_excised(FormField(2, 2, two_form), [box], order=24)
         assert abs(total) < 1e-10
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -330,10 +322,8 @@ class TestBaseIntegral:
         f1 = FormField(2, 1, lambda p: omega(p.chart)(p))
         f2 = exterior_derivative(f1)
         eps = 0.25
-        dom = sphere.excised_domain(
-            [("south", (0.0, 0.0), eps), ("north", (0.0, 0.0), eps)]
-        )
-        total = base_integral_excised(f2, dom, order=32)
+        rings = [AnnulusRegion(chart, (0.0, 0.0), eps, 1.0) for chart in ("south", "north")]
+        total = sum(base_integral_excised(f2, rings, order=32))
         circles = sum(
             boundary_circle_integral(f1, chart, (0.0, 0.0), eps, order=64)
             for chart in ("south", "north")
@@ -342,67 +332,96 @@ class TestBaseIntegral:
 
     def test_annulus_area(self):
         f = FormField(2, 2, lambda p: PointwiseForm({(0, 1): 1.0 + 0.0 * p.coords[0]}))
-        dom = ExcisedDomain([AnnulusRegion("c", (0.0, 0.0), 0.3, 1.0)])
-        total = base_integral_excised(f, dom, order=24)
+        (total,) = base_integral_excised(f, [AnnulusRegion("c", (0.0, 0.0), 0.3, 1.0)], order=24)
         assert total == pytest.approx(math.pi * (1.0 - 0.09), rel=1e-12)
+
+
+def _panel_annulus_integral(f, chart, r_inner, order):
+    """The outer annulus r_inner <= r <= 1 by the composite rule that
+    integrated it before the unit discs did: Gauss-Legendre panels in r
+    split at 2 r_inner, 4 r_inner, ... below 0.75, times max(8, order)
+    Gauss-Legendre nodes in phi."""
+    breaks, r = [], 2.0 * r_inner
+    while r < 0.75:
+        breaks.append(r)
+        r *= 2.0
+    per_panel = max(10, int(round(order / (len(breaks) + 1))))
+    edges = [r_inner] + breaks + [1.0]
+    rules = [gauss_legendre(lo, hi, per_panel) for lo, hi in zip(edges, edges[1:])]
+    r = np.concatenate([x for x, _ in rules])
+    wr = np.concatenate([w for _, w in rules])
+    phi, wphi = gauss_legendre(0.0, 2.0 * math.pi, max(8, order))
+    R, PHI = np.meshgrid(r, phi, indexing="ij")
+    c = f(ChartPoints(chart, ((R * np.cos(PHI)).ravel(), (R * np.sin(PHI)).ravel()))).get((0, 1))
+    return float(np.sum(np.outer(wr * r, wphi).ravel() * c))
+
+
+def _small_disc_integrals(f, chart, radii, order):
+    """The discs r <= eps by the polar rule with n_r = max(8, order // 3)
+    radial nodes that integrated them beside the outer annulus."""
+    n_r = max(8, order // 3)
+    phi, wphi = periodic_rule(2 * n_r)
+    out = []
+    for radius in radii:
+        r, wr = gauss_legendre(0.0, radius, n_r)
+        R, PHI = np.meshgrid(r, phi, indexing="ij")
+        c = f(ChartPoints(chart, ((R * np.cos(PHI)).ravel(), (R * np.sin(PHI)).ravel())))
+        out.append(float(np.sum(np.outer(wr * r, wphi).ravel() * c.get((0, 1)))))
+    return out
 
 
 class TestDiscRule:
     @pytest.mark.parametrize("order", [6, 24, 48])
     @pytest.mark.parametrize("radius", [0.05, 0.2, 1.0])
     def test_exact_on_one_over_r(self, order, radius):
-        """The weight r cancels a 1/r singularity at the centre:
-        int dx1^dx2 / r = 2 pi R and int x1^2 / r dx1^dx2 = pi R^3 / 3."""
+        """The weight r cancels a 1/r singularity at the centre of a full
+        AnnulusRegion disc: int dx1^dx2 / r = 2 pi R and int x1^2 / r
+        dx1^dx2 = pi R^3 / 3."""
 
         def integral(coeff):
             f = FormField(2, 2, lambda p: PointwiseForm({(0, 1): coeff(*p.coords)}))
-            return disc_integrals(f, "c", (0.0, 0.0), [radius], order=order)[0]
+            disc = AnnulusRegion("c", (0.0, 0.0), 0.0, radius)
+            return base_integral_excised(f, [disc], order=order)[0]
 
         inv_r = integral(lambda x1, x2: 1.0 / np.hypot(x1, x2))
         assert inv_r == pytest.approx(2.0 * math.pi * radius, rel=1e-14)
         x1_sq = integral(lambda x1, x2: x1 * x1 / np.hypot(x1, x2))
         assert x1_sq == pytest.approx(math.pi * radius ** 3 / 3.0, rel=1e-14)
 
-    def test_difference_matches_annulus(self):
-        """disc(R) - disc(eps) is the annulus eps <= r <= R: it matches
-        AnnulusRegion on a smooth 2-form off the origin."""
-        center = (0.3, -0.2)
+    def test_one_batch_per_chart(self, monkeypatch):
+        """The regions of one chart go through the form as one batch, built
+        without ChartPoints.of, and the values come back in region order:
+        n_r = max(16, order // 3) radial times 2 n_r angular nodes each."""
+        batches = []
 
         def f(p):
-            x1, x2 = p.coords
-            return PointwiseForm({(0, 1): np.exp(0.7 * x1 - 0.4 * x2) * np.cos(x1 * x2)
-                                  + x1 ** 3})
-
-        field = FormField(2, 2, f)
-        big, small = disc_integrals(field, "c", center, [0.5, 0.1], order=48)
-        ring = base_integral_excised(
-            field, ExcisedDomain([AnnulusRegion("c", center, 0.1, 0.5)]), order=48)
-        assert big - small == pytest.approx(ring, abs=1e-13)
-
-    def test_one_batch_for_all_radii(self):
-        """All radii go through the form as one batch of ChartPoints.of:
-        n_r = max(8, order // 3) radial times 2 n_r angular nodes per disc."""
-        sizes = []
-
-        def f(p):
-            sizes.append(p.size)
+            batches.append((p.chart, p.size))
             return PointwiseForm({(0, 1): 1.0 + 0.0 * p.coords[0]})
 
-        areas = disc_integrals(FormField(2, 2, f), "c", (0.0, 0.0), [0.2, 0.1, 0.05], order=48)
-        assert sizes == [3 * 16 * 32]
-        assert areas == pytest.approx([math.pi * r * r for r in (0.2, 0.1, 0.05)], rel=1e-14)
-        sizes.clear()
-        disc_integrals(FormField(2, 2, f), "c", (0.0, 0.0), [0.2], order=6)
-        assert sizes == [8 * 16]
+        monkeypatch.setattr(ChartPoints, "of", None)
+        radii = [("a", 0.2), ("b", 1.0), ("a", 0.1), ("a", 0.05)]
+        areas = base_integral_excised(
+            FormField(2, 2, f), [AnnulusRegion(c, (0.0, 0.0), 0.0, r) for c, r in radii],
+            order=48)
+        assert batches == [("a", 3 * 16 * 32), ("b", 16 * 32)]
+        assert areas == pytest.approx([math.pi * r * r for _, r in radii], rel=1e-14)
+        for order, n_r in ((6, 16), (96, 32)):
+            batches.clear()
+            base_integral_excised(FormField(2, 2, f), [AnnulusRegion("c", (0.0, 0.0), 0.0, 0.2)],
+                                  order=order)
+            assert batches == [("c", n_r * 2 * n_r)]
 
     def test_rejects_non_base_two_form(self):
         with pytest.raises(ValueError):
-            disc_integrals(FormField(2, 1, lambda p: PointwiseForm()), "c", (0.0, 0.0), [0.1])
+            base_integral_excised(FormField(2, 1, lambda p: PointwiseForm()),
+                                  [AnnulusRegion("c", (0.0, 0.0), 0.0, 0.1)])
 
-    def test_gbc_per_eps_matches_shell_sums(self):
+    @pytest.mark.parametrize("order", [16, 48])
+    def test_gbc_per_eps_matches_annulus_construction(self, order):
         """On the Randers integrand with a perturbed connection, the per-eps
-        values outer + disc(eps_0) - disc(eps) equal the sums of the 2-D
-        shell annuli eps <= r <= eps_prev that they replace."""
+        values vol(S^1) sum of I(1) - I(eps) over the unit discs equal the
+        construction they replace: the outer annulus eps_0 <= r <= 1 by
+        Gauss-Legendre panels plus, per zero, disc(eps_0) - disc(eps)."""
         from finslergbc.cli import (
             VOL_S1, ExperimentConfig, _build_atlas, _build_connections, _build_field,
             _metric_params, run_gbc,
@@ -411,20 +430,21 @@ class TestDiscRule:
         from finslergbc.manifolds import install_metric
 
         cfg = ExperimentConfig(metric="randers", metric_eps=0.1, connection="perturbed",
-                               perturbation_amplitude=0.2, order_base=16, order_fiber=16,
+                               perturbation_amplitude=0.2, order_base=order, order_fiber=16,
                                epsilon_schedule=(0.2, 0.1, 0.05))
         report = run_gbc(cfg)
         atlas = _build_atlas(cfg)
         metric = install_metric(atlas, cfg.metric, _metric_params(cfg))
         fcD, fcN, _, _ = _build_connections(cfg, atlas, metric)
         forms = TransgressionForms(metric, fcD, fcN, order_fiber=cfg.order_fiber)
-        f = pullback_by_section(forms.gbc_integrand(), _build_field(cfg, atlas))
-        total = report.convergence[0][1] / VOL_S1
-        for (eps_prev, _), (eps, value) in zip(report.convergence, report.convergence[1:]):
-            shells = ExcisedDomain([AnnulusRegion(chart, (0.0, 0.0), eps, eps_prev)
-                                    for chart in atlas.chart_ids])
-            total += base_integral_excised(f, shells, order=cfg.order_base)
-            assert abs(VOL_S1 * total - value) <= 1e-12, eps
+        f = forms.gbc_integrand(_build_field(cfg, atlas))
+        schedule = [eps for eps, _ in report.convergence]
+        outer = sum(_panel_annulus_integral(f, chart, schedule[0], order)
+                    for chart in atlas.chart_ids)
+        discs = [_small_disc_integrals(f, chart, schedule, order) for chart in atlas.chart_ids]
+        for k, (eps, value) in enumerate(report.convergence):
+            want = VOL_S1 * (outer + sum(d[0] - d[k] for d in discs))
+            assert abs(value - want) <= 1e-12, eps
 
 
 class TestBoundaryCircle:
@@ -525,9 +545,7 @@ class TestConvergence:
         forms = TransgressionForms(round_metric, cartan_frame_round, cartan_frame_round)
         X = rotational_field(sphere)
         f2 = pullback_by_section(forms.gbc_integrand(), X)
-        dom = sphere.excised_domain(
-            [("south", (0.0, 0.0), 0.2), ("north", (0.0, 0.0), 0.2)]
-        )
-        i24 = base_integral_excised(f2, dom, order=24)
-        i48 = base_integral_excised(f2, dom, order=48)
+        rings = [AnnulusRegion(chart, (0.0, 0.0), 0.2, 1.0) for chart in ("south", "north")]
+        i24 = sum(base_integral_excised(f2, rings, order=24))
+        i48 = sum(base_integral_excised(f2, rings, order=48))
         assert abs(i48 - i24) < 0.1 * 1e-2
