@@ -72,15 +72,18 @@ __all__ = ["ExperimentConfig", "Report", "ReportRow", "run_gbc",
 
 VOL_S1 = 2.0 * math.pi
 
-# How far gbc_disc_limit may lie from chi.  It reaches chi within 3.1e-13
-# on the built-in sphere scenarios at every base order from 6 up (Randers
-# 0.9 is the worst case; the others are within 1.8e-15), so a 1e-6
-# relative change of the integrand fails the row by six orders.
+# How far gbc_disc_limit may lie from chi.  On the built-in sphere
+# scenarios it reaches chi within 3.1e-13 on the 16 x 32 disc rule that
+# every base order up to 50 runs (Randers 0.9 is the worst case; the others
+# are within 1.8e-15), and within 4.9e-15 at base orders 96 and 192 (n_r =
+# 32 and 64), so a 1e-6 relative change of the integrand fails the row by
+# six orders.
 DISC_LIMIT_TOL = 1e-12
 
 # The largest base or fiber quadrature order.  Both rules converge
-# spectrally (gbc_disc_limit reaches chi to 3.1e-13 from base order 6), so
-# a higher order gains nothing, while a chart is one batch of four discs
+# spectrally (gbc_disc_limit reaches chi to 3.1e-13 on the 16 x 32 disc
+# rule of base orders up to 50, and to 4.9e-15 at 96 and 192), so a
+# higher order gains nothing, while a chart is one batch of four discs
 # of order/3 x 2 order/3 nodes: about 0.55 GiB and 8 s for a Randers run
 # at 512 (scaled from 110 MiB and 1.1 s at order 192 on 2 vCPU).  Order
 # 1e8 asked leggauss for an order x order matrix.

@@ -364,7 +364,8 @@ class AnnulusRegion:
         w_phi (dx1 ^ dx2 = r dr ^ dphi).  On a full disc an integrand f that
         is O(1/r) at the centre, with r f smooth in (r, phi), is integrated
         to rounding (Duffy, SIAM J. Numer. Anal. 19(6), 1982); n_r = 8
-        would miss chi on the unit disc by up to 1e-7."""
+        would miss chi on the unit disc by up to 1e-7.  Every order up to
+        50 runs the same 16 x 32 rule; n_r grows from order 51 on."""
         n_r = max(16, order // 3)
         r, wr = gauss_legendre(self.r_inner, self.r_outer, n_r)
         phi, wphi = periodic_rule(2 * n_r)

@@ -510,7 +510,7 @@ class TestCohomologyStability:
         vals = []
         for forms in (forms1, perturbed_setup):
             f2 = pullback_by_section(forms.gbc_integrand(), X)
-            vals.append(sum(base_integral_excised(f2, rings, order=24)))
+            vals.append(sum(base_integral_excised(f2, rings, order=48)))
         assert vals[0] == pytest.approx(vals[1], abs=2e-6)
 
 

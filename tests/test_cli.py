@@ -211,13 +211,15 @@ class TestRunners:
         assert not report.row("gbc_disc_limit").passed
         assert not report.passed
 
-    def test_disc_limit_holds_at_low_order(self):
-        """The polar unit discs reach chi within 1e-12 at base order 6 on
-        the degree-2 stereographic field with a strong Randers metric; a
-        Gauss-Legendre annulus outside the zeros missed it there by
-        4.4e-5."""
+    @pytest.mark.parametrize("order_base", [6, 96])
+    def test_disc_limit_holds_at_low_order(self, order_base):
+        """The polar unit discs reach chi within 1e-12 on the degree-2
+        stereographic field with a strong Randers metric.  Base order 6
+        runs the 16 x 32 floor rule that every order up to 50 runs; a
+        Gauss-Legendre annulus outside the zeros missed chi there by
+        4.4e-5.  Order 96 runs the 32 x 64 rule."""
         cfg = ExperimentConfig(metric="randers", metric_eps=0.7, connection="chern_modified",
-                               vector_field="stereographic_power", order_base=6)
+                               vector_field="stereographic_power", order_base=order_base)
         assert DISC_LIMIT_TOL == 1e-12
         assert run_gbc(cfg).row("gbc_disc_limit").passed
 
