@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -59,6 +60,7 @@ def sort_with_parity(idx) -> tuple[Index, int]:
     return tuple(seq), sign
 
 
+@cache
 def merge_sign(left: Index, right: Index) -> tuple[Index, int]:
     """Wedge two strictly increasing multi-indices: (merged, sign or 0)."""
     if set(left) & set(right):

@@ -331,10 +331,23 @@ def pullback_by_section(f: FormField, section) -> FormField:
 
 
 def gauss_legendre(a: float, b: float, order: int):
-    """Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    """Gauss-Legendre nodes and weights 2/((1 - x^2) P_n'(x)^2) on [a, b], ascending:
+    Newton on P_n's recurrence from Tricomi's nodes, symmetrised (Hale & Townsend 2013)."""
+    x = -np.cos(math.pi * (np.arange(order) + 0.75) / (order + 0.5))
+    x *= 1.0 - (order - 1) / (8.0 * order ** 3)
+    dx = 1.0
+    while True:
+        p0, p1 = 1.0, x
+        for k in range(2, order + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = order * (x * p1 - p0) / (x * x - 1.0)
+        if np.abs(dx).max() < 1e-15:
+            break
+        dx = p1 / dp
+        x = x - dx
+    x, w = 0.5 * (x - x[::-1]), 2.0 / ((1.0 - x * x) * dp * dp)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+    return mid + half * x, 0.5 * half * (w + w[::-1])
 
 
 def periodic_rule(order: int):

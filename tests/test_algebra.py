@@ -53,6 +53,30 @@ class TestIndexLogic:
         assert merge_sign((0, 2), (1,)) == ((0, 1, 2), -1)
         assert merge_sign((0,), (0,))[1] == 0
 
+    def test_merge_sign_matches_sort_with_parity(self):
+        """Every pair of strictly increasing tuples of length <= 3 over
+        range(5): merge_sign's sign is sort_with_parity's (0 on a repeated
+        index) and, when nonzero, so is the merged tuple."""
+        from itertools import combinations
+
+        tuples = [c for k in range(4) for c in combinations(range(5), k)]
+        for left in tuples:
+            for right in tuples:
+                merged, sign = merge_sign(left, right)
+                want, want_sign = sort_with_parity(left + right)
+                assert sign == want_sign, (left, right)
+                if sign:
+                    assert merged == want
+
+    def test_merge_sign_is_memoised(self):
+        """A repeated call is a cache hit and returns an equal, immutable
+        result, so no caller can alter what the cache hands out."""
+        first = merge_sign((0, 3), (1, 2))
+        hits = merge_sign.cache_info().hits
+        assert merge_sign((0, 3), (1, 2)) == first == ((0, 1, 2, 3), 1)
+        assert merge_sign.cache_info().hits == hits + 1
+        assert isinstance(first, tuple) and isinstance(first[0], tuple)
+
 
 class TestProduct:
     def test_pure_fiber_wedge(self):

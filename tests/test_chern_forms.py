@@ -107,12 +107,12 @@ class TestCoefficients:
 
     def test_gamma_quadrature_identity(self):
         """int_0^inf t^{n-1-2k} e^{-t^2} dt = Gamma((n-2k)/2)/2 for the
-        (n, k) pairs the transgression uses, to 1e-12."""
+        (n, k) pairs the transgression uses, to 1e-14."""
         for n, k in ((2, 0), (3, 0), (3, 1), (4, 0), (4, 1)):
             m = n - 1 - 2 * k
             t, w = gauss_legendre(0.0, 14.0, 500)
             quad = float(np.sum(w * t ** m * np.exp(-t * t)))
-            assert quad == pytest.approx(0.5 * math.gamma((n - 2 * k) / 2.0), abs=1e-12)
+            assert quad == pytest.approx(0.5 * math.gamma((n - 2 * k) / 2.0), abs=1e-14)
 
     def test_epsilon_constant(self):
         assert epsilon_constant(2) == 1.0

@@ -34,6 +34,29 @@ def fast_cfg():
     )
 
 
+def _loaded_in_fresh_interpreter(call: str, modules) -> list:
+    """Those of modules that are in sys.modules after a fresh interpreter
+    runs call, a cli runner call whose report must pass."""
+    import subprocess
+    import sys
+
+    import finslergbc
+
+    code = (
+        "import sys\n"
+        "from finslergbc.cli import ExperimentConfig, run_gbc, run_identity_suite\n"
+        f"assert {call}.passed\n"
+        f"print(*(m for m in {tuple(modules)!r} if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(finslergbc.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
 class TestConfig:
     def test_from_file(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -225,28 +248,20 @@ class TestRunners:
 
     def test_gbc_loads_no_numpy_random_or_ma(self):
         """A gbc run draws its certification samples from the standard
-        library and takes find_zeros' median without np.median, so neither
-        numpy.random nor numpy.ma is imported, in a fresh interpreter."""
-        import subprocess
-        import sys
+        library, takes find_zeros' median without np.median and builds its
+        Gauss-Legendre rules by Newton's method, so neither numpy.random,
+        numpy.ma nor numpy.polynomial is imported, in a fresh interpreter."""
+        cfg = ("ExperimentConfig(metric='randers', connection='perturbed', order_base=12,"
+               " order_fiber=16)")
+        assert _loaded_in_fresh_interpreter(
+            f"run_gbc({cfg})", ("numpy.random", "numpy.ma", "numpy.polynomial")) == []
 
-        import finslergbc
-
-        code = (
-            "import sys\n"
-            "from finslergbc.cli import ExperimentConfig, run_gbc\n"
-            "cfg = ExperimentConfig(metric='randers', connection='perturbed', order_base=12,"
-            " order_fiber=16)\n"
-            "assert run_gbc(cfg).passed\n"
-            "print(sorted(m for m in ('numpy.random', 'numpy.ma') if m in sys.modules))\n"
-        )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(finslergbc.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "[]"
+    def test_identities_load_no_numpy_polynomial(self):
+        """The identity suite's gamma-coefficient rule comes from
+        gauss_legendre too, so it leaves numpy.polynomial unloaded."""
+        cfg = "ExperimentConfig(metric='randers', identity_samples=20)"
+        assert _loaded_in_fresh_interpreter(
+            f"run_identity_suite({cfg})", ("numpy.polynomial",)) == []
 
     @pytest.mark.parametrize("field", ["rotational", "height_gradient"])
     @pytest.mark.parametrize("connection", ["cartan", "perturbed", "chern_modified"])
@@ -537,6 +552,20 @@ def _scale_primitive(m, cf, cn):
 class TestIdentityBounds:
     """Each FD-based identity row fails under a seeded mutation that moves
     it by far less than the earlier bounds (1e-5, lemma35 1e-4) allowed."""
+
+    def test_gamma_row_fails_on_a_coarse_rule(self, monkeypatch):
+        """gamma_coefficient_identity reads about 2e-15 on its 64-node rule,
+        under its 1e-14 bound; capped at 24 nodes it reads about 4e-9."""
+        import finslergbc.cli as cli
+
+        cfg = ExperimentConfig(metric="round_sphere", identity_samples=2)
+        assert run_identity_suite(cfg).row("gamma_coefficient_identity").passed
+        rule = cli.gauss_legendre
+        monkeypatch.setattr(cli, "gauss_legendre",
+                            lambda a, b, order: rule(a, b, min(order, 24)))
+        row = run_identity_suite(cfg).row("gamma_coefficient_identity")
+        assert not row.passed
+        assert 1e-9 < row.value < 1e-8
 
     @pytest.mark.parametrize("row,old_bound,connection,mutate", [
         ("eq33_dPi_minus_omega_nabla", 1e-5, "cartan", _scale_pi_weights),
