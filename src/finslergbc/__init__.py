@@ -8,25 +8,21 @@ checks of every intermediate identity.
 """
 
 from .algebra import BigradedElement, SkewMatrixValuedForm, berezin, exp_truncated, pfaffian
-from .chern_forms import TransgressionBundle, TransgressionForms, mathai_quillen_Ut
+from .chern_forms import TransgressionForms, mathai_quillen_Ut
 from .connection import (
     cartan_connection,
     chern_connection,
     curvature,
     modify,
     perturb_metric_compatible,
-    spray_connection,
     to_orthonormal_frame,
 )
 from .manifolds import install_metric, sphere_atlas, torus_atlas
 from .metric import (
     FinslerMetric,
     MinkowskiNorm,
-    cartan_tensor,
     fiber_volume,
-    fundamental_tensor,
     indicatrix_param,
-    orthonormal_frame,
     sum_norms,
 )
 from .quadrature import (

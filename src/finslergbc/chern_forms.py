@@ -42,7 +42,6 @@ from .quadrature import (
 )
 
 __all__ = [
-    "TransgressionBundle",
     "MathaiQuillenState",
     "phi_k",
     "pi_coefficients",
@@ -55,16 +54,10 @@ __all__ = [
     "frak_e",
     "mathai_quillen_Ut",
     "TransgressionForms",
-    "epsilon_constant",
 ]
 
 IMAG_TOL = 1e-10
 _FORMS_SEQ = count()
-
-
-def epsilon_constant(n: int):
-    """1 for even rank, i for odd rank."""
-    return 1.0 if n % 2 == 0 else 1.0j
 
 
 # ---------------------------------------------------------------------------
@@ -287,23 +280,7 @@ def mathai_quillen_Ut(t: float, nabla_ell: BigradedElement,
 
 
 # ---------------------------------------------------------------------------
-# bundled pipeline forms
-
-
-@dataclass
-class TransgressionBundle:
-    """The named forms of the transgression pipeline at fixed rank."""
-
-    n: int
-    Phi: list
-    Pi: FormField
-    Upsilon0: FormField
-    Upsilon1: FormField
-    Upsilon2: FormField | None
-    FrakE: FormField
-    OmegaD: FormField
-    OmegaNabla: FormField
-    epsilon_n: complex
+# pipeline forms
 
 
 class TransgressionForms:
@@ -392,20 +369,6 @@ class TransgressionForms:
     def frak_e_field(self) -> FormField:
         return frak_e(self.upsilon0(), self.upsilon1(), self.upsilon2(),
                       self.dlogv_field())
-
-    def bundle(self) -> TransgressionBundle:
-        return TransgressionBundle(
-            n=self.n,
-            Phi=[self.phi(k) for k in range(len(pi_coefficients(self.n)))],
-            Pi=self.pi(),
-            Upsilon0=self.upsilon0(),
-            Upsilon1=self.upsilon1(),
-            Upsilon2=self.upsilon2(),
-            FrakE=self.frak_e_field(),
-            OmegaD=self.omega_D(),
-            OmegaNabla=self.omega_nabla(),
-            epsilon_n=epsilon_constant(self.n),
-        )
 
     # --- algebra-level elements at sample points -------------------------------
     def nabla_ell_element(self, pts: ChartPoints) -> BigradedElement:

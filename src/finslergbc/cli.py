@@ -179,6 +179,10 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Reject settings that no scenario can run correctly with."""
+        if self.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed}")
+        if self.fmt not in ("csv", "table"):
+            raise ValidationError(f"output format must be csv or table, got {self.fmt!r}")
         if not 1 <= self.identity_samples <= MAX_IDENTITY_SAMPLES:
             raise ValidationError(
                 f"identity samples must lie in [1, {MAX_IDENTITY_SAMPLES}], "
@@ -333,7 +337,12 @@ def _build_field(cfg: ExperimentConfig, atlas: Atlas) -> SectionField:
     if kind == "stereographic_power":
         return stereographic_power_field(atlas, cfg.field_power)
     if kind == "custom":
-        return custom_field(atlas, cfg.field_exprs)
+        X = custom_field(atlas, cfg.field_exprs)
+        if set(X.components) != set(atlas.chart_ids):
+            raise ValidationError(
+                f"custom field on the {atlas.name} needs components in charts "
+                f"{', '.join(atlas.chart_ids)}, got {', '.join(X.components) or 'none'}")
+        return X
     raise ValidationError(f"unknown vector field {kind!r}")
 
 
@@ -829,7 +838,7 @@ def main(argv=None) -> int:
     except FinslerError as exc:
         sys.stderr.write(f"error [{type(exc).__name__}]: {exc}\n")
         return 2
-    emit_report(report, cfg.out_dir, cfg.fmt or "table")
+    emit_report(report, cfg.out_dir, cfg.fmt)
     return 0 if report.passed else 1
 
 

@@ -19,7 +19,6 @@ curvature is  Omega_i^j = d varpi_i^j - varpi_i^k ^ varpi_k^j.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass, field
 from itertools import count
@@ -28,7 +27,7 @@ import numpy as np
 
 from .ad import Dual, partial, value
 from .errors import ValidationError
-from .metric import FinslerMetric, MetricJets, _default_chart, metric_jets
+from .metric import FinslerMetric, MetricJets, metric_jets
 from .quadrature import ChartPoints, FormField, PointwiseForm, central_partials
 
 __all__ = [
@@ -38,9 +37,7 @@ __all__ = [
     "CurvatureData",
     "ChartTensors",
     "bundle_tensors",
-    "spray_connection",
     "explicit_ehresmann",
-    "chern_horizontal",
     "chern_connection",
     "cartan_connection",
     "modify",
@@ -51,7 +48,6 @@ __all__ = [
     "omega_tables",
     "perturb_metric_compatible",
     "horizontal_part",
-    "connection_family",
     "metric_compat_residual",
 ]
 
@@ -68,36 +64,17 @@ _EHRESMANN_SEQ = count()
 
 @dataclass
 class EhresmannData:
-    """Coefficients N^j_A of a horizontal splitting; ``at`` evaluates the
-    matrix at a point, ``table`` (if set) replaces the canonical spray."""
+    """An explicit horizontal splitting: ``table(chart, x, y)`` gives the
+    coefficients N^j_A in place of the canonical spray, which every
+    consumer takes when handed None."""
 
-    kind: str
-    metric: FinslerMetric | None = None
-    table: object = None  # callable(chart, x, y) -> (n, n) of arrays
+    table: object  # callable(chart, x, y) -> (n, n) of arrays
     token: int = field(default_factory=lambda: next(_EHRESMANN_SEQ))
-
-    def at(self, x, y, chart: str | None = None) -> np.ndarray:
-        if self.kind == "explicit":
-            return np.asarray(self.table(chart, x, y), dtype=float)
-        tens = _point_tensors(self.metric, None, x, y, chart)
-        # spray N is 1-homogeneous; the tensors were taken at the unit ray
-        scale = math.hypot(float(y[0]), float(y[1]))
-        return np.array([[float(tens.N[i][j]) * scale for j in range(N_RANK)]
-                         for i in range(N_RANK)])
-
-
-def spray_connection(metric: FinslerMetric, x=None, y=None, chart: str | None = None):
-    """Canonical Ehresmann connection from the geodesic spray,
-    N^i_j = dG^i/dy^j.  With x, y supplied returns the matrix directly."""
-    data = EhresmannData("spray", metric=metric)
-    if x is not None and y is not None:
-        return data.at(x, y, chart)
-    return data
 
 
 def explicit_ehresmann(table) -> EhresmannData:
     """General-bundle mode: the caller supplies N^j_A directly."""
-    return EhresmannData("explicit", table=table)
+    return EhresmannData(table)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +200,7 @@ def bundle_tensors(metric: FinslerMetric, pts: ChartPoints,
     jets = metric_jets(metric, pts.chart, x1, x2, th)
     n = N_RANK
     N_override = None
-    if ehresmann is not None and ehresmann.kind == "explicit":
+    if ehresmann is not None:
         N_override = ehresmann.table(pts.chart, [x1, x2], jets.u)
     der = _derived_tensors(jets, N_override)
     F, u, v = jets.F, jets.u, jets.v
@@ -264,25 +241,6 @@ def bundle_tensors(metric: FinslerMetric, pts: ChartPoints,
     )
     pts.cache[key] = tens
     return tens
-
-
-def _point_tensors(metric: FinslerMetric, ehresmann, x, y, chart: str | None) -> ChartTensors:
-    """bundle_tensors at the single bundle point (x, [y])."""
-    th = math.atan2(float(y[1]), float(y[0]))
-    pts = ChartPoints(_default_chart(metric, chart), (float(x[0]), float(x[1]), th))
-    return bundle_tensors(metric, pts, ehresmann)
-
-
-def chern_horizontal(metric: FinslerMetric, ehresmann, x, y, chart: str | None = None):
-    """Horizontal coefficients gamma^i_{jA} of the Chern-type connection,
-    solving the partial metric-compatibility + symmetry system at (x, y)
-    in the splitting defined by ``ehresmann`` (spray when None)."""
-    gamma = _point_tensors(metric, ehresmann, x, y, chart).gamma_chern
-    n = N_RANK
-    return np.array(
-        [[[float(gamma[i][j][Aa]) for Aa in range(n)] for j in range(n)]
-         for i in range(n)]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -500,24 +458,6 @@ def _require_skew(P, pts, tol: float = 1e-10) -> None:
                 s = P[i][j][a] + P[j][i][a]
                 if float(np.max(np.abs(s))) > tol:
                     raise ValidationError("perturbation is not skew in the frame indices")
-
-
-def connection_family(D: FrameConnection, nabla: FrameConnection, s: float) -> FrameConnection:
-    """D_s = s nabla + (1 - s) D on the level of frame forms."""
-
-    def pi_of(pts: ChartPoints):
-        pa = D.pi(pts)
-        pb = nabla.pi(pts)
-        n = D.n
-        return [
-            [
-                [(1.0 - s) * pa[i][j][a] + s * pb[i][j][a] for a in range(AXES)]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-
-    return FrameConnection(f"family({D.label},{nabla.label};{s})", D.metric, pi_of)
 
 
 # ---------------------------------------------------------------------------

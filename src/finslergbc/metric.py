@@ -32,9 +32,6 @@ from .quadrature import periodic_rule
 __all__ = [
     "MinkowskiNorm",
     "FinslerMetric",
-    "FundamentalTensor",
-    "CartanTensor",
-    "OrthonormalFrame",
     "MetricJets",
     "euclidean_norm",
     "riemannian_norm",
@@ -43,13 +40,9 @@ __all__ = [
     "sum_norms",
     "y_jets",
     "metric_jets",
-    "fundamental_tensor",
-    "cartan_tensor",
     "indicatrix_param",
     "fiber_volume_form",
     "fiber_volume",
-    "orthonormal_frame",
-    "norm_orthonormal_frame",
 ]
 
 
@@ -233,41 +226,6 @@ class FinslerMetric:
                              f"{self.label}@{chart}")
 
 
-@dataclass
-class FundamentalTensor:
-    g: np.ndarray
-    g_inv: np.ndarray
-
-
-@dataclass
-class CartanTensor:
-    A: np.ndarray
-    A_raised: np.ndarray
-
-
-@dataclass
-class OrthonormalFrame:
-    """Rows of B are the frame vectors e_i in the coordinate frame; the
-    last row is the tautological unit section l = y / F."""
-
-    B: np.ndarray
-    B_inv: np.ndarray
-
-
-def fundamental_tensor(metric: FinslerMetric, x, y, chart: str | None = None) -> FundamentalTensor:
-    g = metric.norm_at(_default_chart(metric, chart), x).fundamental(y)
-    if np.any(np.linalg.eigvalsh(g) <= 0):
-        raise InvalidMetricError("fundamental tensor is not positive definite")
-    return FundamentalTensor(g, np.linalg.inv(g))
-
-
-def cartan_tensor(metric: FinslerMetric, x, y, chart: str | None = None) -> CartanTensor:
-    chart = _default_chart(metric, chart)
-    A = metric.norm_at(chart, x).cartan(y)
-    g_inv = fundamental_tensor(metric, x, y, chart).g_inv
-    return CartanTensor(A, np.einsum("il,ljk->ijk", g_inv, A))
-
-
 def _squared(metric: FinslerMetric, chart: str):
     return lambda xx, yy: metric.charts[chart](xx, yy) ** 2
 
@@ -406,54 +364,6 @@ def _concatenate(parts):
     if isinstance(parts[0], Dual):
         return Dual(_concatenate([p.val for p in parts]), _concatenate([p.eps for p in parts]))
     return np.concatenate(parts, axis=-1)
-
-
-def orthonormal_frame(metric: FinslerMetric, x, y, chart: str | None = None) -> OrthonormalFrame:
-    """g-orthonormal frame with e_n = l = y/F and positive orientation.
-
-    For n = 2 the first vector is fixed in closed form: w^i = eps^{ij}
-    (g l)_j makes (e_1, e_2 = l) positively oriented with no sign branch,
-    so the frame is smooth around the whole fiber.
-    """
-    chart = _default_chart(metric, chart)
-    _require_nonzero(y)
-    g = fundamental_tensor(metric, x, y, chart).g
-    F = float(value(metric.charts[chart](list(x), list(y))))
-    l = np.asarray(y, dtype=float) / F
-    lhat = g @ l
-    w = np.array([lhat[1], -lhat[0]])
-    e1 = w / math.sqrt(float(w @ g @ w))
-    B = np.vstack([e1, l])
-    return OrthonormalFrame(B, np.linalg.inv(B))
-
-
-def norm_orthonormal_frame(norm: MinkowskiNorm, y, orientation: int = 1) -> OrthonormalFrame:
-    """Pointwise g-orthonormal frame of a Minkowski norm at y, any rank.
-
-    Gram-Schmidt against g with the unit ray l placed last; the standard
-    basis seeds the remaining vectors and e_1 flips if needed so that the
-    frame orientation matches the requested one."""
-    _require_nonzero(y)
-    n = norm.n
-    g = norm.fundamental(y)
-    F = float(norm(y))
-    l = np.asarray(y, dtype=float) / F
-    rows = [l]
-    for seed_vec in np.eye(n):
-        v = seed_vec.copy()
-        for e in rows:
-            v = v - float(e @ g @ v) * e
-        nv = float(v @ g @ v)
-        if nv > 1e-12:
-            rows.append(v / math.sqrt(nv))
-        if len(rows) == n:
-            break
-    if len(rows) < n:
-        raise InvalidMetricError("degenerate metric: frame completion failed")
-    B = np.vstack(rows[1:] + [l])
-    if float(np.linalg.det(B)) * orientation < 0:
-        B[0] = -B[0]
-    return OrthonormalFrame(B, np.linalg.inv(B))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ degrees by winding, and Poincare-Hopf bookkeeping."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "find_zeros",
     "local_degree",
     "poincare_hopf_sum",
-    "induced_section",
 ]
 
 
@@ -291,12 +290,3 @@ def check_euler_characteristic(records, atlas: Atlas) -> int:
             f"degree sum {total} does not match chi({atlas.name}) = {atlas.chi}"
         )
     return total
-
-
-def induced_section(X: SectionField, metric, x, chart: str) -> tuple:
-    """The sphere-bundle point (x, theta) under [X]; rejects zeros."""
-    v1, v2 = X.value(chart, float(x[0]), float(x[1]))
-    v1, v2 = float(value(v1)), float(value(v2))
-    if math.hypot(v1, v2) == 0.0:
-        raise DomainError("induced section undefined at a zero of X")
-    return (float(x[0]), float(x[1])), math.atan2(v2, v1)

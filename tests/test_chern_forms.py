@@ -11,7 +11,6 @@ import pytest
 from finslergbc.algebra import SkewMatrixValuedForm, pfaffian, sort_with_parity
 from finslergbc.chern_forms import (
     TransgressionForms,
-    epsilon_constant,
     mathai_quillen_Ut,
     phi_k,
     pi_coefficients,
@@ -113,11 +112,6 @@ class TestCoefficients:
             t, w = gauss_legendre(0.0, 14.0, 500)
             quad = float(np.sum(w * t ** m * np.exp(-t * t)))
             assert quad == pytest.approx(0.5 * math.gamma((n - 2 * k) / 2.0), abs=1e-14)
-
-    def test_epsilon_constant(self):
-        assert epsilon_constant(2) == 1.0
-        assert epsilon_constant(4) == 1.0
-        assert epsilon_constant(3) == 1.0j
 
 
 class TestPhiK:
@@ -236,19 +230,6 @@ class TestTransgression:
         assert (randers_forms.pi()(pts) - randers_forms.upsilon1()(pts)).max_abs() < 1e-14
         assert randers_forms.upsilon2() is None
 
-    def test_bundle_container(self, randers_forms):
-        """The named-form container wires up dimension-consistent fields
-        with the split Pi = Upsilon1 + Upsilon2 holding exactly."""
-        b = randers_forms.bundle()
-        assert b.n == 2
-        assert len(b.Phi) == 1
-        assert b.epsilon_n == 1.0
-        pts = bundle_points("south", 6, seed=148)
-        assert (b.Pi(pts) - b.Upsilon1(pts)).max_abs() < 1e-14
-        assert b.Upsilon2 is None
-        assert b.OmegaD.degree == 2 and b.Upsilon0.degree == 1
-        assert (b.OmegaD(pts) - b.OmegaNabla(pts)).max_abs() < 1e-14
-
 
 class TestUpsilon0:
     def test_equal_connections_zero(self, randers_forms):
@@ -264,6 +245,7 @@ class TestUpsilon0:
     def test_chern_weil_identity_perturbed(self, perturbed_setup):
         """d Upsilon_0 = Omega^D - Omega^nabla with both sides nonzero."""
         forms = perturbed_setup
+        assert forms.omega_D().degree == 2 and forms.upsilon0().degree == 1
         pts = bundle_points("south", 40, seed=51)
         du0 = exterior_derivative(forms.upsilon0())(pts)
         diff = forms.omega_D()(pts) - forms.omega_nabla()(pts)

@@ -356,13 +356,16 @@ class TestMainEntry:
         ["--tolerance", "nan"],
         ["--tolerance", "-1"],
         ["--tolerance", "0"],
+        ["--seed", "-1"],
+        ["--manifold", "torus", "--metric", "flat_torus", "--field", "custom"],
     ])
     def test_invalid_config_rejected(self, flags, capsys):
         """Nonpositive, repeated or non-numeric radii, radii past the unit
         chart disk, empty quadrature rules, no identity samples, a config
-        file that does not exist, a non-finite perturbation amplitude and a
-        tolerance that is not a positive finite number exit 2 before any
-        work is done."""
+        file that does not exist, a non-finite perturbation amplitude, a
+        tolerance that is not a positive finite number, a negative seed and
+        a custom field with no component in the torus chart exit 2 before
+        any work is done."""
         assert main(["gbc", *flags]) == 2
         assert "ValidationError" in capsys.readouterr().err
 
@@ -387,12 +390,17 @@ class TestMainEntry:
         "[ehresmann]\ntype = explicit\nn11 = __import__('os').getpid() * y1\n",
         "[scenario]\nseed = abc\n",
         "[connection]\ntype = perturbed\nperturbation_amplitude = nan\n",
+        "[vector_field]\ntype = custom\nsouth_u = u*u - v*v\nsouth_v = 2*u*v\n",
+        "[output]\nformat = xml\n",
     ], ids=["missing-v", "syntax", "attribute-escape", "call-escape", "bad-number",
-            "nan-amplitude"])
+            "nan-amplitude", "missing-chart", "bad-format"])
     def test_invalid_ini_rejected(self, section, tmp_path, capsys):
         """An incomplete field pair, expressions outside the arithmetic
-        whitelist, a malformed number and a non-finite amplitude exit 2 with
-        a ValidationError, not a traceback."""
+        whitelist, a malformed number, a non-finite amplitude, a custom field
+        that leaves out the north chart (its degree-2 zero in the south
+        chart alone sums to chi, so only the chart check stops it) and an
+        output format other than csv or table exit 2 with a ValidationError,
+        not a traceback."""
         path = tmp_path / "bad.ini"
         path.write_text(section)
         assert main(["gbc", "--config", str(path)]) == 2
@@ -444,6 +452,12 @@ class TestMinkowskiSweep:
         assert report.passed
         assert report.row("sum_norm_failures").value == 0.0
         assert report.row("sum_norm_min_eigenvalue").value > 0.0
+
+    def test_negative_seed_rejected(self, capsys):
+        """A negative seed exits 2 with a ValidationError; numpy's generator
+        would end the run in a ValueError traceback."""
+        assert main(["minkowski-props", "--seed", "-1"]) == 2
+        assert "ValidationError" in capsys.readouterr().err
 
 
 class TestFieldAndMetricIndependence:

@@ -1,5 +1,5 @@
 """Ehresmann/spray connection, Chern horizontal part, the modification,
-frame transforms, curvature, and connection families."""
+frame transforms and curvature."""
 
 import math
 
@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from finslergbc.connection import (
+    _frame_fields,
     bundle_tensors,
     cartan_connection,
     chern_connection,
-    chern_horizontal,
-    connection_family,
     curvature,
     explicit_ehresmann,
     frame_transform,
@@ -21,10 +20,9 @@ from finslergbc.connection import (
     perturb_metric_compatible,
     perturbed_connection_data,
     sinusoidal_perturbation,
-    spray_connection,
     to_orthonormal_frame,
 )
-from finslergbc.errors import DomainError, ValidationError
+from finslergbc.errors import ValidationError
 from finslergbc.quadrature import ChartPoints
 
 from conftest import bundle_points
@@ -37,76 +35,75 @@ def frame_skew_residual(conn, pts) -> float:
                for i in range(conn.n) for j in range(conn.n) for a in range(3))
 
 
-def christoffel_round(x):
-    """Levi-Civita Christoffel symbols of the conformal round metric
-    lambda(x) delta_ij, computed from the closed form of the conformal
-    factor: Gamma^i_{jk} = (d_j s) d_ik + (d_k s) d_ij - (d_i s) d_jk with
-    s = log sqrt(lambda)."""
-    x = np.asarray(x, dtype=float)
+def christoffel_round(x1, x2):
+    """Levi-Civita Christoffel symbols G[i, j, k] of the conformal round
+    metric lambda(x) delta_ij at a batch of points (batch axes last),
+    computed from the closed form of the conformal factor: Gamma^i_{jk} =
+    (d_j s) d_ik + (d_k s) d_ij - (d_i s) d_jk with s = log sqrt(lambda)."""
+    x = np.stack(np.broadcast_arrays(x1, x2))
     # d_i log sqrt(lambda) = -2 x_i / (1 + |x|^2)
-    ds = -2.0 * x / (1.0 + x @ x)
-    G = np.zeros((2, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                G[i, j, k] = (
-                    ds[j] * (i == k) + ds[k] * (i == j) - ds[i] * (j == k)
-                )
-    return G
+    ds = -2.0 * x / (1.0 + x[0] ** 2 + x[1] ** 2)
+    eye = np.eye(2)
+    return (np.einsum("j...,ik->ijk...", ds, eye) + np.einsum("k...,ij->ijk...", ds, eye)
+            - np.einsum("i...,jk->ijk...", ds, eye))
+
+
+def as_array(nested, shape):
+    """A nested list of batch coefficients as one array, batch axes last."""
+    if isinstance(nested, list):
+        return np.stack([as_array(e, shape) for e in nested])
+    return np.broadcast_to(nested, shape)
 
 
 class TestSprayConnection:
+    """The spray coefficients N^i_j of ``bundle_tensors``, taken at the unit
+    rays u = (cos theta, sin theta) of a batch."""
+
     def test_flat_torus_zero(self, flat_metric):
-        N = spray_connection(flat_metric, [1.0, 2.0], [0.6, -0.3], "torus")
+        pts = bundle_points("torus", 40, seed=16)
+        N = as_array(bundle_tensors(flat_metric, pts).N, pts.coords[0].shape)
         assert np.max(np.abs(N)) < 1e-14
 
     def test_round_sphere_christoffel_contraction(self, round_metric):
-        """N^i_j = Gamma^i_{jk} y^k for the Riemannian spray."""
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            x = rng.uniform(-0.8, 0.8, 2)
-            y = rng.standard_normal(2)
-            N = spray_connection(round_metric, x, y, "south")
-            want = np.einsum("ijk,k->ij", christoffel_round(x), y)
-            assert np.max(np.abs(N - want)) < 1e-8
+        """N^i_j = Gamma^i_{jk} u^k for the Riemannian spray."""
+        pts = bundle_points("south", 50, seed=17)
+        x1, x2, th = pts.coords
+        N = as_array(bundle_tensors(round_metric, pts).N, th.shape)
+        want = np.einsum("ijk...,k...->ij...", christoffel_round(x1, x2),
+                         np.stack([np.cos(th), np.sin(th)]))
+        assert np.max(np.abs(N - want)) < 1e-8
 
-    def test_homogeneity(self, randers_metric):
-        x, y = [0.2, -0.4], np.array([0.8, 0.5])
-        N1 = spray_connection(randers_metric, x, y, "south")
-        N2 = spray_connection(randers_metric, x, 2.0 * y, "south")
-        assert np.max(np.abs(N2 - 2.0 * N1)) < 1e-10
-
-    def test_explicit_table_mode(self):
-        table = lambda chart, x, y: np.array([[1.0, 0.0], [0.0, 2.0]])
-        eh = explicit_ehresmann(table)
-        assert np.allclose(eh.at([0.0, 0.0], [1.0, 0.0], "any"), [[1, 0], [0, 2]])
+    def test_explicit_table_mode(self, round_metric):
+        """An explicit table replaces the spray: N is the table evaluated at
+        the batch's base points and unit rays, entry for entry."""
+        table = lambda chart, x, y: [[x[0] * y[0], 0.5 + 0.0 * x[1]],
+                                     [np.sin(x[1]), 2.0 * y[1]]]
+        pts = bundle_points("south", 30, seed=18)
+        x1, x2, th = pts.coords
+        N = bundle_tensors(round_metric, pts, explicit_ehresmann(table)).N
+        want = table("south", [x1, x2], [np.cos(th), np.sin(th)])
+        for i in range(2):
+            for j in range(2):
+                assert np.array_equal(N[i][j], want[i][j])
 
 
 class TestChernHorizontal:
+    """The Chern-type horizontal coefficients gamma^i_{jA} of
+    ``bundle_tensors``."""
+
     def test_riemannian_gives_christoffel(self, round_metric):
-        """gamma^i_{jA} equals the Levi-Civita Christoffel symbols and is
-        y-independent for a Riemannian metric."""
+        """gamma^i_{jA} equals the Levi-Civita Christoffel symbols, whatever
+        the ray theta, for a Riemannian metric."""
         rng = np.random.default_rng(23)
-        for _ in range(5):
-            x = rng.uniform(-0.7, 0.7, 2)
-            want = christoffel_round(x)
-            for th in (0.3, 2.1):
-                y = [math.cos(th), math.sin(th)]
-                got = chern_horizontal(round_metric, None, x, y, "south")
-                assert np.max(np.abs(got - want)) < 1e-8
+        x1, x2 = rng.uniform(-0.7, 0.7, (2, 5))
+        th = np.array([[0.3], [2.1]])  # two rays at each base point
+        pts = ChartPoints.of("south", x1, x2, th)
+        got = as_array(bundle_tensors(round_metric, pts).gamma_chern, pts.coords[0].shape)
+        assert np.max(np.abs(got - christoffel_round(x1, x2)[..., None, :])) < 1e-8
 
     def test_flat_torus_zero(self, flat_metric):
-        got = chern_horizontal(flat_metric, None, [1.0, 2.0], [0.3, 0.9], "torus")
-        assert np.max(np.abs(got)) < 1e-14
-
-    def test_two_chart_metric_needs_a_chart(self, randers_metric, flat_metric):
-        """On the two-chart sphere no chart is a default; a one-chart
-        metric still needs none."""
-        with pytest.raises(DomainError):
-            chern_horizontal(randers_metric, None, [0.2, 0.1], [0.6, 0.8])
-        with pytest.raises(DomainError):
-            spray_connection(randers_metric, [0.2, 0.1], [0.6, 0.8])
-        got = chern_horizontal(flat_metric, None, [1.0, 2.0], [0.3, 0.9])
+        pts = bundle_points("torus", 40, seed=24)
+        got = as_array(bundle_tensors(flat_metric, pts).gamma_chern, pts.coords[0].shape)
         assert np.max(np.abs(got)) < 1e-14
 
     def test_partial_compat_residual(self, randers_metric):
@@ -139,6 +136,53 @@ class TestChernHorizontal:
                         tens.gamma_chern[i][A][j]
                     )
                     assert float(np.max(np.abs(diff))) < 1e-12
+
+
+class TestFrameFields:
+    """The g-orthonormal frame of the production path: rows B[0] = e_1 and
+    B[1] = e_2 = l, from ``_frame_fields`` over a whole batch."""
+
+    @staticmethod
+    def frame(metric, pts):
+        tens = bundle_tensors(metric, pts)
+        B, Binv, _ = _frame_fields(tens)
+        shape = pts.coords[0].shape
+        return as_array(B, shape), as_array(Binv, shape), as_array(tens.g, shape)
+
+    @pytest.mark.parametrize("metric_name", ["round", "randers"])
+    @pytest.mark.parametrize("chart", ["south", "north"])
+    def test_defining_properties(self, metric_name, chart, round_metric, randers_metric):
+        """B g B^T = I, B[1] = l = u/F and det B^{-1} = sqrt(det g) > 0,
+        which is the positive orientation of (e_1, l)."""
+        met = round_metric if metric_name == "round" else randers_metric
+        pts = bundle_points(chart, 60, seed=31)
+        B, Binv, g = self.frame(met, pts)
+        gram = np.einsum("ik...,kl...,jl...->ij...", B, g, B)
+        assert np.max(np.abs(gram - np.eye(2)[..., None])) < 1e-10
+        th = pts.coords[2]
+        u = np.stack([np.cos(th), np.sin(th)])
+        F = np.asarray(met.F(chart, pts.coords[:2], u), dtype=float)
+        assert np.max(np.abs(B[1] - u / F)) < 1e-12
+        det_inv = Binv[0, 0] * Binv[1, 1] - Binv[0, 1] * Binv[1, 0]
+        det_g = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+        assert np.all(det_inv > 0.0)
+        assert np.max(np.abs(det_inv / np.sqrt(det_g) - 1.0)) < 1e-10
+
+    def test_euclidean_axis(self, flat_metric):
+        """At y = (0, 1) on the flat torus, l = (0, 1) and e_1 = (1, 0)."""
+        pts = ChartPoints.of("torus", [0.0, 1.0], [0.0, 2.0], 0.5 * math.pi)
+        B, _, _ = self.frame(flat_metric, pts)
+        assert np.max(np.abs(B[1] - np.array([[0.0], [1.0]]))) < 1e-14
+        assert np.max(np.abs(B[0] - np.array([[1.0], [0.0]]))) < 1e-14
+
+    def test_smooth_around_fiber(self, randers_metric):
+        """No sign branch: B[0](theta) is continuous around the whole circle,
+        721 angles in one batch."""
+        th = np.linspace(0.0, 2.0 * math.pi, 721)
+        pts = ChartPoints.of("south", 0.2, 0.5, th)
+        B, _, _ = self.frame(randers_metric, pts)
+        steps = np.linalg.norm(np.diff(B[0], axis=-1), axis=0)
+        assert float(np.max(steps)) < 0.05
 
 
 class TestModification:
@@ -291,17 +335,16 @@ class TestCurvature:
         dom = exterior_derivative(curvature(cartan_frame_randers).form(0, 1))(pts)
         assert dom.max_abs() < 1e-6
 
-    def test_bianchi_for_family_member(self, sphere, randers_metric,
-                                       cartan_frame_randers):
-        """The interpolated connection D_s also satisfies the identity:
-        its curvature is closed at rank 2."""
+    def test_bianchi_for_perturbed_connection(self, sphere, randers_metric,
+                                              cartan_frame_randers):
+        """The perturbed connection D = nabla + P also satisfies the
+        identity: its curvature is closed at rank 2."""
         from finslergbc.quadrature import exterior_derivative
 
         P = sinusoidal_perturbation(sphere, cartan_frame_randers, 0.2)
         fcD = perturb_metric_compatible(cartan_frame_randers, P)
-        fam = connection_family(fcD, cartan_frame_randers, 0.5)
         pts = bundle_points("south", 8, seed=141)
-        dom = exterior_derivative(curvature(fam).form(0, 1))(pts)
+        dom = exterior_derivative(curvature(fcD).form(0, 1))(pts)
         assert dom.max_abs() < 1e-6
 
     def test_fd_matches_ad_first_derivatives(self, randers_metric):
@@ -523,45 +566,3 @@ class TestPerturbation:
             for A in range(2))
         if explicit or manifold == "sphere":
             assert shadow > 0.1
-
-
-class TestConnectionFamily:
-    def test_endpoints(self, randers_metric, sphere, cartan_frame_randers):
-        P = sinusoidal_perturbation(sphere, cartan_frame_randers, 0.2)
-        fcD = perturb_metric_compatible(cartan_frame_randers, P)
-        pts = bundle_points("south", 10, seed=22)
-        f0 = connection_family(fcD, cartan_frame_randers, 0.0)
-        f1 = connection_family(fcD, cartan_frame_randers, 1.0)
-        pa, p0 = fcD.pi(pts), f0.pi(pts)
-        pb, p1 = cartan_frame_randers.pi(pts), f1.pi(pts)
-        for i in range(2):
-            for j in range(2):
-                for a in range(3):
-                    assert np.max(np.abs(np.asarray(pa[i][j][a]) - np.asarray(p0[i][j][a]))) < 1e-15
-                    assert np.max(np.abs(np.asarray(pb[i][j][a]) - np.asarray(p1[i][j][a]))) < 1e-15
-
-    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
-    def test_members_metric_compatible(self, s, randers_metric, sphere,
-                                       cartan_frame_randers):
-        """Affine combinations of skew forms stay skew, i.e. the family is
-        metric-compatible at every s."""
-        P = sinusoidal_perturbation(sphere, cartan_frame_randers, 0.2)
-        fcD = perturb_metric_compatible(cartan_frame_randers, P)
-        fam = connection_family(fcD, cartan_frame_randers, s)
-        pts = bundle_points("south", 15, seed=23)
-        assert frame_skew_residual(fam, pts) < 1e-9
-
-    def test_s_derivative_constant(self, randers_metric, sphere, cartan_frame_randers):
-        P = sinusoidal_perturbation(sphere, cartan_frame_randers, 0.2)
-        fcD = perturb_metric_compatible(cartan_frame_randers, P)
-        pts = bundle_points("south", 8, seed=24)
-        h = 0.1
-        diffs = []
-        for s in (0.2, 0.7):
-            pp = connection_family(fcD, cartan_frame_randers, s + h).pi(pts)
-            pm = connection_family(fcD, cartan_frame_randers, s - h).pi(pts)
-            diffs.append(
-                np.array([[[(np.asarray(pp[i][j][a]) - np.asarray(pm[i][j][a])) / (2 * h)
-                            for a in range(3)] for j in range(2)] for i in range(2)])
-            )
-        assert np.max(np.abs(diffs[0] - diffs[1])) < 1e-10

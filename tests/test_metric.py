@@ -10,16 +10,14 @@ import numpy as np
 import pytest
 
 from finslergbc.ad import Dual, value
+from finslergbc.connection import bundle_tensors
 from finslergbc.errors import DomainError, InvalidMetricError
 from finslergbc.metric import (
-    cartan_tensor,
     euclidean_norm,
     fiber_volume,
     fiber_volume_form,
-    fundamental_tensor,
     indicatrix_param,
     metric_jets,
-    orthonormal_frame,
     quartic_norm,
     randers_norm,
     riemannian_norm,
@@ -27,6 +25,8 @@ from finslergbc.metric import (
     y_jets,
 )
 from finslergbc.metric import _tensor
+
+from conftest import bundle_points
 
 
 def fd_hessian(f, y, h=1e-4):
@@ -244,10 +244,10 @@ class TestFundamentalTensor:
         assert np.max(np.abs(norm.fundamental(y) - oracle)) < 1e-7
 
     def test_metric_level_op(self, round_metric):
-        t = fundamental_tensor(round_metric, [0.3, 0.2], [0.5, 0.8], "south")
+        """The round metric's fiber norm at x has g = lambda(x) I."""
+        g = round_metric.norm_at("south", [0.3, 0.2]).fundamental([0.5, 0.8])
         lam = 4.0 / (1.0 + 0.3 ** 2 + 0.2 ** 2) ** 2
-        assert np.allclose(t.g, lam * np.eye(2), rtol=1e-12)
-        assert np.allclose(t.g @ t.g_inv, np.eye(2), atol=1e-12)
+        assert np.allclose(g, lam * np.eye(2), rtol=1e-12)
 
 
 class TestCartanTensor:
@@ -290,9 +290,16 @@ class TestCartanTensor:
                     assert A[i, j, k] == pytest.approx(oracle, abs=1e-6)
 
     def test_metric_level_op_raised_index(self, randers_metric):
-        t = cartan_tensor(randers_metric, [0.2, -0.3], [0.8, 0.6], "south")
-        g = fundamental_tensor(randers_metric, [0.2, -0.3], [0.8, 0.6], "south").g
-        assert np.allclose(np.einsum("ij,jkl->ikl", g, t.A_raised), t.A, atol=1e-12)
+        """Lowering the raised Cartan tensor of ``bundle_tensors`` gives A
+        back: g_ij Ar^j_kl = A_ikl over a batch."""
+        tens = bundle_tensors(randers_metric, bundle_points("south", 40, seed=29))
+        worst = max(
+            float(np.max(np.abs(sum(tens.g[i][j] * tens.Ar[j][k][l] for j in range(2))
+                                - tens.A[i][k][l])))
+            for i in range(2) for k in range(2) for l in range(2))
+        assert worst < 1e-12
+        assert max(float(np.max(np.abs(tens.A[i][k][l])))
+                   for i in range(2) for k in range(2) for l in range(2)) > 1e-2
 
 
 class TestSumNorms:
@@ -374,6 +381,13 @@ class TestIndicatrix:
 
 
 class TestFiberVolume:
+    def test_two_chart_metric_needs_a_chart(self, randers_metric, flat_metric):
+        """On the two-chart sphere no chart is a default; a one-chart
+        metric still needs none."""
+        with pytest.raises(DomainError):
+            fiber_volume(randers_metric, [0.2, 0.1])
+        assert fiber_volume(flat_metric, [1.0, 2.0]) == pytest.approx(2.0 * math.pi, rel=1e-12)
+
     def test_euclidean_density_one(self, flat_metric):
         th = np.linspace(0, 2 * math.pi, 13)
         rho = fiber_volume_form(flat_metric, [0.1, 0.2], th, "torus")
@@ -575,67 +589,6 @@ class TestFiberVolume:
             oracle = np.sqrt(detg) / F ** 2
             rho = fiber_volume_form(met, x, th, chart)
             assert np.max(np.abs(rho - oracle) / oracle) < 1e-13
-
-
-class TestOrthonormalFrame:
-    @pytest.mark.parametrize("metric_name", ["round", "randers"])
-    def test_defining_properties(self, metric_name, round_metric, randers_metric):
-        met = round_metric if metric_name == "round" else randers_metric
-        rng = np.random.default_rng(31)
-        for _ in range(25):
-            x = rng.uniform(-0.7, 0.7, 2)
-            th = rng.uniform(0, 2 * math.pi)
-            y = [math.cos(th), math.sin(th)]
-            fr = orthonormal_frame(met, x, y, "south")
-            g = fundamental_tensor(met, x, y, "south").g
-            gram = fr.B @ g @ fr.B.T
-            assert np.max(np.abs(gram - np.eye(2))) < 1e-10
-            F = float(met.F("south", list(x), y))
-            assert np.allclose(fr.B[1], np.asarray(y) / F, atol=1e-12)
-            # det(B^{-1}) = sqrt(det g), orientation positive
-            assert np.linalg.det(fr.B_inv) == pytest.approx(
-                math.sqrt(np.linalg.det(g)), rel=1e-10
-            )
-
-    def test_euclidean_axis(self, flat_metric):
-        fr = orthonormal_frame(flat_metric, [0.0, 0.0], [0.0, 1.0], "torus")
-        assert np.allclose(fr.B[1], [0.0, 1.0], atol=1e-14)
-        assert np.allclose(fr.B[0], [1.0, 0.0], atol=1e-14)
-
-    def test_smooth_around_fiber(self, randers_metric):
-        """No Gram-Schmidt sign flips: B(theta) continuous around the
-        whole circle."""
-        th = np.linspace(0, 2 * math.pi, 721)
-        rows = []
-        for t in th:
-            fr = orthonormal_frame(randers_metric, [0.2, 0.5], [math.cos(t), math.sin(t)], "south")
-            rows.append(fr.B[0])
-        rows = np.array(rows)
-        steps = np.linalg.norm(np.diff(rows, axis=0), axis=1)
-        assert float(np.max(steps)) < 0.05
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_general_rank_gram_schmidt(self, n):
-        """Pointwise frames up to rank 4: g-orthonormal, l last, positive
-        orientation, det(B^{-1}) = sqrt(det g)."""
-        from finslergbc.metric import norm_orthonormal_frame
-
-        rng = np.random.default_rng(37)
-        M = rng.standard_normal((n, n))
-        norm = riemannian_norm(M @ M.T + 0.5 * np.eye(n))
-        for _ in range(10):
-            y = rng.standard_normal(n)
-            if np.linalg.norm(y) < 0.3:
-                continue
-            fr = norm_orthonormal_frame(norm, y)
-            g = norm.fundamental(y)
-            assert np.max(np.abs(fr.B @ g @ fr.B.T - np.eye(n))) < 1e-10
-            F = float(norm(y))
-            assert np.allclose(fr.B[-1], np.asarray(y) / F, atol=1e-12)
-            assert np.linalg.det(fr.B) > 0
-            assert np.linalg.det(fr.B_inv) == pytest.approx(
-                math.sqrt(np.linalg.det(g)), rel=1e-10
-            )
 
 
 def _mixed_jets(E, x, y):

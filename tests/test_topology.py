@@ -18,7 +18,6 @@ from finslergbc.topology import (
     custom_field,
     find_zeros,
     height_gradient_field,
-    induced_section,
     local_degree,
     local_field,
     poincare_hopf_sum,
@@ -130,20 +129,13 @@ class TestPoincareHopf:
 
 
 class TestInducedSection:
-    def test_angles(self, sphere, round_metric):
+    def test_angles(self, sphere):
         X = custom_field(sphere, {"south": ("1.0 + 0.0*u", "0.0*u")})
-        (_, th) = induced_section(X, round_metric, (0.3, 0.4), "south")
-        assert th == pytest.approx(0.0)
+        assert X.theta("south", 0.3, 0.4) == pytest.approx(0.0)
         Y = custom_field(sphere, {"south": ("0.0*u", "3.0 + 0.0*u")})
-        (_, th) = induced_section(Y, round_metric, (0.3, 0.4), "south")
-        assert th == pytest.approx(math.pi / 2)
+        assert Y.theta("south", 0.3, 0.4) == pytest.approx(math.pi / 2)
 
-    def test_zero_rejected(self, sphere, round_metric):
-        X = rotational_field(sphere)
-        with pytest.raises(DomainError):
-            induced_section(X, round_metric, (0.0, 0.0), "south")
-
-    def test_chart_transition_consistency(self, sphere, round_metric):
+    def test_chart_transition_consistency(self, sphere):
         """The induced angles in the two charts describe the same ray:
         u(theta_north) is parallel to J u(theta_south)."""
         X = rotational_field(sphere)
@@ -154,8 +146,8 @@ class TestInducedSection:
                 continue
             b = sphere.transition("south", "north", a)
             J = sphere.transition_jacobian("south", "north", a)
-            (_, th_s) = induced_section(X, round_metric, a, "south")
-            (_, th_n) = induced_section(X, round_metric, b, "north")
+            th_s = X.theta("south", *a)
+            th_n = X.theta("north", *b)
             v = J @ np.array([math.cos(th_s), math.sin(th_s)])
             v /= np.linalg.norm(v)
             w = np.array([math.cos(th_n), math.sin(th_n)])
