@@ -22,8 +22,8 @@ import numpy as np
 from .algebra import BigradedElement, component, exp_truncated
 from .chern_forms import TransgressionForms
 from .connection import (
+    EhresmannData,
     cartan_connection,
-    explicit_ehresmann,
     horizontal_part,
     metric_compat_residual,
     modify,
@@ -73,20 +73,19 @@ __all__ = ["ExperimentConfig", "Report", "ReportRow", "run_gbc",
 VOL_S1 = 2.0 * math.pi
 
 # How far gbc_disc_limit may lie from chi.  On the built-in sphere
-# scenarios it reaches chi within 3.1e-13 on the 16 x 32 disc rule that
-# every base order up to 50 runs (Randers 0.9 is the worst case; the others
-# are within 1.8e-15), and within 4.9e-15 at base orders 96 and 192 (n_r =
-# 32 and 64), so a 1e-6 relative change of the integrand fails the row by
-# six orders.
-DISC_LIMIT_TOL = 1e-12
+# scenarios (round and Randers 0.1 to 0.9, every connection and field) it
+# reaches chi within 8.9e-16 at base orders 6, 48 and 96, on the 32 x 32
+# unit-disc rule of orders up to 50 and the 64 x 64 rule of 96, so a 1e-6
+# relative change of the integrand fails the row by eight orders.
+DISC_LIMIT_TOL = 1e-14
 
 # The largest base or fiber quadrature order.  Both rules converge
-# spectrally (gbc_disc_limit reaches chi to 3.1e-13 on the 16 x 32 disc
-# rule of base orders up to 50, and to 4.9e-15 at 96 and 192), so a
-# higher order gains nothing, while a chart is one batch of four discs
-# of order/3 x 2 order/3 nodes: about 0.55 GiB and 8 s for a Randers run
-# at 512 (scaled from 110 MiB and 1.1 s at order 192 on 2 vCPU).  Order
-# 1e8 would run Gauss-Legendre's recurrence 1e8 steps over 1e8 nodes.
+# spectrally (gbc_disc_limit reaches chi to 8.9e-16 on the 32 x 32 disc
+# rule of base orders up to 50), so a higher order gains nothing, while a
+# chart is one batch of 2 order/3 x 2 order/3 nodes: a Randers run at 512
+# takes 4.3 s and peaks at 306 MiB (71 MiB and 0.5 s at order 192, on 2
+# vCPU).  Order 1e8 would run Gauss-Legendre's recurrence 1e8 steps over
+# 1e8 nodes.
 MAX_QUADRATURE_ORDER = 512
 
 # The largest identity sample count.  The residuals are maxima over the
@@ -125,23 +124,27 @@ class ExperimentConfig:
     dump_forms: bool = False
 
     @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
-        """Read an INI config; an unreadable file, malformed INI text or a
-        value that is not a number where one is expected raises
-        ValidationError."""
+    def from_file(cls, path: str, scenario: str = "gbc") -> "ExperimentConfig":
+        """Read an INI config for the subcommand ``scenario``; an unreadable
+        file, malformed INI text, a value that is not a number where one is
+        expected, or a ``[scenario] id`` that names another subcommand
+        raises ValidationError."""
         try:
-            return cls._from_ini(path)
+            return cls._from_ini(path, scenario)
         except (OSError, configparser.Error, ValueError) as exc:
             raise ValidationError(f"config {path!r}: {exc}") from None
 
     @classmethod
-    def _from_ini(cls, path: str) -> "ExperimentConfig":
+    def _from_ini(cls, path: str, scenario: str) -> "ExperimentConfig":
         ini = configparser.ConfigParser()
         with open(path) as fh:
             ini.read_file(fh)
-        cfg = cls()
+        cfg = cls(scenario=scenario)
         if ini.has_section("scenario"):
-            cfg.scenario = ini.get("scenario", "id", fallback=cfg.scenario)
+            named = ini.get("scenario", "id", fallback=scenario)
+            if named != scenario:
+                raise ValidationError(f"[scenario] id = {named} names another subcommand "
+                                      f"than {scenario}")
             cfg.seed = ini.getint("scenario", "seed", fallback=cfg.seed)
         if ini.has_section("manifold"):
             cfg.manifold = ini.get("manifold", "type", fallback=cfg.manifold)
@@ -360,7 +363,7 @@ def _build_ehresmann(cfg: ExperimentConfig):
         ev = {k: e(u=x[0], v=x[1], y1=y[0], y2=y[1]) for k, e in exprs.items()}
         return [[ev["n11"], ev["n12"]], [ev["n21"], ev["n22"]]]
 
-    return explicit_ehresmann(table)
+    return EhresmannData(table)
 
 
 def _build_connections(cfg: ExperimentConfig, atlas: Atlas, metric):
@@ -405,10 +408,12 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
 
     On the sphere the two unit discs r <= 1 tile the base, and every zero
     sits at a chart centre.  Each chart is integrated over r <= 1 and, if
-    it holds a zero, over each disc r <= eps of the schedule, all by the
-    polar rule of ``AnnulusRegion`` and as one batch per chart.  The
-    per-eps value is vol(S^1) sum over charts of I(1) - I(eps), with I(eps)
-    = 0 in a chart without a zero; ``normalized_gbc_integral`` is their
+    it holds a zero, over each disc r <= eps of the schedule.  The
+    integrand runs once per chart, on the nodes of the polar rule of the
+    unit disc (``AnnulusRegion``), and every I(eps) is read off those same
+    samples (``base_integral_excised``).  The per-eps value is vol(S^1)
+    sum over charts of I(1) - I(eps), with I(eps) = 0 in a chart without a
+    zero; ``normalized_gbc_integral`` is their
     Neville extrapolation to eps = 0.  The polar rule integrates the O(1/r)
     integrand through the zero, so ``gbc_disc_limit``, vol(S^1) sum of
     I(1), is the eps -> 0 limit itself and is held to chi within
@@ -831,9 +836,9 @@ def main(argv=None) -> int:
         "degrees": run_degrees,
     }
     try:
-        cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
+        cfg = (ExperimentConfig.from_file(args.config, args.command) if args.config
+               else ExperimentConfig(scenario=args.command))
         cfg = _merge(cfg, args)
-        cfg.scenario = args.command
         report = runners[args.command](cfg)
     except FinslerError as exc:
         sys.stderr.write(f"error [{type(exc).__name__}]: {exc}\n")

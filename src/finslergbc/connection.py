@@ -37,7 +37,6 @@ __all__ = [
     "CurvatureData",
     "ChartTensors",
     "bundle_tensors",
-    "explicit_ehresmann",
     "chern_connection",
     "cartan_connection",
     "modify",
@@ -70,11 +69,6 @@ class EhresmannData:
 
     table: object  # callable(chart, x, y) -> (n, n) of arrays
     token: int = field(default_factory=lambda: next(_EHRESMANN_SEQ))
-
-
-def explicit_ehresmann(table) -> EhresmannData:
-    """General-bundle mode: the caller supplies N^j_A directly."""
-    return EhresmannData(table)
 
 
 # ---------------------------------------------------------------------------

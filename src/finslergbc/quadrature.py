@@ -1,6 +1,8 @@
 """Differential-form fields, exterior calculus on coefficient tables, and
 all numeric integration (fiber circles, boundary circles, and base regions:
-polar discs and annuli about a chart centre, boxes on the torus).
+polar discs and annuli about a chart centre, boxes on the torus).  The
+discs and annuli of one chart are integrated from one set of samples, those
+of the polar rule of the smallest annulus that holds them all.
 
 Forms are stored as antisymmetric coefficient tables over ordered axis
 subsets of a chart; fields evaluate whole batches of chart points at once,
@@ -14,6 +16,7 @@ as an independent oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -331,23 +334,57 @@ def pullback_by_section(f: FormField, section) -> FormField:
 
 
 def gauss_legendre(a: float, b: float, order: int):
-    """Gauss-Legendre nodes and weights 2/((1 - x^2) P_n'(x)^2) on [a, b], ascending:
-    Newton on P_n's recurrence from Tricomi's nodes, symmetrised (Hale & Townsend 2013)."""
+    """Gauss-Legendre nodes and weights on [a, b], ascending: the rule of
+    ``_unit_gauss_legendre`` moved onto the interval."""
+    x, w = _unit_gauss_legendre(order)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return mid + half * x, half * w
+
+
+@functools.cache
+def _unit_gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights 2/((1 - x^2) P_n'(x)^2) on [-1, 1], ascending and
+    read-only: Newton on P_n's recurrence from Tricomi's nodes, symmetrised (Hale &
+    Townsend 2013).  Cached, as the Newton loop costs about a millisecond at 32 nodes."""
     x = -np.cos(math.pi * (np.arange(order) + 0.75) / (order + 0.5))
     x *= 1.0 - (order - 1) / (8.0 * order ** 3)
     dx = 1.0
     while True:
-        p0, p1 = 1.0, x
-        for k in range(2, order + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        p0, p1 = _legendre(x, order)[-2:]
         dp = order * (x * p1 - p0) / (x * x - 1.0)
         if np.abs(dx).max() < 1e-15:
             break
         dx = p1 / dp
         x = x - dx
     x, w = 0.5 * (x - x[::-1]), 2.0 / ((1.0 - x * x) * dp * dp)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, 0.5 * half * (w + w[::-1])
+    w = 0.5 * (w + w[::-1])
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _legendre(x, n: int) -> list:
+    """[P_0(x), ..., P_n(x)] by the three-term recurrence
+    k P_k = (2k - 1) x P_{k-1} - (k - 1) P_{k-2}."""
+    p = [np.ones_like(x), x]
+    for k in range(2, n + 1):
+        p.append(((2 * k - 1) * x * p[-1] - (k - 1) * p[-2]) / k)
+    return p[: n + 1]
+
+
+def _gauss_primitives(order: int, t) -> np.ndarray:
+    """S[..., i] = int_{-1}^t l_i(s) ds / w_i at every t in [-1, 1], for the
+    Lagrange basis l_i of the order Gauss-Legendre nodes x_i, weights w_i.
+
+    The rule is exact to degree 2 order - 1, so l_i = w_i sum_{k < order}
+    (k + 1/2) P_k(x_i) P_k, and int_{-1}^t P_k is t + 1 for k = 0 and
+    (P_{k+1}(t) - P_{k-1}(t)) / (2k + 1) above: S(t) = (t + 1)/2 + sum_{k >= 1}
+    P_k(x_i) (P_{k+1}(t) - P_{k-1}(t)) / 2.  P_k(+-1) = (+-1)^k exactly, so
+    S(-1) = 0 and S(1) = 1 to the bit."""
+    x, _ = _unit_gauss_legendre(order)
+    px = np.array(_legendre(x, order - 1)[1:])
+    pt = np.array(_legendre(t, order))
+    return 0.5 * ((t + 1.0)[..., None] + np.tensordot(pt[2:] - pt[:-2], px, axes=(0, 0)))
 
 
 def periodic_rule(order: int):
@@ -372,20 +409,37 @@ class AnnulusRegion:
     r_outer: float
 
     def nodes(self, order: int):
-        """One Gauss-Legendre panel of n_r = max(16, order // 3) nodes in r
-        times the periodic rule of 2 n_r nodes in phi, with weight r w_r
-        w_phi (dx1 ^ dx2 = r dr ^ dphi).  On a full disc an integrand f that
-        is O(1/r) at the centre, with r f smooth in (r, phi), is integrated
-        to rounding (Duffy, SIAM J. Numer. Anal. 19(6), 1982); n_r = 8
-        would miss chi on the unit disc by up to 1e-7.  Every order up to
-        50 runs the same 16 x 32 rule; n_r grows from order 51 on."""
-        n_r = max(16, order // 3)
-        r, wr = gauss_legendre(self.r_inner, self.r_outer, n_r)
-        phi, wphi = periodic_rule(2 * n_r)
+        """One Gauss-Legendre panel of n = 2 max(16, order // 3) nodes in r
+        times the periodic rule of n nodes in phi, with weight r w_r w_phi
+        (dx1 ^ dx2 = r dr ^ dphi).  On a full disc an integrand f that is
+        O(1/r) at the centre, with r f smooth in (r, phi), is integrated to
+        rounding (Duffy, SIAM J. Numer. Anal. 19(6), 1982).  Every order up
+        to 50 runs the same 32 x 32 rule; n grows from order 51 on.  The
+        radial count serves the concentric sub-regions of ``weights`` too:
+        they are exact to degree n - 1 in r, and 24 or 16 radial nodes
+        would move gbc's per-eps values by up to 8.5e-13 or 6.3e-9."""
+        r, wr, phi, wphi = self._rule(order)
         R, PHI = np.meshgrid(r, phi, indexing="ij")
         x1 = self.center[0] + (R * np.cos(PHI)).ravel()
         x2 = self.center[1] + (R * np.sin(PHI)).ravel()
         return x1, x2, np.outer(wr * r, wphi).ravel()
+
+    def weights(self, order: int, parts) -> np.ndarray:
+        """One row of weights on ``nodes(order)`` per concentric annulus
+        (inner, outer) of parts that lies within this region.  A row
+        integrates over inner <= r <= outer the polynomial of degree n - 1
+        in r that interpolates r times the phi rule's sum at the radial
+        nodes, which is smooth on a full disc about an O(1/r) zero, so every
+        sub-disc is read off the samples of the whole disc.  The row of
+        (r_inner, r_outer) is the ``nodes`` weight to the bit."""
+        r, wr, _, wphi = self._rule(order)
+        t = 2.0 * (np.asarray(parts, dtype=float) - self.r_inner) / (self.r_outer - self.r_inner)
+        s = _gauss_primitives(len(r), t - 1.0)
+        return np.stack([np.outer(wr * r * (b - a), wphi).ravel() for a, b in s])
+
+    def _rule(self, order: int):
+        n = 2 * max(16, order // 3)
+        return (*gauss_legendre(self.r_inner, self.r_outer, n), *periodic_rule(n))
 
 
 @dataclass
@@ -406,21 +460,37 @@ class BoxRegion:
 
 def base_integral_excised(f: FormField, regions, order: int = 48) -> list[float]:
     """Integrate a base 2-form over each region, one value per region in
-    the order given.  The nodes of all the regions of one chart go through
-    f as one batch."""
+    the order given.  f runs once per chart, on one set of nodes: those of
+    the chart's box, or, for annuli about one centre, those of the smallest
+    annulus about it that holds them all (on the sphere, the unit disc),
+    which each annulus sums with its own row of ``AnnulusRegion.weights``."""
     if f.degree != 2 or f.dim != 2:
         raise QuadratureError("base integral expects a base 2-form")
     out = [0.0] * len(regions)
     for chart in dict.fromkeys(region.chart for region in regions):
         index = [i for i, region in enumerate(regions) if region.chart == chart]
-        rules = [regions[i].nodes(order) for i in index]
-        x1 = np.concatenate([u for u, _, _ in rules])
-        x2 = np.concatenate([v for _, v, _ in rules])
+        host = _host([regions[i] for i in index])
+        x1, x2, w = host.nodes(order)
         c = np.broadcast_to(f(ChartPoints(chart, (x1, x2))).get((0, 1)), x1.shape)
-        parts = np.split(c, np.cumsum([len(w) for _, _, w in rules])[:-1])
-        for i, (_, _, w), part in zip(index, rules, parts):
-            out[i] = float(np.sum(w * part))
+        rows = [w] if isinstance(host, BoxRegion) else host.weights(
+            order, [(regions[i].r_inner, regions[i].r_outer) for i in index])
+        for i, row in zip(index, rows):
+            out[i] = float(np.sum(row * c))
     return out
+
+
+def _host(group):
+    """The region whose nodes serve all the regions of one chart: a lone
+    region itself, or the smallest annulus about the one centre of several
+    annuli that holds them all."""
+    if len(group) == 1:
+        return group[0]
+    first = group[0]
+    if not all(isinstance(a, AnnulusRegion) and a.center == first.center for a in group):
+        raise QuadratureError("the regions of one chart must be one box or annuli "
+                              "about one centre")
+    return AnnulusRegion(first.chart, first.center, min(a.r_inner for a in group),
+                         max(a.r_outer for a in group))
 
 
 def boundary_circle_integral(

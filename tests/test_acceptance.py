@@ -36,18 +36,18 @@ def _line(num: int, label: str, passed: bool, detail: str) -> None:
 def test_criterion_1_round_sphere_gbc():
     """Riemannian round sphere, Cartan connection, rotational field:
     normalized integral = chi = 2 within 1e-2 at default orders, the disc
-    limit within 1e-12, under five minutes."""
+    limit within 1e-14, under five minutes."""
     t0 = time.perf_counter()
     cfg = ExperimentConfig(metric="round_sphere", vector_field="rotational")
     report = run_gbc(cfg)
     dt = time.perf_counter() - t0
     row = report.row("normalized_gbc_integral")
     limit = report.row("gbc_disc_limit").value
-    ok = abs(row.value - 2.0) <= 1e-2 and abs(limit - 2.0) <= 1e-12 and dt < 300.0
+    ok = abs(row.value - 2.0) <= 1e-2 and abs(limit - 2.0) <= 1e-14 and dt < 300.0
     _line(1, "round sphere GBC", ok,
           f"value={row.value:.6f} disc-limit={limit:.15f} runtime={dt:.1f}s")
     assert abs(row.value - 2.0) <= 1e-2
-    assert abs(limit - 2.0) <= 1e-12
+    assert abs(limit - 2.0) <= 1e-14
     assert dt < 300.0
 
 
@@ -64,24 +64,24 @@ def test_criterion_2_flat_torus_zero():
 
 def test_criterion_3_randers_gbc():
     """Randers(0.1) sphere, rotational field: 2 within 2e-2 (the disc
-    limit within 1e-12), with a verifiably non-constant fiber volume."""
+    limit within 1e-14), with a verifiably non-constant fiber volume."""
     cfg = ExperimentConfig(metric="randers", metric_eps=0.1,
                            vector_field="rotational")
     report = run_gbc(cfg)
     val = report.row("normalized_gbc_integral").value
     limit = report.row("gbc_disc_limit").value
     spread = report.row("fiber_volume_spread").value
-    ok = abs(val - 2.0) <= 2e-2 and abs(limit - 2.0) <= 1e-12 and spread > 1e-4
+    ok = abs(val - 2.0) <= 2e-2 and abs(limit - 2.0) <= 1e-14 and spread > 1e-4
     _line(3, "randers sphere GBC", ok,
           f"value={val:.6f} disc-limit={limit:.15f} V-spread={spread:.2e}")
     assert abs(val - 2.0) <= 2e-2
-    assert abs(limit - 2.0) <= 1e-12
+    assert abs(limit - 2.0) <= 1e-14
     assert spread > 1e-4
 
 
 def test_criterion_4_connection_independence():
     """A perturbed metric-compatible connection (amplitude 0.2) reproduces
-    the randers value within 2e-2, and its disc limit lies within 1e-12
+    the randers value within 2e-2, and its disc limit lies within 1e-14
     of 2."""
     cfg = ExperimentConfig(metric="randers", metric_eps=0.1,
                            connection="perturbed", perturbation_amplitude=0.2,
@@ -89,10 +89,10 @@ def test_criterion_4_connection_independence():
     report = run_gbc(cfg)
     val = report.row("normalized_gbc_integral").value
     limit = report.row("gbc_disc_limit").value
-    ok = abs(val - 2.0) <= 2e-2 and abs(limit - 2.0) <= 1e-12
+    ok = abs(val - 2.0) <= 2e-2 and abs(limit - 2.0) <= 1e-14
     _line(4, "perturbed connection GBC", ok, f"value={val:.6f} disc-limit={limit:.15f}")
     assert abs(val - 2.0) <= 2e-2
-    assert abs(limit - 2.0) <= 1e-12
+    assert abs(limit - 2.0) <= 1e-14
 
 
 @pytest.mark.parametrize(

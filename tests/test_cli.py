@@ -184,8 +184,8 @@ class TestRunners:
     def test_gbc_base_points_at_workload_orders(self, monkeypatch):
         """At base order 48 and eps = 0.2, 0.1, 0.05 a sphere run with a
         zero in each chart integrates the discs r <= 1, 0.2, 0.1, 0.05 of
-        16 x 32 nodes per chart: 8 regions, 4,096 base points, and one
-        integrand batch per chart."""
+        each chart from the 32 x 32 nodes of its unit disc: 2 node sets,
+        2,048 base points, and one integrand batch per chart."""
         from finslergbc.chern_forms import TransgressionForms
         from finslergbc.quadrature import AnnulusRegion, BoxRegion, FormField
 
@@ -213,13 +213,13 @@ class TestRunners:
                                epsilon_schedule=(0.2, 0.1, 0.05))
         report = run_gbc(cfg)
         assert report.passed
-        assert counts == [512] * 8
-        assert sum(counts) == 4096
-        assert batches == [("south", 2048), ("north", 2048)]
+        assert counts == [1024] * 2
+        assert sum(counts) == 2048
+        assert batches == [("south", 1024), ("north", 1024)]
 
     def test_disc_limit_fails_under_mutation(self, monkeypatch):
         """gbc_disc_limit can fail: an integrand scaled by 1 + 1e-6 moves
-        it by 2e-6, far outside its 1e-12, while the Neville headline
+        it by 2e-6, far outside its 1e-14, while the Neville headline
         still passes."""
         from finslergbc.chern_forms import TransgressionForms
 
@@ -236,14 +236,14 @@ class TestRunners:
 
     @pytest.mark.parametrize("order_base", [6, 96])
     def test_disc_limit_holds_at_low_order(self, order_base):
-        """The polar unit discs reach chi within 1e-12 on the degree-2
+        """The polar unit discs reach chi within 1e-14 on the degree-2
         stereographic field with a strong Randers metric.  Base order 6
-        runs the 16 x 32 floor rule that every order up to 50 runs; a
+        runs the 32 x 32 floor rule that every order up to 50 runs; a
         Gauss-Legendre annulus outside the zeros missed chi there by
-        4.4e-5.  Order 96 runs the 32 x 64 rule."""
+        4.4e-5.  Order 96 runs the 64 x 64 rule."""
         cfg = ExperimentConfig(metric="randers", metric_eps=0.7, connection="chern_modified",
                                vector_field="stereographic_power", order_base=order_base)
-        assert DISC_LIMIT_TOL == 1e-12
+        assert DISC_LIMIT_TOL == 1e-14
         assert run_gbc(cfg).row("gbc_disc_limit").passed
 
     def test_gbc_loads_no_numpy_random_or_ma(self):
@@ -405,6 +405,19 @@ class TestMainEntry:
         path.write_text(section)
         assert main(["gbc", "--config", str(path)]) == 2
         assert "ValidationError" in capsys.readouterr().err
+
+    def test_ini_id_of_another_subcommand_rejected(self, tmp_path, capsys):
+        """A [scenario] id names the subcommand the file is for: running
+        it under another subcommand exits 2 with a ValidationError instead
+        of running that subcommand, and from_file checks the id against
+        the subcommand it is given."""
+        path = tmp_path / "identities.ini"
+        path.write_text("[scenario]\nid = identities\n")
+        assert main(["degrees", "--config", str(path)]) == 2
+        assert "ValidationError" in capsys.readouterr().err
+        assert ExperimentConfig.from_file(str(path), "identities").scenario == "identities"
+        with pytest.raises(ValidationError):
+            ExperimentConfig.from_file(str(path))
 
     @pytest.mark.parametrize("metric", ["euclidean", "quartic", "riemannian"])
     def test_chart_constant_metric_on_sphere_rejected(self, metric, capsys):

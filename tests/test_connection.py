@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from finslergbc.connection import (
+    EhresmannData,
     _frame_fields,
     bundle_tensors,
     cartan_connection,
     chern_connection,
     curvature,
-    explicit_ehresmann,
     frame_transform,
     horizontal_part,
     metric_compat_residual,
@@ -80,7 +80,7 @@ class TestSprayConnection:
                                      [np.sin(x[1]), 2.0 * y[1]]]
         pts = bundle_points("south", 30, seed=18)
         x1, x2, th = pts.coords
-        N = bundle_tensors(round_metric, pts, explicit_ehresmann(table)).N
+        N = bundle_tensors(round_metric, pts, EhresmannData(table)).N
         want = table("south", [x1, x2], [np.cos(th), np.sin(th)])
         for i in range(2):
             for j in range(2):
@@ -544,7 +544,7 @@ class TestPerturbation:
 
         atlas = sphere_atlas() if manifold == "sphere" else torus_atlas()
         met = install_metric(atlas, metric, {"eps": eps})
-        eh = explicit_ehresmann(
+        eh = EhresmannData(
             lambda chart, x, y: [[0.1 * x[0] * y[0], 0.2 * x[1] * y[1]],
                                  [np.sin(x[0]) * y[0], 0.05 * y[1]]]) if explicit else None
         fc = to_orthonormal_frame(cartan_connection(), met, eh)

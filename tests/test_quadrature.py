@@ -380,11 +380,10 @@ def _panel_annulus_integral(f, chart, r_inner, order):
     return float(np.sum(np.outer(wr * r, wphi).ravel() * c))
 
 
-def _small_disc_integrals(f, chart, radii, order):
-    """The discs r <= eps by the polar rule with n_r = max(8, order // 3)
-    radial nodes that integrated them beside the outer annulus."""
-    n_r = max(8, order // 3)
-    phi, wphi = periodic_rule(2 * n_r)
+def _disc_integrals(f, chart, radii, n_r, n_phi):
+    """The discs r <= R, one per radius, each by its own Gauss-Legendre
+    panel of n_r nodes on [0, R] times n_phi periodic nodes in phi."""
+    phi, wphi = periodic_rule(n_phi)
     out = []
     for radius in radii:
         r, wr = gauss_legendre(0.0, radius, n_r)
@@ -400,7 +399,7 @@ class TestDiscRule:
     def test_exact_on_one_over_r(self, order, radius):
         """The weight r cancels a 1/r singularity at the centre of a full
         AnnulusRegion disc: int dx1^dx2 / r = 2 pi R and int x1^2 / r
-        dx1^dx2 = pi R^3 / 3, on the rules with n_r = 16, 32 and 64."""
+        dx1^dx2 = pi R^3 / 3, on the rules with n_r = 32, 64 and 128."""
 
         def integral(coeff):
             f = FormField(2, 2, lambda p: PointwiseForm({(0, 1): coeff(*p.coords)}))
@@ -415,7 +414,9 @@ class TestDiscRule:
     def test_one_batch_per_chart(self, monkeypatch):
         """The regions of one chart go through the form as one batch, built
         without ChartPoints.of, and the values come back in region order:
-        n_r = max(16, order // 3) radial times 2 n_r angular nodes each."""
+        the annuli of a chart share the n x n nodes, n = 2 max(16, order //
+        3), of the smallest annulus that holds them all.  Annuli about
+        another centre, or a box, in the same chart are rejected."""
         batches = []
 
         def f(p):
@@ -423,17 +424,42 @@ class TestDiscRule:
             return PointwiseForm({(0, 1): 1.0 + 0.0 * p.coords[0]})
 
         monkeypatch.setattr(ChartPoints, "of", None)
-        radii = [("a", 0.2), ("b", 1.0), ("a", 0.1), ("a", 0.05)]
+        rings = [("a", 0.0, 0.2), ("b", 0.0, 1.0), ("a", 0.0, 0.1), ("b", 0.3, 0.6),
+                 ("a", 0.05, 0.1)]
         areas = base_integral_excised(
-            FormField(2, 2, f), [AnnulusRegion(c, (0.0, 0.0), 0.0, r) for c, r in radii],
+            FormField(2, 2, f), [AnnulusRegion(c, (0.0, 0.0), a, b) for c, a, b in rings],
             order=48)
-        assert batches == [("a", 3 * 16 * 32), ("b", 16 * 32)]
-        assert areas == pytest.approx([math.pi * r * r for _, r in radii], rel=1e-14)
-        for order, n_r in ((6, 16), (96, 32)):
+        assert batches == [("a", 32 * 32), ("b", 32 * 32)]
+        assert areas == pytest.approx([math.pi * (b * b - a * a) for _, a, b in rings],
+                                      rel=1e-14)
+        for other in (AnnulusRegion("a", (0.5, 0.0), 0.0, 0.2),
+                      BoxRegion("a", (0.0, 1.0), (0.0, 1.0))):
+            with pytest.raises(ValueError, match="one centre"):
+                base_integral_excised(FormField(2, 2, f),
+                                      [AnnulusRegion("a", (0.0, 0.0), 0.0, 0.2), other])
+        for order, n in ((6, 32), (96, 64)):
             batches.clear()
             base_integral_excised(FormField(2, 2, f), [AnnulusRegion("c", (0.0, 0.0), 0.0, 0.2)],
                                   order=order)
-            assert batches == [("c", n_r * 2 * n_r)]
+            assert batches == [("c", n * n)]
+
+    @pytest.mark.parametrize("order", [6, 96])
+    def test_sub_disc_weights_are_exact(self, order):
+        """The weights of a concentric sub-annulus a <= r <= b integrate
+        every r^k, k < n, exactly from the nodes of the whole disc: 2 pi
+        (b^(k+1) - a^(k+1)) / (k + 1), down to eps = 1e-3; the row of the
+        whole disc is the Gauss weight to the bit."""
+        disc = AnnulusRegion("c", (0.0, 0.0), 0.0, 1.0)
+        x1, x2, w = disc.nodes(order)
+        r = np.hypot(x1, x2)
+        parts = [(0.0, 1e-3), (0.0, 0.05), (0.0, 0.2), (0.0, 0.5), (0.05, 0.2), (0.0, 1.0)]
+        rows = disc.weights(order, parts)
+        assert np.array_equal(rows[-1], w)
+        n = 2 * max(16, order // 3)
+        for k in range(n):
+            got = rows @ r ** (k - 1) / (2.0 * math.pi)
+            want = [(b ** (k + 1) - a ** (k + 1)) / (k + 1) for a, b in parts]
+            assert np.abs(got - want).max() <= 1e-13 / (k + 1), k
 
     def test_rejects_non_base_two_form(self):
         with pytest.raises(ValueError):
@@ -465,10 +491,48 @@ class TestDiscRule:
         schedule = [eps for eps, _ in report.convergence]
         outer = sum(_panel_annulus_integral(f, chart, schedule[0], order)
                     for chart in atlas.chart_ids)
-        discs = [_small_disc_integrals(f, chart, schedule, order) for chart in atlas.chart_ids]
+        # the discs r <= eps by the polar rule with n_r = max(8, order // 3)
+        # radial nodes that integrated them beside the outer annulus
+        n_r = max(8, order // 3)
+        discs = [_disc_integrals(f, chart, schedule, n_r, 2 * n_r) for chart in atlas.chart_ids]
         for k, (eps, value) in enumerate(report.convergence):
             want = VOL_S1 * (outer + sum(d[0] - d[k] for d in discs))
             assert abs(value - want) <= 1e-12, eps
+
+    def test_gbc_per_eps_matches_gauss_on_each_disc(self):
+        """On the strongest Randers metric with a perturbed connection and
+        the degree-2 stereographic field, the per-eps values read off the
+        unit discs' samples equal vol(S^1) times the sum of D(1) over the
+        charts less D(eps) in each chart that holds a zero, D(R) the disc
+        r <= R by its own 64-node Gauss-Legendre panel in r times the same
+        32-node phi rule.  (With 64 phi nodes D(0.5) moves by 3e-12 in the
+        chart with the zero: the phi rule, not the radial one, sets the
+        per-eps error there.)"""
+        from finslergbc.cli import (
+            VOL_S1, ExperimentConfig, _build_atlas, _build_connections, _build_field,
+            _metric_params, run_gbc,
+        )
+        from finslergbc.chern_forms import TransgressionForms
+        from finslergbc.manifolds import install_metric
+        from finslergbc.topology import find_zeros
+
+        cfg = ExperimentConfig(metric="randers", metric_eps=0.9, connection="perturbed",
+                               vector_field="stereographic_power", order_base=48,
+                               order_fiber=64, epsilon_schedule=(0.5, 0.2, 0.05, 0.01))
+        report = run_gbc(cfg)
+        atlas = _build_atlas(cfg)
+        metric = install_metric(atlas, cfg.metric, _metric_params(cfg))
+        fcD, fcN, _, _ = _build_connections(cfg, atlas, metric)
+        X = _build_field(cfg, atlas)
+        f = TransgressionForms(metric, fcD, fcN, order_fiber=cfg.order_fiber).gbc_integrand(X)
+        held = {rec.chart for rec in find_zeros(X, epsilon_schedule=cfg.epsilon_schedule)}
+        schedule = [eps for eps, _ in report.convergence]
+        discs = {chart: _disc_integrals(f, chart, [1.0] + schedule, 64, 32) for chart in held}
+        whole = sum(_disc_integrals(f, chart, [1.0], 64, 32)[0]
+                    for chart in atlas.chart_ids if chart not in held)
+        for k, (eps, value) in enumerate(report.convergence):
+            want = VOL_S1 * (whole + sum(d[0] - d[k + 1] for d in discs.values()))
+            assert abs(value - want) <= 1e-13, eps
 
 
 class TestBoundaryCircle:
@@ -563,7 +627,7 @@ class TestConvergence:
     def test_doubling_order_stability(self, sphere, round_metric, cartan_frame_round):
         """Doubling the base order moves the reported integral by far less
         than a tenth of the acceptance tolerance.  Orders up to 50 share
-        one 16 x 32 rule, so the pair is 48 and 96, whose rules differ."""
+        one 32 x 32 rule, so the pair is 48 and 96, whose rules differ."""
         from finslergbc.chern_forms import TransgressionForms
         from finslergbc.topology import rotational_field
 
@@ -571,8 +635,8 @@ class TestConvergence:
         X = rotational_field(sphere)
         f2 = pullback_by_section(forms.gbc_integrand(), X)
         rings = [AnnulusRegion(chart, (0.0, 0.0), 0.2, 1.0) for chart in ("south", "north")]
-        assert len(rings[0].nodes(48)[2]) == 16 * 32
-        assert len(rings[0].nodes(96)[2]) == 32 * 64
+        assert len(rings[0].nodes(48)[2]) == 32 * 32
+        assert len(rings[0].nodes(96)[2]) == 64 * 64
         i48 = sum(base_integral_excised(f2, rings, order=48))
         i96 = sum(base_integral_excised(f2, rings, order=96))
         assert abs(i96 - i48) < 0.1 * 1e-2
