@@ -14,7 +14,6 @@ numpy arrays (one algebra element per batch point).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -71,7 +70,6 @@ def merge_sign(left: Index, right: Index) -> tuple[Index, int]:
     return merged, (-1) ** inv
 
 
-@dataclass
 class BigradedElement:
     """Sparse element of the bigraded algebra.
 
@@ -79,9 +77,11 @@ class BigradedElement:
     both indices strictly increasing, 0-based.
     """
 
-    n: int
-    form_dim: int
-    terms: dict[tuple[Index, Index], complex] = field(default_factory=dict)
+    def __init__(self, n: int, form_dim: int,
+                 terms: dict[tuple[Index, Index], complex] | None = None):
+        self.n = n
+        self.form_dim = form_dim
+        self.terms = {} if terms is None else terms
 
     @classmethod
     def zero(cls, n: int, form_dim: int) -> "BigradedElement":
@@ -216,7 +216,6 @@ def exp_truncated(a: BigradedElement, max_total_degree: int | None = None) -> Bi
     return out
 
 
-@dataclass
 class SkewMatrixValuedForm:
     """A matrix of form coefficients, skew in the matrix indices.
 
@@ -224,9 +223,10 @@ class SkewMatrixValuedForm:
     (i, j) entry; used to feed curvature matrices into the algebra.
     """
 
-    n: int
-    form_dim: int
-    entries: list  # entries[i][j]: dict[Index, complex]
+    def __init__(self, n: int, form_dim: int, entries: list):
+        self.n = n
+        self.form_dim = form_dim
+        self.entries = entries  # entries[i][j]: dict[Index, complex]
 
     def validate(self, tol: float = 1e-12) -> None:
         for i in range(self.n):

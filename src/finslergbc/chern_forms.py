@@ -10,7 +10,6 @@ family U_t whose t = 0 slice is the Pfaffian form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import count, permutations
 
 import numpy as np
@@ -259,11 +258,11 @@ def frak_e(upsilon0: FormField, upsilon1: FormField, upsilon2: FormField | None,
 # Mathai-Quillen family
 
 
-@dataclass
 class MathaiQuillenState:
-    t: float
-    Theta_t: BigradedElement
-    U_t: dict
+    def __init__(self, t: float, Theta_t: BigradedElement, U_t: dict):
+        self.t = t
+        self.Theta_t = Theta_t
+        self.U_t = U_t
 
 
 def mathai_quillen_Ut(t: float, nabla_ell: BigradedElement,

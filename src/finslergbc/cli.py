@@ -11,11 +11,10 @@ also be given on the command line.
 from __future__ import annotations
 
 import argparse
-import configparser
 import math
+import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,28 +99,36 @@ MAX_IDENTITY_SAMPLES = 50_000
 # configuration
 
 
-@dataclass
 class ExperimentConfig:
-    scenario: str = "gbc"
-    seed: int = 1234
-    manifold: str = "sphere"
-    metric: str = "round_sphere"
-    metric_eps: float = 0.1
-    connection: str = "cartan"  # cartan | chern_modified | perturbed
-    perturbation_amplitude: float = 0.2
-    ehresmann: str = "spray"  # spray | explicit
-    ehresmann_exprs: dict = field(default_factory=dict)
-    vector_field: str = "rotational"
-    field_power: int = 2
-    field_exprs: dict = field(default_factory=dict)
-    order_fiber: int = FIBER_ORDER
-    order_base: int = 48
-    epsilon_schedule: tuple = (0.2, 0.1, 0.05)
-    identity_samples: int = 200
-    tolerance: float | None = None
-    out_dir: str | None = None
-    fmt: str = "table"
-    dump_forms: bool = False
+    def __init__(self, scenario: str = "gbc", seed: int = 1234, manifold: str = "sphere",
+                 metric: str = "round_sphere", metric_eps: float = 0.1,
+                 connection: str = "cartan", perturbation_amplitude: float = 0.2,
+                 ehresmann: str = "spray", ehresmann_exprs: dict | None = None,
+                 vector_field: str = "rotational", field_power: int = 2,
+                 field_exprs: dict | None = None, order_fiber: int = FIBER_ORDER,
+                 order_base: int = 48, epsilon_schedule: tuple = (0.2, 0.1, 0.05),
+                 identity_samples: int = 200, tolerance: float | None = None,
+                 out_dir: str | None = None, fmt: str = "table", dump_forms: bool = False):
+        self.scenario = scenario
+        self.seed = seed
+        self.manifold = manifold
+        self.metric = metric
+        self.metric_eps = metric_eps
+        self.connection = connection  # cartan | chern_modified | perturbed
+        self.perturbation_amplitude = perturbation_amplitude
+        self.ehresmann = ehresmann  # spray | explicit
+        self.ehresmann_exprs = {} if ehresmann_exprs is None else ehresmann_exprs
+        self.vector_field = vector_field
+        self.field_power = field_power
+        self.field_exprs = {} if field_exprs is None else field_exprs
+        self.order_fiber = order_fiber
+        self.order_base = order_base
+        self.epsilon_schedule = epsilon_schedule
+        self.identity_samples = identity_samples
+        self.tolerance = tolerance
+        self.out_dir = out_dir
+        self.fmt = fmt
+        self.dump_forms = dump_forms
 
     @classmethod
     def from_file(cls, path: str, scenario: str = "gbc") -> "ExperimentConfig":
@@ -129,16 +136,18 @@ class ExperimentConfig:
         file, malformed INI text, a value that is not a number where one is
         expected, or a ``[scenario] id`` that names another subcommand
         raises ValidationError."""
+        import configparser  # only --config reads INI text
+
+        ini = configparser.ConfigParser()
         try:
-            return cls._from_ini(path, scenario)
+            with open(path) as fh:
+                ini.read_file(fh)
+            return cls._from_ini(ini, scenario)
         except (OSError, configparser.Error, ValueError) as exc:
             raise ValidationError(f"config {path!r}: {exc}") from None
 
     @classmethod
-    def _from_ini(cls, path: str, scenario: str) -> "ExperimentConfig":
-        ini = configparser.ConfigParser()
-        with open(path) as fh:
-            ini.read_file(fh)
+    def _from_ini(cls, ini, scenario: str) -> "ExperimentConfig":
         cfg = cls(scenario=scenario)
         if ini.has_section("scenario"):
             named = ini.get("scenario", "id", fallback=scenario)
@@ -223,21 +232,23 @@ def _radii(text: str) -> tuple:
 # reports
 
 
-@dataclass
 class ReportRow:
-    name: str
-    value: float
-    target: float | None
-    tolerance: float | None
-    passed: bool
+    def __init__(self, name: str, value: float, target: float | None,
+                 tolerance: float | None, passed: bool):
+        self.name = name
+        self.value = value
+        self.target = target
+        self.tolerance = tolerance
+        self.passed = passed
 
 
-@dataclass
 class Report:
-    scenario: str
-    rows: list
-    convergence: list = field(default_factory=list)  # (epsilon, value) pairs
-    metadata: dict = field(default_factory=dict)
+    def __init__(self, scenario: str, rows: list, convergence: list | None = None,
+                 metadata: dict | None = None):
+        self.scenario = scenario
+        self.rows = rows
+        self.convergence = [] if convergence is None else convergence  # (epsilon, value) pairs
+        self.metadata = {} if metadata is None else metadata
 
     @property
     def passed(self) -> bool:
@@ -264,8 +275,6 @@ def emit_report(report: Report, out_dir: str | None = None, fmt: str = "table"):
 
     CSV content is a pure function of config and seed (no timestamps), so
     repeated runs diff clean."""
-    import os
-
     lines = [f"scenario: {report.scenario}"]
     for key, val in sorted(report.metadata.items()):
         lines.append(f"  {key}: {val}")
@@ -658,8 +667,6 @@ def _gamma_identity_residual() -> float:
 
 
 def _dump_forms(cfg: ExperimentConfig, forms: TransgressionForms, batches):
-    import os
-
     os.makedirs(cfg.out_dir, exist_ok=True)
     named = {
         "pi": forms.pi(),
@@ -816,7 +823,7 @@ def _merge(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
             updates[name] = val
     if getattr(args, "epsilon_schedule", None):
         updates["epsilon_schedule"] = _radii(args.epsilon_schedule)
-    return replace(cfg, **updates)
+    return ExperimentConfig(**{**vars(cfg), **updates})
 
 
 def main(argv=None) -> int:
@@ -839,11 +846,15 @@ def main(argv=None) -> int:
         cfg = (ExperimentConfig.from_file(args.config, args.command) if args.config
                else ExperimentConfig(scenario=args.command))
         cfg = _merge(cfg, args)
+        if cfg.out_dir:
+            os.makedirs(cfg.out_dir, exist_ok=True)
         report = runners[args.command](cfg)
-    except FinslerError as exc:
+        emit_report(report, cfg.out_dir, cfg.fmt)
+    except (FinslerError, OSError) as exc:
+        if isinstance(exc, OSError):
+            exc = ValidationError(f"cannot write the output: {exc}")
         sys.stderr.write(f"error [{type(exc).__name__}]: {exc}\n")
         return 2
-    emit_report(report, cfg.out_dir, cfg.fmt)
     return 0 if report.passed else 1
 
 

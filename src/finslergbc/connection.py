@@ -20,7 +20,6 @@ curvature is  Omega_i^j = d varpi_i^j - varpi_i^k ^ varpi_k^j.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from itertools import count
 
 import numpy as np
@@ -61,40 +60,35 @@ AXES = 3  # chart coordinates (x1, x2, theta)
 _EHRESMANN_SEQ = count()
 
 
-@dataclass
 class EhresmannData:
     """An explicit horizontal splitting: ``table(chart, x, y)`` gives the
     coefficients N^j_A in place of the canonical spray, which every
     consumer takes when handed None."""
 
-    table: object  # callable(chart, x, y) -> (n, n) of arrays
-    token: int = field(default_factory=lambda: next(_EHRESMANN_SEQ))
+    def __init__(self, table, token: int | None = None):
+        self.table = table  # callable(chart, x, y) -> (n, n) of arrays
+        self.token = next(_EHRESMANN_SEQ) if token is None else token
 
 
 # ---------------------------------------------------------------------------
 # pointwise tensor assembly
 
 
-@dataclass
 class ChartTensors:
     """Everything the connection pipeline needs at one batch of sphere
     bundle chart points."""
 
-    chart: str
-    jets: MetricJets
-    g: list
-    ginv: list
-    A: list
-    Ar: list
-    N: list
-    gamma_chern: list
-    l: list
-    dg: list  # dg[i][j][axis]
-    dl: list  # dl[i][axis]
-    # a weakref.ref to the batch, whose cache holds these tensors: a strong
-    # reference would keep every batch alive until the cyclic collector runs
-    pts: object = None
-    frame: dict = field(default_factory=dict)
+    def __init__(self, chart: str, jets: MetricJets, g: list, ginv: list, A: list,
+                 Ar: list, N: list, gamma_chern: list, l: list, dg: list, dl: list,
+                 pts=None, frame: dict | None = None):
+        self.chart, self.jets = chart, jets
+        self.g, self.ginv = g, ginv
+        self.A, self.Ar, self.N, self.gamma_chern = A, Ar, N, gamma_chern
+        self.l, self.dg, self.dl = l, dg, dl  # dg[i][j][axis], dl[i][axis]
+        # a weakref.ref to the batch, whose cache holds these tensors: a strong
+        # reference would keep every batch alive until the cyclic collector runs
+        self.pts = pts
+        self.frame = {} if frame is None else frame
 
 
 def _derived_tensors(jets: MetricJets, N_override=None) -> dict:
@@ -241,16 +235,16 @@ def bundle_tensors(metric: FinslerMetric, pts: ChartPoints,
 # connections in the natural frame
 
 
-@dataclass
 class ConnectionData:
     """A connection of the Finsler bundle, split as theta^i_j =
     gamma^i_{jA} dx^A + rho^i_{jk} delta y^k in the natural frame.  The
     coefficient providers consume a ChartTensors batch."""
 
-    label: str
-    gamma_of: object  # callable(ChartTensors) -> gamma[i][j][A]
-    rho_of: object  # callable(ChartTensors) -> rho[i][j][k]
-    frame: str = "natural"
+    def __init__(self, label: str, gamma_of, rho_of, frame: str = "natural"):
+        self.label = label
+        self.gamma_of = gamma_of  # callable(ChartTensors) -> gamma[i][j][A]
+        self.rho_of = rho_of  # callable(ChartTensors) -> rho[i][j][k]
+        self.frame = frame
 
 
 def _zero_rho(tens: ChartTensors):
@@ -360,16 +354,17 @@ def frame_transform(theta, B, dB, Binv):
 _CONN_SEQ = count()
 
 
-@dataclass
 class FrameConnection:
     """Orthonormal-frame connection forms varpi_i^j as chart coefficient
     functions over batches of bundle points."""
 
-    label: str
-    metric: FinslerMetric
-    pi_of: object  # callable(ChartPoints) -> pi[i][j][axis]
-    n: int = N_RANK
-    token: int = field(default_factory=lambda: next(_CONN_SEQ))
+    def __init__(self, label: str, metric: FinslerMetric, pi_of, n: int = N_RANK,
+                 token: int | None = None):
+        self.label = label
+        self.metric = metric
+        self.pi_of = pi_of  # callable(ChartPoints) -> pi[i][j][axis]
+        self.n = n
+        self.token = next(_CONN_SEQ) if token is None else token
 
     def pi(self, pts: ChartPoints):
         key = ("pi", self.token)
@@ -458,12 +453,12 @@ def _require_skew(P, pts, tol: float = 1e-10) -> None:
 # curvature
 
 
-@dataclass
 class CurvatureData:
     """Omega_i^j as 2-forms on the bundle chart; evaluation returns
     omega[i][j] as {(a, b): coeff} with a < b."""
 
-    conn: FrameConnection
+    def __init__(self, conn: FrameConnection):
+        self.conn = conn
 
     def omega(self, pts: ChartPoints):
         key = ("omega", self.conn.token)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -29,13 +28,13 @@ __all__ = [
 ]
 
 
-@dataclass
 class Atlas:
     """Chart bookkeeping for a closed oriented surface."""
 
-    name: str
-    chart_ids: tuple
-    chi: int
+    def __init__(self, name: str, chart_ids: tuple, chi: int):
+        self.name = name
+        self.chart_ids = chart_ids
+        self.chi = chi
 
     # --- chart transitions -------------------------------------------------
     def transition(self, src: str, dst: str, x):

@@ -19,7 +19,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, count, permutations, product
 
 import numpy as np
@@ -93,14 +92,14 @@ def _tensor(jets: dict, n: int, rank: int, scale) -> np.ndarray:
 # norms
 
 
-@dataclass
 class MinkowskiNorm:
     """A Minkowski norm on R^n: smooth away from 0, positively
     1-homogeneous, with positive definite y-Hessian of F^2/2."""
 
-    n: int
-    fn: callable
-    label: str = "norm"
+    def __init__(self, n: int, fn, label: str = "norm"):
+        self.n = n
+        self.fn = fn
+        self.label = label
 
     def __call__(self, y):
         return self.fn(list(y))
@@ -200,19 +199,20 @@ def sum_norms(f1: MinkowskiNorm, f2: MinkowskiNorm) -> MinkowskiNorm:
 _METRIC_SEQ = count()
 
 
-@dataclass
 class FinslerMetric:
     """Chart-local Finsler metric on a surface: per-chart F(x, y) with all
     arguments accepting dual numbers and the y slots Taylor jets
     (y-derivatives to third order and x-derivatives to first order are
     taken)."""
 
-    atlas_id: str
-    charts: dict[str, callable]
-    label: str = "metric"
-    n: int = 2
-    # distinguishes metric instances in evaluation caches (ids get reused)
-    token: int = field(default_factory=lambda: next(_METRIC_SEQ))
+    def __init__(self, atlas_id: str, charts: dict[str, callable], label: str = "metric",
+                 n: int = 2, token: int | None = None):
+        self.atlas_id = atlas_id
+        self.charts = charts
+        self.label = label
+        self.n = n
+        # distinguishes metric instances in evaluation caches (ids get reused)
+        self.token = next(_METRIC_SEQ) if token is None else token
 
     def F(self, chart: str, x, y):
         return self.charts[chart](list(x), list(y))
@@ -370,21 +370,16 @@ def _concatenate(parts):
 # batched metric jets for the connection pipeline
 
 
-@dataclass
 class MetricJets:
     """All raw derivative tensors of E = F^2 needed downstream, evaluated
     at a batch of sphere-bundle chart points with representative y =
     (cos theta, sin theta).  Indices are python lists, values arrays."""
 
-    F: np.ndarray
-    u: list
-    v: list
-    T1: list
-    T2: list
-    T3: list
-    X1: list
-    X2: list
-    X3: list
+    def __init__(self, F: np.ndarray, u: list, v: list, T1: list, T2: list, T3: list,
+                 X1: list, X2: list, X3: list):
+        self.F, self.u, self.v = F, u, v
+        self.T1, self.T2, self.T3 = T1, T2, T3
+        self.X1, self.X2, self.X3 = X1, X2, X3
 
 
 def _gradient(u, v, e, e1) -> list:

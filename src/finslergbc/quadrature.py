@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,15 +61,15 @@ class QuadratureError(ValueError):
     pass
 
 
-@dataclass
 class ChartPoints:
     """A batch of chart points: 2 coordinate arrays on the base, 3 on the
     sphere bundle (x1, x2, theta).  ``cache`` lets expensive geometry
     evaluations be shared between form fields at the same batch."""
 
-    chart: str
-    coords: tuple
-    cache: dict = field(default_factory=dict, repr=False)
+    def __init__(self, chart: str, coords: tuple, cache: dict | None = None):
+        self.chart = chart
+        self.coords = coords
+        self.cache = {} if cache is None else cache
 
     @property
     def dim(self) -> int:
@@ -398,15 +397,16 @@ def periodic_rule(order: int):
 # integration domains
 
 
-@dataclass
 class AnnulusRegion:
     """Polar region r_inner <= r <= r_outer about a centre in one chart;
     r_inner = 0 is a full disc."""
 
-    chart: str
-    center: tuple[float, float]
-    r_inner: float
-    r_outer: float
+    def __init__(self, chart: str, center: tuple[float, float], r_inner: float,
+                 r_outer: float):
+        self.chart = chart
+        self.center = center
+        self.r_inner = r_inner
+        self.r_outer = r_outer
 
     def nodes(self, order: int):
         """One Gauss-Legendre panel of n = 2 max(16, order // 3) nodes in r
@@ -442,13 +442,14 @@ class AnnulusRegion:
         return (*gauss_legendre(self.r_inner, self.r_outer, n), *periodic_rule(n))
 
 
-@dataclass
 class BoxRegion:
     """Tensor-product region [a1,b1] x [a2,b2] in one chart."""
 
-    chart: str
-    x1_range: tuple[float, float]
-    x2_range: tuple[float, float]
+    def __init__(self, chart: str, x1_range: tuple[float, float],
+                 x2_range: tuple[float, float]):
+        self.chart = chart
+        self.x1_range = x1_range
+        self.x2_range = x2_range
 
     def nodes(self, order: int):
         u, wu = gauss_legendre(*self.x1_range, order)

@@ -4,7 +4,6 @@ degrees by winding, and Poincare-Hopf bookkeeping."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +27,15 @@ __all__ = [
 ]
 
 
-@dataclass
 class SectionField:
     """A tangent-bundle section given per chart as X(x) -> (X^1, X^2);
     component functions accept dual numbers and numpy arrays.  Doubles as
     the induced sphere-bundle section via ``theta`` / ``theta_grad``."""
 
-    atlas: Atlas
-    components: dict
-    label: str = "field"
+    def __init__(self, atlas: Atlas, components: dict, label: str = "field"):
+        self.atlas = atlas
+        self.components = components
+        self.label = label
 
     def value(self, chart: str, x1, x2):
         return self.components[chart](x1, x2)
@@ -58,14 +57,15 @@ class SectionField:
         return grad[0], grad[1]
 
 
-@dataclass
 class ZeroRecord:
     """One isolated zero of a section."""
 
-    chart: str
-    location: tuple
-    degree: int | None = None
-    epsilon_schedule: tuple = (0.2, 0.1, 0.05)
+    def __init__(self, chart: str, location: tuple, degree: int | None = None,
+                 epsilon_schedule: tuple = (0.2, 0.1, 0.05)):
+        self.chart = chart
+        self.location = location
+        self.degree = degree
+        self.epsilon_schedule = epsilon_schedule
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,9 @@ def fast_cfg():
     )
 
 
-def _loaded_in_fresh_interpreter(call: str, modules) -> list:
+def _loaded_in_fresh_interpreter(modules, *calls) -> list:
     """Those of modules that are in sys.modules after a fresh interpreter
-    runs call, a cli runner call whose report must pass."""
+    runs calls, cli runner calls whose reports must pass."""
     import subprocess
     import sys
 
@@ -45,7 +45,7 @@ def _loaded_in_fresh_interpreter(call: str, modules) -> list:
     code = (
         "import sys\n"
         "from finslergbc.cli import ExperimentConfig, run_gbc, run_identity_suite\n"
-        f"assert {call}.passed\n"
+        + "".join(f"assert {call}.passed\n" for call in calls) +
         f"print(*(m for m in {tuple(modules)!r} if m in sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(finslergbc.__file__)))
@@ -111,6 +111,58 @@ class TestConfig:
                 th = rng.uniform(0.0, 2.0 * np.pi, n)
                 for got, want in zip(batch.coords, (r * np.cos(ph), r * np.sin(ph), th)):
                     assert np.array_equal(got, want)
+
+    def test_mutable_defaults_not_shared(self):
+        """Each instance gets its own dict or list where a default is
+        mutable."""
+        from finslergbc.quadrature import ChartPoints
+
+        a, b = ExperimentConfig(), ExperimentConfig()
+        assert a.field_exprs is not b.field_exprs and a.field_exprs == {}
+        assert a.ehresmann_exprs is not b.ehresmann_exprs and a.ehresmann_exprs == {}
+        p, q = ChartPoints("south", ()), ChartPoints("south", ())
+        assert p.cache is not q.cache and p.cache == {}
+        r, t = Report("gbc", []), Report("gbc", [])
+        assert r.convergence is not t.convergence and r.convergence == []
+        assert r.metadata is not t.metadata and r.metadata == {}
+
+    @pytest.mark.parametrize("make", [
+        lambda: ExperimentConfig(no_such_field=1),
+        lambda: ExperimentConfig("gbc", *range(20)),
+        lambda: Report("gbc", [], no_such_field=1),
+        lambda: ReportRow("x", 1.0, None, None, True, 0),
+    ], ids=["config-keyword", "config-positional", "report", "row"])
+    def test_unknown_argument_rejected(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_merge_keeps_unset_fields(self):
+        """_merge returns a new config with the flags that are set and every
+        other field, the INI-only ones too, as it was."""
+        import argparse
+
+        from finslergbc.cli import _merge
+
+        cfg = ExperimentConfig("identities", 7, "torus", "quartic", 0.05, "perturbed", 0.3,
+                               "explicit", {"n11": "0"}, "custom", 3, {"torus": ("1", "0")},
+                               32, 24, (0.3, 0.1), 50, 1e-6, "out", "csv", True)
+        before = dict(vars(cfg))
+        merged = _merge(cfg, argparse.Namespace(seed=11, order_base=None,
+                                                epsilon_schedule="0.25,0.05"))
+        assert merged is not cfg and vars(cfg) == before
+        assert vars(merged) == {**before, "seed": 11, "epsilon_schedule": (0.25, 0.05)}
+
+    def test_shipped_config_values(self):
+        """configs/randers_gbc.ini reads as every field it has always read."""
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "randers_gbc.ini")
+        assert vars(ExperimentConfig.from_file(path, "gbc")) == {
+            "scenario": "gbc", "seed": 1234, "manifold": "sphere", "metric": "randers",
+            "metric_eps": 0.1, "connection": "cartan", "perturbation_amplitude": 0.2,
+            "ehresmann": "spray", "ehresmann_exprs": {}, "vector_field": "rotational",
+            "field_power": 2, "field_exprs": {}, "order_fiber": 64, "order_base": 48,
+            "epsilon_schedule": (0.2, 0.1, 0.05), "identity_samples": 200,
+            "tolerance": None, "out_dir": "results", "fmt": "table", "dump_forms": False,
+        }
 
     @pytest.mark.parametrize("samples", [MAX_IDENTITY_SAMPLES + 1, 10 ** 9])
     def test_identity_samples_bounded(self, samples):
@@ -254,14 +306,26 @@ class TestRunners:
         cfg = ("ExperimentConfig(metric='randers', connection='perturbed', order_base=12,"
                " order_fiber=16)")
         assert _loaded_in_fresh_interpreter(
-            f"run_gbc({cfg})", ("numpy.random", "numpy.ma", "numpy.polynomial")) == []
+            ("numpy.random", "numpy.ma", "numpy.polynomial"), f"run_gbc({cfg})") == []
 
     def test_identities_load_no_numpy_polynomial(self):
         """The identity suite's gamma-coefficient rule comes from
         gauss_legendre too, so it leaves numpy.polynomial unloaded."""
         cfg = "ExperimentConfig(metric='randers', identity_samples=20)"
         assert _loaded_in_fresh_interpreter(
-            f"run_identity_suite({cfg})", ("numpy.polynomial",)) == []
+            ("numpy.polynomial",), f"run_identity_suite({cfg})") == []
+
+    def test_runs_load_no_dataclasses_or_configparser(self):
+        """The package's classes are plain classes and only --config reads
+        INI text, so a passing gbc run and a passing identity suite leave
+        dataclasses and configparser unloaded (numpy loads neither), in a
+        fresh interpreter."""
+        gbc = ("ExperimentConfig(metric='randers', connection='perturbed', order_base=12,"
+               " order_fiber=16)")
+        identities = "ExperimentConfig(metric='randers', identity_samples=20)"
+        assert _loaded_in_fresh_interpreter(
+            ("dataclasses", "configparser"), f"run_gbc({gbc})",
+            f"run_identity_suite({identities})") == []
 
     @pytest.mark.parametrize("field", ["rotational", "height_gradient"])
     @pytest.mark.parametrize("connection", ["cartan", "perturbed", "chern_modified"])
@@ -450,6 +514,32 @@ class TestMainEntry:
         assert rc == 2
         err = capsys.readouterr().err
         assert "ValidationError" in err and "(0.3, 0.0)" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["minkowski-props"],
+        ["identities", "--dump-forms", "--samples", "8"],
+    ], ids=["minkowski-props", "identities-dump-forms"])
+    def test_unusable_out_dir_rejected(self, argv, tmp_path, capsys, monkeypatch):
+        """An --out path under a regular file exits 2 with a ValidationError
+        before the runner starts, not a NotADirectoryError traceback."""
+        import finslergbc.cli as cli
+
+        def never(cfg):
+            raise AssertionError("the runner started")
+
+        monkeypatch.setattr(cli, "run_minkowski_props", never)
+        monkeypatch.setattr(cli, "run_identity_suite", never)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert cli.main([*argv, "--out", str(blocker / "out")]) == 2
+        assert "error [ValidationError]" in capsys.readouterr().err
+
+    def test_unwritable_report_rejected(self, tmp_path, capsys):
+        """A report file that cannot be written exits 2 with a
+        ValidationError too."""
+        (tmp_path / "report.csv").mkdir()
+        assert main(["degrees", "--out", str(tmp_path)]) == 2
+        assert "error [ValidationError]" in capsys.readouterr().err
 
     def test_error_reporting(self, capsys):
         rc = main(["gbc", "--manifold", "torus", "--metric", "euclidean",
