@@ -284,7 +284,9 @@ def mathai_quillen_Ut(t: float, nabla_ell: BigradedElement,
 
 class TransgressionForms:
     """Builds every pipeline form for one (metric, D, nabla) triple and
-    keeps the shared volume functions cached."""
+    keeps the shared volume functions cached.  ``fiber_rules`` maps each
+    chart to the largest fiber node count its V passes took and whether
+    they all converged (``fiber_volume``)."""
 
     def __init__(self, metric: FinslerMetric, D: FrameConnection,
                  nabla: FrameConnection, order_fiber: int = FIBER_ORDER):
@@ -293,6 +295,7 @@ class TransgressionForms:
         self.nabla = nabla
         self.n = nabla.n
         self.order_fiber = order_fiber
+        self.fiber_rules = {}
         self.token = next(_FORMS_SEQ)
         self.curv_D = curvature(D)
         self.curv_nabla = curvature(nabla)
@@ -302,7 +305,8 @@ class TransgressionForms:
         key = ("V", self.token)
         hit = pts.cache.get(key)
         if hit is None:
-            hit = fiber_volume(self.metric, pts.coords[:2], pts.chart, self.order_fiber)
+            hit = fiber_volume(self.metric, pts.coords[:2], pts.chart, self.order_fiber,
+                               self.fiber_rules)
             pts.cache[key] = hit
         return hit
 
@@ -318,7 +322,7 @@ class TransgressionForms:
             x1, x2 = pts.coords[:2]
             s = np.eye(2).reshape((2, 2) + (1,) * max(np.ndim(x1), np.ndim(x2)))
             jet = fiber_volume(self.metric, [Dual(x1, s[0]), Dual(x2, s[1])], pts.chart,
-                               self.order_fiber)
+                               self.order_fiber, self.fiber_rules)
             v_key = ("V", self.token)
             V = pts.cache.get(v_key)
             if V is None:

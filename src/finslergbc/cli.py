@@ -73,18 +73,19 @@ VOL_S1 = 2.0 * math.pi
 
 # How far gbc_disc_limit may lie from chi.  On the built-in sphere
 # scenarios (round and Randers 0.1 to 0.9, every connection and field) it
-# reaches chi within 8.9e-16 at base orders 6, 48 and 96, on the 32 x 32
-# unit-disc rule of orders up to 50 and the 64 x 64 rule of 96, so a 1e-6
-# relative change of the integrand fails the row by eight orders.
+# reaches chi within 8.9e-16 at base orders 6, 48 and 96, on 32 and 64
+# radii and the nested phi rule, so a 1e-6 relative change of the
+# integrand fails the row by eight orders.
 DISC_LIMIT_TOL = 1e-14
 
 # The largest base or fiber quadrature order.  Both rules converge
-# spectrally (gbc_disc_limit reaches chi to 8.9e-16 on the 32 x 32 disc
-# rule of base orders up to 50), so a higher order gains nothing, while a
-# chart is one batch of 2 order/3 x 2 order/3 nodes: a Randers run at 512
-# takes 4.3 s and peaks at 306 MiB (71 MiB and 0.5 s at order 192, on 2
-# vCPU).  Order 1e8 would run Gauss-Legendre's recurrence 1e8 steps over
-# 1e8 nodes.
+# spectrally (gbc_disc_limit reaches chi to 8.9e-16 on 32 radii at base
+# orders up to 50), so a higher order gains nothing, while a chart takes
+# up to 2 order/3 radii x AnnulusRegion.phi_cap(order) angles: Randers 0.9
+# at 512 takes 1.7 s and peaks at 71 MiB, its phi rule stopping at 96
+# nodes; rules forced to their caps at order 384 (1,536 phi nodes) took
+# 20 s and 480 MiB, on 2 vCPU.  Order 1e8 would run Gauss-Legendre's
+# recurrence 1e8 steps over 1e8 nodes.
 MAX_QUADRATURE_ORDER = 512
 
 # The largest identity sample count.  The residuals are maxima over the
@@ -420,10 +421,15 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
     it holds a zero, over each disc r <= eps of the schedule.  The
     integrand runs once per chart, on the nodes of the polar rule of the
     unit disc (``AnnulusRegion``), and every I(eps) is read off those same
-    samples (``base_integral_excised``).  The per-eps value is vol(S^1)
-    sum over charts of I(1) - I(eps), with I(eps) = 0 in a chart without a
-    zero; ``normalized_gbc_integral`` is their
-    Neville extrapolation to eps = 0.  The polar rule integrates the O(1/r)
+    samples (``base_integral_excised``).  Its phi rule, and the fiber rule
+    of V, size themselves by nested doubling up to the caps that
+    order_base and order_fiber set; the metadata records per chart the
+    node counts they took, as phi_nodes and fiber_nodes, and marks a rule
+    that stopped at its cap unconverged.  At the workload orders each
+    chart takes 32 radii x 12 angles, 768 base points in all.  The per-eps
+    value is vol(S^1) sum over charts of I(1) - I(eps), with I(eps) = 0 in
+    a chart without a zero; ``normalized_gbc_integral`` is their Neville
+    extrapolation to eps = 0.  The polar rule integrates the O(1/r)
     integrand through the zero, so ``gbc_disc_limit``, vol(S^1) sum of
     I(1), is the eps -> 0 limit itself and is held to chi within
     DISC_LIMIT_TOL."""
@@ -441,6 +447,7 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
 
     rows = [ReportRow("poincare_hopf_sum", float(chi), float(atlas.chi), 0.0, True)]
     schedule = sorted(cfg.epsilon_schedule, reverse=True)
+    phi_rules = {}
     if atlas.name == "torus":
         box = BoxRegion("torus", *atlas.region_box("torus"))
         total = VOL_S1 * base_integral_excised(integrand, [box], order=cfg.order_base)[0]
@@ -456,7 +463,8 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
         held = {rec.chart for rec in zeros}
         regions = [AnnulusRegion(chart, (0.0, 0.0), 0.0, r) for chart in atlas.chart_ids
                    for r in [1.0] + (schedule if chart in held else [])]
-        values = base_integral_excised(integrand, regions, order=cfg.order_base)
+        values = base_integral_excised(integrand, regions, order=cfg.order_base,
+                                       rules=phi_rules)
         disc = {(region.chart, region.r_outer): v for region, v in zip(regions, values)}
         per_eps = [(eps, VOL_S1 * sum(disc[c, 1.0] - disc.get((c, eps), 0.0)
                                       for c in atlas.chart_ids)) for eps in schedule]
@@ -483,11 +491,21 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
         "field": X.label,
         "order_base": cfg.order_base,
         "order_fiber": cfg.order_fiber,
+        "fiber_nodes": _rule_sizes(forms.fiber_rules),
         "epsilon_schedule": ",".join(f"{e:g}" for e in schedule),
         "runtime_s": f"{runtime:.2f}",
         "seed": cfg.seed,
     }
+    if phi_rules:
+        meta["phi_nodes"] = _rule_sizes(phi_rules)
     return Report("gbc", rows, per_eps, meta)
+
+
+def _rule_sizes(rules: dict) -> str:
+    """chart=nodes for each chart's nested periodic rule, in chart order,
+    with every rule that stopped at its cap unconverged marked as such."""
+    return ",".join(f"{chart}={n}" + ("" if converged else " (not converged at cap)")
+                    for chart, (n, converged) in rules.items())
 
 
 def _volume_spread(forms: TransgressionForms, atlas: Atlas) -> float:
@@ -846,6 +864,7 @@ def main(argv=None) -> int:
         cfg = (ExperimentConfig.from_file(args.config, args.command) if args.config
                else ExperimentConfig(scenario=args.command))
         cfg = _merge(cfg, args)
+        cfg.validate()
         if cfg.out_dir:
             os.makedirs(cfg.out_dir, exist_ok=True)
         report = runners[args.command](cfg)

@@ -26,7 +26,7 @@ import numpy as np
 from . import ad
 from .ad import Dual, Jet, partial, taylor_coefficient, value
 from .errors import DomainError, InvalidMetricError, MetricEvaluationError
-from .quadrature import periodic_rule
+from .quadrature import nested_periodic_rule
 
 __all__ = [
     "MinkowskiNorm",
@@ -281,10 +281,12 @@ def fiber_volume_form(metric: FinslerMetric, x, theta, chart: str | None = None)
     return ad.sqrt((f + f2) / f)
 
 
-# Default number of trapezoid nodes on the fiber circle: the smallest count
-# that keeps V within 1e-12 of the 64-node Gauss-Legendre rule on every zoo
-# metric where that rule is itself converged to 1e-12 (Randers eps <= 0.85).
-FIBER_ORDER = 48
+# The most nodes the nested fiber rule may take by default.  On the zoo
+# Randers metric the fiber density is (1 + s cos psi)^(-1/2), s up to eps,
+# and V = 2 pi / AGM(sqrt(1 + s), sqrt(1 - s)): at eps = 0.9 the rule needs
+# 128 nodes to hold V within 1e-14 of it at |x| = 1, where s = eps
+# (test_metric's AGM test); eps = 0.1 stops at 16.
+FIBER_ORDER = 128
 
 # Quadrature nodes (base points x fiber nodes) per fiber-volume block: the
 # ~36 fiber arrays of a plain pass, and the ~250 of a two-seed pass, stay
@@ -313,57 +315,78 @@ def _keep_freed_pages() -> None:
 
 
 def fiber_volume(metric: FinslerMetric, x, chart: str | None = None,
-                 order: int = FIBER_ORDER):
+                 order: int = FIBER_ORDER, rules: dict | None = None):
     """V(x): Riemannian volume of the indicatrix fiber at each base point.
 
     x = (x1, x2) holds scalars or arrays; the result has their broadcast
-    shape.  The density is integrated by the order-point periodic
-    trapezoid rule, which converges geometrically on the smooth periodic
-    density, over blocks of max(1, _FIBER_NODES // order) base
-    points of the flattened batch; a batch that fits in one block is
-    evaluated as it is.  A slot of x may carry one dual layer (a seeded
-    base point); V then carries the exact derivative along the seed.  The
-    seed may have leading axes of its own, e.g. one per chart axis when
-    both coordinates are seeded at once; V's derivative keeps them in
-    front of the batch axes."""
+    shape.  The density is integrated by the nested periodic trapezoid
+    rule (``quadrature.nested_periodic_rule``) of at most order nodes,
+    sized once for the whole batch: it stops once, from n/2 to n nodes, no
+    point's V, nor any derivative part of it, moves by more than NESTED_TOL
+    of that point's V.  Each pass works through the flattened batch in
+    blocks of max(1, _FIBER_NODES // nodes) base points, nodes being the
+    pass's own.  A slot of x may carry one dual
+    layer (a seeded base point); V then carries the exact derivative along
+    the seed.  The seed may have leading axes of its own, e.g. one per
+    chart axis when both coordinates are seeded at once; V's derivative
+    keeps them in front of the batch axes.  ``rules``, if given, maps the
+    chart to the largest node count its batches took and whether all of
+    them converged."""
     chart = _default_chart(metric, chart)
-    th, w = periodic_rule(order)
     shape = np.broadcast_shapes(*(np.shape(value(c)) for c in x))
-    size, block = math.prod(shape), max(1, _FIBER_NODES // order)
-    if size <= block:
-        return _fiber_integral(metric, x, chart, th, w)
+    size = math.prod(shape)
 
     def flatten(a):
         lead = np.shape(a)[:max(0, np.ndim(a) - len(shape))]
         return np.broadcast_to(a, lead + shape).reshape(lead + (size,))
 
-    _keep_freed_pages()
-    x = [ad.linear_map(flatten, c) for c in x]
-    parts = [_fiber_integral(metric, [ad.linear_map(lambda a: a[..., i:i + block], c)
-                                      for c in x], chart, th, w)
-             for i in range(0, size, block)]
-    return ad.linear_map(lambda a: a.reshape(a.shape[:-1] + shape), _concatenate(parts))
+    flat = [ad.linear_map(flatten, c) for c in x]
+
+    def sums(th):
+        block = max(1, _FIBER_NODES // th.size)
+        if size <= block:
+            return _fiber_sums(metric, flat, chart, th)
+        _keep_freed_pages()
+        return _concatenate([_fiber_sums(metric, [ad.linear_map(lambda a: a[..., i:i + block], c)
+                                                  for c in flat], chart, th)
+                             for i in range(0, size, block)])
+
+    def change(V, half):
+        return max(float(np.max(np.abs(part) / value(V), initial=0.0))
+                   for part in _parts(V - half))
+
+    V, n, converged = nested_periodic_rule(sums, order, change)
+    if rules is not None:
+        prev_n, prev_ok = rules.get(chart, (0, True))
+        rules[chart] = (max(n, prev_n), converged and prev_ok)
+    return ad.linear_map(lambda a: a.reshape(a.shape[:-1] + shape), V)
 
 
-def _fiber_integral(metric: FinslerMetric, x, chart: str, th, w):
-    """The quadrature sum of the fiber density over the nodes th, weights w.
-    The sum is a ufunc reduction over the node axis, so each base point's
-    sum depends on its own row alone, not on where the row sits in the
-    batch or on the batch size (a matrix-vector product does not promise
+def _fiber_sums(metric: FinslerMetric, x, chart: str, th):
+    """The sums of the fiber density over the last axis of the 2-D node
+    array th, at each base point: shape (..., points, rows of th).  Each
+    sum is a ufunc reduction over the node axis, so each base point's sum
+    depends on its own row alone, not on where the row sits in the batch
+    or on the batch size (a matrix-vector product does not promise
     that)."""
-    x = [ad.linear_map(lambda a: np.asarray(a, dtype=float)[..., None], c) for c in x]
+    x = [ad.linear_map(lambda a: np.asarray(a, dtype=float)[..., None, None], c) for c in x]
     rho = fiber_volume_form(metric, x, th, chart)
     shape = np.broadcast_shapes(*(np.shape(value(c)) for c in x), th.shape)
     return ad.linear_map(lambda r: np.add.reduce(
-        np.broadcast_to(r, np.broadcast_shapes(np.shape(r), shape)) * w, -1), rho)
+        np.broadcast_to(r, np.broadcast_shapes(np.shape(r), shape)), -1), rho)
+
+
+def _parts(d):
+    """The value and every derivative part of an array or dual."""
+    return _parts(d.val) + _parts(d.eps) if isinstance(d, Dual) else [d]
 
 
 def _concatenate(parts):
-    """Join per-block results (all with the same dual layers) along the
-    last axis."""
+    """Join per-block sums (all with the same dual layers) along the points
+    axis, the one before the last."""
     if isinstance(parts[0], Dual):
         return Dual(_concatenate([p.val for p in parts]), _concatenate([p.eps for p in parts]))
-    return np.concatenate(parts, axis=-1)
+    return np.concatenate(parts, axis=-2)
 
 
 # ---------------------------------------------------------------------------

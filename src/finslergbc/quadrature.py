@@ -2,7 +2,10 @@
 all numeric integration (fiber circles, boundary circles, and base regions:
 polar discs and annuli about a chart centre, boxes on the torus).  The
 discs and annuli of one chart are integrated from one set of samples, those
-of the polar rule of the smallest annulus that holds them all.
+of the polar rule of the smallest annulus that holds them all.  The angle
+of that rule, like the fiber circle of ``metric.fiber_volume``, is
+integrated by one nested periodic trapezoid rule that sizes itself by
+doubling (``nested_periodic_rule``).
 
 Forms are stored as antisymmetric coefficient tables over ordered axis
 subsets of a chart; fields evaluate whole batches of chart points at once,
@@ -22,6 +25,7 @@ import warnings
 
 import numpy as np
 
+from .ad import linear_map
 from .algebra import merge_sign, sort_with_parity
 
 __all__ = [
@@ -43,6 +47,7 @@ __all__ = [
     "fiber_integral",
     "gauss_legendre",
     "periodic_rule",
+    "nested_periodic_rule",
 ]
 
 Index = tuple[int, ...]
@@ -393,6 +398,60 @@ def periodic_rule(order: int):
     return 2.0 * math.pi * np.arange(order) / order, np.full(order, 2.0 * math.pi / order)
 
 
+# The node count a nested periodic rule starts from: its cap, halved while
+# it stays even and at least this.  The phi rule of AnnulusRegion runs 12
+# 2^k nodes and the fiber rule, at its default and shipped caps, 16 2^k (see
+# AnnulusRegion.phi_cap).
+PERIODIC_FLOOR = 12
+
+# A nested periodic rule accepts T_n once the caller's measure of |T_n -
+# T_{n/2}| is at most this.  On an integrand analytic in a strip |Im| < a
+# the error of T_n is C exp(-n a) (Trefethen & Weideman, SIAM Rev. 56(3),
+# 2014), so the error of T_n is the square of that of T_{n/2}, which
+# |T_n - T_{n/2}| measures, over C: relative to the integral, 1 / C read
+# 0.24 to 3.1 on the Randers phi and fiber rules and 73 on the quartic
+# fiber, so a change of 1e-9 leaves T_n below 1e-16.
+NESTED_TOL = 1e-9
+
+
+def nested_periodic_rule(sums, cap: int, change):
+    """(T, n, converged): the n-node periodic trapezoid rule over one
+    period, its n sized by nested doubling up to the cap.
+
+    sums(angles) evaluates the integrand at every entry of the 2-D array
+    of angles in one pass and returns its sums over the last axis, one
+    trailing entry per row (arrays, or duals, of any leading shape).  The
+    rule starts at n = cap halved while it stays even and at least
+    PERIODIC_FLOOR, in one pass over the n nodes 2 pi k / n whose rows are
+    the even and the odd k: the even ones are the nodes of the n/2 rule, so
+    T_{n/2} comes free.  Each doubling evaluates only the n nodes of the 2n
+    rule that are new, the old ones shifted by pi / n, and keeps every
+    earlier sum.  change(T_n, T_{n/2}) is the caller's measure of the
+    difference; the rule stops once it is at most NESTED_TOL, converged,
+    or at the cap, where it reports whether it converged there.  An odd
+    starting n gives no T_{n/2}, so its first estimate is at 2n."""
+    n = cap
+    while n % 2 == 0 and n // 2 >= PERIODIC_FLOOR:
+        n //= 2
+    parity = 2 - n % 2
+    first = sums(2.0 * math.pi / n * np.arange(n).reshape(-1, parity).T)
+    total = _entry(first, 0)
+    estimate = math.inf
+    if parity == 2:
+        half, total = total, total + _entry(first, 1)
+        estimate = change(total * (2.0 * math.pi / n), half * (4.0 * math.pi / n))
+    while estimate > NESTED_TOL and 2 * n <= cap:
+        odd = sums(math.pi / n * (2.0 * np.arange(n) + 1.0)[None, :])
+        half, total, n = total, total + _entry(odd, 0), 2 * n
+        estimate = change(total * (2.0 * math.pi / n), half * (4.0 * math.pi / n))
+    return total * (2.0 * math.pi / n), n, estimate <= NESTED_TOL
+
+
+def _entry(sums, k: int):
+    """Entry k of the trailing axis of an array or dual."""
+    return linear_map(lambda a: a[..., k], sums)
+
+
 # ---------------------------------------------------------------------------
 # integration domains
 
@@ -408,38 +467,52 @@ class AnnulusRegion:
         self.r_inner = r_inner
         self.r_outer = r_outer
 
-    def nodes(self, order: int):
-        """One Gauss-Legendre panel of n = 2 max(16, order // 3) nodes in r
-        times the periodic rule of n nodes in phi, with weight r w_r w_phi
-        (dx1 ^ dx2 = r dr ^ dphi).  On a full disc an integrand f that is
-        O(1/r) at the centre, with r f smooth in (r, phi), is integrated to
-        rounding (Duffy, SIAM J. Numer. Anal. 19(6), 1982).  Every order up
-        to 50 runs the same 32 x 32 rule; n grows from order 51 on.  The
-        radial count serves the concentric sub-regions of ``weights`` too:
-        they are exact to degree n - 1 in r, and 24 or 16 radial nodes
-        would move gbc's per-eps values by up to 8.5e-13 or 6.3e-9."""
-        r, wr, phi, wphi = self._rule(order)
-        R, PHI = np.meshgrid(r, phi, indexing="ij")
-        x1 = self.center[0] + (R * np.cos(PHI)).ravel()
-        x2 = self.center[1] + (R * np.sin(PHI)).ravel()
-        return x1, x2, np.outer(wr * r, wphi).ravel()
+    def nodes(self, order: int, phi):
+        """The base points (x1, x2) of the polar rule at the angles phi:
+        every radial node of ``radii(order)`` at every angle, radius-major.
+        They are summed in phi by the nested periodic rule and in r by a
+        row of ``weights`` (dx1 ^ dx2 = r dr ^ dphi).  On a full disc an
+        integrand f that is O(1/r) at the centre, with r f smooth in (r,
+        phi), is integrated to rounding (Duffy, SIAM J. Numer. Anal. 19(6),
+        1982)."""
+        r, _ = self.radii(order)
+        x1 = self.center[0] + np.outer(r, np.cos(phi)).ravel()
+        x2 = self.center[1] + np.outer(r, np.sin(phi)).ravel()
+        return x1, x2
+
+    def radii(self, order: int):
+        """The radial rule: one Gauss-Legendre panel of n = 2 max(16, order
+        // 3) nodes on [r_inner, r_outer].  The count serves the concentric
+        sub-regions of ``weights``: they are exact to degree n - 1 in r, and
+        24 or 16 radial nodes would move gbc's per-eps values by up to
+        8.5e-13 or 6.3e-9."""
+        return gauss_legendre(self.r_inner, self.r_outer, 2 * max(16, order // 3))
+
+    @staticmethod
+    def phi_cap(order: int) -> int:
+        """The most phi nodes the nested rule may take: PERIODIC_FLOOR times
+        the largest power of two that is at most half the radial count, so
+        12, 24, ..., 192 nodes below order 96 (Randers 0.9 takes 96, the
+        workload 12).  A fiber rule stopped unconverged at N = 16 2^j nodes
+        leaves in V, on a rotation-invariant metric, an error with the phi
+        modes k N, which 12 2^i and 6 2^i nodes integrate exactly unless 3
+        divides k; a 16 2^i family aliased it in both T_n and T_{n/2}, and
+        read Randers 0.9 at 16 fiber nodes 6.5e-7 off."""
+        return PERIODIC_FLOOR << (max(16, order // 3).bit_length() - 1)
 
     def weights(self, order: int, parts) -> np.ndarray:
-        """One row of weights on ``nodes(order)`` per concentric annulus
-        (inner, outer) of parts that lies within this region.  A row
-        integrates over inner <= r <= outer the polynomial of degree n - 1
-        in r that interpolates r times the phi rule's sum at the radial
-        nodes, which is smooth on a full disc about an O(1/r) zero, so every
-        sub-disc is read off the samples of the whole disc.  The row of
-        (r_inner, r_outer) is the ``nodes`` weight to the bit."""
-        r, wr, _, wphi = self._rule(order)
+        """One row of radial weights on ``radii(order)`` per concentric
+        annulus (inner, outer) of parts that lies within this region: the
+        row times the phi integrals at the radial nodes integrates over
+        inner <= r <= outer the polynomial of degree n - 1 in r that
+        interpolates r times the phi integral, which is smooth on a full
+        disc about an O(1/r) zero, so every sub-disc is read off the samples
+        of the whole disc.  The row of (r_inner, r_outer) is r w_r to the
+        bit."""
+        r, wr = self.radii(order)
         t = 2.0 * (np.asarray(parts, dtype=float) - self.r_inner) / (self.r_outer - self.r_inner)
         s = _gauss_primitives(len(r), t - 1.0)
-        return np.stack([np.outer(wr * r * (b - a), wphi).ravel() for a, b in s])
-
-    def _rule(self, order: int):
-        n = 2 * max(16, order // 3)
-        return (*gauss_legendre(self.r_inner, self.r_outer, n), *periodic_rule(n))
+        return np.stack([wr * r * (b - a) for a, b in s])
 
 
 class BoxRegion:
@@ -459,24 +532,45 @@ class BoxRegion:
         return U.ravel(), V.ravel(), (WU * WV).ravel()
 
 
-def base_integral_excised(f: FormField, regions, order: int = 48) -> list[float]:
+def base_integral_excised(f: FormField, regions, order: int = 48,
+                          rules: dict | None = None) -> list[float]:
     """Integrate a base 2-form over each region, one value per region in
-    the order given.  f runs once per chart, on one set of nodes: those of
-    the chart's box, or, for annuli about one centre, those of the smallest
-    annulus about it that holds them all (on the sphere, the unit disc),
-    which each annulus sums with its own row of ``AnnulusRegion.weights``."""
+    the order given.  A chart's box is integrated on its own nodes.  The
+    annuli about one centre of a chart are integrated on the nodes of the
+    smallest annulus about it that holds them all (on the sphere, the unit
+    disc), each annulus with its own row of ``AnnulusRegion.weights``; the
+    phi rule is the nested periodic rule, sized on every row at once: it
+    stops once no row's value moves by more than NESTED_TOL of the largest
+    row's integral of |f| from n/2 to n phi nodes.  ``rules``, if given,
+    maps each chart with annuli to its (phi node count, converged)."""
     if f.degree != 2 or f.dim != 2:
         raise QuadratureError("base integral expects a base 2-form")
     out = [0.0] * len(regions)
     for chart in dict.fromkeys(region.chart for region in regions):
         index = [i for i, region in enumerate(regions) if region.chart == chart]
         host = _host([regions[i] for i in index])
-        x1, x2, w = host.nodes(order)
-        c = np.broadcast_to(f(ChartPoints(chart, (x1, x2))).get((0, 1)), x1.shape)
-        rows = [w] if isinstance(host, BoxRegion) else host.weights(
-            order, [(regions[i].r_inner, regions[i].r_outer) for i in index])
+        if isinstance(host, BoxRegion):
+            x1, x2, w = host.nodes(order)
+            c = np.broadcast_to(f(ChartPoints(chart, (x1, x2))).get((0, 1)), x1.shape)
+            out[index[0]] = float(np.sum(w * c))
+            continue
+        rows = host.weights(order, [(regions[i].r_inner, regions[i].r_outer) for i in index])
+
+        def sums(phi):
+            x1, x2 = host.nodes(order, phi)
+            c = np.broadcast_to(f(ChartPoints(chart, (x1, x2))).get((0, 1)), x1.shape)
+            c = c.reshape((len(rows[0]),) + phi.shape)
+            return np.stack([c, np.abs(c)]).sum(-1)
+
+        def change(t, half):
+            moved = np.max(np.abs(rows @ (t[0] - half[0])))
+            return moved / np.max(np.abs(rows) @ t[1]) if moved else 0.0
+
+        t, n, converged = nested_periodic_rule(sums, host.phi_cap(order), change)
+        if rules is not None:
+            rules[chart] = (n, converged)
         for i, row in zip(index, rows):
-            out[i] = float(np.sum(row * c))
+            out[i] = float(np.sum(row * t[0]))
     return out
 
 

@@ -236,8 +236,10 @@ class TestRunners:
     def test_gbc_base_points_at_workload_orders(self, monkeypatch):
         """At base order 48 and eps = 0.2, 0.1, 0.05 a sphere run with a
         zero in each chart integrates the discs r <= 1, 0.2, 0.1, 0.05 of
-        each chart from the 32 x 32 nodes of its unit disc: 2 node sets,
-        2,048 base points, and one integrand batch per chart."""
+        each chart from the 32 x 12 nodes of its unit disc: the nested phi
+        rule converges at its first pass of 12 nodes, so 2 node sets, 768
+        base points, and one integrand batch per chart.  The fiber rule
+        converges at its first pass of 16 nodes."""
         from finslergbc.chern_forms import TransgressionForms
         from finslergbc.quadrature import AnnulusRegion, BoxRegion, FormField
 
@@ -265,9 +267,22 @@ class TestRunners:
                                epsilon_schedule=(0.2, 0.1, 0.05))
         report = run_gbc(cfg)
         assert report.passed
-        assert counts == [1024] * 2
-        assert sum(counts) == 2048
-        assert batches == [("south", 1024), ("north", 1024)]
+        assert counts == [384] * 2
+        assert sum(counts) == 768
+        assert batches == [("south", 384), ("north", 384)]
+        assert report.metadata["phi_nodes"] == "south=12,north=12"
+        assert report.metadata["fiber_nodes"] == "south=16,north=16"
+
+    def test_unconverged_fiber_rule_is_reported(self):
+        """A fiber rule that stops at its cap without converging says so in
+        the report metadata: Randers 0.9 at order_fiber 16, where the rule
+        needs 128 nodes."""
+        cfg = ExperimentConfig(metric="randers", metric_eps=0.9, order_base=6, order_fiber=16,
+                               epsilon_schedule=(0.2, 0.1))
+        meta = run_gbc(cfg).metadata
+        assert meta["fiber_nodes"] == ("south=16 (not converged at cap),"
+                                       "north=16 (not converged at cap)")
+        assert meta["phi_nodes"] == "south=12,north=12"
 
     def test_disc_limit_fails_under_mutation(self, monkeypatch):
         """gbc_disc_limit can fail: an integrand scaled by 1 + 1e-6 moves
@@ -533,6 +548,17 @@ class TestMainEntry:
         blocker.write_text("")
         assert cli.main([*argv, "--out", str(blocker / "out")]) == 2
         assert "error [ValidationError]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--seed", "-3"], ["--order-base", "0"],
+                                       ["--epsilon-schedule", "1.5"]])
+    def test_rejected_run_makes_no_out_dir(self, flags, tmp_path, capsys):
+        """A run rejected for a bad setting exits 2 and leaves no --out
+        directory behind: the config is validated before the directory is
+        made."""
+        out = tmp_path / "X"
+        assert main(["gbc", *flags, "--out", str(out)]) == 2
+        assert "error [ValidationError]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_report_rejected(self, tmp_path, capsys):
         """A report file that cannot be written exits 2 with a

@@ -414,8 +414,9 @@ class TestDiscRule:
     def test_one_batch_per_chart(self, monkeypatch):
         """The regions of one chart go through the form as one batch, built
         without ChartPoints.of, and the values come back in region order:
-        the annuli of a chart share the n x n nodes, n = 2 max(16, order //
-        3), of the smallest annulus that holds them all.  Annuli about
+        the annuli of a chart share the nodes of the smallest annulus that
+        holds them all, n = 2 max(16, order // 3) radii times the 12 angles
+        at which the nested phi rule converges on a constant.  Annuli about
         another centre, or a box, in the same chart are rejected."""
         batches = []
 
@@ -429,7 +430,7 @@ class TestDiscRule:
         areas = base_integral_excised(
             FormField(2, 2, f), [AnnulusRegion(c, (0.0, 0.0), a, b) for c, a, b in rings],
             order=48)
-        assert batches == [("a", 32 * 32), ("b", 32 * 32)]
+        assert batches == [("a", 32 * 12), ("b", 32 * 12)]
         assert areas == pytest.approx([math.pi * (b * b - a * a) for _, a, b in rings],
                                       rel=1e-14)
         for other in (AnnulusRegion("a", (0.5, 0.0), 0.0, 0.2),
@@ -441,23 +442,24 @@ class TestDiscRule:
             batches.clear()
             base_integral_excised(FormField(2, 2, f), [AnnulusRegion("c", (0.0, 0.0), 0.0, 0.2)],
                                   order=order)
-            assert batches == [("c", n * n)]
+            assert batches == [("c", n * 12)]
 
     @pytest.mark.parametrize("order", [6, 96])
     def test_sub_disc_weights_are_exact(self, order):
         """The weights of a concentric sub-annulus a <= r <= b integrate
-        every r^k, k < n, exactly from the nodes of the whole disc: 2 pi
-        (b^(k+1) - a^(k+1)) / (k + 1), down to eps = 1e-3; the row of the
-        whole disc is the Gauss weight to the bit."""
+        every r^k, k < n, exactly from the radial nodes of the whole disc:
+        (b^(k+1) - a^(k+1)) / (k + 1) from r^(k-1) at the nodes, down to
+        eps = 1e-3; the row of the whole disc is r times the Gauss weight
+        to the bit."""
         disc = AnnulusRegion("c", (0.0, 0.0), 0.0, 1.0)
-        x1, x2, w = disc.nodes(order)
-        r = np.hypot(x1, x2)
+        r, wr = disc.radii(order)
         parts = [(0.0, 1e-3), (0.0, 0.05), (0.0, 0.2), (0.0, 0.5), (0.05, 0.2), (0.0, 1.0)]
         rows = disc.weights(order, parts)
-        assert np.array_equal(rows[-1], w)
+        assert np.array_equal(rows[-1], wr * r)
         n = 2 * max(16, order // 3)
+        assert len(r) == n
         for k in range(n):
-            got = rows @ r ** (k - 1) / (2.0 * math.pi)
+            got = rows @ r ** (k - 1)
             want = [(b ** (k + 1) - a ** (k + 1)) / (k + 1) for a, b in parts]
             assert np.abs(got - want).max() <= 1e-13 / (k + 1), k
 
@@ -504,10 +506,11 @@ class TestDiscRule:
         the degree-2 stereographic field, the per-eps values read off the
         unit discs' samples equal vol(S^1) times the sum of D(1) over the
         charts less D(eps) in each chart that holds a zero, D(R) the disc
-        r <= R by its own 64-node Gauss-Legendre panel in r times the same
-        32-node phi rule.  (With 64 phi nodes D(0.5) moves by 3e-12 in the
-        chart with the zero: the phi rule, not the radial one, sets the
-        per-eps error there.)"""
+        r <= R by its own 64-node Gauss-Legendre panel in r times a 128-node
+        phi rule, past the 96 nodes where the nested phi rule stops.  (A fixed
+        32-node phi rule left D(0.5) 3e-12 off in the chart with the zero
+        and each unit disc 3.4e-7 off: on this metric the phi rule, not the
+        radial one, sets the per-eps error.)"""
         from finslergbc.cli import (
             VOL_S1, ExperimentConfig, _build_atlas, _build_connections, _build_field,
             _metric_params, run_gbc,
@@ -527,12 +530,70 @@ class TestDiscRule:
         f = TransgressionForms(metric, fcD, fcN, order_fiber=cfg.order_fiber).gbc_integrand(X)
         held = {rec.chart for rec in find_zeros(X, epsilon_schedule=cfg.epsilon_schedule)}
         schedule = [eps for eps, _ in report.convergence]
-        discs = {chart: _disc_integrals(f, chart, [1.0] + schedule, 64, 32) for chart in held}
-        whole = sum(_disc_integrals(f, chart, [1.0], 64, 32)[0]
+        discs = {chart: _disc_integrals(f, chart, [1.0] + schedule, 64, 128) for chart in held}
+        whole = sum(_disc_integrals(f, chart, [1.0], 64, 128)[0]
                     for chart in atlas.chart_ids if chart not in held)
         for k, (eps, value) in enumerate(report.convergence):
             want = VOL_S1 * (whole + sum(d[0] - d[k + 1] for d in discs.values()))
             assert abs(value - want) <= 1e-13, eps
+
+    def test_strong_randers_phi_rule_converges_per_chart(self):
+        """On Randers 0.9 / perturbed / stereographic_power at the default
+        orders the per-eps values lie within 1e-13 of the 128 x 128-node
+        reference (fixed 128-node phi and fiber rules on the same 32 radial
+        nodes), and each chart's unit-disc integral I(1) within 1e-12 of it:
+        both charts read 1/(2 pi) there to 3e-17.  The nested phi rule
+        takes 96 nodes and the fiber rule 128, both converged.  The fixed
+        32-node phi rule missed the per-eps values by 1.9e-11 and each I(1)
+        by 3.4e-7, with opposite signs in the two charts."""
+        from finslergbc.cli import (
+            ExperimentConfig, _build_atlas, _build_connections, _build_field, _metric_params,
+            run_gbc,
+        )
+        from finslergbc.chern_forms import TransgressionForms
+        from finslergbc.manifolds import install_metric
+        from finslergbc.topology import find_zeros
+
+        reference = [1.2236272128584107, 1.8084810875386517, 1.986974757119953,
+                     1.9994761200568756]
+        cfg = ExperimentConfig(metric="randers", metric_eps=0.9, connection="perturbed",
+                               vector_field="stereographic_power",
+                               epsilon_schedule=(0.5, 0.2, 0.05, 0.01))
+        report = run_gbc(cfg)
+        for (eps, value), want in zip(report.convergence, reference):
+            assert abs(value - want) <= 1e-13, eps
+        atlas = _build_atlas(cfg)
+        metric = install_metric(atlas, cfg.metric, _metric_params(cfg))
+        fcD, fcN, _, _ = _build_connections(cfg, atlas, metric)
+        X = _build_field(cfg, atlas)
+        f = TransgressionForms(metric, fcD, fcN, order_fiber=cfg.order_fiber).gbc_integrand(X)
+        held = {rec.chart for rec in find_zeros(X, epsilon_schedule=cfg.epsilon_schedule)}
+        regions = [AnnulusRegion(chart, (0.0, 0.0), 0.0, r) for chart in atlas.chart_ids
+                   for r in [1.0] + ([e for e, _ in report.convergence] if chart in held else [])]
+        values = base_integral_excised(f, regions, order=cfg.order_base)
+        for region, value in zip(regions, values):
+            if region.r_outer == 1.0:
+                assert abs(value - 0.15915494309189535) <= 1e-12, region.chart
+        assert report.metadata["phi_nodes"] == "south=96,north=96"
+        assert report.metadata["fiber_nodes"] == "south=128,north=128"
+
+    def test_phi_rule_reports_its_size(self):
+        """base_integral_excised records per chart the phi node count and
+        whether the nested rule converged: a trigonometric polynomial stops
+        at the first pass of 12 nodes, exact; |x1| = r |cos phi|, whose phi
+        modes decay like 1/k^2, runs to the cap of 192 nodes and reports
+        that it did not converge, with the integral 4/3 still within 1e-3."""
+        smooth = FormField(2, 2, lambda p: PointwiseForm({(0, 1): 1.0 + p.coords[0] ** 2}))
+        kink = FormField(2, 2, lambda p: PointwiseForm({(0, 1): np.abs(p.coords[0])}))
+        disc = [AnnulusRegion("c", (0.0, 0.0), 0.0, 1.0)]
+        rules = {}
+        (area,) = base_integral_excised(smooth, disc, order=48, rules=rules)
+        assert area == pytest.approx(1.25 * math.pi, rel=1e-14)
+        assert rules == {"c": (12, True)}
+        (total,) = base_integral_excised(kink, disc, order=48, rules=rules)
+        assert abs(total - 4.0 / 3.0) < 1e-3
+        assert rules == {"c": (AnnulusRegion.phi_cap(48), False)}
+        assert AnnulusRegion.phi_cap(48) == 192
 
 
 class TestBoundaryCircle:
@@ -627,7 +688,8 @@ class TestConvergence:
     def test_doubling_order_stability(self, sphere, round_metric, cartan_frame_round):
         """Doubling the base order moves the reported integral by far less
         than a tenth of the acceptance tolerance.  Orders up to 50 share
-        one 32 x 32 rule, so the pair is 48 and 96, whose rules differ."""
+        one 32-node radial rule, so the pair is 48 and 96, whose rules
+        differ."""
         from finslergbc.chern_forms import TransgressionForms
         from finslergbc.topology import rotational_field
 
@@ -635,8 +697,8 @@ class TestConvergence:
         X = rotational_field(sphere)
         f2 = pullback_by_section(forms.gbc_integrand(), X)
         rings = [AnnulusRegion(chart, (0.0, 0.0), 0.2, 1.0) for chart in ("south", "north")]
-        assert len(rings[0].nodes(48)[2]) == 32 * 32
-        assert len(rings[0].nodes(96)[2]) == 64 * 64
+        assert len(rings[0].radii(48)[0]) == 32
+        assert len(rings[0].radii(96)[0]) == 64
         i48 = sum(base_integral_excised(f2, rings, order=48))
         i96 = sum(base_integral_excised(f2, rings, order=96))
         assert abs(i96 - i48) < 0.1 * 1e-2
