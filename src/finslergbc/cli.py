@@ -81,10 +81,12 @@ DISC_LIMIT_TOL = 1e-14
 # The largest base or fiber quadrature order.  Both rules converge
 # spectrally (gbc_disc_limit reaches chi to 8.9e-16 on 32 radii at base
 # orders up to 50), so a higher order gains nothing, while a chart takes
-# up to 2 order/3 radii x AnnulusRegion.phi_cap(order) angles: Randers 0.9
-# at 512 takes 1.7 s and peaks at 71 MiB, its phi rule stopping at 96
-# nodes; rules forced to their caps at order 384 (1,536 phi nodes) took
-# 20 s and 480 MiB, on 2 vCPU.  Order 1e8 would run Gauss-Legendre's
+# up to 2 order/3 radii x AnnulusRegion.phi_cap(order) angles.  Randers 0.9
+# / perturbed / stereographic_power at base and fiber order 512 takes 1.2 s
+# and peaks at 71 MiB (96 phi and 128 fiber nodes); forced to run both
+# rules to their caps (384 phi and 512 fiber nodes), 17 s and 185 MiB,
+# where the fixed 340 x 340 disc rule and 512-node fiber rule they replace
+# took 14 s and 305 MiB, on 2 vCPU.  Order 1e8 would run Gauss-Legendre's
 # recurrence 1e8 steps over 1e8 nodes.
 MAX_QUADRATURE_ORDER = 512
 

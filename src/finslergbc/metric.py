@@ -321,17 +321,17 @@ def fiber_volume(metric: FinslerMetric, x, chart: str | None = None,
     x = (x1, x2) holds scalars or arrays; the result has their broadcast
     shape.  The density is integrated by the nested periodic trapezoid
     rule (``quadrature.nested_periodic_rule``) of at most order nodes,
-    sized once for the whole batch: it stops once, from n/2 to n nodes, no
-    point's V, nor any derivative part of it, moves by more than NESTED_TOL
-    of that point's V.  Each pass works through the flattened batch in
-    blocks of max(1, _FIBER_NODES // nodes) base points, nodes being the
-    pass's own.  A slot of x may carry one dual
-    layer (a seeded base point); V then carries the exact derivative along
-    the seed.  The seed may have leading axes of its own, e.g. one per
-    chart axis when both coordinates are seeded at once; V's derivative
-    keeps them in front of the batch axes.  ``rules``, if given, maps the
-    chart to the largest node count its batches took and whether all of
-    them converged."""
+    sized at each base point on its own: a point stops once, from n/2 to n
+    nodes, neither its V nor any derivative part of it moves by more than
+    NESTED_TOL of its V.  So a point's V reads its own row only, not the
+    rest of its batch.  Each pass works through the points still doubling
+    in blocks of max(1, _FIBER_NODES // nodes) base points, nodes being
+    the pass's own.  A slot of x may carry one dual layer (a seeded base
+    point); V then carries the exact derivative along the seed.  The seed
+    may have leading axes of its own, e.g. one per chart axis when both
+    coordinates are seeded at once; V's derivative keeps them in front of
+    the batch axes.  ``rules``, if given, maps the chart to the most nodes
+    any of its points took and whether every point converged."""
     chart = _default_chart(metric, chart)
     shape = np.broadcast_shapes(*(np.shape(value(c)) for c in x))
     size = math.prod(shape)
@@ -342,23 +342,25 @@ def fiber_volume(metric: FinslerMetric, x, chart: str | None = None,
 
     flat = [ad.linear_map(flatten, c) for c in x]
 
-    def sums(th):
+    def sums(th, live):
+        pts = [ad.linear_map(lambda a: a[..., live], c) for c in flat]
         block = max(1, _FIBER_NODES // th.size)
-        if size <= block:
-            return _fiber_sums(metric, flat, chart, th)
+        if live.size <= block:
+            return _fiber_sums(metric, pts, chart, th)
         _keep_freed_pages()
         return _concatenate([_fiber_sums(metric, [ad.linear_map(lambda a: a[..., i:i + block], c)
-                                                  for c in flat], chart, th)
-                             for i in range(0, size, block)])
+                                                  for c in pts], chart, th)
+                             for i in range(0, live.size, block)])
 
     def change(V, half):
-        return max(float(np.max(np.abs(part) / value(V), initial=0.0))
-                   for part in _parts(V - half))
+        v = value(V)
+        return np.max([np.max(np.abs(part) / v, axis=tuple(range(np.ndim(part) - 1)))
+                       for part in _parts(V - half)], axis=0)
 
-    V, n, converged = nested_periodic_rule(sums, order, change)
+    V, n, converged = nested_periodic_rule(sums, order, change, size)
     if rules is not None:
         prev_n, prev_ok = rules.get(chart, (0, True))
-        rules[chart] = (max(n, prev_n), converged and prev_ok)
+        rules[chart] = (max(int(n.max(initial=0)), prev_n), bool(converged.all()) and prev_ok)
     return ad.linear_map(lambda a: a.reshape(a.shape[:-1] + shape), V)
 
 

@@ -25,7 +25,7 @@ import warnings
 
 import numpy as np
 
-from .ad import linear_map
+from .ad import Dual, linear_map
 from .algebra import merge_sign, sort_with_parity
 
 __all__ = [
@@ -398,10 +398,10 @@ def periodic_rule(order: int):
     return 2.0 * math.pi * np.arange(order) / order, np.full(order, 2.0 * math.pi / order)
 
 
-# The node count a nested periodic rule starts from: its cap, halved while
-# it stays even and at least this.  The phi rule of AnnulusRegion runs 12
-# 2^k nodes and the fiber rule, at its default and shipped caps, 16 2^k (see
-# AnnulusRegion.phi_cap).
+# The node count a nested periodic rule starts from: its cap rounded down
+# to even, halved while the half stays even and at least this.  The phi
+# rule of AnnulusRegion runs 12 2^k nodes and the fiber rule, at its default
+# and shipped caps, 16 2^k (see AnnulusRegion.phi_cap).
 PERIODIC_FLOOR = 12
 
 # A nested periodic rule accepts T_n once the caller's measure of |T_n -
@@ -414,42 +414,58 @@ PERIODIC_FLOOR = 12
 NESTED_TOL = 1e-9
 
 
-def nested_periodic_rule(sums, cap: int, change):
-    """(T, n, converged): the n-node periodic trapezoid rule over one
-    period, its n sized by nested doubling up to the cap.
+def nested_periodic_rule(sums, cap: int, change, items: int = 1):
+    """(T, n, converged): the periodic trapezoid rule over one period for
+    each of several items (base points, say), the node count n of each
+    item sized on its own by nested doubling up to the cap.
 
-    sums(angles) evaluates the integrand at every entry of the 2-D array
-    of angles in one pass and returns its sums over the last axis, one
-    trailing entry per row (arrays, or duals, of any leading shape).  The
-    rule starts at n = cap halved while it stays even and at least
-    PERIODIC_FLOOR, in one pass over the n nodes 2 pi k / n whose rows are
-    the even and the odd k: the even ones are the nodes of the n/2 rule, so
-    T_{n/2} comes free.  Each doubling evaluates only the n nodes of the 2n
-    rule that are new, the old ones shifted by pi / n, and keeps every
-    earlier sum.  change(T_n, T_{n/2}) is the caller's measure of the
-    difference; the rule stops once it is at most NESTED_TOL, converged,
-    or at the cap, where it reports whether it converged there.  An odd
-    starting n gives no T_{n/2}, so its first estimate is at 2n."""
-    n = cap
-    while n % 2 == 0 and n // 2 >= PERIODIC_FLOOR:
+    sums(angles, live) evaluates the integrand of the items live (an index
+    array) at every entry of the 2-D array of angles in one pass and
+    returns its sums over the last axis: arrays, or duals, of shape (...,
+    items, rows of angles).  change(T_n, T_{n/2}) returns the caller's
+    measure of their difference per item.  The rule starts at n = the cap
+    rounded down to even (at least 2), halved while n/2 stays even and at
+    least PERIODIC_FLOOR, in one pass over the n nodes 2 pi k / n whose
+    rows are the even and the odd k: the even ones are the nodes of the n/2
+    rule, so T_{n/2}, and an estimate, come free.  Each doubling evaluates
+    only the items whose change is still above NESTED_TOL, at only the n
+    nodes of the 2n rule that are new (the old ones shifted by pi / n), and
+    keeps every earlier sum.  An item stops once its change is at most
+    NESTED_TOL, converged, or at the cap, unconverged; T, n and converged
+    run over the items, and an item's T reads its own sums only."""
+    n = max(2, cap - cap % 2)
+    while n % 4 == 0 and n // 2 >= PERIODIC_FLOOR:
         n //= 2
-    parity = 2 - n % 2
-    first = sums(2.0 * math.pi / n * np.arange(n).reshape(-1, parity).T)
-    total = _entry(first, 0)
-    estimate = math.inf
-    if parity == 2:
-        half, total = total, total + _entry(first, 1)
-        estimate = change(total * (2.0 * math.pi / n), half * (4.0 * math.pi / n))
-    while estimate > NESTED_TOL and 2 * n <= cap:
-        odd = sums(math.pi / n * (2.0 * np.arange(n) + 1.0)[None, :])
-        half, total, n = total, total + _entry(odd, 0), 2 * n
-        estimate = change(total * (2.0 * math.pi / n), half * (4.0 * math.pi / n))
-    return total * (2.0 * math.pi / n), n, estimate <= NESTED_TOL
+    first = sums(2.0 * math.pi / n * np.arange(n).reshape(-1, 2).T, np.arange(items))
+    half = _entry(first, 0)
+    total = half + _entry(first, 1)
+    nodes = np.full(items, n)
+    ok = change(total * (2.0 * math.pi / n), half * (4.0 * math.pi / n)) <= NESTED_TOL
+    live = np.flatnonzero(~ok)
+    while live.size and 2 * n <= cap:
+        odd = sums(math.pi / n * (2.0 * np.arange(n) + 1.0)[None, :], live)
+        half = linear_map(lambda a: a[..., live], total)
+        grown, n = half + _entry(odd, 0), 2 * n
+        total = _put(total, live, grown)
+        nodes[live] = n
+        ok[live] = change(grown * (2.0 * math.pi / n), half * (4.0 * math.pi / n)) <= NESTED_TOL
+        live = live[~ok[live]]
+    return total * (2.0 * math.pi / nodes), nodes, ok
 
 
 def _entry(sums, k: int):
     """Entry k of the trailing axis of an array or dual."""
     return linear_map(lambda a: a[..., k], sums)
+
+
+def _put(a, live, b):
+    """a with the entries live of its trailing axis replaced by b's, for
+    arrays or duals of one layout."""
+    if isinstance(a, Dual):
+        return Dual(_put(a.val, live, b.val), _put(a.eps, live, b.eps))
+    a = np.array(a)
+    a[..., live] = b
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +506,19 @@ class AnnulusRegion:
 
     @staticmethod
     def phi_cap(order: int) -> int:
-        """The most phi nodes the nested rule may take: PERIODIC_FLOOR times
-        the largest power of two that is at most half the radial count, so
-        12, 24, ..., 192 nodes below order 96 (Randers 0.9 takes 96, the
-        workload 12).  A fiber rule stopped unconverged at N = 16 2^j nodes
-        leaves in V, on a rotation-invariant metric, an error with the phi
-        modes k N, which 12 2^i and 6 2^i nodes integrate exactly unless 3
-        divides k; a 16 2^i family aliased it in both T_n and T_{n/2}, and
-        read Randers 0.9 at 16 fiber nodes 6.5e-7 off."""
-        return PERIODIC_FLOOR << (max(16, order // 3).bit_length() - 1)
+        """The most phi nodes the nested rule may take: 192 below base order
+        96 and 384 from 96 on, where the radial rule doubles to 64 nodes.
+        The need in phi is set by the integrand, not by the radial count,
+        which grows with the order for the sub-disc weights: Randers 0.9,
+        the hardest zoo metric, stops at 96 nodes.  So the cap stays at 384
+        up to cli.MAX_QUADRATURE_ORDER, which bounds the cost of a run
+        forced to its caps.  The counts are 12 2^k: a fiber rule stopped
+        unconverged at N = 16 2^j nodes leaves in V, on a rotation-invariant
+        metric, an error with the phi modes k N, which 12 2^i and 6 2^i
+        nodes integrate exactly unless 3 divides k; a 16 2^i family aliased
+        it in both T_n and T_{n/2}, and read Randers 0.9 at 16 fiber nodes
+        6.5e-7 off."""
+        return PERIODIC_FLOOR << (4 if order < 96 else 5)
 
     def weights(self, order: int, parts) -> np.ndarray:
         """One row of radial weights on ``radii(order)`` per concentric
@@ -556,21 +576,21 @@ def base_integral_excised(f: FormField, regions, order: int = 48,
             continue
         rows = host.weights(order, [(regions[i].r_inner, regions[i].r_outer) for i in index])
 
-        def sums(phi):
+        def sums(phi, live):
             x1, x2 = host.nodes(order, phi)
             c = np.broadcast_to(f(ChartPoints(chart, (x1, x2))).get((0, 1)), x1.shape)
             c = c.reshape((len(rows[0]),) + phi.shape)
-            return np.stack([c, np.abs(c)]).sum(-1)
+            return np.stack([c, np.abs(c)]).sum(-1)[..., None, :]
 
         def change(t, half):
             moved = np.max(np.abs(rows @ (t[0] - half[0])))
-            return moved / np.max(np.abs(rows) @ t[1]) if moved else 0.0
+            return np.array([moved / np.max(np.abs(rows) @ t[1]) if moved else 0.0])
 
         t, n, converged = nested_periodic_rule(sums, host.phi_cap(order), change)
         if rules is not None:
-            rules[chart] = (n, converged)
+            rules[chart] = (int(n[0]), bool(converged[0]))
         for i, row in zip(index, rows):
-            out[i] = float(np.sum(row * t[0]))
+            out[i] = float(np.sum(row * t[0, :, 0]))
     return out
 
 

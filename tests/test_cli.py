@@ -284,6 +284,17 @@ class TestRunners:
                                        "north=16 (not converged at cap)")
         assert meta["phi_nodes"] == "south=12,north=12"
 
+    @pytest.mark.parametrize("cap, nodes", [(33, 16), (25, 24), (17, 16)])
+    def test_odd_fiber_cap_is_estimated(self, cap, nodes):
+        """An odd order_fiber still gives the fiber rule an error estimate,
+        so a converged rule says so: the rule starts from the cap rounded
+        down to even (32, 24, 16, halved to 16, 12, 16), and on Randers 0.1
+        it converges at 16 or 24 nodes."""
+        cfg = ExperimentConfig(metric="randers", metric_eps=0.1, order_base=6, order_fiber=cap)
+        report = run_gbc(cfg)
+        assert report.passed
+        assert report.metadata["fiber_nodes"] == f"south={nodes},north={nodes}"
+
     def test_disc_limit_fails_under_mutation(self, monkeypatch):
         """gbc_disc_limit can fail: an integrand scaled by 1 + 1e-6 moves
         it by 2e-6, far outside its 1e-14, while the Neville headline

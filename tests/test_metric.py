@@ -492,49 +492,63 @@ class TestFiberVolume:
             assert V[idx] == pytest.approx(one, rel=1e-14)
 
     @pytest.mark.parametrize("case", ["scalar", "ragged", "stacked", "one-point-blocks",
-                                      "scalar-seed", "two-seed"])
-    def test_blocked_matches_one_block(self, case, randers_metric, monkeypatch):
+                                      "scalar-seed", "two-seed", "mixed-sizes"])
+    def test_blocked_matches_one_block(self, case, randers_metric, sphere, monkeypatch):
         """Evaluating the batch in blocks of base points changes no bit:
         every dual layer of V equals the one-block evaluation of the whole
-        batch, which the test forces by raising the block size.  Every pass
-        of the nested fiber rule covers the batch in blocks of at most
-        _FIBER_NODES // nodes points; with one node per block, each block
+        batch, which the test forces by raising the block size.  At cap 64
+        the nested fiber rule starts at 16 nodes and each doubling of n
+        evaluates only the points whose own rule needs 2n nodes, in blocks
+        of _FIBER_NODES // n points, so the calls are counted from the node
+        count each point takes on its own; on Randers 0.7 ("mixed-sizes")
+        the points take 16, 32 and 64.  With one node per block, each block
         holds one point and V equals the evaluation of each point on its
         own."""
         import finslergbc.metric as metric_mod
-        from finslergbc.quadrature import PERIODIC_FLOOR
+        from finslergbc.manifolds import install_metric
 
         rng = np.random.default_rng(17)
         order = 64
+        met = (install_metric(sphere, "randers", {"eps": 0.7}) if case == "mixed-sizes"
+               else randers_metric)
         if case == "one-point-blocks":
             monkeypatch.setattr(metric_mod, "_FIBER_NODES", 1)
-        block = max(1, metric_mod._FIBER_NODES // PERIODIC_FLOOR)
-        shape = {"scalar": (), "stacked": (4, block // 4 + 50),
+
+        def blocks(points, nodes):
+            return -(-points // max(1, metric_mod._FIBER_NODES // nodes))
+
+        block = max(1, metric_mod._FIBER_NODES // 16)
+        shape = {"scalar": (), "stacked": (4, 200),
                  "one-point-blocks": (5,)}.get(case, (2 * block + 37,))
         x1, x2 = rng.uniform(-0.7, 0.7, (2,) + shape)
-        x = {"scalar-seed": [Dual(x1, 1.0), x2],
-             "two-seed": [Dual(x1, np.eye(2)[0].reshape(2, 1)),
-                          Dual(x2, np.eye(2)[1].reshape(2, 1))]}.get(case, [x1, x2])
+
+        def seeded(a, b):
+            e = np.eye(2).reshape((2, 2) + (1,) * np.ndim(a))
+            return {"scalar-seed": [Dual(a, 1.0), b],
+                    "two-seed": [Dual(a, e[0]), Dual(b, e[1])]}.get(case, [a, b])
+
+        nodes = []
+        for a, b in zip(np.ravel(x1), np.ravel(x2)):
+            rules = {}
+            fiber_volume(met, seeded(a, b), "south", order, rules)
+            nodes.append(rules["south"][0])
+        nodes = np.array(nodes)
+        if case == "mixed-sizes":
+            assert set(nodes) == {16, 32, 64}
 
         calls = []
         form = metric_mod.fiber_volume_form
-
-        def counting(met, xx, th, chart=None):
-            calls.append((np.shape(value(xx[0]))[-3], np.size(th)))
-            return form(met, xx, th, chart)
-
-        monkeypatch.setattr(metric_mod, "fiber_volume_form", counting)
-        got = fiber_volume(randers_metric, x, "south", order)
-        assert all(points <= max(1, metric_mod._FIBER_NODES // nodes) for points, nodes in calls)
-        covered = sum(points for points, _ in calls)
-        assert covered and covered % math.prod(shape) == 0
-        assert len(calls) > 1 or case == "scalar"
+        monkeypatch.setattr(metric_mod, "fiber_volume_form",
+                            lambda *a, **k: calls.append(1) or form(*a, **k))
+        got = fiber_volume(met, seeded(x1, x2), "south", order)
+        assert len(calls) == blocks(nodes.size, 16) + sum(
+            blocks(np.count_nonzero(nodes >= 2 * n), n) for n in (16, 32))
         monkeypatch.setattr(metric_mod, "_FIBER_NODES", 10 ** 12)
         if case == "one-point-blocks":
-            want = np.array([fiber_volume(randers_metric, [a, b], "south", order)
+            want = np.array([fiber_volume(met, [a, b], "south", order)
                              for a, b in zip(x1, x2)])
         else:
-            want = fiber_volume(randers_metric, x, "south", order)
+            want = fiber_volume(met, seeded(x1, x2), "south", order)
         layers = [(got, want)]
         while layers:
             a, b = layers.pop()
@@ -552,34 +566,22 @@ class TestFiberVolume:
     def test_point_bits_independent_of_batch_layout(self, order, randers_metric,
                                                     monkeypatch):
         """V at a base point has the same bits alone, in a batch, at any
-        offset within its block and in a batch of one block, whenever the
-        fiber rule takes the same node count for both: the fiber sums of a
-        point read its own row only.  The count is sized per batch, so a
-        point alone may stop earlier (12 nodes where its batch takes 24 at
-        cap 48; at cap 64 every point takes the batch's 16); V then moves
-        by rounding only."""
+        offset within its block and in a batch of one block: the fiber sums
+        of a point read its own row only, and the nested fiber rule sizes
+        each point on its own estimate (at cap 48 the points here take 12
+        or 24 nodes)."""
         import finslergbc.metric as metric_mod
-
-        def volume(a, b):
-            rules = {}
-            return fiber_volume(randers_metric, [a, b], "south", order, rules), rules["south"]
-
-        def same(got, rule, want, want_rule):
-            if rule == want_rule:
-                assert np.array_equal(got, want)
-            else:
-                assert np.max(np.abs(got - want) / want) <= 4e-16
-            return rule == want_rule
 
         rng = np.random.default_rng(29)
         block = max(1, metric_mod._FIBER_NODES // order)
         x1, x2 = rng.uniform(-0.7, 0.7, (2, 2 * block + 37))
-        V, rule = volume(x1, x2)
-        matches = sum(same(*volume(a, b), v, rule) for a, b, v in zip(x1, x2, V))
-        assert matches == len(V) if order == 64 else matches >= len(V) // 2
-        same(*volume(x1[5:-3], x2[5:-3]), V[5:-3], rule)
+        V = fiber_volume(randers_metric, [x1, x2], "south", order)
+        alone = [fiber_volume(randers_metric, [a, b], "south", order) for a, b in zip(x1, x2)]
+        assert np.array_equal(V, alone)
+        shifted = fiber_volume(randers_metric, [x1[5:-3], x2[5:-3]], "south", order)
+        assert np.array_equal(V[5:-3], shifted)
         monkeypatch.setattr(metric_mod, "_FIBER_NODES", 10 ** 12)
-        assert same(*volume(x1, x2), V, rule)
+        assert np.array_equal(V, fiber_volume(randers_metric, [x1, x2], "south", order))
 
     def test_seeded_batch_memory(self, randers_metric):
         """One two-seed pass over 9,216 base points at 64 fiber nodes peaks

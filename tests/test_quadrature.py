@@ -21,6 +21,7 @@ from finslergbc.quadrature import (
     extrapolate_to_zero,
     fiber_integral,
     gauss_legendre,
+    nested_periodic_rule,
     periodic_rule,
     pullback_by_section,
 )
@@ -75,6 +76,50 @@ class TestGaussRules:
                 2.0 * math.pi if k == 0 else 0.0, abs=1e-12)
             assert abs(float(w @ np.sin(k * t))) < 1e-12
         assert float(w @ np.cos(order * t)) == pytest.approx(2.0 * math.pi, rel=1e-12)
+
+    @staticmethod
+    def _exp_cos(a):
+        """The sums and change functions of the nested rule on exp(a_i cos
+        t), one item per entry of a, and the integrals 2 pi I_0(a_i)."""
+        a = np.asarray(a, dtype=float)
+
+        def sums(angles, live):
+            return np.exp(a[live, None, None] * np.cos(angles)).sum(-1)
+
+        def change(t, half):
+            return np.abs(t - half) / np.abs(t)
+
+        exact = 2.0 * math.pi * sum((a / 2.0) ** (2 * k) / math.factorial(k) ** 2
+                                    for k in range(30))
+        return sums, change, exact
+
+    @pytest.mark.parametrize("cap, nodes, converged", [
+        (1, 2, False), (5, 4, False), (25, 24, True), (26, 26, True), (33, 32, True),
+        (64, 32, True), (65, 32, True)])
+    def test_nested_rule_estimates_at_every_cap(self, cap, nodes, converged):
+        """The nested rule starts at an even node count, so every cap, odd
+        ones too, gets an estimate |T_n - T_{n/2}|: on exp(cos t) it
+        converges at 24 to 32 nodes under caps 25 to 65, to 2 pi I_0(1)
+        within 1e-15, and stops unconverged at the largest even count at
+        most a smaller cap (4 at cap 5; at cap 1 the 2-node rule, the least
+        with an estimate)."""
+        sums, change, exact = self._exp_cos([1.0])
+        t, n, ok = nested_periodic_rule(sums, cap, change)
+        assert n.tolist() == [nodes] and ok.tolist() == [converged]
+        if converged:
+            assert abs(t[0] - exact[0]) <= 1e-15 * exact[0]
+
+    def test_nested_rule_sizes_each_item_alone(self):
+        """Each item doubles on its own estimate: exp(cos t) takes 32 nodes
+        at cap 64, exp(0.1 cos t) stops at 16 and exp(10 cos t) at 64, and
+        each item's T has the bits of the rule run on that item alone."""
+        sums, change, exact = self._exp_cos([1.0, 0.1, 10.0])
+        t, n, ok = nested_periodic_rule(sums, 64, change, items=3)
+        assert n.tolist() == [32, 16, 64] and ok.all()
+        assert np.all(np.abs(t - exact) <= 1e-15 * exact)
+        for i, a in enumerate([1.0, 0.1, 10.0]):
+            alone, _, _ = nested_periodic_rule(self._exp_cos([a])[0], 64, change)
+            assert alone[0] == t[i]
 
     def test_extrapolation_quadratic(self):
         xs = [0.2, 0.1, 0.05]
