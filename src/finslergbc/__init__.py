@@ -22,7 +22,6 @@ from .metric import (
     FinslerMetric,
     MinkowskiNorm,
     fiber_volume,
-    indicatrix_param,
     sum_norms,
 )
 from .quadrature import (
@@ -30,7 +29,6 @@ from .quadrature import (
     base_integral_excised,
     boundary_circle_integral,
     exterior_derivative,
-    fiber_integral,
     pullback_by_section,
 )
 from .topology import find_zeros, local_degree, poincare_hopf_sum

@@ -36,7 +36,6 @@ __all__ = [
     "log",
     "sin",
     "cos",
-    "nth_derivative",
     "expression",
 ]
 
@@ -280,17 +279,6 @@ def cos(x):
     if isinstance(x, Dual):
         return Dual(cos(x.val), -x.eps * sin(x.val))
     return np.cos(x)
-
-
-def nth_derivative(f, x0: float, order: int) -> float:
-    """Exact n-th derivative of a scalar function via nested duals."""
-    x = x0
-    for _ in range(order):
-        x = Dual(x, 1.0)
-    out = f(x)
-    for _ in range(order):
-        out = partial(out)
-    return value(out)
 
 
 _EXPRESSION_FUNCTIONS = {"sin": sin, "cos": cos, "sqrt": sqrt, "exp": exp, "log": log}

@@ -44,11 +44,9 @@ __all__ = [
     "MathaiQuillenState",
     "phi_k",
     "pi_coefficients",
-    "pi_coefficients_display",
     "upsilon1_coefficient",
     "pi_form",
     "omega_pfaffian",
-    "transgression_check",
     "chern_weil_upsilon0",
     "frak_e",
     "mathai_quillen_Ut",
@@ -75,41 +73,6 @@ def pi_coefficients(n: int) -> list[float]:
             / (math.factorial(k) * math.factorial(n - 1 - 2 * k) * 2.0 ** (2 * k + 1))
         )
         out.append(c)
-    return out
-
-
-def _double_factorial(m: int) -> int:
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
-
-
-def pi_coefficients_display(n: int) -> list[float]:
-    """The same weights from the explicit even/odd displays; must agree
-    with pi_coefficients identically."""
-    out = []
-    if n % 2 == 0:
-        p = n // 2
-        for k in range(0, p):
-            c = (
-                1.0
-                / (2.0 * math.pi) ** p
-                * ((-1.0) ** (k + 1))
-                / (_double_factorial(2 * p - 2 * k - 1) * math.factorial(k) * 2.0 ** k)
-            )
-            out.append(c)
-    else:
-        p = (n - 1) // 2
-        for k in range(0, p + 1):
-            c = (
-                1.0
-                / (math.pi ** p * 2.0 ** (2 * p + 1) * math.factorial(p))
-                * ((-1.0) ** k)
-                * math.comb(p, k)
-            )
-            out.append(c)
     return out
 
 
@@ -236,13 +199,6 @@ def chern_weil_upsilon0(D: FrameConnection, nabla: FrameConnection) -> FormField
         return PointwiseForm({K: norm * _real_part(c) for K, c in table.items()})
 
     return FormField(AXES, n - 1, func)
-
-
-def transgression_check(curv: CurvatureData, conn: FrameConnection,
-                        pts: ChartPoints) -> float:
-    """Pointwise residual of d Pi - Omega^nabla over the batch."""
-    dpi = pi_form(curv, conn).d()(pts)
-    return (dpi - omega_pfaffian(curv)(pts)).max_abs()
 
 
 def frak_e(upsilon0: FormField, upsilon1: FormField, upsilon2: FormField | None,
@@ -437,11 +393,13 @@ class TransgressionForms:
         Euler-form constant and u_1 the Upsilon_1 weight: D enters only
         through nabla = modify(D).  pi_0^1 and its d, exact to rounding,
         come from one complex-step sweep along the tangent rows J of the
-        chart: the identity on the bundle (three passes), and (1, 0, t_1),
-        (0, 1, t_2) with t = d theta for a section (two passes).  d
-        commutes with pullback, so the pulled-back form is (J pi)_l =
-        sum_j J_lj pi_j with partials D_k (J pi)_l = sum_j J_lj D_k pi_j:
-        J is the section's Jacobian, whose own derivatives cancel in d.
+        chart: the identity on the bundle (three rows), and (1, 0, t_1),
+        (0, 1, t_2) with t = d theta for a section (two rows).  The sweep
+        stacks its rows into one pass, so the metric jets, tensors and
+        frame forms are built once per batch.  d commutes with pullback,
+        so the pulled-back form is (J pi)_l = sum_j J_lj pi_j with partials
+        D_k (J pi)_l = sum_j J_lj D_k pi_j: J is the section's Jacobian,
+        whose own derivatives cancel in d.
         The identity suite checks the bundle form against the general-rank
         Omega^D + FrakE on the finite-difference stencil."""
         norm = pfaffian_norm_constant(2)

@@ -82,12 +82,12 @@ DISC_LIMIT_TOL = 1e-14
 # spectrally (gbc_disc_limit reaches chi to 8.9e-16 on 32 radii at base
 # orders up to 50), so a higher order gains nothing, while a chart takes
 # up to 2 order/3 radii x AnnulusRegion.phi_cap(order) angles.  Randers 0.9
-# / perturbed / stereographic_power at base and fiber order 512 takes 1.2 s
-# and peaks at 71 MiB (96 phi and 128 fiber nodes); forced to run both
-# rules to their caps (384 phi and 512 fiber nodes), 17 s and 185 MiB,
-# where the fixed 340 x 340 disc rule and 512-node fiber rule they replace
-# took 14 s and 305 MiB, on 2 vCPU.  Order 1e8 would run Gauss-Legendre's
-# recurrence 1e8 steps over 1e8 nodes.
+# / perturbed / stereographic_power at base and fiber order 512 takes 1.6 s
+# and peaks at 105 MiB (96 phi and 128 fiber nodes); forced to run both
+# rules to their caps (384 phi and 512 fiber nodes), 18 s and 326 MiB, on
+# 2 vCPU.  The complex-step pass holds the tensor chain of both tangent
+# rows of a batch at once; with one pass per row these read 71 and 183 MiB.
+# Order 1e8 would run Gauss-Legendre's recurrence 1e8 steps over 1e8 nodes.
 MAX_QUADRATURE_ORDER = 512
 
 # The largest identity sample count.  The residuals are maxima over the

@@ -13,10 +13,6 @@ class InvalidMetricError(FinslerError, ValueError):
     """A candidate metric violates the Minkowski-norm axioms."""
 
 
-class MetricEvaluationError(FinslerError, RuntimeError):
-    """A metric-level root solve or evaluation failed to converge."""
-
-
 class ValidationError(FinslerError, ValueError):
     """Structured input fails its declared invariants."""
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import ad
 from .ad import Dual, Jet, partial, taylor_coefficient, value
-from .errors import DomainError, InvalidMetricError, MetricEvaluationError
+from .errors import DomainError, InvalidMetricError
 from .quadrature import nested_periodic_rule
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "sum_norms",
     "y_jets",
     "metric_jets",
-    "indicatrix_param",
     "fiber_volume_form",
     "fiber_volume",
 ]
@@ -242,27 +241,6 @@ def _default_chart(metric: FinslerMetric, chart: str | None) -> str:
 # indicatrix geometry (n = 2)
 
 
-def indicatrix_param(metric: FinslerMetric, x, chart: str | None = None):
-    """Parameterise the indicatrix {F(x, y) = 1}: theta -> y(theta).
-
-    By positive homogeneity F(x, r u) = r F(x, u), so the point on the
-    ray through u(theta) is u(theta) / F(x, u(theta)).
-    """
-    chart = _default_chart(metric, chart)
-    if metric.n != 2:
-        raise DomainError("indicatrix parameterisation is implemented for n = 2")
-    xf = [float(c) for c in x]
-
-    def y_of_theta(theta: float) -> np.ndarray:
-        u = np.array([math.cos(theta), math.sin(theta)])
-        F = float(value(metric.charts[chart](xf, list(u))))
-        if not F > 0.0:
-            raise MetricEvaluationError("metric not positive along the sampled ray")
-        return u / F
-
-    return y_of_theta
-
-
 def fiber_volume_form(metric: FinslerMetric, x, theta, chart: str | None = None):
     """Density rho(theta) with  d nu_x = rho(theta) d theta.
 
@@ -285,8 +263,10 @@ def fiber_volume_form(metric: FinslerMetric, x, theta, chart: str | None = None)
 # Randers metric the fiber density is (1 + s cos psi)^(-1/2), s up to eps,
 # and V = 2 pi / AGM(sqrt(1 + s), sqrt(1 - s)): at eps = 0.9 the rule needs
 # 128 nodes to hold V within 1e-14 of it at |x| = 1, where s = eps
-# (test_metric's AGM test); eps = 0.1 stops at 16.
-FIBER_ORDER = 128
+# (test_metric's AGM test); eps = 0.1 stops at 16.  The quartic torus
+# metric (eps 0.1) needs 256: at x = (0.3, 0.2) V moves by 4.3e-4, 4.8e-5,
+# 6.1e-8 and 2.7e-13 of itself from 16 to 32, 64, 128 and 256 nodes.
+FIBER_ORDER = 256
 
 # Quadrature nodes (base points x fiber nodes) per fiber-volume block: the
 # ~36 fiber arrays of a plain pass, and the ~250 of a two-seed pass, stay

@@ -1,20 +1,21 @@
 """Differential-form fields, exterior calculus on coefficient tables, and
-all numeric integration (fiber circles, boundary circles, and base regions:
-polar discs and annuli about a chart centre, boxes on the torus).  The
-discs and annuli of one chart are integrated from one set of samples, those
-of the polar rule of the smallest annulus that holds them all.  The angle
-of that rule, like the fiber circle of ``metric.fiber_volume``, is
-integrated by one nested periodic trapezoid rule that sizes itself by
-doubling (``nested_periodic_rule``).
+all numeric integration (the periodic rule of the fiber circles, boundary
+circles, and base regions: polar discs and annuli about a chart centre,
+boxes on the torus).  The discs and annuli of one chart are integrated
+from one set of samples, those of the polar rule of the smallest annulus
+that holds them all.  The angle of that rule, like the fiber circle of
+``metric.fiber_volume``, is integrated by one nested periodic trapezoid
+rule that sizes itself by doubling (``nested_periodic_rule``).
 
 Forms are stored as antisymmetric coefficient tables over ordered axis
 subsets of a chart; fields evaluate whole batches of chart points at once,
 so every coefficient is a numpy array over the batch.  Chart partials of a
 coefficient table come from one of two kernels: ``complex_step_partials``,
-exact to rounding, serves the production GBC integrand and returns the
-table's values from the same passes, and the finite-difference stencil
-``central_partials`` serves the exterior derivatives of the identity checks
-as an independent oracle.
+exact to rounding, serves the production GBC integrand in one pass per
+batch, every direction stacked on a leading axis, and returns the table's
+values from that pass; the finite-difference stencil ``central_partials``
+serves the exterior derivatives of the identity checks as an independent
+oracle, in one pass per chart axis.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "pullback_by_section",
     "base_integral_excised",
     "boundary_circle_integral",
-    "fiber_integral",
     "gauss_legendre",
     "periodic_rule",
     "nested_periodic_rule",
@@ -226,34 +226,45 @@ def complex_step_partials(payload, pts: ChartPoints, directions=None) -> tuple[d
     differentiation (Squire & Trapp, SIAM Rev. 40(1), 1998).  A direction
     is one weight per chart axis, a float or an array over the batch; the
     default is the chart axes, so partials[axis][key] is what
-    central_partials returns.  The payload runs once per direction k, on
-    the batch with coords[j] + i COMPLEX_STEP directions[k][j] (a 0.0
-    weight leaves its axis real), and each partial is the imaginary part
-    over the step, exact to rounding; every partial is broadcast to the
-    batch shape.  The values are the real parts of the first pass: Re f(x
+    central_partials returns.  The payload runs once, on every direction
+    stacked on a new leading axis: slice k holds coords[j] + i
+    COMPLEX_STEP directions[k][j], and an axis stays real only if every
+    direction's weight on it is the float 0.0.  Each partial is the
+    imaginary part of its slice over the step, exact to rounding, broadcast
+    to the batch shape.  The values are the real parts of slice 0: Re f(x
     + ih) = f(x) + O(h^2), and the O(h^2) term is zero in double
-    precision, so no real pass runs.  They are f in complex arithmetic,
+    precision, so no real pass runs; an entry that is not an array (a
+    constant) keeps its value and type.  They are f in complex arithmetic,
     which rounds apart from real arithmetic by a few ulp: numpy's complex
     division multiplies by a reciprocal, and a complex power takes other
     steps than real pow.
 
-    The payload must be holomorphic in the chart coordinates along the way,
-    which real-analytic arithmetic on complex arrays is.  A cast that drops
-    the imaginary part would return a silent zero derivative, so numpy's
-    ComplexWarning is raised as an error here."""
+    The payload must be elementwise over the batch and holomorphic in the
+    chart coordinates along the way, which real-analytic arithmetic on
+    complex arrays is.  A cast that drops the imaginary part would return a
+    silent zero derivative, so numpy's ComplexWarning is raised as an error
+    here."""
     h = COMPLEX_STEP
-    shape = np.broadcast_shapes(*map(np.shape, pts.coords))
     if directions is None:
-        directions = [[float(j == k) for j in range(pts.dim)] for k in range(pts.dim)]
-    values, out = None, []
+        directions = np.eye(pts.dim).tolist()
+    base = np.broadcast_arrays(*pts.coords)
+    stacked = (len(directions),) + base[0].shape
+    coords = []
+    for c, weights in zip(base, zip(*directions)):
+        real = all(map(_is_zero, weights))
+        coords.append(np.stack([c if real else c + 1j * h * w for w in weights]))
     with warnings.catch_warnings():
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
-        for row in directions:
-            coords = [c if _is_zero(w) else c + 1j * h * w for c, w in zip(pts.coords, row)]
-            entries = payload(ChartPoints(pts.chart, tuple(coords)))
-            if values is None:
-                values = {k: np.real(c) for k, c in entries.items()}
-            out.append({k: np.broadcast_to(np.imag(c), shape) / h for k, c in entries.items()})
+        entries = payload(ChartPoints(pts.chart, tuple(coords)))
+    values, out = {}, [{} for _ in directions]
+    for key, c in entries.items():
+        if isinstance(c, np.ndarray):
+            c = c if c.shape == stacked else np.broadcast_to(c, stacked)
+            values[key] = np.real(c[0])
+        else:
+            values[key] = np.real(c)
+        for k, d in enumerate(np.imag(np.broadcast_to(c, stacked)) / h):
+            out[k][key] = d
     return values, out
 
 
@@ -640,17 +651,3 @@ def extrapolate_to_zero(xs, ys) -> float:
             )
     return ys[n - 1]
 
-
-def fiber_integral(f: FormField, chart: str, x, order: int = 64) -> float:
-    """Integrate the fiber restriction of a bundle 1-form over one fiber
-    circle: only the dtheta coefficient survives the pullback.  The
-    periodic trapezoid rule is exact on trigonometric polynomials in theta
-    of degree below the node count."""
-    if f.dim != 3:
-        raise QuadratureError("fiber integral expects a sphere-bundle form")
-    th, w = periodic_rule(max(order, 16))
-    x1 = np.full_like(th, float(x[0]))
-    x2 = np.full_like(th, float(x[1]))
-    pts = ChartPoints(chart, (x1, x2, th))
-    c = f(pts).get((2,))
-    return float(np.sum(w * c))

@@ -60,3 +60,13 @@ def bundle_points(chart: str, count: int, seed: int = 0, rmax: float = 0.9):
         x1, x2 = r * np.cos(ph), r * np.sin(ph)
     th = rng.uniform(0.0, 2.0 * math.pi, count)
     return ChartPoints.of(chart, x1, x2, th)
+
+
+def zero_step_stack(pts, rows):
+    """The batch stacked as complex_step_partials stacks it for a sweep
+    along rows, with every swept axis shifted by +0j instead of i h w: an
+    axis stays real only if every row's weight on it is 0.0."""
+    coords = [np.stack([c] * len(rows)) if all(row[j] == 0.0 for row in rows)
+              else np.stack([c + 0j] * len(rows))
+              for j, c in enumerate(np.broadcast_arrays(*pts.coords))]
+    return ChartPoints(pts.chart, tuple(coords))

@@ -12,10 +12,10 @@ from finslergbc.algebra import SkewMatrixValuedForm, pfaffian, sort_with_parity
 from finslergbc.chern_forms import (
     TransgressionForms,
     mathai_quillen_Ut,
+    omega_pfaffian,
     phi_k,
     pi_coefficients,
-    pi_coefficients_display,
-    transgression_check,
+    pi_form,
     upsilon1_coefficient,
 )
 from finslergbc.connection import (
@@ -34,7 +34,48 @@ from finslergbc.quadrature import (
     gauss_legendre,
 )
 
-from conftest import bundle_points
+from conftest import bundle_points, zero_step_stack
+
+
+def _double_factorial(m: int) -> int:
+    out = 1
+    while m > 1:
+        out *= m
+        m -= 2
+    return out
+
+
+def pi_coefficients_display(n: int) -> list[float]:
+    """The weights of pi_coefficients from the explicit even/odd displays;
+    must agree with the gamma-function display identically."""
+    out = []
+    if n % 2 == 0:
+        p = n // 2
+        for k in range(0, p):
+            c = (
+                1.0
+                / (2.0 * math.pi) ** p
+                * ((-1.0) ** (k + 1))
+                / (_double_factorial(2 * p - 2 * k - 1) * math.factorial(k) * 2.0 ** k)
+            )
+            out.append(c)
+    else:
+        p = (n - 1) // 2
+        for k in range(0, p + 1):
+            c = (
+                1.0
+                / (math.pi ** p * 2.0 ** (2 * p + 1) * math.factorial(p))
+                * ((-1.0) ** k)
+                * math.comb(p, k)
+            )
+            out.append(c)
+    return out
+
+
+def transgression_check(curv, conn, pts) -> float:
+    """Pointwise residual of d Pi - Omega^nabla over the batch."""
+    dpi = pi_form(curv, conn).d()(pts)
+    return (dpi - omega_pfaffian(curv)(pts)).max_abs()
 
 
 @pytest.fixture(scope="module")
@@ -599,9 +640,9 @@ class TestStackedStencil:
             gc.enable()
 
     def test_complex_batches_freed_on_return(self, perturbed_setup, monkeypatch):
-        """The complex-shifted batches of gbc_integrand, one per chart axis
-        with the tensors cached on them, are released by reference counting
-        alone once the integrand returns."""
+        """The one complex-shifted batch of gbc_integrand, every chart axis
+        stacked on it, with the tensors cached on it, is released by
+        reference counting alone once the integrand returns."""
         import gc
         import weakref
 
@@ -621,7 +662,7 @@ class TestStackedStencil:
         gc.disable()
         try:
             perturbed_setup.gbc_integrand()(bundle_points("south", 10, seed=97))
-            assert len(refs) == 3
+            assert len(refs) == 1
             assert all(r() is None for r in refs)
         finally:
             gc.enable()
@@ -670,17 +711,17 @@ class TestExactIntegrand:
     @pytest.mark.parametrize("chart", ["south", "north"])
     def test_sweep_values_are_the_payload(self, chart, monkeypatch):
         """The pi_0^1 values gbc_integrand reads off its complex-step sweep
-        (the real parts of the first pass) are repr-identical to its
-        payload on the batch with a zero imaginary step, on the Randers
-        metric with the perturbed connection: the step itself changes no
-        bit.  numpy's complex division multiplies by a reciprocal, so
-        against the payload in real arithmetic they agree to 4e-15 of the
-        largest entry (1.6e-15 is the most seen over seeds 0-19, both
-        charts, eps 0.1 and 0.7)."""
+        (the real parts of the first slice of its one stacked pass) are
+        repr-identical to the first slice of its payload on the same stack
+        with a zero imaginary step, on the Randers metric with the
+        perturbed connection: the step itself changes no bit.  numpy's
+        complex division multiplies by a reciprocal, so against the payload
+        in real arithmetic they agree to 4e-15 of the largest entry (1.8e-15
+        is the most seen over seeds 0-19, both charts, eps 0.1 and 0.7)."""
         import finslergbc.chern_forms as cf
         from finslergbc.cli import ExperimentConfig, _build_atlas, _build_connections
         from finslergbc.manifolds import install_metric
-        from finslergbc.quadrature import ChartPoints, complex_step_partials
+        from finslergbc.quadrature import complex_step_partials
 
         cfg = ExperimentConfig(metric="randers", connection="perturbed")
         atlas = _build_atlas(cfg)
@@ -697,14 +738,14 @@ class TestExactIntegrand:
         TransgressionForms(met, D, nabla).gbc_integrand()(bundle_points(chart, 25, seed=95))
         (payload, values), = swept
         # fresh batches, so no cached tensors are shared
-        x1, x2, th = bundle_points(chart, 25, seed=95).coords
-        unshifted = payload(ChartPoints(chart, (x1 + 0j, x2, th)))
-        real = payload(ChartPoints(chart, (x1, x2, th)))
+        pts = bundle_points(chart, 25, seed=95)
+        unshifted = payload(zero_step_stack(pts, np.eye(3).tolist()))
+        real = payload(pts)
         assert set(values) == set(real) == {(0,), (1,), (2,)}
         assert max(np.max(np.abs(c)) for c in real.values()) > 1e-3
         for k, c in real.items():
             assert np.isrealobj(values[k])
-            assert repr(values[k].tolist()) == repr(np.real(unshifted[k]).tolist()), k
+            assert repr(values[k].tolist()) == repr(np.real(unshifted[k][0]).tolist()), k
             assert np.max(np.abs(values[k] - c)) <= 4e-15 * np.max(np.abs(c)), k
 
     @pytest.mark.parametrize("eps", [0.1, 0.7])
@@ -774,23 +815,29 @@ class TestSectionIntegrand:
             t_max = max(t_max, np.max(np.hypot(*X.theta_grad(chart, x1, x2))))
         assert t_max == 0.0 if manifold == "torus" else t_max > 1.0
 
-    def test_section_sweep_takes_two_passes(self, sphere, perturbed_setup, monkeypatch):
+    def test_section_sweep_takes_two_rows(self, sphere, perturbed_setup, monkeypatch):
         """With a section the complex-step sweep runs along its two tangent
-        rows: two payload passes per base batch, where the bundle form
-        takes three."""
+        rows, where the bundle form takes three, each in one payload pass
+        per batch."""
         import finslergbc.chern_forms as cf
         from finslergbc.quadrature import complex_step_partials
         from finslergbc.topology import rotational_field
 
-        passes = []
+        sweeps = []
 
         def spy(payload, pts, directions):
-            values, partials = complex_step_partials(payload, pts, directions)
-            passes.append(len(partials))
+            calls = []
+
+            def counted(q):
+                calls.append(1)
+                return payload(q)
+
+            values, partials = complex_step_partials(counted, pts, directions)
+            sweeps.append((len(partials), len(calls)))
             return values, partials
 
         monkeypatch.setattr(cf, "complex_step_partials", spy)
         x1, x2, th = bundle_points("south", 10, seed=42).coords
         perturbed_setup.gbc_integrand(rotational_field(sphere))(ChartPoints.of("south", x1, x2))
         perturbed_setup.gbc_integrand()(ChartPoints.of("south", x1, x2, th))
-        assert passes == [2, 3]
+        assert sweeps == [(2, 1), (3, 1)]

@@ -273,6 +273,15 @@ class TestRunners:
         assert report.metadata["phi_nodes"] == "south=12,north=12"
         assert report.metadata["fiber_nodes"] == "south=16,north=16"
 
+    def test_quartic_torus_fiber_rule_converges_by_default(self):
+        """gbc on the quartic torus with the constant field takes the 256
+        fiber nodes its V needs under the default cap, and reports them
+        converged."""
+        cfg = ExperimentConfig(manifold="torus", metric="quartic", vector_field="constant")
+        report = run_gbc(cfg)
+        assert report.passed
+        assert report.metadata["fiber_nodes"] == "torus=256"
+
     def test_unconverged_fiber_rule_is_reported(self):
         """A fiber rule that stops at its cap without converging says so in
         the report metadata: Randers 0.9 at order_fiber 16, where the rule

@@ -16,7 +16,6 @@ from finslergbc.metric import (
     euclidean_norm,
     fiber_volume,
     fiber_volume_form,
-    indicatrix_param,
     metric_jets,
     quartic_norm,
     randers_norm,
@@ -25,8 +24,23 @@ from finslergbc.metric import (
     y_jets,
 )
 from finslergbc.metric import _tensor
+from finslergbc.quadrature import periodic_rule
 
 from conftest import bundle_points
+
+
+def indicatrix_param(metric, x, chart):
+    """theta -> y(theta), the point of the indicatrix {F(x, y) = 1} on the
+    ray through u(theta) = (cos theta, sin theta): by positive homogeneity
+    F(x, r u) = r F(x, u), so y(theta) = u / F(x, u).  The oracle for the
+    fiber volume density."""
+    xf = [float(c) for c in x]
+
+    def y_of_theta(theta: float) -> np.ndarray:
+        u = np.array([math.cos(theta), math.sin(theta)])
+        return u / float(value(metric.charts[chart](xf, list(u))))
+
+    return y_of_theta
 
 
 def fd_hessian(f, y, h=1e-4):
@@ -462,6 +476,28 @@ class TestFiberVolume:
             V = fiber_volume(met, x, "south", 64, rules)
             assert np.max(np.abs(V - want)) > 1e-13
             assert rules == {"south": (64, False)}
+
+    def test_quartic_torus_converges_at_default_cap(self, torus):
+        """The quartic torus metric (eps 0.1) needs 256 fiber nodes: at x =
+        (0.3, 0.2) V moves by 4.3e-4, 4.8e-5, 6.1e-8 and 2.7e-13 of itself
+        from 16 to 32, 64, 128 and 256 nodes.  At the default cap,
+        FIBER_ORDER, the nested rule takes 256 and reports convergence, V
+        within 1e-15 of a 512-node trapezoid sum; capped at 128 it stops
+        unconverged, 2.7e-13 off."""
+        from finslergbc.manifolds import install_metric
+
+        met = install_metric(torus, "quartic", {"eps": 0.1})
+        th, w = periodic_rule(512)
+        want = float(np.sum(w * fiber_volume_form(met, [np.full(512, 0.3), np.full(512, 0.2)],
+                                                  th, "torus")))
+        rules = {}
+        V = fiber_volume(met, [np.array([0.3]), np.array([0.2])], "torus", rules=rules)
+        assert rules == {"torus": (256, True)}
+        assert abs(float(V[0]) - want) <= 1e-15 * want
+        rules = {}
+        V = fiber_volume(met, [np.array([0.3]), np.array([0.2])], "torus", 128, rules)
+        assert rules == {"torus": (128, False)}
+        assert abs(float(V[0]) - want) > 1e-13 * want
 
     @pytest.mark.parametrize("eps", [0.1, 0.5, 0.8])
     def test_default_order_against_gauss_legendre(self, eps, sphere):
