@@ -10,9 +10,9 @@ checks of every intermediate identity.
 from .algebra import BigradedElement, SkewMatrixValuedForm, berezin, exp_truncated, pfaffian
 from .chern_forms import TransgressionForms, mathai_quillen_Ut
 from .connection import (
+    CurvatureData,
     cartan_connection,
     chern_connection,
-    curvature,
     modify,
     perturb_metric_compatible,
     to_orthonormal_frame,

@@ -26,7 +26,6 @@ __all__ = [
     "berezin",
     "pfaffian",
     "exp_truncated",
-    "component",
     "sort_with_parity",
     "merge_sign",
     "pfaffian_norm_constant",
@@ -130,15 +129,13 @@ class BigradedElement:
             self.n, self.form_dim, {k: scalar * c for k, c in self.terms.items()}
         )
 
-    def scale(self, scalar):
-        return self.__rmul__(scalar)
-
     def __mul__(self, other):
         if isinstance(other, BigradedElement):
             return bigraded_product(self, other)
         return self.__rmul__(other)
 
     def component(self, i: int, j: int) -> "BigradedElement":
+        """Projection onto the (i, j) bidegree."""
         return BigradedElement(
             self.n,
             self.form_dim,
@@ -183,25 +180,18 @@ def berezin(a: BigradedElement) -> dict[Index, complex]:
     return {I: c for (I, J), c in a.terms.items() if J == top}
 
 
-def component(a: BigradedElement, i: int, j: int) -> BigradedElement:
-    """Projection onto the (i, j) bidegree."""
-    return a.component(i, j)
-
-
-def exp_truncated(a: BigradedElement, max_total_degree: int | None = None) -> BigradedElement:
+def exp_truncated(a: BigradedElement) -> BigradedElement:
     """exp(a) = sum a^k / k!, truncated where powers vanish by degree.
 
     A scalar (0,0)-part s is factored out exactly as exp(s); the rest is
     nilpotent since every term raises form or fiber degree, so the series
-    terminates at k <= form_dim + n (or earlier via max_total_degree).
+    terminates at k <= form_dim + n.
     """
     scalar = a.terms.get(((), ()), 0.0)
     nil = BigradedElement(
         a.n, a.form_dim, {k: c for k, c in a.terms.items() if k != ((), ())}
     )
     k_max = a.form_dim + a.n
-    if max_total_degree is not None:
-        k_max = min(k_max, max_total_degree)
     out = BigradedElement.unit(a.n, a.form_dim)
     power = BigradedElement.unit(a.n, a.form_dim)
     fact = 1.0
@@ -228,13 +218,13 @@ class SkewMatrixValuedForm:
         self.form_dim = form_dim
         self.entries = entries  # entries[i][j]: dict[Index, complex]
 
-    def validate(self, tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         for i in range(self.n):
             for j in range(self.n):
                 keys = set(self.entries[i][j]) | set(self.entries[j][i])
                 for K in keys:
                     s = self.entries[i][j].get(K, 0.0) + self.entries[j][i].get(K, 0.0)
-                    if float(np.max(np.abs(s))) > tol:
+                    if float(np.max(np.abs(s))) > 1e-12:
                         raise AlgebraError(
                             f"matrix-valued form not skew at entry ({i},{j})"
                         )

@@ -10,7 +10,7 @@ family U_t whose t = 0 slice is the Pfaffian form.
 from __future__ import annotations
 
 import math
-from itertools import count, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -24,12 +24,7 @@ from .algebra import (
     pfaffian_norm_constant,
     sort_with_parity,
 )
-from .connection import (
-    AXES,
-    CurvatureData,
-    FrameConnection,
-    curvature,
-)
+from .connection import AXES, CurvatureData, FrameConnection
 from .errors import ValidationError
 from .metric import FIBER_ORDER, FinslerMetric, fiber_volume
 from .quadrature import (
@@ -41,7 +36,6 @@ from .quadrature import (
 )
 
 __all__ = [
-    "MathaiQuillenState",
     "phi_k",
     "pi_coefficients",
     "upsilon1_coefficient",
@@ -54,7 +48,6 @@ __all__ = [
 ]
 
 IMAG_TOL = 1e-10
-_FORMS_SEQ = count()
 
 
 # ---------------------------------------------------------------------------
@@ -214,24 +207,16 @@ def frak_e(upsilon0: FormField, upsilon1: FormField, upsilon2: FormField | None,
 # Mathai-Quillen family
 
 
-class MathaiQuillenState:
-    def __init__(self, t: float, Theta_t: BigradedElement, U_t: dict):
-        self.t = t
-        self.Theta_t = Theta_t
-        self.U_t = U_t
+def _theta_t(t: float, nabla_ell: BigradedElement, Omega: BigradedElement) -> BigradedElement:
+    """Theta_t = t^2/2 + i t nabla_ell + Omega."""
+    unit = BigradedElement.unit(nabla_ell.n, nabla_ell.form_dim)
+    return (0.5 * t * t) * unit + (1j * t) * nabla_ell + Omega
 
 
 def mathai_quillen_Ut(t: float, nabla_ell: BigradedElement,
-                      Omega: BigradedElement) -> MathaiQuillenState:
-    """U_t = B(exp(-(t^2/2 + i t nabla_ell + Omega))); U_0 = Pf(-Omega)."""
-    n = nabla_ell.n
-    theta = (
-        (0.5 * t * t) * BigradedElement.unit(n, nabla_ell.form_dim)
-        + (1j * t) * nabla_ell
-        + Omega
-    )
-    U = berezin(exp_truncated((-1.0) * theta))
-    return MathaiQuillenState(t, theta, U)
+                      Omega: BigradedElement) -> dict:
+    """The coefficient table of U_t = B(exp(-Theta_t)); U_0 = Pf(-Omega)."""
+    return berezin(exp_truncated((-1.0) * _theta_t(t, nabla_ell, Omega)))
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +237,12 @@ class TransgressionForms:
         self.n = nabla.n
         self.order_fiber = order_fiber
         self.fiber_rules = {}
-        self.token = next(_FORMS_SEQ)
-        self.curv_D = curvature(D)
-        self.curv_nabla = curvature(nabla)
+        self.curv_D = CurvatureData(D)
+        self.curv_nabla = CurvatureData(nabla)
 
     # --- fiber volume -------------------------------------------------------
     def volume(self, pts: ChartPoints) -> np.ndarray:
-        key = ("V", self.token)
+        key = ("V", self)
         hit = pts.cache.get(key)
         if hit is None:
             hit = fiber_volume(self.metric, pts.coords[:2], pts.chart, self.order_fiber,
@@ -272,14 +256,14 @@ class TransgressionForms:
         the identity), so the pass carries dV/dx1 and dV/dx2 side by side.
         Its value part is V, which is cached for ``volume`` if no plain
         pass has run yet."""
-        key = ("dlogV", self.token)
+        key = ("dlogV", self)
         hit = pts.cache.get(key)
         if hit is None:
             x1, x2 = pts.coords[:2]
             s = np.eye(2).reshape((2, 2) + (1,) * max(np.ndim(x1), np.ndim(x2)))
             jet = fiber_volume(self.metric, [Dual(x1, s[0]), Dual(x2, s[1])], pts.chart,
                                self.order_fiber, self.fiber_rules)
-            v_key = ("V", self.token)
+            v_key = ("V", self)
             V = pts.cache.get(v_key)
             if V is None:
                 V = pts.cache[v_key] = value(jet)
@@ -357,9 +341,8 @@ class TransgressionForms:
         """U_t as a closed n-form field on the bundle chart."""
 
         def func(pts: ChartPoints) -> PointwiseForm:
-            state = mathai_quillen_Ut(t, self.nabla_ell_element(pts),
-                                      self.omega_element(pts))
-            return PointwiseForm({K: _real_part(c) for K, c in state.U_t.items()})
+            U = mathai_quillen_Ut(t, self.nabla_ell_element(pts), self.omega_element(pts))
+            return PointwiseForm({K: _real_part(c) for K, c in U.items()})
 
         return FormField(AXES, self.n, func)
 
@@ -369,11 +352,7 @@ class TransgressionForms:
 
         def func(pts: ChartPoints) -> PointwiseForm:
             n = self.n
-            theta = (
-                (0.5 * t * t) * BigradedElement.unit(n, AXES)
-                + (1j * t) * self.nabla_ell_element(pts)
-                + self.omega_element(pts)
-            )
+            theta = _theta_t(t, self.nabla_ell_element(pts), self.omega_element(pts))
             ell = BigradedElement(n, AXES, {((), (n - 1,)): 1.0 + 0.0j})
             table = berezin(ell * exp_truncated((-1.0) * theta))
             return PointwiseForm(dict(table))

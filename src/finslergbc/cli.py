@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .algebra import BigradedElement, component, exp_truncated
+from .algebra import BigradedElement, exp_truncated
 from .chern_forms import TransgressionForms
 from .connection import (
     EhresmannData,
@@ -659,7 +659,7 @@ def _eq32_residual(seed: int) -> float:
                     for a in range(3):
                         for b in range(a + 1, 3):
                             om.add_term((a, b), (i, j), complex(rng.standard_normal()))
-            brute = component(exp_truncated((-1.0) * ((1j * t) * nl + om)), n - 1, n - 1)
+            brute = exp_truncated((-1.0) * ((1j * t) * nl + om)).component(n - 1, n - 1)
             closed = BigradedElement.zero(n, 3)
             for k in range(0, (n - 1) // 2 + 1):
                 term = BigradedElement.unit(n, 3)
@@ -671,7 +671,7 @@ def _eq32_residual(seed: int) -> float:
                     ((-1j) ** (n - 1))
                     / (math.factorial(k) * math.factorial(n - 1 - 2 * k))
                 ) * term
-            worst = max(worst, (brute - component(closed, n - 1, n - 1)).max_abs())
+            worst = max(worst, (brute - closed.component(n - 1, n - 1)).max_abs())
     return worst
 
 

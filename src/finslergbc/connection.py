@@ -20,14 +20,13 @@ curvature is  Omega_i^j = d varpi_i^j - varpi_i^k ^ varpi_k^j.
 from __future__ import annotations
 
 import weakref
-from itertools import count
 
 import numpy as np
 
 from .ad import Dual, partial, value
 from .errors import ValidationError
 from .metric import FinslerMetric, MetricJets, metric_jets
-from .quadrature import ChartPoints, FormField, PointwiseForm, central_partials
+from .quadrature import ChartPoints, central_partials
 
 __all__ = [
     "EhresmannData",
@@ -41,7 +40,6 @@ __all__ = [
     "modify",
     "to_orthonormal_frame",
     "frame_transform",
-    "curvature",
     "pi_entries",
     "omega_tables",
     "perturb_metric_compatible",
@@ -57,17 +55,13 @@ AXES = 3  # chart coordinates (x1, x2, theta)
 # Ehresmann (nonlinear) connection
 
 
-_EHRESMANN_SEQ = count()
-
-
 class EhresmannData:
     """An explicit horizontal splitting: ``table(chart, x, y)`` gives the
     coefficients N^j_A in place of the canonical spray, which every
     consumer takes when handed None."""
 
-    def __init__(self, table, token: int | None = None):
+    def __init__(self, table):
         self.table = table  # callable(chart, x, y) -> (n, n) of arrays
-        self.token = next(_EHRESMANN_SEQ) if token is None else token
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +173,7 @@ def bundle_tensors(metric: FinslerMetric, pts: ChartPoints,
                    ehresmann: EhresmannData | None = None) -> ChartTensors:
     """Cached tensor assembly at a batch of bundle chart points; an
     explicit Ehresmann table replaces the canonical spray coefficients."""
-    key = ("tensors", metric.token,
-           ehresmann.token if ehresmann is not None else "spray")
+    key = ("tensors", metric, ehresmann)
     hit = pts.cache.get(key)
     if hit is not None:
         return hit
@@ -240,11 +233,10 @@ class ConnectionData:
     gamma^i_{jA} dx^A + rho^i_{jk} delta y^k in the natural frame.  The
     coefficient providers consume a ChartTensors batch."""
 
-    def __init__(self, label: str, gamma_of, rho_of, frame: str = "natural"):
+    def __init__(self, label: str, gamma_of, rho_of):
         self.label = label
         self.gamma_of = gamma_of  # callable(ChartTensors) -> gamma[i][j][A]
         self.rho_of = rho_of  # callable(ChartTensors) -> rho[i][j][k]
-        self.frame = frame
 
 
 def _zero_rho(tens: ChartTensors):
@@ -266,12 +258,10 @@ def chern_connection() -> ConnectionData:
     return ConnectionData("chern", lambda t: t.gamma_chern, _zero_rho)
 
 
-def modify(D: ConnectionData, metric: FinslerMetric | None = None) -> ConnectionData:
+def modify(D: ConnectionData) -> ConnectionData:
     """Keep the horizontal part of D, replace the vertical part by the
     Cartan coefficients built from A^j_{ik}.  Idempotent; the result is
     metric-compatible exactly when D is partially metric-compatible."""
-    if D.frame != "natural":
-        raise ValidationError("modification applies to natural-frame connection data")
     return ConnectionData(f"mod({D.label})", D.gamma_of, _cartan_rho)
 
 
@@ -351,35 +341,24 @@ def frame_transform(theta, B, dB, Binv):
     return pi
 
 
-_CONN_SEQ = count()
-
-
 class FrameConnection:
     """Orthonormal-frame connection forms varpi_i^j as chart coefficient
     functions over batches of bundle points."""
 
-    def __init__(self, label: str, metric: FinslerMetric, pi_of, n: int = N_RANK,
-                 token: int | None = None):
+    n = N_RANK
+
+    def __init__(self, label: str, metric: FinslerMetric, pi_of):
         self.label = label
         self.metric = metric
         self.pi_of = pi_of  # callable(ChartPoints) -> pi[i][j][axis]
-        self.n = n
-        self.token = next(_CONN_SEQ) if token is None else token
 
     def pi(self, pts: ChartPoints):
-        key = ("pi", self.token)
+        key = ("pi", self)
         hit = pts.cache.get(key)
         if hit is None:
             hit = self.pi_of(pts)
             pts.cache[key] = hit
         return hit
-
-    def form(self, i: int, j: int) -> FormField:
-        def func(pts: ChartPoints) -> PointwiseForm:
-            pi = self.pi(pts)
-            return PointwiseForm({(a,): pi[i][j][a] for a in range(AXES)})
-
-        return FormField(AXES, 1, func)
 
 
 def to_orthonormal_frame(D: ConnectionData, metric: FinslerMetric,
@@ -396,15 +375,14 @@ def to_orthonormal_frame(D: ConnectionData, metric: FinslerMetric,
     return FrameConnection(D.label, metric, pi_of)
 
 
-def perturb_metric_compatible(base: FrameConnection, P, validate: bool = True) -> FrameConnection:
+def perturb_metric_compatible(base: FrameConnection, P) -> FrameConnection:
     """Add a skew-valued 1-form P (``P(pts) -> P[i][j][axis]``) to the
     frame forms; skewness keeps the connection metric-compatible."""
 
     def pi_of(pts: ChartPoints):
         pi = base.pi(pts)
         pert = P(pts)
-        if validate:
-            _require_skew(pert, pts)
+        _require_skew(pert)
         n = base.n
         return [
             [[pi[i][j][a] + pert[i][j][a] for a in range(AXES)] for j in range(n)]
@@ -439,13 +417,13 @@ def horizontal_part(P, metric: FinslerMetric, ehresmann: EhresmannData | None = 
     return Ph
 
 
-def _require_skew(P, pts, tol: float = 1e-10) -> None:
+def _require_skew(P) -> None:
     n = N_RANK
     for i in range(n):
         for j in range(i, n):
             for a in range(AXES):
                 s = P[i][j][a] + P[j][i][a]
-                if float(np.max(np.abs(s))) > tol:
+                if float(np.max(np.abs(s))) > 1e-10:
                     raise ValidationError("perturbation is not skew in the frame indices")
 
 
@@ -461,7 +439,7 @@ class CurvatureData:
         self.conn = conn
 
     def omega(self, pts: ChartPoints):
-        key = ("omega", self.conn.token)
+        key = ("omega", self.conn)
         hit = pts.cache.get(key)
         if hit is not None:
             return hit
@@ -470,12 +448,6 @@ class CurvatureData:
         out = omega_tables(n, self.conn.pi(pts), partials)
         pts.cache[key] = out
         return out
-
-    def form(self, i: int, j: int) -> FormField:
-        def func(pts: ChartPoints) -> PointwiseForm:
-            return PointwiseForm(dict(self.omega(pts)[i][j]))
-
-        return FormField(AXES, 2, func)
 
 
 def pi_entries(pi, n: int) -> dict:
@@ -501,10 +473,6 @@ def omega_tables(n: int, pi0, partials):
                         partials[a][(i, j, b)] - partials[b][(i, j, a)] - wedge
                     )
     return out
-
-
-def curvature(conn: FrameConnection) -> CurvatureData:
-    return CurvatureData(conn)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +533,6 @@ def sinusoidal_perturbation(atlas, base: FrameConnection, amplitude: float):
             [[-1.0 * e for e in entry], zero],
         ]
 
-    P.token = next(_CONN_SEQ)
     return P
 
 
@@ -611,10 +578,10 @@ def perturbed_connection_data(atlas, metric: FinslerMetric, base: ConnectionData
 
 
 def _natural_perturbation(tens: ChartTensors, P):
-    """Q = B^{-1} P B per axis (theta-index layout), cached on the batch."""
+    """Q = B^{-1} P B per axis (theta-index layout), cached on the batch
+    under P itself."""
     cache = tens.frame.setdefault("Qmap", {})
-    token = getattr(P, "token", None) or id(P)
-    hit = cache.get(token)
+    hit = cache.get(P)
     if hit is not None:
         return hit
     B, Binv, _ = _frame_fields(tens)
@@ -634,6 +601,6 @@ def _natural_perturbation(tens: ChartTensors, P):
         ]
         for i in range(n)
     ]
-    cache[token] = Q
+    cache[P] = Q
     return Q
 

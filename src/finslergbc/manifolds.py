@@ -66,13 +66,7 @@ class Atlas:
         x1 = np.asarray(x[0], dtype=float)
         x2 = np.asarray(x[1], dtype=float)
         if self.name == "sphere":
-            r2 = x1 * x1 + x2 * x2
-            X = 2.0 * x1 / (1.0 + r2)
-            Y = 2.0 * x2 / (1.0 + r2)
-            Z = (r2 - 1.0) / (1.0 + r2)
-            if chart == "north":
-                Y, Z = -Y, -Z
-            return np.stack([X, Y, Z], axis=-1)
+            return np.stack(self.global_scalars(chart, x1, x2), axis=-1)
         return np.stack(
             [np.cos(x1), np.sin(x1), np.cos(x2), np.sin(x2)], axis=-1
         )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-from itertools import combinations_with_replacement, count, permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -195,23 +195,16 @@ def sum_norms(f1: MinkowskiNorm, f2: MinkowskiNorm) -> MinkowskiNorm:
 # chart-local Finsler metrics
 
 
-_METRIC_SEQ = count()
-
-
 class FinslerMetric:
     """Chart-local Finsler metric on a surface: per-chart F(x, y) with all
     arguments accepting dual numbers and the y slots Taylor jets
     (y-derivatives to third order and x-derivatives to first order are
     taken)."""
 
-    def __init__(self, atlas_id: str, charts: dict[str, callable], label: str = "metric",
-                 n: int = 2, token: int | None = None):
+    def __init__(self, atlas_id: str, charts: dict[str, callable], label: str = "metric"):
         self.atlas_id = atlas_id
         self.charts = charts
         self.label = label
-        self.n = n
-        # distinguishes metric instances in evaluation caches (ids get reused)
-        self.token = next(_METRIC_SEQ) if token is None else token
 
     def F(self, chart: str, x, y):
         return self.charts[chart](list(x), list(y))
@@ -221,7 +214,7 @@ class FinslerMetric:
         slots freeze a batch of base points, matched against the batch
         axes of y."""
         x = [c if np.ndim(c) else float(c) for c in x]
-        return MinkowskiNorm(self.n, lambda y: self.charts[chart](x, list(y)),
+        return MinkowskiNorm(2, lambda y: self.charts[chart](x, list(y)),
                              f"{self.label}@{chart}")
 
 
@@ -310,8 +303,11 @@ def fiber_volume(metric: FinslerMetric, x, chart: str | None = None,
     point); V then carries the exact derivative along the seed.  The seed
     may have leading axes of its own, e.g. one per chart axis when both
     coordinates are seeded at once; V's derivative keeps them in front of
-    the batch axes.  ``rules``, if given, maps the chart to the most nodes
-    any of its points took and whether every point converged."""
+    the batch axes.  The rule works on plain arrays whose leading part
+    axis holds the value and every seed's derivative (``_fiber_sums``);
+    the dual is built once, from the converged parts.  ``rules``, if
+    given, maps the chart to the most nodes any of its points took and
+    whether every point converged."""
     chart = _default_chart(metric, chart)
     shape = np.broadcast_shapes(*(np.shape(value(c)) for c in x))
     size = math.prod(shape)
@@ -321,54 +317,49 @@ def fiber_volume(metric: FinslerMetric, x, chart: str | None = None,
         return np.broadcast_to(a, lead + shape).reshape(lead + (size,))
 
     flat = [ad.linear_map(flatten, c) for c in x]
+    seeds = [np.shape(c.eps)[:-1] for c in flat if isinstance(c, Dual)]
+    lead = np.broadcast_shapes(*seeds) if seeds else None
 
     def sums(th, live):
         pts = [ad.linear_map(lambda a: a[..., live], c) for c in flat]
         block = max(1, _FIBER_NODES // th.size)
         if live.size <= block:
-            return _fiber_sums(metric, pts, chart, th)
+            return _fiber_sums(metric, pts, chart, th, lead)
         _keep_freed_pages()
-        return _concatenate([_fiber_sums(metric, [ad.linear_map(lambda a: a[..., i:i + block], c)
-                                                  for c in pts], chart, th)
-                             for i in range(0, live.size, block)])
+        return np.concatenate([_fiber_sums(metric, [ad.linear_map(lambda a: a[..., i:i + block], c)
+                                                    for c in pts], chart, th, lead)
+                               for i in range(0, live.size, block)], axis=-2)
 
     def change(V, half):
-        v = value(V)
-        return np.max([np.max(np.abs(part) / v, axis=tuple(range(np.ndim(part) - 1)))
-                       for part in _parts(V - half)], axis=0)
+        return np.max(np.abs(V - half) / V[0], axis=0)
 
     V, n, converged = nested_periodic_rule(sums, order, change, size)
     if rules is not None:
         prev_n, prev_ok = rules.get(chart, (0, True))
         rules[chart] = (max(int(n.max(initial=0)), prev_n), bool(converged.all()) and prev_ok)
-    return ad.linear_map(lambda a: a.reshape(a.shape[:-1] + shape), V)
+    if lead is None:
+        return V[0].reshape(shape)
+    return Dual(V[0].reshape(shape), V[1:].reshape(lead + shape))
 
 
-def _fiber_sums(metric: FinslerMetric, x, chart: str, th):
+def _fiber_sums(metric: FinslerMetric, x, chart: str, th, lead):
     """The sums of the fiber density over the last axis of the 2-D node
-    array th, at each base point: shape (..., points, rows of th).  Each
-    sum is a ufunc reduction over the node axis, so each base point's sum
+    array th, at each base point, as one plain array of shape (parts,
+    points, rows of th): part 0 is the value, and for a seeded x (lead
+    not None, the seed's own leading axes) the parts after it are the
+    derivative along each seed, in the order of the seed axes.  Each sum
+    is a ufunc reduction over the node axis, so each base point's sum
     depends on its own row alone, not on where the row sits in the batch
     or on the batch size (a matrix-vector product does not promise
     that)."""
     x = [ad.linear_map(lambda a: np.asarray(a, dtype=float)[..., None, None], c) for c in x]
     rho = fiber_volume_form(metric, x, th, chart)
     shape = np.broadcast_shapes(*(np.shape(value(c)) for c in x), th.shape)
-    return ad.linear_map(lambda r: np.add.reduce(
-        np.broadcast_to(r, np.broadcast_shapes(np.shape(r), shape)), -1), rho)
-
-
-def _parts(d):
-    """The value and every derivative part of an array or dual."""
-    return _parts(d.val) + _parts(d.eps) if isinstance(d, Dual) else [d]
-
-
-def _concatenate(parts):
-    """Join per-block sums (all with the same dual layers) along the points
-    axis, the one before the last."""
-    if isinstance(parts[0], Dual):
-        return Dual(_concatenate([p.val for p in parts]), _concatenate([p.eps for p in parts]))
-    return np.concatenate(parts, axis=-2)
+    parts = [np.add.reduce(np.broadcast_to(value(rho), shape), -1)[None]]
+    if lead is not None:
+        eps = np.add.reduce(np.broadcast_to(partial(rho), lead + shape), -1)
+        parts.append(eps.reshape((-1,) + shape[:-1]))
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ boxes on the torus).  The discs and annuli of one chart are integrated
 from one set of samples, those of the polar rule of the smallest annulus
 that holds them all.  The angle of that rule, like the fiber circle of
 ``metric.fiber_volume``, is integrated by one nested periodic trapezoid
-rule that sizes itself by doubling (``nested_periodic_rule``).
+rule that sizes itself by doubling (``nested_periodic_rule``).  It works
+on plain arrays: a caller that integrates several things side by side
+(a value and its derivatives, say) puts them on leading part axes, so
+nothing here builds a dual number.
 
 Forms are stored as antisymmetric coefficient tables over ordered axis
 subsets of a chart; fields evaluate whole batches of chart points at once,
@@ -26,7 +29,6 @@ import warnings
 
 import numpy as np
 
-from .ad import Dual, linear_map
 from .algebra import merge_sign, sort_with_parity
 
 __all__ = [
@@ -69,12 +71,15 @@ class QuadratureError(ValueError):
 class ChartPoints:
     """A batch of chart points: 2 coordinate arrays on the base, 3 on the
     sphere bundle (x1, x2, theta).  ``cache`` lets expensive geometry
-    evaluations be shared between form fields at the same batch."""
+    evaluations be shared between form fields at the same batch; each
+    entry is keyed by the objects that own it (a metric, a connection, a
+    form set), so a key holds its owner and no id is reused while the
+    entry lives."""
 
-    def __init__(self, chart: str, coords: tuple, cache: dict | None = None):
+    def __init__(self, chart: str, coords: tuple):
         self.chart = chart
         self.coords = coords
-        self.cache = {} if cache is None else cache
+        self.cache = {}
 
     @property
     def dim(self) -> int:
@@ -432,13 +437,15 @@ def nested_periodic_rule(sums, cap: int, change, items: int = 1):
 
     sums(angles, live) evaluates the integrand of the items live (an index
     array) at every entry of the 2-D array of angles in one pass and
-    returns its sums over the last axis: arrays, or duals, of shape (...,
-    items, rows of angles).  change(T_n, T_{n/2}) returns the caller's
-    measure of their difference per item.  The rule starts at n = the cap
-    rounded down to even (at least 2), halved while n/2 stays even and at
-    least PERIODIC_FLOOR, in one pass over the n nodes 2 pi k / n whose
-    rows are the even and the odd k: the even ones are the nodes of the n/2
-    rule, so T_{n/2}, and an estimate, come free.  Each doubling evaluates
+    returns its sums over the last axis as one plain array of shape
+    (parts..., items, rows of angles): the leading part axes carry
+    whatever the caller integrates side by side, e.g. a value and its
+    derivatives, or a value and its absolute value.  change(T_n, T_{n/2})
+    returns the caller's measure of their difference per item.  The rule
+    starts at n = the cap rounded down to even (at least 2), halved while
+    n/2 stays even and at least PERIODIC_FLOOR, in one pass over the n
+    nodes 2 pi k / n whose rows are the even and the odd k: the even ones
+    are the nodes of the n/2 rule, so T_{n/2}, and an estimate, come free.  Each doubling evaluates
     only the items whose change is still above NESTED_TOL, at only the n
     nodes of the 2n rule that are new (the old ones shifted by pi / n), and
     keeps every earlier sum.  An item stops once its change is at most
@@ -448,35 +455,20 @@ def nested_periodic_rule(sums, cap: int, change, items: int = 1):
     while n % 4 == 0 and n // 2 >= PERIODIC_FLOOR:
         n //= 2
     first = sums(2.0 * math.pi / n * np.arange(n).reshape(-1, 2).T, np.arange(items))
-    half = _entry(first, 0)
-    total = half + _entry(first, 1)
+    half = first[..., 0]
+    total = half + first[..., 1]
     nodes = np.full(items, n)
     ok = change(total * (2.0 * math.pi / n), half * (4.0 * math.pi / n)) <= NESTED_TOL
     live = np.flatnonzero(~ok)
     while live.size and 2 * n <= cap:
         odd = sums(math.pi / n * (2.0 * np.arange(n) + 1.0)[None, :], live)
-        half = linear_map(lambda a: a[..., live], total)
-        grown, n = half + _entry(odd, 0), 2 * n
-        total = _put(total, live, grown)
+        half = total[..., live]
+        grown, n = half + odd[..., 0], 2 * n
+        total[..., live] = grown
         nodes[live] = n
         ok[live] = change(grown * (2.0 * math.pi / n), half * (4.0 * math.pi / n)) <= NESTED_TOL
         live = live[~ok[live]]
     return total * (2.0 * math.pi / nodes), nodes, ok
-
-
-def _entry(sums, k: int):
-    """Entry k of the trailing axis of an array or dual."""
-    return linear_map(lambda a: a[..., k], sums)
-
-
-def _put(a, live, b):
-    """a with the entries live of its trailing axis replaced by b's, for
-    arrays or duals of one layout."""
-    if isinstance(a, Dual):
-        return Dual(_put(a.val, live, b.val), _put(a.eps, live, b.eps))
-    a = np.array(a)
-    a[..., live] = b
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -171,25 +171,26 @@ def _median(a) -> float:
     return float(np.mean(part[k - 1 + n % 2:k + 1]))
 
 
-def find_zeros(X: SectionField, grid_density: int = 48, threshold: float = 0.3,
-               epsilon_schedule=(0.2, 0.1, 0.05)) -> list[ZeroRecord]:
+def find_zeros(X: SectionField, epsilon_schedule=(0.2, 0.1, 0.05)) -> list[ZeroRecord]:
     """Grid scan for |X| minima inside each chart region, Newton-refined
-    to |X| < 1e-12 and deduplicated through the atlas embedding.  The
-    seeds keep their grid order, so the first seed that refines to a zero
-    gives its recorded location."""
+    to |X| < 1e-12 and deduplicated through the atlas embedding.  Each
+    chart's region box is sampled on a 48 x 48 grid, and a grid point
+    seeds Newton's method where |X| is below 0.3 times the median of |X|
+    over the grid.  The seeds keep their grid order, so the first seed
+    that refines to a zero gives its recorded location."""
     atlas = X.atlas
     records: list[ZeroRecord] = []
     embedded: list[np.ndarray] = []
     for chart in X.components:
         (lo1, hi1), (lo2, hi2) = atlas.region_box(chart)
-        u = np.linspace(lo1, hi1, grid_density)
-        v = np.linspace(lo2, hi2, grid_density)
+        u = np.linspace(lo1, hi1, 48)
+        v = np.linspace(lo2, hi2, 48)
         U, V = np.meshgrid(u, v, indexing="ij")
         v1, v2 = X.value(chart, U.ravel(), V.ravel())
         mag = np.hypot(np.asarray(v1, dtype=float), np.asarray(v2, dtype=float))
         mag = np.broadcast_to(mag, U.ravel().shape)  # constant components collapse
         scale = max(_median(mag), 1e-30)
-        seeds = np.nonzero(mag < threshold * scale)[0]
+        seeds = np.nonzero(mag < 0.3 * scale)[0]
         zu, zv = _newton_zeros(X, chart, U.ravel()[seeds], V.ravel()[seeds])
         keep = atlas.in_region(chart, (zu, zv))
         zu, zv = zu[keep], zv[keep]
@@ -211,20 +212,20 @@ def find_zeros(X: SectionField, grid_density: int = 48, threshold: float = 0.3,
     return records
 
 
-def _newton_zeros(X: SectionField, chart: str, u, v, max_iter: int = 40):
+def _newton_zeros(X: SectionField, chart: str, u, v):
     """Newton's method on X from every seed (u[s], v[s]) at once, with one
     evaluation of X per iteration: u and v are duals seeded on one leading
     axis of length 2, so the pass carries both Jacobian columns.  The 2x2
     step is solved by Cramer's rule.  A seed leaves the batch once
     |X| < 1e-12 (it is returned), at a Jacobian with |det| < 1e-14, at a
-    non-finite step, or after max_iter iterations (it is dropped).  The
+    non-finite step, or after 40 iterations (it is dropped).  The
     converged seeds come back in their input order."""
     idx = np.arange(np.size(u))
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     done = np.zeros(idx.size, dtype=bool)
     zu, zv = np.empty_like(u), np.empty_like(v)
     s = np.eye(2)[:, :, None]
-    for _ in range(max_iter):
+    for _ in range(40):
         if idx.size == 0:
             break
         f1, f2 = X.value(chart, Dual(u, s[0]), Dual(v, s[1]))

@@ -5,7 +5,7 @@ import pytest
 
 from finslergbc.connection import cartan_connection, to_orthonormal_frame
 from finslergbc.manifolds import install_metric, sphere_atlas, torus_atlas
-from finslergbc.quadrature import ChartPoints
+from finslergbc.quadrature import ChartPoints, FormField, PointwiseForm
 
 
 @pytest.fixture(scope="session")
@@ -70,3 +70,20 @@ def zero_step_stack(pts, rows):
               else np.stack([c + 0j] * len(rows))
               for j, c in enumerate(np.broadcast_arrays(*pts.coords))]
     return ChartPoints(pts.chart, tuple(coords))
+
+
+def frame_form(conn, i: int, j: int) -> FormField:
+    """The frame form varpi_i^j of a FrameConnection as a 1-form field on
+    the bundle chart."""
+
+    def func(pts):
+        pi = conn.pi(pts)
+        return PointwiseForm({(a,): pi[i][j][a] for a in range(3)})
+
+    return FormField(3, 1, func)
+
+
+def curvature_form(curv, i: int, j: int) -> FormField:
+    """The curvature entry Omega_i^j of a CurvatureData as a 2-form field
+    on the bundle chart."""
+    return FormField(3, 2, lambda pts: PointwiseForm(dict(curv.omega(pts)[i][j])))

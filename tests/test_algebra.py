@@ -13,7 +13,6 @@ from finslergbc.algebra import (
     SkewMatrixValuedForm,
     berezin,
     bigraded_product,
-    component,
     exp_truncated,
     merge_sign,
     pfaffian,
@@ -258,8 +257,8 @@ class TestExpTruncated:
 class TestComponent:
     def test_projection(self):
         a = elem(2, [((), (0,), 1.0), ((0,), (0,), 2.0)])
-        assert component(a, 1, 1).terms == {((0,), (0,)): 2.0}
-        assert component(a, 2, 2).terms == {}
+        assert a.component(1, 1).terms == {((0,), (0,)): 2.0}
+        assert a.component(2, 2).terms == {}
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_eq_3_2_closed_form(self, n):
@@ -270,7 +269,7 @@ class TestComponent:
             t = rng.uniform(0.1, 2.0)
             nl = random_element(rng, n, 1, 1)
             om = random_element(rng, n, 2, 2)
-            brute = component(exp_truncated((-1.0) * ((1j * t) * nl + om)), n - 1, n - 1)
+            brute = exp_truncated((-1.0) * ((1j * t) * nl + om)).component(n - 1, n - 1)
             closed = BigradedElement.zero(n, 3)
             for k in range(0, (n - 1) // 2 + 1):
                 term = BigradedElement.unit(n, 3)
@@ -282,4 +281,4 @@ class TestComponent:
                     math.factorial(k) * math.factorial(n - 1 - 2 * k)
                 )
                 closed = closed + coeff * term
-            assert (brute - component(closed, n - 1, n - 1)).max_abs() < 1e-10
+            assert (brute - closed.component(n - 1, n - 1)).max_abs() < 1e-10

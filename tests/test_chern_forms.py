@@ -360,11 +360,11 @@ class TestFrakE:
 class TestMathaiQuillen:
     def test_t0_is_pfaffian(self, randers_forms):
         pts = bundle_points("south", 10, seed=56)
-        state = mathai_quillen_Ut(
+        U = mathai_quillen_Ut(
             0.0, randers_forms.nabla_ell_element(pts), randers_forms.omega_element(pts)
         )
         pf = pfaffian_from_curv(randers_forms, pts)
-        for key, val in state.U_t.items():
+        for key, val in U.items():
             assert float(np.max(np.abs(val - pf.get(key, 0.0)))) < 1e-12
 
     def test_large_t_decay(self, randers_forms):

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from finslergbc.connection import (
+    CurvatureData,
     EhresmannData,
     _frame_fields,
     bundle_tensors,
     cartan_connection,
     chern_connection,
-    curvature,
     frame_transform,
     horizontal_part,
     metric_compat_residual,
@@ -25,7 +25,7 @@ from finslergbc.connection import (
 from finslergbc.errors import ValidationError
 from finslergbc.quadrature import ChartPoints
 
-from conftest import bundle_points
+from conftest import bundle_points, curvature_form, frame_form
 
 
 def frame_skew_residual(conn, pts) -> float:
@@ -282,7 +282,7 @@ class TestCurvature:
     def test_flat_torus_zero(self, flat_metric):
         pts = bundle_points("torus", 20, seed=11)
         fc = to_orthonormal_frame(cartan_connection(), flat_metric)
-        om = curvature(fc).omega(pts)
+        om = CurvatureData(fc).omega(pts)
         assert max(float(np.max(np.abs(np.asarray(v)))) for v in om[0][1].values()) < 1e-12
 
     @pytest.mark.parametrize("chart", ["south", "north"])
@@ -312,7 +312,7 @@ class TestCurvature:
         minus the conformal area density."""
         pts = bundle_points("south", 20, seed=12)
         fc = to_orthonormal_frame(cartan_connection(), round_metric)
-        om = curvature(fc).omega(pts)
+        om = CurvatureData(fc).omega(pts)
         x1, x2, _ = pts.coords
         lam = 4.0 / (1.0 + x1 ** 2 + x2 ** 2) ** 2
         assert float(np.max(np.abs(np.asarray(om[0][1][(0, 1)]) + lam))) < 1e-8
@@ -321,7 +321,7 @@ class TestCurvature:
 
     def test_antisymmetry(self, randers_metric, cartan_frame_randers):
         pts = bundle_points("south", 20, seed=13)
-        om = curvature(cartan_frame_randers).omega(pts)
+        om = CurvatureData(cartan_frame_randers).omega(pts)
         for key in om[0][1]:
             assert float(np.max(np.abs(np.asarray(om[0][1][key]) + np.asarray(om[1][0][key])))) < 1e-10
         for key in om[0][0]:
@@ -332,7 +332,7 @@ class TestCurvature:
         from finslergbc.quadrature import exterior_derivative
 
         pts = bundle_points("south", 10, seed=14)
-        dom = exterior_derivative(curvature(cartan_frame_randers).form(0, 1))(pts)
+        dom = exterior_derivative(curvature_form(CurvatureData(cartan_frame_randers), 0, 1))(pts)
         assert dom.max_abs() < 1e-6
 
     def test_bianchi_for_perturbed_connection(self, sphere, randers_metric,
@@ -344,8 +344,19 @@ class TestCurvature:
         P = sinusoidal_perturbation(sphere, cartan_frame_randers, 0.2)
         fcD = perturb_metric_compatible(cartan_frame_randers, P)
         pts = bundle_points("south", 8, seed=141)
-        dom = exterior_derivative(curvature(fcD).form(0, 1))(pts)
+        dom = exterior_derivative(curvature_form(CurvatureData(fcD), 0, 1))(pts)
         assert dom.max_abs() < 1e-6
+
+    def test_rank2_curvature_is_d_of_frame_form(self, cartan_frame_randers):
+        """At rank 2 the frame forms are skew, so varpi_0^0 = varpi_1^1 = 0,
+        the wedge term of Omega_0^1 vanishes and Omega_0^1 = d varpi_0^1 on
+        the same stencil."""
+        from finslergbc.quadrature import exterior_derivative
+
+        pts = bundle_points("south", 10, seed=142)
+        dpi = exterior_derivative(frame_form(cartan_frame_randers, 0, 1))(pts)
+        om = curvature_form(CurvatureData(cartan_frame_randers), 0, 1)(pts)
+        assert (dpi - om).max_abs() < 1e-12
 
     def test_fd_matches_ad_first_derivatives(self, randers_metric):
         """The finite-difference exterior derivative reproduces AD-exact
@@ -498,6 +509,41 @@ class TestPerturbation:
         d2 = max(float(np.max(np.abs(np.asarray(pa[0][1][a]) - np.asarray(pc[0][1][a])))) for a in range(3))
         assert d1 > 1e-3 and d2 > 1e-3
 
+
+    def test_new_perturbation_reads_its_own_natural_form(self, randers_metric, sphere):
+        """A perturbation built after an earlier one was dropped reads its
+        own natural-frame Q on a batch the earlier one evaluated.  The
+        batch caches Q under the perturbation itself, which keeps it alive
+        while the entry lives; a cache keyed by id(P) handed the new
+        perturbation, which CPython placed at the dropped one's id, the
+        dropped one's Q."""
+
+        def make(scale):
+            def P(pts):
+                x1, x2 = pts.coords[:2]
+                entry = [scale * x1, scale * x2 * x2, scale * np.cos(x1)]
+                zero = [0.0] * 3
+                return [[zero, entry], [[-1.0 * e for e in entry], zero]]
+
+            return P
+
+        def gamma(P, tens):
+            return perturbed_connection_data(sphere, randers_metric, cartan_connection(),
+                                             P).gamma_of(tens)
+
+        pts = bundle_points("south", 6, seed=26)
+        tens = bundle_tensors(randers_metric, pts)
+        first = make(0.1)
+        gamma(first, tens)
+        del first
+        second = make(0.3)
+        got = gamma(second, tens)
+        fresh = bundle_points("south", 6, seed=26)
+        want = gamma(second, bundle_tensors(randers_metric, fresh))
+        for i in range(2):
+            for j in range(2):
+                for a in range(2):
+                    assert np.array_equal(got[i][j][a], want[i][j][a])
 
     def test_evaluated_batch_freed_without_collector(self, randers_metric, sphere,
                                                      cartan_frame_randers):

@@ -59,6 +59,19 @@ class TestSphereAtlas:
         p = sphere.embed("south", (a[:, 0], a[:, 1]))
         assert np.allclose(np.linalg.norm(p, axis=-1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("chart", ["south", "north"])
+    def test_embedding_is_global_scalars(self, sphere, chart):
+        """The sphere embedding is the stacked global scalars, bit for bit
+        the inverse stereographic projection (X, Y, Z) = (2 x1, 2 x2, r^2 -
+        1) / (1 + r^2), with Y and Z negated in the north chart."""
+        rng = np.random.default_rng(5)
+        x1, x2 = rng.uniform(-1.5, 1.5, (2, 1000))
+        r2 = x1 * x1 + x2 * x2
+        X, Y, Z = 2.0 * x1 / (1.0 + r2), 2.0 * x2 / (1.0 + r2), (r2 - 1.0) / (1.0 + r2)
+        if chart == "north":
+            Y, Z = -Y, -Z
+        assert np.array_equal(sphere.embed(chart, (x1, x2)), np.stack([X, Y, Z], axis=-1))
+
     def test_chi(self, sphere, torus):
         assert sphere.chi == 2
         assert torus.chi == 0
