@@ -91,8 +91,8 @@ def phi_k(curv: CurvatureData, conn: FrameConnection, k: int) -> FormField:
         raise ValidationError(f"phi_k index k={k} out of range for rank {n}")
 
     def func(pts: ChartPoints) -> PointwiseForm:
-        om = curv.omega(pts) if k > 0 else None
-        pi = conn.pi(pts)
+        om = curv.table(pts) if k > 0 else None
+        pi = conn.table(pts)
         out = PointwiseForm()
         for alpha in permutations(range(n - 1)):
             _, sign = sort_with_parity(alpha)
@@ -127,14 +127,13 @@ def omega_pfaffian(curv: CurvatureData) -> FormField:
     """Omega^nabla = Pf(-Omega)/(2 pi)^{n/2} through the Berezin integral;
     identically zero for odd rank."""
     n = curv.conn.n
-    return FormField(AXES, n, lambda pts: _euler_form(curv.omega(pts), n))
-
-
-def _euler_form(om, n: int) -> PointwiseForm:
-    """Pf(-Omega)/(2 pi)^{n/2} of curvature tables, through their skew part."""
     norm = pfaffian_norm_constant(n)
-    table = pfaffian(_skew_symmetrized(om, n))
-    return PointwiseForm({K: norm * _real_part(c) for K, c in table.items()})
+
+    def func(pts: ChartPoints) -> PointwiseForm:
+        table = pfaffian(SkewMatrixValuedForm(n, AXES, curv.table(pts)))
+        return PointwiseForm({K: norm * _real_part(c) for K, c in table.items()})
+
+    return FormField(AXES, n, func)
 
 
 def _real_part(c):
@@ -145,20 +144,6 @@ def _real_part(c):
             raise ValidationError(f"characteristic form has imaginary residue {imag}")
         return arr.real
     return arr
-
-
-def _skew_symmetrized(om, n: int) -> SkewMatrixValuedForm:
-    """Project finite-difference curvature tables onto their skew part;
-    the raw tables are skew only to rounding noise (~1e-11)."""
-    entries = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            keys = set(om[i][j]) | set(om[j][i])
-            for K in keys:
-                entries[i][j][K] = 0.5 * (om[i][j].get(K, 0.0) - om[j][i].get(K, 0.0))
-    return SkewMatrixValuedForm(n, AXES, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +164,8 @@ def chern_weil_upsilon0(D: FrameConnection, nabla: FrameConnection) -> FormField
         raise ValidationError("upsilon0 with curvature factors needs rank < 4 here")
 
     def func(pts: ChartPoints) -> PointwiseForm:
-        pa = D.pi(pts)
-        pb = nabla.pi(pts)
+        pa = D.table(pts)
+        pb = nabla.table(pts)
         diff = BigradedElement.zero(n, AXES)
         for i in range(n):
             for j in range(n):
@@ -316,7 +301,7 @@ class TransgressionForms:
     # --- algebra-level elements at sample points -------------------------------
     def nabla_ell_element(self, pts: ChartPoints) -> BigradedElement:
         """nabla l = varpi_n^j (x) e_j as an A^{1,1} element (batched)."""
-        pi = self.nabla.pi(pts)
+        pi = self.nabla.table(pts)
         n = self.n
         out = BigradedElement.zero(n, AXES)
         for j in range(n):
@@ -326,7 +311,7 @@ class TransgressionForms:
 
     def omega_element(self, pts: ChartPoints) -> BigradedElement:
         """Curvature of nabla as an A^{2,2} element (batched)."""
-        om = self.curv_nabla.omega(pts)
+        om = self.curv_nabla.table(pts)
         n = self.n
         out = BigradedElement.zero(n, AXES)
         for i in range(n):
@@ -385,8 +370,7 @@ class TransgressionForms:
         u1c = upsilon1_coefficient(2)
 
         def payload(q: ChartPoints) -> dict:
-            pi01 = self.nabla.pi(q)[0][1]
-            return {(a,): pi01[a] for a in range(AXES)}
+            return {(a,): c for a, c in enumerate(self.nabla.pi(q))}
 
         def func(pts: ChartPoints) -> PointwiseForm:
             if section is None:

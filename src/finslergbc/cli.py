@@ -595,7 +595,7 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
         pin = fcN.pi(pts)
         res["prop33_fiber_volume_form"] = max(
             res["prop33_fiber_volume_form"],
-            float(np.max(np.abs(rho - pin[0][1][2]))))
+            float(np.max(np.abs(rho - pin[2]))))
 
         res["prop32_metric_compatibility"] = max(
             res["prop32_metric_compatibility"],

@@ -2,19 +2,22 @@
 
 The chain runs: metric jets -> geodesic-spray Ehresmann coefficients N ->
 horizontal (Chern-type) coefficients gamma -> vertical modification rho =
-2 A -> natural-frame 1-forms theta -> orthonormal-frame forms varpi ->
-curvature.  All coefficients are assembled from analytically
-differentiated tensors, so the frame forms carry AD-exact first
-derivatives.  The chain is holomorphic arithmetic on its coordinates, so
-the production GBC integrand differentiates varpi by complex-step partials,
-exact to rounding.  ``CurvatureData`` takes the exterior derivative of
-varpi by the finite-difference stencil (central differences +
+2 A -> natural-frame 1-forms theta -> the orthonormal-frame form
+varpi_0^1 -> its curvature d varpi_0^1.  All coefficients are assembled
+from analytically differentiated tensors, so the frame form carries
+AD-exact first derivatives.  The chain is holomorphic arithmetic on its
+coordinates, so the production GBC integrand differentiates varpi_0^1 by
+complex-step partials, exact to rounding.  ``CurvatureData`` takes d
+varpi_0^1 by the finite-difference stencil (central differences +
 Richardson): it is the identity checks' oracle, independent of the
 production path.
 
 Index conventions follow  D s_i = theta_i^j (x) s_j  and  nabla e_i =
-varpi_i^j (x) e_j, with matrices stored as m[i][j] = (lower i, upper j);
-curvature is  Omega_i^j = d varpi_i^j - varpi_i^k ^ varpi_k^j.
+varpi_i^j (x) e_j, with matrices stored as m[i][j] = (lower i, upper j).
+Every connection here is metric-compatible of rank 2, so in the
+g-orthonormal frame varpi = [[0, varpi_0^1], [-varpi_0^1, 0]] is
+so(2)-valued; so(2) is abelian, so Omega = d varpi - varpi ^ varpi reduces
+to Omega_0^1 = d varpi_0^1.  ``table`` builds the skew 2x2 matrices.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ import weakref
 import numpy as np
 
 from .ad import Dual, partial, value
-from .errors import ValidationError
+from .errors import DomainError
 from .metric import FinslerMetric, MetricJets, metric_jets
-from .quadrature import ChartPoints, central_partials
+from .quadrature import ChartPoints, central_partials, d_from_partials
 
 __all__ = [
     "EhresmannData",
@@ -39,9 +42,6 @@ __all__ = [
     "cartan_connection",
     "modify",
     "to_orthonormal_frame",
-    "frame_transform",
-    "pi_entries",
-    "omega_tables",
     "perturb_metric_compatible",
     "horizontal_part",
     "metric_compat_residual",
@@ -324,33 +324,32 @@ def _frame_fields(tens: ChartTensors):
     return B, Binv, dB
 
 
-def frame_transform(theta, B, dB, Binv):
-    """varpi_i^j = (dB_i^k + B_i^m theta_m^k) (B^{-1})_k^j, axis by axis."""
-    n = len(B)
-    pi = [[[None] * AXES for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for axis in range(AXES):
-                acc = 0.0
-                for k in range(n):
-                    term = dB[i][k][axis] + sum(
-                        B[i][m] * theta[m][k][axis] for m in range(n)
-                    )
-                    acc = acc + term * Binv[k][j]
-                pi[i][j][axis] = acc
-    return pi
+def _frame_form(theta, B, dB, Binv):
+    """varpi_0^1 = sum_k (dB_0^k + sum_m B_0^m theta_m^k) (B^{-1})_k^1, axis
+    by axis: the (0, 1) entry of the frame transform (dB + B theta) B^{-1}."""
+    out = []
+    for axis in range(AXES):
+        acc = 0.0
+        for k in range(N_RANK):
+            term = dB[0][k][axis] + sum(B[0][m] * theta[m][k][axis] for m in range(N_RANK))
+            acc = acc + term * Binv[k][1]
+        out.append(acc)
+    return out
 
 
 class FrameConnection:
-    """Orthonormal-frame connection forms varpi_i^j as chart coefficient
-    functions over batches of bundle points."""
+    """The orthonormal-frame connection form varpi_0^1 of a metric-compatible
+    rank-2 connection, as chart coefficient functions over batches of
+    bundle points.  ``pi(pts)`` gives its three chart-axis coefficients;
+    ``table(pts)`` the skew matrix varpi[i][j][axis] that the general-rank
+    forms read."""
 
     n = N_RANK
 
     def __init__(self, label: str, metric: FinslerMetric, pi_of):
         self.label = label
         self.metric = metric
-        self.pi_of = pi_of  # callable(ChartPoints) -> pi[i][j][axis]
+        self.pi_of = pi_of  # callable(ChartPoints) -> pi[axis] of varpi_0^1
 
     def pi(self, pts: ChartPoints):
         key = ("pi", self)
@@ -360,34 +359,36 @@ class FrameConnection:
             pts.cache[key] = hit
         return hit
 
+    def table(self, pts: ChartPoints):
+        pi = self.pi(pts)
+        zero = [0.0] * AXES
+        return [[zero, pi], [[-c for c in pi], zero]]
+
 
 def to_orthonormal_frame(D: ConnectionData, metric: FinslerMetric,
                          ehresmann: EhresmannData | None = None) -> FrameConnection:
     """Express a natural-frame connection in the canonical g-orthonormal
-    frame with e_n = l; metric-compatible data yields skew varpi."""
+    frame with e_n = l.  D must be metric-compatible: only then is varpi
+    skew, so that varpi_0^1 determines it."""
 
     def pi_of(pts: ChartPoints):
         tens = bundle_tensors(metric, pts, ehresmann)
         theta = theta_chart_forms(tens, D)
         B, Binv, dB = _frame_fields(tens)
-        return frame_transform(theta, B, dB, Binv)
+        return _frame_form(theta, B, dB, Binv)
 
     return FrameConnection(D.label, metric, pi_of)
 
 
 def perturb_metric_compatible(base: FrameConnection, P) -> FrameConnection:
-    """Add a skew-valued 1-form P (``P(pts) -> P[i][j][axis]``) to the
-    frame forms; skewness keeps the connection metric-compatible."""
+    """Add an so(2)-valued 1-form P to the frame form: ``P(pts) ->
+    P[axis]`` is its (0, 1) entry.  A skew perturbation keeps the
+    connection metric-compatible."""
 
     def pi_of(pts: ChartPoints):
         pi = base.pi(pts)
         pert = P(pts)
-        _require_skew(pert)
-        n = base.n
-        return [
-            [[pi[i][j][a] + pert[i][j][a] for a in range(AXES)] for j in range(n)]
-            for i in range(n)
-        ]
+        return [pi[a] + pert[a] for a in range(AXES)]
 
     return FrameConnection(f"pert({base.label})", base.metric, pi_of)
 
@@ -408,23 +409,9 @@ def horizontal_part(P, metric: FinslerMetric, ehresmann: EhresmannData | None = 
         v = tens.jets.v
         s = [sum(v[k] * tens.N[k][Aa] for k in range(N_RANK)) for Aa in range(2)]
         pert = P(pts)
-        return [
-            [[pert[i][j][0] - pert[i][j][2] * s[0], pert[i][j][1] - pert[i][j][2] * s[1], 0.0]
-             for j in range(N_RANK)]
-            for i in range(N_RANK)
-        ]
+        return [pert[0] - pert[2] * s[0], pert[1] - pert[2] * s[1], 0.0]
 
     return Ph
-
-
-def _require_skew(P) -> None:
-    n = N_RANK
-    for i in range(n):
-        for j in range(i, n):
-            for a in range(AXES):
-                s = P[i][j][a] + P[j][i][a]
-                if float(np.max(np.abs(s))) > 1e-10:
-                    raise ValidationError("perturbation is not skew in the frame indices")
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +419,9 @@ def _require_skew(P) -> None:
 
 
 class CurvatureData:
-    """Omega_i^j as 2-forms on the bundle chart; evaluation returns
-    omega[i][j] as {(a, b): coeff} with a < b."""
+    """The curvature Omega_0^1 = d varpi_0^1 of a FrameConnection as a
+    2-form on the bundle chart: ``omega(pts)`` returns {(a, b): coeff}
+    with a < b, and ``table(pts)`` the skew matrix of such tables."""
 
     def __init__(self, conn: FrameConnection):
         self.conn = conn
@@ -441,38 +429,15 @@ class CurvatureData:
     def omega(self, pts: ChartPoints):
         key = ("omega", self.conn)
         hit = pts.cache.get(key)
-        if hit is not None:
-            return hit
-        n = self.conn.n
-        partials = central_partials(lambda q: pi_entries(self.conn.pi(q), n), pts)
-        out = omega_tables(n, self.conn.pi(pts), partials)
-        pts.cache[key] = out
-        return out
+        if hit is None:
+            partials = central_partials(
+                lambda q: {(a,): c for a, c in enumerate(self.conn.pi(q))}, pts)
+            hit = pts.cache[key] = d_from_partials(partials).coeffs
+        return hit
 
-
-def pi_entries(pi, n: int) -> dict:
-    """Frame forms pi[i][j][axis] as a flat {(i, j, axis): coeff} table."""
-    return {(i, j, a): pi[i][j][a] for i in range(n) for j in range(n) for a in range(AXES)}
-
-
-def omega_tables(n: int, pi0, partials):
-    """Omega_i^j = d varpi_i^j - varpi_i^k ^ varpi_k^j as {(a, b): coeff}
-    tables, from the frame forms pi0[i][j][axis] and the partials of
-    their pi_entries."""
-    out = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for a in range(AXES):
-                for b in range(a + 1, AXES):
-                    wedge = sum(
-                        pi0[i][k][a] * pi0[k][j][b] - pi0[i][k][b] * pi0[k][j][a]
-                        for k in range(n)
-                    )
-                    # (d varpi)_{ab} = d_a varpi_b - d_b varpi_a
-                    out[i][j][(a, b)] = (
-                        partials[a][(i, j, b)] - partials[b][(i, j, a)] - wedge
-                    )
-    return out
+    def table(self, pts: ChartPoints):
+        om = self.omega(pts)
+        return [[{}, om], [{K: -c for K, c in om.items()}, {}]]
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +469,11 @@ def metric_compat_residual(metric: FinslerMetric, D: ConnectionData, pts: ChartP
 
 
 def sinusoidal_perturbation(atlas, base: FrameConnection, amplitude: float):
-    """A smooth skew perturbation defined globally on the sphere bundle.
+    """A smooth so(2)-valued perturbation defined globally on the sphere
+    bundle; ``P(pts)`` returns its (0, 1) entry as three chart-axis
+    coefficients.
 
-    The single independent entry mixes pullbacks of global base functions
+    The entry mixes pullbacks of global base functions
     (through the atlas embedding scalars, with AD-exact differentials) and
     the base connection's own frame form, so it carries a genuine
     dtheta-component and the modification of the perturbed connection
@@ -523,15 +490,7 @@ def sinusoidal_perturbation(atlas, base: FrameConnection, amplitude: float):
         f1 = np.sin(2.0 * Z + X)
         f2 = np.cos(Y - Z)
         f3 = 0.5 + 0.3 * np.sin(X)
-        entry = [
-            amplitude * (f1 * dX[a] + f2 * dY[a] + f3 * pi[0][1][a])
-            for a in range(AXES)
-        ]
-        zero = [0.0] * AXES
-        return [
-            [zero, entry],
-            [[-1.0 * e for e in entry], zero],
-        ]
+        return [amplitude * (f1 * dX[a] + f2 * dY[a] + f3 * pi[a]) for a in range(AXES)]
 
     return P
 
@@ -542,7 +501,8 @@ def perturbed_connection_data(atlas, metric: FinslerMetric, base: ConnectionData
     the prop32 metric-compatibility row and the tests' oracle for
     ``horizontal_part``.
 
-    P is given in the orthonormal frame; conjugation by B moves it to the
+    P is given in the orthonormal frame by its (0, 1) entry, as
+    ``sinusoidal_perturbation`` returns it; conjugation by B moves it to the
     natural frame, and the chart 1-form splits into horizontal and
     vertical coefficients through the scaling-invariant extension of
     dtheta (dtheta = F v_k delta y^k - v_k N^k_A dx^A along y = u)."""
@@ -579,28 +539,19 @@ def perturbed_connection_data(atlas, metric: FinslerMetric, base: ConnectionData
 
 def _natural_perturbation(tens: ChartTensors, P):
     """Q = B^{-1} P B per axis (theta-index layout), cached on the batch
-    under P itself."""
+    under P itself.  P = [[0, p], [-p, 0]], so Q_i^m = B^{-1}_i^0 p B_1^m -
+    B^{-1}_i^1 p B_0^m."""
     cache = tens.frame.setdefault("Qmap", {})
     hit = cache.get(P)
     if hit is not None:
         return hit
+    pts = tens.pts()
+    if pts is None:
+        raise DomainError("the perturbation needs the batch of these tensors, which is gone")
     B, Binv, _ = _frame_fields(tens)
-    Ptab = P(tens.pts())
-    n = N_RANK
-    Q = [
-        [
-            [
-                sum(
-                    Binv[i][j] * Ptab[j][k][axis] * B[k][m]
-                    for j in range(n)
-                    for k in range(n)
-                )
-                for axis in range(AXES)
-            ]
-            for m in range(n)
-        ]
-        for i in range(n)
-    ]
+    p = P(pts)
+    Q = [[[Binv[i][0] * p[a] * B[1][m] - Binv[i][1] * p[a] * B[0][m] for a in range(AXES)]
+          for m in range(N_RANK)] for i in range(N_RANK)]
     cache[P] = Q
     return Q
 

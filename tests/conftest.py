@@ -74,10 +74,10 @@ def zero_step_stack(pts, rows):
 
 def frame_form(conn, i: int, j: int) -> FormField:
     """The frame form varpi_i^j of a FrameConnection as a 1-form field on
-    the bundle chart."""
+    the bundle chart, read off its skew table."""
 
     def func(pts):
-        pi = conn.pi(pts)
+        pi = conn.table(pts)
         return PointwiseForm({(a,): pi[i][j][a] for a in range(3)})
 
     return FormField(3, 1, func)
@@ -85,5 +85,5 @@ def frame_form(conn, i: int, j: int) -> FormField:
 
 def curvature_form(curv, i: int, j: int) -> FormField:
     """The curvature entry Omega_i^j of a CurvatureData as a 2-form field
-    on the bundle chart."""
-    return FormField(3, 2, lambda pts: PointwiseForm(dict(curv.omega(pts)[i][j])))
+    on the bundle chart, read off its skew table."""
+    return FormField(3, 2, lambda pts: PointwiseForm(dict(curv.table(pts)[i][j])))

@@ -700,7 +700,7 @@ def _tilt_curvature(m, cf, cn):
 
     def tilted(self, pts):
         s = 1.0 + 1e-6 * pts.coords[0]
-        return [[{k: s * c for k, c in e.items()} for e in row] for row in omega(self, pts)]
+        return {k: s * c for k, c in omega(self, pts).items()}
 
     m.setattr(cn.CurvatureData, "omega", tilted)
 

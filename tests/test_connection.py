@@ -1,5 +1,6 @@
 """Ehresmann/spray connection, Chern horizontal part, the modification,
-frame transforms and curvature."""
+the frame form varpi_0^1 and its curvature, against the full 2x2 frame
+transform as the oracle."""
 
 import math
 
@@ -10,29 +11,77 @@ from finslergbc.connection import (
     CurvatureData,
     EhresmannData,
     _frame_fields,
+    _frame_form,
     bundle_tensors,
     cartan_connection,
     chern_connection,
-    frame_transform,
     horizontal_part,
     metric_compat_residual,
     modify,
     perturb_metric_compatible,
     perturbed_connection_data,
     sinusoidal_perturbation,
+    theta_chart_forms,
     to_orthonormal_frame,
 )
-from finslergbc.errors import ValidationError
-from finslergbc.quadrature import ChartPoints
+from finslergbc.errors import DomainError
+from finslergbc.quadrature import ChartPoints, central_partials, exterior_derivative
 
 from conftest import bundle_points, curvature_form, frame_form
 
 
-def frame_skew_residual(conn, pts) -> float:
-    """max |pi_i^j + pi_j^i| over the frame forms' three chart axes."""
-    pi = conn.pi(pts)
+def frame_transform(metric, D, pts, ehresmann=None):
+    """The full frame transform varpi_i^j = (dB_i^k + B_i^m theta_m^k)
+    (B^{-1})_k^j of the natural-frame connection D, axis by axis, built
+    from ``_frame_fields`` and ``theta_chart_forms``: the general-rank
+    oracle of the one-entry ``_frame_form``, and of the skewness that
+    lets varpi_0^1 stand for the whole matrix."""
+    tens = bundle_tensors(metric, pts, ehresmann)
+    theta = theta_chart_forms(tens, D)
+    B, Binv, dB = _frame_fields(tens)
+    pi = [[[None] * 3 for _ in range(2)] for _ in range(2)]
+    for i in range(2):
+        for j in range(2):
+            for axis in range(3):
+                acc = 0.0
+                for k in range(2):
+                    term = dB[i][k][axis] + sum(B[i][m] * theta[m][k][axis] for m in range(2))
+                    acc = acc + term * Binv[k][j]
+                pi[i][j][axis] = acc
+    return pi
+
+
+def frame_skew_residual(pi) -> float:
+    """max |pi_i^j + pi_j^i| over a full frame table's three chart axes."""
     return max(float(np.max(np.abs(pi[i][j][a] + pi[j][i][a])))
-               for i in range(conn.n) for j in range(conn.n) for a in range(3))
+               for i in range(2) for j in range(2) for a in range(3))
+
+
+def oracle_curvature(metric, D, pts):
+    """Omega_i^j = d varpi_i^j - varpi_i^k ^ varpi_k^j of the full frame
+    transform, every entry on the production finite-difference stencil."""
+    def entries(q):
+        pi = frame_transform(metric, D, q)
+        return {(i, j, a): pi[i][j][a] for i in range(2) for j in range(2) for a in range(3)}
+
+    partials = central_partials(entries, pts)
+    pi = frame_transform(metric, D, pts)
+    out = [[{} for _ in range(2)] for _ in range(2)]
+    for i in range(2):
+        for j in range(2):
+            for a, b in ((0, 1), (0, 2), (1, 2)):
+                wedge = sum(pi[i][k][a] * pi[k][j][b] - pi[i][k][b] * pi[k][j][a]
+                            for k in range(2))
+                out[i][j][(a, b)] = partials[a][(i, j, b)] - partials[b][(i, j, a)] - wedge
+    return out
+
+
+def natural_perturbed(sphere, metric, amplitude=0.2):
+    """cartan + P as natural-frame data, P the sinusoidal perturbation of
+    the Cartan frame form."""
+    P = sinusoidal_perturbation(sphere, to_orthonormal_frame(cartan_connection(), metric),
+                                amplitude)
+    return perturbed_connection_data(sphere, metric, cartan_connection(), P)
 
 
 def christoffel_round(x1, x2):
@@ -228,32 +277,51 @@ class TestModification:
 
 class TestFrameTransform:
     def test_identity_frame_passthrough(self):
-        """With B = Id the transform returns theta itself; a zero input
-        gives zero frame forms."""
-        theta = [[[0.0] * 3 for _ in range(2)] for _ in range(2)]
+        """With B = Id and dB = 0 the frame form is theta_0^1 itself, bit
+        for bit; a zero input gives a zero frame form."""
+        rng = np.random.default_rng(7)
+        theta = rng.standard_normal((2, 2, 3)).tolist()
         B = [[1.0, 0.0], [0.0, 1.0]]
         dB = [[[0.0] * 3 for _ in range(2)] for _ in range(2)]
-        out = frame_transform(theta, B, dB, B)
-        assert all(
-            out[i][j][a] == 0.0 for i in range(2) for j in range(2) for a in range(3)
-        )
+        assert _frame_form(theta, B, dB, B) == theta[0][1]
+        zero = [[[0.0] * 3 for _ in range(2)] for _ in range(2)]
+        assert _frame_form(zero, B, dB, B) == [0.0] * 3
 
     def test_euclidean_rotation_form(self, flat_metric):
         """Euclidean metric: varpi_1^2 = dtheta exactly."""
         pts = bundle_points("torus", 15, seed=8)
         fc = to_orthonormal_frame(cartan_connection(), flat_metric)
         pi = fc.pi(pts)
-        assert float(np.max(np.abs(np.asarray(pi[0][1][2]) - 1.0))) < 1e-14
-        assert float(np.max(np.abs(np.asarray(pi[0][1][0])))) < 1e-14
-        assert float(np.max(np.abs(np.asarray(pi[1][0][2]) + 1.0))) < 1e-14
+        assert float(np.max(np.abs(np.asarray(pi[2]) - 1.0))) < 1e-14
+        assert float(np.max(np.abs(np.asarray(pi[0])))) < 1e-14
+        full = frame_transform(flat_metric, cartan_connection(), pts)
+        assert float(np.max(np.abs(np.asarray(full[1][0][2]) + 1.0))) < 1e-14
 
     @pytest.mark.parametrize("fixture_name", ["round_metric", "randers_metric"])
     def test_antisymmetry(self, fixture_name, request):
+        """The full frame transform of the Cartan connection is skew, so
+        varpi_0^1 determines it."""
         met = request.getfixturevalue(fixture_name)
-        fc = to_orthonormal_frame(cartan_connection(), met)
         for chart in ("south", "north"):
             pts = bundle_points(chart, 30, seed=9)
-            assert frame_skew_residual(fc, pts) < 1e-8
+            assert frame_skew_residual(frame_transform(met, cartan_connection(), pts)) < 1e-8
+
+    @pytest.mark.parametrize("route", ["cartan", "perturbed"])
+    @pytest.mark.parametrize("chart", ["south", "north"])
+    @pytest.mark.parametrize("metric_name", ["round_metric", "randers_metric"])
+    def test_frame_form_is_oracle_entry(self, metric_name, chart, route, sphere, request):
+        """Production varpi_0^1 is the (0, 1) entry of the full frame
+        transform bit for bit, for the Cartan connection and for the
+        perturbed one through its natural-frame data; the full transform
+        is skew (1e-8, and 1e-10 on the perturbed route)."""
+        met = request.getfixturevalue(metric_name)
+        D = cartan_connection() if route == "cartan" else natural_perturbed(sphere, met)
+        pts = bundle_points(chart, 30, seed=27)
+        pi = to_orthonormal_frame(D, met).pi(pts)
+        full = frame_transform(met, D, pts)
+        for a in range(3):
+            assert np.array_equal(pi[a], full[0][1][a])
+        assert frame_skew_residual(full) < (1e-8 if route == "cartan" else 1e-10)
 
     def test_fiber_restriction_identity(self, randers_metric):
         """i^*_x(varpi_n^k B_k^i) = d(y^i/F): the dtheta-coefficient of the
@@ -263,10 +331,7 @@ class TestFrameTransform:
 
         pts = bundle_points("south", 25, seed=10)
         tens = bundle_tensors(randers_metric, pts)
-        fc = to_orthonormal_frame(cartan_connection(), randers_metric)
-        pi = fc.pi(pts)
-        from finslergbc.connection import _frame_fields
-
+        pi = to_orthonormal_frame(cartan_connection(), randers_metric).table(pts)
         B, _, _ = _frame_fields(tens)
         x1, x2, th = pts.coords
         for i in range(2):
@@ -283,7 +348,7 @@ class TestCurvature:
         pts = bundle_points("torus", 20, seed=11)
         fc = to_orthonormal_frame(cartan_connection(), flat_metric)
         om = CurvatureData(fc).omega(pts)
-        assert max(float(np.max(np.abs(np.asarray(v)))) for v in om[0][1].values()) < 1e-12
+        assert max(float(np.max(np.abs(np.asarray(v)))) for v in om.values()) < 1e-12
 
     @pytest.mark.parametrize("chart", ["south", "north"])
     @pytest.mark.parametrize("make", [cartan_connection, chern_connection])
@@ -291,20 +356,22 @@ class TestCurvature:
         """On the round sphere both connections are Levi-Civita and the
         frame form is pi_0^1 = (2 x2 dx1 - 2 x1 dx2) / (1 + r^2) + dtheta
         in either chart (the metric is the same conformal form in both);
-        pi_0^0 = pi_1^1 = 0 and pi_1^0 = -pi_0^1.  This pins the whole
-        chain metric jets -> bundle tensors -> pi pointwise, with no
-        finite differences, where the identity rows would miss a smooth
-        error in pi."""
+        on the full frame transform pi_0^0 = pi_1^1 = 0 and pi_1^0 =
+        -pi_0^1.  This pins the whole chain metric jets -> bundle tensors
+        -> pi pointwise, with no finite differences, where the identity
+        rows would miss a smooth error in pi."""
         pts = bundle_points(chart, 500, seed=31)
         x1, x2, _ = pts.coords
         k = 2.0 / (1.0 + x1 ** 2 + x2 ** 2)
         want = [k * x2, -k * x1, 1.0]
         pi = to_orthonormal_frame(make(), round_metric).pi(pts)
+        full = frame_transform(round_metric, make(), pts)
         err = 0.0
         for a in range(3):
-            err = max(err, float(np.max(np.abs(pi[0][1][a] - want[a]))),
-                      float(np.max(np.abs(pi[1][0][a] + want[a]))),
-                      float(np.max(np.abs(pi[0][0][a]))), float(np.max(np.abs(pi[1][1][a]))))
+            err = max(err, float(np.max(np.abs(pi[a] - want[a]))),
+                      float(np.max(np.abs(full[1][0][a] + want[a]))),
+                      float(np.max(np.abs(full[0][0][a]))),
+                      float(np.max(np.abs(full[1][1][a]))))
         assert err <= 1e-14
 
     def test_round_sphere_gauss_curvature(self, round_metric):
@@ -315,22 +382,24 @@ class TestCurvature:
         om = CurvatureData(fc).omega(pts)
         x1, x2, _ = pts.coords
         lam = 4.0 / (1.0 + x1 ** 2 + x2 ** 2) ** 2
-        assert float(np.max(np.abs(np.asarray(om[0][1][(0, 1)]) + lam))) < 1e-8
-        assert float(np.max(np.abs(np.asarray(om[0][1][(0, 2)])))) < 1e-8
-        assert float(np.max(np.abs(np.asarray(om[0][1][(1, 2)])))) < 1e-8
+        assert float(np.max(np.abs(np.asarray(om[(0, 1)]) + lam))) < 1e-8
+        assert float(np.max(np.abs(np.asarray(om[(0, 2)])))) < 1e-8
+        assert float(np.max(np.abs(np.asarray(om[(1, 2)])))) < 1e-8
 
-    def test_antisymmetry(self, randers_metric, cartan_frame_randers):
+    def test_antisymmetry(self, randers_metric):
+        """The general-rank curvature of the full frame transform is skew:
+        the so(2) reduction Omega = [[0, Omega_0^1], [-Omega_0^1, 0]] loses
+        nothing."""
         pts = bundle_points("south", 20, seed=13)
-        om = CurvatureData(cartan_frame_randers).omega(pts)
+        om = oracle_curvature(randers_metric, cartan_connection(), pts)
         for key in om[0][1]:
             assert float(np.max(np.abs(np.asarray(om[0][1][key]) + np.asarray(om[1][0][key])))) < 1e-10
         for key in om[0][0]:
             assert float(np.max(np.abs(np.asarray(om[0][0][key])))) < 1e-10
+            assert float(np.max(np.abs(np.asarray(om[1][1][key])))) < 1e-10
 
     def test_bianchi_closedness(self, randers_metric, cartan_frame_randers):
         """For rank 2 the Bianchi identity reduces to d Omega_1^2 = 0."""
-        from finslergbc.quadrature import exterior_derivative
-
         pts = bundle_points("south", 10, seed=14)
         dom = exterior_derivative(curvature_form(CurvatureData(cartan_frame_randers), 0, 1))(pts)
         assert dom.max_abs() < 1e-6
@@ -339,24 +408,43 @@ class TestCurvature:
                                               cartan_frame_randers):
         """The perturbed connection D = nabla + P also satisfies the
         identity: its curvature is closed at rank 2."""
-        from finslergbc.quadrature import exterior_derivative
-
         P = sinusoidal_perturbation(sphere, cartan_frame_randers, 0.2)
         fcD = perturb_metric_compatible(cartan_frame_randers, P)
         pts = bundle_points("south", 8, seed=141)
         dom = exterior_derivative(curvature_form(CurvatureData(fcD), 0, 1))(pts)
         assert dom.max_abs() < 1e-6
 
-    def test_rank2_curvature_is_d_of_frame_form(self, cartan_frame_randers):
+    def test_rank2_curvature_is_d_of_frame_form(self, randers_metric, cartan_frame_randers):
         """At rank 2 the frame forms are skew, so varpi_0^0 = varpi_1^1 = 0,
-        the wedge term of Omega_0^1 vanishes and Omega_0^1 = d varpi_0^1 on
+        the wedge term of Omega_0^1 vanishes and Omega_0^1 = d varpi_0^1:
+        the general-rank curvature of the full frame transform agrees on
         the same stencil."""
-        from finslergbc.quadrature import exterior_derivative
-
         pts = bundle_points("south", 10, seed=142)
-        dpi = exterior_derivative(frame_form(cartan_frame_randers, 0, 1))(pts)
-        om = curvature_form(CurvatureData(cartan_frame_randers), 0, 1)(pts)
-        assert (dpi - om).max_abs() < 1e-12
+        want = oracle_curvature(randers_metric, cartan_connection(), pts)[0][1]
+        om = CurvatureData(cartan_frame_randers).omega(pts)
+        assert set(om) == set(want)
+        for key in want:
+            assert float(np.max(np.abs(om[key] - want[key]))) < 1e-12
+
+    @pytest.mark.parametrize("route", ["cartan", "perturbed"])
+    def test_omega_is_exterior_derivative_of_frame_form(self, sphere, cartan_frame_randers,
+                                                        route):
+        """One stencil: Omega_0^1 is ``exterior_derivative`` of the varpi_0^1
+        field bit for bit, and its table is [[0, Omega_0^1], [-Omega_0^1, 0]]."""
+        fc = cartan_frame_randers
+        if route == "perturbed":
+            fc = perturb_metric_compatible(fc, sinusoidal_perturbation(sphere, fc, 0.2))
+        pts = bundle_points("north", 10, seed=143)
+        curv = CurvatureData(fc)
+        om = curv.omega(pts)
+        dpi = exterior_derivative(frame_form(fc, 0, 1))(pts).coeffs
+        assert list(om) == list(dpi) == [(0, 1), (0, 2), (1, 2)]
+        for key in om:
+            assert np.array_equal(om[key], dpi[key])
+        table = curv.table(pts)
+        assert table[0][0] == table[1][1] == {} and table[0][1] is om
+        for key in om:
+            assert np.array_equal(table[1][0][key], -om[key])
 
     def test_fd_matches_ad_first_derivatives(self, randers_metric):
         """The finite-difference exterior derivative reproduces AD-exact
@@ -409,7 +497,7 @@ def _perturbation_per_axis(atlas, base, amplitude):
         f1 = np.sin(2.0 * Z + X)
         f2 = np.cos(Y - Z)
         f3 = 0.5 + 0.3 * np.sin(X)
-        return [amplitude * (f1 * dX[a] + f2 * dY[a] + f3 * pi[0][1][a]) for a in range(3)]
+        return [amplitude * (f1 * dX[a] + f2 * dY[a] + f3 * pi[a]) for a in range(3)]
 
     return P
 
@@ -439,10 +527,9 @@ class TestPerturbation:
                 got = P(pts)
                 assert len(calls) == 2
                 want = oracle(ChartPoints(chart, (x1 + shift, x2, th)))
-                assert got[0][0] == got[1][1] == [0.0] * 3
+                assert len(got) == 3
                 for a in range(3):
-                    for entry, sign in ((got[0][1][a], 1.0), (got[1][0][a], -1.0)):
-                        assert repr(np.asarray(entry).tolist()) == repr((sign * want[a]).tolist())
+                    assert repr(np.asarray(got[a]).tolist()) == repr(want[a].tolist())
 
     def test_zero_amplitude_is_identity(self, randers_metric, cartan_frame_randers, sphere):
         P = sinusoidal_perturbation(sphere, cartan_frame_randers, 0.0)
@@ -450,24 +537,24 @@ class TestPerturbation:
         pts = bundle_points("south", 10, seed=16)
         pa, pb = cartan_frame_randers.pi(pts), fc.pi(pts)
         assert max(
-            float(np.max(np.abs(np.asarray(pa[i][j][a]) - np.asarray(pb[i][j][a]))))
-            for i in range(2) for j in range(2) for a in range(3)
+            float(np.max(np.abs(np.asarray(pa[a]) - np.asarray(pb[a])))) for a in range(3)
         ) == 0.0
 
-    def test_skew_preserved(self, randers_metric, cartan_frame_randers, sphere):
-        P = sinusoidal_perturbation(sphere, cartan_frame_randers, 0.2)
-        fc = perturb_metric_compatible(cartan_frame_randers, P)
+    def test_skew_preserved(self, randers_metric, sphere):
+        """cartan + P through its natural-frame data has a skew full frame
+        transform: the perturbation is metric-compatible."""
         pts = bundle_points("south", 20, seed=17)
-        assert frame_skew_residual(fc, pts) < 1e-10
+        full = frame_transform(randers_metric, natural_perturbed(sphere, randers_metric), pts)
+        assert frame_skew_residual(full) < 1e-10
 
-    def test_non_skew_rejected(self, cartan_frame_randers):
-        bad = lambda pts: [
-            [[0.0] * 3, [1.0, 0.0, 0.0]],
-            [[1.0, 0.0, 0.0], [0.0] * 3],
-        ]
-        fc = perturb_metric_compatible(cartan_frame_randers, bad)
-        with pytest.raises(ValidationError):
-            fc.pi(bundle_points("south", 3, seed=18))
+    def test_dead_batch_raises_domain_error(self, randers_metric, sphere):
+        """The natural-frame perturbation evaluates P at the batch of the
+        tensors it is handed; once that batch is gone, the call names the
+        cause instead of failing on a None batch."""
+        Dd = natural_perturbed(sphere, randers_metric)
+        tens = bundle_tensors(randers_metric, bundle_points("south", 6))
+        with pytest.raises(DomainError, match="batch"):
+            Dd.gamma_of(tens)
 
     def test_natural_frame_route_matches_direct(self, randers_metric, sphere,
                                                 cartan_frame_randers):
@@ -480,10 +567,8 @@ class TestPerturbation:
         fc_direct = perturb_metric_compatible(cartan_frame_randers, P)
         pts = bundle_points("south", 15, seed=19)
         pa, pb = fc_data.pi(pts), fc_direct.pi(pts)
-        worst = max(
-            float(np.max(np.abs(np.asarray(pa[i][j][a]) - np.asarray(pb[i][j][a]))))
-            for i in range(2) for j in range(2) for a in range(3)
-        )
+        worst = max(float(np.max(np.abs(np.asarray(pa[a]) - np.asarray(pb[a]))))
+                    for a in range(3))
         assert worst < 1e-12
 
     def test_modified_perturbed_compatible(self, randers_metric, sphere,
@@ -505,8 +590,8 @@ class TestPerturbation:
         fcD = to_orthonormal_frame(Dd, randers_metric)
         pts = bundle_points("south", 10, seed=21)
         pa, pb, pc = fcNp.pi(pts), fcD.pi(pts), cartan_frame_randers.pi(pts)
-        d1 = max(float(np.max(np.abs(np.asarray(pa[0][1][a]) - np.asarray(pb[0][1][a])))) for a in range(3))
-        d2 = max(float(np.max(np.abs(np.asarray(pa[0][1][a]) - np.asarray(pc[0][1][a])))) for a in range(3))
+        d1 = max(float(np.max(np.abs(np.asarray(pa[a]) - np.asarray(pb[a])))) for a in range(3))
+        d2 = max(float(np.max(np.abs(np.asarray(pa[a]) - np.asarray(pc[a])))) for a in range(3))
         assert d1 > 1e-3 and d2 > 1e-3
 
 
@@ -521,9 +606,7 @@ class TestPerturbation:
         def make(scale):
             def P(pts):
                 x1, x2 = pts.coords[:2]
-                entry = [scale * x1, scale * x2 * x2, scale * np.cos(x1)]
-                zero = [0.0] * 3
-                return [[zero, entry], [[-1.0 * e for e in entry], zero]]
+                return [scale * x1, scale * x2 * x2, scale * np.cos(x1)]
 
             return P
 
@@ -600,15 +683,13 @@ class TestPerturbation:
             modify(perturbed_connection_data(atlas, met, cartan_connection(), P)), met, eh)
         pts = bundle_points(atlas.chart_ids[-1], 200, seed=25)
         pa, pb = frame_side.pi(pts), natural.pi(pts)
-        worst = max(
-            float(np.max(np.abs(np.asarray(pa[i][j][a]) - np.asarray(pb[i][j][a]))))
-            for i in range(2) for j in range(2) for a in range(3)
-        )
+        worst = max(float(np.max(np.abs(np.asarray(pa[a]) - np.asarray(pb[a]))))
+                    for a in range(3))
         assert worst < 1e-14
         tens = bundle_tensors(met, pts, eh)
         shadow = max(
-            float(np.max(np.abs(P(pts)[0][1][2] * sum(tens.jets.v[k] * tens.N[k][A]
-                                                       for k in range(2)))))
+            float(np.max(np.abs(P(pts)[2] * sum(tens.jets.v[k] * tens.N[k][A]
+                                                  for k in range(2)))))
             for A in range(2))
         if explicit or manifold == "sphere":
             assert shadow > 0.1

@@ -744,7 +744,7 @@ class TestFiberIntegral:
 
         def fn(p):
             pi = fc.pi(p)
-            return PointwiseForm({(2,): pi[0][1][2], (0,): pi[0][1][0], (1,): pi[0][1][1]})
+            return PointwiseForm({(2,): pi[2], (0,): pi[0], (1,): pi[1]})
 
         f = FormField(3, 1, fn)
         x = (0.25, -0.4)
