@@ -30,6 +30,7 @@ __all__ = [
     "taylor_coefficient",
     "value",
     "partial",
+    "seed_pair",
     "linear_map",
     "sqrt",
     "exp",
@@ -230,6 +231,16 @@ def value(x):
 def partial(x):
     """Peel one epsilon: the derivative wrt the outermost seed, or 0."""
     return x.eps if isinstance(x, Dual) else 0.0
+
+
+def seed_pair(x1, x2, *others):
+    """x1 and x2 as duals seeded on one leading axis of length 2 (the rows
+    of the identity), so one pass carries d/dx1 and d/dx2 side by side.
+    The seed has one unit axis per axis of the broadcast of x1, x2 and
+    others, the arrays the pass combines them with."""
+    ndim = max(map(np.ndim, (x1, x2, *others)))
+    s = np.eye(2).reshape((2, 2) + (1,) * ndim)
+    return Dual(x1, s[0]), Dual(x2, s[1])
 
 
 def linear_map(fn, x):

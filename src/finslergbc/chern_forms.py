@@ -14,7 +14,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .ad import Dual, partial, value
+from .ad import partial, seed_pair, value
 from .algebra import (
     BigradedElement,
     SkewMatrixValuedForm,
@@ -227,13 +227,8 @@ class TransgressionForms:
 
     # --- fiber volume -------------------------------------------------------
     def volume(self, pts: ChartPoints) -> np.ndarray:
-        key = ("V", self)
-        hit = pts.cache.get(key)
-        if hit is None:
-            hit = fiber_volume(self.metric, pts.coords[:2], pts.chart, self.order_fiber,
-                               self.fiber_rules)
-            pts.cache[key] = hit
-        return hit
+        return pts.cached(("V", self), lambda: fiber_volume(
+            self.metric, pts.coords[:2], pts.chart, self.order_fiber, self.fiber_rules))
 
     def dlog_volume(self, pts: ChartPoints):
         """(d log V / dx1, d log V / dx2), exact, from one fiber-volume pass:
@@ -241,21 +236,14 @@ class TransgressionForms:
         the identity), so the pass carries dV/dx1 and dV/dx2 side by side.
         Its value part is V, which is cached for ``volume`` if no plain
         pass has run yet."""
-        key = ("dlogV", self)
-        hit = pts.cache.get(key)
-        if hit is None:
-            x1, x2 = pts.coords[:2]
-            s = np.eye(2).reshape((2, 2) + (1,) * max(np.ndim(x1), np.ndim(x2)))
-            jet = fiber_volume(self.metric, [Dual(x1, s[0]), Dual(x2, s[1])], pts.chart,
+        def dlog():
+            jet = fiber_volume(self.metric, list(seed_pair(*pts.coords[:2])), pts.chart,
                                self.order_fiber, self.fiber_rules)
-            v_key = ("V", self)
-            V = pts.cache.get(v_key)
-            if V is None:
-                V = pts.cache[v_key] = value(jet)
+            V = pts.cached(("V", self), lambda: value(jet))
             dV = np.broadcast_to(partial(jet), (2,) + V.shape)
-            hit = (dV[0] / V, dV[1] / V)
-            pts.cache[key] = hit
-        return hit
+            return dV[0] / V, dV[1] / V
+
+        return pts.cached(("dlogV", self), dlog)
 
     def dlogv_field(self) -> FormField:
         def func(pts: ChartPoints) -> PointwiseForm:

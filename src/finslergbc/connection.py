@@ -26,7 +26,7 @@ import weakref
 
 import numpy as np
 
-from .ad import Dual, partial, value
+from .ad import Dual, partial, seed_pair, value
 from .errors import DomainError
 from .metric import FinslerMetric, MetricJets, metric_jets
 from .quadrature import ChartPoints, central_partials, d_from_partials
@@ -173,10 +173,12 @@ def bundle_tensors(metric: FinslerMetric, pts: ChartPoints,
                    ehresmann: EhresmannData | None = None) -> ChartTensors:
     """Cached tensor assembly at a batch of bundle chart points; an
     explicit Ehresmann table replaces the canonical spray coefficients."""
-    key = ("tensors", metric, ehresmann)
-    hit = pts.cache.get(key)
-    if hit is not None:
-        return hit
+    return pts.cached(("tensors", metric, ehresmann),
+                      lambda: _chart_tensors(metric, pts, ehresmann))
+
+
+def _chart_tensors(metric: FinslerMetric, pts: ChartPoints,
+                   ehresmann: EhresmannData | None) -> ChartTensors:
     x1, x2, th = pts.coords
     jets = metric_jets(metric, pts.chart, x1, x2, th)
     n = N_RANK
@@ -206,7 +208,7 @@ def bundle_tensors(metric: FinslerMetric, pts: ChartPoints,
         ]
         for i in range(n)
     ]
-    tens = ChartTensors(
+    return ChartTensors(
         chart=pts.chart,
         jets=jets,
         g=der["g"],
@@ -220,8 +222,6 @@ def bundle_tensors(metric: FinslerMetric, pts: ChartPoints,
         dl=dl,
         pts=weakref.ref(pts),
     )
-    pts.cache[key] = tens
-    return tens
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +352,7 @@ class FrameConnection:
         self.pi_of = pi_of  # callable(ChartPoints) -> pi[axis] of varpi_0^1
 
     def pi(self, pts: ChartPoints):
-        key = ("pi", self)
-        hit = pts.cache.get(key)
-        if hit is None:
-            hit = self.pi_of(pts)
-            pts.cache[key] = hit
-        return hit
+        return pts.cached(("pi", self), lambda: self.pi_of(pts))
 
     def table(self, pts: ChartPoints):
         pi = self.pi(pts)
@@ -427,13 +422,8 @@ class CurvatureData:
         self.conn = conn
 
     def omega(self, pts: ChartPoints):
-        key = ("omega", self.conn)
-        hit = pts.cache.get(key)
-        if hit is None:
-            partials = central_partials(
-                lambda q: {(a,): c for a, c in enumerate(self.conn.pi(q))}, pts)
-            hit = pts.cache[key] = d_from_partials(partials).coeffs
-        return hit
+        return pts.cached(("omega", self.conn), lambda: d_from_partials(central_partials(
+            lambda q: {(a,): c for a, c in enumerate(self.conn.pi(q))}, pts)).coeffs)
 
     def table(self, pts: ChartPoints):
         om = self.omega(pts)
@@ -483,9 +473,8 @@ def sinusoidal_perturbation(atlas, base: FrameConnection, amplitude: float):
         x1, x2 = pts.coords[:2]
         X, Y, Z = atlas.global_scalars(pts.chart, x1, x2)
         # both chart axes from one dual pass, seeded on a leading axis of length 2
-        s = np.eye(2).reshape((2, 2) + (1,) * max(np.ndim(x1), np.ndim(x2)))
         dX, dY, dZ = ((*partial(c), 0.0)
-                      for c in atlas.global_scalars(pts.chart, Dual(x1, s[0]), Dual(x2, s[1])))
+                      for c in atlas.global_scalars(pts.chart, *seed_pair(x1, x2)))
         pi = base.pi(pts)
         f1 = np.sin(2.0 * Z + X)
         f2 = np.cos(Y - Z)

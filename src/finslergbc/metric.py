@@ -428,8 +428,7 @@ def metric_jets(metric: FinslerMetric, chart: str, x1, x2, th) -> MetricJets:
 
     # x1 and x2 seeded on one leading axis (the rows of the identity),
     # outside the theta-jet; d[m][A] is d_A of the m-th theta-derivative
-    s = np.eye(2).reshape((2, 2) + (1,) * len(np.broadcast_shapes(*map(np.shape, x), th.shape)))
-    r = E([Dual(x[A], s[A]) for A in range(2)], list(_circle_taylor(th, 2)))
+    r = E(list(ad.seed_pair(*x, th)), list(_circle_taylor(th, 2)))
     d = [np.broadcast_to(math.factorial(m) * partial(taylor_coefficient(r, m)), (2,) + e.shape)
          for m in range(3)]
     X1 = [d[0][A] for A in range(2)]

@@ -81,6 +81,13 @@ class ChartPoints:
         self.coords = coords
         self.cache = {}
 
+    def cached(self, key, compute):
+        """The cache entry at key, made by compute() when it is missing."""
+        hit = self.cache.get(key)
+        if hit is None:
+            hit = self.cache[key] = compute()
+        return hit
+
     @property
     def dim(self) -> int:
         return len(self.coords)
@@ -426,7 +433,12 @@ PERIODIC_FLOOR = 12
 # 2014), so the error of T_n is the square of that of T_{n/2}, which
 # |T_n - T_{n/2}| measures, over C: relative to the integral, 1 / C read
 # 0.24 to 3.1 on the Randers phi and fiber rules and 73 on the quartic
-# fiber, so a change of 1e-9 leaves T_n below 1e-16.
+# fiber.  That law is asymptotic, and a change of 1e-9 does not always
+# leave T_n at rounding: on Randers 0.8 in the south chart, along x1
+# through (0.2108, -0.1408), the fiber rule stops at 16 nodes in a window
+# about 1.2e-4 wide, where V is 1.58e-12 (relative) off a 512-node rule;
+# outside it the rule takes 32 nodes and V is right to rounding.  A
+# finite-difference stencil across such a window reads the jump.
 NESTED_TOL = 1e-9
 
 

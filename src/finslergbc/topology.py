@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from . import ad
-from .ad import Dual, partial, value
+from .ad import partial, value
 from .errors import DomainError, SamplingError, TopologyError, ValidationError
 from .manifolds import Atlas
 
@@ -48,8 +48,7 @@ class SectionField:
         """d theta_X / dx by forward AD:  (X1 dX2 - X2 dX1) / |X|^2, from
         one pass with x1 and x2 seeded on a leading axis of length 2."""
         x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
-        s = np.eye(2).reshape((2, 2) + (1,) * max(x1.ndim, x2.ndim))
-        v1, v2 = self.value(chart, Dual(x1, s[0]), Dual(x2, s[1]))
+        v1, v2 = self.value(chart, *ad.seed_pair(x1, x2))
         X1, X2 = value(v1), value(v2)
         num = X1 * value(partial(v2)) - X2 * value(partial(v1))
         shape = (2,) + np.broadcast_shapes(x1.shape, x2.shape)
@@ -224,11 +223,10 @@ def _newton_zeros(X: SectionField, chart: str, u, v):
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     done = np.zeros(idx.size, dtype=bool)
     zu, zv = np.empty_like(u), np.empty_like(v)
-    s = np.eye(2)[:, :, None]
     for _ in range(40):
         if idx.size == 0:
             break
-        f1, f2 = X.value(chart, Dual(u, s[0]), Dual(v, s[1]))
+        f1, f2 = X.value(chart, *ad.seed_pair(u, v))
         f1v, f2v = (np.broadcast_to(value(f), u.shape) for f in (f1, f2))
         (a, b), (c, d) = (np.broadcast_to(partial(f), (2,) + u.shape) for f in (f1, f2))
         conv = np.hypot(f1v, f2v) < 1e-12

@@ -9,6 +9,7 @@ from finslergbc.cli import (
     DISC_LIMIT_TOL,
     MAX_IDENTITY_SAMPLES,
     MAX_QUADRATURE_ORDER,
+    SETTINGS,
     ExperimentConfig,
     Report,
     ReportRow,
@@ -20,6 +21,15 @@ from finslergbc.cli import (
     run_minkowski_props,
 )
 from finslergbc.errors import ValidationError
+
+# A value other than the default for every setting that has a flag, as the
+# text an INI file or the command line gives.
+SETTING_TEXT = {
+    "seed": "7", "identity_samples": "7", "manifold": "torus", "metric": "randers",
+    "metric_eps": "0.15", "connection": "perturbed", "perturbation_amplitude": "0.15",
+    "vector_field": "custom", "field_power": "1", "order_fiber": "7", "order_base": "7",
+    "epsilon_schedule": "0.3,0.15", "out_dir": "out", "fmt": "csv", "dump_forms": "true",
+}
 
 
 @pytest.fixture()
@@ -143,9 +153,13 @@ class TestConfig:
 
         from finslergbc.cli import _merge
 
-        cfg = ExperimentConfig("identities", 7, "torus", "quartic", 0.05, "perturbed", 0.3,
-                               "explicit", {"n11": "0"}, "custom", 3, {"torus": ("1", "0")},
-                               32, 24, (0.3, 0.1), 50, 1e-6, "out", "csv", True)
+        cfg = ExperimentConfig(
+            "identities", seed=7, manifold="torus", metric="quartic", metric_eps=0.05,
+            connection="perturbed", perturbation_amplitude=0.3, ehresmann="explicit",
+            ehresmann_exprs={"n11": "0"}, vector_field="custom", field_power=3,
+            field_exprs={"torus": ("1", "0")}, order_fiber=32, order_base=24,
+            epsilon_schedule=(0.3, 0.1), identity_samples=50, out_dir="out", fmt="csv",
+            dump_forms=True)
         before = dict(vars(cfg))
         merged = _merge(cfg, argparse.Namespace(seed=11, order_base=None,
                                                 epsilon_schedule="0.25,0.05"))
@@ -161,8 +175,45 @@ class TestConfig:
             "ehresmann": "spray", "ehresmann_exprs": {}, "vector_field": "rotational",
             "field_power": 2, "field_exprs": {}, "order_fiber": 64, "order_base": 48,
             "epsilon_schedule": (0.2, 0.1, 0.05), "identity_samples": 200,
-            "tolerance": None, "out_dir": "results", "fmt": "table", "dump_forms": False,
+            "out_dir": "results", "fmt": "table", "dump_forms": False,
         }
+
+    @pytest.mark.parametrize("setting", [s for s in SETTINGS if s.flag],
+                             ids=lambda s: s.field)
+    def test_ini_key_and_flag_agree(self, setting, tmp_path, monkeypatch, capsys):
+        """Each setting's INI key and its flag set the same field to the
+        same value, one that is not the default."""
+        import finslergbc.cli as cli
+
+        text = SETTING_TEXT[setting.field]
+        if setting.field == "out_dir":
+            text = str(tmp_path / text)
+        seen = []
+        monkeypatch.setitem(cli.__dict__, "run_gbc",
+                            lambda cfg: seen.append(cfg) or Report("gbc", []))
+        path = tmp_path / "one.ini"
+        path.write_text(f"[{setting.section}]\n{setting.key} = {text}\n")
+        flag = [setting.flag] if setting.parse is cli._boolean else [setting.flag, text]
+        assert main(["gbc", "--config", str(path)]) == 0
+        assert main(["gbc", *flag]) == 0
+        from_ini, from_flag = (getattr(cfg, setting.field) for cfg in seen)
+        assert from_ini == from_flag != setting.default
+
+    def test_readme_lists_every_key(self):
+        """The README's "Config files" block lists exactly the INI keys of
+        SETTINGS and [scenario] id; the expression groups are commented."""
+        import re
+
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        text = open(readme).read()
+        block = re.search(r"## Config files.*?```ini\n(.*?)```", text, re.S).group(1)
+        listed, section = set(), None
+        for line in block.splitlines():
+            if m := re.match(r"\[(\w+)\]", line):
+                section = m.group(1)
+            elif m := re.match(r"(\w+) =", line):
+                listed.add((section, m.group(1)))
+        assert listed == {(s.section, s.key) for s in SETTINGS} | {("scenario", "id")}
 
     @pytest.mark.parametrize("samples", [MAX_IDENTITY_SAMPLES + 1, 10 ** 9])
     def test_identity_samples_bounded(self, samples):
@@ -438,7 +489,7 @@ class TestMainEntry:
         monkeypatch.setitem(cli.__dict__, "run_gbc", fake)
         # main looks the runner up from its own mapping, so patch there
         rc = cli.main(["gbc", "--order-base", "8", "--order-fiber", "32",
-                       "--epsilon-schedule", "0.3", "--tolerance", "1e-9"])
+                       "--epsilon-schedule", "0.3"])
         assert rc == 1
 
     @pytest.mark.parametrize("flags", [
@@ -452,9 +503,9 @@ class TestMainEntry:
         ["--config", "no-such-config.ini"],
         ["--connection", "perturbed", "--amplitude", "nan"],
         ["--connection", "perturbed", "--amplitude", "inf"],
-        ["--tolerance", "nan"],
-        ["--tolerance", "-1"],
-        ["--tolerance", "0"],
+        ["--manifold", "klein"],
+        ["--format", "xml"],
+        ["--seed", "abc"],
         ["--seed", "-1"],
         ["--manifold", "torus", "--metric", "flat_torus", "--field", "custom"],
     ])
@@ -462,9 +513,9 @@ class TestMainEntry:
         """Nonpositive, repeated or non-numeric radii, radii past the unit
         chart disk, empty quadrature rules, no identity samples, a config
         file that does not exist, a non-finite perturbation amplitude, a
-        tolerance that is not a positive finite number, a negative seed and
-        a custom field with no component in the torus chart exit 2 before
-        any work is done."""
+        manifold or output format outside its choices, a seed that is not
+        a number, a negative seed and a custom field with no component in
+        the torus chart exit 2 before any work is done."""
         assert main(["gbc", *flags]) == 2
         assert "ValidationError" in capsys.readouterr().err
 
@@ -503,6 +554,24 @@ class TestMainEntry:
         path = tmp_path / "bad.ini"
         path.write_text(section)
         assert main(["gbc", "--config", str(path)]) == 2
+        assert "ValidationError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "[quadrature]\norder_fibre = 8\n[identities]\nsamples = 5\n",
+        "[quadrature]\norder_fibre = 8\n",
+        "[identities]\nsamples = 5\n",
+        "[identities]\n",
+        "[DEFAULT]\nseed = 5\n",
+        "[vector_field]\nwest_u = u\nwest_v = v\n",
+    ], ids=["both-typos", "misspelt-key", "unknown-section", "empty-unknown-section",
+            "default-section", "unknown-chart"])
+    def test_unknown_ini_key_rejected(self, text, tmp_path, capsys):
+        """A section or key that no setting and no expression group reads
+        exits 2 with a ValidationError, so a misspelt key cannot leave its
+        setting at the default unnoticed."""
+        path = tmp_path / "typo.ini"
+        path.write_text(text)
+        assert main(["identities", "--samples", "2", "--config", str(path)]) == 2
         assert "ValidationError" in capsys.readouterr().err
 
     def test_ini_id_of_another_subcommand_rejected(self, tmp_path, capsys):
