@@ -96,13 +96,6 @@ class Dual:
             return self * self
         return Dual(self.val ** p, (p * self.val ** (p - 1)) * self.eps)
 
-    # comparisons act on values; used only for float-level branching
-    def __lt__(self, other):
-        return value(self) < value(other)
-
-    def __gt__(self, other):
-        return value(self) > value(other)
-
 
 def _reciprocal(x: Dual) -> Dual:
     inv = 1.0 / x.val  # recurses through nested duals via __rtruediv__

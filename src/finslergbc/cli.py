@@ -32,7 +32,7 @@ from .connection import (
     to_orthonormal_frame,
 )
 from .errors import FinslerError, ValidationError
-from .manifolds import Atlas, install_metric, sphere_atlas, torus_atlas
+from .manifolds import METRICS, Atlas, install_metric, sphere_atlas, torus_atlas
 from .metric import (
     FIBER_ORDER,
     fiber_volume,
@@ -81,13 +81,12 @@ DISC_LIMIT_TOL = 1e-14
 # The largest base or fiber quadrature order.  Both rules converge
 # spectrally (gbc_disc_limit reaches chi to 8.9e-16 on 32 radii at base
 # orders up to 50), so a higher order gains nothing, while a chart takes
-# up to 2 order/3 radii x AnnulusRegion.phi_cap(order) angles.  Randers 0.9
-# / perturbed / stereographic_power at base and fiber order 512 takes 1.6 s
-# and peaks at 105 MiB (96 phi and 128 fiber nodes); forced to run both
-# rules to their caps (384 phi and 512 fiber nodes), 18 s and 326 MiB, on
-# 2 vCPU.  The complex-step pass holds the tensor chain of both tangent
-# rows of a batch at once; with one pass per row these read 71 and 183 MiB.
-# Order 1e8 would run Gauss-Legendre's recurrence 1e8 steps over 1e8 nodes.
+# up to 2 order/3 radii x AnnulusRegion.phi_cap(order) angles, evaluated in
+# blocks of at most quadrature._BLOCK_NODES points.  Randers 0.9 / perturbed
+# / stereographic_power at base and fiber order 512 takes 1.4 s and peaks
+# at 69 MiB (96 phi and 128 fiber nodes); forced to run both rules to their
+# caps (384 phi and 512 fiber nodes), 19 s and 70 MiB, on 2 vCPU.  Order
+# 1e8 would run Gauss-Legendre's recurrence 1e8 steps over 1e8 nodes.
 MAX_QUADRATURE_ORDER = 512
 
 # The largest identity sample count.  The residuals are maxima over the
@@ -140,7 +139,7 @@ SETTINGS = (
     Setting("identity_samples", 200, "scenario", "samples", "--samples", int),
     Setting("manifold", "sphere", "manifold", "type", "--manifold",
             choices=("sphere", "torus")),
-    Setting("metric", "round_sphere", "manifold", "metric", "--metric"),
+    Setting("metric", "round_sphere", "manifold", "metric", "--metric", choices=METRICS),
     Setting("metric_eps", 0.1, "manifold", "eps", "--metric-eps", float),
     Setting("connection", "cartan", "connection", "type", "--connection",
             choices=("cartan", "chern_modified", "perturbed")),

@@ -23,6 +23,7 @@ __all__ = [
     "Atlas",
     "sphere_atlas",
     "torus_atlas",
+    "METRICS",
     "install_metric",
     "certify_metric",
 ]
@@ -157,30 +158,30 @@ def _norm_metric(atlas: Atlas, norm: MinkowskiNorm) -> FinslerMetric:
     return FinslerMetric(atlas.name, charts, label=norm.label)
 
 
+# The metric zoo: every name install_metric takes, and the choices of the
+# CLI's --metric.
+METRICS = ("euclidean", "flat_torus", "riemannian", "round_sphere", "randers", "quartic")
+
+
 def install_metric(atlas: Atlas, zoo_id: str, params: dict | None = None,
                    certify: bool = True) -> FinslerMetric:
-    """Instantiate a zoo metric on the atlas and certify the Minkowski
-    axioms on a sample sweep before any pipeline consumes it."""
+    """Instantiate a zoo metric (one of METRICS) on the atlas and certify
+    the Minkowski axioms on a sample sweep before any pipeline consumes it."""
     params = params or {}
-    if zoo_id in ("euclidean", "flat_torus"):
-        metric = _norm_metric(atlas, euclidean_norm(2))
-    elif zoo_id == "riemannian":
-        G = np.asarray(params.get("G", np.eye(2)), dtype=float)
-        if G.shape != (2, 2):
-            raise InvalidMetricError(f"riemannian G must be 2x2 on a surface, got shape {G.shape}")
-        metric = _norm_metric(atlas, riemannian_norm(G))
-    elif zoo_id == "round_sphere":
-        if atlas.name != "sphere":
-            raise ValidationError("round_sphere lives on the sphere atlas")
+    if zoo_id not in METRICS:
+        raise ValidationError(f"unknown metric zoo id: {zoo_id!r}")
+    if zoo_id in ("round_sphere", "randers") and atlas.name != "sphere":
+        raise ValidationError(f"the {zoo_id} zoo entry lives on the sphere atlas")
+    if zoo_id == "round_sphere":
         metric = _round_sphere_metric(atlas)
     elif zoo_id == "randers":
-        if atlas.name != "sphere":
-            raise ValidationError("the randers zoo entry lives on the sphere atlas")
         metric = _randers_sphere_metric(atlas, float(params.get("eps", 0.1)))
+    elif zoo_id == "riemannian":
+        metric = _norm_metric(atlas, riemannian_norm(params.get("G", np.eye(2))))
     elif zoo_id == "quartic":
         metric = _norm_metric(atlas, quartic_norm(float(params.get("eps", 0.05))))
     else:
-        raise ValidationError(f"unknown metric zoo id: {zoo_id!r}")
+        metric = _norm_metric(atlas, euclidean_norm())
     if certify:
         certify_metric(atlas, metric)
     return metric

@@ -8,25 +8,22 @@ angle of y, read off a truncated Taylor series in theta (``ad.Jet``):
 such a jet, ``metric_jets`` gives g, A and the mixed x-y jets from two
 evaluations, and ``fiber_volume_form`` the indicatrix volume density
 from one.  A seeded base coordinate is a ``Dual`` outside the theta-jet,
-never inside it.  ``y_jets`` takes Cartesian y-derivatives with nested
-dual numbers; it serves norms of rank other than 2 and is the tests'
-oracle for the theta-jets.  Evaluations accept numpy arrays in every
-coordinate slot, so one call covers a whole batch of points.
+never inside it.  Every norm and metric here lives on a surface (rank
+2).  Evaluations accept numpy arrays in every coordinate slot, so one
+call covers a whole batch of points.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from . import ad
 from .ad import Dual, Jet, partial, taylor_coefficient, value
 from .errors import DomainError, InvalidMetricError
-from .quadrature import nested_periodic_rule
+from .quadrature import in_blocks, nested_periodic_rule
 
 __all__ = [
     "MinkowskiNorm",
@@ -37,7 +34,6 @@ __all__ = [
     "randers_norm",
     "quartic_norm",
     "sum_norms",
-    "y_jets",
     "metric_jets",
     "fiber_volume_form",
     "fiber_volume",
@@ -45,29 +41,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# jet extraction: Cartesian y-jets (nested duals), theta-jets (Taylor)
-
-
-def y_jets(E, x, y, order: int) -> dict:
-    """Every y-derivative of E(x, y) up to the given order, keyed by index
-    tuple: jets[(i,)] = dE/dy_i, jets[(i, j)] = d^2E/dy_i dy_j, and so on.
-
-    One nested-dual evaluation per sorted index tuple of length order;
-    peeling its layers one by one reads off the derivatives along every
-    prefix of the tuple, and each is stored under all its permutations.
-    Slots of x and y may hold arrays, so one call covers a batch."""
-    jets = {}
-    for idx in combinations_with_replacement(range(len(y)), order):
-        yy = list(y)
-        for i in reversed(idx):
-            yy = [Dual(c, 1.0 if k == i else 0.0) for k, c in enumerate(yy)]
-        r = E(list(x), yy)
-        for m in range(1, order + 1):
-            r = partial(r)
-            d = value(r)
-            for p in permutations(idx[:m]):
-                jets[p] = d
-    return jets
+# theta-jets (Taylor)
 
 
 def _circle_taylor(theta, degree: int):
@@ -81,22 +55,15 @@ def _circle_taylor(theta, degree: int):
                  for shift in (0, 3))
 
 
-def _tensor(jets: dict, n: int, rank: int, scale) -> np.ndarray:
-    """scale * jets as one array of shape (n,) * rank + batch shape."""
-    parts = np.broadcast_arrays(*(scale * jets[p] for p in product(range(n), repeat=rank)))
-    return np.stack(parts).reshape((n,) * rank + parts[0].shape)
-
-
 # ---------------------------------------------------------------------------
 # norms
 
 
 class MinkowskiNorm:
-    """A Minkowski norm on R^n: smooth away from 0, positively
+    """A Minkowski norm on R^2: smooth away from 0, positively
     1-homogeneous, with positive definite y-Hessian of F^2/2."""
 
-    def __init__(self, n: int, fn, label: str = "norm"):
-        self.n = n
+    def __init__(self, fn, label: str = "norm"):
         self.fn = fn
         self.label = label
 
@@ -105,11 +72,9 @@ class MinkowskiNorm:
 
     def fundamental(self, y) -> np.ndarray:
         """g_ij = (1/2) d^2 F^2 / dy_i dy_j at y; batch axes of y trail.  g is
-        0-homogeneous, so a surface reads it off the theta-jet of F^2 at the
-        angle of y (``_hessian``); other ranks use the Cartesian ``y_jets``."""
+        0-homogeneous, so it is read off the theta-jet of F^2 at the angle
+        of y (``_hessian``)."""
         _require_nonzero(y)
-        if self.n != 2:
-            return _tensor(y_jets(self._E, [], list(y), 2), self.n, 2, 0.5)
         th = np.arctan2(y[1], y[0])
         r = self._E([], list(_circle_taylor(th, 2)))
         e = [math.factorial(m) * taylor_coefficient(r, m) for m in range(3)]
@@ -117,11 +82,9 @@ class MinkowskiNorm:
 
     def cartan(self, y) -> np.ndarray:
         """A_ijk = (F/4) d^3 F^2 / dy_i dy_j dy_k at y; batch axes of y trail.
-        A is 0-homogeneous, so a surface reads it off the theta-jet of F^2 at
-        the angle of y (``_third``); other ranks use the Cartesian ``y_jets``."""
+        A is 0-homogeneous, so it is read off the theta-jet of F^2 at the
+        angle of y (``_third``)."""
         _require_nonzero(y)
-        if self.n != 2:
-            return _tensor(y_jets(self._E, [], list(y), 3), self.n, 3, 0.25 * self(y))
         th = np.arctan2(y[1], y[0])
         r = self._E([], list(_circle_taylor(th, 3)))
         e, e1, _, e3 = (math.factorial(m) * taylor_coefficient(r, m) for m in range(4))
@@ -138,41 +101,42 @@ def _require_nonzero(y) -> None:
         raise DomainError("metric quantities need a finite y != 0 (slit bundle)")
 
 
-def euclidean_norm(n: int = 2) -> MinkowskiNorm:
-    return MinkowskiNorm(n, lambda y: ad.sqrt(sum(c * c for c in y)), "euclidean")
+def euclidean_norm() -> MinkowskiNorm:
+    return MinkowskiNorm(lambda y: ad.sqrt(sum(c * c for c in y)), "euclidean")
+
+
+def _surface_matrix(G, what: str) -> np.ndarray:
+    G = np.asarray(G, dtype=float)
+    if G.shape != (2, 2):
+        raise InvalidMetricError(f"{what} needs a 2x2 matrix on a surface, got shape {G.shape}")
+    return G
+
+
+def _quadratic(G, y):
+    """y^T G y."""
+    return sum(G[i, j] * y[i] * y[j] for i in range(2) for j in range(2))
 
 
 def riemannian_norm(G) -> MinkowskiNorm:
-    G = np.asarray(G, dtype=float)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise InvalidMetricError(f"riemannian norm needs a square matrix, got shape {G.shape}")
-    n = G.shape[0]
+    G = _surface_matrix(G, "riemannian norm")
     if not np.allclose(G, G.T) or np.any(np.linalg.eigvalsh(G) <= 0):
         raise InvalidMetricError("riemannian norm needs a symmetric positive matrix")
-
-    def fn(y):
-        return ad.sqrt(sum(G[i, j] * y[i] * y[j] for i in range(n) for j in range(n)))
-
-    return MinkowskiNorm(n, fn, "riemannian")
+    return MinkowskiNorm(lambda y: ad.sqrt(_quadratic(G, y)), "riemannian")
 
 
 def randers_norm(b, G=None) -> MinkowskiNorm:
     """alpha + beta norm with alpha = sqrt(y^T G y), beta = b . y."""
     b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    G = np.eye(n) if G is None else np.asarray(G, dtype=float)
-    Ginv = np.linalg.inv(G)
-    if float(b @ Ginv @ b) >= 1.0:
+    if b.shape != (2,):
+        raise InvalidMetricError(f"randers b needs 2 components on a surface, got shape {b.shape}")
+    G = _surface_matrix(np.eye(2) if G is None else G, "randers G")
+    if float(b @ np.linalg.inv(G) @ b) >= 1.0:
         raise InvalidMetricError("randers data rejected: |beta|_alpha >= 1")
-
-    def fn(y):
-        alpha2 = sum(G[i, j] * y[i] * y[j] for i in range(n) for j in range(n))
-        return ad.sqrt(alpha2) + sum(b[i] * y[i] for i in range(n))
-
-    return MinkowskiNorm(n, fn, "randers")
+    return MinkowskiNorm(lambda y: ad.sqrt(_quadratic(G, y)) + sum(b[i] * y[i] for i in range(2)),
+                         "randers")
 
 
-def quartic_norm(mix: float = 0.05, n: int = 2) -> MinkowskiNorm:
+def quartic_norm(mix: float = 0.05) -> MinkowskiNorm:
     """F = (sum y_i^4 + mix (sum y_i^2)^2)^{1/4}; mix > 0 restores strict
     convexity on the axes, mix = 0 is the raw quartic (valid off-axis)."""
 
@@ -181,14 +145,12 @@ def quartic_norm(mix: float = 0.05, n: int = 2) -> MinkowskiNorm:
         s = sum(c * c for c in y)
         return (q + mix * s * s) ** 0.25
 
-    return MinkowskiNorm(n, fn, f"quartic({mix})")
+    return MinkowskiNorm(fn, f"quartic({mix})")
 
 
 def sum_norms(f1: MinkowskiNorm, f2: MinkowskiNorm) -> MinkowskiNorm:
     """Pointwise sum of two Minkowski norms (again a Minkowski norm)."""
-    if f1.n != f2.n:
-        raise InvalidMetricError("cannot sum norms of different dimensions")
-    return MinkowskiNorm(f1.n, lambda y: f1.fn(y) + f2.fn(y), f"{f1.label}+{f2.label}")
+    return MinkowskiNorm(lambda y: f1.fn(y) + f2.fn(y), f"{f1.label}+{f2.label}")
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +176,7 @@ class FinslerMetric:
         slots freeze a batch of base points, matched against the batch
         axes of y."""
         x = [c if np.ndim(c) else float(c) for c in x]
-        return MinkowskiNorm(2, lambda y: self.charts[chart](x, list(y)),
-                             f"{self.label}@{chart}")
+        return MinkowskiNorm(lambda y: self.charts[chart](x, list(y)), f"{self.label}@{chart}")
 
 
 def _squared(metric: FinslerMetric, chart: str):
@@ -261,31 +222,6 @@ def fiber_volume_form(metric: FinslerMetric, x, theta, chart: str | None = None)
 # 6.1e-8 and 2.7e-13 of itself from 16 to 32, 64, 128 and 256 nodes.
 FIBER_ORDER = 256
 
-# Quadrature nodes (base points x fiber nodes) per fiber-volume block: the
-# ~36 fiber arrays of a plain pass, and the ~250 of a two-seed pass, stay
-# cache-sized instead of growing with the batch.
-_FIBER_NODES = 8192
-
-
-@functools.cache
-def _keep_freed_pages() -> None:
-    """Fix glibc's mmap threshold at 1 MiB and its trim threshold at 8 MiB;
-    a no-op where the C library has no mallopt.
-
-    glibc's malloc returns the free top of its heap to the kernel once it
-    passes the trim threshold, which by default follows the largest
-    mmapped chunk freed so far, often the 128 KiB arrays of a two-seed
-    block.  A block frees some 4 MiB of arrays, so every next block
-    faulted the same pages in again: up to 45,000 minor page faults on
-    one gbc-randers-perturbed call, against under 4,200 with these fixed
-    thresholds, with no rise in peak RSS."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
-
 
 def fiber_volume(metric: FinslerMetric, x, chart: str | None = None,
                  order: int = FIBER_ORDER, rules: dict | None = None):
@@ -298,16 +234,16 @@ def fiber_volume(metric: FinslerMetric, x, chart: str | None = None,
     nodes, neither its V nor any derivative part of it moves by more than
     NESTED_TOL of its V.  So a point's V reads its own row only, not the
     rest of its batch.  Each pass works through the points still doubling
-    in blocks of max(1, _FIBER_NODES // nodes) base points, nodes being
-    the pass's own.  A slot of x may carry one dual layer (a seeded base
-    point); V then carries the exact derivative along the seed.  The seed
-    may have leading axes of its own, e.g. one per chart axis when both
-    coordinates are seeded at once; V's derivative keeps them in front of
-    the batch axes.  The rule works on plain arrays whose leading part
-    axis holds the value and every seed's derivative (``_fiber_sums``);
-    the dual is built once, from the converged parts.  ``rules``, if
-    given, maps the chart to the most nodes any of its points took and
-    whether every point converged."""
+    in blocks of at most max(1, _BLOCK_NODES // nodes) base points, nodes
+    being the pass's own (``quadrature.in_blocks``).  A slot of x may
+    carry one dual layer (a seeded base point); V then carries the exact
+    derivative along the seed.  The seed may have leading axes of its
+    own, e.g. one per chart axis when both coordinates are seeded at once;
+    V's derivative keeps them in front of the batch axes.  The rule works
+    on plain arrays whose leading part axis holds the value and every
+    seed's derivative (``_fiber_sums``); the dual is built once, from the
+    converged parts.  ``rules``, if given, maps the chart to the most
+    nodes any of its points took and whether every point converged."""
     chart = _default_chart(metric, chart)
     shape = np.broadcast_shapes(*(np.shape(value(c)) for c in x))
     size = math.prod(shape)
@@ -321,14 +257,9 @@ def fiber_volume(metric: FinslerMetric, x, chart: str | None = None,
     lead = np.broadcast_shapes(*seeds) if seeds else None
 
     def sums(th, live):
-        pts = [ad.linear_map(lambda a: a[..., live], c) for c in flat]
-        block = max(1, _FIBER_NODES // th.size)
-        if live.size <= block:
-            return _fiber_sums(metric, pts, chart, th, lead)
-        _keep_freed_pages()
-        return np.concatenate([_fiber_sums(metric, [ad.linear_map(lambda a: a[..., i:i + block], c)
-                                                    for c in pts], chart, th, lead)
-                               for i in range(0, live.size, block)], axis=-2)
+        return in_blocks(lambda s: _fiber_sums(
+            metric, [ad.linear_map(lambda a: a[..., live[s]], c) for c in flat], chart, th, lead),
+            live.size, th.size, axis=-2)
 
     def change(V, half):
         return np.max(np.abs(V - half) / V[0], axis=0)

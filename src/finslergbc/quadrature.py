@@ -50,6 +50,7 @@ __all__ = [
     "gauss_legendre",
     "periodic_rule",
     "nested_periodic_rule",
+    "in_blocks",
 ]
 
 Index = tuple[int, ...]
@@ -441,6 +442,26 @@ PERIODIC_FLOOR = 12
 # finite-difference stencil across such a window reads the jump.
 NESTED_TOL = 1e-9
 
+# The most quadrature nodes one evaluation of an integrand may hold: a phi
+# pass of base_integral_excised holds base points, a fiber pass of
+# metric.fiber_volume base points x fiber nodes.  The ~36 fiber arrays of a
+# plain pass and the ~250 of a two-seed pass stay cache-sized (Lam,
+# Rothberg & Wolf, ASPLOS 1991), and the gbc integrand's complex-step
+# tensor chain stays bounded at any order.
+_BLOCK_NODES = 8192
+
+
+def in_blocks(evaluate, items: int, width: int, axis: int = 0):
+    """evaluate(s) for s = slice(0, items) when items x width nodes fit in
+    one block; otherwise for consecutive slices of max(1, _BLOCK_NODES //
+    width) items each, the results concatenated along axis.  width is the
+    nodes per item; evaluate must be elementwise over the items."""
+    step = max(1, _BLOCK_NODES // width)
+    if items <= step:
+        return evaluate(slice(0, items))
+    return np.concatenate([evaluate(slice(i, i + step)) for i in range(0, items, step)],
+                          axis=axis)
+
 
 def nested_periodic_rule(sums, cap: int, change, items: int = 1):
     """(T, n, converged): the periodic trapezoid rule over one period for
@@ -576,8 +597,11 @@ def base_integral_excised(f: FormField, regions, order: int = 48,
     disc), each annulus with its own row of ``AnnulusRegion.weights``; the
     phi rule is the nested periodic rule, sized on every row at once: it
     stops once no row's value moves by more than NESTED_TOL of the largest
-    row's integral of |f| from n/2 to n phi nodes.  ``rules``, if given,
-    maps each chart with annuli to its (phi node count, converged)."""
+    row's integral of |f| from n/2 to n phi nodes.  Each pass evaluates f
+    on whole radial rows (one radius at every angle of the pass), as many
+    rows per call as ``in_blocks`` allows; a box, on as many points.
+    ``rules``, if given, maps each chart with annuli to its (phi node
+    count, converged)."""
     if f.degree != 2 or f.dim != 2:
         raise QuadratureError("base integral expects a base 2-form")
     out = [0.0] * len(regions)
@@ -586,14 +610,14 @@ def base_integral_excised(f: FormField, regions, order: int = 48,
         host = _host([regions[i] for i in index])
         if isinstance(host, BoxRegion):
             x1, x2, w = host.nodes(order)
-            c = np.broadcast_to(f(ChartPoints(chart, (x1, x2))).get((0, 1)), x1.shape)
+            c = in_blocks(lambda s: _coefficient(f, chart, x1[s], x2[s]), x1.size, 1)
             out[index[0]] = float(np.sum(w * c))
             continue
         rows = host.weights(order, [(regions[i].r_inner, regions[i].r_outer) for i in index])
 
         def sums(phi, live):
-            x1, x2 = host.nodes(order, phi)
-            c = np.broadcast_to(f(ChartPoints(chart, (x1, x2))).get((0, 1)), x1.shape)
+            x1, x2 = (x.reshape(len(rows[0]), phi.size) for x in host.nodes(order, phi))
+            c = in_blocks(lambda s: _coefficient(f, chart, x1[s], x2[s]), len(x1), phi.size)
             c = c.reshape((len(rows[0]),) + phi.shape)
             return np.stack([c, np.abs(c)]).sum(-1)[..., None, :]
 
@@ -607,6 +631,13 @@ def base_integral_excised(f: FormField, regions, order: int = 48,
         for i, row in zip(index, rows):
             out[i] = float(np.sum(row * t[0, :, 0]))
     return out
+
+
+def _coefficient(f: FormField, chart: str, x1, x2) -> np.ndarray:
+    """The dx1 ^ dx2 coefficient of the base 2-form f at the points (x1,
+    x2), in their shape."""
+    pts = ChartPoints(chart, (x1.ravel(), x2.ravel()))
+    return np.broadcast_to(f(pts).get((0, 1)), x1.size).reshape(x1.shape)
 
 
 def _host(group):

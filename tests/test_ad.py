@@ -84,6 +84,14 @@ class TestNumpyInterop:
         d = 1.0 / Dual(2.0, 1.0)
         assert d.val == 0.5 and d.eps == pytest.approx(-0.25)
 
+    def test_no_ordering(self):
+        """A Dual has no order: a comparison of values alone would drop the
+        derivative silently, so it raises."""
+        with pytest.raises(TypeError):
+            Dual(1.0, 1.0) < 2.0
+        with pytest.raises(TypeError):
+            Dual(1.0, 1.0) > Dual(0.5, 3.0)
+
 
 # one Jet operation each on non-trivial operands, as functions of the
 # variable t; the same function on nested duals is the oracle

@@ -324,6 +324,45 @@ class TestRunners:
         assert report.metadata["phi_nodes"] == "south=12,north=12"
         assert report.metadata["fiber_nodes"] == "south=16,north=16"
 
+    def test_gbc_passes_hold_one_block(self, monkeypatch):
+        """With the block made small, no evaluation of the gbc integrand
+        holds more base points than one block, and no fiber pass more base
+        points x fiber nodes.  The node counts stay, and the per-eps values
+        lie within 1e-14 of the unblocked run: V and d log V keep their
+        bits under re-batching, the complex-step partials need not (numpy's
+        complex loops round by array position)."""
+        from finslergbc import metric, quadrature
+        from finslergbc.ad import value
+        from finslergbc.chern_forms import TransgressionForms
+        from finslergbc.quadrature import FormField
+
+        cfg = ExperimentConfig(metric="randers", connection="perturbed", order_base=12,
+                               order_fiber=16, epsilon_schedule=(0.2, 0.1, 0.05))
+        whole = run_gbc(cfg)
+        block, base, fiber = 128, [], []
+        integrand, form = TransgressionForms.gbc_integrand, metric.fiber_volume_form
+
+        def recording(self, section=None):
+            f = integrand(self, section)
+            return FormField(f.dim, f.degree, lambda p: base.append(p.size) or f(p))
+
+        def fiber_form(met, x, th, chart):
+            fiber.append(np.broadcast(*(value(c) for c in x), th).size)
+            return form(met, x, th, chart)
+
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", block)
+        monkeypatch.setattr(TransgressionForms, "gbc_integrand", recording)
+        monkeypatch.setattr(metric, "fiber_volume_form", fiber_form)
+        blocked = run_gbc(cfg)
+        assert len(base) > 2 and max(base) <= block
+        assert len(fiber) > 2 and max(fiber) <= block
+        assert blocked.passed and whole.passed
+        for key in ("phi_nodes", "fiber_nodes"):
+            assert blocked.metadata[key] == whole.metadata[key]
+        assert [e for e, _ in blocked.convergence] == [e for e, _ in whole.convergence]
+        for (_, got), (_, want) in zip(blocked.convergence, whole.convergence):
+            assert abs(got - want) <= 1e-14
+
     def test_quartic_torus_fiber_rule_converges_by_default(self):
         """gbc on the quartic torus with the constant field takes the 256
         fiber nodes its V needs under the default cap, and reports them
@@ -586,6 +625,16 @@ class TestMainEntry:
         assert ExperimentConfig.from_file(str(path), "identities").scenario == "identities"
         with pytest.raises(ValidationError):
             ExperimentConfig.from_file(str(path))
+
+    @pytest.mark.parametrize("argv", [
+        ["degrees", "--metric", "foo", "--metric-eps", "7"],
+        ["minkowski-props", "--metric", "foo"],
+    ], ids=["degrees", "minkowski-props"])
+    def test_unknown_metric_rejected(self, argv, capsys):
+        """A metric outside the zoo exits 2 with a ValidationError, also on
+        the subcommands that never install a metric."""
+        assert main(argv) == 2
+        assert "ValidationError" in capsys.readouterr().err
 
     @pytest.mark.parametrize("metric", ["euclidean", "quartic", "riemannian"])
     def test_chart_constant_metric_on_sphere_rejected(self, metric, capsys):

@@ -131,6 +131,17 @@ class TestMetricZoo:
         with pytest.raises(ValidationError):
             install_metric(sphere, "lorentzian")
 
+    def test_zoo_names_are_the_cli_choices(self, sphere, torus):
+        """The --metric choices are the names install_metric takes, and each
+        installs on its atlas."""
+        from finslergbc.cli import SETTINGS
+        from finslergbc.manifolds import METRICS
+
+        assert next(s for s in SETTINGS if s.field == "metric").choices is METRICS
+        for name in METRICS:
+            atlas = sphere if name in ("round_sphere", "randers") else torus
+            assert install_metric(atlas, name).atlas_id == atlas.name
+
     def test_certification_passes_for_zoo(self, sphere, torus):
         """Fail-fast certification runs clean across the whole zoo."""
         install_metric(sphere, "round_sphere")

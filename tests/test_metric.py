@@ -3,13 +3,12 @@ tensors against finite-difference oracles, indicatrix geometry, fiber
 volume, and the sum-of-norms construction."""
 
 import math
-import platform
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
 
-from finslergbc.ad import Dual, value
+from finslergbc.ad import Dual, partial, value
 from finslergbc.connection import bundle_tensors
 from finslergbc.errors import DomainError, InvalidMetricError
 from finslergbc.metric import (
@@ -21,12 +20,40 @@ from finslergbc.metric import (
     randers_norm,
     riemannian_norm,
     sum_norms,
-    y_jets,
 )
-from finslergbc.metric import _tensor
+from finslergbc import quadrature
 from finslergbc.quadrature import periodic_rule
 
 from conftest import bundle_points
+
+
+def y_jets(E, x, y, order: int) -> dict:
+    """Every y-derivative of E(x, y) up to the given order, keyed by index
+    tuple: jets[(i,)] = dE/dy_i, jets[(i, j)] = d^2E/dy_i dy_j, and so on.
+    The Cartesian oracle for the theta-jets of the metric kernels.
+
+    One nested-dual evaluation per sorted index tuple of length order;
+    peeling its layers one by one reads off the derivatives along every
+    prefix of the tuple, and each is stored under all its permutations.
+    Slots of x and y may hold arrays, so one call covers a batch."""
+    jets = {}
+    for idx in combinations_with_replacement(range(len(y)), order):
+        yy = list(y)
+        for i in reversed(idx):
+            yy = [Dual(c, 1.0 if k == i else 0.0) for k, c in enumerate(yy)]
+        r = E(list(x), yy)
+        for m in range(1, order + 1):
+            r = partial(r)
+            d = value(r)
+            for p in permutations(idx[:m]):
+                jets[p] = d
+    return jets
+
+
+def _tensor(jets: dict, rank: int, scale) -> np.ndarray:
+    """scale * jets as one array of shape (2,) * rank + batch shape."""
+    parts = np.broadcast_arrays(*(scale * jets[p] for p in product(range(2), repeat=rank)))
+    return np.stack(parts).reshape((2,) * rank + parts[0].shape)
 
 
 def indicatrix_param(metric, x, chart):
@@ -97,7 +124,7 @@ class TestMinkowskiAxioms:
     @pytest.mark.parametrize(
         "norm",
         [
-            euclidean_norm(2),
+            euclidean_norm(),
             riemannian_norm([[4.0, 1.0], [1.0, 2.0]]),
             randers_norm([0.3, -0.2]),
             quartic_norm(0.05),
@@ -183,7 +210,7 @@ class TestBatchedJets:
     @pytest.mark.parametrize(
         "norm",
         [
-            euclidean_norm(2),
+            euclidean_norm(),
             riemannian_norm([[4.0, 1.0], [1.0, 2.0]]),
             randers_norm([0.3, -0.2]),
             randers_norm([0.3, -0.2], [[2.0, 0.3], [0.3, 1.0]]),
@@ -207,14 +234,14 @@ class TestBatchedJets:
         for ray in rays:
             F = np.asarray(norm(ray), dtype=float)
             T2, T3 = y_jets(E, [], ray, 2), y_jets(E, [], ray, 3)
-            for got, ref in ((norm.fundamental(ray), _tensor(T2, 2, 2, 0.5)),
-                             (norm.cartan(ray), _tensor(T3, 2, 3, 0.25 * F))):
+            for got, ref in ((norm.fundamental(ray), _tensor(T2, 2, 0.5)),
+                             (norm.cartan(ray), _tensor(T3, 3, 0.25 * F))):
                 assert got.shape == ref.shape
                 assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
     def test_surface_norms_build_no_duals(self, monkeypatch):
-        """fundamental and cartan of a 2-D norm construct no Dual; a 3-D norm
-        still does, through y_jets, so the counter sees them."""
+        """fundamental and cartan construct no Dual; the nested-dual oracle
+        y_jets does, so the counter sees them."""
         built = []
         init = Dual.__init__
         monkeypatch.setattr(Dual, "__init__",
@@ -224,7 +251,7 @@ class TestBatchedJets:
             norm.fundamental(y)
             norm.cartan(y)
         assert built == []
-        riemannian_norm(np.eye(3)).fundamental([0.3, -1.2, 0.5])
+        y_jets(lambda x, yy: norm.fn(yy) ** 2, [], [0.3, -1.2], 2)
         assert built
 
     def test_jets_symmetric_under_permutation(self):
@@ -238,16 +265,13 @@ class TestBatchedJets:
 
 class TestFundamentalTensor:
     def test_euclidean_identity(self):
-        assert np.allclose(euclidean_norm(2).fundamental([0.4, -0.9]), np.eye(2))
+        assert np.allclose(euclidean_norm().fundamental([0.4, -0.9]), np.eye(2))
 
     def test_riemannian_reproduces_matrix(self):
         G = np.array([[4.0, 1.0], [1.0, 2.0]])
         norm = riemannian_norm(G)
         for y in ([1.0, 0.0], [0.3, 0.7], [-2.0, 1.0]):
             assert np.allclose(norm.fundamental(y), G, atol=1e-12)
-        G3 = np.array([[4.0, 1.0, 0.5], [1.0, 2.0, -0.3], [0.5, -0.3, 1.5]])
-        for y in ([1.0, 0.0, 0.0], [0.3, 0.7, -1.1]):
-            assert np.allclose(riemannian_norm(G3).fundamental(y), G3, atol=1e-12)
 
     def test_randers_against_fd_hessian(self):
         """g at y=(1,0) matches the Richardson central-difference Hessian
@@ -318,12 +342,12 @@ class TestCartanTensor:
 
 class TestSumNorms:
     def test_homogeneity_of_sum(self):
-        f = sum_norms(euclidean_norm(2), euclidean_norm(2))
+        f = sum_norms(euclidean_norm(), euclidean_norm())
         y = [0.3, 0.4]
         assert float(f([0.6, 0.8])) == pytest.approx(2.0 * float(f(y)), rel=1e-12)
 
     def test_euclidean_plus_randers_positive_definite(self):
-        f = sum_norms(euclidean_norm(2), randers_norm([0.3, 0.0]))
+        f = sum_norms(euclidean_norm(), randers_norm([0.3, 0.0]))
         rng = np.random.default_rng(21)
         for _ in range(100):
             th = rng.uniform(0, 2 * math.pi)
@@ -333,8 +357,6 @@ class TestSumNorms:
     def test_proof_decomposition_terms_nonnegative(self):
         """g~(X, X) = [dF1(X) + dF2(X)]^2 + F~ (X Hess(F1) X + X Hess(F2) X):
         both bracketed terms are nonnegative and they sum to g~(X, X)."""
-        from finslergbc.ad import partial
-
         f1 = randers_norm([0.2, -0.1])
         f2 = quartic_norm(0.3)
         fs = sum_norms(f1, f2)
@@ -357,8 +379,14 @@ class TestSumNorms:
             assert gXX == pytest.approx(term1 + term2, abs=1e-5)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InvalidMetricError):
-            sum_norms(euclidean_norm(2), euclidean_norm(3))
+        """Every norm is a surface norm, so no sum mixes dimensions: data of
+        another rank is rejected when the norm is built."""
+        for make in (lambda: riemannian_norm(np.eye(3)),
+                     lambda: randers_norm([0.1, 0.2, 0.3]),
+                     lambda: randers_norm([0.1, 0.2], np.eye(3)),
+                     lambda: randers_norm([[0.1, 0.2]])):
+            with pytest.raises(InvalidMetricError):
+                make()
 
 
 class TestIndicatrix:
@@ -535,7 +563,7 @@ class TestFiberVolume:
         batch, which the test forces by raising the block size.  At cap 64
         the nested fiber rule starts at 16 nodes and each doubling of n
         evaluates only the points whose own rule needs 2n nodes, in blocks
-        of _FIBER_NODES // n points, so the calls are counted from the node
+        of _BLOCK_NODES // n points, so the calls are counted from the node
         count each point takes on its own; on Randers 0.7 ("mixed-sizes")
         the points take 16, 32 and 64.  With one node per block, each block
         holds one point and V equals the evaluation of each point on its
@@ -548,12 +576,12 @@ class TestFiberVolume:
         met = (install_metric(sphere, "randers", {"eps": 0.7}) if case == "mixed-sizes"
                else randers_metric)
         if case == "one-point-blocks":
-            monkeypatch.setattr(metric_mod, "_FIBER_NODES", 1)
+            monkeypatch.setattr(quadrature, "_BLOCK_NODES", 1)
 
         def blocks(points, nodes):
-            return -(-points // max(1, metric_mod._FIBER_NODES // nodes))
+            return -(-points // max(1, quadrature._BLOCK_NODES // nodes))
 
-        block = max(1, metric_mod._FIBER_NODES // 16)
+        block = max(1, quadrature._BLOCK_NODES // 16)
         shape = {"scalar": (), "stacked": (4, 200),
                  "one-point-blocks": (5,)}.get(case, (2 * block + 37,))
         x1, x2 = rng.uniform(-0.7, 0.7, (2,) + shape)
@@ -579,7 +607,7 @@ class TestFiberVolume:
         got = fiber_volume(met, seeded(x1, x2), "south", order)
         assert len(calls) == blocks(nodes.size, 16) + sum(
             blocks(np.count_nonzero(nodes >= 2 * n), n) for n in (16, 32))
-        monkeypatch.setattr(metric_mod, "_FIBER_NODES", 10 ** 12)
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", 10 ** 12)
         if case == "one-point-blocks":
             want = np.array([fiber_volume(met, [a, b], "south", order)
                              for a, b in zip(x1, x2)])
@@ -606,17 +634,15 @@ class TestFiberVolume:
         of a point read its own row only, and the nested fiber rule sizes
         each point on its own estimate (at cap 48 the points here take 12
         or 24 nodes)."""
-        import finslergbc.metric as metric_mod
-
         rng = np.random.default_rng(29)
-        block = max(1, metric_mod._FIBER_NODES // order)
+        block = max(1, quadrature._BLOCK_NODES // order)
         x1, x2 = rng.uniform(-0.7, 0.7, (2, 2 * block + 37))
         V = fiber_volume(randers_metric, [x1, x2], "south", order)
         alone = [fiber_volume(randers_metric, [a, b], "south", order) for a, b in zip(x1, x2)]
         assert np.array_equal(V, alone)
         shifted = fiber_volume(randers_metric, [x1[5:-3], x2[5:-3]], "south", order)
         assert np.array_equal(V[5:-3], shifted)
-        monkeypatch.setattr(metric_mod, "_FIBER_NODES", 10 ** 12)
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", 10 ** 12)
         assert np.array_equal(V, fiber_volume(randers_metric, [x1, x2], "south", order))
 
     def test_seeded_batch_memory(self, randers_metric):
@@ -635,31 +661,6 @@ class TestFiberVolume:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
-
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                        reason="glibc heap trimming, minor faults from getrusage")
-    def test_blocks_reuse_freed_pages(self, randers_metric):
-        """A two-seed pass over 2,304 points (18 blocks) reuses the pages
-        that earlier blocks freed: a repeated pass faults in under 1,000
-        pages.  With glibc's default trim threshold every block faulted
-        its ~4 MiB of arrays in again, about 10,400 pages a pass."""
-        import resource
-
-        rng = np.random.default_rng(7)
-        x1, x2 = rng.uniform(-0.7, 0.7, (2, 2304))
-        s = np.eye(2).reshape(2, 2, 1)
-        x = [Dual(x1, s[0]), Dual(x2, s[1])]
-        fiber_volume(randers_metric, x, "south", 64)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        fiber_volume(randers_metric, x, "south", 64)
-        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
-
-    def test_keep_freed_pages_without_mallopt(self, monkeypatch):
-        """Where the C library has no mallopt the allocator is left as it is."""
-        import finslergbc.metric as metric_mod
-
-        monkeypatch.setattr(metric_mod.ctypes, "CDLL", lambda name: object())
-        assert metric_mod._keep_freed_pages.__wrapped__() is None
 
     @pytest.mark.parametrize("name", ["randers", "quartic", "riemannian"])
     def test_density_matches_det_g_oracle(self, name, sphere, torus):

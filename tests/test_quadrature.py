@@ -446,6 +446,35 @@ class TestBaseIntegral:
         (total,) = base_integral_excised(f, [AnnulusRegion("c", (0.0, 0.0), 0.3, 1.0)], order=24)
         assert total == pytest.approx(math.pi * (1.0 - 0.09), rel=1e-12)
 
+    @pytest.mark.parametrize("region", [
+        BoxRegion("torus", (0.0, 2 * math.pi), (0.0, 2 * math.pi)),
+        AnnulusRegion("c", (0.0, 0.0), 0.0, 1.0),
+    ], ids=["box", "disc"])
+    def test_passes_hold_one_block(self, region, monkeypatch):
+        """With the block made small, no evaluation of the integrand holds
+        more than one block of points: a phi pass runs in blocks of whole
+        radial rows, a box in blocks of points.  An integrand elementwise in
+        real arithmetic keeps its bits and its phi node count (|x1| runs
+        the phi rule through every doubling to its cap)."""
+        import finslergbc.quadrature as quadrature
+
+        sizes = []
+
+        def coefficient(p):
+            sizes.append(p.size)
+            x1, x2 = p.coords
+            return PointwiseForm({(0, 1): np.abs(x1) + np.exp(x2)})
+
+        f = FormField(2, 2, coefficient)
+        whole_rules, blocked_rules = {}, {}
+        whole = base_integral_excised(f, [region], order=48, rules=whole_rules)
+        passes = len(sizes)
+        sizes.clear()
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", 100)
+        blocked = base_integral_excised(f, [region], order=48, rules=blocked_rules)
+        assert blocked == whole and blocked_rules == whole_rules
+        assert len(sizes) > passes and max(sizes) <= 100
+
 
 def _panel_annulus_integral(f, chart, r_inner, order):
     """The outer annulus r_inner <= r <= 1 by the composite rule that
