@@ -33,6 +33,7 @@ __all__ = [
     "riemannian_norm",
     "randers_norm",
     "quartic_norm",
+    "norm_family",
     "sum_norms",
     "metric_jets",
     "fiber_volume_form",
@@ -117,11 +118,44 @@ def _quadratic(G, y):
     return sum(G[i, j] * y[i] * y[j] for i in range(2) for j in range(2))
 
 
+# Each norm kind is a check of its data and a formula.  A check takes one
+# data set or a stack of them (leading axes); a formula's G[i, j], b[i] and
+# mix may be arrays that broadcast against the batch axes of the rays.
+
+
+def _check_riemannian(G) -> None:
+    if not np.all(np.isclose(G, np.swapaxes(G, -1, -2))) or np.any(np.linalg.eigvalsh(G) <= 0):
+        raise InvalidMetricError("riemannian norm needs a symmetric positive matrix")
+
+
+def _check_randers(b, G) -> None:
+    if np.any(b[..., None, :] @ np.linalg.inv(G) @ b[..., None] >= 1.0):
+        raise InvalidMetricError("randers data rejected: |beta|_alpha >= 1")
+
+
+def _riemannian(G):
+    return lambda y: ad.sqrt(_quadratic(G, y))
+
+
+def _randers(b, G):
+    """alpha + beta with alpha = sqrt(y^T G y), beta = b . y."""
+    alpha = _riemannian(G)
+    return lambda y: alpha(y) + sum(b[i] * y[i] for i in range(2))
+
+
+def _quartic(mix):
+    def fn(y):
+        q = sum(c ** 4 for c in y)
+        s = sum(c * c for c in y)
+        return (q + mix * s * s) ** 0.25
+
+    return fn
+
+
 def riemannian_norm(G) -> MinkowskiNorm:
     G = _surface_matrix(G, "riemannian norm")
-    if not np.allclose(G, G.T) or np.any(np.linalg.eigvalsh(G) <= 0):
-        raise InvalidMetricError("riemannian norm needs a symmetric positive matrix")
-    return MinkowskiNorm(lambda y: ad.sqrt(_quadratic(G, y)), "riemannian")
+    _check_riemannian(G)
+    return MinkowskiNorm(_riemannian(G), "riemannian")
 
 
 def randers_norm(b, G=None) -> MinkowskiNorm:
@@ -130,22 +164,58 @@ def randers_norm(b, G=None) -> MinkowskiNorm:
     if b.shape != (2,):
         raise InvalidMetricError(f"randers b needs 2 components on a surface, got shape {b.shape}")
     G = _surface_matrix(np.eye(2) if G is None else G, "randers G")
-    if float(b @ np.linalg.inv(G) @ b) >= 1.0:
-        raise InvalidMetricError("randers data rejected: |beta|_alpha >= 1")
-    return MinkowskiNorm(lambda y: ad.sqrt(_quadratic(G, y)) + sum(b[i] * y[i] for i in range(2)),
-                         "randers")
+    _check_randers(b, G)
+    return MinkowskiNorm(_randers(b, G), "randers")
 
 
 def quartic_norm(mix: float = 0.05) -> MinkowskiNorm:
     """F = (sum y_i^4 + mix (sum y_i^2)^2)^{1/4}; mix > 0 restores strict
     convexity on the axes, mix = 0 is the raw quartic (valid off-axis)."""
+    return MinkowskiNorm(_quartic(mix), f"quartic({mix})")
+
+
+def norm_family(kind, G, b, mix) -> MinkowskiNorm:
+    """One surface norm per item of a batch, evaluated on rays of batch
+    shape (items, rays per item): item r is riemannian_norm(G[r]) where
+    kind[r] is 0, randers_norm(b[r], G[r]) where it is 1 and
+    quartic_norm(mix[r]) where it is 2, and its data passes the check
+    that constructor makes (data a kind does not read is ignored).  Each
+    formula runs once, on the rays of its own items."""
+    kind = np.asarray(kind)
+    G, b, mix = (np.asarray(a, dtype=float) for a in (G, b, mix))
+    items = [np.flatnonzero(kind == k) for k in range(3)]
+    if sum(i.size for i in items) != kind.size:
+        raise InvalidMetricError("a norm family's kinds are 0, 1 and 2")
+    _check_riemannian(G[items[0]])
+    _check_randers(b[items[1]], G[items[1]])
+
+    def data(a, i):
+        """The data of items i, the item axis last, before a ray axis."""
+        return np.moveaxis(a[i], 0, -1)[..., None]
+
+    forms = [_riemannian(data(G, items[0])), _randers(data(b, items[1]), data(G, items[1])),
+             _quartic(data(mix, items[2]))]
 
     def fn(y):
-        q = sum(c ** 4 for c in y)
-        s = sum(c * c for c in y)
-        return (q + mix * s * s) ** 0.25
+        parts = [(i, form([_rows(c, i) for c in y])) for i, form in zip(items, forms) if i.size]
+        return _merged(parts, kind.size)
 
-    return MinkowskiNorm(fn, f"quartic({mix})")
+    return MinkowskiNorm(fn, "family")
+
+
+def _rows(x, i):
+    return Jet([c[i] for c in x.c]) if isinstance(x, Jet) else x[i]
+
+
+def _merged(parts, n):
+    """The items i of each (i, part) in one array or jet of n items."""
+    if isinstance(parts[0][1], Jet):
+        index = [i for i, _ in parts]
+        return Jet([_merged(list(zip(index, cs)), n) for cs in zip(*(p.c for _, p in parts))])
+    out = np.empty((n,) + parts[0][1].shape[1:])
+    for i, a in parts:
+        out[i] = a
+    return out
 
 
 def sum_norms(f1: MinkowskiNorm, f2: MinkowskiNorm) -> MinkowskiNorm:

@@ -1,5 +1,6 @@
 """Config parsing, runners, report emission, determinism, exit codes."""
 
+import math
 import os
 
 import numpy as np
@@ -20,7 +21,9 @@ from finslergbc.cli import (
     run_identity_suite,
     run_minkowski_props,
 )
-from finslergbc.errors import ValidationError
+from finslergbc import cli, metric
+from finslergbc.errors import InvalidMetricError, ValidationError
+from finslergbc.metric import MinkowskiNorm, quartic_norm, randers_norm, riemannian_norm, sum_norms
 
 # A value other than the default for every setting that has a flag, as the
 # text an INI file or the command line gives.
@@ -712,6 +715,87 @@ class TestMainEntry:
         assert "error" in capsys.readouterr().err
 
 
+def _oracle_norm(rng):
+    """One random norm of the per-pair minkowski-props loop: its kind, then
+    its data, built by its public constructor."""
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        return riemannian_norm(cli._random_spd(rng))
+    if kind == 1:
+        G = cli._random_spd(rng)
+        evmin = float(np.min(np.linalg.eigvalsh(G)))
+        b = rng.standard_normal(2)
+        b *= rng.uniform(0.0, 0.8) * math.sqrt(evmin) / max(np.linalg.norm(b), 1e-12)
+        return randers_norm(b, G)
+    return quartic_norm(float(rng.uniform(0.02, 0.5)))
+
+
+def _oracle_rows(seed: int) -> list:
+    """The minkowski-props rows from one pair, and one Cartan ray, at a
+    time: the oracle of the blocked sweep, as (name, repr of value,
+    passed)."""
+    rng = np.random.default_rng(seed)
+    failures, homog_worst, eig_min = 0, 0.0, float("inf")
+    for _ in range(200):
+        fs = sum_norms(_oracle_norm(rng), _oracle_norm(rng))
+        th = rng.uniform(0.0, 2.0 * math.pi, 100)
+        y = [np.cos(th), np.sin(th)]
+        lam = rng.uniform(0.2, 5.0, 100)
+        lam_F = lam * fs(y)
+        r = np.abs(fs([lam * y[0], lam * y[1]]) - lam_F)
+        homog_worst = max(homog_worst, float(np.max(r / np.maximum(1.0, np.abs(lam_F)))))
+        ev = np.linalg.eigvalsh(np.moveaxis(fs.fundamental(y), -1, 0)).min(axis=1)
+        eig_min = min(eig_min, float(np.min(ev)))
+        failures += int(np.count_nonzero((ev <= 0.0) | (r > 1e-9)))
+    ycontract, riem_cartan = 0.0, 0.0
+    for _ in range(50):
+        f1 = _oracle_norm(rng)
+        th = float(rng.uniform(0.0, 2.0 * math.pi))
+        y = np.array([math.cos(th), math.sin(th)])
+        ycontract = max(ycontract, float(np.max(np.abs(np.einsum("k,kij->ij", y, f1.cartan(y))))))
+        Ar = riemannian_norm(cli._random_spd(rng)).cartan(y)
+        riem_cartan = max(riem_cartan, float(np.max(np.abs(Ar))))
+    return [("sum_norm_failures", repr(float(failures)), failures == 0),
+            ("sum_norm_homogeneity", repr(homog_worst), homog_worst <= 1e-10),
+            ("sum_norm_min_eigenvalue", repr(eig_min), eig_min > 0.0),
+            ("cartan_y_contraction", repr(ycontract), ycontract <= 1e-10),
+            ("cartan_riemannian", repr(riem_cartan), riem_cartan <= 1e-12)]
+
+
+def _rows(report) -> list:
+    return [(r.name, repr(r.value), r.passed) for r in report.rows]
+
+
+def _spd_call(seed: int, pair: int, kind: int) -> int:
+    """The number (from 1) of the first ``cli._random_spd`` call of the
+    minkowski-props pair sweep at or after the given pair that builds a
+    norm of the given kind (0 riemannian, 1 randers), found by replaying
+    the sweep's draws."""
+    rng, calls = np.random.default_rng(seed), 0
+    for p in range(200):
+        for _ in range(2):
+            drawn = cli._draw_norm(rng)[0]
+            calls += drawn < 2
+            if drawn == kind and p >= pair:
+                return calls
+        rng.uniform(0.0, 2.0 * math.pi, 100)
+        rng.uniform(0.2, 5.0, 100)
+    raise AssertionError(f"no norm of kind {kind} at or after pair {pair}")
+
+
+def _spd_replaced(monkeypatch, k: int, bad) -> list:
+    """Make the k-th ``cli._random_spd`` call return the matrix bad; the
+    returned call list must be cleared before each run."""
+    spd, calls = cli._random_spd, []
+
+    def replaced(rng):
+        calls.append(rng)
+        return np.array(bad) if len(calls) == k else spd(rng)
+
+    monkeypatch.setattr(cli, "_random_spd", replaced)
+    return calls
+
+
 class TestMinkowskiSweep:
     def test_property_sweep(self):
         cfg = ExperimentConfig(seed=5)
@@ -725,6 +809,91 @@ class TestMinkowskiSweep:
         would end the run in a ValueError traceback."""
         assert main(["minkowski-props", "--seed", "-1"]) == 2
         assert "ValidationError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [1234, *range(1, 11), 2024])
+    def test_rows_match_per_pair_oracle(self, seed):
+        """Every row, and whether it passes, is repr-identical to the loop
+        that builds and evaluates one pair, and one Cartan ray, at a time:
+        the blocked sweep draws in the same rng order and each kernel is
+        elementwise over the rays."""
+        assert _rows(run_minkowski_props(ExperimentConfig(seed=seed))) == _oracle_rows(seed)
+
+    @pytest.mark.parametrize("pairs", [7, 200])
+    def test_rows_independent_of_block_layout(self, pairs, monkeypatch):
+        """Blocks of 7 pairs (the last one short) and one block of all 200
+        keep every row's bits, and no fundamental-tensor call holds more
+        rays than one block."""
+        from finslergbc import quadrature
+
+        want = _rows(run_minkowski_props(ExperimentConfig(seed=3)))
+        rays, fundamental = [], MinkowskiNorm.fundamental
+
+        def counting(self, y):
+            rays.append(np.size(y[0]))
+            return fundamental(self, y)
+
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", pairs * 100 * 4)
+        monkeypatch.setattr(MinkowskiNorm, "fundamental", counting)
+        assert _rows(run_minkowski_props(ExperimentConfig(seed=3))) == want
+        assert sum(rays) == 200 * 100
+        assert max(rays) == pairs * 100
+        assert len(rays) == -(-200 // pairs)
+
+    @pytest.mark.parametrize("bad", [[[2.0, 0.5], [0.0, 2.0]], [[1.0, 0.0], [0.0, -1.0]]],
+                             ids=["asymmetric", "non-positive"])
+    def test_invalid_mid_sweep_norm_rejected(self, bad, monkeypatch, capsys):
+        """A matrix that is not symmetric positive, given to the riemannian
+        norm of a mid-sweep pair, fails the run with InvalidMetricError as
+        it fails the per-pair loop, and the CLI exits 2."""
+        seed = ExperimentConfig().seed
+        calls = _spd_replaced(monkeypatch, _spd_call(seed, 100, kind=0), bad)
+        for run in (lambda: run_minkowski_props(ExperimentConfig(seed=seed)),
+                    lambda: _oracle_rows(seed)):
+            calls.clear()
+            with pytest.raises(InvalidMetricError):
+                run()
+        calls.clear()
+        assert main(["minkowski-props"]) == 2
+        assert "InvalidMetricError" in capsys.readouterr().err
+        with pytest.raises(InvalidMetricError):
+            randers_norm(np.full((2, 2), 0.1))
+
+    def test_asymmetric_randers_matrix_passes(self, monkeypatch):
+        """randers_norm checks only |beta|_alpha < 1, so an asymmetric G
+        given to the randers norm of a mid-sweep pair passes, in the sweep
+        as in the per-pair loop, with the same rows."""
+        seed = ExperimentConfig().seed
+        k = _spd_call(seed, 100, kind=1)
+        calls = _spd_replaced(monkeypatch, k, [[2.0, 0.5], [0.0, 2.0]])
+        want = _oracle_rows(seed)
+        calls.clear()
+        assert _rows(run_minkowski_props(ExperimentConfig(seed=seed))) == want
+        assert len(calls) > k
+
+    @pytest.mark.parametrize("mutation, failing", [
+        ("F + constant", ["sum_norm_homogeneity"]),
+        ("negated hessian", ["sum_norm_failures", "sum_norm_min_eigenvalue"]),
+        ("riemannian + quartic", ["cartan_riemannian"]),
+    ])
+    def test_gates_fail_under_mutation(self, mutation, failing, monkeypatch):
+        """Each row but cartan_y_contraction fails under one named mutation
+        of the kernels (F + constant also breaks the failure count's
+        homogeneity test); that row passes under all three, and cannot fail
+        for any norm, since A is c v v v with v orthogonal to y."""
+        if mutation == "F + constant":
+            monkeypatch.setattr(cli, "sum_norms", lambda f1, f2: MinkowskiNorm(
+                lambda y: f1.fn(y) + f2.fn(y) + 0.01))
+        elif mutation == "negated hessian":
+            hessian = metric._hessian
+            monkeypatch.setattr(metric, "_hessian", lambda *a: [
+                [-h for h in row] for row in hessian(*a)])
+        else:
+            riemannian = metric._riemannian
+            monkeypatch.setattr(metric, "_riemannian", lambda G: (
+                lambda y, alpha=riemannian(G): (alpha(y) ** 4 + 0.1 * y[0] ** 4) ** 0.25))
+        failed = {r.name for r in run_minkowski_props(ExperimentConfig()).rows if not r.passed}
+        assert set(failing) <= failed
+        assert "cartan_y_contraction" not in failed
 
 
 class TestFieldAndMetricIndependence:

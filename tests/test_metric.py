@@ -16,6 +16,7 @@ from finslergbc.metric import (
     fiber_volume,
     fiber_volume_form,
     metric_jets,
+    norm_family,
     quartic_norm,
     randers_norm,
     riemannian_norm,
@@ -387,6 +388,46 @@ class TestSumNorms:
                      lambda: randers_norm([[0.1, 0.2]])):
             with pytest.raises(InvalidMetricError):
                 make()
+
+
+class TestNormFamily:
+    DATA = [(0, [[2.0, 0.3], [0.3, 1.0]], [0.0, 0.0], 1.0),
+            (1, [[1.5, -0.2], [-0.2, 0.8]], [0.2, -0.3], 1.0),
+            (2, np.eye(2), [0.0, 0.0], 0.07),
+            (1, np.eye(2), [-0.5, 0.1], 1.0),
+            (2, np.eye(2), [0.0, 0.0], 0.4)]
+
+    @staticmethod
+    def own(kind, G, b, mix):
+        return [riemannian_norm(G), randers_norm(b, G), quartic_norm(mix)][kind]
+
+    def test_items_match_their_constructors(self):
+        """Each item's F, g and A keep the bits of its own constructor's
+        norm on the same rays: every formula is elementwise over the rays."""
+        family = norm_family(*(np.array(d) for d in zip(*self.DATA)))
+        th = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi, (len(self.DATA), 9))
+        y = [np.cos(th), np.sin(th)]
+        F, g, A = family(y), family.fundamental(y), family.cartan(y)
+        for r, data in enumerate(self.DATA):
+            norm, yr = self.own(*data), [c[r] for c in y]
+            assert np.array_equal(F[r], norm(yr))
+            assert np.array_equal(g[..., r, :], norm.fundamental(yr))
+            assert np.array_equal(A[..., r, :], norm.cartan(yr))
+
+    @pytest.mark.parametrize("kind, G, b", [
+        (0, [[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0]),
+        (0, [[1.0, 0.0], [0.0, -1.0]], [0.0, 0.0]),
+        (1, np.eye(2), [0.8, 0.7]),
+        (3, np.eye(2), [0.0, 0.0]),
+    ], ids=["asymmetric", "non-positive", "randers-beta", "no-such-kind"])
+    def test_bad_item_rejected(self, kind, G, b):
+        """One item whose data its constructor rejects, or of no kind,
+        fails the family; data a kind does not read is not checked."""
+        data = self.DATA + [(kind, G, b, 1.0)]
+        with pytest.raises(InvalidMetricError):
+            norm_family(*(np.array(d) for d in zip(*data)))
+        unread = (2, G, b, 0.1)
+        norm_family(*(np.array(d) for d in zip(*(self.DATA + [unread]))))
 
 
 class TestIndicatrix:
