@@ -2,9 +2,10 @@
 
 Built from the frame forms of a metric-compatible connection D and its
 modification nabla: the contractions Phi_k, the transgression Pi with
-d Pi = Omega^nabla, its split Pi = Upsilon_1 + Upsilon_2, the Chern-Weil
-interpolation term Upsilon_0, the correction FrakE, and the Gaussian
-family U_t whose t = 0 slice is the Pfaffian form.
+d Pi = Omega^nabla, which at rank 2 is Upsilon_1 (its part Upsilon_2
+vanishes below rank 4), the Chern-Weil interpolation term Upsilon_0, the
+correction FrakE, and the Gaussian family U_t whose t = 0 slice is the
+Pfaffian form.
 """
 
 from __future__ import annotations
@@ -179,13 +180,12 @@ def chern_weil_upsilon0(D: FrameConnection, nabla: FrameConnection) -> FormField
     return FormField(AXES, n - 1, func)
 
 
-def frak_e(upsilon0: FormField, upsilon1: FormField, upsilon2: FormField | None,
-           dlogv: FormField) -> FormField:
-    """FrakE = -d Upsilon_0 - d log V ^ Upsilon_1 - d Upsilon_2."""
-    out = (-1.0) * upsilon0.d() - dlogv.wedge(upsilon1)
-    if upsilon2 is not None:
-        out = out - upsilon2.d()
-    return out
+def frak_e(upsilon0: FormField, upsilon1: FormField, dlogv: FormField) -> FormField:
+    """FrakE = -d Upsilon_0 - d log V ^ Upsilon_1.  The paper's third term,
+    -d Upsilon_2, is zero here: Upsilon_2 = Pi - Upsilon_1 sums the Phi_k
+    with k >= 1, and below rank 4 (the bundles here have rank N_RANK = 2)
+    pi_coefficients has the k = 0 term only."""
+    return (-1.0) * upsilon0.d() - dlogv.wedge(upsilon1)
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +263,6 @@ class TransgressionForms:
         c = upsilon1_coefficient(self.n)
         return c * self.phi(0)
 
-    def upsilon2(self) -> FormField | None:
-        coeffs = pi_coefficients(self.n)
-        if len(coeffs) == 1:
-            return None  # Pi = Upsilon1 exactly below rank 4
-        out = None
-        for k in range(1, len(coeffs)):
-            term = coeffs[k] * self.phi(k)
-            out = term if out is None else out + term
-        return out
-
     def upsilon0(self) -> FormField:
         return chern_weil_upsilon0(self.D, self.nabla)
 
@@ -283,8 +273,7 @@ class TransgressionForms:
         return omega_pfaffian(self.curv_D)
 
     def frak_e_field(self) -> FormField:
-        return frak_e(self.upsilon0(), self.upsilon1(), self.upsilon2(),
-                      self.dlogv_field())
+        return frak_e(self.upsilon0(), self.upsilon1(), self.dlogv_field())
 
     # --- algebra-level elements at sample points -------------------------------
     def nabla_ell_element(self, pts: ChartPoints) -> BigradedElement:

@@ -435,15 +435,15 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
     build forms, pull back, and integrate.
 
     On the sphere the two unit discs r <= 1 tile the base, and every zero
-    sits at a chart centre.  Each chart is integrated over r <= 1 and, if
-    it holds a zero, over each disc r <= eps of the schedule.  The
-    integrand runs once per chart, on the nodes of the polar rule of the
-    unit disc (``AnnulusRegion``), and every I(eps) is read off those same
-    samples (``base_integral_excised``).  Its phi rule, and the fiber rule
-    of V, size themselves by nested doubling up to the caps that
-    order_base and order_fiber set; the metadata records per chart the
-    node counts they took, as phi_nodes and fiber_nodes, and marks a rule
-    that stopped at its cap unconverged.  At the workload orders each
+    sits at a chart centre.  Each chart's unit disc (``AnnulusRegion``) is
+    integrated by one call of ``base_integral_excised``, with the schedule
+    as its sub-disc radii if the chart holds a zero: the integrand runs
+    once per chart, on the nodes of the unit disc's polar rule, and I(1)
+    and every I(eps) are read off those samples.  Its phi rule, and the
+    fiber rule of V, size themselves by nested doubling up to the caps
+    that order_base and order_fiber set; the metadata records per chart
+    the node counts they took, as phi_nodes and fiber_nodes, and marks a
+    rule that stopped at its cap unconverged.  At the workload orders each
     chart takes 32 radii x 12 angles, 768 base points in all.  The per-eps
     value is vol(S^1) sum over charts of I(1) - I(eps), with I(eps) = 0 in
     a chart without a zero; ``normalized_gbc_integral`` is their Neville
@@ -456,7 +456,7 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
     atlas = _build_atlas(cfg)
     metric = install_metric(atlas, cfg.metric, _metric_params(cfg))
     X = _build_field(cfg, atlas)
-    zeros = find_zeros(X, epsilon_schedule=cfg.epsilon_schedule)
+    zeros = find_zeros(X)
     chi = check_euler_characteristic(zeros, atlas)
 
     fcD, fcN, _, _ = _build_connections(cfg, atlas, metric)
@@ -468,7 +468,7 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
     phi_rules = {}
     if atlas.name == "torus":
         box = BoxRegion("torus", *atlas.region_box("torus"))
-        total = VOL_S1 * base_integral_excised(integrand, [box], order=cfg.order_base)[0]
+        total = VOL_S1 * base_integral_excised(integrand, box, order=cfg.order_base)[0]
         per_eps = [(eps, total) for eps in schedule]
         extrap = disc_limit = total
     else:
@@ -479,14 +479,13 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
                     f"found one at {rec.location} in chart {rec.chart}"
                 )
         held = {rec.chart for rec in zeros}
-        regions = [AnnulusRegion(chart, (0.0, 0.0), 0.0, r) for chart in atlas.chart_ids
-                   for r in [1.0] + (schedule if chart in held else [])]
-        values = base_integral_excised(integrand, regions, order=cfg.order_base,
-                                       rules=phi_rules)
-        disc = {(region.chart, region.r_outer): v for region, v in zip(regions, values)}
-        per_eps = [(eps, VOL_S1 * sum(disc[c, 1.0] - disc.get((c, eps), 0.0)
-                                      for c in atlas.chart_ids)) for eps in schedule]
-        disc_limit = VOL_S1 * sum(disc[c, 1.0] for c in atlas.chart_ids)
+        discs = {c: base_integral_excised(integrand, AnnulusRegion(c, 1.0), order=cfg.order_base,
+                                          radii=schedule if c in held else (), rules=phi_rules)
+                 for c in atlas.chart_ids}
+        per_eps = [(eps, VOL_S1 * sum(d[0] - (d[k + 1] if c in held else 0.0)
+                                      for c, d in discs.items()))
+                   for k, eps in enumerate(schedule)]
+        disc_limit = VOL_S1 * sum(d[0] for d in discs.values())
         if len(per_eps) >= 2:
             extrap = extrapolate_to_zero([e for e, _ in per_eps], [v for _, v in per_eps])
         else:

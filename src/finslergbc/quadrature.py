@@ -1,9 +1,8 @@
 """Differential-form fields, exterior calculus on coefficient tables, and
 all numeric integration (the periodic rule of the fiber circles, boundary
-circles, and base regions: polar discs and annuli about a chart centre,
-boxes on the torus).  The discs and annuli of one chart are integrated
-from one set of samples, those of the polar rule of the smallest annulus
-that holds them all.  The angle of that rule, like the fiber circle of
+circles, and base regions: polar discs about a chart origin, boxes on the
+torus).  One call integrates one disc, and its concentric sub-discs are
+read off its samples.  The angle of its polar rule, like the fiber circle of
 ``metric.fiber_volume``, is integrated by one nested periodic trapezoid
 rule that sizes itself by doubling (``nested_periodic_rule``).  It works
 on plain arrays: a caller that integrates several things side by side
@@ -509,36 +508,32 @@ def nested_periodic_rule(sums, cap: int, change, items: int = 1):
 
 
 class AnnulusRegion:
-    """Polar region r_inner <= r <= r_outer about a centre in one chart;
-    r_inner = 0 is a full disc."""
+    """The disc r <= radius about the origin of one chart, integrated in
+    one call of ``base_integral_excised`` with its concentric sub-discs
+    read off its samples.  (The name outlived the annuli it once held;
+    the benchmark tracer patches it by this name.)"""
 
-    def __init__(self, chart: str, center: tuple[float, float], r_inner: float,
-                 r_outer: float):
+    def __init__(self, chart: str, radius: float):
         self.chart = chart
-        self.center = center
-        self.r_inner = r_inner
-        self.r_outer = r_outer
+        self.radius = radius
 
     def nodes(self, order: int, phi):
         """The base points (x1, x2) of the polar rule at the angles phi:
         every radial node of ``radii(order)`` at every angle, radius-major.
         They are summed in phi by the nested periodic rule and in r by a
-        row of ``weights`` (dx1 ^ dx2 = r dr ^ dphi).  On a full disc an
-        integrand f that is O(1/r) at the centre, with r f smooth in (r,
-        phi), is integrated to rounding (Duffy, SIAM J. Numer. Anal. 19(6),
-        1982)."""
+        row of ``weights`` (dx1 ^ dx2 = r dr ^ dphi).  An integrand f that
+        is O(1/r) at the centre, with r f smooth in (r, phi), is integrated
+        to rounding (Duffy, SIAM J. Numer. Anal. 19(6), 1982)."""
         r, _ = self.radii(order)
-        x1 = self.center[0] + np.outer(r, np.cos(phi)).ravel()
-        x2 = self.center[1] + np.outer(r, np.sin(phi)).ravel()
-        return x1, x2
+        return np.outer(r, np.cos(phi)).ravel(), np.outer(r, np.sin(phi)).ravel()
 
     def radii(self, order: int):
         """The radial rule: one Gauss-Legendre panel of n = 2 max(16, order
-        // 3) nodes on [r_inner, r_outer].  The count serves the concentric
-        sub-regions of ``weights``: they are exact to degree n - 1 in r, and
-        24 or 16 radial nodes would move gbc's per-eps values by up to
-        8.5e-13 or 6.3e-9."""
-        return gauss_legendre(self.r_inner, self.r_outer, 2 * max(16, order // 3))
+        // 3) nodes on [0, radius].  The count serves the sub-discs of
+        ``weights``: they are exact to degree n - 1 in r, and 24 or 16
+        radial nodes would move gbc's per-eps values by up to 8.5e-13 or
+        6.3e-9."""
+        return gauss_legendre(0.0, self.radius, 2 * max(16, order // 3))
 
     @staticmethod
     def phi_cap(order: int) -> int:
@@ -556,19 +551,16 @@ class AnnulusRegion:
         6.5e-7 off."""
         return PERIODIC_FLOOR << (4 if order < 96 else 5)
 
-    def weights(self, order: int, parts) -> np.ndarray:
-        """One row of radial weights on ``radii(order)`` per concentric
-        annulus (inner, outer) of parts that lies within this region: the
-        row times the phi integrals at the radial nodes integrates over
-        inner <= r <= outer the polynomial of degree n - 1 in r that
-        interpolates r times the phi integral, which is smooth on a full
-        disc about an O(1/r) zero, so every sub-disc is read off the samples
-        of the whole disc.  The row of (r_inner, r_outer) is r w_r to the
-        bit."""
+    def weights(self, order: int, radii) -> np.ndarray:
+        """One row of radial weights on ``radii(order)`` per sub-disc r <= R,
+        R in radii: the row times the phi integrals at the radial nodes
+        integrates over r <= R the polynomial of degree n - 1 in r that
+        interpolates r times the phi integral, which is smooth on the disc
+        about an O(1/r) zero, so every sub-disc is read off the samples of
+        the whole disc.  The row of R = radius is r w_r to the bit."""
         r, wr = self.radii(order)
-        t = 2.0 * (np.asarray(parts, dtype=float) - self.r_inner) / (self.r_outer - self.r_inner)
-        s = _gauss_primitives(len(r), t - 1.0)
-        return np.stack([wr * r * (b - a) for a, b in s])
+        t = 2.0 * np.asarray(radii, dtype=float) / self.radius - 1.0
+        return wr * r * _gauss_primitives(len(r), t)
 
 
 class BoxRegion:
@@ -588,49 +580,46 @@ class BoxRegion:
         return U.ravel(), V.ravel(), (WU * WV).ravel()
 
 
-def base_integral_excised(f: FormField, regions, order: int = 48,
+def base_integral_excised(f: FormField, region, order: int = 48, radii=(),
                           rules: dict | None = None) -> list[float]:
-    """Integrate a base 2-form over each region, one value per region in
-    the order given.  A chart's box is integrated on its own nodes.  The
-    annuli about one centre of a chart are integrated on the nodes of the
-    smallest annulus about it that holds them all (on the sphere, the unit
-    disc), each annulus with its own row of ``AnnulusRegion.weights``; the
-    phi rule is the nested periodic rule, sized on every row at once: it
-    stops once no row's value moves by more than NESTED_TOL of the largest
-    row's integral of |f| from n/2 to n phi nodes.  Each pass evaluates f
-    on whole radial rows (one radius at every angle of the pass), as many
-    rows per call as ``in_blocks`` allows; a box, on as many points.
-    ``rules``, if given, maps each chart with annuli to its (phi node
-    count, converged)."""
+    """Integrate a base 2-form over one region of a chart: [I] over a box,
+    on its own nodes, or [I(R), I(radii[0]), ...] over the disc r <= R of
+    an ``AnnulusRegion`` and each of its sub-discs r <= radii[k], all read
+    off the samples of the one disc, each sub-disc with its own row of
+    ``AnnulusRegion.weights``.  The phi rule is the nested periodic rule,
+    sized on every row at once: it stops once no row's value moves by more
+    than NESTED_TOL of the largest row's integral of |f| from n/2 to n phi
+    nodes.  Each pass evaluates f on whole radial rows (one radius at every
+    angle of the pass), as many rows per call as ``in_blocks`` allows; a
+    box, on as many points.  ``rules``, if given, maps a disc's chart to
+    its (phi node count, converged)."""
     if f.degree != 2 or f.dim != 2:
         raise QuadratureError("base integral expects a base 2-form")
-    out = [0.0] * len(regions)
-    for chart in dict.fromkeys(region.chart for region in regions):
-        index = [i for i, region in enumerate(regions) if region.chart == chart]
-        host = _host([regions[i] for i in index])
-        if isinstance(host, BoxRegion):
-            x1, x2, w = host.nodes(order)
-            c = in_blocks(lambda s: _coefficient(f, chart, x1[s], x2[s]), x1.size, 1)
-            out[index[0]] = float(np.sum(w * c))
-            continue
-        rows = host.weights(order, [(regions[i].r_inner, regions[i].r_outer) for i in index])
+    chart = region.chart
+    if isinstance(region, BoxRegion):
+        if len(radii):
+            raise QuadratureError("sub-disc radii need a disc, not a box")
+        x1, x2, w = region.nodes(order)
+        c = in_blocks(lambda s: _coefficient(f, chart, x1[s], x2[s]), x1.size, 1)
+        return [float(np.sum(w * c))]
+    if not all(0.0 <= r <= region.radius for r in radii):
+        raise QuadratureError(f"sub-disc radii {radii} leave the disc r <= {region.radius}")
+    rows = region.weights(order, (region.radius, *radii))
 
-        def sums(phi, live):
-            x1, x2 = (x.reshape(len(rows[0]), phi.size) for x in host.nodes(order, phi))
-            c = in_blocks(lambda s: _coefficient(f, chart, x1[s], x2[s]), len(x1), phi.size)
-            c = c.reshape((len(rows[0]),) + phi.shape)
-            return np.stack([c, np.abs(c)]).sum(-1)[..., None, :]
+    def sums(phi, live):
+        x1, x2 = (x.reshape(len(rows[0]), phi.size) for x in region.nodes(order, phi))
+        c = in_blocks(lambda s: _coefficient(f, chart, x1[s], x2[s]), len(x1), phi.size)
+        c = c.reshape((len(rows[0]),) + phi.shape)
+        return np.stack([c, np.abs(c)]).sum(-1)[..., None, :]
 
-        def change(t, half):
-            moved = np.max(np.abs(rows @ (t[0] - half[0])))
-            return np.array([moved / np.max(np.abs(rows) @ t[1]) if moved else 0.0])
+    def change(t, half):
+        moved = np.max(np.abs(rows @ (t[0] - half[0])))
+        return np.array([moved / np.max(np.abs(rows) @ t[1]) if moved else 0.0])
 
-        t, n, converged = nested_periodic_rule(sums, host.phi_cap(order), change)
-        if rules is not None:
-            rules[chart] = (int(n[0]), bool(converged[0]))
-        for i, row in zip(index, rows):
-            out[i] = float(np.sum(row * t[0, :, 0]))
-    return out
+    t, n, converged = nested_periodic_rule(sums, region.phi_cap(order), change)
+    if rules is not None:
+        rules[chart] = (int(n[0]), bool(converged[0]))
+    return [float(np.sum(row * t[0, :, 0])) for row in rows]
 
 
 def _coefficient(f: FormField, chart: str, x1, x2) -> np.ndarray:
@@ -638,20 +627,6 @@ def _coefficient(f: FormField, chart: str, x1, x2) -> np.ndarray:
     x2), in their shape."""
     pts = ChartPoints(chart, (x1.ravel(), x2.ravel()))
     return np.broadcast_to(f(pts).get((0, 1)), x1.size).reshape(x1.shape)
-
-
-def _host(group):
-    """The region whose nodes serve all the regions of one chart: a lone
-    region itself, or the smallest annulus about the one centre of several
-    annuli that holds them all."""
-    if len(group) == 1:
-        return group[0]
-    first = group[0]
-    if not all(isinstance(a, AnnulusRegion) and a.center == first.center for a in group):
-        raise QuadratureError("the regions of one chart must be one box or annuli "
-                              "about one centre")
-    return AnnulusRegion(first.chart, first.center, min(a.r_inner for a in group),
-                         max(a.r_outer for a in group))
 
 
 def boundary_circle_integral(

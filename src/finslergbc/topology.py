@@ -59,12 +59,10 @@ class SectionField:
 class ZeroRecord:
     """One isolated zero of a section."""
 
-    def __init__(self, chart: str, location: tuple, degree: int | None = None,
-                 epsilon_schedule: tuple = (0.2, 0.1, 0.05)):
+    def __init__(self, chart: str, location: tuple, degree: int | None = None):
         self.chart = chart
         self.location = location
         self.degree = degree
-        self.epsilon_schedule = epsilon_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +168,21 @@ def _median(a) -> float:
     return float(np.mean(part[k - 1 + n % 2:k + 1]))
 
 
-def find_zeros(X: SectionField, epsilon_schedule=(0.2, 0.1, 0.05)) -> list[ZeroRecord]:
+# The radius of the circle on which find_zeros winds X about each zero.
+# It is not tied to the excised discs: Newton stops at |X| < 1e-12, which
+# places a degree-2 zero only to about 1e-6, so a circle of radius near
+# 1e-6 can pass beside the zero and read degree 0.
+DEGREE_PROBE_RADIUS = 0.025
+
+
+def find_zeros(X: SectionField) -> list[ZeroRecord]:
     """Grid scan for |X| minima inside each chart region, Newton-refined
     to |X| < 1e-12 and deduplicated through the atlas embedding.  Each
     chart's region box is sampled on a 48 x 48 grid, and a grid point
     seeds Newton's method where |X| is below 0.3 times the median of |X|
     over the grid.  The seeds keep their grid order, so the first seed
-    that refines to a zero gives its recorded location."""
+    that refines to a zero gives its recorded location.  Each zero's
+    degree is the winding of X on a circle of DEGREE_PROBE_RADIUS."""
     atlas = X.atlas
     records: list[ZeroRecord] = []
     embedded: list[np.ndarray] = []
@@ -204,10 +210,9 @@ def find_zeros(X: SectionField, epsilon_schedule=(0.2, 0.1, 0.05)) -> list[ZeroR
             i = int(np.argmin(dup))  # the first seed left in grid order
             dup |= np.linalg.norm(p - p[i], axis=-1) < 1e-3
             embedded.append(p[i])
-            records.append(ZeroRecord(chart, (float(zu[i]), float(zv[i])),
-                                      epsilon_schedule=tuple(epsilon_schedule)))
+            records.append(ZeroRecord(chart, (float(zu[i]), float(zv[i]))))
     for rec in records:
-        rec.degree = local_degree(X, rec, radius=0.5 * min(rec.epsilon_schedule))
+        rec.degree = local_degree(X, rec, radius=DEGREE_PROBE_RADIUS)
     return records
 
 

@@ -661,15 +661,24 @@ class TestMainEntry:
         import finslergbc.cli as cli
         from finslergbc.topology import ZeroRecord
 
-        def displaced(X, epsilon_schedule):
-            return [ZeroRecord("south", (0.3, 0.0), 1, epsilon_schedule),
-                    ZeroRecord("north", (0.0, 0.0), 1, epsilon_schedule)]
+        def displaced(X):
+            return [ZeroRecord("south", (0.3, 0.0), 1), ZeroRecord("north", (0.0, 0.0), 1)]
 
         monkeypatch.setattr(cli, "find_zeros", displaced)
         rc = cli.main(["gbc", "--order-base", "8", "--order-fiber", "16"])
         assert rc == 2
         err = capsys.readouterr().err
         assert "ValidationError" in err and "(0.3, 0.0)" in err
+
+    @pytest.mark.parametrize("power", [0, 2])
+    def test_degree_probe_ignores_small_epsilon(self, power, capsys):
+        """An epsilon schedule down to 1e-6 leaves the zeros' degrees alone:
+        the winding circle has a fixed radius, well above the ~1e-6 to which
+        Newton places the degree-2 zero (power 2 in the south chart, power 0
+        in the north), so Poincare-Hopf holds and the run exits 0."""
+        rc = main(["gbc", "--metric", "randers", "--field", "stereographic_power",
+                   "--power", str(power), "--epsilon-schedule", "0.1,1e-6"])
+        assert rc == 0, capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["minkowski-props"],

@@ -397,15 +397,16 @@ class TestBaseIntegral:
             return PointwiseForm({(0, 1): 0.0 * x1 + np.sin(x1) * np.sin(x2)})
 
         box = BoxRegion("torus", (0, 2 * math.pi), (0, 2 * math.pi))
-        (total,) = base_integral_excised(FormField(2, 2, two_form), [box], order=24)
+        (total,) = base_integral_excised(FormField(2, 2, two_form), box, order=24)
         assert abs(total) < 1e-10
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_stokes_with_excisions(self, sphere, seed):
         """Orientation convention: the integral of an exact global 2-form
-        over the excised sphere plus the counterclockwise boundary circle
-        integrals vanishes (interior chart seams cancel), for random
-        smooth global 1-forms built from the embedding scalars."""
+        over the excised sphere, each unit disc less its disc r <= eps,
+        plus the counterclockwise boundary circle integrals vanishes
+        (interior chart seams cancel), for random smooth global 1-forms
+        built from the embedding scalars."""
         from finslergbc.ad import Dual, partial, value
 
         rng = np.random.default_rng(seed)
@@ -433,8 +434,9 @@ class TestBaseIntegral:
         f1 = FormField(2, 1, lambda p: omega(p.chart)(p))
         f2 = exterior_derivative(f1)
         eps = 0.25
-        rings = [AnnulusRegion(chart, (0.0, 0.0), eps, 1.0) for chart in ("south", "north")]
-        total = sum(base_integral_excised(f2, rings, order=48))
+        discs = [base_integral_excised(f2, AnnulusRegion(chart, 1.0), order=48, radii=(eps,))
+                 for chart in ("south", "north")]
+        total = sum(whole - inner for whole, inner in discs)
         circles = sum(
             boundary_circle_integral(f1, chart, (0.0, 0.0), eps, order=64)
             for chart in ("south", "north")
@@ -442,13 +444,14 @@ class TestBaseIntegral:
         assert total + circles == pytest.approx(0.0, abs=1e-5)
 
     def test_annulus_area(self):
+        """The annulus 0.3 <= r <= 1 as the unit disc less its sub-disc."""
         f = FormField(2, 2, lambda p: PointwiseForm({(0, 1): 1.0 + 0.0 * p.coords[0]}))
-        (total,) = base_integral_excised(f, [AnnulusRegion("c", (0.0, 0.0), 0.3, 1.0)], order=24)
-        assert total == pytest.approx(math.pi * (1.0 - 0.09), rel=1e-12)
+        whole, inner = base_integral_excised(f, AnnulusRegion("c", 1.0), order=24, radii=(0.3,))
+        assert whole - inner == pytest.approx(math.pi * (1.0 - 0.09), rel=1e-12)
 
     @pytest.mark.parametrize("region", [
         BoxRegion("torus", (0.0, 2 * math.pi), (0.0, 2 * math.pi)),
-        AnnulusRegion("c", (0.0, 0.0), 0.0, 1.0),
+        AnnulusRegion("c", 1.0),
     ], ids=["box", "disc"])
     def test_passes_hold_one_block(self, region, monkeypatch):
         """With the block made small, no evaluation of the integrand holds
@@ -467,11 +470,11 @@ class TestBaseIntegral:
 
         f = FormField(2, 2, coefficient)
         whole_rules, blocked_rules = {}, {}
-        whole = base_integral_excised(f, [region], order=48, rules=whole_rules)
+        whole = base_integral_excised(f, region, order=48, rules=whole_rules)
         passes = len(sizes)
         sizes.clear()
         monkeypatch.setattr(quadrature, "_BLOCK_NODES", 100)
-        blocked = base_integral_excised(f, [region], order=48, rules=blocked_rules)
+        blocked = base_integral_excised(f, region, order=48, rules=blocked_rules)
         assert blocked == whole and blocked_rules == whole_rules
         assert len(sizes) > passes and max(sizes) <= 100
 
@@ -519,8 +522,7 @@ class TestDiscRule:
 
         def integral(coeff):
             f = FormField(2, 2, lambda p: PointwiseForm({(0, 1): coeff(*p.coords)}))
-            disc = AnnulusRegion("c", (0.0, 0.0), 0.0, radius)
-            return base_integral_excised(f, [disc], order=order)[0]
+            return base_integral_excised(f, AnnulusRegion("c", radius), order=order)[0]
 
         inv_r = integral(lambda x1, x2: 1.0 / np.hypot(x1, x2))
         assert inv_r == pytest.approx(2.0 * math.pi * radius, rel=1e-14)
@@ -528,12 +530,10 @@ class TestDiscRule:
         assert x1_sq == pytest.approx(math.pi * radius ** 3 / 3.0, rel=1e-14)
 
     def test_one_batch_per_chart(self, monkeypatch):
-        """The regions of one chart go through the form as one batch, built
-        without ChartPoints.of, and the values come back in region order:
-        the annuli of a chart share the nodes of the smallest annulus that
-        holds them all, n = 2 max(16, order // 3) radii times the 12 angles
-        at which the nested phi rule converges on a constant.  Annuli about
-        another centre, or a box, in the same chart are rejected."""
+        """A disc and its sub-discs go through the form as one batch, built
+        without ChartPoints.of, and the values come back as [I(R),
+        I(radii[0]), ...]: n = 2 max(16, order // 3) radii times the 12
+        angles at which the nested phi rule converges on a constant."""
         batches = []
 
         def f(p):
@@ -541,39 +541,43 @@ class TestDiscRule:
             return PointwiseForm({(0, 1): 1.0 + 0.0 * p.coords[0]})
 
         monkeypatch.setattr(ChartPoints, "of", None)
-        rings = [("a", 0.0, 0.2), ("b", 0.0, 1.0), ("a", 0.0, 0.1), ("b", 0.3, 0.6),
-                 ("a", 0.05, 0.1)]
-        areas = base_integral_excised(
-            FormField(2, 2, f), [AnnulusRegion(c, (0.0, 0.0), a, b) for c, a, b in rings],
-            order=48)
-        assert batches == [("a", 32 * 12), ("b", 32 * 12)]
-        assert areas == pytest.approx([math.pi * (b * b - a * a) for _, a, b in rings],
-                                      rel=1e-14)
-        for other in (AnnulusRegion("a", (0.5, 0.0), 0.0, 0.2),
-                      BoxRegion("a", (0.0, 1.0), (0.0, 1.0))):
-            with pytest.raises(ValueError, match="one centre"):
-                base_integral_excised(FormField(2, 2, f),
-                                      [AnnulusRegion("a", (0.0, 0.0), 0.0, 0.2), other])
+        for chart, radius, radii in (("a", 0.2, (0.1, 0.05)), ("b", 1.0, (0.6, 0.3, 0.0))):
+            batches.clear()
+            areas = base_integral_excised(FormField(2, 2, f), AnnulusRegion(chart, radius),
+                                          order=48, radii=radii)
+            assert batches == [(chart, 32 * 12)]
+            assert areas == pytest.approx([math.pi * r * r for r in (radius, *radii)],
+                                          rel=1e-14)
         for order, n in ((6, 32), (96, 64)):
             batches.clear()
-            base_integral_excised(FormField(2, 2, f), [AnnulusRegion("c", (0.0, 0.0), 0.0, 0.2)],
-                                  order=order)
+            base_integral_excised(FormField(2, 2, f), AnnulusRegion("c", 0.2), order=order)
             assert batches == [("c", n * 12)]
+
+    def test_rejects_radii_off_the_disc(self):
+        """Sub-disc radii must lie in [0, R], and a box takes none."""
+        f = FormField(2, 2, lambda p: PointwiseForm({(0, 1): 1.0 + 0.0 * p.coords[0]}))
+        for radii in ((0.3,), (0.1, -0.05)):
+            with pytest.raises(ValueError, match="leave the disc"):
+                base_integral_excised(f, AnnulusRegion("c", 0.2), radii=radii)
+        with pytest.raises(ValueError, match="need a disc"):
+            base_integral_excised(f, BoxRegion("c", (0.0, 1.0), (0.0, 1.0)), radii=(0.1,))
 
     @pytest.mark.parametrize("order", [6, 96])
     def test_sub_disc_weights_are_exact(self, order):
-        """The weights of a concentric sub-annulus a <= r <= b integrate
-        every r^k, k < n, exactly from the radial nodes of the whole disc:
-        (b^(k+1) - a^(k+1)) / (k + 1) from r^(k-1) at the nodes, down to
-        eps = 1e-6 ((k + 1) times the error reads at most 5.3e-17 on the
-        discs up to 1e-3 and the annulus 1e-6 <= r <= 1e-3); the row of the
-        whole disc is r times the Gauss weight to the bit."""
-        disc = AnnulusRegion("c", (0.0, 0.0), 0.0, 1.0)
+        """The weights of a sub-disc r <= b integrate every r^k, k < n,
+        exactly from the radial nodes of the whole disc: b^(k+1) / (k + 1)
+        from r^(k-1) at the nodes, down to b = 1e-6, and the difference of
+        two rows does the same on the annulus a <= r <= b ((k + 1) times
+        the error reads at most 5.3e-17 on the discs up to 1e-3 and the
+        annulus 1e-6 <= r <= 1e-3); the row of the whole disc is r times
+        the Gauss weight to the bit."""
+        disc = AnnulusRegion("c", 1.0)
         r, wr = disc.radii(order)
-        parts = [(0.0, 1e-6), (0.0, 1e-5), (0.0, 1e-4), (1e-6, 1e-3), (0.0, 1e-3), (0.0, 0.05),
-                 (0.0, 0.2), (0.0, 0.5), (0.05, 0.2), (0.0, 1.0)]
-        rows = disc.weights(order, parts)
+        radii = [1e-6, 1e-5, 1e-4, 1e-3, 0.05, 0.2, 0.5, 1.0]
+        rows = disc.weights(order, radii)
         assert np.array_equal(rows[-1], wr * r)
+        parts = [(0.0, b) for b in radii] + [(1e-6, 1e-3), (0.05, 0.2)]
+        rows = np.vstack([rows, rows[3] - rows[0], rows[5] - rows[4]])
         n = 2 * max(16, order // 3)
         assert len(r) == n
         for k in range(n):
@@ -584,7 +588,7 @@ class TestDiscRule:
     def test_rejects_non_base_two_form(self):
         with pytest.raises(ValueError):
             base_integral_excised(FormField(2, 1, lambda p: PointwiseForm()),
-                                  [AnnulusRegion("c", (0.0, 0.0), 0.0, 0.1)])
+                                  AnnulusRegion("c", 0.1))
 
     @pytest.mark.parametrize("order", [16, 48])
     def test_gbc_per_eps_matches_annulus_construction(self, order):
@@ -646,7 +650,7 @@ class TestDiscRule:
         fcD, fcN, _, _ = _build_connections(cfg, atlas, metric)
         X = _build_field(cfg, atlas)
         f = TransgressionForms(metric, fcD, fcN, order_fiber=cfg.order_fiber).gbc_integrand(X)
-        held = {rec.chart for rec in find_zeros(X, epsilon_schedule=cfg.epsilon_schedule)}
+        held = {rec.chart for rec in find_zeros(X)}
         schedule = [eps for eps, _ in report.convergence]
         discs = {chart: _disc_integrals(f, chart, [1.0] + schedule, 64, 128) for chart in held}
         whole = sum(_disc_integrals(f, chart, [1.0], 64, 128)[0]
@@ -685,13 +689,12 @@ class TestDiscRule:
         fcD, fcN, _, _ = _build_connections(cfg, atlas, metric)
         X = _build_field(cfg, atlas)
         f = TransgressionForms(metric, fcD, fcN, order_fiber=cfg.order_fiber).gbc_integrand(X)
-        held = {rec.chart for rec in find_zeros(X, epsilon_schedule=cfg.epsilon_schedule)}
-        regions = [AnnulusRegion(chart, (0.0, 0.0), 0.0, r) for chart in atlas.chart_ids
-                   for r in [1.0] + ([e for e, _ in report.convergence] if chart in held else [])]
-        values = base_integral_excised(f, regions, order=cfg.order_base)
-        for region, value in zip(regions, values):
-            if region.r_outer == 1.0:
-                assert abs(value - 0.15915494309189535) <= 1e-12, region.chart
+        held = {rec.chart for rec in find_zeros(X)}
+        schedule = [e for e, _ in report.convergence]
+        for chart in atlas.chart_ids:
+            whole = base_integral_excised(f, AnnulusRegion(chart, 1.0), order=cfg.order_base,
+                                          radii=schedule if chart in held else ())[0]
+            assert abs(whole - 0.15915494309189535) <= 1e-12, chart
         assert report.metadata["phi_nodes"] == "south=96,north=96"
         assert report.metadata["fiber_nodes"] == "south=128,north=128"
 
@@ -703,7 +706,7 @@ class TestDiscRule:
         that it did not converge, with the integral 4/3 still within 1e-3."""
         smooth = FormField(2, 2, lambda p: PointwiseForm({(0, 1): 1.0 + p.coords[0] ** 2}))
         kink = FormField(2, 2, lambda p: PointwiseForm({(0, 1): np.abs(p.coords[0])}))
-        disc = [AnnulusRegion("c", (0.0, 0.0), 0.0, 1.0)]
+        disc = AnnulusRegion("c", 1.0)
         rules = {}
         (area,) = base_integral_excised(smooth, disc, order=48, rules=rules)
         assert area == pytest.approx(1.25 * math.pi, rel=1e-14)
@@ -814,9 +817,14 @@ class TestConvergence:
         forms = TransgressionForms(round_metric, cartan_frame_round, cartan_frame_round)
         X = rotational_field(sphere)
         f2 = pullback_by_section(forms.gbc_integrand(), X)
-        rings = [AnnulusRegion(chart, (0.0, 0.0), 0.2, 1.0) for chart in ("south", "north")]
-        assert len(rings[0].radii(48)[0]) == 32
-        assert len(rings[0].radii(96)[0]) == 64
-        i48 = sum(base_integral_excised(f2, rings, order=48))
-        i96 = sum(base_integral_excised(f2, rings, order=96))
+        assert len(AnnulusRegion("south", 1.0).radii(48)[0]) == 32
+        assert len(AnnulusRegion("south", 1.0).radii(96)[0]) == 64
+
+        def excised(order):
+            """Each unit disc less its disc r <= 0.2."""
+            return sum(whole - inner for whole, inner in (
+                base_integral_excised(f2, AnnulusRegion(chart, 1.0), order=order, radii=(0.2,))
+                for chart in ("south", "north")))
+
+        i48, i96 = excised(48), excised(96)
         assert abs(i96 - i48) < 0.1 * 1e-2
