@@ -76,6 +76,9 @@ class BigradedElement:
     both indices strictly increasing, 0-based.
     """
 
+    # numpy defers to __rmul__: an array of per-point scalars scales each coefficient
+    __array_ufunc__ = None
+
     def __init__(self, n: int, form_dim: int,
                  terms: dict[tuple[Index, Index], complex] | None = None):
         self.n = n

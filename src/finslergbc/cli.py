@@ -10,7 +10,6 @@ declares each setting once, with its INI key and its flag.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -18,13 +17,11 @@ import time
 
 import numpy as np
 
-from .algebra import BigradedElement, exp_truncated
 from .chern_forms import TransgressionForms
 from .connection import (
     EhresmannData,
     cartan_connection,
     horizontal_part,
-    metric_compat_residual,
     modify,
     perturb_metric_compatible,
     perturbed_connection_data,
@@ -36,18 +33,14 @@ from .manifolds import METRICS, Atlas, install_metric, sphere_atlas, torus_atlas
 from .metric import (
     FIBER_ORDER,
     fiber_volume,
-    fiber_volume_form,
     norm_family,
     sum_norms,
 )
 from .quadrature import (
     AnnulusRegion,
     BoxRegion,
-    ChartPoints,
     base_integral_excised,
-    exterior_derivatives,
     extrapolate_to_zero,
-    gauss_legendre,
     in_blocks,
 )
 from .topology import (
@@ -541,176 +534,12 @@ def _volume_spread(forms: TransgressionForms, atlas: Atlas) -> float:
 # scenario: identities
 
 
-def _bundle_samples(cfg: ExperimentConfig, atlas: Atlas, count: int):
-    """count random sphere-bundle points in one batch per chart: the
-    charts share count evenly, the first ones taking one point more each
-    until the remainder is used up; a chart with no share gets no batch."""
-    rng = np.random.default_rng(cfg.seed)
-    pts = []
-    per, extra = divmod(count, len(atlas.chart_ids))
-    for k, chart in enumerate(atlas.chart_ids):
-        per_chart = per + (k < extra)
-        if per_chart == 0:
-            continue
-        if atlas.name == "sphere":
-            r = np.sqrt(rng.uniform(0.0, 0.92, per_chart))
-            ph = rng.uniform(0.0, 2.0 * math.pi, per_chart)
-            x1, x2 = r * np.cos(ph), r * np.sin(ph)
-        else:
-            x1 = rng.uniform(0.0, 2.0 * math.pi, per_chart)
-            x2 = rng.uniform(0.0, 2.0 * math.pi, per_chart)
-        th = rng.uniform(0.0, 2.0 * math.pi, per_chart)
-        pts.append(ChartPoints.of(chart, x1, x2, th))
-    return pts
-
-
-# The identity rows of run_identity_suite and their bounds, in report order.
-# The FD-based bounds are 40-70x the worst residual over seeds 1-20 on the
-# sphere with round_sphere and randers (eps 0.1) and the torus with
-# euclidean, riemannian and quartic, each with cartan, chern_modified and
-# perturbed (amplitude 0.2), at the default orders: eq33 2.3e-12, eq34
-# 4.7e-13, prop51 9.4e-14, lemma35 closedness 1.5e-11 and ODE 8.9e-12.
-# Stronger metrics are not covered: Randers eps 0.8 takes eq34 to 1.4e-9 at
-# seed 8, where the nested fiber rule changes its node count inside the
-# FD stencil (quadrature.NESTED_TOL).
-IDENTITY_BOUNDS = {
-    "eq33_dPi_minus_omega_nabla": 1e-10,
-    "eq34_gbc_exactness": 2e-11,
-    "prop51_chern_weil": 5e-12,
-    "prop33_fiber_volume_form": 1e-8,
-    "prop32_metric_compatibility": 1e-8,
-    "lemma35_closedness": 1e-9,
-    "lemma35_transgression_ode": 5e-10,
-}
-
-
 def run_identity_suite(cfg: ExperimentConfig) -> Report:
-    """Pointwise residuals of every identity the pipeline relies on."""
-    cfg.validate()
-    t0 = time.perf_counter()
-    atlas = _build_atlas(cfg)
-    metric = install_metric(atlas, cfg.metric, _metric_params(cfg))
-    fcD, fcN, nabla_data, eh = _build_connections(cfg, atlas, metric)
-    forms = TransgressionForms(metric, fcD, fcN, order_fiber=cfg.order_fiber)
-    batches = _bundle_samples(cfg, atlas, cfg.identity_samples)
+    """Pointwise residuals of every identity the pipeline relies on.  The
+    call loads ``identities``, so no other scenario compiles the suite."""
+    from . import identities
 
-    worst = dict.fromkeys(IDENTITY_BOUNDS, 0.0)
-    inv_v = lambda p: 1.0 / forms.volume(p)
-    integrand = forms.gbc_integrand()
-    u1_field = forms.mathai_quillen_field(1.0)
-    # Every finite-difference row reads one stencil sweep per batch, so each
-    # displaced batch evaluates pi, V and the curvature of nabla once for all
-    # five fields.  gbc_integrand takes its exact complex-step partials as
-    # in production, so eq34 compares them with this FD sweep.
-    differentiated = [forms.pi(), forms.upsilon1().scale_by(inv_v), forms.upsilon0(),
-                      u1_field, forms.mathai_quillen_primitive_field(1.0)]
-    for pts in batches:
-        dpi, rhs, du0, du1, dprim = exterior_derivatives(differentiated, pts)
-        omn = forms.omega_nabla()(pts)
-        x1, x2, th = pts.coords
-        # U_t = exp(-t^2/2) P(t) with P(t) = B(exp(-(i t nabla l + Omega))).
-        # At rank 2 (N_RANK) the Berezin integral keeps fiber degree 2 only,
-        # reached by (i t nabla l)^2 and by Omega, so P has degree at most 2
-        # in t and its central difference is exact: dU/dt = exp(-t^2/2)
-        # (P'(t) - t P(t)) carries rounding only, whatever h is.
-        h = 1e-3
-        P = lambda t: math.exp(0.5 * t * t) * forms.mathai_quillen_field(t)(pts)
-        batch = {
-            "eq33_dPi_minus_omega_nabla": (dpi - omn).max_abs(),
-            "eq34_gbc_exactness": (integrand(pts) - rhs).max_abs(),
-            "prop51_chern_weil": (du0 - (forms.omega_D()(pts) - omn)).max_abs(),
-            "prop33_fiber_volume_form": float(np.max(np.abs(
-                fiber_volume_form(metric, [x1, x2], th, pts.chart) - fcN.pi(pts)[2]))),
-            "prop32_metric_compatibility": metric_compat_residual(metric, nabla_data, pts, eh),
-            "lemma35_closedness": du1.max_abs(),
-            "lemma35_transgression_ode": ((math.exp(-0.5) / (2 * h)) * (P(1.0 + h) - P(1.0 - h))
-                                          - u1_field(pts) + 1j * dprim).max_abs(),
-        }
-        worst = {name: max(worst[name], batch[name]) for name in worst}
-
-    rows = [_bound(name, worst[name], bound) for name, bound in IDENTITY_BOUNDS.items()]
-    rows.append(_bound("eq32_component_identity", _eq32_residual(cfg.seed), 1e-10))
-    rows.append(_bound("gamma_coefficient_identity", _gamma_identity_residual(), 1e-14))
-
-    if cfg.dump_forms and cfg.out_dir:
-        _dump_forms(cfg, forms, batches)
-
-    meta = {
-        "metric": metric.label,
-        "connection": fcD.label,
-        "samples": cfg.identity_samples,
-        "runtime_s": f"{time.perf_counter() - t0:.2f}",
-        "seed": cfg.seed,
-    }
-    return Report("identities", rows, [], meta)
-
-
-def _eq32_residual(seed: int) -> float:
-    """Component of exp(-(i t nabla_l + Omega)) in A^{n-1,n-1} against the
-    closed form (-i)^{n-1} sum_k (t nabla_l)^{n-1-2k} Omega^k / (k! (n-1-2k)!)."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for n in (2, 3, 4):
-        for _ in range(5):
-            t = rng.uniform(0.2, 2.0)
-            nl = BigradedElement.zero(n, 3)
-            for j in range(n):
-                for a in range(3):
-                    nl.add_term((a,), (j,), complex(rng.standard_normal()))
-            om = BigradedElement.zero(n, 3)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    for a in range(3):
-                        for b in range(a + 1, 3):
-                            om.add_term((a, b), (i, j), complex(rng.standard_normal()))
-            brute = exp_truncated((-1.0) * ((1j * t) * nl + om)).component(n - 1, n - 1)
-            closed = BigradedElement.zero(n, 3)
-            for k in range(0, (n - 1) // 2 + 1):
-                term = BigradedElement.unit(n, 3)
-                for _ in range(n - 1 - 2 * k):
-                    term = term * (t * nl)
-                for _ in range(k):
-                    term = term * om
-                closed = closed + (
-                    ((-1j) ** (n - 1))
-                    / (math.factorial(k) * math.factorial(n - 1 - 2 * k))
-                ) * term
-            worst = max(worst, (brute - closed.component(n - 1, n - 1)).max_abs())
-    return worst
-
-
-def _gamma_identity_residual() -> float:
-    """int_0^inf t^{n-1-2k} e^{-t^2} dt = Gamma((n-2k)/2) / 2, on 64 nodes."""
-    worst = 0.0
-    t, w = gauss_legendre(0.0, 12.0, 64)
-    for n, k in ((2, 0), (3, 0), (3, 1), (4, 0), (4, 1)):
-        m = n - 1 - 2 * k
-        quad = float(np.sum(w * t ** m * np.exp(-t * t)))
-        worst = max(worst, abs(quad - 0.5 * math.gamma((n - 2 * k) / 2.0)))
-    return worst
-
-
-def _dump_forms(cfg: ExperimentConfig, forms: TransgressionForms, batches):
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    named = {
-        "pi": forms.pi(),
-        "upsilon1": forms.upsilon1(),
-        "omega_nabla": forms.omega_nabla(),
-    }
-    for name, ff in named.items():
-        path = os.path.join(cfg.out_dir, f"form_{name}.csv")
-        with open(path, "w") as fh:
-            fh.write("chart,x1,x2,theta,component,value\n")
-            for pts in batches:
-                w = ff(pts)
-                x1, x2, th = pts.coords
-                for key, arr in sorted(w.coeffs.items()):
-                    arr = np.broadcast_to(np.asarray(arr, dtype=float), x1.shape)
-                    for i in range(x1.size):
-                        fh.write(
-                            f"{pts.chart},{x1[i]:.10e},{x2[i]:.10e},{th[i]:.10e},"
-                            f"{'d'.join(str(a) for a in key)},{arr[i]:.12e}\n"
-                        )
+    return identities.run_identity_suite(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -858,6 +687,8 @@ def _merge(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
+    import argparse  # only the command line parses flags
+
     parser = argparse.ArgumentParser(
         prog="finslergbc",
         description="Numerical Gauss-Bonnet-Chern verification on Finsler surfaces",

@@ -7,9 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from finslergbc import cli
+from finslergbc import cli, identities
 from finslergbc.algebra import SkewMatrixValuedForm, pfaffian
-from finslergbc.chern_forms import TransgressionForms
+from finslergbc.identities import IdentityForms
 from finslergbc.cli import (
     ExperimentConfig,
     run_degrees,
@@ -131,7 +131,7 @@ def test_criterion_6_boundary_integral_limit():
     atlas = sphere_atlas()
     metric = install_metric(atlas, "randers", {"eps": 0.1})
     fc = to_orthonormal_frame(cartan_connection(), metric)
-    forms = TransgressionForms(metric, fc, fc)
+    forms = IdentityForms(metric, fc, fc)
     V0 = fiber_volume(metric, [0.0, 0.0], "south")
     radii = (0.2, 0.1, 0.05, 0.025)
     ok = True
@@ -157,13 +157,13 @@ def test_criterion_7_algebra_suite():
     rank over seeds 123 and 124), Pf = 0 for odd rank exactly, and the
     gamma-coefficient quadrature (1e-14), by the identity suite's own
     checks."""
-    worst32 = max(cli._eq32_residual(seed) for seed in (123, 124))
+    worst32 = max(identities._eq32_residual(seed) for seed in (123, 124))
 
     ent = [[{} for _ in range(3)] for _ in range(3)]
     ent[0][1], ent[1][0] = {(0, 1): 2.0}, {(0, 1): -2.0}
     pf3 = pfaffian(SkewMatrixValuedForm(3, 3, ent))
 
-    worst_gamma = cli._gamma_identity_residual()
+    worst_gamma = identities._gamma_identity_residual()
 
     ok = worst32 < 1e-10 and pf3 == {} and worst_gamma < 1e-14
     _line(7, "algebra suite", ok,

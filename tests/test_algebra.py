@@ -145,6 +145,19 @@ class TestProduct:
             assert (len(I), len(J)) == (3, 2)
 
 
+    def test_array_of_scalars_scales_point_by_point(self):
+        """An array of per-point scalars times an element, from either side,
+        is an element whose coefficients are scaled point by point (numpy
+        defers to __rmul__), as each scalar on its own scales them."""
+        rng = np.random.default_rng(4)
+        a = random_element(rng, 2, 1, 1)
+        s = np.array([0.5, -2.0, 3.0])
+        for got in (s * a, a * s):
+            assert isinstance(got, BigradedElement) and set(got.terms) == set(a.terms)
+            for k, c in a.terms.items():
+                assert [complex(v) for v in got.terms[k]] == [complex(x) * c for x in s]
+
+
 class TestBerezin:
     def test_top_multivector(self):
         assert berezin(elem(2, [((), (0, 1), 1.0)])) == {(): 1.0}

@@ -9,21 +9,21 @@ import numpy as np
 import pytest
 
 from finslergbc.algebra import SkewMatrixValuedForm, pfaffian, sort_with_parity
-from finslergbc.chern_forms import (
-    TransgressionForms,
-    mathai_quillen_Ut,
-    omega_pfaffian,
-    phi_k,
-    pi_coefficients,
-    pi_form,
-    upsilon1_coefficient,
-)
+from finslergbc.chern_forms import TransgressionForms, upsilon1_coefficient
 from finslergbc.connection import (
     cartan_connection,
     modify,
     perturbed_connection_data,
     sinusoidal_perturbation,
     to_orthonormal_frame,
+)
+from finslergbc.identities import (
+    IdentityForms,
+    mathai_quillen_Ut,
+    omega_pfaffian,
+    phi_k,
+    pi_coefficients,
+    pi_form,
 )
 from finslergbc.metric import fiber_volume
 from finslergbc.quadrature import (
@@ -80,12 +80,12 @@ def transgression_check(curv, conn, pts) -> float:
 
 @pytest.fixture(scope="module")
 def randers_forms(randers_metric, cartan_frame_randers):
-    return TransgressionForms(randers_metric, cartan_frame_randers, cartan_frame_randers)
+    return IdentityForms(randers_metric, cartan_frame_randers, cartan_frame_randers)
 
 
 @pytest.fixture(scope="module")
 def round_forms(round_metric, cartan_frame_round):
-    return TransgressionForms(round_metric, cartan_frame_round, cartan_frame_round)
+    return IdentityForms(round_metric, cartan_frame_round, cartan_frame_round)
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ def perturbed_setup(sphere, randers_metric, cartan_frame_randers):
     Dd = perturbed_connection_data(sphere, randers_metric, cart, P)
     fcD = to_orthonormal_frame(Dd, randers_metric)
     fcN = to_orthonormal_frame(modify(Dd), randers_metric)
-    return TransgressionForms(randers_metric, fcD, fcN)
+    return IdentityForms(randers_metric, fcD, fcN)
 
 
 class TestCoefficients:
@@ -236,7 +236,7 @@ class TestOmegaPfaffian:
 
     def test_flat_zero(self, flat_metric):
         fc = to_orthonormal_frame(cartan_connection(), flat_metric)
-        forms = TransgressionForms(flat_metric, fc, fc)
+        forms = IdentityForms(flat_metric, fc, fc)
         pts = bundle_points("torus", 10, seed=44)
         assert forms.omega_nabla()(pts).max_abs() < 1e-12
 
@@ -255,7 +255,7 @@ class TestTransgression:
 
     def test_eq33_flat_both_sides_zero(self, flat_metric):
         fc = to_orthonormal_frame(cartan_connection(), flat_metric)
-        forms = TransgressionForms(flat_metric, fc, fc)
+        forms = IdentityForms(flat_metric, fc, fc)
         pts = bundle_points("torus", 10, seed=46)
         dpi = exterior_derivative(forms.pi())(pts)
         assert dpi.max_abs() < 1e-10
@@ -320,7 +320,7 @@ class TestFrakE:
         fc = to_orthonormal_frame(cartan_connection(), quartic_metric)
         P = sinusoidal_perturbation(torus, fc, 0.2)
         Dd = perturbed_connection_data(torus, quartic_metric, cartan_connection(), P)
-        forms = TransgressionForms(
+        forms = IdentityForms(
             quartic_metric,
             to_orthonormal_frame(Dd, quartic_metric),
             to_orthonormal_frame(modify(Dd), quartic_metric),
@@ -748,7 +748,7 @@ class TestExactIntegrand:
         atlas = _build_atlas(cfg)
         met = install_metric(atlas, "randers", {"eps": eps})
         D, nabla, _, _ = _build_connections(cfg, atlas, met)
-        forms = TransgressionForms(met, D, nabla)
+        forms = IdentityForms(met, D, nabla)
         pts = bundle_points("south", 200, seed=98)
         assert (forms.omega_D()(pts) - forms.omega_nabla()(pts)).max_abs() > 0.05
         paper = (forms.omega_D() + forms.frak_e_field())(pts)

@@ -106,7 +106,8 @@ class TestConfig:
         with no share gets no batch.  An even count on the sphere draws
         the same points as the even split it always had, count // 2 per
         chart in chart order."""
-        from finslergbc.cli import _build_atlas, _bundle_samples
+        from finslergbc.cli import _build_atlas
+        from finslergbc.identities import _bundle_samples
 
         cfg = ExperimentConfig(manifold=manifold, seed=1234)
         atlas = _build_atlas(cfg)
@@ -447,13 +448,24 @@ class TestRunners:
         """The package's classes are plain classes and only --config reads
         INI text, so a passing gbc run and a passing identity suite leave
         dataclasses and configparser unloaded (numpy loads neither), in a
-        fresh interpreter."""
-        gbc = ("ExperimentConfig(metric='randers', connection='perturbed', order_base=12,"
-               " order_fiber=16)")
+        fresh interpreter.  Only main parses flags and only the identity
+        suite runs the general-rank forms, so a gbc run on the benchmark
+        workload's config leaves argparse and finslergbc.identities unloaded
+        as well, and run_identity_suite loads its module itself."""
+        gbc = ("ExperimentConfig(metric='randers', metric_eps=0.1, connection='perturbed',"
+               " perturbation_amplitude=0.2, vector_field='rotational', order_base=48,"
+               " order_fiber=64, epsilon_schedule=(0.2, 0.1, 0.05))")
         identities = "ExperimentConfig(metric='randers', identity_samples=20)"
+        modules = ("dataclasses", "configparser", "argparse", "finslergbc.identities",
+                   "finslergbc.algebra")
+        # The benchmark's tracer patches algebra through
+        # sys.modules["finslergbc.algebra"], so importing the cli must load
+        # it: without it every traced benchmark call fails.
+        assert _loaded_in_fresh_interpreter(modules, f"run_gbc({gbc})") == [
+            "finslergbc.algebra"]
         assert _loaded_in_fresh_interpreter(
-            ("dataclasses", "configparser"), f"run_gbc({gbc})",
-            f"run_identity_suite({identities})") == []
+            modules, f"run_gbc({gbc})", f"run_identity_suite({identities})") == [
+            "finslergbc.identities", "finslergbc.algebra"]
 
     @pytest.mark.parametrize("field", ["rotational", "height_gradient"])
     @pytest.mark.parametrize("connection", ["cartan", "perturbed", "chern_modified"])
@@ -518,6 +530,21 @@ class TestEmission:
 
 
 class TestMainEntry:
+    @pytest.mark.parametrize("sub", ["gbc", "identities", "minkowski-props", "degrees"])
+    def test_help_exits_zero(self, sub, capsys):
+        """Every subcommand's --help prints its flags and exits 0: the
+        parser, built inside main, still knows each setting's flag."""
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(s.flag in out for s in SETTINGS if s.flag)
+
+    def test_identities_without_samples_rejected(self, capsys):
+        """An identity run with no samples exits 2 before the suite loads."""
+        assert main(["identities", "--samples", "0"]) == 2
+        assert "identity samples" in capsys.readouterr().err
+
     def test_exit_zero_on_pass(self, capsys):
         rc = main(["degrees"])
         assert rc == 0
@@ -971,26 +998,26 @@ class TestEhresmannModes:
             assert len(lines) > 4
 
 
-def _scale_pi_weights(m, cf, cn):
+def _scale_pi_weights(m, cf, idn, cn):
     """Pi = c_0 Phi_0 with c_0 off by a relative 1e-6."""
-    weights = cf.pi_coefficients
-    m.setattr(cf, "pi_coefficients", lambda n: [(1.0 + 1e-6) * c for c in weights(n)])
+    weights = idn.pi_coefficients
+    m.setattr(idn, "pi_coefficients", lambda n: [(1.0 + 1e-6) * c for c in weights(n)])
 
 
-def _scale_dlogv(m, cf, cn):
+def _scale_dlogv(m, cf, idn, cn):
     """The d log V ^ Upsilon_1 term of the GBC integrand off by 0.1%."""
     dlog = cf.TransgressionForms.dlog_volume
     m.setattr(cf.TransgressionForms, "dlog_volume",
               lambda self, pts: tuple((1.0 - 1e-3) * d for d in dlog(self, pts)))
 
 
-def _scale_upsilon0(m, cf, cn):
+def _scale_upsilon0(m, cf, idn, cn):
     """Upsilon_0 off by a relative 1e-6."""
-    u0 = cf.chern_weil_upsilon0
-    m.setattr(cf, "chern_weil_upsilon0", lambda D, nabla: (1.0 + 1e-6) * u0(D, nabla))
+    u0 = idn.chern_weil_upsilon0
+    m.setattr(idn, "chern_weil_upsilon0", lambda D, nabla: (1.0 + 1e-6) * u0(D, nabla))
 
 
-def _tilt_curvature(m, cf, cn):
+def _tilt_curvature(m, cf, idn, cn):
     """Omega off by a relative 1e-6 x1, which no longer closes U_t."""
     omega = cn.CurvatureData.omega
 
@@ -1001,10 +1028,10 @@ def _tilt_curvature(m, cf, cn):
     m.setattr(cn.CurvatureData, "omega", tilted)
 
 
-def _scale_primitive(m, cf, cn):
+def _scale_primitive(m, cf, idn, cn):
     """The t-transgression primitive B(l . exp(-Theta_t)) off by 1e-6."""
-    prim = cf.TransgressionForms.mathai_quillen_primitive_field
-    m.setattr(cf.TransgressionForms, "mathai_quillen_primitive_field",
+    prim = idn.IdentityForms.mathai_quillen_primitive_field
+    m.setattr(idn.IdentityForms, "mathai_quillen_primitive_field",
               lambda self, t: (1.0 + 1e-6) * prim(self, t))
 
 
@@ -1015,12 +1042,12 @@ class TestIdentityBounds:
     def test_gamma_row_fails_on_a_coarse_rule(self, monkeypatch):
         """gamma_coefficient_identity reads about 2e-15 on its 64-node rule,
         under its 1e-14 bound; capped at 24 nodes it reads about 4e-9."""
-        import finslergbc.cli as cli
+        import finslergbc.identities as idn
 
         cfg = ExperimentConfig(metric="round_sphere", identity_samples=2)
         assert run_identity_suite(cfg).row("gamma_coefficient_identity").passed
-        rule = cli.gauss_legendre
-        monkeypatch.setattr(cli, "gauss_legendre",
+        rule = idn.gauss_legendre
+        monkeypatch.setattr(idn, "gauss_legendre",
                             lambda a, b, order: rule(a, b, min(order, 24)))
         row = run_identity_suite(cfg).row("gamma_coefficient_identity")
         assert not row.passed
@@ -1037,12 +1064,13 @@ class TestIdentityBounds:
                                       monkeypatch):
         import finslergbc.chern_forms as cf
         import finslergbc.connection as cn
+        import finslergbc.identities as idn
 
         cfg = ExperimentConfig(metric="randers", connection=connection,
                                identity_samples=20)
         assert run_identity_suite(cfg).row(row).passed
         with monkeypatch.context() as m:
-            mutate(m, cf, cn)
+            mutate(m, cf, idn, cn)
             mutated = run_identity_suite(cfg).row(row)
         assert not mutated.passed
         assert mutated.value < old_bound

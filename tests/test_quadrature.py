@@ -786,20 +786,20 @@ class TestFiberIntegral:
     def test_upsilon1_over_v_gives_minus_one_over_2pi(self, randers_metric,
                                                       cartan_frame_randers):
         """int_fiber Upsilon_1 / V = (-1)^{n-1} / vol(S^1) = -1/(2 pi)."""
-        from finslergbc.chern_forms import TransgressionForms
+        from finslergbc.identities import IdentityForms
         from finslergbc.metric import fiber_volume
 
-        forms = TransgressionForms(randers_metric, cartan_frame_randers, cartan_frame_randers)
+        forms = IdentityForms(randers_metric, cartan_frame_randers, cartan_frame_randers)
         x = (0.3, 0.2)
         V = fiber_volume(randers_metric, x, "south")
         got = fiber_integral(forms.upsilon1(), "south", x, order=64) / V
         assert got == pytest.approx(-1.0 / (2 * math.pi), abs=1e-9)
 
     def test_phi0_over_factorial_gives_volume(self, randers_metric, cartan_frame_randers):
-        from finslergbc.chern_forms import TransgressionForms
+        from finslergbc.identities import IdentityForms
         from finslergbc.metric import fiber_volume
 
-        forms = TransgressionForms(randers_metric, cartan_frame_randers, cartan_frame_randers)
+        forms = IdentityForms(randers_metric, cartan_frame_randers, cartan_frame_randers)
         x = (-0.2, 0.5)
         got = fiber_integral(forms.phi(0), "south", x, order=64)
         assert got == pytest.approx(fiber_volume(randers_metric, x, "south"), abs=1e-9)
