@@ -31,7 +31,6 @@ __all__ = [
     "value",
     "partial",
     "seed_pair",
-    "linear_map",
     "sqrt",
     "exp",
     "log",
@@ -234,12 +233,6 @@ def seed_pair(x1, x2, *others):
     ndim = max(map(np.ndim, (x1, x2, *others)))
     s = np.eye(2).reshape((2, 2) + (1,) * ndim)
     return Dual(x1, s[0]), Dual(x2, s[1])
-
-
-def linear_map(fn, x):
-    """Apply a linear map of arrays to the value and every derivative of x
-    (linear maps commute with differentiation)."""
-    return Dual(linear_map(fn, x.val), linear_map(fn, x.eps)) if isinstance(x, Dual) else fn(x)
 
 
 def sqrt(x):

@@ -13,9 +13,8 @@ import math
 
 import numpy as np
 
-from .ad import partial, seed_pair, value
 from .algebra import pfaffian_norm_constant
-from .connection import AXES, CurvatureData, FrameConnection
+from .connection import AXES, FrameConnection
 from .metric import FIBER_ORDER, FinslerMetric, fiber_volume
 from .quadrature import (
     ChartPoints,
@@ -52,8 +51,6 @@ class TransgressionForms:
         self.n = nabla.n
         self.order_fiber = order_fiber
         self.fiber_rules = {}
-        self.curv_D = CurvatureData(D)
-        self.curv_nabla = CurvatureData(nabla)
 
     # --- fiber volume -------------------------------------------------------
     def volume(self, pts: ChartPoints) -> np.ndarray:
@@ -61,17 +58,19 @@ class TransgressionForms:
             self.metric, pts.coords[:2], pts.chart, self.order_fiber, self.fiber_rules))
 
     def dlog_volume(self, pts: ChartPoints):
-        """(d log V / dx1, d log V / dx2), exact, from one fiber-volume pass:
-        x1 and x2 are seeded on one leading axis of length 2 (the rows of
-        the identity), so the pass carries dV/dx1 and dV/dx2 side by side.
-        Its value part is V, which is cached for ``volume`` if no plain
-        pass has run yet."""
+        """(d log V / dx1, d log V / dx2), exact to rounding, from one
+        complex-step sweep of ``fiber_volume`` along the two base axes
+        (``complex_step_partials``), both stacked on one pass.  Each
+        shifted point sizes its fiber rule on V and on its own derivative.
+        The sweep's values are V, which is cached for ``volume`` if no
+        plain pass has run yet."""
         def dlog():
-            jet = fiber_volume(self.metric, list(seed_pair(*pts.coords[:2])), pts.chart,
-                               self.order_fiber, self.fiber_rules)
-            V = pts.cached(("V", self), lambda: value(jet))
-            dV = np.broadcast_to(partial(jet), (2,) + V.shape)
-            return dV[0] / V, dV[1] / V
+            values, (d1, d2) = complex_step_partials(
+                lambda q: {"V": fiber_volume(self.metric, q.coords, q.chart,
+                                             self.order_fiber, self.fiber_rules)},
+                ChartPoints(pts.chart, pts.coords[:2]))
+            V = pts.cached(("V", self), lambda: values["V"])
+            return d1["V"] / V, d2["V"] / V
 
         return pts.cached(("dlogV", self), dlog)
 

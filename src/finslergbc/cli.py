@@ -722,4 +722,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # run as a script, this module would run nothing and exit 0
+    sys.stderr.write("error [ValidationError]: run the command line as `python -m finslergbc`\n")
+    sys.exit(2)

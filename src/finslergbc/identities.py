@@ -26,7 +26,7 @@ from .cli import ExperimentConfig, Report, _bound, _build_atlas, _build_connecti
 from .connection import AXES, CurvatureData, FrameConnection, metric_compat_residual
 from .errors import ValidationError
 from .manifolds import Atlas, install_metric
-from .metric import fiber_volume_form
+from .metric import FIBER_ORDER, FinslerMetric, fiber_volume_form
 from .quadrature import ChartPoints, FormField, PointwiseForm, exterior_derivatives, gauss_legendre
 
 __all__ = ["phi_k", "pi_coefficients", "pi_form", "omega_pfaffian", "chern_weil_upsilon0",
@@ -154,7 +154,15 @@ def mathai_quillen_Ut(t: float, nabla_ell: BigradedElement, Omega: BigradedEleme
 class IdentityForms(TransgressionForms):
     """The forms of ``TransgressionForms`` and, beside its fused rank-2
     integrand, every general-rank form the identity suite checks it
-    against, built through the skew tables and the bigraded algebra."""
+    against, built through the skew tables and the bigraded algebra.
+    ``curv_D`` and ``curv_nabla`` are the curvature data of D and nabla;
+    the fused integrand reads neither."""
+
+    def __init__(self, metric: FinslerMetric, D: FrameConnection,
+                 nabla: FrameConnection, order_fiber: int = FIBER_ORDER):
+        super().__init__(metric, D, nabla, order_fiber)
+        self.curv_D = CurvatureData(D)
+        self.curv_nabla = CurvatureData(nabla)
 
     def dlogv_field(self) -> FormField:
         def func(pts: ChartPoints) -> PointwiseForm:

@@ -7,10 +7,12 @@ angle of y, read off a truncated Taylor series in theta (``ad.Jet``):
 ``MinkowskiNorm.fundamental`` and ``cartan`` evaluate the norm once on
 such a jet, ``metric_jets`` gives g, A and the mixed x-y jets from two
 evaluations, and ``fiber_volume_form`` the indicatrix volume density
-from one.  A seeded base coordinate is a ``Dual`` outside the theta-jet,
-never inside it.  Every norm and metric here lives on a surface (rank
-2).  Evaluations accept numpy arrays in every coordinate slot, so one
-call covers a whole batch of points.
+from one.  A base coordinate ``metric_jets`` seeds is a ``Dual`` outside
+the theta-jet, never inside it; the fiber volume takes real or complex
+base coordinates, so it is differentiated by complex step.  Every norm
+and metric here lives on a surface (rank 2).  Evaluations accept numpy
+arrays in every coordinate slot, so one call covers a whole batch of
+points.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import ad
-from .ad import Dual, Jet, partial, taylor_coefficient, value
+from .ad import Jet, partial, taylor_coefficient
 from .errors import DomainError, InvalidMetricError
-from .quadrature import in_blocks, nested_periodic_rule
+from .quadrature import COMPLEX_STEP, in_blocks, nested_periodic_rule
 
 __all__ = [
     "MinkowskiNorm",
@@ -273,11 +275,11 @@ def fiber_volume_form(metric: FinslerMetric, x, theta, chart: str | None = None)
     along y = (cos theta, sin theta), so the pulled-back volume form
     sqrt(det g) (l^1 dl^2 - l^2 dl^1) is rho = sqrt((f + f'') / f), read
     off one degree-2 Taylor jet of F in theta: f = c[0], f'' = 2 c[2].
-    A slot of x may carry one dual layer (a seeded base point), which stays
-    outside the theta-jet; rho then carries it too.
+    The slots of x may be complex, as under a complex-step sweep of the
+    base point; nothing here casts them to float.
     """
     chart = _default_chart(metric, chart)
-    x = [c if isinstance(c, Dual) else np.asarray(c, dtype=float) for c in x]
+    x = [np.asarray(c) for c in x]
     jet = metric.charts[chart](x, list(_circle_taylor(np.asarray(theta, dtype=float), 2)))
     f, f2 = taylor_coefficient(jet, 0), 2.0 * taylor_coefficient(jet, 2)
     return ad.sqrt((f + f2) / f)
@@ -297,70 +299,46 @@ def fiber_volume(metric: FinslerMetric, x, chart: str | None = None,
                  order: int = FIBER_ORDER, rules: dict | None = None):
     """V(x): Riemannian volume of the indicatrix fiber at each base point.
 
-    x = (x1, x2) holds scalars or arrays; the result has their broadcast
-    shape.  The density is integrated by the nested periodic trapezoid
-    rule (``quadrature.nested_periodic_rule``) of at most order nodes,
-    sized at each base point on its own: a point stops once, from n/2 to n
-    nodes, neither its V nor any derivative part of it moves by more than
-    NESTED_TOL of its V.  So a point's V reads its own row only, not the
-    rest of its batch.  Each pass works through the points still doubling
-    in blocks of at most max(1, _BLOCK_NODES // nodes) base points, nodes
-    being the pass's own (``quadrature.in_blocks``).  A slot of x may
-    carry one dual layer (a seeded base point); V then carries the exact
-    derivative along the seed.  The seed may have leading axes of its
-    own, e.g. one per chart axis when both coordinates are seeded at once;
-    V's derivative keeps them in front of the batch axes.  The rule works
-    on plain arrays whose leading part axis holds the value and every
-    seed's derivative (``_fiber_sums``); the dual is built once, from the
-    converged parts.  ``rules``, if given, maps the chart to the most
-    nodes any of its points took and whether every point converged."""
+    x = (x1, x2) holds scalars or arrays, real or complex; the result has
+    their broadcast shape.  The density is integrated by the nested
+    periodic trapezoid rule (``quadrature.nested_periodic_rule``) of at
+    most order nodes, sized at each base point on its own: a point stops
+    once, from n/2 to n nodes, neither Re V nor Im V / COMPLEX_STEP moves
+    by more than NESTED_TOL of Re V.  At a point a complex-step sweep
+    shifts, those are V and its derivative along the sweep's direction.
+    A point's V reads its own row only, not the rest of its batch.  Each
+    pass works through the points still doubling in blocks of at most
+    max(1, _BLOCK_NODES // nodes) base points, nodes being the pass's own
+    (``quadrature.in_blocks``).  ``rules``, if given, maps the chart to the
+    most nodes any of its points took and whether every point converged."""
     chart = _default_chart(metric, chart)
-    shape = np.broadcast_shapes(*(np.shape(value(c)) for c in x))
-    size = math.prod(shape)
-
-    def flatten(a):
-        lead = np.shape(a)[:max(0, np.ndim(a) - len(shape))]
-        return np.broadcast_to(a, lead + shape).reshape(lead + (size,))
-
-    flat = [ad.linear_map(flatten, c) for c in x]
-    seeds = [np.shape(c.eps)[:-1] for c in flat if isinstance(c, Dual)]
-    lead = np.broadcast_shapes(*seeds) if seeds else None
+    shape = np.broadcast_shapes(*map(np.shape, x))
+    flat = [np.broadcast_to(c, shape).reshape(-1) for c in x]
 
     def sums(th, live):
-        return in_blocks(lambda s: _fiber_sums(
-            metric, [ad.linear_map(lambda a: a[..., live[s]], c) for c in flat], chart, th, lead),
-            live.size, th.size, axis=-2)
+        return in_blocks(lambda s: _fiber_sums(metric, [c[live[s]] for c in flat], chart, th),
+                         live.size, th.size)
 
     def change(V, half):
-        return np.max(np.abs(V - half) / V[0], axis=0)
+        moved = V - half
+        return np.maximum(np.abs(moved.real), np.abs(moved.imag) / COMPLEX_STEP) / V.real
 
-    V, n, converged = nested_periodic_rule(sums, order, change, size)
+    V, n, converged = nested_periodic_rule(sums, order, change, math.prod(shape))
     if rules is not None:
         prev_n, prev_ok = rules.get(chart, (0, True))
         rules[chart] = (max(int(n.max(initial=0)), prev_n), bool(converged.all()) and prev_ok)
-    if lead is None:
-        return V[0].reshape(shape)
-    return Dual(V[0].reshape(shape), V[1:].reshape(lead + shape))
+    return V.reshape(shape)
 
 
-def _fiber_sums(metric: FinslerMetric, x, chart: str, th, lead):
+def _fiber_sums(metric: FinslerMetric, x, chart: str, th):
     """The sums of the fiber density over the last axis of the 2-D node
-    array th, at each base point, as one plain array of shape (parts,
-    points, rows of th): part 0 is the value, and for a seeded x (lead
-    not None, the seed's own leading axes) the parts after it are the
-    derivative along each seed, in the order of the seed axes.  Each sum
-    is a ufunc reduction over the node axis, so each base point's sum
-    depends on its own row alone, not on where the row sits in the batch
-    or on the batch size (a matrix-vector product does not promise
-    that)."""
-    x = [ad.linear_map(lambda a: np.asarray(a, dtype=float)[..., None, None], c) for c in x]
-    rho = fiber_volume_form(metric, x, th, chart)
-    shape = np.broadcast_shapes(*(np.shape(value(c)) for c in x), th.shape)
-    parts = [np.add.reduce(np.broadcast_to(value(rho), shape), -1)[None]]
-    if lead is not None:
-        eps = np.add.reduce(np.broadcast_to(partial(rho), lead + shape), -1)
-        parts.append(eps.reshape((-1,) + shape[:-1]))
-    return np.concatenate(parts)
+    array th at the base points x (two 1-D arrays), shape (points, rows of
+    th).  Each sum is a ufunc reduction over the node axis, so each base
+    point's sum depends on its own row alone, not on where the row sits in
+    the batch or on the batch size (a matrix-vector product does not
+    promise that)."""
+    rho = fiber_volume_form(metric, [c[:, None, None] for c in x], th, chart)
+    return np.add.reduce(np.broadcast_to(rho, x[0].shape + th.shape), -1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,21 @@ torus).  One call integrates one disc, and its concentric sub-discs are
 read off its samples.  The angle of its polar rule, like the fiber circle of
 ``metric.fiber_volume``, is integrated by one nested periodic trapezoid
 rule that sizes itself by doubling (``nested_periodic_rule``).  It works
-on plain arrays: a caller that integrates several things side by side
-(a value and its derivatives, say) puts them on leading part axes, so
+on plain arrays, real or complex: a caller that integrates several things
+side by side (a value and its absolute value, say) puts them on leading
+part axes, and a complex-step derivative rides in the imaginary part, so
 nothing here builds a dual number.
 
 Forms are stored as antisymmetric coefficient tables over ordered axis
 subsets of a chart; fields evaluate whole batches of chart points at once,
 so every coefficient is a numpy array over the batch.  Chart partials of a
 coefficient table come from one of two kernels: ``complex_step_partials``,
-exact to rounding, serves the production GBC integrand in one pass per
-batch, every direction stacked on a leading axis, and returns the table's
-values from that pass; the finite-difference stencil ``central_partials``
-serves the exterior derivatives of the identity checks as an independent
-oracle, in one pass per chart axis.
+exact to rounding, serves the production GBC integrand (d pi_0^1 and
+d log V) in one pass per sweep, every direction stacked on a leading
+axis, and returns the table's values from that pass; the
+finite-difference stencil ``central_partials`` serves the exterior
+derivatives of the identity checks as an independent oracle, in one pass
+per chart axis.
 """
 
 from __future__ import annotations
@@ -443,10 +445,9 @@ NESTED_TOL = 1e-9
 
 # The most quadrature nodes one evaluation of an integrand may hold: a phi
 # pass of base_integral_excised holds base points, a fiber pass of
-# metric.fiber_volume base points x fiber nodes.  The ~36 fiber arrays of a
-# plain pass and the ~250 of a two-seed pass stay cache-sized (Lam,
-# Rothberg & Wolf, ASPLOS 1991), and the gbc integrand's complex-step
-# tensor chain stays bounded at any order.
+# metric.fiber_volume base points x fiber nodes.  The fiber arrays of a
+# pass stay cache-sized (Lam, Rothberg & Wolf, ASPLOS 1991), and the gbc
+# integrand's complex-step tensor chain stays bounded at any order.
 _BLOCK_NODES = 8192
 
 
@@ -472,8 +473,9 @@ def nested_periodic_rule(sums, cap: int, change, items: int = 1):
     returns its sums over the last axis as one plain array of shape
     (parts..., items, rows of angles): the leading part axes carry
     whatever the caller integrates side by side, e.g. a value and its
-    derivatives, or a value and its absolute value.  change(T_n, T_{n/2})
-    returns the caller's measure of their difference per item.  The rule
+    absolute value (a complex-step derivative rides in the imaginary part
+    instead).  change(T_n, T_{n/2}) returns the caller's measure of their
+    difference per item.  The rule
     starts at n = the cap rounded down to even (at least 2), halved while
     n/2 stays even and at least PERIODIC_FLOOR, in one pass over the n
     nodes 2 pi k / n whose rows are the even and the odd k: the even ones

@@ -5,7 +5,7 @@ import pytest
 
 from finslergbc.connection import cartan_connection, to_orthonormal_frame
 from finslergbc.manifolds import install_metric, sphere_atlas, torus_atlas
-from finslergbc.quadrature import ChartPoints, FormField, PointwiseForm
+from finslergbc.quadrature import ChartPoints, FormField, PointwiseForm, complex_step_partials
 
 
 @pytest.fixture(scope="session")
@@ -70,6 +70,19 @@ def zero_step_stack(pts, rows):
               else np.stack([c + 0j] * len(rows))
               for j, c in enumerate(np.broadcast_arrays(*pts.coords))]
     return ChartPoints(pts.chart, tuple(coords))
+
+
+def spy_on_pi_sweeps(monkeypatch, spy):
+    """Route the complex-step sweeps of ``chern_forms`` by their points:
+    the pi_0^1 sweeps of gbc_integrand run on bundle points (x1, x2, theta)
+    and go to spy(payload, pts, directions); the V sweeps of dlog_volume
+    run on base points (x1, x2) and go to complex_step_partials itself."""
+    import finslergbc.chern_forms as cf
+
+    def routed(payload, pts, directions=None):
+        return (spy if pts.dim == 3 else complex_step_partials)(payload, pts, directions)
+
+    monkeypatch.setattr(cf, "complex_step_partials", routed)
 
 
 def frame_form(conn, i: int, j: int) -> FormField:

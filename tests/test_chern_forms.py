@@ -34,7 +34,7 @@ from finslergbc.quadrature import (
     gauss_legendre,
 )
 
-from conftest import bundle_points, zero_step_stack
+from conftest import bundle_points, spy_on_pi_sweeps, zero_step_stack
 
 
 def _double_factorial(m: int) -> int:
@@ -446,7 +446,7 @@ class TestDlogVolume:
         assert max(np.max(np.abs(d1)), np.max(np.abs(d2))) <= 1e-14
 
     def test_matches_finite_differences(self, randers_forms, randers_metric):
-        """The dual-seeded derivative agrees with the central-difference
+        """The complex-step derivative agrees with the central-difference
         stencil applied to fiber_volume on the base points."""
         from finslergbc.quadrature import central_partials
 
@@ -461,8 +461,8 @@ class TestDlogVolume:
 
     def test_volume_reused_from_seeded_pass(self, randers_metric, cartan_frame_randers,
                                             monkeypatch):
-        """After dlog_volume, V is the value part of its seeded pass: one
-        fiber-volume pass per batch, and V agrees with a fresh plain
+        """After dlog_volume, V is the value part of its complex-step sweep:
+        one fiber-volume pass per batch, and V agrees with a fresh plain
         pass to 1e-14 relative."""
         import finslergbc.chern_forms as cf
 
@@ -479,19 +479,21 @@ class TestDlogVolume:
 
     @pytest.mark.parametrize("count", [30, 300])
     def test_matches_single_seed_passes(self, randers_metric, cartan_frame_randers, count):
-        """The one two-seed pass gives the same bits as one pass per chart
-        axis with a scalar seed, on one block and on several."""
-        from finslergbc.ad import Dual, partial, value
+        """Each axis of dlog_volume, whose sweep stacks both base axes on one
+        pass, has the bits of a complex-step pass of fiber_volume along that
+        axis alone, on one block and on several: a shifted point sizes its
+        fiber rule on its own V and derivative, whatever rides along."""
+        from finslergbc.quadrature import complex_step_partials
 
         forms = TransgressionForms(randers_metric, cartan_frame_randers, cartan_frame_randers)
         pts = bundle_points("south", count, seed=94)
         got = forms.dlog_volume(pts)
-        x1, x2 = pts.coords[:2]
-        V = None
-        for A, x in enumerate(([Dual(x1, 1.0), x2], [x1, Dual(x2, 1.0)])):
-            jet = fiber_volume(randers_metric, x, "south")
-            V = value(jet) if V is None else V
-            assert np.array_equal(got[A], np.broadcast_to(partial(jet), V.shape) / V)
+        V = forms.volume(pts)
+        base = ChartPoints(pts.chart, pts.coords[:2])
+        for A, row in enumerate(([1.0, 0.0], [0.0, 1.0])):
+            _, (dV,) = complex_step_partials(
+                lambda q: {"V": fiber_volume(randers_metric, q.coords, q.chart)}, base, [row])
+            assert np.array_equal(got[A], dV["V"] / V)
 
     def test_constant_volume_zero(self, quartic_metric):
         """An x-independent norm gives d log V = 0 on the whole batch."""
@@ -626,9 +628,11 @@ class TestStackedStencil:
             gc.enable()
 
     def test_complex_batches_freed_on_return(self, perturbed_setup, monkeypatch):
-        """The one complex-shifted batch of gbc_integrand, every chart axis
-        stacked on it, with the tensors cached on it, is released by
-        reference counting alone once the integrand returns."""
+        """The two complex-shifted batches of gbc_integrand, each with its
+        directions stacked on it, are released by reference counting alone
+        once the integrand returns: the pi_0^1 sweep's bundle batch, every
+        chart axis stacked, with the tensors cached on it, and the base
+        batch of dlog_volume's V sweep."""
         import gc
         import weakref
 
@@ -637,9 +641,9 @@ class TestStackedStencil:
 
         refs = []
 
-        def spy(payload, pts, directions):
+        def spy(payload, pts, directions=None):
             def recorded(q):
-                refs.append(weakref.ref(q))
+                refs.append((q.dim, weakref.ref(q)))
                 return payload(q)
 
             return complex_step_partials(recorded, pts, directions)
@@ -648,8 +652,8 @@ class TestStackedStencil:
         gc.disable()
         try:
             perturbed_setup.gbc_integrand()(bundle_points("south", 10, seed=97))
-            assert len(refs) == 1
-            assert all(r() is None for r in refs)
+            assert sorted(dim for dim, _ in refs) == [2, 3]
+            assert all(r() is None for _, r in refs)
         finally:
             gc.enable()
 
@@ -665,11 +669,11 @@ class TestExactIntegrand:
                                         "riemannian"])
     def test_gbc_integrand_matches_fd_oracle(self, metric, connection, ehresmann,
                                              monkeypatch):
-        """The integrand from complex-step partials agrees with the one
-        from the finite-difference stencil on every zoo metric and
-        connection.  The FD error over seeds 1-3 and 95 on these batches is
-        at most 1.0e-12 (7.6e-13 at this seed), so the bound is 3e-12."""
-        import finslergbc.chern_forms as cf
+        """The integrand from complex-step partials of pi_0^1 agrees with
+        the one from the finite-difference stencil on every zoo metric and
+        connection; d log V comes from its own complex-step sweep in both.
+        The FD error over seeds 1-3 and 95 on these batches is at most
+        1.0e-12 (7.6e-13 at this seed), so the bound is 3e-12."""
         from finslergbc.cli import ExperimentConfig, _build_atlas, _build_connections
         from finslergbc.manifolds import install_metric
         from finslergbc.quadrature import central_partials
@@ -684,9 +688,8 @@ class TestExactIntegrand:
         integrand = TransgressionForms(met, D, nabla).gbc_integrand()
         fresh = lambda: bundle_points(atlas.chart_ids[-1], 25, seed=95)
         got = integrand(fresh())
-        monkeypatch.setattr(cf, "complex_step_partials",
-                            lambda payload, pts, directions: (payload(pts),
-                                                              central_partials(payload, pts)))
+        spy_on_pi_sweeps(monkeypatch, lambda payload, pts, directions: (
+            payload(pts), central_partials(payload, pts)))
         want = integrand(fresh())
         assert set(got.coeffs) == set(want.coeffs)
         if metric in ("round_sphere", "randers") or connection == "perturbed":
@@ -704,7 +707,6 @@ class TestExactIntegrand:
         complex division multiplies by a reciprocal, so against the payload
         in real arithmetic they agree to 4e-15 of the largest entry (1.8e-15
         is the most seen over seeds 0-19, both charts, eps 0.1 and 0.7)."""
-        import finslergbc.chern_forms as cf
         from finslergbc.cli import ExperimentConfig, _build_atlas, _build_connections
         from finslergbc.manifolds import install_metric
         from finslergbc.quadrature import complex_step_partials
@@ -720,7 +722,7 @@ class TestExactIntegrand:
             swept.append((payload, values))
             return values, partials
 
-        monkeypatch.setattr(cf, "complex_step_partials", spy)
+        spy_on_pi_sweeps(monkeypatch, spy)
         TransgressionForms(met, D, nabla).gbc_integrand()(bundle_points(chart, 25, seed=95))
         (payload, values), = swept
         # fresh batches, so no cached tensors are shared
@@ -802,16 +804,16 @@ class TestSectionIntegrand:
         assert t_max == 0.0 if manifold == "torus" else t_max > 1.0
 
     def test_section_sweep_takes_two_rows(self, sphere, perturbed_setup, monkeypatch):
-        """With a section the complex-step sweep runs along its two tangent
-        rows, where the bundle form takes three, each in one payload pass
-        per batch."""
+        """With a section the pi_0^1 sweep runs along its two tangent rows,
+        where the bundle form takes three; d log V is swept along the two
+        base axes either way.  Each sweep is one payload pass per batch."""
         import finslergbc.chern_forms as cf
         from finslergbc.quadrature import complex_step_partials
         from finslergbc.topology import rotational_field
 
         sweeps = []
 
-        def spy(payload, pts, directions):
+        def spy(payload, pts, directions=None):
             calls = []
 
             def counted(q):
@@ -819,11 +821,11 @@ class TestSectionIntegrand:
                 return payload(q)
 
             values, partials = complex_step_partials(counted, pts, directions)
-            sweeps.append((len(partials), len(calls)))
+            sweeps.append(("pi" if pts.dim == 3 else "V", len(partials), len(calls)))
             return values, partials
 
         monkeypatch.setattr(cf, "complex_step_partials", spy)
         x1, x2, th = bundle_points("south", 10, seed=42).coords
         perturbed_setup.gbc_integrand(rotational_field(sphere))(ChartPoints.of("south", x1, x2))
         perturbed_setup.gbc_integrand()(ChartPoints.of("south", x1, x2, th))
-        assert sweeps == [(2, 1), (3, 1)]
+        assert sweeps == [("pi", 2, 1), ("V", 2, 1), ("pi", 3, 1), ("V", 2, 1)]

@@ -47,25 +47,30 @@ def fast_cfg():
     )
 
 
-def _loaded_in_fresh_interpreter(modules, *calls) -> list:
-    """Those of modules that are in sys.modules after a fresh interpreter
-    runs calls, cli runner calls whose reports must pass."""
+def _fresh_python(*args):
+    """A fresh interpreter run with args, the package's source on its path."""
     import subprocess
     import sys
 
     import finslergbc
 
+    src = os.path.dirname(os.path.dirname(os.path.abspath(finslergbc.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def _loaded_in_fresh_interpreter(modules, *calls) -> list:
+    """Those of modules that are in sys.modules after a fresh interpreter
+    runs calls, cli runner calls whose reports must pass."""
     code = (
         "import sys\n"
         "from finslergbc.cli import ExperimentConfig, run_gbc, run_identity_suite\n"
         + "".join(f"assert {call}.passed\n" for call in calls) +
         f"print(*(m for m in {tuple(modules)!r} if m in sys.modules))\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(finslergbc.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
+    out = _fresh_python("-c", code)
     assert out.returncode == 0, out.stderr
     return out.stdout.split()
 
@@ -336,7 +341,6 @@ class TestRunners:
         bits under re-batching, the complex-step partials need not (numpy's
         complex loops round by array position)."""
         from finslergbc import metric, quadrature
-        from finslergbc.ad import value
         from finslergbc.chern_forms import TransgressionForms
         from finslergbc.quadrature import FormField
 
@@ -351,7 +355,7 @@ class TestRunners:
             return FormField(f.dim, f.degree, lambda p: base.append(p.size) or f(p))
 
         def fiber_form(met, x, th, chart):
-            fiber.append(np.broadcast(*(value(c) for c in x), th).size)
+            fiber.append(np.broadcast(*x, th).size)
             return form(met, x, th, chart)
 
         monkeypatch.setattr(quadrature, "_BLOCK_NODES", block)
@@ -366,6 +370,24 @@ class TestRunners:
         assert [e for e, _ in blocked.convergence] == [e for e, _ in whole.convergence]
         for (_, got), (_, want) in zip(blocked.convergence, whole.convergence):
             assert abs(got - want) <= 1e-14
+
+    def test_gbc_builds_no_curvature_data(self, monkeypatch):
+        """The fused integrand reads pi_0^1 alone, so a gbc run constructs
+        no CurvatureData; the identity suite's forms (IdentityForms) build
+        one each for D and nabla."""
+        from finslergbc.connection import CurvatureData
+
+        built = []
+        init = CurvatureData.__init__
+        monkeypatch.setattr(CurvatureData, "__init__",
+                            lambda self, conn: built.append(conn) or init(self, conn))
+        cfg = ExperimentConfig(metric="randers", connection="perturbed", order_base=12,
+                               order_fiber=16, epsilon_schedule=(0.2, 0.1, 0.05))
+        assert run_gbc(cfg).passed
+        assert built == []
+        assert run_identity_suite(ExperimentConfig(metric="randers", connection="perturbed",
+                                                   identity_samples=8)).passed
+        assert len(built) == 2 and built[0] is not built[1]
 
     def test_quartic_torus_fiber_rule_converges_by_default(self):
         """gbc on the quartic torus with the constant field takes the 256
@@ -548,6 +570,40 @@ class TestMainEntry:
     def test_exit_zero_on_pass(self, capsys):
         rc = main(["degrees"])
         assert rc == 0
+
+    def test_module_run_executes_cli_once(self):
+        """``python -m finslergbc`` runs ``finslergbc/__main__.py``, which
+        imports ``cli.main``: an identities run through it executes the
+        code of cli.py once, though ``identities`` imports its helpers from
+        ``finslergbc.cli`` (run as ``python -m finslergbc.cli``, cli.py ran
+        as ``__main__`` and again as ``finslergbc.cli``).  The package runs
+        as -m runs it, through runpy, under an audit hook that counts every
+        execution of a code object compiled from cli.py."""
+        code = (
+            "import atexit, runpy, sys\n"
+            "runs = []\n"
+            "sys.addaudithook(lambda event, args: event == 'exec' and hasattr(args[0], "
+            "'co_filename') and args[0].co_filename.endswith('cli.py') and runs.append(1))\n"
+            "atexit.register(lambda: print('cli runs', len(runs)))\n"
+            "sys.argv = ['finslergbc', 'identities', '--metric', 'randers', '--samples', '8']\n"
+            "runpy.run_module('finslergbc', run_name='__main__', alter_sys=True)\n"
+        )
+        out = _fresh_python("-c", code)
+        assert out.returncode == 0, out.stderr
+        assert "eq34_gbc_exactness" in out.stdout
+        assert out.stdout.splitlines()[-1] == "cli runs 1"
+
+    def test_cli_module_run_points_to_the_package(self):
+        """``python -m finslergbc.cli`` runs no scenario: it exits 2 and
+        names ``python -m finslergbc``, rather than exit 0 having done
+        nothing."""
+        out = _fresh_python("-m", "finslergbc.cli", "degrees")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "python -m finslergbc`" in out.stderr
+        out = _fresh_python("-m", "finslergbc", "degrees")
+        assert out.returncode == 0, out.stderr
+        assert "ph_sum_torus_constant" in out.stdout
 
     def test_exit_codes_reflect_failure(self, monkeypatch, capsys):
         import finslergbc.cli as cli

@@ -463,6 +463,27 @@ class TestIndicatrix:
             assert F == pytest.approx(1.0, abs=1e-12)
 
 
+def _swept(x1, x2):
+    """The base points x1, x2 as a complex-step sweep along both base axes
+    shifts them, stacked on a leading axis: (x1 + ih, x2) and (x1, x2 + ih)
+    with h = COMPLEX_STEP."""
+    h = quadrature.COMPLEX_STEP
+    return [np.stack([x1 + 1j * h, x1 + 0j]), np.stack([x2 + 0j, x2 + 1j * h])]
+
+
+def _randers_agm_volume(eps, x1, x2):
+    """The zoo Randers fiber volume in closed form: the density is (1 + s
+    cos psi)^(-1/2) with s = 2 eps |x| / (1 + |x|^2), so V = 2 pi /
+    AGM(sqrt(1 + s), sqrt(1 - s)) (Gauss).  Holomorphic in x1, x2 off x =
+    0, so it may be complex-stepped."""
+    r2 = x1 * x1 + x2 * x2
+    s = 2.0 * eps * np.sqrt(r2) / (1.0 + r2)
+    a, b = np.sqrt(1.0 + s), np.sqrt(1.0 - s)
+    for _ in range(40):
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+    return 2.0 * math.pi / a
+
+
 class TestFiberVolume:
     def test_two_chart_metric_needs_a_chart(self, randers_metric, flat_metric):
         """On the two-chart sphere no chart is a default; a one-chart
@@ -525,17 +546,11 @@ class TestFiberVolume:
         eps, and the rule says that it stopped unconverged."""
         from finslergbc.manifolds import install_metric
 
-        def agm(a, b):
-            for _ in range(40):
-                a, b = 0.5 * (a + b), np.sqrt(a * b)
-            return a
-
         met = install_metric(sphere, "randers", {"eps": eps})
         radii = np.array([0.0, 0.2, 0.5, 0.8, 1.0, 1.3, 2.5])
         angle = np.linspace(0.3, 5.0, len(radii))
         x = [radii * np.cos(angle), radii * np.sin(angle)]
-        s = 2.0 * eps * radii / (1.0 + radii ** 2)
-        want = 2.0 * math.pi / agm(np.sqrt(1.0 + s), np.sqrt(1.0 - s))
+        want = _randers_agm_volume(eps, *x)
         for chart in ("south", "north"):
             rules = {}
             assert np.max(np.abs(fiber_volume(met, x, chart, rules=rules) - want)) <= 1e-14
@@ -545,6 +560,30 @@ class TestFiberVolume:
             V = fiber_volume(met, x, "south", 64, rules)
             assert np.max(np.abs(V - want)) > 1e-13
             assert rules == {"south": (64, False)}
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 0.9])
+    def test_randers_volume_derivative_by_complex_step(self, eps, sphere):
+        """The derivative of V along each base axis from one complex-step
+        sweep through the nested fiber rule, both axes stacked, matches the
+        complex-stepped AGM closed form within 1e-10 in both charts (2.8e-15
+        is the most seen, at eps 0.9).  The fiber rule takes the complex
+        base points as they are: a cast to float there would drop the step,
+        which the sweep raises as a ComplexWarning."""
+        from finslergbc.manifolds import install_metric
+        from finslergbc.quadrature import ChartPoints, complex_step_partials
+
+        met = install_metric(sphere, "randers", {"eps": eps})
+        radii = np.array([0.2, 0.5, 0.8, 1.0, 1.3, 2.5])
+        angle = np.linspace(0.3, 5.0, len(radii))
+        for chart in ("south", "north"):
+            pts = ChartPoints(chart, (radii * np.cos(angle), radii * np.sin(angle)))
+            _, want = complex_step_partials(
+                lambda q: {"V": _randers_agm_volume(eps, *q.coords)}, pts)
+            _, got = complex_step_partials(
+                lambda q: {"V": fiber_volume(met, q.coords, q.chart)}, pts)
+            assert max(np.max(np.abs(w["V"])) for w in want) > 0.1 * eps
+            for A in range(2):
+                assert np.max(np.abs(got[A]["V"] - want[A]["V"])) <= 1e-10
 
     def test_quartic_torus_converges_at_default_cap(self, torus):
         """The quartic torus metric (eps 0.1) needs 256 fiber nodes: at x =
@@ -600,15 +639,17 @@ class TestFiberVolume:
                                       "scalar-seed", "two-seed", "mixed-sizes"])
     def test_blocked_matches_one_block(self, case, randers_metric, sphere, monkeypatch):
         """Evaluating the batch in blocks of base points changes no bit:
-        every dual layer of V equals the one-block evaluation of the whole
-        batch, which the test forces by raising the block size.  At cap 64
-        the nested fiber rule starts at 16 nodes and each doubling of n
-        evaluates only the points whose own rule needs 2n nodes, in blocks
-        of _BLOCK_NODES // n points, so the calls are counted from the node
-        count each point takes on its own; on Randers 0.7 ("mixed-sizes")
-        the points take 16, 32 and 64.  With one node per block, each block
-        holds one point and V equals the evaluation of each point on its
-        own."""
+        V, real and imaginary parts, equals the one-block evaluation of the
+        whole batch, which the test forces by raising the block size.  The
+        seeded cases shift the points as a complex-step sweep does, along x1
+        alone ("scalar-seed") or along x1 and x2 stacked on a leading axis
+        ("two-seed").  At cap 64 the nested fiber rule starts at 16 nodes
+        and each doubling of n evaluates only the points whose own rule
+        needs 2n nodes, in blocks of _BLOCK_NODES // n points, so the calls
+        are counted from the node count each point takes on its own; on
+        Randers 0.7 ("mixed-sizes") the points take 16, 32 and 64.  With
+        one node per block, each block holds one point and V equals the
+        evaluation of each point on its own."""
         import finslergbc.metric as metric_mod
         from finslergbc.manifolds import install_metric
 
@@ -626,16 +667,13 @@ class TestFiberVolume:
         shape = {"scalar": (), "stacked": (4, 200),
                  "one-point-blocks": (5,)}.get(case, (2 * block + 37,))
         x1, x2 = rng.uniform(-0.7, 0.7, (2,) + shape)
-
-        def seeded(a, b):
-            e = np.eye(2).reshape((2, 2) + (1,) * np.ndim(a))
-            return {"scalar-seed": [Dual(a, 1.0), b],
-                    "two-seed": [Dual(a, e[0]), Dual(b, e[1])]}.get(case, [a, b])
+        x = {"scalar-seed": [x1 + 1j * quadrature.COMPLEX_STEP, x2],
+             "two-seed": _swept(x1, x2)}.get(case, [x1, x2])
 
         nodes = []
-        for a, b in zip(np.ravel(x1), np.ravel(x2)):
+        for a, b in zip(*np.broadcast_arrays(*map(np.ravel, x))):
             rules = {}
-            fiber_volume(met, seeded(a, b), "south", order, rules)
+            fiber_volume(met, [a, b], "south", order, rules)
             nodes.append(rules["south"][0])
         nodes = np.array(nodes)
         if case == "mixed-sizes":
@@ -645,7 +683,7 @@ class TestFiberVolume:
         form = metric_mod.fiber_volume_form
         monkeypatch.setattr(metric_mod, "fiber_volume_form",
                             lambda *a, **k: calls.append(1) or form(*a, **k))
-        got = fiber_volume(met, seeded(x1, x2), "south", order)
+        got = fiber_volume(met, x, "south", order)
         assert len(calls) == blocks(nodes.size, 16) + sum(
             blocks(np.count_nonzero(nodes >= 2 * n), n) for n in (16, 32))
         monkeypatch.setattr(quadrature, "_BLOCK_NODES", 10 ** 12)
@@ -653,19 +691,12 @@ class TestFiberVolume:
             want = np.array([fiber_volume(met, [a, b], "south", order)
                              for a, b in zip(x1, x2)])
         else:
-            want = fiber_volume(met, seeded(x1, x2), "south", order)
-        layers = [(got, want)]
-        while layers:
-            a, b = layers.pop()
-            assert isinstance(a, Dual) == isinstance(b, Dual)
-            if isinstance(b, Dual):
-                layers += [(a.val, b.val), (a.eps, b.eps)]
-            else:
-                assert np.shape(a) == np.shape(b)
-                assert np.array_equal(a, b)
-        assert np.shape(value(got)) == shape
+            want = fiber_volume(met, x, "south", order)
+        assert np.shape(got) == np.shape(want) == np.shape(x[0])
+        assert np.array_equal(got, want)
+        assert np.iscomplexobj(got) == case.endswith("-seed")
         if case == "two-seed":
-            assert np.shape(got.eps) == (2,) + shape
+            assert np.shape(got) == (2,) + shape
 
     @pytest.mark.parametrize("order", [48, 64])
     def test_point_bits_independent_of_batch_layout(self, order, randers_metric,
@@ -687,17 +718,18 @@ class TestFiberVolume:
         assert np.array_equal(V, fiber_volume(randers_metric, [x1, x2], "south", order))
 
     def test_seeded_batch_memory(self, randers_metric):
-        """One two-seed pass over 9,216 base points at 64 fiber nodes peaks
-        below 16 MiB of traced allocations: blocking keeps the fiber
-        arrays cache-sized instead of (2, points, nodes)."""
+        """One complex-step sweep of V along both base axes over 9,216 base
+        points (18,432 shifted points) at 64 fiber nodes peaks below 16 MiB
+        of traced allocations: blocking keeps the fiber arrays cache-sized
+        instead of (2, points, nodes)."""
         import tracemalloc
 
         rng = np.random.default_rng(19)
         x1, x2 = rng.uniform(-0.7, 0.7, (2, 9216))
-        s = np.eye(2).reshape(2, 2, 1)
+        x = _swept(x1, x2)
         tracemalloc.start()
         try:
-            fiber_volume(randers_metric, [Dual(x1, s[0]), Dual(x2, s[1])], "south", 64)
+            fiber_volume(randers_metric, x, "south", 64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
