@@ -29,13 +29,8 @@ from .connection import (
     to_orthonormal_frame,
 )
 from .errors import FinslerError, ValidationError
-from .manifolds import METRICS, Atlas, install_metric, sphere_atlas, torus_atlas
-from .metric import (
-    FIBER_ORDER,
-    fiber_volume,
-    norm_family,
-    sum_norms,
-)
+from .manifolds import ATLASES, METRICS, Atlas, install_metric, sphere_atlas, torus_atlas
+from .metric import FIBER_ORDER, norm_family, sum_norms
 from .quadrature import (
     AnnulusRegion,
     BoxRegion,
@@ -75,7 +70,7 @@ DISC_LIMIT_TOL = 1e-14
 # orders up to 50), so a higher order gains nothing, while a chart takes
 # up to 2 order/3 radii x AnnulusRegion.phi_cap(order) angles, evaluated in
 # blocks of at most quadrature._BLOCK_NODES points.  Randers 0.9 / perturbed
-# / stereographic_power at base and fiber order 512 takes 1.4 s and peaks
+# / stereographic_power at base and fiber order 512 takes 1.5 s and peaks
 # at 69 MiB (96 phi and 128 fiber nodes); forced to run both rules to their
 # caps (384 phi and 512 fiber nodes), 19 s and 70 MiB, on 2 vCPU.  Order
 # 1e8 would run Gauss-Legendre's recurrence 1e8 steps over 1e8 nodes.
@@ -129,8 +124,7 @@ class Setting:
 SETTINGS = (
     Setting("seed", 1234, "scenario", "seed", "--seed", int),
     Setting("identity_samples", 200, "scenario", "samples", "--samples", int),
-    Setting("manifold", "sphere", "manifold", "type", "--manifold",
-            choices=("sphere", "torus")),
+    Setting("manifold", "sphere", "manifold", "type", "--manifold", choices=tuple(ATLASES)),
     Setting("metric", "round_sphere", "manifold", "metric", "--metric", choices=METRICS),
     Setting("metric_eps", 0.1, "manifold", "eps", "--metric-eps", float),
     Setting("connection", "cartan", "connection", "type", "--connection",
@@ -351,7 +345,7 @@ def emit_report(report: Report, out_dir: str | None = None, fmt: str = "table"):
 
 
 def _build_atlas(cfg: ExperimentConfig) -> Atlas:
-    return sphere_atlas() if cfg.manifold == "sphere" else torus_atlas()
+    return ATLASES[cfg.manifold]()
 
 
 def _metric_params(cfg: ExperimentConfig) -> dict:
@@ -434,9 +428,11 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
     once per chart, on the nodes of the unit disc's polar rule, and I(1)
     and every I(eps) are read off those samples.  Its phi rule, and the
     fiber rule of V, size themselves by nested doubling up to the caps
-    that order_base and order_fiber set; the metadata records per chart
-    the node counts they took, as phi_nodes and fiber_nodes, and marks a
-    rule that stopped at its cap unconverged.  At the workload orders each
+    that order_base and order_fiber set, the fiber rule once per chart on
+    a fixed probe grid (``TransgressionForms``); the metadata records per
+    chart the node counts they took, as phi_nodes and fiber_nodes, and
+    marks a rule that stopped at its cap unconverged.  The integrand is
+    -c d(pi_0^1 / V) (``gbc_integrand``).  At the workload orders each
     chart takes 32 radii x 12 angles, 768 base points in all.  The per-eps
     value is vol(S^1) sum over charts of I(1) - I(eps), with I(eps) = 0 in
     a chart without a zero; ``normalized_gbc_integral`` is their Neville
@@ -519,14 +515,9 @@ def _rule_sizes(rules: dict) -> str:
 
 
 def _volume_spread(forms: TransgressionForms, atlas: Atlas) -> float:
-    xs = np.linspace(-0.9, 0.9, 7)
-    vals = []
-    for chart in atlas.chart_ids:
-        g1, g2 = np.meshgrid(xs, xs, indexing="ij")
-        keep = g1 ** 2 + g2 ** 2 <= 1.0
-        vals.append(fiber_volume(forms.metric, (g1[keep], g2[keep]), chart,
-                                 forms.order_fiber))
-    V = np.concatenate(vals)
+    g1, g2 = np.meshgrid(np.linspace(-0.9, 0.9, 7), np.linspace(-0.9, 0.9, 7), indexing="ij")
+    keep = g1 ** 2 + g2 ** 2 <= 1.0
+    V = np.concatenate([forms.volume_at(c, (g1[keep], g2[keep])) for c in atlas.chart_ids])
     return float(np.max(V) / np.min(V) - 1.0)
 
 

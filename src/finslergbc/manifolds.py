@@ -23,6 +23,7 @@ __all__ = [
     "Atlas",
     "sphere_atlas",
     "torus_atlas",
+    "ATLASES",
     "METRICS",
     "install_metric",
     "certify_metric",
@@ -107,6 +108,11 @@ def sphere_atlas() -> Atlas:
 
 def torus_atlas() -> Atlas:
     return Atlas("torus", ("torus",), chi=0)
+
+
+# The built-in atlases by name: the choices of the CLI's --manifold, and
+# what a metric's atlas_id names.
+ATLASES = {"sphere": sphere_atlas, "torus": torus_atlas}
 
 
 # ---------------------------------------------------------------------------

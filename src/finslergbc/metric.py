@@ -8,11 +8,11 @@ angle of y, read off a truncated Taylor series in theta (``ad.Jet``):
 such a jet, ``metric_jets`` gives g, A and the mixed x-y jets from two
 evaluations, and ``fiber_volume_form`` the indicatrix volume density
 from one.  A base coordinate ``metric_jets`` seeds is a ``Dual`` outside
-the theta-jet, never inside it; the fiber volume takes real or complex
-base coordinates, so it is differentiated by complex step.  Every norm
-and metric here lives on a surface (rank 2).  Evaluations accept numpy
-arrays in every coordinate slot, so one call covers a whole batch of
-points.
+the theta-jet, never inside it; the fiber volume, at one node count per
+chart, takes real or complex base coordinates, so it is differentiated
+by complex step.  Every norm and metric here lives on a surface (rank
+2).  Evaluations accept numpy arrays in every coordinate slot, so one
+call covers a whole batch of points.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from . import ad
 from .ad import Jet, partial, taylor_coefficient
 from .errors import DomainError, InvalidMetricError
-from .quadrature import COMPLEX_STEP, in_blocks, nested_periodic_rule
+from .quadrature import in_blocks, nested_periodic_rule
 
 __all__ = [
     "MinkowskiNorm",
@@ -40,6 +40,7 @@ __all__ = [
     "metric_jets",
     "fiber_volume_form",
     "fiber_volume",
+    "size_fiber_rule",
 ]
 
 
@@ -285,60 +286,65 @@ def fiber_volume_form(metric: FinslerMetric, x, theta, chart: str | None = None)
     return ad.sqrt((f + f2) / f)
 
 
-# The most nodes the nested fiber rule may take by default.  On the zoo
+# The most nodes the fiber rule of a chart may take by default.  On the zoo
 # Randers metric the fiber density is (1 + s cos psi)^(-1/2), s up to eps,
-# and V = 2 pi / AGM(sqrt(1 + s), sqrt(1 - s)): at eps = 0.9 the rule needs
-# 128 nodes to hold V within 1e-14 of it at |x| = 1, where s = eps
-# (test_metric's AGM test); eps = 0.1 stops at 16.  The quartic torus
-# metric (eps 0.1) needs 256: at x = (0.3, 0.2) V moves by 4.3e-4, 4.8e-5,
-# 6.1e-8 and 2.7e-13 of itself from 16 to 32, 64, 128 and 256 nodes.
+# and V = 2 pi / AGM(sqrt(1 + s), sqrt(1 - s)); s = eps at |x| = 1, a probe
+# of every sphere chart (``size_fiber_rule``), where eps = 0.9 takes 128
+# nodes to hold V within 1e-14 of it (test_metric's AGM test) and eps = 0.1
+# takes 16.  The quartic torus metric (eps 0.1) needs 256: at x = (0.3,
+# 0.2) V moves by 4.3e-4, 4.8e-5, 6.1e-8 and 2.7e-13 of itself from 16 to
+# 32, 64, 128 and 256 nodes.
 FIBER_ORDER = 256
 
 
 def fiber_volume(metric: FinslerMetric, x, chart: str | None = None,
-                 order: int = FIBER_ORDER, rules: dict | None = None):
+                 nodes: int = FIBER_ORDER):
     """V(x): Riemannian volume of the indicatrix fiber at each base point.
 
     x = (x1, x2) holds scalars or arrays, real or complex; the result has
-    their broadcast shape.  The density is integrated by the nested
-    periodic trapezoid rule (``quadrature.nested_periodic_rule``) of at
-    most order nodes, sized at each base point on its own: a point stops
-    once, from n/2 to n nodes, neither Re V nor Im V / COMPLEX_STEP moves
-    by more than NESTED_TOL of Re V.  At a point a complex-step sweep
-    shifts, those are V and its derivative along the sweep's direction.
-    A point's V reads its own row only, not the rest of its batch.  Each
-    pass works through the points still doubling in blocks of at most
-    max(1, _BLOCK_NODES // nodes) base points, nodes being the pass's own
-    (``quadrature.in_blocks``).  ``rules``, if given, maps the chart to the
-    most nodes any of its points took and whether every point converged."""
+    their broadcast shape.  The density is integrated by the periodic
+    trapezoid rule of one even node count, FIBER_ORDER unless given (a
+    chart's count comes from ``size_fiber_rule``), summed as the first pass of
+    ``quadrature.nested_periodic_rule`` sums it: the even and the odd nodes
+    apart, then added.  At one count V is analytic in x, so a complex step
+    of it is exact (Squire & Trapp, SIAM Rev. 40(1), 1998).  A point's V
+    reads its own row only; the points run in blocks of at most max(1,
+    _BLOCK_NODES // nodes) (``quadrature.in_blocks``)."""
     chart = _default_chart(metric, chart)
     shape = np.broadcast_shapes(*map(np.shape, x))
     flat = [np.broadcast_to(c, shape).reshape(-1) for c in x]
+    s = _fiber_sums(metric, flat, chart, 2.0 * math.pi / nodes * np.arange(nodes).reshape(-1, 2).T)
+    return ((s[:, 0] + s[:, 1]) * (2.0 * math.pi / nodes)).reshape(shape)
 
-    def sums(th, live):
-        return in_blocks(lambda s: _fiber_sums(metric, [c[live[s]] for c in flat], chart, th),
-                         live.size, th.size)
 
-    def change(V, half):
-        moved = V - half
-        return np.maximum(np.abs(moved.real), np.abs(moved.imag) / COMPLEX_STEP) / V.real
-
-    V, n, converged = nested_periodic_rule(sums, order, change, math.prod(shape))
-    if rules is not None:
-        prev_n, prev_ok = rules.get(chart, (0, True))
-        rules[chart] = (max(int(n.max(initial=0)), prev_n), bool(converged.all()) and prev_ok)
-    return V.reshape(shape)
+def size_fiber_rule(metric: FinslerMetric, atlas, chart: str, cap: int = FIBER_ORDER):
+    """(nodes, converged): one fiber node count for the whole chart, from
+    the nested periodic rule (``quadrature.nested_periodic_rule``) of at
+    most cap nodes on the chart's probes, the 9 x 9 uniform grid over
+    atlas.region_box(chart) kept where atlas.in_region holds.  It stops
+    once, from n/2 to n nodes, no probe's V moves by more than NESTED_TOL
+    of itself, converged, or at the cap, unconverged."""
+    (lo1, hi1), (lo2, hi2) = atlas.region_box(chart)
+    x1, x2 = (a.ravel() for a in np.meshgrid(np.linspace(lo1, hi1, 9), np.linspace(lo2, hi2, 9)))
+    keep = atlas.in_region(chart, (x1, x2))
+    _, n, converged = nested_periodic_rule(
+        lambda th: _fiber_sums(metric, [x1[keep], x2[keep]], chart, th), cap,
+        lambda V, half: np.max(np.abs(V - half) / V))
+    return n, converged
 
 
 def _fiber_sums(metric: FinslerMetric, x, chart: str, th):
     """The sums of the fiber density over the last axis of the 2-D node
     array th at the base points x (two 1-D arrays), shape (points, rows of
-    th).  Each sum is a ufunc reduction over the node axis, so each base
-    point's sum depends on its own row alone, not on where the row sits in
-    the batch or on the batch size (a matrix-vector product does not
-    promise that)."""
-    rho = fiber_volume_form(metric, [c[:, None, None] for c in x], th, chart)
-    return np.add.reduce(np.broadcast_to(rho, x[0].shape + th.shape), -1)
+    th), in blocks of base points (``quadrature.in_blocks``).  Each sum is
+    a ufunc reduction over the node axis, so each base point's sum depends
+    on its own row alone, not on where the row sits in the batch or on the
+    batch size (a matrix-vector product does not promise that)."""
+    def block(b):
+        rho = fiber_volume_form(metric, [c[b, None, None] for c in x], th, chart)
+        return np.add.reduce(np.broadcast_to(rho, x[0][b].shape + th.shape), -1)
+
+    return in_blocks(block, x[0].size, th.size)
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,21 @@ all numeric integration (the periodic rule of the fiber circles, boundary
 circles, and base regions: polar discs about a chart origin, boxes on the
 torus).  One call integrates one disc, and its concentric sub-discs are
 read off its samples.  The angle of its polar rule, like the fiber circle of
-``metric.fiber_volume``, is integrated by one nested periodic trapezoid
-rule that sizes itself by doubling (``nested_periodic_rule``).  It works
-on plain arrays, real or complex: a caller that integrates several things
-side by side (a value and its absolute value, say) puts them on leading
-part axes, and a complex-step derivative rides in the imaginary part, so
-nothing here builds a dual number.
+``metric.fiber_volume`` (sized once per chart by ``metric.size_fiber_rule``),
+is integrated by one nested periodic trapezoid rule that sizes itself by
+doubling (``nested_periodic_rule``).  It works on plain arrays, real or
+complex: a caller that integrates several things side by side (a value
+and its absolute value, say) puts them on leading part axes, and a
+complex-step derivative rides in the imaginary part, so nothing here
+builds a dual number.
 
 Forms are stored as antisymmetric coefficient tables over ordered axis
 subsets of a chart; fields evaluate whole batches of chart points at once,
 so every coefficient is a numpy array over the batch.  Chart partials of a
 coefficient table come from one of two kernels: ``complex_step_partials``,
-exact to rounding, serves the production GBC integrand (d pi_0^1 and
-d log V) in one pass per sweep, every direction stacked on a leading
-axis, and returns the table's values from that pass; the
+exact to rounding, serves the production GBC integrand (d(pi_0^1 / V))
+in one pass per sweep, every direction stacked on a leading axis, and
+returns the table's values from that pass; the
 finite-difference stencil ``central_partials`` serves the exterior
 derivatives of the identity checks as an independent oracle, in one pass
 per chart axis.
@@ -435,12 +436,9 @@ PERIODIC_FLOOR = 12
 # 2014), so the error of T_n is the square of that of T_{n/2}, which
 # |T_n - T_{n/2}| measures, over C: relative to the integral, 1 / C read
 # 0.24 to 3.1 on the Randers phi and fiber rules and 73 on the quartic
-# fiber.  That law is asymptotic, and a change of 1e-9 does not always
-# leave T_n at rounding: on Randers 0.8 in the south chart, along x1
-# through (0.2108, -0.1408), the fiber rule stops at 16 nodes in a window
-# about 1.2e-4 wide, where V is 1.58e-12 (relative) off a 512-node rule;
-# outside it the rule takes 32 nodes and V is right to rounding.  A
-# finite-difference stencil across such a window reads the jump.
+# fiber.  The law is asymptotic, so a fiber count sized at each base point
+# jumped between neighbours (Randers 0.8: 16 nodes, V 1.58e-12 off, in a
+# window 1.2e-4 wide amid 32), which a stencil read; it is sized per chart.
 NESTED_TOL = 1e-9
 
 # The most quadrature nodes one evaluation of an integrand may hold: a phi
@@ -463,46 +461,38 @@ def in_blocks(evaluate, items: int, width: int, axis: int = 0):
                           axis=axis)
 
 
-def nested_periodic_rule(sums, cap: int, change, items: int = 1):
-    """(T, n, converged): the periodic trapezoid rule over one period for
-    each of several items (base points, say), the node count n of each
-    item sized on its own by nested doubling up to the cap.
+def nested_periodic_rule(sums, cap: int, change):
+    """(T, n, converged): the periodic trapezoid rule over one period, its
+    node count n sized by nested doubling up to the cap, one count for
+    everything the caller integrates side by side.
 
-    sums(angles, live) evaluates the integrand of the items live (an index
-    array) at every entry of the 2-D array of angles in one pass and
-    returns its sums over the last axis as one plain array of shape
-    (parts..., items, rows of angles): the leading part axes carry
-    whatever the caller integrates side by side, e.g. a value and its
-    absolute value (a complex-step derivative rides in the imaginary part
-    instead).  change(T_n, T_{n/2}) returns the caller's measure of their
-    difference per item.  The rule
-    starts at n = the cap rounded down to even (at least 2), halved while
-    n/2 stays even and at least PERIODIC_FLOOR, in one pass over the n
-    nodes 2 pi k / n whose rows are the even and the odd k: the even ones
-    are the nodes of the n/2 rule, so T_{n/2}, and an estimate, come free.  Each doubling evaluates
-    only the items whose change is still above NESTED_TOL, at only the n
-    nodes of the 2n rule that are new (the old ones shifted by pi / n), and
-    keeps every earlier sum.  An item stops once its change is at most
-    NESTED_TOL, converged, or at the cap, unconverged; T, n and converged
-    run over the items, and an item's T reads its own sums only."""
+    sums(angles) evaluates the integrand at every entry of the 2-D array of
+    angles in one pass and returns its sums over the last axis as one plain
+    array of shape (parts..., rows of angles): the leading part axes carry
+    whatever the caller integrates side by side (the radial rows of a disc
+    and their absolute values, say, or the probe points of a fiber rule).
+    change(T_n, T_{n/2}) returns the caller's one measure of their
+    difference.  The rule starts at n = the cap rounded down to even (at
+    least 2), halved while n/2 stays even and at least PERIODIC_FLOOR, in
+    one pass over the n nodes 2 pi k / n whose rows are the even and the odd
+    k: the even ones are the nodes of the n/2 rule, so T_{n/2}, and an
+    estimate, come free.  Each doubling evaluates only the n nodes of the 2n
+    rule that are new (the old ones shifted by pi / n) and keeps every
+    earlier sum.  The rule stops once the change is at most NESTED_TOL,
+    converged, or at the cap, unconverged."""
     n = max(2, cap - cap % 2)
     while n % 4 == 0 and n // 2 >= PERIODIC_FLOOR:
         n //= 2
-    first = sums(2.0 * math.pi / n * np.arange(n).reshape(-1, 2).T, np.arange(items))
-    half = first[..., 0]
-    total = half + first[..., 1]
-    nodes = np.full(items, n)
-    ok = change(total * (2.0 * math.pi / n), half * (4.0 * math.pi / n)) <= NESTED_TOL
-    live = np.flatnonzero(~ok)
-    while live.size and 2 * n <= cap:
-        odd = sums(math.pi / n * (2.0 * np.arange(n) + 1.0)[None, :], live)
-        half = total[..., live]
-        grown, n = half + odd[..., 0], 2 * n
-        total[..., live] = grown
-        nodes[live] = n
-        ok[live] = change(grown * (2.0 * math.pi / n), half * (4.0 * math.pi / n)) <= NESTED_TOL
-        live = live[~ok[live]]
-    return total * (2.0 * math.pi / nodes), nodes, ok
+    first = sums(2.0 * math.pi / n * np.arange(n).reshape(-1, 2).T)
+    half, total = first[..., 0], first[..., 0] + first[..., 1]
+    while True:
+        converged = bool(change(total * (2.0 * math.pi / n), half * (4.0 * math.pi / n))
+                         <= NESTED_TOL)
+        if converged or 2 * n > cap:
+            return total * (2.0 * math.pi / n), n, converged
+        half = total
+        total = half + sums(math.pi / n * (2.0 * np.arange(n) + 1.0)[None, :])[..., 0]
+        n *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -608,20 +598,20 @@ def base_integral_excised(f: FormField, region, order: int = 48, radii=(),
         raise QuadratureError(f"sub-disc radii {radii} leave the disc r <= {region.radius}")
     rows = region.weights(order, (region.radius, *radii))
 
-    def sums(phi, live):
+    def sums(phi):
         x1, x2 = (x.reshape(len(rows[0]), phi.size) for x in region.nodes(order, phi))
         c = in_blocks(lambda s: _coefficient(f, chart, x1[s], x2[s]), len(x1), phi.size)
         c = c.reshape((len(rows[0]),) + phi.shape)
-        return np.stack([c, np.abs(c)]).sum(-1)[..., None, :]
+        return np.stack([c, np.abs(c)]).sum(-1)
 
     def change(t, half):
         moved = np.max(np.abs(rows @ (t[0] - half[0])))
-        return np.array([moved / np.max(np.abs(rows) @ t[1]) if moved else 0.0])
+        return moved / np.max(np.abs(rows) @ t[1]) if moved else 0.0
 
     t, n, converged = nested_periodic_rule(sums, region.phi_cap(order), change)
     if rules is not None:
-        rules[chart] = (int(n[0]), bool(converged[0]))
-    return [float(np.sum(row * t[0, :, 0])) for row in rows]
+        rules[chart] = (n, converged)
+    return [float(np.sum(row * t[0])) for row in rows]
 
 
 def _coefficient(f: FormField, chart: str, x1, x2) -> np.ndarray:

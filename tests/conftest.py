@@ -74,9 +74,10 @@ def zero_step_stack(pts, rows):
 
 def spy_on_pi_sweeps(monkeypatch, spy):
     """Route the complex-step sweeps of ``chern_forms`` by their points:
-    the pi_0^1 sweeps of gbc_integrand run on bundle points (x1, x2, theta)
-    and go to spy(payload, pts, directions); the V sweeps of dlog_volume
-    run on base points (x1, x2) and go to complex_step_partials itself."""
+    the pi_0^1 / V sweeps of gbc_integrand run on bundle points (x1, x2,
+    theta) and go to spy(payload, pts, directions); the V sweeps of
+    dlog_volume run on base points (x1, x2) and go to complex_step_partials
+    itself."""
     import finslergbc.chern_forms as cf
 
     def routed(payload, pts, directions=None):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from finslergbc.algebra import SkewMatrixValuedForm, pfaffian, sort_with_parity
-from finslergbc.chern_forms import TransgressionForms, upsilon1_coefficient
+from finslergbc.chern_forms import TransgressionForms
 from finslergbc.connection import (
     cartan_connection,
     modify,
@@ -24,6 +24,7 @@ from finslergbc.identities import (
     phi_k,
     pi_coefficients,
     pi_form,
+    upsilon1_coefficient,
 )
 from finslergbc.metric import fiber_volume
 from finslergbc.quadrature import (
@@ -480,9 +481,9 @@ class TestDlogVolume:
     @pytest.mark.parametrize("count", [30, 300])
     def test_matches_single_seed_passes(self, randers_metric, cartan_frame_randers, count):
         """Each axis of dlog_volume, whose sweep stacks both base axes on one
-        pass, has the bits of a complex-step pass of fiber_volume along that
-        axis alone, on one block and on several: a shifted point sizes its
-        fiber rule on its own V and derivative, whatever rides along."""
+        pass, has the bits of a complex-step pass of V at the chart's count
+        along that axis alone, on one block and on several: a shifted
+        point's V reads its own row only, whatever rides along."""
         from finslergbc.quadrature import complex_step_partials
 
         forms = TransgressionForms(randers_metric, cartan_frame_randers, cartan_frame_randers)
@@ -492,7 +493,7 @@ class TestDlogVolume:
         base = ChartPoints(pts.chart, pts.coords[:2])
         for A, row in enumerate(([1.0, 0.0], [0.0, 1.0])):
             _, (dV,) = complex_step_partials(
-                lambda q: {"V": fiber_volume(randers_metric, q.coords, q.chart)}, base, [row])
+                lambda q: {"V": forms.volume_at(q.chart, q.coords)}, base, [row])
             assert np.array_equal(got[A], dV["V"] / V)
 
     def test_constant_volume_zero(self, quartic_metric):
@@ -628,11 +629,10 @@ class TestStackedStencil:
             gc.enable()
 
     def test_complex_batches_freed_on_return(self, perturbed_setup, monkeypatch):
-        """The two complex-shifted batches of gbc_integrand, each with its
-        directions stacked on it, are released by reference counting alone
-        once the integrand returns: the pi_0^1 sweep's bundle batch, every
-        chart axis stacked, with the tensors cached on it, and the base
-        batch of dlog_volume's V sweep."""
+        """The one complex-shifted batch of gbc_integrand, the pi_0^1 / V
+        sweep's bundle batch with every chart axis stacked on it and the
+        tensors cached on it, is released by reference counting alone once
+        the integrand returns."""
         import gc
         import weakref
 
@@ -652,7 +652,7 @@ class TestStackedStencil:
         gc.disable()
         try:
             perturbed_setup.gbc_integrand()(bundle_points("south", 10, seed=97))
-            assert sorted(dim for dim, _ in refs) == [2, 3]
+            assert [dim for dim, _ in refs] == [3]
             assert all(r() is None for _, r in refs)
         finally:
             gc.enable()
@@ -669,9 +669,9 @@ class TestExactIntegrand:
                                         "riemannian"])
     def test_gbc_integrand_matches_fd_oracle(self, metric, connection, ehresmann,
                                              monkeypatch):
-        """The integrand from complex-step partials of pi_0^1 agrees with
-        the one from the finite-difference stencil on every zoo metric and
-        connection; d log V comes from its own complex-step sweep in both.
+        """The integrand from complex-step partials of pi_0^1 / V agrees
+        with the one from the finite-difference stencil on every zoo metric
+        and connection, V at the chart's count in both.
         The FD error over seeds 1-3 and 95 on these batches is at most
         1.0e-12 (7.6e-13 at this seed), so the bound is 3e-12."""
         from finslergbc.cli import ExperimentConfig, _build_atlas, _build_connections
@@ -699,13 +699,13 @@ class TestExactIntegrand:
 
     @pytest.mark.parametrize("chart", ["south", "north"])
     def test_sweep_values_are_the_payload(self, chart, monkeypatch):
-        """The pi_0^1 values gbc_integrand reads off its complex-step sweep
-        (the real parts of the first slice of its one stacked pass) are
+        """The pi_0^1 / V values of gbc_integrand's complex-step sweep (the
+        real parts of the first slice of its one stacked pass) are
         repr-identical to the first slice of its payload on the same stack
         with a zero imaginary step, on the Randers metric with the
         perturbed connection: the step itself changes no bit.  numpy's
         complex division multiplies by a reciprocal, so against the payload
-        in real arithmetic they agree to 4e-15 of the largest entry (1.8e-15
+        in real arithmetic they agree to 4e-15 of the largest entry (1.6e-15
         is the most seen over seeds 0-19, both charts, eps 0.1 and 0.7)."""
         from finslergbc.cli import ExperimentConfig, _build_atlas, _build_connections
         from finslergbc.manifolds import install_metric
@@ -804,9 +804,9 @@ class TestSectionIntegrand:
         assert t_max == 0.0 if manifold == "torus" else t_max > 1.0
 
     def test_section_sweep_takes_two_rows(self, sphere, perturbed_setup, monkeypatch):
-        """With a section the pi_0^1 sweep runs along its two tangent rows,
-        where the bundle form takes three; d log V is swept along the two
-        base axes either way.  Each sweep is one payload pass per batch."""
+        """With a section the pi_0^1 / V sweep runs along its two tangent
+        rows, where the bundle form takes three.  It is the integrand's one
+        sweep per batch, and one payload pass."""
         import finslergbc.chern_forms as cf
         from finslergbc.quadrature import complex_step_partials
         from finslergbc.topology import rotational_field
@@ -821,11 +821,11 @@ class TestSectionIntegrand:
                 return payload(q)
 
             values, partials = complex_step_partials(counted, pts, directions)
-            sweeps.append(("pi" if pts.dim == 3 else "V", len(partials), len(calls)))
+            sweeps.append((pts.dim, len(partials), len(calls)))
             return values, partials
 
         monkeypatch.setattr(cf, "complex_step_partials", spy)
         x1, x2, th = bundle_points("south", 10, seed=42).coords
         perturbed_setup.gbc_integrand(rotational_field(sphere))(ChartPoints.of("south", x1, x2))
         perturbed_setup.gbc_integrand()(ChartPoints.of("south", x1, x2, th))
-        assert sweeps == [("pi", 2, 1), ("V", 2, 1), ("pi", 3, 1), ("V", 2, 1)]
+        assert sweeps == [(3, 2, 1), (3, 3, 1)]

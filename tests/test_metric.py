@@ -20,6 +20,7 @@ from finslergbc.metric import (
     quartic_norm,
     randers_norm,
     riemannian_norm,
+    size_fiber_rule,
     sum_norms,
 )
 from finslergbc import quadrature
@@ -500,18 +501,20 @@ class TestFiberVolume:
             2 * math.pi, abs=1e-10
         )
 
-    def test_riemannian_volume_is_2pi(self, torus, round_metric):
-        """Any Riemannian fiber has indicatrix volume vol(S^1) = 2 pi; the
-        strongly anisotropic case needs a finer circle rule."""
+    def test_riemannian_volume_is_2pi(self, torus, sphere, round_metric):
+        """Any Riemannian fiber has indicatrix volume vol(S^1) = 2 pi, at
+        the count its chart's rule is sized to: the strongly anisotropic
+        case takes more nodes than the round sphere."""
         from finslergbc.manifolds import install_metric
 
         met = install_metric(torus, "riemannian", {"G": [[5.0, 1.2], [1.2, 1.0]]})
-        assert fiber_volume(met, [1.0, 2.0], "torus", order=128) == pytest.approx(
-            2 * math.pi, abs=1e-9
-        )
-        assert fiber_volume(round_metric, [0.4, -0.7], "south") == pytest.approx(
-            2 * math.pi, abs=1e-9
-        )
+        for m, atlas, chart, x in ((met, torus, "torus", [1.0, 2.0]),
+                                   (round_metric, sphere, "south", [0.4, -0.7])):
+            nodes, converged = size_fiber_rule(m, atlas, chart)
+            assert converged
+            assert fiber_volume(m, x, chart, nodes) == pytest.approx(2 * math.pi, abs=1e-9)
+        assert size_fiber_rule(met, torus, "torus")[0] > \
+            size_fiber_rule(round_metric, sphere, "south")[0]
 
     def test_randers_against_arclength_oracle(self, randers_metric):
         """rho(theta) equals the induced arc length |c'(theta)|_g of the
@@ -530,8 +533,8 @@ class TestFiberVolume:
     def test_volume_smooth_in_x(self, randers_metric):
         """Quadrature convergence: doubling the fiber order moves V by far
         less than the downstream tolerance."""
-        v64 = fiber_volume(randers_metric, [0.3, 0.3], "south", order=64)
-        v128 = fiber_volume(randers_metric, [0.3, 0.3], "south", order=128)
+        v64 = fiber_volume(randers_metric, [0.3, 0.3], "south", nodes=64)
+        v128 = fiber_volume(randers_metric, [0.3, 0.3], "south", nodes=128)
         assert abs(v64 - v128) < 1e-12
 
     @pytest.mark.parametrize("eps", [0.1, 0.5, 0.9])
@@ -539,11 +542,12 @@ class TestFiberVolume:
         """On the zoo Randers metric f + f'' is constant along the fiber, so
         the density is (1 + s cos psi)^(-1/2), s = 2 eps |x| / (1 + |x|^2),
         and V = 2 pi / AGM(sqrt(1 + s), sqrt(1 - s)) (Gauss).  At the
-        default cap, FIBER_ORDER, the nested fiber rule holds V to it within
-        1e-14 at every radius, in both charts, and reports convergence; the
-        most nodes it takes are 16, 32 and 128 at eps = 0.1, 0.5 and 0.9.  A
-        cap of 64 leaves V 1.4e-13 off at eps = 0.9 and |x| = 1, where s =
-        eps, and the rule says that it stopped unconverged."""
+        default cap, FIBER_ORDER, each chart's rule, sized on its probe
+        grid, takes 16, 32 and 128 nodes at eps = 0.1, 0.5 and 0.9 and
+        reports convergence, and V at that count is within 1e-14 of the
+        closed form at every radius (s <= eps everywhere, = eps at |x| = 1).
+        A cap of 64 stops unconverged at eps = 0.9, and V at 64 nodes is
+        1.4e-13 off at |x| = 1."""
         from finslergbc.manifolds import install_metric
 
         met = install_metric(sphere, "randers", {"eps": eps})
@@ -552,23 +556,21 @@ class TestFiberVolume:
         x = [radii * np.cos(angle), radii * np.sin(angle)]
         want = _randers_agm_volume(eps, *x)
         for chart in ("south", "north"):
-            rules = {}
-            assert np.max(np.abs(fiber_volume(met, x, chart, rules=rules) - want)) <= 1e-14
-            assert rules == {chart: ({0.1: 16, 0.5: 32, 0.9: 128}[eps], True)}
+            nodes, converged = size_fiber_rule(met, sphere, chart)
+            assert (nodes, converged) == ({0.1: 16, 0.5: 32, 0.9: 128}[eps], True)
+            assert np.max(np.abs(fiber_volume(met, x, chart, nodes) - want)) <= 1e-14
         if eps == 0.9:
-            rules = {}
-            V = fiber_volume(met, x, "south", 64, rules)
-            assert np.max(np.abs(V - want)) > 1e-13
-            assert rules == {"south": (64, False)}
+            assert size_fiber_rule(met, sphere, "north", 64) == (64, False)
+            assert np.max(np.abs(fiber_volume(met, x, "south", 64) - want)) > 1e-13
 
     @pytest.mark.parametrize("eps", [0.1, 0.5, 0.9])
     def test_randers_volume_derivative_by_complex_step(self, eps, sphere):
         """The derivative of V along each base axis from one complex-step
-        sweep through the nested fiber rule, both axes stacked, matches the
-        complex-stepped AGM closed form within 1e-10 in both charts (2.8e-15
-        is the most seen, at eps 0.9).  The fiber rule takes the complex
-        base points as they are: a cast to float there would drop the step,
-        which the sweep raises as a ComplexWarning."""
+        sweep of the fiber rule at the chart's count, both axes stacked,
+        matches the complex-stepped AGM closed form within 1e-10 in both
+        charts (2.8e-15 is the most seen, at eps 0.9).  The fiber rule
+        takes the complex base points as they are: a cast to float there
+        would drop the step, which the sweep raises as a ComplexWarning."""
         from finslergbc.manifolds import install_metric
         from finslergbc.quadrature import ChartPoints, complex_step_partials
 
@@ -576,11 +578,12 @@ class TestFiberVolume:
         radii = np.array([0.2, 0.5, 0.8, 1.0, 1.3, 2.5])
         angle = np.linspace(0.3, 5.0, len(radii))
         for chart in ("south", "north"):
+            nodes, _ = size_fiber_rule(met, sphere, chart)
             pts = ChartPoints(chart, (radii * np.cos(angle), radii * np.sin(angle)))
             _, want = complex_step_partials(
                 lambda q: {"V": _randers_agm_volume(eps, *q.coords)}, pts)
             _, got = complex_step_partials(
-                lambda q: {"V": fiber_volume(met, q.coords, q.chart)}, pts)
+                lambda q: {"V": fiber_volume(met, q.coords, q.chart, nodes)}, pts)
             assert max(np.max(np.abs(w["V"])) for w in want) > 0.1 * eps
             for A in range(2):
                 assert np.max(np.abs(got[A]["V"] - want[A]["V"])) <= 1e-10
@@ -589,38 +592,57 @@ class TestFiberVolume:
         """The quartic torus metric (eps 0.1) needs 256 fiber nodes: at x =
         (0.3, 0.2) V moves by 4.3e-4, 4.8e-5, 6.1e-8 and 2.7e-13 of itself
         from 16 to 32, 64, 128 and 256 nodes.  At the default cap,
-        FIBER_ORDER, the nested rule takes 256 and reports convergence, V
-        within 1e-15 of a 512-node trapezoid sum; capped at 128 it stops
-        unconverged, 2.7e-13 off."""
+        FIBER_ORDER, the torus chart's rule, sized on its probe grid, takes
+        256 and reports convergence, V there within 1e-15 of a 512-node
+        trapezoid sum; capped at 128 it stops unconverged, and V at 128
+        nodes is 2.7e-13 off."""
         from finslergbc.manifolds import install_metric
 
         met = install_metric(torus, "quartic", {"eps": 0.1})
         th, w = periodic_rule(512)
         want = float(np.sum(w * fiber_volume_form(met, [np.full(512, 0.3), np.full(512, 0.2)],
                                                   th, "torus")))
-        rules = {}
-        V = fiber_volume(met, [np.array([0.3]), np.array([0.2])], "torus", rules=rules)
-        assert rules == {"torus": (256, True)}
+        assert size_fiber_rule(met, torus, "torus") == (256, True)
+        V = fiber_volume(met, [np.array([0.3]), np.array([0.2])], "torus", 256)
         assert abs(float(V[0]) - want) <= 1e-15 * want
-        rules = {}
-        V = fiber_volume(met, [np.array([0.3]), np.array([0.2])], "torus", 128, rules)
-        assert rules == {"torus": (128, False)}
+        assert size_fiber_rule(met, torus, "torus", 128) == (128, False)
+        V = fiber_volume(met, [np.array([0.3]), np.array([0.2])], "torus", 128)
         assert abs(float(V[0]) - want) > 1e-13 * want
 
     @pytest.mark.parametrize("eps", [0.1, 0.5, 0.8])
     def test_default_order_against_gauss_legendre(self, eps, sphere):
-        """V at the default fiber order matches a 128-node Gauss-Legendre sum
-        of the same density to 1e-12 on weak and strong Randers metrics."""
+        """V at the count of the chart's rule, sized at the default cap,
+        matches a 128-node Gauss-Legendre sum of the same density to 1e-12
+        on weak and strong Randers metrics."""
         from finslergbc.manifolds import install_metric
         from finslergbc.quadrature import gauss_legendre
 
         met = install_metric(sphere, "randers", {"eps": eps})
+        nodes, _ = size_fiber_rule(met, sphere, "south")
         rng = np.random.default_rng(23)
         r, ph = np.sqrt(rng.uniform(0.0, 1.0, 50)), rng.uniform(0.0, 2.0 * math.pi, 50)
         x1, x2 = r * np.cos(ph), r * np.sin(ph)
         th, w = gauss_legendre(0.0, 2.0 * math.pi, 128)
         oracle = fiber_volume_form(met, [x1[:, None], x2[:, None]], th, "south") @ w
-        assert np.max(np.abs(fiber_volume(met, [x1, x2], "south") - oracle)) < 1e-12
+        assert np.max(np.abs(fiber_volume(met, [x1, x2], "south", nodes) - oracle)) < 1e-12
+
+    def test_volume_smooth_along_a_line_at_the_chart_count(self, sphere):
+        """On Randers 0.8, along x1 through (0.2108, -0.1408) in the south
+        chart, V at the chart's count is within 1e-14 (relative) of a
+        512-node trapezoid sum at all 801 points.  A rule sized at each
+        point on its own stopped at 16 nodes in a window 1.2e-4 wide there,
+        1.58e-12 off, and took 32 outside it: a stencil across the window
+        read the jump."""
+        from finslergbc.manifolds import install_metric
+
+        met = install_metric(sphere, "randers", {"eps": 0.8})
+        nodes, converged = size_fiber_rule(met, sphere, "south")
+        assert converged
+        x1, x2 = 0.2108 + np.linspace(-4e-4, 4e-4, 801), np.full(801, -0.1408)
+        th, w = periodic_rule(512)
+        want = np.sum(w * fiber_volume_form(met, [x1[:, None], x2[:, None]], th, "south"), -1)
+        V = fiber_volume(met, [x1, x2], "south", nodes)
+        assert np.max(np.abs(V - want) / want) <= 1e-14
 
     def test_batched_matches_pointwise(self, randers_metric):
         """One call over a grid of base points equals one call per point
@@ -636,33 +658,28 @@ class TestFiberVolume:
             assert V[idx] == pytest.approx(one, rel=1e-14)
 
     @pytest.mark.parametrize("case", ["scalar", "ragged", "stacked", "one-point-blocks",
-                                      "scalar-seed", "two-seed", "mixed-sizes"])
+                                      "scalar-seed", "two-seed", "strong-metric"])
     def test_blocked_matches_one_block(self, case, randers_metric, sphere, monkeypatch):
         """Evaluating the batch in blocks of base points changes no bit:
         V, real and imaginary parts, equals the one-block evaluation of the
         whole batch, which the test forces by raising the block size.  The
         seeded cases shift the points as a complex-step sweep does, along x1
         alone ("scalar-seed") or along x1 and x2 stacked on a leading axis
-        ("two-seed").  At cap 64 the nested fiber rule starts at 16 nodes
-        and each doubling of n evaluates only the points whose own rule
-        needs 2n nodes, in blocks of _BLOCK_NODES // n points, so the calls
-        are counted from the node count each point takes on its own; on
-        Randers 0.7 ("mixed-sizes") the points take 16, 32 and 64.  With
-        one node per block, each block holds one point and V equals the
-        evaluation of each point on its own."""
+        ("two-seed").  The fiber rule runs at the chart's count under cap
+        64, 16 nodes on Randers 0.1 and 64 on Randers 0.7 ("strong-metric"),
+        in blocks of _BLOCK_NODES // nodes base points.  With one node per
+        block, each block holds one point and V equals the evaluation of
+        each point on its own."""
         import finslergbc.metric as metric_mod
         from finslergbc.manifolds import install_metric
 
         rng = np.random.default_rng(17)
-        order = 64
-        met = (install_metric(sphere, "randers", {"eps": 0.7}) if case == "mixed-sizes"
+        met = (install_metric(sphere, "randers", {"eps": 0.7}) if case == "strong-metric"
                else randers_metric)
+        nodes, _ = size_fiber_rule(met, sphere, "south", 64)
+        assert nodes == (64 if case == "strong-metric" else 16)
         if case == "one-point-blocks":
             monkeypatch.setattr(quadrature, "_BLOCK_NODES", 1)
-
-        def blocks(points, nodes):
-            return -(-points // max(1, quadrature._BLOCK_NODES // nodes))
-
         block = max(1, quadrature._BLOCK_NODES // 16)
         shape = {"scalar": (), "stacked": (4, 200),
                  "one-point-blocks": (5,)}.get(case, (2 * block + 37,))
@@ -670,28 +687,19 @@ class TestFiberVolume:
         x = {"scalar-seed": [x1 + 1j * quadrature.COMPLEX_STEP, x2],
              "two-seed": _swept(x1, x2)}.get(case, [x1, x2])
 
-        nodes = []
-        for a, b in zip(*np.broadcast_arrays(*map(np.ravel, x))):
-            rules = {}
-            fiber_volume(met, [a, b], "south", order, rules)
-            nodes.append(rules["south"][0])
-        nodes = np.array(nodes)
-        if case == "mixed-sizes":
-            assert set(nodes) == {16, 32, 64}
-
         calls = []
         form = metric_mod.fiber_volume_form
         monkeypatch.setattr(metric_mod, "fiber_volume_form",
                             lambda *a, **k: calls.append(1) or form(*a, **k))
-        got = fiber_volume(met, x, "south", order)
-        assert len(calls) == blocks(nodes.size, 16) + sum(
-            blocks(np.count_nonzero(nodes >= 2 * n), n) for n in (16, 32))
+        got = fiber_volume(met, x, "south", nodes)
+        points = np.broadcast(*x).size
+        assert len(calls) == -(-points // max(1, quadrature._BLOCK_NODES // nodes))
         monkeypatch.setattr(quadrature, "_BLOCK_NODES", 10 ** 12)
         if case == "one-point-blocks":
-            want = np.array([fiber_volume(met, [a, b], "south", order)
+            want = np.array([fiber_volume(met, [a, b], "south", nodes)
                              for a, b in zip(x1, x2)])
         else:
-            want = fiber_volume(met, x, "south", order)
+            want = fiber_volume(met, x, "south", nodes)
         assert np.shape(got) == np.shape(want) == np.shape(x[0])
         assert np.array_equal(got, want)
         assert np.iscomplexobj(got) == case.endswith("-seed")
@@ -703,9 +711,7 @@ class TestFiberVolume:
                                                     monkeypatch):
         """V at a base point has the same bits alone, in a batch, at any
         offset within its block and in a batch of one block: the fiber sums
-        of a point read its own row only, and the nested fiber rule sizes
-        each point on its own estimate (at cap 48 the points here take 12
-        or 24 nodes)."""
+        of a point read its own row only, at one node count for all."""
         rng = np.random.default_rng(29)
         block = max(1, quadrature._BLOCK_NODES // order)
         x1, x2 = rng.uniform(-0.7, 0.7, (2, 2 * block + 37))
