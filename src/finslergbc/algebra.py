@@ -146,10 +146,7 @@ class BigradedElement:
         )
 
     def max_abs(self) -> float:
-        m = 0.0
-        for c in self.terms.values():
-            m = max(m, float(np.max(np.abs(c))))
-        return m
+        return float(np.max([np.max(np.abs(c)) for c in self.terms.values()], initial=0.0))
 
 
 def bigraded_product(a: BigradedElement, b: BigradedElement) -> BigradedElement:

@@ -10,7 +10,8 @@ coordinates, so the production GBC integrand differentiates varpi_0^1 by
 complex-step partials, exact to rounding.  ``CurvatureData`` takes d
 varpi_0^1 by the finite-difference stencil (central differences +
 Richardson): it is the identity checks' oracle, independent of the
-production path.
+production path.  On a stencil stack along axis a it skips the partials
+along a, whose components the enclosing d never reads, and leaves them NaN.
 
 Index conventions follow  D s_i = theta_i^j (x) s_j  and  nabla e_i =
 varpi_i^j (x) e_j, with matrices stored as m[i][j] = (lower i, upper j).
@@ -416,14 +417,20 @@ def horizontal_part(P, metric: FinslerMetric, ehresmann: EhresmannData | None = 
 class CurvatureData:
     """The curvature Omega_0^1 = d varpi_0^1 of a FrameConnection as a
     2-form on the bundle chart: ``omega(pts)`` returns {(a, b): coeff}
-    with a < b, and ``table(pts)`` the skew matrix of such tables."""
+    with a < b, and ``table(pts)`` the skew matrix of such tables.  On a
+    stencil stack along axis a (``pts.axis``) the enclosing d reads only
+    forms' coefficients whose key omits a, which take only the components
+    of Omega that omit a, so pi is differentiated along the other two axes
+    alone: those components keep their bits, and the ones with a are NaN,
+    so a reader of them fails loudly instead of reading a silent zero."""
 
     def __init__(self, conn: FrameConnection):
         self.conn = conn
 
     def omega(self, pts: ChartPoints):
+        axes = [b for b in range(pts.dim) if b != pts.axis]
         return pts.cached(("omega", self.conn), lambda: d_from_partials(central_partials(
-            lambda q: {(a,): c for a, c in enumerate(self.conn.pi(q))}, pts)).coeffs)
+            lambda q: {(a,): c for a, c in enumerate(self.conn.pi(q))}, pts, axes)).coeffs)
 
     def table(self, pts: ChartPoints):
         om = self.omega(pts)

@@ -77,11 +77,13 @@ class ChartPoints:
     evaluations be shared between form fields at the same batch; each
     entry is keyed by the objects that own it (a metric, a connection, a
     form set), so a key holds its owner and no id is reused while the
-    entry lives."""
+    entry lives.  ``axis`` is the chart axis of a stencil stack made by
+    ``shifted``, and None on any other batch."""
 
-    def __init__(self, chart: str, coords: tuple):
+    def __init__(self, chart: str, coords: tuple, axis: int | None = None):
         self.chart = chart
         self.coords = coords
+        self.axis = axis
         self.cache = {}
 
     def cached(self, key, compute):
@@ -112,7 +114,7 @@ class ChartPoints:
         base = np.broadcast_arrays(*self.coords)
         coords = [np.stack([c] * len(steps)) for c in base]
         coords[axis] = np.stack([base[axis] + h for h in steps])
-        return ChartPoints(self.chart, tuple(coords))
+        return ChartPoints(self.chart, tuple(coords), axis)
 
 
 class PointwiseForm:
@@ -163,9 +165,8 @@ class PointwiseForm:
         return out
 
     def max_abs(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return max(float(np.max(np.abs(v))) for v in self.coeffs.values())
+        """The largest |coefficient|, NaN if any coefficient is NaN."""
+        return float(np.max([np.max(np.abs(v)) for v in self.coeffs.values()], initial=0.0))
 
 
 class FormField:
@@ -206,33 +207,39 @@ class FormField:
         return exterior_derivative(self)
 
 
-def central_partials(payload, pts: ChartPoints) -> list[dict]:
+def central_partials(payload, pts: ChartPoints, axes=None) -> list[dict]:
     """partials[axis][key]: the derivative of every entry of the dict
     payload(pts) along each chart axis of the batch.
 
     Central differences at steps FD_STEP and FD_STEP/2 are combined by
     Richardson extrapolation to an O(h^4) estimate.  The payload runs once
-    per chart axis, on the four displaced copies of the batch stacked on a
-    leading axis (``ChartPoints.shifted``); every entry is broadcast to the
-    stacked shape, so a constant entry such as 0.0 differentiates to 0.
+    per chart axis in ``axes`` (default all), on the four displaced copies
+    of the batch stacked on a leading axis (``ChartPoints.shifted``); every
+    entry is broadcast to the stacked shape, so a constant entry such as
+    0.0 differentiates to 0.  The partials along an axis left out are NaN,
+    so a reader of them fails loudly instead of reading a silent zero: on
+    a stack along axis a, the d of an enclosing sweep reads only the
+    coefficients whose key omits a (``d_from_partials``), and a pointwise
+    product of forms takes those from the factors' components that omit a
+    too, so a d nested on that stack needs no partial along a.
     The payload must be elementwise over the batch and evaluable in a
     neighbourhood of it (charts here are global, so displacements never
     leave the domain).
     """
     h = FD_STEP
     steps = (h, -h, 0.5 * h, -0.5 * h)
-    out = []
-    for axis in range(pts.dim):
+    out = [None] * pts.dim
+    for axis in range(pts.dim) if axes is None else axes:
         stack = pts.shifted(axis, steps)
         shape = stack.coords[0].shape
-        by_key = {}
+        by_key = out[axis] = {}
         for k, c in payload(stack).items():
             pp, pm, pp2, pm2 = np.broadcast_to(c, shape)
             d1 = (pp - pm) / (2.0 * h)
             d2 = (pp2 - pm2) / h
             by_key[k] = (4.0 * d2 - d1) / 3.0
-        out.append(by_key)
-    return out
+    skipped = dict.fromkeys(by_key, np.full(shape[1:], np.nan))
+    return [skipped if partials is None else partials for partials in out]
 
 
 def complex_step_partials(payload, pts: ChartPoints, directions=None) -> tuple[dict, list[dict]]:
@@ -304,7 +311,9 @@ def exterior_derivatives(fields, pts: ChartPoints) -> list[PointwiseForm]:
     coefficient tables keyed by (field index, axes).  Every displaced
     batch evaluates all the fields, so what they share through the batch
     cache (frame forms, curvature) is computed once per displacement; the
-    displaced batches still die axis by axis."""
+    displaced batches still die axis by axis.  The d along axis a reads
+    only coefficients whose key omits a, so a curvature on the stack along
+    a is taken along the other axes alone (``CurvatureData``)."""
 
     def payload(q: ChartPoints) -> dict:
         return {(i, key): c for i, f in enumerate(fields) for key, c in f(q).coeffs.items()}

@@ -260,10 +260,11 @@ class TestRunners:
 
     def test_identities_one_stencil_sweep_per_batch(self, monkeypatch):
         """The five differentiated fields share one stencil sweep per chart
-        batch: 3 displaced stacks, plus 9 for the curvature of nabla on them
-        (computed once, cached on each stack for U_1 and the primitive), plus
-        3 for the curvature at the batch; gbc_integrand makes none.  Two
-        batches make 30 stacks; one sweep per field made 78."""
+        batch: 3 displaced stacks, plus 6 for the curvature of nabla on them
+        (along the two axes across each stack, computed once, cached on it
+        for U_1 and the primitive), plus 3 for the curvature at the batch;
+        gbc_integrand makes none.  Two batches make 24 stacks; the full
+        nested stencil made 30, and one sweep per field 78."""
         from finslergbc.quadrature import ChartPoints
 
         calls = []
@@ -277,7 +278,7 @@ class TestRunners:
         cfg = ExperimentConfig(scenario="identities", metric="randers",
                                connection="cartan", identity_samples=2)
         assert run_identity_suite(cfg).passed
-        assert len(calls) == 30
+        assert len(calls) == 24
 
     def test_gbc_makes_no_displaced_batch(self, monkeypatch):
         """The production integrand takes its curvature from complex-step
@@ -1136,6 +1137,58 @@ class TestIdentityBounds:
             mutated = run_identity_suite(cfg).row(row)
         assert not mutated.passed
         assert mutated.value < old_bound
+
+    @pytest.mark.parametrize("connection", ["cartan", "perturbed"])
+    @pytest.mark.parametrize("eps", [0.1, 0.8])
+    def test_rows_match_the_full_nested_stencil(self, eps, connection, monkeypatch):
+        """Every row is repr-identical to a run whose nested curvature
+        takes all three axes on every stack, which makes 3 more stacks per
+        chart batch: the enclosing d never reads what is skipped."""
+        import finslergbc.connection as cn
+        from finslergbc.quadrature import ChartPoints
+
+        stacks = []
+        shifted = ChartPoints.shifted
+        monkeypatch.setattr(ChartPoints, "shifted",
+                            lambda self, axis, steps: stacks.append(axis)
+                            or shifted(self, axis, steps))
+        cfg = ExperimentConfig(metric="randers", metric_eps=eps, connection=connection,
+                               identity_samples=6)
+        rows = [(r.name, repr(r.value), r.passed) for r in run_identity_suite(cfg).rows]
+        transverse = len(stacks)
+        stacks.clear()
+        full = cn.central_partials
+        monkeypatch.setattr(cn, "central_partials", lambda payload, pts, axes=None:
+                            full(payload, pts))
+        forced = [(r.name, repr(r.value), r.passed) for r in run_identity_suite(cfg).rows]
+        assert rows == forced and len(rows) == 9
+        assert all(passed for _, _, passed in rows)
+        # per chart batch (2 of them): 3 stacks, 3 for the curvature of nabla
+        # at the batch, 3 more for that of D where D != nabla, and 6 nested
+        # ones on the stacks (9 on the full stencil)
+        assert (transverse, len(stacks)) == ((24, 30) if connection == "cartan" else (30, 36))
+
+    def test_reading_a_skipped_component_fails_the_report(self, monkeypatch):
+        """omega_element reading Omega's (0, 2) component in place of its
+        (0, 1) one reads NaN on every stack along theta, where (0, 2) is
+        skipped.  The NaN reaches d U_1, whatever batch it comes from, and
+        fails lemma35_closedness and the report."""
+        import finslergbc.identities as idn
+
+        element = idn.IdentityForms.omega_element
+
+        def misread(self, pts):
+            out = element(self, pts)
+            out.terms[((0, 1), (0, 1))] = out.terms[((0, 2), (0, 1))]
+            return out
+
+        cfg = ExperimentConfig(metric="randers", identity_samples=6)
+        assert run_identity_suite(cfg).passed
+        monkeypatch.setattr(idn.IdentityForms, "omega_element", misread)
+        report = run_identity_suite(cfg)
+        assert not report.passed
+        row = report.row("lemma35_closedness")
+        assert math.isnan(row.value) and not row.passed
 
     @pytest.mark.parametrize("connection", ["cartan", "perturbed"])
     @pytest.mark.parametrize("eps,seed", [(0.5, 5), (0.5, 13), (0.5, 18), (0.8, 8), (0.8, 9),

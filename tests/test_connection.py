@@ -446,6 +446,28 @@ class TestCurvature:
         for key in om:
             assert np.array_equal(table[1][0][key], -om[key])
 
+    @pytest.mark.parametrize("route", ["cartan", "perturbed"])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_stencil_stack_skips_its_axis(self, sphere, cartan_frame_randers, route, axis):
+        """On a stencil stack along an axis, Omega is pi's d along the two
+        other axes: the components that omit the axis have the bits of the
+        full stencil on the same points, and the ones with it are NaN."""
+        fc = cartan_frame_randers
+        if route == "perturbed":
+            fc = perturb_metric_compatible(fc, sinusoidal_perturbation(sphere, fc, 0.2))
+        curv = CurvatureData(fc)
+        stack = bundle_points("south", 10, seed=144).shifted(axis, (1e-3, -1e-3))
+        assert stack.axis == axis
+        om = curv.omega(stack)
+        full = curv.omega(ChartPoints(stack.chart, stack.coords))
+        assert list(om) == list(full) == [(0, 1), (0, 2), (1, 2)]
+        for key in om:
+            assert om[key].shape == full[key].shape == (2, 10)
+            if axis in key:
+                assert np.isnan(om[key]).all() and not np.isnan(full[key]).any()
+            else:
+                assert np.array_equal(om[key], full[key])
+
     def test_fd_matches_ad_first_derivatives(self, randers_metric):
         """The finite-difference exterior derivative reproduces AD-exact
         derivatives of smooth coefficient functions."""

@@ -210,6 +210,26 @@ class TestCentralPartials:
         for axis in range(pts.dim):
             assert np.array_equal(partials[axis]["zero"], np.zeros(3))
 
+    def test_axes_left_out_read_nan(self):
+        """Given axes, the payload runs once per axis named, whose partials
+        have the bits of the full sweep; an axis left out gets every key,
+        NaN at every point, so no reader takes a silent zero from it."""
+        pts = ChartPoints.of("c", [0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9])
+        stacks = []
+
+        def payload(q):
+            stacks.append(q.axis)
+            return {"s": q.coords[0] * q.coords[2], "zero": 0.0}
+
+        full = central_partials(payload, pts)
+        stacks.clear()
+        partials = central_partials(payload, pts, [2, 0])
+        assert stacks == [2, 0]
+        for axis in (0, 2):
+            assert all(np.array_equal(partials[axis][k], full[axis][k]) for k in full[axis])
+        assert list(partials[1]) == ["s", "zero"]
+        assert all(np.shape(c) == (3,) and np.isnan(c).all() for c in partials[1].values())
+
 
 class TestComplexStepPartials:
     @pytest.mark.parametrize("dim", [2, 3])
