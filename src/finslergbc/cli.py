@@ -128,7 +128,7 @@ SETTINGS = (
     Setting("metric", "round_sphere", "manifold", "metric", "--metric", choices=METRICS),
     Setting("metric_eps", 0.1, "manifold", "eps", "--metric-eps", float),
     Setting("connection", "cartan", "connection", "type", "--connection",
-            choices=("cartan", "chern_modified", "perturbed")),
+            choices=("cartan", "perturbed")),
     Setting("perturbation_amplitude", 0.2, "connection", "perturbation_amplitude",
             "--amplitude", float),
     Setting("ehresmann", "spray", "ehresmann", "type", None, choices=("spray", "explicit")),
@@ -408,7 +408,7 @@ def _build_connections(cfg: ExperimentConfig, atlas: Atlas, metric):
 def _default_tolerance(cfg: ExperimentConfig) -> float:
     if cfg.manifold == "torus":
         return 1e-6
-    if cfg.metric == "round_sphere" and cfg.connection in ("cartan", "chern_modified"):
+    if cfg.metric == "round_sphere" and cfg.connection == "cartan":
         return 1e-2
     return 2e-2
 
@@ -431,14 +431,15 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
     that order_base and order_fiber set, the fiber rule once per chart on
     a fixed probe grid (``TransgressionForms``); the metadata records per
     chart the node counts they took, as phi_nodes and fiber_nodes, and
-    marks a rule that stopped at its cap unconverged.  The integrand is
-    -c d(pi_0^1 / V) (``gbc_integrand``).  At the workload orders each
-    chart takes 32 radii x 12 angles, 768 base points in all.  The per-eps
-    value is vol(S^1) sum over charts of I(1) - I(eps), with I(eps) = 0 in
-    a chart without a zero; ``normalized_gbc_integral`` is their Neville
-    extrapolation to eps = 0.  The polar rule integrates the O(1/r)
-    integrand through the zero, so ``gbc_disc_limit``, vol(S^1) sum of
-    I(1), is the eps -> 0 limit itself and is held to chi within
+    marks a rule that stopped at its cap unconverged; the row
+    ``quadrature_rules_converged`` counts such rules and fails on any.  The
+    integrand is -c d(pi_0^1 / V) (``gbc_integrand``).  At the workload
+    orders each chart takes 32 radii x 12 angles, 768 base points in all.
+    The per-eps value is vol(S^1) sum over charts of I(1) - I(eps), with
+    I(eps) = 0 in a chart without a zero; ``normalized_gbc_integral`` is
+    their Neville extrapolation to eps = 0.  The polar rule integrates the
+    O(1/r) integrand through the zero, so ``gbc_disc_limit``, vol(S^1) sum
+    of I(1), is the eps -> 0 limit itself and is held to chi within
     DISC_LIMIT_TOL."""
     cfg.validate()
     t0 = time.perf_counter()
@@ -489,6 +490,9 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
         rows.append(
             ReportRow("fiber_volume_spread", vgrid, None, 1e-4, vgrid > 1e-4)
         )
+    rules = [*forms.fiber_rules.values(), *phi_rules.values()]
+    rows.append(_bound("quadrature_rules_converged",
+                       sum(not converged for _, converged in rules), 0.0))
 
     runtime = time.perf_counter() - t0
     meta = {

@@ -13,6 +13,12 @@ Richardson): it is the identity checks' oracle, independent of the
 production path.  On a stencil stack along axis a it skips the partials
 along a, whose components the enclosing d never reads, and leaves them NaN.
 
+A batch's tensors, frame B, B^{-1}, dB included, are one ``ChartTensors``
+record that ``bundle_tensors`` builds once and keeps in the batch's own
+``cache``; that cache is the only per-batch memo.  The natural-frame
+perturbation Q sits there too, keyed ("Q", P, tens), so the coefficient
+providers, ``gamma_of(tens, pts)`` and ``rho_of(tens, pts)``, take the batch.
+
 Index conventions follow  D s_i = theta_i^j (x) s_j  and  nabla e_i =
 varpi_i^j (x) e_j, with matrices stored as m[i][j] = (lower i, upper j).
 Every connection here is metric-compatible of rank 2, so in the
@@ -23,12 +29,9 @@ to Omega_0^1 = d varpi_0^1.  ``table`` builds the skew 2x2 matrices.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
 from .ad import Dual, partial, seed_pair, value
-from .errors import DomainError
 from .metric import FinslerMetric, MetricJets, metric_jets
 from .quadrature import ChartPoints, central_partials, d_from_partials
 
@@ -71,22 +74,20 @@ class EhresmannData:
 
 class ChartTensors:
     """Everything the connection pipeline needs at one batch of sphere
-    bundle chart points."""
+    bundle chart points: the metric jets, g, A, Ar = g^{-1} A, N, the Chern
+    horizontal coefficients, l = u/F, the chart derivatives dg[i][j][axis]
+    and dl[i][axis], and the g-orthonormal frame B, B^{-1}, dB[i][k][axis]."""
 
-    def __init__(self, chart: str, jets: MetricJets, g: list, ginv: list, A: list,
-                 Ar: list, N: list, gamma_chern: list, l: list, dg: list, dl: list,
-                 pts=None, frame: dict | None = None):
-        self.chart, self.jets = chart, jets
-        self.g, self.ginv = g, ginv
-        self.A, self.Ar, self.N, self.gamma_chern = A, Ar, N, gamma_chern
-        self.l, self.dg, self.dl = l, dg, dl  # dg[i][j][axis], dl[i][axis]
-        # a weakref.ref to the batch, whose cache holds these tensors: a strong
-        # reference would keep every batch alive until the cyclic collector runs
-        self.pts = pts
-        self.frame = {} if frame is None else frame
+    def __init__(self, jets: MetricJets, g: list, A: list, Ar: list, N: list,
+                 gamma_chern: list, l: list, dg: list, dl: list):
+        self.jets = jets
+        self.g, self.A, self.Ar, self.N, self.gamma_chern = g, A, Ar, N, gamma_chern
+        self.l, self.dg, self.dl = l, dg, dl
+        self.B, self.Binv, self.dB = _frame_fields(g, dg, l, dl)
 
 
-def _derived_tensors(jets: MetricJets, N_override=None) -> dict:
+def _derived_tensors(jets: MetricJets, N_override=None):
+    """g, A, Ar, N and the Chern horizontal coefficients gamma from the jets."""
     n = N_RANK
     T1, T2, T3 = jets.T1, jets.T2, jets.T3
     X1, X2, X3 = jets.X1, jets.X2, jets.X3
@@ -167,7 +168,7 @@ def _derived_tensors(jets: MetricJets, N_override=None) -> dict:
         ]
         for i in range(n)
     ]
-    return {"g": g, "ginv": ginv, "A": A, "Ar": Ar, "N": N, "gamma": gamma}
+    return g, A, Ar, N, gamma
 
 
 def bundle_tensors(metric: FinslerMetric, pts: ChartPoints,
@@ -186,7 +187,7 @@ def _chart_tensors(metric: FinslerMetric, pts: ChartPoints,
     N_override = None
     if ehresmann is not None:
         N_override = ehresmann.table(pts.chart, [x1, x2], jets.u)
-    der = _derived_tensors(jets, N_override)
+    g, A, Ar, N, gamma = _derived_tensors(jets, N_override)
     F, u, v = jets.F, jets.u, jets.v
     l = [u[i] / F for i in range(n)]
     F_th = sum(jets.T1[k] * v[k] for k in range(n)) / (2.0 * F)
@@ -209,20 +210,7 @@ def _chart_tensors(metric: FinslerMetric, pts: ChartPoints,
         ]
         for i in range(n)
     ]
-    return ChartTensors(
-        chart=pts.chart,
-        jets=jets,
-        g=der["g"],
-        ginv=der["ginv"],
-        A=der["A"],
-        Ar=der["Ar"],
-        N=der["N"],
-        gamma_chern=der["gamma"],
-        l=l,
-        dg=dg,
-        dl=dl,
-        pts=weakref.ref(pts),
-    )
+    return ChartTensors(jets, g, A, Ar, N, gamma, l, dg, dl)
 
 
 # ---------------------------------------------------------------------------
@@ -232,31 +220,27 @@ def _chart_tensors(metric: FinslerMetric, pts: ChartPoints,
 class ConnectionData:
     """A connection of the Finsler bundle, split as theta^i_j =
     gamma^i_{jA} dx^A + rho^i_{jk} delta y^k in the natural frame.  The
-    coefficient providers consume a ChartTensors batch."""
+    coefficient providers read a batch and its ChartTensors."""
 
     def __init__(self, label: str, gamma_of, rho_of):
         self.label = label
-        self.gamma_of = gamma_of  # callable(ChartTensors) -> gamma[i][j][A]
-        self.rho_of = rho_of  # callable(ChartTensors) -> rho[i][j][k]
+        self.gamma_of = gamma_of  # callable(ChartTensors, ChartPoints) -> gamma[i][j][A]
+        self.rho_of = rho_of  # callable(ChartTensors, ChartPoints) -> rho[i][j][k]
 
 
-def _zero_rho(tens: ChartTensors):
-    z = 0.0
-    return [[[z for _ in range(N_RANK)] for _ in range(N_RANK)] for _ in range(N_RANK)]
+def _zero_rho(tens: ChartTensors, pts: ChartPoints):
+    return [[[0.0] * N_RANK for _ in range(N_RANK)] for _ in range(N_RANK)]
 
 
-def _cartan_rho(tens: ChartTensors):
+def _cartan_rho(tens: ChartTensors, pts: ChartPoints):
     # vertical Cartan coefficients: the unique multiple of A^i_{jk} that
     # makes the modification metric-compatible (d^V g_ij = 2 A_ijk dy^k/F,
     # matched by rho_{(ij)k} symmetrization = 2 A_ijk)
-    return [
-        [[tens.Ar[i][j][k] for k in range(N_RANK)] for j in range(N_RANK)]
-        for i in range(N_RANK)
-    ]
+    return tens.Ar
 
 
 def chern_connection() -> ConnectionData:
-    return ConnectionData("chern", lambda t: t.gamma_chern, _zero_rho)
+    return ConnectionData("chern", lambda tens, pts: tens.gamma_chern, _zero_rho)
 
 
 def modify(D: ConnectionData) -> ConnectionData:
@@ -272,15 +256,16 @@ def cartan_connection() -> ConnectionData:
     return out
 
 
-def theta_chart_forms(tens: ChartTensors, D: ConnectionData):
+def theta_chart_forms(tens: ChartTensors, pts: ChartPoints, D: ConnectionData):
     """theta[i][j][axis]: the 1-form theta_i^j = gamma^j_{iA} dx^A +
-    rho^j_{ik} delta y^k expressed in the chart coframe, pulled back along
-    theta -> [u(theta)] (so delta y^k = (v^k dtheta + N^k_A dx^A)/F)."""
+    rho^j_{ik} delta y^k at the batch pts, whose tensors are tens,
+    expressed in the chart coframe, pulled back along theta -> [u(theta)]
+    (so delta y^k = (v^k dtheta + N^k_A dx^A)/F)."""
     n = N_RANK
     F = tens.jets.F
     v = tens.jets.v
-    gamma = D.gamma_of(tens)
-    rho = D.rho_of(tens)
+    gamma = D.gamma_of(tens, pts)
+    rho = D.rho_of(tens, pts)
     theta = [[[None] * AXES for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -297,22 +282,21 @@ def theta_chart_forms(tens: ChartTensors, D: ConnectionData):
 # orthonormal frame and its chart derivatives
 
 
-def _frame_fields(tens: ChartTensors):
-    """B, B^{-1} and the AD-exact chart derivatives dB[i][k][axis]; the
-    frame is e_2 = l with e_1 the positively oriented g-unit normal.  One
-    dual pass carries all three chart derivatives: g and l are seeded with
-    their x1, x2 and theta derivatives on one leading axis of length 3.
-    B^{-1} is built from the values of B alone."""
-    if "B" in tens.frame:
-        return tens.frame["B"], tens.frame["Binv"], tens.frame["dB"]
+def _frame_fields(g, dg, l, dl):
+    """B, B^{-1} and the AD-exact chart derivatives dB[i][k][axis] from g,
+    l and their chart derivatives; the frame is e_2 = l with e_1 the
+    positively oriented g-unit normal.  One dual pass carries all three
+    chart derivatives: g and l are seeded with their x1, x2 and theta
+    derivatives on one leading axis of length 3.  B^{-1} is built from the
+    values of B alone."""
     n = N_RANK
 
     def seeded(val, d):
         return Dual(val, np.stack(np.broadcast_arrays(*d)))
 
-    g01 = seeded(tens.g[0][1], tens.dg[0][1])  # g and dg are symmetric
-    g_d = [[seeded(tens.g[0][0], tens.dg[0][0]), g01], [g01, seeded(tens.g[1][1], tens.dg[1][1])]]
-    l_d = [seeded(tens.l[i], tens.dl[i]) for i in range(n)]
+    g01 = seeded(g[0][1], dg[0][1])  # g and dg are symmetric
+    g_d = [[seeded(g[0][0], dg[0][0]), g01], [g01, seeded(g[1][1], dg[1][1])]]
+    l_d = [seeded(l[i], dl[i]) for i in range(n)]
     lhat = [sum(g_d[i][j] * l_d[j] for j in range(n)) for i in range(n)]
     w = [lhat[1], -1.0 * lhat[0]]
     nw = sum(w[i] * g_d[i][j] * w[j] for i in range(n) for j in range(n)) ** 0.5
@@ -321,7 +305,6 @@ def _frame_fields(tens: ChartTensors):
     dB = [[partial(B_d[i][k]) for k in range(n)] for i in range(n)]
     inv = 1.0 / (B[0][0] * B[1][1] - B[0][1] * B[1][0])
     Binv = [[B[1][1] * inv, -B[0][1] * inv], [-B[1][0] * inv, B[0][0] * inv]]
-    tens.frame.update(B=B, Binv=Binv, dB=dB)
     return B, Binv, dB
 
 
@@ -347,9 +330,8 @@ class FrameConnection:
 
     n = N_RANK
 
-    def __init__(self, label: str, metric: FinslerMetric, pi_of):
+    def __init__(self, label: str, pi_of):
         self.label = label
-        self.metric = metric
         self.pi_of = pi_of  # callable(ChartPoints) -> pi[axis] of varpi_0^1
 
     def pi(self, pts: ChartPoints):
@@ -369,11 +351,9 @@ def to_orthonormal_frame(D: ConnectionData, metric: FinslerMetric,
 
     def pi_of(pts: ChartPoints):
         tens = bundle_tensors(metric, pts, ehresmann)
-        theta = theta_chart_forms(tens, D)
-        B, Binv, dB = _frame_fields(tens)
-        return _frame_form(theta, B, dB, Binv)
+        return _frame_form(theta_chart_forms(tens, pts, D), tens.B, tens.dB, tens.Binv)
 
-    return FrameConnection(D.label, metric, pi_of)
+    return FrameConnection(D.label, pi_of)
 
 
 def perturb_metric_compatible(base: FrameConnection, P) -> FrameConnection:
@@ -386,7 +366,7 @@ def perturb_metric_compatible(base: FrameConnection, P) -> FrameConnection:
         pert = P(pts)
         return [pi[a] + pert[a] for a in range(AXES)]
 
-    return FrameConnection(f"pert({base.label})", base.metric, pi_of)
+    return FrameConnection(f"pert({base.label})", pi_of)
 
 
 def horizontal_part(P, metric: FinslerMetric, ehresmann: EhresmannData | None = None):
@@ -446,7 +426,7 @@ def metric_compat_residual(metric: FinslerMetric, D: ConnectionData, pts: ChartP
     """Max residual of  dg_ij - theta_i^k g_kj - theta_j^k g_ik  over the
     batch, all chart axes."""
     tens = bundle_tensors(metric, pts, ehresmann)
-    theta = theta_chart_forms(tens, D)
+    theta = theta_chart_forms(tens, pts, D)
     n = N_RANK
     worst = 0.0
     for i in range(n):
@@ -503,9 +483,9 @@ def perturbed_connection_data(atlas, metric: FinslerMetric, base: ConnectionData
     vertical coefficients through the scaling-invariant extension of
     dtheta (dtheta = F v_k delta y^k - v_k N^k_A dx^A along y = u)."""
 
-    def gamma_of(tens: ChartTensors):
-        gamma = base.gamma_of(tens)
-        Q = _natural_perturbation(tens, P)
+    def gamma_of(tens: ChartTensors, pts: ChartPoints):
+        gamma = base.gamma_of(tens, pts)
+        Q = _natural_perturbation(tens, pts, P)
         n = N_RANK
         v = tens.jets.v
         out = [[[None] * 2 for _ in range(n)] for _ in range(n)]
@@ -516,9 +496,9 @@ def perturbed_connection_data(atlas, metric: FinslerMetric, base: ConnectionData
                     out[i][j][Aa] = gamma[i][j][Aa] + Q[j][i][Aa] - shadow
         return out
 
-    def rho_of(tens: ChartTensors):
-        rho = base.rho_of(tens)
-        Q = _natural_perturbation(tens, P)
+    def rho_of(tens: ChartTensors, pts: ChartPoints):
+        rho = base.rho_of(tens, pts)
+        Q = _natural_perturbation(tens, pts, P)
         n = N_RANK
         F = tens.jets.F
         v = tens.jets.v
@@ -533,21 +513,15 @@ def perturbed_connection_data(atlas, metric: FinslerMetric, base: ConnectionData
     return ConnectionData(f"pert({base.label})", gamma_of, rho_of)
 
 
-def _natural_perturbation(tens: ChartTensors, P):
-    """Q = B^{-1} P B per axis (theta-index layout), cached on the batch
-    under P itself.  P = [[0, p], [-p, 0]], so Q_i^m = B^{-1}_i^0 p B_1^m -
-    B^{-1}_i^1 p B_0^m."""
-    cache = tens.frame.setdefault("Qmap", {})
-    hit = cache.get(P)
-    if hit is not None:
-        return hit
-    pts = tens.pts()
-    if pts is None:
-        raise DomainError("the perturbation needs the batch of these tensors, which is gone")
-    B, Binv, _ = _frame_fields(tens)
-    p = P(pts)
-    Q = [[[Binv[i][0] * p[a] * B[1][m] - Binv[i][1] * p[a] * B[0][m] for a in range(AXES)]
-          for m in range(N_RANK)] for i in range(N_RANK)]
-    cache[P] = Q
-    return Q
+def _natural_perturbation(tens: ChartTensors, pts: ChartPoints, P):
+    """Q = B^{-1} P B per axis (theta-index layout) at the batch pts, whose
+    tensors are tens, cached on the batch under ("Q", P, tens).  P = [[0,
+    p], [-p, 0]], so Q_i^m = B^{-1}_i^0 p B_1^m - B^{-1}_i^1 p B_0^m."""
 
+    def build():
+        B, Binv = tens.B, tens.Binv
+        p = P(pts)
+        return [[[Binv[i][0] * p[a] * B[1][m] - Binv[i][1] * p[a] * B[0][m] for a in range(AXES)]
+                 for m in range(N_RANK)] for i in range(N_RANK)]
+
+    return pts.cached(("Q", P, tens), build)

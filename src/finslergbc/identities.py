@@ -276,8 +276,8 @@ def _bundle_samples(cfg: ExperimentConfig, atlas: Atlas, count: int):
 # The identity rows of run_identity_suite and their bounds, in report order.
 # At the default orders and seeds 1-20 every configuration passes.  On
 # the sphere with round_sphere and randers (eps 0.1) and the torus with
-# euclidean, riemannian and quartic, each with cartan, chern_modified and
-# perturbed (amplitude 0.2), the worst residuals are eq33 6.6e-13, eq34
+# euclidean, riemannian and quartic, each with cartan and perturbed
+# (amplitude 0.2), the worst residuals are eq33 6.6e-13, eq34
 # 6.7e-13, prop51 9.1e-14, lemma35 closedness 1.7e-11 and ODE 2.6e-12.  On
 # Randers eps 0.5, 0.8 and 0.9 with cartan and perturbed they are eq33
 # 2.1e-12, eq34 1.95e-11, prop51 2.5e-13, closedness 4.2e-11 and ODE
@@ -289,7 +289,7 @@ def _bundle_samples(cfg: ExperimentConfig, atlas: Atlas, count: int):
 IDENTITY_BOUNDS = {
     "eq33_dPi_minus_omega_nabla": 1e-10,
     "eq34_gbc_exactness": 2e-11,
-    "prop51_chern_weil": 5e-12,  # reads exactly 0 where D = nabla (cartan, chern_modified)
+    "prop51_chern_weil": 5e-12,  # reads exactly 0 where D = nabla (cartan)
     "prop33_fiber_volume_form": 1e-8,
     "prop32_metric_compatibility": 1e-8,
     "lemma35_closedness": 1e-9,  # blind to a constant rescale of Omega: c Omega is closed

@@ -667,7 +667,7 @@ _EXPLICIT_N = {"n11": "0.1*u*y1", "n12": "0.2*v*y2", "n21": "sin(u)*y1", "n22": 
 
 class TestExactIntegrand:
     @pytest.mark.parametrize("ehresmann", ["spray", "explicit"])
-    @pytest.mark.parametrize("connection", ["cartan", "perturbed", "chern_modified"])
+    @pytest.mark.parametrize("connection", ["cartan", "perturbed"])
     @pytest.mark.parametrize("metric", ["round_sphere", "randers", "euclidean", "quartic",
                                         "riemannian"])
     def test_gbc_integrand_matches_fd_oracle(self, metric, connection, ehresmann,

@@ -401,14 +401,19 @@ class TestRunners:
 
     def test_unconverged_fiber_rule_is_reported(self):
         """A fiber rule that stops at its cap without converging says so in
-        the report metadata: Randers 0.9 at order_fiber 16, where the rule
-        needs 128 nodes."""
+        the report metadata and fails quadrature_rules_converged, which
+        counts both charts' rules: Randers 0.9 at order_fiber 16, where the
+        rule needs 128 nodes."""
         cfg = ExperimentConfig(metric="randers", metric_eps=0.9, order_base=6, order_fiber=16,
                                epsilon_schedule=(0.2, 0.1))
-        meta = run_gbc(cfg).metadata
+        report = run_gbc(cfg)
+        meta = report.metadata
         assert meta["fiber_nodes"] == ("south=16 (not converged at cap),"
                                        "north=16 (not converged at cap)")
         assert meta["phi_nodes"] == "south=12,north=12"
+        row = report.row("quadrature_rules_converged")
+        assert (row.value, row.target, row.passed) == (2.0, 0.0, False)
+        assert not report.passed
 
     @pytest.mark.parametrize("cap, nodes", [(33, 16), (25, 24), (17, 16)])
     def test_odd_fiber_cap_is_estimated(self, cap, nodes):
@@ -445,7 +450,7 @@ class TestRunners:
         runs the 32 x 32 floor rule that every order up to 50 runs; a
         Gauss-Legendre annulus outside the zeros missed chi there by
         4.4e-5.  Order 96 runs the 64 x 64 rule."""
-        cfg = ExperimentConfig(metric="randers", metric_eps=0.7, connection="chern_modified",
+        cfg = ExperimentConfig(metric="randers", metric_eps=0.7, connection="cartan",
                                vector_field="stereographic_power", order_base=order_base)
         assert DISC_LIMIT_TOL == 1e-14
         assert run_gbc(cfg).row("gbc_disc_limit").passed
@@ -491,7 +496,7 @@ class TestRunners:
             "finslergbc.identities", "finslergbc.algebra"]
 
     @pytest.mark.parametrize("field", ["rotational", "height_gradient"])
-    @pytest.mark.parametrize("connection", ["cartan", "perturbed", "chern_modified"])
+    @pytest.mark.parametrize("connection", ["cartan", "perturbed"])
     def test_round_sphere_closed_form(self, connection, field):
         """On the round sphere the per-eps value has the closed form
         2(1 - eps^2)/(1 + eps^2), whatever the connection and field; exact
@@ -721,6 +726,16 @@ class TestMainEntry:
         """A metric outside the zoo exits 2 with a ValidationError, also on
         the subcommands that never install a metric."""
         assert main(argv) == 2
+        assert "ValidationError" in capsys.readouterr().err
+
+    def test_chern_modified_connection_rejected(self, tmp_path, capsys):
+        """chern_modified, once an alias of cartan, is no connection: by
+        flag or by INI key it exits 2 with a ValidationError."""
+        assert main(["gbc", "--connection", "chern_modified"]) == 2
+        assert "ValidationError" in capsys.readouterr().err
+        path = tmp_path / "alias.ini"
+        path.write_text("[connection]\ntype = chern_modified\n")
+        assert main(["identities", "--samples", "2", "--config", str(path)]) == 2
         assert "ValidationError" in capsys.readouterr().err
 
     @pytest.mark.parametrize("metric", ["euclidean", "quartic", "riemannian"])

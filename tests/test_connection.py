@@ -10,7 +10,6 @@ import pytest
 from finslergbc.connection import (
     CurvatureData,
     EhresmannData,
-    _frame_fields,
     _frame_form,
     bundle_tensors,
     cartan_connection,
@@ -24,7 +23,6 @@ from finslergbc.connection import (
     theta_chart_forms,
     to_orthonormal_frame,
 )
-from finslergbc.errors import DomainError
 from finslergbc.quadrature import ChartPoints, central_partials, exterior_derivative
 
 from conftest import bundle_points, curvature_form, frame_form
@@ -33,12 +31,12 @@ from conftest import bundle_points, curvature_form, frame_form
 def frame_transform(metric, D, pts, ehresmann=None):
     """The full frame transform varpi_i^j = (dB_i^k + B_i^m theta_m^k)
     (B^{-1})_k^j of the natural-frame connection D, axis by axis, built
-    from ``_frame_fields`` and ``theta_chart_forms``: the general-rank
+    from the batch's frame and ``theta_chart_forms``: the general-rank
     oracle of the one-entry ``_frame_form``, and of the skewness that
     lets varpi_0^1 stand for the whole matrix."""
     tens = bundle_tensors(metric, pts, ehresmann)
-    theta = theta_chart_forms(tens, D)
-    B, Binv, dB = _frame_fields(tens)
+    theta = theta_chart_forms(tens, pts, D)
+    B, Binv, dB = tens.B, tens.Binv, tens.dB
     pi = [[[None] * 3 for _ in range(2)] for _ in range(2)]
     for i in range(2):
         for j in range(2):
@@ -189,12 +187,12 @@ class TestChernHorizontal:
 
 class TestFrameFields:
     """The g-orthonormal frame of the production path: rows B[0] = e_1 and
-    B[1] = e_2 = l, from ``_frame_fields`` over a whole batch."""
+    B[1] = e_2 = l, from the batch's tensors (``_frame_fields``)."""
 
     @staticmethod
     def frame(metric, pts):
         tens = bundle_tensors(metric, pts)
-        B, Binv, _ = _frame_fields(tens)
+        B, Binv = tens.B, tens.Binv
         shape = pts.coords[0].shape
         return as_array(B, shape), as_array(Binv, shape), as_array(tens.g, shape)
 
@@ -240,7 +238,7 @@ class TestModification:
         Levi-Civita connection is its own modification."""
         pts = bundle_points("south", 20, seed=4)
         tens = bundle_tensors(round_metric, pts)
-        rho = modify(chern_connection()).rho_of(tens)
+        rho = modify(chern_connection()).rho_of(tens, pts)
         assert max(
             float(np.max(np.abs(np.asarray(rho[i][j][k]))))
             for i in range(2) for j in range(2) for k in range(2)
@@ -251,8 +249,8 @@ class TestModification:
         tens = bundle_tensors(randers_metric, pts)
         once = modify(chern_connection())
         twice = modify(once)
-        r1, r2 = once.rho_of(tens), twice.rho_of(tens)
-        g1, g2 = once.gamma_of(tens), twice.gamma_of(tens)
+        r1, r2 = once.rho_of(tens, pts), twice.rho_of(tens, pts)
+        g1, g2 = once.gamma_of(tens, pts), twice.gamma_of(tens, pts)
         for i in range(2):
             for j in range(2):
                 for k in range(2):
@@ -332,7 +330,7 @@ class TestFrameTransform:
         pts = bundle_points("south", 25, seed=10)
         tens = bundle_tensors(randers_metric, pts)
         pi = to_orthonormal_frame(cartan_connection(), randers_metric).table(pts)
-        B, _, _ = _frame_fields(tens)
+        B = tens.B
         x1, x2, th = pts.coords
         for i in range(2):
             lhs = sum(np.asarray(pi[1][k][2]) * np.asarray(B[k][i]) for k in range(2))
@@ -569,15 +567,6 @@ class TestPerturbation:
         full = frame_transform(randers_metric, natural_perturbed(sphere, randers_metric), pts)
         assert frame_skew_residual(full) < 1e-10
 
-    def test_dead_batch_raises_domain_error(self, randers_metric, sphere):
-        """The natural-frame perturbation evaluates P at the batch of the
-        tensors it is handed; once that batch is gone, the call names the
-        cause instead of failing on a None batch."""
-        Dd = natural_perturbed(sphere, randers_metric)
-        tens = bundle_tensors(randers_metric, bundle_points("south", 6))
-        with pytest.raises(DomainError, match="batch"):
-            Dd.gamma_of(tens)
-
     def test_natural_frame_route_matches_direct(self, randers_metric, sphere,
                                                 cartan_frame_randers):
         """Perturbed connection through (gamma, rho) data reproduces the
@@ -632,23 +621,46 @@ class TestPerturbation:
 
             return P
 
-        def gamma(P, tens):
+        def gamma(P, tens, pts):
             return perturbed_connection_data(sphere, randers_metric, cartan_connection(),
-                                             P).gamma_of(tens)
+                                             P).gamma_of(tens, pts)
 
         pts = bundle_points("south", 6, seed=26)
         tens = bundle_tensors(randers_metric, pts)
         first = make(0.1)
-        gamma(first, tens)
+        gamma(first, tens, pts)
         del first
         second = make(0.3)
-        got = gamma(second, tens)
+        got = gamma(second, tens, pts)
         fresh = bundle_points("south", 6, seed=26)
-        want = gamma(second, bundle_tensors(randers_metric, fresh))
+        want = gamma(second, bundle_tensors(randers_metric, fresh), fresh)
         for i in range(2):
             for j in range(2):
                 for a in range(2):
                     assert np.array_equal(got[i][j][a], want[i][j][a])
+
+    def test_natural_form_evaluates_perturbation_once_per_batch(self, randers_metric, sphere,
+                                                               cartan_frame_randers):
+        """gamma and rho of the unmodified natural-frame data share one Q
+        per batch: P runs once between them, and Q sits in the batch's own
+        cache under ("Q", P, tens).  A fresh batch evaluates P again."""
+        calls = []
+        base = sinusoidal_perturbation(sphere, cartan_frame_randers, 0.2)
+
+        def P(pts):
+            calls.append(pts)
+            return base(pts)
+
+        Dd = perturbed_connection_data(sphere, randers_metric, cartan_connection(), P)
+        pts = bundle_points("south", 8, seed=28)
+        tens = bundle_tensors(randers_metric, pts)
+        Dd.gamma_of(tens, pts)
+        Dd.rho_of(tens, pts)
+        assert calls == [pts]
+        assert ("Q", P, tens) in pts.cache
+        fresh = bundle_points("south", 8, seed=28)
+        Dd.rho_of(bundle_tensors(randers_metric, fresh), fresh)
+        assert calls == [pts, fresh]
 
     def test_evaluated_batch_freed_without_collector(self, randers_metric, sphere,
                                                      cartan_frame_randers):
