@@ -49,16 +49,17 @@ class TransgressionForms:
         return pts.cached(("V", self), lambda: self.volume_at(pts.chart, pts.coords[:2]))
 
     def dlog_volume(self, pts: ChartPoints):
-        """(d log V / dx1, d log V / dx2), exact to rounding, from one
-        complex-step sweep of V along the two base axes
-        (``complex_step_partials``), both stacked on one pass.  The sweep's
-        values are V, which is cached for ``volume`` if no plain pass has
-        run yet."""
+        """(d log V / dx1, d log V / dx2), exact to rounding: the partials
+        of one complex-step sweep of V along the two base axes
+        (``complex_step_partials``), both stacked on one pass, over V from
+        the plain pass of ``volume``.  The fused integrand does not read
+        it: only the general-rank FrakE of ``IdentityForms``, which the
+        tests check that integrand against, does."""
         def dlog():
-            values, (d1, d2) = complex_step_partials(
+            d1, d2 = complex_step_partials(
                 lambda q: {"V": self.volume_at(q.chart, q.coords)},
                 ChartPoints(pts.chart, pts.coords[:2]))
-            V = pts.cached(("V", self), lambda: values["V"])
+            V = self.volume(pts)
             return d1["V"] / V, d2["V"] / V
 
         return pts.cached(("dlogV", self), dlog)
@@ -101,7 +102,7 @@ class TransgressionForms:
                 t1, t2 = section.theta_grad(pts.chart, x1, x2)
                 q = ChartPoints(pts.chart, (x1, x2, section.theta(pts.chart, x1, x2)))
                 rows = ((1.0, 0.0, t1), (0.0, 1.0, t2))
-            _, partials = complex_step_partials(payload, q, rows)
+            partials = complex_step_partials(payload, q, rows)
             return (-norm) * d_from_partials([{(l,): _along(row, by_key)
                                                for l, row in enumerate(rows)}
                                               for by_key in partials])

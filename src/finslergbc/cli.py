@@ -131,7 +131,6 @@ SETTINGS = (
             choices=("cartan", "perturbed")),
     Setting("perturbation_amplitude", 0.2, "connection", "perturbation_amplitude",
             "--amplitude", float),
-    Setting("ehresmann", "spray", "ehresmann", "type", None, choices=("spray", "explicit")),
     Setting("vector_field", "rotational", "vector_field", "type", "--field",
             choices=("rotational", "height_gradient", "constant", "stereographic_power",
                      "custom")),
@@ -145,8 +144,9 @@ SETTINGS = (
     Setting("dump_forms", False, "output", "dump_forms", "--dump-forms", _boolean),
 )
 
-# The INI-only expression groups: an explicit Ehresmann table and the
-# per-chart (u, v) components of a custom field.
+# The INI-only expression groups: an explicit Ehresmann table, which any
+# of its keys selects over the spray, and the per-chart (u, v) components
+# of a custom field.
 _EHRESMANN_KEYS = ("n11", "n12", "n21", "n22")
 _FIELD_CHARTS = ("south", "north", "torus")
 
@@ -190,9 +190,9 @@ class ExperimentConfig:
             raise ValidationError(f"[scenario] id = {named} names another subcommand "
                                   f"than {scenario}")
         rows = {(s.section, s.key): s for s in SETTINGS}
-        sections = {s.section for s in SETTINGS}
         groups = {("scenario", "id"), *(("ehresmann", k) for k in _EHRESMANN_KEYS),
                   *(("vector_field", f"{c}_{a}") for c in _FIELD_CHARTS for a in "uv")}
+        sections = {section for section, _ in (*rows, *groups)}
         if ini.defaults():
             raise ValidationError(f"unknown section [{ini.default_section}]")
         values = {}
@@ -371,7 +371,9 @@ def _build_field(cfg: ExperimentConfig, atlas: Atlas) -> SectionField:
 
 
 def _build_ehresmann(cfg: ExperimentConfig):
-    if cfg.ehresmann == "spray":
+    """The explicit Ehresmann table of the [ehresmann] keys, an entry left
+    out being 0, or None (the canonical spray) when no key is given."""
+    if not cfg.ehresmann_exprs:
         return None
     from . import ad
 
@@ -392,7 +394,9 @@ def _build_connections(cfg: ExperimentConfig, atlas: Atlas, metric):
     The perturbed D is cartan + P and its modification cartan + P^h, both
     added on the frame side (P^h is P's horizontal part).  Only the
     prop32 row reads the natural-frame data, so the frame -> natural ->
-    frame round trip of ``perturbed_connection_data`` runs there alone."""
+    frame round trip of ``perturbed_connection_data`` runs there alone.
+    All three read P through its batch cache entry, so P runs once per
+    batch."""
     eh = _build_ehresmann(cfg)
     cart = cartan_connection()
     fc_cartan = to_orthonormal_frame(cart, metric, eh)
@@ -402,7 +406,7 @@ def _build_connections(cfg: ExperimentConfig, atlas: Atlas, metric):
     D = perturb_metric_compatible(fc_cartan, P)
     nabla = perturb_metric_compatible(fc_cartan, horizontal_part(P, metric, eh))
     nabla.label = f"mod({D.label})"
-    return D, nabla, modify(perturbed_connection_data(atlas, metric, cart, P)), eh
+    return D, nabla, modify(perturbed_connection_data(cart, P)), eh
 
 
 def _default_tolerance(cfg: ExperimentConfig) -> float:

@@ -15,9 +15,10 @@ along a, whose components the enclosing d never reads, and leaves them NaN.
 
 A batch's tensors, frame B, B^{-1}, dB included, are one ``ChartTensors``
 record that ``bundle_tensors`` builds once and keeps in the batch's own
-``cache``; that cache is the only per-batch memo.  The natural-frame
-perturbation Q sits there too, keyed ("Q", P, tens), so the coefficient
-providers, ``gamma_of(tens, pts)`` and ``rho_of(tens, pts)``, take the batch.
+``cache``; that cache is the only per-batch memo.  A perturbation's value
+P(pts) sits there too, keyed ("P", P), so D, its modification and the
+natural-frame data evaluate it once per batch; the coefficient providers,
+``gamma_of(tens, pts)`` and ``rho_of(tens, pts)``, take the batch for it.
 
 Index conventions follow  D s_i = theta_i^j (x) s_j  and  nabla e_i =
 varpi_i^j (x) e_j, with matrices stored as m[i][j] = (lower i, upper j).
@@ -454,9 +455,13 @@ def sinusoidal_perturbation(atlas, base: FrameConnection, amplitude: float):
     (through the atlas embedding scalars, with AD-exact differentials) and
     the base connection's own frame form, so it carries a genuine
     dtheta-component and the modification of the perturbed connection
-    differs from the perturbed modification."""
+    differs from the perturbed modification.  The value is cached on the
+    batch under ("P", P)."""
 
     def P(pts: ChartPoints):
+        return pts.cached(("P", P), lambda: build(pts))
+
+    def build(pts: ChartPoints):
         x1, x2 = pts.coords[:2]
         X, Y, Z = atlas.global_scalars(pts.chart, x1, x2)
         # both chart axes from one dual pass, seeded on a leading axis of length 2
@@ -471,8 +476,7 @@ def sinusoidal_perturbation(atlas, base: FrameConnection, amplitude: float):
     return P
 
 
-def perturbed_connection_data(atlas, metric: FinslerMetric, base: ConnectionData,
-                              P) -> ConnectionData:
+def perturbed_connection_data(base: ConnectionData, P) -> ConnectionData:
     """Natural-frame data of the perturbed connection D' = D + P, behind
     the prop32 metric-compatibility row and the tests' oracle for
     ``horizontal_part``.
@@ -485,7 +489,7 @@ def perturbed_connection_data(atlas, metric: FinslerMetric, base: ConnectionData
 
     def gamma_of(tens: ChartTensors, pts: ChartPoints):
         gamma = base.gamma_of(tens, pts)
-        Q = _natural_perturbation(tens, pts, P)
+        Q = _natural_perturbation(tens, P(pts))
         n = N_RANK
         v = tens.jets.v
         out = [[[None] * 2 for _ in range(n)] for _ in range(n)]
@@ -498,7 +502,7 @@ def perturbed_connection_data(atlas, metric: FinslerMetric, base: ConnectionData
 
     def rho_of(tens: ChartTensors, pts: ChartPoints):
         rho = base.rho_of(tens, pts)
-        Q = _natural_perturbation(tens, pts, P)
+        Q = _natural_perturbation(tens, P(pts))
         n = N_RANK
         F = tens.jets.F
         v = tens.jets.v
@@ -513,15 +517,10 @@ def perturbed_connection_data(atlas, metric: FinslerMetric, base: ConnectionData
     return ConnectionData(f"pert({base.label})", gamma_of, rho_of)
 
 
-def _natural_perturbation(tens: ChartTensors, pts: ChartPoints, P):
-    """Q = B^{-1} P B per axis (theta-index layout) at the batch pts, whose
-    tensors are tens, cached on the batch under ("Q", P, tens).  P = [[0,
-    p], [-p, 0]], so Q_i^m = B^{-1}_i^0 p B_1^m - B^{-1}_i^1 p B_0^m."""
-
-    def build():
-        B, Binv = tens.B, tens.Binv
-        p = P(pts)
-        return [[[Binv[i][0] * p[a] * B[1][m] - Binv[i][1] * p[a] * B[0][m] for a in range(AXES)]
-                 for m in range(N_RANK)] for i in range(N_RANK)]
-
-    return pts.cached(("Q", P, tens), build)
+def _natural_perturbation(tens: ChartTensors, p):
+    """Q = B^{-1} P B per axis (theta-index layout) from the (0, 1) entry
+    p[axis] of P at a batch whose tensors are tens.  P = [[0, p], [-p, 0]],
+    so Q_i^m = B^{-1}_i^0 p B_1^m - B^{-1}_i^1 p B_0^m."""
+    B, Binv = tens.B, tens.Binv
+    return [[[Binv[i][0] * p[a] * B[1][m] - Binv[i][1] * p[a] * B[0][m] for a in range(AXES)]
+             for m in range(N_RANK)] for i in range(N_RANK)]

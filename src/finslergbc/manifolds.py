@@ -166,7 +166,7 @@ def _norm_metric(atlas: Atlas, norm: MinkowskiNorm) -> FinslerMetric:
 
 # The metric zoo: every name install_metric takes, and the choices of the
 # CLI's --metric.
-METRICS = ("euclidean", "flat_torus", "riemannian", "round_sphere", "randers", "quartic")
+METRICS = ("euclidean", "riemannian", "round_sphere", "randers", "quartic")
 
 
 def install_metric(atlas: Atlas, zoo_id: str, params: dict | None = None,

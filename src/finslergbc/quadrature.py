@@ -17,10 +17,9 @@ so every coefficient is a numpy array over the batch.  Chart partials of a
 coefficient table come from one of two kernels: ``complex_step_partials``,
 exact to rounding, serves the production GBC integrand (d(pi_0^1 / V))
 in one pass per sweep, every direction stacked on a leading axis, and
-returns the table's values from that pass; the
-finite-difference stencil ``central_partials`` serves the exterior
-derivatives of the identity checks as an independent oracle, in one pass
-per chart axis.
+returns the partials alone; the finite-difference stencil
+``central_partials`` serves the exterior derivatives of the identity
+checks as an independent oracle, in one pass per chart axis.
 """
 
 from __future__ import annotations
@@ -242,24 +241,19 @@ def central_partials(payload, pts: ChartPoints, axes=None) -> list[dict]:
     return [skipped if partials is None else partials for partials in out]
 
 
-def complex_step_partials(payload, pts: ChartPoints, directions=None) -> tuple[dict, list[dict]]:
-    """(values, partials): the entries of the dict payload(pts) and their
-    partials[k][key] along each of the ``directions``, by complex-step
+def complex_step_partials(payload, pts: ChartPoints, directions=None) -> list[dict]:
+    """partials[k][key]: the partials of every entry of the dict
+    payload(pts) along each of the ``directions``, by complex-step
     differentiation (Squire & Trapp, SIAM Rev. 40(1), 1998).  A direction
     is one weight per chart axis, a float or an array over the batch; the
     default is the chart axes, so partials[axis][key] is what
     central_partials returns.  The payload runs once, on every direction
     stacked on a new leading axis: slice k holds coords[j] + i
-    COMPLEX_STEP directions[k][j], and an axis stays real only if every
-    direction's weight on it is the float 0.0.  Each partial is the
+    COMPLEX_STEP directions[k][j] on every axis j.  Each partial is the
     imaginary part of its slice over the step, exact to rounding, broadcast
-    to the batch shape.  The values are the real parts of slice 0: Re f(x
-    + ih) = f(x) + O(h^2), and the O(h^2) term is zero in double
-    precision, so no real pass runs; an entry that is not an array (a
-    constant) keeps its value and type.  They are f in complex arithmetic,
-    which rounds apart from real arithmetic by a few ulp: numpy's complex
-    division multiplies by a reciprocal, and a complex power takes other
-    steps than real pow.
+    to the batch shape.  The sweep returns no values: a caller that needs
+    the payload's values takes them from a real pass, whose bits the
+    complex arithmetic need not reproduce.
 
     The payload must be elementwise over the batch and holomorphic in the
     chart coordinates along the way, which real-analytic arithmetic on
@@ -271,27 +265,16 @@ def complex_step_partials(payload, pts: ChartPoints, directions=None) -> tuple[d
         directions = np.eye(pts.dim).tolist()
     base = np.broadcast_arrays(*pts.coords)
     stacked = (len(directions),) + base[0].shape
-    coords = []
-    for c, weights in zip(base, zip(*directions)):
-        real = all(map(_is_zero, weights))
-        coords.append(np.stack([c if real else c + 1j * h * w for w in weights]))
+    coords = tuple(np.stack([c + 1j * h * w for w in weights])
+                   for c, weights in zip(base, zip(*directions)))
     with warnings.catch_warnings():
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
-        entries = payload(ChartPoints(pts.chart, tuple(coords)))
-    values, out = {}, [{} for _ in directions]
+        entries = payload(ChartPoints(pts.chart, coords))
+    out = [{} for _ in directions]
     for key, c in entries.items():
-        if isinstance(c, np.ndarray):
-            c = c if c.shape == stacked else np.broadcast_to(c, stacked)
-            values[key] = np.real(c[0])
-        else:
-            values[key] = np.real(c)
         for k, d in enumerate(np.imag(np.broadcast_to(c, stacked)) / h):
             out[k][key] = d
-    return values, out
-
-
-def _is_zero(weight) -> bool:
-    return isinstance(weight, float) and weight == 0.0
+    return out
 
 
 def d_from_partials(partials) -> PointwiseForm:

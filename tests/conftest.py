@@ -62,20 +62,11 @@ def bundle_points(chart: str, count: int, seed: int = 0, rmax: float = 0.9):
     return ChartPoints.of(chart, x1, x2, th)
 
 
-def zero_step_stack(pts, rows):
-    """The batch stacked as complex_step_partials stacks it for a sweep
-    along rows, with every swept axis shifted by +0j instead of i h w: an
-    axis stays real only if every row's weight on it is 0.0."""
-    coords = [np.stack([c] * len(rows)) if all(row[j] == 0.0 for row in rows)
-              else np.stack([c + 0j] * len(rows))
-              for j, c in enumerate(np.broadcast_arrays(*pts.coords))]
-    return ChartPoints(pts.chart, tuple(coords))
-
-
 def spy_on_pi_sweeps(monkeypatch, spy):
     """Route the complex-step sweeps of ``chern_forms`` by their points:
     the pi_0^1 / V sweeps of gbc_integrand run on bundle points (x1, x2,
-    theta) and go to spy(payload, pts, directions); the V sweeps of
+    theta) and go to spy(payload, pts, directions), which returns their
+    partials as complex_step_partials does; the V sweeps of
     dlog_volume run on base points (x1, x2) and go to complex_step_partials
     itself."""
     import finslergbc.chern_forms as cf

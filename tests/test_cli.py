@@ -164,7 +164,7 @@ class TestConfig:
 
         cfg = ExperimentConfig(
             "identities", seed=7, manifold="torus", metric="quartic", metric_eps=0.05,
-            connection="perturbed", perturbation_amplitude=0.3, ehresmann="explicit",
+            connection="perturbed", perturbation_amplitude=0.3,
             ehresmann_exprs={"n11": "0"}, vector_field="custom", field_power=3,
             field_exprs={"torus": ("1", "0")}, order_fiber=32, order_base=24,
             epsilon_schedule=(0.3, 0.1), identity_samples=50, out_dir="out", fmt="csv",
@@ -181,7 +181,7 @@ class TestConfig:
         assert vars(ExperimentConfig.from_file(path, "gbc")) == {
             "scenario": "gbc", "seed": 1234, "manifold": "sphere", "metric": "randers",
             "metric_eps": 0.1, "connection": "cartan", "perturbation_amplitude": 0.2,
-            "ehresmann": "spray", "ehresmann_exprs": {}, "vector_field": "rotational",
+            "ehresmann_exprs": {}, "vector_field": "rotational",
             "field_power": 2, "field_exprs": {}, "order_fiber": 64, "order_base": 48,
             "epsilon_schedule": (0.2, 0.1, 0.05), "identity_samples": 200,
             "out_dir": "results", "fmt": "table", "dump_forms": False,
@@ -279,6 +279,29 @@ class TestRunners:
                                connection="cartan", identity_samples=2)
         assert run_identity_suite(cfg).passed
         assert len(calls) == 24
+
+    def test_identities_evaluates_perturbation_once_per_batch(self, monkeypatch):
+        """On identities with D = cartan + P (Randers 0.1, seed 1234), D, its
+        modification and the prop32 natural-frame data read P through its
+        batch cache entry: P's body runs once on each of the 34 batches it
+        meets, where three separate reads ran it 42 times."""
+        evaluations = []
+        make = cli.sinusoidal_perturbation
+
+        def counted(atlas, base, amplitude):
+            class CountingAtlas:
+                # P's body takes the real global scalars once per evaluation
+                def global_scalars(self, chart, x1, x2):
+                    if isinstance(x1, np.ndarray):
+                        evaluations.append(x1)
+                    return atlas.global_scalars(chart, x1, x2)
+
+            return make(CountingAtlas(), base, amplitude)
+
+        monkeypatch.setattr(cli, "sinusoidal_perturbation", counted)
+        cfg = ExperimentConfig(scenario="identities", metric="randers", connection="perturbed")
+        assert run_identity_suite(cfg).passed
+        assert len(evaluations) == 34
 
     def test_gbc_makes_no_displaced_batch(self, monkeypatch):
         """The production integrand takes its curvature from complex-step
@@ -638,7 +661,7 @@ class TestMainEntry:
         ["--format", "xml"],
         ["--seed", "abc"],
         ["--seed", "-1"],
-        ["--manifold", "torus", "--metric", "flat_torus", "--field", "custom"],
+        ["--manifold", "torus", "--metric", "euclidean", "--field", "custom"],
     ])
     def test_invalid_config_rejected(self, flags, capsys):
         """Nonpositive, repeated or non-numeric radii, radii past the unit
@@ -668,7 +691,7 @@ class TestMainEntry:
         "[vector_field]\ntype = custom\nsouth_u = u +\nsouth_v = v\n",
         "[vector_field]\ntype = custom\nsouth_v = v\n"
         "south_u = u + 0*(().__class__.__mro__[1].__subclasses__().__len__())\n",
-        "[ehresmann]\ntype = explicit\nn11 = __import__('os').getpid() * y1\n",
+        "[ehresmann]\nn11 = __import__('os').getpid() * y1\n",
         "[scenario]\nseed = abc\n",
         "[connection]\ntype = perturbed\nperturbation_amplitude = nan\n",
         "[vector_field]\ntype = custom\nsouth_u = u*u - v*v\nsouth_v = 2*u*v\n",
@@ -694,8 +717,9 @@ class TestMainEntry:
         "[identities]\n",
         "[DEFAULT]\nseed = 5\n",
         "[vector_field]\nwest_u = u\nwest_v = v\n",
+        "[ehresmann]\ntype = explicit\nn11 = 0.1*y1\n",
     ], ids=["both-typos", "misspelt-key", "unknown-section", "empty-unknown-section",
-            "default-section", "unknown-chart"])
+            "default-section", "unknown-chart", "ehresmann-type"])
     def test_unknown_ini_key_rejected(self, text, tmp_path, capsys):
         """A section or key that no setting and no expression group reads
         exits 2 with a ValidationError, so a misspelt key cannot leave its
@@ -721,10 +745,12 @@ class TestMainEntry:
     @pytest.mark.parametrize("argv", [
         ["degrees", "--metric", "foo", "--metric-eps", "7"],
         ["minkowski-props", "--metric", "foo"],
-    ], ids=["degrees", "minkowski-props"])
+        ["gbc", "--manifold", "torus", "--metric", "flat_torus", "--field", "constant"],
+    ], ids=["degrees", "minkowski-props", "flat_torus"])
     def test_unknown_metric_rejected(self, argv, capsys):
         """A metric outside the zoo exits 2 with a ValidationError, also on
-        the subcommands that never install a metric."""
+        the subcommands that never install a metric; flat_torus, which was
+        the euclidean metric under a second name, is no zoo entry."""
         assert main(argv) == 2
         assert "ValidationError" in capsys.readouterr().err
 
@@ -1036,7 +1062,6 @@ class TestEhresmannModes:
         construction is splitting-generic."""
         cfg = ExperimentConfig(
             manifold="torus", metric="quartic", metric_eps=0.05,
-            ehresmann="explicit",
             ehresmann_exprs={"n11": "sin(u)*y1", "n12": "0.3*y2",
                              "n21": "cos(v)*y1", "n22": "0.1*y2"},
             identity_samples=12, order_fiber=32,
@@ -1050,12 +1075,28 @@ class TestEhresmannModes:
         base = ExperimentConfig(manifold="torus", metric="euclidean",
                                 identity_samples=6, order_fiber=32)
         explicit = ExperimentConfig(
-            manifold="torus", metric="euclidean", ehresmann="explicit",
+            manifold="torus", metric="euclidean", ehresmann_exprs={"n11": "0"},
             identity_samples=6, order_fiber=32,
         )
         r1, r2 = run_identity_suite(base), run_identity_suite(explicit)
         for a, b in zip(r1.rows, r2.rows):
             assert a.value == pytest.approx(b.value, abs=1e-12)
+
+    def test_keys_alone_select_the_explicit_table(self, tmp_path):
+        """[ehresmann] keys alone make the table explicit, an entry left out
+        being 0: on Randers 0.7 with the height-gradient field, n11 =
+        5.0*y1 and n22 = 0.3*u*y2 move the eps = 0.05 value from the
+        spray's 1.978508849812 to 2.077261251905."""
+        path = tmp_path / "explicit.ini"
+        path.write_text("[manifold]\nmetric = randers\neps = 0.7\n"
+                        "[vector_field]\ntype = height_gradient\n"
+                        "[ehresmann]\nn11 = 5.0*y1\nn22 = 0.3*u*y2\n")
+        cfg = ExperimentConfig.from_file(str(path))
+        explicit = dict(run_gbc(cfg).convergence)[0.05]
+        cfg.ehresmann_exprs = {}
+        spray = dict(run_gbc(cfg).convergence)[0.05]
+        assert explicit == pytest.approx(2.077261251905, abs=1e-11)
+        assert spray == pytest.approx(1.978508849812, abs=1e-11)
 
     def test_dump_forms(self, tmp_path):
         cfg = ExperimentConfig(

@@ -79,7 +79,7 @@ def natural_perturbed(sphere, metric, amplitude=0.2):
     the Cartan frame form."""
     P = sinusoidal_perturbation(sphere, to_orthonormal_frame(cartan_connection(), metric),
                                 amplitude)
-    return perturbed_connection_data(sphere, metric, cartan_connection(), P)
+    return perturbed_connection_data(cartan_connection(), P)
 
 
 def christoffel_round(x1, x2):
@@ -573,7 +573,7 @@ class TestPerturbation:
         direct e-frame addition varpi + P exactly."""
         cart = cartan_connection()
         P = sinusoidal_perturbation(sphere, cartan_frame_randers, 0.2)
-        Dd = perturbed_connection_data(sphere, randers_metric, cart, P)
+        Dd = perturbed_connection_data(cart, P)
         fc_data = to_orthonormal_frame(Dd, randers_metric)
         fc_direct = perturb_metric_compatible(cartan_frame_randers, P)
         pts = bundle_points("south", 15, seed=19)
@@ -586,7 +586,7 @@ class TestPerturbation:
                                            cartan_frame_randers):
         cart = cartan_connection()
         P = sinusoidal_perturbation(sphere, cartan_frame_randers, 0.2)
-        Dd = perturbed_connection_data(sphere, randers_metric, cart, P)
+        Dd = perturbed_connection_data(cart, P)
         pts = bundle_points("south", 20, seed=20)
         assert metric_compat_residual(randers_metric, modify(Dd), pts) < 1e-10
 
@@ -596,7 +596,7 @@ class TestPerturbation:
         from the Cartan connection, so Upsilon_0 is genuinely exercised."""
         cart = cartan_connection()
         P = sinusoidal_perturbation(sphere, cartan_frame_randers, 0.2)
-        Dd = perturbed_connection_data(sphere, randers_metric, cart, P)
+        Dd = perturbed_connection_data(cart, P)
         fcNp = to_orthonormal_frame(modify(Dd), randers_metric)
         fcD = to_orthonormal_frame(Dd, randers_metric)
         pts = bundle_points("south", 10, seed=21)
@@ -606,31 +606,24 @@ class TestPerturbation:
         assert d1 > 1e-3 and d2 > 1e-3
 
 
-    def test_new_perturbation_reads_its_own_natural_form(self, randers_metric, sphere):
+    def test_new_perturbation_reads_its_own_natural_form(self, randers_metric, sphere,
+                                                         cartan_frame_randers):
         """A perturbation built after an earlier one was dropped reads its
         own natural-frame Q on a batch the earlier one evaluated.  The
-        batch caches Q under the perturbation itself, which keeps it alive
-        while the entry lives; a cache keyed by id(P) handed the new
-        perturbation, which CPython placed at the dropped one's id, the
-        dropped one's Q."""
-
-        def make(scale):
-            def P(pts):
-                x1, x2 = pts.coords[:2]
-                return [scale * x1, scale * x2 * x2, scale * np.cos(x1)]
-
-            return P
+        batch caches P's value under ("P", P), which keeps P alive while
+        the entry lives; a cache keyed by id(P) would hand the new
+        perturbation, which CPython may place at the dropped one's id, the
+        dropped one's value."""
 
         def gamma(P, tens, pts):
-            return perturbed_connection_data(sphere, randers_metric, cartan_connection(),
-                                             P).gamma_of(tens, pts)
+            return perturbed_connection_data(cartan_connection(), P).gamma_of(tens, pts)
 
         pts = bundle_points("south", 6, seed=26)
         tens = bundle_tensors(randers_metric, pts)
-        first = make(0.1)
+        first = sinusoidal_perturbation(sphere, cartan_frame_randers, 0.1)
         gamma(first, tens, pts)
         del first
-        second = make(0.3)
+        second = sinusoidal_perturbation(sphere, cartan_frame_randers, 0.3)
         got = gamma(second, tens, pts)
         fresh = bundle_points("south", 6, seed=26)
         want = gamma(second, bundle_tensors(randers_metric, fresh), fresh)
@@ -641,26 +634,36 @@ class TestPerturbation:
 
     def test_natural_form_evaluates_perturbation_once_per_batch(self, randers_metric, sphere,
                                                                cartan_frame_randers):
-        """gamma and rho of the unmodified natural-frame data share one Q
-        per batch: P runs once between them, and Q sits in the batch's own
-        cache under ("Q", P, tens).  A fresh batch evaluates P again."""
-        calls = []
-        base = sinusoidal_perturbation(sphere, cartan_frame_randers, 0.2)
+        """gamma and rho of the natural-frame data, D = cartan + P and its
+        modification cartan + P^h all read one value of P per batch: P
+        runs once among them and sits in the batch's own cache under ("P",
+        P), and no natural-frame Q is cached.  A fresh batch evaluates P
+        again."""
+        evaluations = []
 
-        def P(pts):
-            calls.append(pts)
-            return base(pts)
+        class CountingAtlas:
+            # P's body takes the real global scalars once per evaluation
+            def global_scalars(self, chart, x1, x2):
+                if isinstance(x1, np.ndarray):
+                    evaluations.append(x1)
+                return sphere.global_scalars(chart, x1, x2)
 
-        Dd = perturbed_connection_data(sphere, randers_metric, cartan_connection(), P)
+        P = sinusoidal_perturbation(CountingAtlas(), cartan_frame_randers, 0.2)
+        Dd = perturbed_connection_data(cartan_connection(), P)
+        D = perturb_metric_compatible(cartan_frame_randers, P)
+        nabla = perturb_metric_compatible(cartan_frame_randers, horizontal_part(P, randers_metric))
         pts = bundle_points("south", 8, seed=28)
         tens = bundle_tensors(randers_metric, pts)
         Dd.gamma_of(tens, pts)
         Dd.rho_of(tens, pts)
-        assert calls == [pts]
-        assert ("Q", P, tens) in pts.cache
+        D.pi(pts)
+        nabla.pi(pts)
+        assert len(evaluations) == 1 and evaluations[0] is pts.coords[0]
+        assert ("P", P) in pts.cache
+        assert not any(key[0] == "Q" for key in pts.cache)
         fresh = bundle_points("south", 8, seed=28)
         Dd.rho_of(bundle_tensors(randers_metric, fresh), fresh)
-        assert calls == [pts, fresh]
+        assert len(evaluations) == 2 and evaluations[1] is fresh.coords[0]
 
     def test_evaluated_batch_freed_without_collector(self, randers_metric, sphere,
                                                      cartan_frame_randers):
@@ -671,7 +674,7 @@ class TestPerturbation:
         import weakref
 
         P = sinusoidal_perturbation(sphere, cartan_frame_randers, 0.2)
-        Dd = perturbed_connection_data(sphere, randers_metric, cartan_connection(), P)
+        Dd = perturbed_connection_data(cartan_connection(), P)
         routes = [to_orthonormal_frame(modify(Dd), randers_metric),
                   perturb_metric_compatible(cartan_frame_randers,
                                             horizontal_part(P, randers_metric))]
@@ -714,7 +717,7 @@ class TestPerturbation:
         P = sinusoidal_perturbation(atlas, fc, amplitude)
         frame_side = perturb_metric_compatible(fc, horizontal_part(P, met, eh))
         natural = to_orthonormal_frame(
-            modify(perturbed_connection_data(atlas, met, cartan_connection(), P)), met, eh)
+            modify(perturbed_connection_data(cartan_connection(), P)), met, eh)
         pts = bundle_points(atlas.chart_ids[-1], 200, seed=25)
         pa, pb = frame_side.pi(pts), natural.pi(pts)
         worst = max(float(np.max(np.abs(np.asarray(pa[a]) - np.asarray(pb[a]))))

@@ -147,7 +147,6 @@ class TestMetricZoo:
         install_metric(sphere, "round_sphere")
         install_metric(sphere, "randers", {"eps": 0.1})
         install_metric(torus, "euclidean")
-        install_metric(torus, "flat_torus")
         install_metric(torus, "quartic", {"eps": 0.05})
         install_metric(torus, "riemannian", {"G": [[2.0, 0.3], [0.3, 1.0]]})
 

@@ -25,8 +25,6 @@ from finslergbc.quadrature import (
     pullback_by_section,
 )
 
-from conftest import zero_step_stack
-
 
 def fiber_integral(f: FormField, chart: str, x, order: int) -> float:
     """The fiber restriction of a bundle 1-form, its dtheta coefficient,
@@ -236,12 +234,8 @@ class TestComplexStepPartials:
     def test_analytic_payload_exact(self, dim):
         """On an analytic payload the partials equal the closed-form
         derivatives to rounding, a constant entry differentiates to 0 at
-        the batch shape and keeps its value, and the payload runs once, on
-        one batch stacking every chart axis.  The values are the payload's
-        stacked first slice with a zero imaginary step, bit for bit: the
-        O(h^2) term vanishes.  Complex y ** 3 rounds differently from real
-        pow, so against the real payload they agree to 2 ulp of the terms'
-        size (the most seen over seeds 0-299)."""
+        the batch shape, and the payload runs once, on one batch stacking
+        every chart axis."""
         rng = np.random.default_rng(12)
         x = [rng.uniform(-1.0, 1.0, 6) for _ in range(dim)]
         pts = ChartPoints.of("c", *x)
@@ -255,13 +249,8 @@ class TestComplexStepPartials:
         y, z = x[0], x[-1]
         want = [np.cos(y) * np.exp(z) + 3.0 * y * y / z] + [np.zeros(6)] * (dim - 2) + [
             np.sin(y) * np.exp(z) - y ** 3 / (z * z)]
-        values, partials = complex_step_partials(payload, pts)
+        partials = complex_step_partials(payload, pts)
         assert shapes == [[(dim, 6)] * dim] and len(partials) == dim
-        first = payload(zero_step_stack(pts, np.eye(dim).tolist()))["p"][0]
-        assert np.array_equal(values["p"], np.real(first))
-        assert values["const"] == 2.0 and type(values["const"]) is float
-        scale = np.abs(np.sin(y) * np.exp(z)) + np.abs(y ** 3 / z)
-        assert np.all(np.abs(values["p"] - payload(pts)["p"]) <= 2.0 * np.spacing(scale))
         for axis in range(dim):
             scale = np.maximum(1.0, np.abs(want[axis]))
             assert np.max(np.abs(partials[axis]["p"] - want[axis]) / scale) < 4e-16
@@ -271,7 +260,7 @@ class TestComplexStepPartials:
         """Along rows of per-point weights each partial is the directional
         derivative sum_j w_j d_j f to 1e-15 of the size of its terms (5.0e-16
         is the most seen over seeds 0-299), from one pass over both rows
-        stacked, in which every axis that some row sweeps is complex."""
+        stacked, in which every axis is complex."""
         rng = np.random.default_rng(13)
         x, y, z = (rng.uniform(0.5, 1.5, 6) for _ in range(3))
         t1, t2 = rng.uniform(-2.0, 2.0, (2, 6))
@@ -286,10 +275,9 @@ class TestComplexStepPartials:
                 np.sin(x) * np.exp(z) - x ** 3 / (z * z) + y]
         size = [np.abs(np.cos(x) * np.exp(z)) + np.abs(3.0 * x * x / z), z,
                 np.abs(np.sin(x) * np.exp(z)) + np.abs(x ** 3 / (z * z)) + y]
-        values, partials = complex_step_partials(
+        partials = complex_step_partials(
             payload, ChartPoints.of("c", x, y, z), ((1.0, 0.0, t1), (0.0, 1.0, t2)))
         assert real_axes == [[False, False, False]]
-        assert np.max(np.abs(values["p"] - payload(ChartPoints.of("c", x, y, z))["p"])) < 1e-15
         for k, t in enumerate((t1, t2)):
             want = grad[k] + t * grad[2]
             scale = size[k] + np.abs(t) * size[2]
@@ -299,9 +287,9 @@ class TestComplexStepPartials:
     def test_one_pass_matches_one_row_sweeps(self, count):
         """1, 2 or 3 rows run the payload once, and each row's partials
         agree with a one-row sweep along that row to rounding (bit for bit
-        over seeds 0-99, the payload being elementwise); an axis that
-        every row leaves at the float 0.0 stays real, and a constant entry
-        keeps its value."""
+        over seeds 0-99, the payload being elementwise); every axis is
+        complex, the one that every row leaves at the float 0.0 too, and a
+        constant entry differentiates to 0."""
         rng = np.random.default_rng(14)
         x, y, z = (rng.uniform(0.5, 1.5, 7) for _ in range(3))
         weights = rng.uniform(-2.0, 2.0, (3, 7))
@@ -314,13 +302,12 @@ class TestComplexStepPartials:
             u, v, w = q.coords
             return {"p": np.exp(u * w) / (1.0 + u * u) + v * np.cos(w), "const": 2.0}
 
-        values, partials = complex_step_partials(payload, pts, rows)
-        assert real_axes == [[False, True, False]]
+        partials = complex_step_partials(payload, pts, rows)
+        assert real_axes == [[False, False, False]]
         assert len(partials) == count
-        assert values["const"] == 2.0
         size = np.abs(np.exp(x * z)) * (1.0 + np.abs(x) + np.abs(z)) + np.abs(y)
         for row, got in zip(rows, partials):
-            (want,) = complex_step_partials(payload, pts, [row])[1]
+            (want,) = complex_step_partials(payload, pts, [row])
             assert np.all(np.abs(got["p"] - want["p"]) <= 1e-15 * size)
             assert np.array_equal(got["const"], np.zeros(7))
         assert len(real_axes) == 1 + count
