@@ -62,6 +62,21 @@ def bundle_points(chart: str, count: int, seed: int = 0, rmax: float = 0.9):
     return ChartPoints.of(chart, x1, x2, th)
 
 
+class CountingAtlas:
+    """An atlas whose global_scalars appends its real first coordinate to
+    ``evaluations``: the body of a ``sinusoidal_perturbation`` takes the
+    real global scalars once per evaluation, and their dual-seeded ones
+    once more."""
+
+    def __init__(self, atlas, evaluations: list):
+        self.atlas, self.evaluations = atlas, evaluations
+
+    def global_scalars(self, chart, x1, x2):
+        if isinstance(x1, np.ndarray):
+            self.evaluations.append(x1)
+        return self.atlas.global_scalars(chart, x1, x2)
+
+
 def spy_on_pi_sweeps(monkeypatch, spy):
     """Route the complex-step sweeps of ``chern_forms`` by their points:
     the pi_0^1 / V sweeps of gbc_integrand run on bundle points (x1, x2,

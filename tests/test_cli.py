@@ -25,6 +25,8 @@ from finslergbc import cli, metric
 from finslergbc.errors import InvalidMetricError, ValidationError
 from finslergbc.metric import MinkowskiNorm, quartic_norm, randers_norm, riemannian_norm, sum_norms
 
+from conftest import CountingAtlas
+
 # A value other than the default for every setting that has a flag, as the
 # text an INI file or the command line gives.
 SETTING_TEXT = {
@@ -287,18 +289,8 @@ class TestRunners:
         meets, where three separate reads ran it 42 times."""
         evaluations = []
         make = cli.sinusoidal_perturbation
-
-        def counted(atlas, base, amplitude):
-            class CountingAtlas:
-                # P's body takes the real global scalars once per evaluation
-                def global_scalars(self, chart, x1, x2):
-                    if isinstance(x1, np.ndarray):
-                        evaluations.append(x1)
-                    return atlas.global_scalars(chart, x1, x2)
-
-            return make(CountingAtlas(), base, amplitude)
-
-        monkeypatch.setattr(cli, "sinusoidal_perturbation", counted)
+        monkeypatch.setattr(cli, "sinusoidal_perturbation", lambda atlas, *a:
+                            make(CountingAtlas(atlas, evaluations), *a))
         cfg = ExperimentConfig(scenario="identities", metric="randers", connection="perturbed")
         assert run_identity_suite(cfg).passed
         assert len(evaluations) == 34

@@ -25,7 +25,7 @@ from finslergbc.connection import (
 )
 from finslergbc.quadrature import ChartPoints, central_partials, exterior_derivative
 
-from conftest import bundle_points, curvature_form, frame_form
+from conftest import CountingAtlas, bundle_points, curvature_form, frame_form
 
 
 def frame_transform(metric, D, pts, ehresmann=None):
@@ -640,15 +640,7 @@ class TestPerturbation:
         P), and no natural-frame Q is cached.  A fresh batch evaluates P
         again."""
         evaluations = []
-
-        class CountingAtlas:
-            # P's body takes the real global scalars once per evaluation
-            def global_scalars(self, chart, x1, x2):
-                if isinstance(x1, np.ndarray):
-                    evaluations.append(x1)
-                return sphere.global_scalars(chart, x1, x2)
-
-        P = sinusoidal_perturbation(CountingAtlas(), cartan_frame_randers, 0.2)
+        P = sinusoidal_perturbation(CountingAtlas(sphere, evaluations), cartan_frame_randers, 0.2)
         Dd = perturbed_connection_data(cartan_connection(), P)
         D = perturb_metric_compatible(cartan_frame_randers, P)
         nabla = perturb_metric_compatible(cartan_frame_randers, horizontal_part(P, randers_metric))
