@@ -90,10 +90,13 @@ class Dual:
 
     def __pow__(self, p):
         if isinstance(p, Dual):
-            raise TypeError("dual exponents are not supported")
+            return exp(p * log(self))
         if p == 2:
             return self * self
         return Dual(self.val ** p, (p * self.val ** (p - 1)) * self.eps)
+
+    def __rpow__(self, base):
+        return exp(self * log(base))
 
 
 def _reciprocal(x: Dual) -> Dual:
@@ -105,7 +108,11 @@ class Jet:
     """Truncated Taylor series c[0] + c[1] t + ... + c[k] t^k in one
     variable t, with c[m] = f^(m)/m!.  Jets of different degrees combine
     at the lower degree.  Operations with a ``Dual`` operand return
-    NotImplemented, so the ``Dual`` (an outer seed) stays outside."""
+    NotImplemented, so the ``Dual`` (an outer seed) stays outside.  Jets
+    carry the arithmetic the metric's norms apply to the fiber ray (+, *,
+    powers and sqrt) and a number over a jet, the reciprocal that ``sqrt``
+    of a ``Dual`` over a jet takes: no subtraction, negation or jet
+    numerator."""
 
     __slots__ = ("c",)
 
@@ -127,19 +134,6 @@ class Jet:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Jet([-a for a in self.c])
-
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            return Jet([a - b for a, b in zip(self.c, other.c)])
-        if isinstance(other, Dual):
-            return NotImplemented
-        return Jet((self.c[0] - other,) + self.c[1:])
-
-    def __rsub__(self, other):
-        return Jet([other - self.c[0]] + [-a for a in self.c[1:]])
-
     def __mul__(self, other):
         if isinstance(other, Jet):
             a, b = self.c, other.c
@@ -156,15 +150,9 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return _divide(self.c, other)
-        if isinstance(other, Dual):
-            return NotImplemented
-        return Jet([a / other for a in self.c])
-
     def __rtruediv__(self, other):
-        return _divide((other,) + (0.0,) * (len(self.c) - 1), self)
+        # the reciprocal is the power -1, whose recurrence divides by c[0]
+        return self ** -1 * other
 
     def __pow__(self, p):
         """Positive integer powers are repeated products, so a zero base is
@@ -188,19 +176,6 @@ class Jet:
                 s = s + ((p + 1.0) * j - k) * a[j] * b[k - j]
             b.append(s / (k * a[0]))
         return Jet(b)
-
-
-def _divide(a, y: Jet) -> Jet:
-    """The jet a / y for the coefficients a of a numerator:
-    q[k] = (a[k] - sum_{j<k} q[j] y[k-j]) / y[0]."""
-    b = y.c
-    q = []
-    for k in range(min(len(a), len(b))):
-        s = a[k]
-        for j in range(k):
-            s = s - q[j] * b[k - j]
-        q.append(s / b[0])
-    return Jet(q)
 
 
 def taylor_coefficient(x, m: int):

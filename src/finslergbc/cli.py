@@ -19,7 +19,6 @@ import numpy as np
 
 from .chern_forms import TransgressionForms
 from .connection import (
-    EhresmannData,
     cartan_connection,
     horizontal_part,
     modify,
@@ -348,10 +347,6 @@ def _build_atlas(cfg: ExperimentConfig) -> Atlas:
     return ATLASES[cfg.manifold]()
 
 
-def _metric_params(cfg: ExperimentConfig) -> dict:
-    return {"eps": cfg.metric_eps}
-
-
 def _build_field(cfg: ExperimentConfig, atlas: Atlas) -> SectionField:
     kind = cfg.vector_field
     if kind == "rotational":
@@ -370,26 +365,28 @@ def _build_field(cfg: ExperimentConfig, atlas: Atlas) -> SectionField:
     return X
 
 
-def _build_ehresmann(cfg: ExperimentConfig):
-    """The explicit Ehresmann table of the [ehresmann] keys, an entry left
-    out being 0, or None (the canonical spray) when no key is given."""
-    if not cfg.ehresmann_exprs:
-        return None
-    from . import ad
+def _build_metric(cfg: ExperimentConfig, atlas: Atlas):
+    """The certified zoo metric, with the explicit Ehresmann table of the
+    [ehresmann] keys (an entry left out being 0) when any key is given,
+    else the canonical spray."""
+    table = None
+    if cfg.ehresmann_exprs:
+        from . import ad
 
-    exprs = {k: ad.expression(cfg.ehresmann_exprs.get(k, "0.0*u"), ("u", "v", "y1", "y2"))
-             for k in _EHRESMANN_KEYS}
+        exprs = {k: ad.expression(cfg.ehresmann_exprs.get(k, "0.0*u"), ("u", "v", "y1", "y2"))
+                 for k in _EHRESMANN_KEYS}
 
-    def table(chart, x, y):
-        ev = {k: e(u=x[0], v=x[1], y1=y[0], y2=y[1]) for k, e in exprs.items()}
-        return [[ev["n11"], ev["n12"]], [ev["n21"], ev["n22"]]]
+        def table(chart, x, y):
+            ev = {k: e(u=x[0], v=x[1], y1=y[0], y2=y[1]) for k, e in exprs.items()}
+            return [[ev["n11"], ev["n12"]], [ev["n21"], ev["n22"]]]
 
-    return EhresmannData(table)
+    return install_metric(atlas, cfg.metric, {"eps": cfg.metric_eps}, ehresmann=table)
 
 
 def _build_connections(cfg: ExperimentConfig, atlas: Atlas, metric):
-    """Returns (frame forms of D, frame forms of its modification, the
-    natural-frame data of the modification, and the Ehresmann choice).
+    """Returns (frame forms of D, frame forms of its modification, and the
+    natural-frame data of the modification), all in the metric's Ehresmann
+    splitting.
 
     The perturbed D is cartan + P and its modification cartan + P^h, both
     added on the frame side (P^h is P's horizontal part).  Only the
@@ -397,16 +394,15 @@ def _build_connections(cfg: ExperimentConfig, atlas: Atlas, metric):
     frame round trip of ``perturbed_connection_data`` runs there alone.
     All three read P through its batch cache entry, so P runs once per
     batch."""
-    eh = _build_ehresmann(cfg)
     cart = cartan_connection()
-    fc_cartan = to_orthonormal_frame(cart, metric, eh)
+    fc_cartan = to_orthonormal_frame(cart, metric)
     if cfg.connection != "perturbed":
-        return fc_cartan, fc_cartan, cart, eh
+        return fc_cartan, fc_cartan, cart
     P = sinusoidal_perturbation(atlas, fc_cartan, cfg.perturbation_amplitude)
     D = perturb_metric_compatible(fc_cartan, P)
-    nabla = perturb_metric_compatible(fc_cartan, horizontal_part(P, metric, eh))
+    nabla = perturb_metric_compatible(fc_cartan, horizontal_part(P, metric))
     nabla.label = f"mod({D.label})"
-    return D, nabla, modify(perturbed_connection_data(cart, P)), eh
+    return D, nabla, modify(perturbed_connection_data(cart, P))
 
 
 def _default_tolerance(cfg: ExperimentConfig) -> float:
@@ -448,12 +444,12 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
     cfg.validate()
     t0 = time.perf_counter()
     atlas = _build_atlas(cfg)
-    metric = install_metric(atlas, cfg.metric, _metric_params(cfg))
+    metric = _build_metric(cfg, atlas)
     X = _build_field(cfg, atlas)
     zeros = find_zeros(X)
     chi = check_euler_characteristic(zeros, atlas)
 
-    fcD, fcN, _, _ = _build_connections(cfg, atlas, metric)
+    fcD, fcN, _ = _build_connections(cfg, atlas, metric)
     forms = TransgressionForms(metric, fcD, fcN, order_fiber=cfg.order_fiber)
     integrand = forms.gbc_integrand(X)
 

@@ -1,7 +1,8 @@
 """Connections on the pulled-back bundle over the sphere bundle chart.
 
-The chain runs: metric jets -> geodesic-spray Ehresmann coefficients N ->
-horizontal (Chern-type) coefficients gamma -> vertical modification rho =
+The chain runs: metric jets -> Ehresmann coefficients N (the metric's
+explicit table if ``install_metric`` gave it one, else the geodesic spray's)
+-> horizontal (Chern-type) coefficients gamma -> vertical modification rho =
 2 A -> natural-frame 1-forms theta -> the orthonormal-frame form
 varpi_0^1 -> its curvature d varpi_0^1.  All coefficients are assembled
 from analytically differentiated tensors, so the frame form carries
@@ -37,7 +38,6 @@ from .metric import FinslerMetric, MetricJets, metric_jets
 from .quadrature import ChartPoints, central_partials, d_from_partials
 
 __all__ = [
-    "EhresmannData",
     "ConnectionData",
     "FrameConnection",
     "CurvatureData",
@@ -54,19 +54,6 @@ __all__ = [
 
 N_RANK = 2
 AXES = 3  # chart coordinates (x1, x2, theta)
-
-
-# ---------------------------------------------------------------------------
-# Ehresmann (nonlinear) connection
-
-
-class EhresmannData:
-    """An explicit horizontal splitting: ``table(chart, x, y)`` gives the
-    coefficients N^j_A in place of the canonical spray, which every
-    consumer takes when handed None."""
-
-    def __init__(self, table):
-        self.table = table  # callable(chart, x, y) -> (n, n) of arrays
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +74,9 @@ class ChartTensors:
         self.B, self.Binv, self.dB = _frame_fields(g, dg, l, dl)
 
 
-def _derived_tensors(jets: MetricJets, N_override=None):
-    """g, A, Ar, N and the Chern horizontal coefficients gamma from the jets."""
+def _derived_tensors(jets: MetricJets, N=None):
+    """g, A, Ar, N and the Chern horizontal coefficients gamma from the jets;
+    N is the given Ehresmann table's, or the geodesic spray's when None."""
     n = N_RANK
     T1, T2, T3 = jets.T1, jets.T2, jets.T3
     X1, X2, X3 = jets.X1, jets.X2, jets.X3
@@ -109,40 +97,39 @@ def _derived_tensors(jets: MetricJets, N_override=None):
         for i in range(n)
     ]
 
-    H = [sum(X2[l][k] * u[k] for k in range(n)) - X1[l] for l in range(n)]
-    dH = [
-        [
-            sum(X3[l][j][k] * u[k] for k in range(n)) + X2[l][j] - X2[j][l]
-            for j in range(n)
-        ]
-        for l in range(n)
-    ]
-    # d(g^{il})/dy^j = -(1/2) g^{ia} T3[a][b][j] g^{bl}
-    dginv = [
-        [
+    if N is None:
+        H = [sum(X2[l][k] * u[k] for k in range(n)) - X1[l] for l in range(n)]
+        dH = [
             [
-                -0.5
-                * sum(
-                    ginv[i][a] * T3[a][b][j] * ginv[b][l]
-                    for a in range(n)
-                    for b in range(n)
-                )
+                sum(X3[l][j][k] * u[k] for k in range(n)) + X2[l][j] - X2[j][l]
                 for j in range(n)
             ]
             for l in range(n)
         ]
-        for i in range(n)
-    ]
-    N = [
-        [
-            0.25
-            * sum(dginv[i][l][j] * H[l] + ginv[i][l] * dH[l][j] for l in range(n))
-            for j in range(n)
+        # d(g^{il})/dy^j = -(1/2) g^{ia} T3[a][b][j] g^{bl}
+        dginv = [
+            [
+                [
+                    -0.5
+                    * sum(
+                        ginv[i][a] * T3[a][b][j] * ginv[b][l]
+                        for a in range(n)
+                        for b in range(n)
+                    )
+                    for j in range(n)
+                ]
+                for l in range(n)
+            ]
+            for i in range(n)
         ]
-        for i in range(n)
-    ]
-    if N_override is not None:
-        N = N_override
+        N = [
+            [
+                0.25
+                * sum(dginv[i][l][j] * H[l] + ginv[i][l] * dH[l][j] for l in range(n))
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
 
     # delta g_ij / delta x^A in the chosen splitting
     dgdx = [
@@ -172,23 +159,18 @@ def _derived_tensors(jets: MetricJets, N_override=None):
     return g, A, Ar, N, gamma
 
 
-def bundle_tensors(metric: FinslerMetric, pts: ChartPoints,
-                   ehresmann: EhresmannData | None = None) -> ChartTensors:
-    """Cached tensor assembly at a batch of bundle chart points; an
-    explicit Ehresmann table replaces the canonical spray coefficients."""
-    return pts.cached(("tensors", metric, ehresmann),
-                      lambda: _chart_tensors(metric, pts, ehresmann))
+def bundle_tensors(metric: FinslerMetric, pts: ChartPoints) -> ChartTensors:
+    """Cached tensor assembly at a batch of bundle chart points."""
+    return pts.cached(("tensors", metric), lambda: _chart_tensors(metric, pts))
 
 
-def _chart_tensors(metric: FinslerMetric, pts: ChartPoints,
-                   ehresmann: EhresmannData | None) -> ChartTensors:
+def _chart_tensors(metric: FinslerMetric, pts: ChartPoints) -> ChartTensors:
     x1, x2, th = pts.coords
     jets = metric_jets(metric, pts.chart, x1, x2, th)
     n = N_RANK
-    N_override = None
-    if ehresmann is not None:
-        N_override = ehresmann.table(pts.chart, [x1, x2], jets.u)
-    g, A, Ar, N, gamma = _derived_tensors(jets, N_override)
+    table = metric.ehresmann
+    N = None if table is None else table(pts.chart, [x1, x2], jets.u)
+    g, A, Ar, N, gamma = _derived_tensors(jets, N)
     F, u, v = jets.F, jets.u, jets.v
     l = [u[i] / F for i in range(n)]
     F_th = sum(jets.T1[k] * v[k] for k in range(n)) / (2.0 * F)
@@ -344,14 +326,13 @@ class FrameConnection:
         return [[zero, pi], [[-c for c in pi], zero]]
 
 
-def to_orthonormal_frame(D: ConnectionData, metric: FinslerMetric,
-                         ehresmann: EhresmannData | None = None) -> FrameConnection:
+def to_orthonormal_frame(D: ConnectionData, metric: FinslerMetric) -> FrameConnection:
     """Express a natural-frame connection in the canonical g-orthonormal
     frame with e_n = l.  D must be metric-compatible: only then is varpi
     skew, so that varpi_0^1 determines it."""
 
     def pi_of(pts: ChartPoints):
-        tens = bundle_tensors(metric, pts, ehresmann)
+        tens = bundle_tensors(metric, pts)
         return _frame_form(theta_chart_forms(tens, pts, D), tens.B, tens.dB, tens.Binv)
 
     return FrameConnection(D.label, pi_of)
@@ -370,7 +351,7 @@ def perturb_metric_compatible(base: FrameConnection, P) -> FrameConnection:
     return FrameConnection(f"pert({base.label})", pi_of)
 
 
-def horizontal_part(P, metric: FinslerMetric, ehresmann: EhresmannData | None = None):
+def horizontal_part(P, metric: FinslerMetric):
     """P's horizontal part in the (dx, delta y) split: P^h_A = P_A -
     P_theta sum_k v^k N^k_A for A = 1, 2 and P^h_theta = 0.
 
@@ -382,7 +363,7 @@ def horizontal_part(P, metric: FinslerMetric, ehresmann: EhresmannData | None = 
     the orthonormal frame, with no round trip through the natural frame."""
 
     def Ph(pts: ChartPoints):
-        tens = bundle_tensors(metric, pts, ehresmann)
+        tens = bundle_tensors(metric, pts)
         v = tens.jets.v
         s = [sum(v[k] * tens.N[k][Aa] for k in range(N_RANK)) for Aa in range(2)]
         pert = P(pts)
@@ -422,11 +403,10 @@ class CurvatureData:
 # compatibility diagnostics
 
 
-def metric_compat_residual(metric: FinslerMetric, D: ConnectionData, pts: ChartPoints,
-                           ehresmann: EhresmannData | None = None) -> float:
+def metric_compat_residual(metric: FinslerMetric, D: ConnectionData, pts: ChartPoints) -> float:
     """Max residual of  dg_ij - theta_i^k g_kj - theta_j^k g_ik  over the
     batch, all chart axes."""
-    tens = bundle_tensors(metric, pts, ehresmann)
+    tens = bundle_tensors(metric, pts)
     theta = theta_chart_forms(tens, pts, D)
     n = N_RANK
     worst = 0.0

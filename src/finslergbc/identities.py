@@ -22,10 +22,10 @@ import numpy as np
 from .algebra import (BigradedElement, SkewMatrixValuedForm, berezin, exp_truncated, pfaffian,
                       pfaffian_norm_constant, sort_with_parity)
 from .chern_forms import TransgressionForms
-from .cli import ExperimentConfig, Report, _bound, _build_atlas, _build_connections, _metric_params
+from .cli import ExperimentConfig, Report, _bound, _build_atlas, _build_connections, _build_metric
 from .connection import AXES, CurvatureData, FrameConnection, metric_compat_residual
 from .errors import ValidationError
-from .manifolds import Atlas, install_metric
+from .manifolds import Atlas
 from .metric import FIBER_ORDER, FinslerMetric, fiber_volume_form
 from .quadrature import ChartPoints, FormField, PointwiseForm, exterior_derivatives, gauss_legendre
 
@@ -302,8 +302,8 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
     cfg.validate()
     t0 = time.perf_counter()
     atlas = _build_atlas(cfg)
-    metric = install_metric(atlas, cfg.metric, _metric_params(cfg))
-    fcD, fcN, nabla_data, eh = _build_connections(cfg, atlas, metric)
+    metric = _build_metric(cfg, atlas)
+    fcD, fcN, nabla_data = _build_connections(cfg, atlas, metric)
     forms = IdentityForms(metric, fcD, fcN, order_fiber=cfg.order_fiber)
     batches = _bundle_samples(cfg, atlas, cfg.identity_samples)
 
@@ -336,7 +336,7 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
             "prop51_chern_weil": (du0 - (forms.omega_D()(pts) - omn)).max_abs(),
             "prop33_fiber_volume_form": float(np.max(np.abs(
                 fiber_volume_form(metric, [x1, x2], th, pts.chart) - fcN.pi(pts)[2]))),
-            "prop32_metric_compatibility": metric_compat_residual(metric, nabla_data, pts, eh),
+            "prop32_metric_compatibility": metric_compat_residual(metric, nabla_data, pts),
             "lemma35_closedness": du1.max_abs(),
             "lemma35_transgression_ode": ((math.exp(-0.5) / (2 * h)) * (P(1.0 + h) - P(1.0 - h))
                                           - u1_field(pts) + 1j * dprim).max_abs(),

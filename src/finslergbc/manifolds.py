@@ -170,9 +170,12 @@ METRICS = ("euclidean", "riemannian", "round_sphere", "randers", "quartic")
 
 
 def install_metric(atlas: Atlas, zoo_id: str, params: dict | None = None,
-                   certify: bool = True) -> FinslerMetric:
+                   certify: bool = True, ehresmann=None) -> FinslerMetric:
     """Instantiate a zoo metric (one of METRICS) on the atlas and certify
-    the Minkowski axioms on a sample sweep before any pipeline consumes it."""
+    the Minkowski axioms on a sample sweep before any pipeline consumes it.
+    ``ehresmann``, an explicit table ``(chart, x, y) -> N[j][A]``, replaces
+    the geodesic spray as the metric's horizontal splitting (None keeps the
+    spray); this is the one place a metric gets a table."""
     params = params or {}
     if zoo_id not in METRICS:
         raise ValidationError(f"unknown metric zoo id: {zoo_id!r}")
@@ -190,6 +193,7 @@ def install_metric(atlas: Atlas, zoo_id: str, params: dict | None = None,
         metric = _norm_metric(atlas, euclidean_norm())
     if certify:
         certify_metric(atlas, metric)
+    metric.ehresmann = ehresmann
     return metric
 
 

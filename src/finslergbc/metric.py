@@ -234,7 +234,13 @@ class FinslerMetric:
     """Chart-local Finsler metric on a surface: per-chart F(x, y) with all
     arguments accepting dual numbers and the y slots Taylor jets
     (y-derivatives to third order and x-derivatives to first order are
-    taken)."""
+    taken).
+
+    ``ehresmann`` is the horizontal splitting the connection layer takes:
+    None for the geodesic spray's, or an explicit table ``(chart, x, y) ->
+    N[j][A]`` of arrays, which only ``manifolds.install_metric`` sets."""
+
+    ehresmann = None
 
     def __init__(self, atlas_id: str, charts: dict[str, callable], label: str = "metric"):
         self.atlas_id = atlas_id
@@ -256,19 +262,11 @@ def _squared(metric: FinslerMetric, chart: str):
     return lambda xx, yy: metric.charts[chart](xx, yy) ** 2
 
 
-def _default_chart(metric: FinslerMetric, chart: str | None) -> str:
-    if chart is not None:
-        return chart
-    if len(metric.charts) == 1:
-        return next(iter(metric.charts))
-    raise DomainError("metric has several charts; specify one")
-
-
 # ---------------------------------------------------------------------------
 # indicatrix geometry (n = 2)
 
 
-def fiber_volume_form(metric: FinslerMetric, x, theta, chart: str | None = None):
+def fiber_volume_form(metric: FinslerMetric, x, theta, chart: str):
     """Density rho(theta) with  d nu_x = rho(theta) d theta.
 
     With f(theta) = F(x, cos theta, sin theta), homogeneity gives
@@ -279,7 +277,6 @@ def fiber_volume_form(metric: FinslerMetric, x, theta, chart: str | None = None)
     The slots of x may be complex, as under a complex-step sweep of the
     base point; nothing here casts them to float.
     """
-    chart = _default_chart(metric, chart)
     x = [np.asarray(c) for c in x]
     jet = metric.charts[chart](x, list(_circle_taylor(np.asarray(theta, dtype=float), 2)))
     f, f2 = taylor_coefficient(jet, 0), 2.0 * taylor_coefficient(jet, 2)
@@ -297,8 +294,7 @@ def fiber_volume_form(metric: FinslerMetric, x, theta, chart: str | None = None)
 FIBER_ORDER = 256
 
 
-def fiber_volume(metric: FinslerMetric, x, chart: str | None = None,
-                 nodes: int = FIBER_ORDER):
+def fiber_volume(metric: FinslerMetric, x, chart: str, nodes: int = FIBER_ORDER):
     """V(x): Riemannian volume of the indicatrix fiber at each base point.
 
     x = (x1, x2) holds scalars or arrays, real or complex; the result has
@@ -310,7 +306,6 @@ def fiber_volume(metric: FinslerMetric, x, chart: str | None = None,
     of it is exact (Squire & Trapp, SIAM Rev. 40(1), 1998).  A point's V
     reads its own row only; the points run in blocks of at most max(1,
     _BLOCK_NODES // nodes) (``quadrature.in_blocks``)."""
-    chart = _default_chart(metric, chart)
     shape = np.broadcast_shapes(*map(np.shape, x))
     flat = [np.broadcast_to(c, shape).reshape(-1) for c in x]
     s = _fiber_sums(metric, flat, chart, 2.0 * math.pi / nodes * np.arange(nodes).reshape(-1, 2).T)

@@ -669,8 +669,8 @@ class TestExactIntegrand:
         and connection, V at the chart's count in both.
         The FD error over seeds 1-3 and 95 on these batches is at most
         1.0e-12 (7.6e-13 at this seed), so the bound is 3e-12."""
-        from finslergbc.cli import ExperimentConfig, _build_atlas, _build_connections
-        from finslergbc.manifolds import install_metric
+        from finslergbc.cli import (
+            ExperimentConfig, _build_atlas, _build_connections, _build_metric)
         from finslergbc.quadrature import central_partials
 
         cfg = ExperimentConfig(
@@ -678,8 +678,8 @@ class TestExactIntegrand:
             metric=metric, connection=connection,
             ehresmann_exprs=_EXPLICIT_N if ehresmann == "explicit" else {})
         atlas = _build_atlas(cfg)
-        met = install_metric(atlas, metric, {"eps": cfg.metric_eps})
-        D, nabla, _, _ = _build_connections(cfg, atlas, met)
+        met = _build_metric(cfg, atlas)
+        D, nabla, _ = _build_connections(cfg, atlas, met)
         integrand = TransgressionForms(met, D, nabla).gbc_integrand()
         fresh = lambda: bundle_points(atlas.chart_ids[-1], 25, seed=95)
         got = integrand(fresh())
@@ -705,7 +705,7 @@ class TestExactIntegrand:
         cfg = ExperimentConfig(metric="randers", metric_eps=eps, connection="perturbed")
         atlas = _build_atlas(cfg)
         met = install_metric(atlas, "randers", {"eps": eps})
-        D, nabla, _, _ = _build_connections(cfg, atlas, met)
+        D, nabla, _ = _build_connections(cfg, atlas, met)
         forms = IdentityForms(met, D, nabla)
         pts = bundle_points("south", 200, seed=98)
         assert (forms.omega_D()(pts) - forms.omega_nabla()(pts)).max_abs() > 0.05
@@ -741,7 +741,7 @@ class TestSectionIntegrand:
                                connection=connection, vector_field=field, field_power=2)
         atlas = _build_atlas(cfg)
         met = install_metric(atlas, metric, {"eps": eps})
-        D, nabla, _, _ = _build_connections(cfg, atlas, met)
+        D, nabla, _ = _build_connections(cfg, atlas, met)
         forms = TransgressionForms(met, D, nabla)
         X = _build_field(cfg, atlas)
         t_max = 0.0

@@ -702,6 +702,24 @@ class TestMainEntry:
         assert main(["gbc", "--config", str(path)]) == 2
         assert "ValidationError" in capsys.readouterr().err
 
+    def test_variable_exponent_in_custom_field(self, tmp_path, capsys):
+        """A power whose exponent holds a variable, under the dual numbers
+        of the Newton step and theta_grad, is exp(p log x): the constant
+        base 2**(0.0*u) and the dual base (1+0.0*u)**v are both exactly 1,
+        so either field exits 0 with the per-eps values of -1.0*v, bit for
+        bit."""
+        def run(south_u):
+            path = tmp_path / "power.ini"
+            path.write_text(f"[vector_field]\ntype = custom\nsouth_u = {south_u}\n"
+                            "south_v = u\nnorth_u = v\nnorth_v = -1.0*u\n")
+            assert main(["gbc", "--config", str(path)]) == 0
+            return [repr(v) for _, v in run_gbc(ExperimentConfig.from_file(str(path))).convergence]
+
+        want = run("-1.0*v")
+        assert run("-1.0*v*2**(0.0*u)") == want
+        assert run("-1.0*v*(1+0.0*u)**v") == want
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", [
         "[quadrature]\norder_fibre = 8\n[identities]\nsamples = 5\n",
         "[quadrature]\norder_fibre = 8\n",

@@ -9,7 +9,6 @@ import pytest
 
 from finslergbc.connection import (
     CurvatureData,
-    EhresmannData,
     _frame_form,
     bundle_tensors,
     cartan_connection,
@@ -28,13 +27,13 @@ from finslergbc.quadrature import ChartPoints, central_partials, exterior_deriva
 from conftest import CountingAtlas, bundle_points, curvature_form, frame_form
 
 
-def frame_transform(metric, D, pts, ehresmann=None):
+def frame_transform(metric, D, pts):
     """The full frame transform varpi_i^j = (dB_i^k + B_i^m theta_m^k)
     (B^{-1})_k^j of the natural-frame connection D, axis by axis, built
     from the batch's frame and ``theta_chart_forms``: the general-rank
     oracle of the one-entry ``_frame_form``, and of the skewness that
     lets varpi_0^1 stand for the whole matrix."""
-    tens = bundle_tensors(metric, pts, ehresmann)
+    tens = bundle_tensors(metric, pts)
     theta = theta_chart_forms(tens, pts, D)
     B, Binv, dB = tens.B, tens.Binv, tens.dB
     pi = [[[None] * 3 for _ in range(2)] for _ in range(2)]
@@ -120,14 +119,16 @@ class TestSprayConnection:
                          np.stack([np.cos(th), np.sin(th)]))
         assert np.max(np.abs(N - want)) < 1e-8
 
-    def test_explicit_table_mode(self, round_metric):
+    def test_explicit_table_mode(self, sphere):
         """An explicit table replaces the spray: N is the table evaluated at
         the batch's base points and unit rays, entry for entry."""
+        from finslergbc.manifolds import install_metric
+
         table = lambda chart, x, y: [[x[0] * y[0], 0.5 + 0.0 * x[1]],
                                      [np.sin(x[1]), 2.0 * y[1]]]
         pts = bundle_points("south", 30, seed=18)
         x1, x2, th = pts.coords
-        N = bundle_tensors(round_metric, pts, EhresmannData(table)).N
+        N = bundle_tensors(install_metric(sphere, "round_sphere", ehresmann=table), pts).N
         want = table("south", [x1, x2], [np.cos(th), np.sin(th)])
         for i in range(2):
             for j in range(2):
@@ -701,21 +702,20 @@ class TestPerturbation:
         from finslergbc.manifolds import install_metric, sphere_atlas, torus_atlas
 
         atlas = sphere_atlas() if manifold == "sphere" else torus_atlas()
-        met = install_metric(atlas, metric, {"eps": eps})
-        eh = EhresmannData(
-            lambda chart, x, y: [[0.1 * x[0] * y[0], 0.2 * x[1] * y[1]],
-                                 [np.sin(x[0]) * y[0], 0.05 * y[1]]]) if explicit else None
-        fc = to_orthonormal_frame(cartan_connection(), met, eh)
+        table = (lambda chart, x, y: [[0.1 * x[0] * y[0], 0.2 * x[1] * y[1]],
+                                      [np.sin(x[0]) * y[0], 0.05 * y[1]]]) if explicit else None
+        met = install_metric(atlas, metric, {"eps": eps}, ehresmann=table)
+        fc = to_orthonormal_frame(cartan_connection(), met)
         P = sinusoidal_perturbation(atlas, fc, amplitude)
-        frame_side = perturb_metric_compatible(fc, horizontal_part(P, met, eh))
+        frame_side = perturb_metric_compatible(fc, horizontal_part(P, met))
         natural = to_orthonormal_frame(
-            modify(perturbed_connection_data(cartan_connection(), P)), met, eh)
+            modify(perturbed_connection_data(cartan_connection(), P)), met)
         pts = bundle_points(atlas.chart_ids[-1], 200, seed=25)
         pa, pb = frame_side.pi(pts), natural.pi(pts)
         worst = max(float(np.max(np.abs(np.asarray(pa[a]) - np.asarray(pb[a]))))
                     for a in range(3))
         assert worst < 1e-14
-        tens = bundle_tensors(met, pts, eh)
+        tens = bundle_tensors(met, pts)
         shadow = max(
             float(np.max(np.abs(P(pts)[2] * sum(tens.jets.v[k] * tens.N[k][A]
                                                   for k in range(2)))))

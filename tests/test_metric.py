@@ -486,13 +486,6 @@ def _randers_agm_volume(eps, x1, x2):
 
 
 class TestFiberVolume:
-    def test_two_chart_metric_needs_a_chart(self, randers_metric, flat_metric):
-        """On the two-chart sphere no chart is a default; a one-chart
-        metric still needs none."""
-        with pytest.raises(DomainError):
-            fiber_volume(randers_metric, [0.2, 0.1])
-        assert fiber_volume(flat_metric, [1.0, 2.0]) == pytest.approx(2.0 * math.pi, rel=1e-12)
-
     def test_euclidean_density_one(self, flat_metric):
         th = np.linspace(0, 2 * math.pi, 13)
         rho = fiber_volume_form(flat_metric, [0.1, 0.2], th, "torus")

@@ -5,6 +5,7 @@ their module on first access."""
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -52,3 +53,14 @@ def test_import_loads_no_submodule():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == []
+
+
+def test_numpy_floor_covers_the_names_the_source_uses():
+    """``quadrature.complex_step_partials`` filters
+    ``np.exceptions.ComplexWarning``, and ``numpy.exceptions`` first shipped
+    in NumPy 1.25, so the floor pyproject.toml declares is at least 1.25."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml")) as fh:
+        floor = re.search(r'"numpy>=(\d+)\.(\d+)', fh.read())
+    assert floor is not None
+    assert (int(floor[1]), int(floor[2])) >= (1, 25)

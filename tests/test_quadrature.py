@@ -604,18 +604,17 @@ class TestDiscRule:
         Gauss-Legendre panels plus, per zero, disc(eps_0) - disc(eps)."""
         from finslergbc.cli import (
             VOL_S1, ExperimentConfig, _build_atlas, _build_connections, _build_field,
-            _metric_params, run_gbc,
+            _build_metric, run_gbc,
         )
         from finslergbc.chern_forms import TransgressionForms
-        from finslergbc.manifolds import install_metric
 
         cfg = ExperimentConfig(metric="randers", metric_eps=0.1, connection="perturbed",
                                perturbation_amplitude=0.2, order_base=order, order_fiber=16,
                                epsilon_schedule=(0.2, 0.1, 0.05))
         report = run_gbc(cfg)
         atlas = _build_atlas(cfg)
-        metric = install_metric(atlas, cfg.metric, _metric_params(cfg))
-        fcD, fcN, _, _ = _build_connections(cfg, atlas, metric)
+        metric = _build_metric(cfg, atlas)
+        fcD, fcN, _ = _build_connections(cfg, atlas, metric)
         forms = TransgressionForms(metric, fcD, fcN, order_fiber=cfg.order_fiber)
         f = forms.gbc_integrand(_build_field(cfg, atlas))
         schedule = [eps for eps, _ in report.convergence]
@@ -641,10 +640,9 @@ class TestDiscRule:
         radial one, sets the per-eps error.)"""
         from finslergbc.cli import (
             VOL_S1, ExperimentConfig, _build_atlas, _build_connections, _build_field,
-            _metric_params, run_gbc,
+            _build_metric, run_gbc,
         )
         from finslergbc.chern_forms import TransgressionForms
-        from finslergbc.manifolds import install_metric
         from finslergbc.topology import find_zeros
 
         cfg = ExperimentConfig(metric="randers", metric_eps=0.9, connection="perturbed",
@@ -652,8 +650,8 @@ class TestDiscRule:
                                order_fiber=64, epsilon_schedule=(0.5, 0.2, 0.05, 0.01))
         report = run_gbc(cfg)
         atlas = _build_atlas(cfg)
-        metric = install_metric(atlas, cfg.metric, _metric_params(cfg))
-        fcD, fcN, _, _ = _build_connections(cfg, atlas, metric)
+        metric = _build_metric(cfg, atlas)
+        fcD, fcN, _ = _build_connections(cfg, atlas, metric)
         X = _build_field(cfg, atlas)
         f = TransgressionForms(metric, fcD, fcN, order_fiber=cfg.order_fiber).gbc_integrand(X)
         held = {rec.chart for rec in find_zeros(X)}
@@ -675,11 +673,10 @@ class TestDiscRule:
         32-node phi rule missed the per-eps values by 1.9e-11 and each I(1)
         by 3.4e-7, with opposite signs in the two charts."""
         from finslergbc.cli import (
-            ExperimentConfig, _build_atlas, _build_connections, _build_field, _metric_params,
+            ExperimentConfig, _build_atlas, _build_connections, _build_field, _build_metric,
             run_gbc,
         )
         from finslergbc.chern_forms import TransgressionForms
-        from finslergbc.manifolds import install_metric
         from finslergbc.topology import find_zeros
 
         reference = [1.2236272128584107, 1.8084810875386517, 1.986974757119953,
@@ -691,8 +688,8 @@ class TestDiscRule:
         for (eps, value), want in zip(report.convergence, reference):
             assert abs(value - want) <= 1e-13, eps
         atlas = _build_atlas(cfg)
-        metric = install_metric(atlas, cfg.metric, _metric_params(cfg))
-        fcD, fcN, _, _ = _build_connections(cfg, atlas, metric)
+        metric = _build_metric(cfg, atlas)
+        fcD, fcN, _ = _build_connections(cfg, atlas, metric)
         X = _build_field(cfg, atlas)
         f = TransgressionForms(metric, fcD, fcN, order_fiber=cfg.order_fiber).gbc_integrand(X)
         held = {rec.chart for rec in find_zeros(X)}
