@@ -11,8 +11,11 @@ coordinates, so the production GBC integrand differentiates varpi_0^1 by
 complex-step partials, exact to rounding.  ``CurvatureData`` takes d
 varpi_0^1 by the finite-difference stencil (central differences +
 Richardson): it is the identity checks' oracle, independent of the
-production path.  On a stencil stack along axis a it skips the partials
-along a, whose components the enclosing d never reads, and leaves them NaN.
+production path.  On a stencil stack displaced along axis a it skips the
+partials along a, whose components the enclosing d never reads, and
+leaves them NaN.  ``FrameConnection.pi`` is computed once per displaced
+point set and kept on the stack's root batch, so the stacks along a then
+b and along b then a share one run of the tensor chain.
 
 A batch's tensors, frame B, B^{-1}, dB included, are one ``ChartTensors``
 record that ``bundle_tensors`` builds once and keeps in the batch's own
@@ -318,7 +321,11 @@ class FrameConnection:
         self.pi_of = pi_of  # callable(ChartPoints) -> pi[axis] of varpi_0^1
 
     def pi(self, pts: ChartPoints):
-        return pts.cached(("pi", self), lambda: self.pi_of(pts))
+        """pi at the batch, kept on its root batch (``ChartPoints.shared``):
+        a stack that reaches points another route displaced the same way
+        takes it there without the tensor chain.  The root keeps only
+        these three arrays; tensors, V and curvature die with each stack."""
+        return pts.shared(("pi", self), lambda: self.pi_of(pts))
 
     def table(self, pts: ChartPoints):
         pi = self.pi(pts)
@@ -380,17 +387,19 @@ class CurvatureData:
     """The curvature Omega_0^1 = d varpi_0^1 of a FrameConnection as a
     2-form on the bundle chart: ``omega(pts)`` returns {(a, b): coeff}
     with a < b, and ``table(pts)`` the skew matrix of such tables.  On a
-    stencil stack along axis a (``pts.axis``) the enclosing d reads only
-    forms' coefficients whose key omits a, which take only the components
-    of Omega that omit a, so pi is differentiated along the other two axes
-    alone: those components keep their bits, and the ones with a are NaN,
-    so a reader of them fails loudly instead of reading a silent zero."""
+    stencil stack displaced along axis a (in ``pts.displacement``) the
+    enclosing d reads only forms' coefficients whose key omits a, which
+    take only the components of Omega that omit a, so pi is differentiated
+    along the undisplaced axes alone: those components keep their bits,
+    and the ones with a are NaN, so a reader of them fails loudly instead
+    of reading a silent zero."""
 
     def __init__(self, conn: FrameConnection):
         self.conn = conn
 
     def omega(self, pts: ChartPoints):
-        axes = [b for b in range(pts.dim) if b != pts.axis]
+        displaced = {a for a, _ in pts.displacement}
+        axes = [b for b in range(pts.dim) if b not in displaced]
         return pts.cached(("omega", self.conn), lambda: d_from_partials(central_partials(
             lambda q: {(a,): c for a, c in enumerate(self.conn.pi(q))}, pts, axes)).coeffs)
 

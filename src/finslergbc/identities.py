@@ -312,9 +312,12 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
     integrand = forms.gbc_integrand()
     u1_field = forms.mathai_quillen_field(1.0)
     # Every finite-difference row reads one stencil sweep per batch, so each
-    # displaced batch evaluates pi, V and the curvature of nabla once for all
+    # displaced batch evaluates V and the curvature of nabla once for all
     # five fields, the curvature along the two axes across the stack's: 3
     # stacks, 6 nested ones on them and 3 for the curvature at the batch.
+    # Those 12 stacks hold 6 point sets (the 3 stacks and the 3 pairs of
+    # axes), and pi runs once on each: a stack reaching points seen before
+    # takes it from the batch (ChartPoints.shared).
     # gbc_integrand takes its exact complex-step partials as in production,
     # so eq34 compares them with this FD sweep.
     differentiated = [forms.pi(), forms.upsilon1().scale_by(inv_v), forms.upsilon0(),
@@ -342,6 +345,9 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
                                           - u1_field(pts) + 1j * dprim).max_abs(),
         }
         worst = {name: float(np.maximum(worst[name], batch[name])) for name in worst}
+        # Nothing reads the batch's entries again; the frame forms of its
+        # stacks among them would otherwise stay until the suite returns.
+        pts.cache.clear()
 
     rows = [_bound(name, worst[name], bound) for name, bound in IDENTITY_BOUNDS.items()]
     rows.append(_bound("eq32_component_identity", _eq32_residual(cfg.seed), 1e-10))

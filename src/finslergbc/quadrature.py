@@ -19,7 +19,9 @@ exact to rounding, serves the production GBC integrand (d(pi_0^1 / V))
 in one pass per sweep, every direction stacked on a leading axis, and
 returns the partials alone; the finite-difference stencil
 ``central_partials`` serves the exterior derivatives of the identity
-checks as an independent oracle, in one pass per chart axis.
+checks as an independent oracle, in one pass per chart axis, on stencil
+stacks that two routes to the same displaced points lay out alike
+(``ChartPoints.shifted``), so they can share values through their root.
 """
 
 from __future__ import annotations
@@ -76,13 +78,19 @@ class ChartPoints:
     evaluations be shared between form fields at the same batch; each
     entry is keyed by the objects that own it (a metric, a connection, a
     form set), so a key holds its owner and no id is reused while the
-    entry lives.  ``axis`` is the chart axis of a stencil stack made by
-    ``shifted``, and None on any other batch."""
+    entry lives.  A stencil stack made by ``shifted`` knows its ``root``,
+    the batch its displacements started from (None on a root, which so
+    holds no reference to itself and dies by reference counting alone), and
+    its ``displacement``, the ((chart axis, steps), ...) of its leading
+    axes in ascending chart axis.  The stacks along a then b and along b
+    then a are then the same arrays, and share entries through ``shared``."""
 
-    def __init__(self, chart: str, coords: tuple, axis: int | None = None):
+    def __init__(self, chart: str, coords: tuple, root: "ChartPoints | None" = None,
+                 displacement: tuple = ()):
         self.chart = chart
         self.coords = coords
-        self.axis = axis
+        self.root = root
+        self.displacement = displacement
         self.cache = {}
 
     def cached(self, key, compute):
@@ -91,6 +99,19 @@ class ChartPoints:
         if hit is None:
             hit = self.cache[key] = compute()
         return hit
+
+    def shared(self, key, compute):
+        """The entry at key for this batch's points, kept in the root's
+        cache under (key, displacement): every stack that reaches the same
+        displaced points takes it there.  Only small values belong here,
+        as they live as long as the root."""
+        root = self if self.root is None else self.root
+        return root.cached((key, self.displacement), compute)
+
+    def leading_axis(self, axis: int) -> int:
+        """The leading axis that ``shifted(axis, ...)`` gives its steps:
+        after those of every displaced chart axis up to this one."""
+        return sum(a <= axis for a, _ in self.displacement)
 
     @property
     def dim(self) -> int:
@@ -108,12 +129,16 @@ class ChartPoints:
 
     def shifted(self, axis: int, steps) -> "ChartPoints":
         """The batch displaced along one chart axis by each of ``steps``,
-        stacked as one batch on a new leading axis: slice s holds the
-        points with coords[axis] + steps[s]."""
+        stacked as one batch on a new leading axis, ``leading_axis(axis)``:
+        slice s there holds the points with coords[axis] + steps[s]."""
+        lead = self.leading_axis(axis)
+        steps = tuple(steps)
         base = np.broadcast_arrays(*self.coords)
-        coords = [np.stack([c] * len(steps)) for c in base]
-        coords[axis] = np.stack([base[axis] + h for h in steps])
-        return ChartPoints(self.chart, tuple(coords), axis)
+        coords = [np.stack([c] * len(steps), lead) for c in base]
+        coords[axis] = np.stack([base[axis] + h for h in steps], lead)
+        displacement = self.displacement[:lead] + ((axis, steps),) + self.displacement[lead:]
+        return ChartPoints(self.chart, tuple(coords),
+                           self if self.root is None else self.root, displacement)
 
 
 class PointwiseForm:
@@ -213,7 +238,8 @@ def central_partials(payload, pts: ChartPoints, axes=None) -> list[dict]:
     Central differences at steps FD_STEP and FD_STEP/2 are combined by
     Richardson extrapolation to an O(h^4) estimate.  The payload runs once
     per chart axis in ``axes`` (default all), on the four displaced copies
-    of the batch stacked on a leading axis (``ChartPoints.shifted``); every
+    of the batch stacked on a leading axis (``ChartPoints.shifted``), read
+    wherever the stack put that axis (``ChartPoints.leading_axis``); every
     entry is broadcast to the stacked shape, so a constant entry such as
     0.0 differentiates to 0.  The partials along an axis left out are NaN,
     so a reader of them fails loudly instead of reading a silent zero: on
@@ -230,14 +256,14 @@ def central_partials(payload, pts: ChartPoints, axes=None) -> list[dict]:
     out = [None] * pts.dim
     for axis in range(pts.dim) if axes is None else axes:
         stack = pts.shifted(axis, steps)
-        shape = stack.coords[0].shape
+        shape, lead = stack.coords[0].shape, pts.leading_axis(axis)
         by_key = out[axis] = {}
         for k, c in payload(stack).items():
-            pp, pm, pp2, pm2 = np.broadcast_to(c, shape)
+            pp, pm, pp2, pm2 = np.moveaxis(np.broadcast_to(c, shape), lead, 0)
             d1 = (pp - pm) / (2.0 * h)
             d2 = (pp2 - pm2) / h
             by_key[k] = (4.0 * d2 - d1) / 3.0
-    skipped = dict.fromkeys(by_key, np.full(shape[1:], np.nan))
+    skipped = dict.fromkeys(by_key, np.full(np.broadcast(*pts.coords).shape, np.nan))
     return [skipped if partials is None else partials for partials in out]
 
 
@@ -293,10 +319,12 @@ def exterior_derivatives(fields, pts: ChartPoints) -> list[PointwiseForm]:
     central_partials sweep whose payload is the union of the fields'
     coefficient tables keyed by (field index, axes).  Every displaced
     batch evaluates all the fields, so what they share through the batch
-    cache (frame forms, curvature) is computed once per displacement; the
-    displaced batches still die axis by axis.  The d along axis a reads
-    only coefficients whose key omits a, so a curvature on the stack along
-    a is taken along the other axes alone (``CurvatureData``)."""
+    cache (curvature, tensors) is computed once per stack and dies with
+    it, axis by axis; the frame forms are kept on the root, once per
+    displaced point set, which the nested stacks along a then b and along
+    b then a share.  The d along axis a reads only coefficients whose key
+    omits a, so a curvature on the stack along a is taken along the other
+    axes alone (``CurvatureData``)."""
 
     def payload(q: ChartPoints) -> dict:
         return {(i, key): c for i, f in enumerate(fields) for key, c in f(q).coeffs.items()}

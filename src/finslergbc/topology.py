@@ -168,21 +168,23 @@ def _median(a) -> float:
     return float(np.mean(part[k - 1 + n % 2:k + 1]))
 
 
-# The radius of the circle on which find_zeros winds X about each zero.
-# It is not tied to the excised discs: Newton stops at |X| < 1e-12, which
-# places a degree-2 zero only to about 1e-6, so a circle of radius near
-# 1e-6 can pass beside the zero and read degree 0.
+# The radius of the circle on which find_zeros winds X about each zero,
+# and the distance in the atlas embedding within which it takes two Newton
+# limits for one zero.  It is not tied to the excised discs: Newton stops
+# at |X| < 1e-12, which places a degree-2 zero only to about 1e-6, so a
+# circle of radius near 1e-6 can pass beside the zero and read degree 0.
 DEGREE_PROBE_RADIUS = 0.025
 
 
 def find_zeros(X: SectionField) -> list[ZeroRecord]:
     """Grid scan for |X| minima inside each chart region, Newton-refined
-    to |X| < 1e-12 and deduplicated through the atlas embedding.  Each
-    chart's region box is sampled on a 48 x 48 grid, and a grid point
-    seeds Newton's method where |X| is below 0.3 times the median of |X|
-    over the grid.  The seeds keep their grid order, so the first seed
-    that refines to a zero gives its recorded location.  Each zero's
-    degree is the winding of X on a circle of DEGREE_PROBE_RADIUS."""
+    to |X| < 1e-12 and deduplicated through the atlas embedding at
+    DEGREE_PROBE_RADIUS.  Each chart's region box is sampled on a 48 x 48
+    grid, and a grid point seeds Newton's method where |X| is below 0.3
+    times the median of |X| over the grid.  The seeds keep their grid
+    order, so the first seed that refines to a zero gives its recorded
+    location.  Each zero's degree is the winding of X on a circle of
+    DEGREE_PROBE_RADIUS."""
     atlas = X.atlas
     records: list[ZeroRecord] = []
     embedded: list[np.ndarray] = []
@@ -199,16 +201,17 @@ def find_zeros(X: SectionField) -> list[ZeroRecord]:
         zu, zv = _newton_zeros(X, chart, U.ravel()[seeds], V.ravel()[seeds])
         keep = atlas.in_region(chart, (zu, zv))
         zu, zv = zu[keep], zv[keep]
-        # zeros are isolated with separation above the excision diameter;
-        # a degenerate (higher-degree) zero is located only to ~sqrt of
-        # the |X| tolerance, so deduplicate at a much coarser scale
+        # a zero of order m is located only to about the m-th root of the
+        # |X| tolerance (1e-3 at m = 4), so seeds that reach one zero from
+        # different sides are deduplicated at the degree probe's scale: the
+        # winding circle of either would hold both anyway
         p = atlas.embed(chart, (zu, zv))
         dup = np.zeros(len(p), dtype=bool)
         for q in embedded:
-            dup |= np.linalg.norm(p - q, axis=-1) < 1e-3
+            dup |= np.linalg.norm(p - q, axis=-1) < DEGREE_PROBE_RADIUS
         while not dup.all():
             i = int(np.argmin(dup))  # the first seed left in grid order
-            dup |= np.linalg.norm(p - p[i], axis=-1) < 1e-3
+            dup |= np.linalg.norm(p - p[i], axis=-1) < DEGREE_PROBE_RADIUS
             embedded.append(p[i])
             records.append(ZeroRecord(chart, (float(zu[i]), float(zv[i]))))
     for rec in records:
@@ -221,30 +224,36 @@ def _newton_zeros(X: SectionField, chart: str, u, v):
     evaluation of X per iteration: u and v are duals seeded on one leading
     axis of length 2, so the pass carries both Jacobian columns.  The 2x2
     step is solved by Cramer's rule.  A seed leaves the batch once
-    |X| < 1e-12 (it is returned), at a Jacobian with |det| < 1e-14, at a
-    non-finite step, or after 40 iterations (it is dropped).  The
-    converged seeds come back in their input order."""
+    |X| < 1e-12 (it is returned), or (it is dropped) at a Jacobian with
+    |det| < 1e-14 where |X| has stopped falling, at a non-finite step, or
+    after 40 iterations.  A singular Jacobian alone does not drop a seed:
+    at a zero of order m, |X| ~ r^m and |det| ~ m^2 r^(2m - 2), so from
+    m = 3 on the Jacobian turns singular before |X| reaches 1e-12, while
+    Newton still shrinks r by 1 - 1/m a step.  The converged seeds come
+    back in their input order."""
     idx = np.arange(np.size(u))
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     done = np.zeros(idx.size, dtype=bool)
     zu, zv = np.empty_like(u), np.empty_like(v)
+    last = np.full(idx.size, np.inf)  # each seed's |X| one iteration back
     for _ in range(40):
         if idx.size == 0:
             break
         f1, f2 = X.value(chart, *ad.seed_pair(u, v))
         f1v, f2v = (np.broadcast_to(value(f), u.shape) for f in (f1, f2))
         (a, b), (c, d) = (np.broadcast_to(partial(f), (2,) + u.shape) for f in (f1, f2))
-        conv = np.hypot(f1v, f2v) < 1e-12
+        mag = np.hypot(f1v, f2v)
+        conv = mag < 1e-12
         done[idx[conv]] = True
         zu[idx[conv]], zv[idx[conv]] = u[conv], v[conv]
         det = a * d - b * c
-        go = ~conv & (np.abs(det) >= 1e-14)
-        with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+        go = ~conv & ((np.abs(det) >= 1e-14) | (mag < last))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # caught below
             u = u[go] - (f1v[go] * d[go] - b[go] * f2v[go]) / det[go]
             v = v[go] - (a[go] * f2v[go] - c[go] * f1v[go]) / det[go]
-        idx = idx[go]
+        idx, last = idx[go], mag[go]
         fin = np.isfinite(u) & np.isfinite(v)
-        u, v, idx = u[fin], v[fin], idx[fin]
+        u, v, idx, last = u[fin], v[fin], idx[fin], last[fin]
     return zu[done], zv[done]
 
 

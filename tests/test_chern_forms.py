@@ -623,6 +623,28 @@ class TestStackedStencil:
         finally:
             gc.enable()
 
+    def test_root_batch_freed_after_shared_sweep(self, perturbed_setup):
+        """The batch a sweep starts from keeps the frame forms of every point
+        set its stacks reached (the 3 stacks and the 3 pairs of axes) in
+        its own cache, but no reference to itself: once its last reference
+        goes, it is released by reference counting alone."""
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            pts = bundle_points("south", 10, seed=97)
+            exterior_derivatives(self._identity_fields(perturbed_setup), pts)
+            perturbed_setup.omega_nabla()(pts)
+            shared = {tuple(a for a, _ in key[1]) for key in pts.cache
+                      if isinstance(key[0], tuple) and key[0][0] == "pi"}
+            assert shared == {(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)}
+            ref = weakref.ref(pts)
+            del pts
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_complex_batches_freed_on_return(self, perturbed_setup, monkeypatch):
         """The one complex-shifted batch of gbc_integrand, the pi_0^1 / V
         sweep's bundle batch with every chart axis stacked on it and the

@@ -282,18 +282,41 @@ class TestRunners:
         assert run_identity_suite(cfg).passed
         assert len(calls) == 24
 
+    def test_identities_tensor_chain_once_per_point_set(self, monkeypatch):
+        """On the identities-randers benchmark configuration each chart batch
+        runs the tensor chain on 8 point sets: the batch (100 points), its
+        complex-step pass (300), the 3 stacks (400 each) and the 3 pairs of
+        axes (1,600 each), which both routes to a pair share.  So 16
+        metric_jets calls cover 12,800 points, and bundle_tensors is called
+        18 times: once more per chart batch, a cache hit for the prop32 row."""
+        import finslergbc.connection as cn
+
+        jets, tensors = [], []
+        metric_jets, bundle_tensors = cn.metric_jets, cn.bundle_tensors
+        monkeypatch.setattr(cn, "metric_jets", lambda *a: jets.append(
+            np.size(a[2])) or metric_jets(*a))
+        monkeypatch.setattr(cn, "bundle_tensors", lambda *a: tensors.append(a)
+                            or bundle_tensors(*a))
+        cfg = ExperimentConfig(scenario="identities", manifold="sphere", metric="randers",
+                               metric_eps=0.1, connection="cartan", identity_samples=200,
+                               seed=1234)
+        assert run_identity_suite(cfg).passed
+        assert (len(jets), sum(jets), len(tensors)) == (16, 12800, 18)
+
     def test_identities_evaluates_perturbation_once_per_batch(self, monkeypatch):
         """On identities with D = cartan + P (Randers 0.1, seed 1234), D, its
         modification and the prop32 natural-frame data read P through its
-        batch cache entry: P's body runs once on each of the 34 batches it
-        meets, where three separate reads ran it 42 times."""
+        batch cache entry, and a stencil stack whose points another route
+        displaced the same way takes pi from its root batch: P's body runs
+        once on each of the 8 point sets per chart batch (the batch, its
+        complex-step pass, 3 stacks and 3 pairs of axes), 16 in all."""
         evaluations = []
         make = cli.sinusoidal_perturbation
         monkeypatch.setattr(cli, "sinusoidal_perturbation", lambda atlas, *a:
                             make(CountingAtlas(atlas, evaluations), *a))
         cfg = ExperimentConfig(scenario="identities", metric="randers", connection="perturbed")
         assert run_identity_suite(cfg).passed
-        assert len(evaluations) == 34
+        assert len(evaluations) == 16
 
     def test_gbc_makes_no_displaced_batch(self, monkeypatch):
         """The production integrand takes its curvature from complex-step
@@ -701,6 +724,16 @@ class TestMainEntry:
         path.write_text(section)
         assert main(["gbc", "--config", str(path)]) == 2
         assert "ValidationError" in capsys.readouterr().err
+
+    def test_order_three_zero_config(self):
+        """configs/order3_zero_gbc.ini holds zeros of degrees 3 and -1, where
+        Newton's Jacobian turns singular before |X| < 1e-12; both are found,
+        and the run exits 0 with gbc_disc_limit within 1e-14 of chi = 2."""
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "order3_zero_gbc.ini")
+        assert main(["gbc", "--config", path]) == 0
+        report = run_gbc(ExperimentConfig.from_file(path))
+        assert report.passed
+        assert abs(report.row("gbc_disc_limit").value - 2.0) <= 1e-14
 
     def test_variable_exponent_in_custom_field(self, tmp_path, capsys):
         """A power whose exponent holds a variable, under the dual numbers

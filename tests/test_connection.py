@@ -9,6 +9,7 @@ import pytest
 
 from finslergbc.connection import (
     CurvatureData,
+    FrameConnection,
     _frame_form,
     bundle_tensors,
     cartan_connection,
@@ -22,7 +23,7 @@ from finslergbc.connection import (
     theta_chart_forms,
     to_orthonormal_frame,
 )
-from finslergbc.quadrature import ChartPoints, central_partials, exterior_derivative
+from finslergbc.quadrature import FD_STEP, ChartPoints, central_partials, exterior_derivative
 
 from conftest import CountingAtlas, bundle_points, curvature_form, frame_form
 
@@ -448,15 +449,16 @@ class TestCurvature:
     @pytest.mark.parametrize("route", ["cartan", "perturbed"])
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_stencil_stack_skips_its_axis(self, sphere, cartan_frame_randers, route, axis):
-        """On a stencil stack along an axis, Omega is pi's d along the two
-        other axes: the components that omit the axis have the bits of the
-        full stencil on the same points, and the ones with it are NaN."""
+        """On a stencil stack displaced along an axis, Omega is pi's d along
+        the two other axes: the components that omit the axis have the bits
+        of the full stencil on the same points, and the ones with it are
+        NaN."""
         fc = cartan_frame_randers
         if route == "perturbed":
             fc = perturb_metric_compatible(fc, sinusoidal_perturbation(sphere, fc, 0.2))
         curv = CurvatureData(fc)
         stack = bundle_points("south", 10, seed=144).shifted(axis, (1e-3, -1e-3))
-        assert stack.axis == axis
+        assert stack.displacement == ((axis, (1e-3, -1e-3)),)
         om = curv.omega(stack)
         full = curv.omega(ChartPoints(stack.chart, stack.coords))
         assert list(om) == list(full) == [(0, 1), (0, 2), (1, 2)]
@@ -521,6 +523,64 @@ def _perturbation_per_axis(atlas, base, amplitude):
         return [amplitude * (f1 * dX[a] + f2 * dY[a] + f3 * pi[a]) for a in range(3)]
 
     return P
+
+
+class TestSharedFrameForms:
+    STEPS = (FD_STEP, -FD_STEP, 0.5 * FD_STEP, -0.5 * FD_STEP)
+
+    @staticmethod
+    def _counting(fc):
+        """fc with the displacement of every batch its pi runs on recorded."""
+        runs = []
+
+        def pi_of(pts):
+            runs.append(pts.displacement)
+            return fc.pi_of(pts)
+
+        return FrameConnection(fc.label, pi_of), runs
+
+    def _partials(self, fc, stack, axis):
+        return central_partials(lambda q: {(k,): c for k, c in enumerate(fc.pi(q))},
+                                stack, [axis])[axis]
+
+    def _assert_unshared_bits(self, fc, stack, axis, got):
+        """got has the bits of the sweep along axis on a fresh root with the
+        stack's coordinates, where pi runs on its own batch."""
+        want = self._partials(fc, ChartPoints(stack.chart, stack.coords), axis)
+        assert list(got) == list(want) == [(0,), (1,), (2,)]
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+
+    @pytest.mark.parametrize("route", ["cartan", "perturbed"])
+    @pytest.mark.parametrize("a, b", [(0, 1), (0, 2), (1, 2)])
+    def test_pair_of_axes_evaluates_pi_once(self, sphere, cartan_frame_randers, route, a, b):
+        """The 4 x 4 grid that the stack along a reaches along b, and the
+        stack along b reaches along a, is one point set: pi runs on it
+        once, the second route takes it from the root batch, and the
+        partials on both stacks have the bits of an unshared evaluation."""
+        base = cartan_frame_randers
+        if route == "perturbed":
+            base = perturb_metric_compatible(base, sinusoidal_perturbation(sphere, base, 0.2))
+        fc, runs = self._counting(base)
+        pts = bundle_points("south", 6, seed=51)
+        stacks = {s: pts.shifted(s, self.STEPS) for s in (a, b)}
+        got = {s: self._partials(fc, stacks[s], t) for s, t in ((a, b), (b, a))}
+        assert runs == [((a, self.STEPS), (b, self.STEPS))]
+        for s, t in ((a, b), (b, a)):
+            self._assert_unshared_bits(base, stacks[s], t, got[s])
+
+    def test_other_steps_miss_the_shared_entry(self, cartan_frame_randers):
+        """A stack along axis 1 with other steps reaches, along axis 0,
+        other points than the stack along 0 reaches along 1: pi runs on
+        each grid, and each stack's partials are its own."""
+        fc, runs = self._counting(cartan_frame_randers)
+        pts = bundle_points("south", 6, seed=52)
+        other = tuple(2.0 * h for h in self.STEPS)
+        stacks = [(pts.shifted(0, self.STEPS), 1), (pts.shifted(1, other), 0)]
+        got = [self._partials(fc, stack, t) for stack, t in stacks]
+        assert runs == [((0, self.STEPS), (1, self.STEPS)), ((0, self.STEPS), (1, other))]
+        for (stack, t), partials in zip(stacks, got):
+            self._assert_unshared_bits(cartan_frame_randers, stack, t, partials)
 
 
 class TestPerturbation:

@@ -216,17 +216,44 @@ class TestCentralPartials:
         stacks = []
 
         def payload(q):
-            stacks.append(q.axis)
+            stacks.append([a for a, _ in q.displacement])
             return {"s": q.coords[0] * q.coords[2], "zero": 0.0}
 
         full = central_partials(payload, pts)
         stacks.clear()
         partials = central_partials(payload, pts, [2, 0])
-        assert stacks == [2, 0]
+        assert stacks == [[2], [0]]
         for axis in (0, 2):
             assert all(np.array_equal(partials[axis][k], full[axis][k]) for k in full[axis])
         assert list(partials[1]) == ["s", "zero"]
         assert all(np.shape(c) == (3,) and np.isnan(c).all() for c in partials[1].values())
+
+
+    @pytest.mark.parametrize("a, b", [(0, 1), (0, 2), (1, 2)])
+    def test_both_routes_to_a_pair_of_axes_lay_out_one_grid(self, a, b):
+        """The stack along a then b and the stack along b then a are the same
+        arrays, their leading axes in ascending chart axis, with one
+        displacement record and the root they started from; the partials
+        read on a stack are those of the same sweep on a fresh root with
+        its coordinates, whose steps lead."""
+        pts = ChartPoints.of("c", [0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9])
+        sa, sb = (1e-3, -1e-3, 2e-3), (5e-4, -5e-4)
+        ab, ba = pts.shifted(a, sa).shifted(b, sb), pts.shifted(b, sb).shifted(a, sa)
+        assert (pts.root, pts.displacement) == (None, ())
+        assert ab.root is ba.root is pts
+        assert ab.displacement == ba.displacement == ((a, sa), (b, sb))
+        assert all(c.shape == (3, 2, 3) and np.array_equal(c, d)
+                   for c, d in zip(ab.coords, ba.coords))
+
+        def payload(q):
+            x1, x2, x3 = q.coords
+            return {"s": np.sin(x1) * x2 * np.exp(x3) + x1 * x3 * x3}
+
+        for s, t, steps in ((a, b, sa), (b, a, sb)):
+            stack = pts.shifted(s, steps)
+            got = central_partials(payload, stack, [t])[t]["s"]
+            want = central_partials(payload, ChartPoints(stack.chart, stack.coords), [t])[t]["s"]
+            assert got.shape == (len(steps), 3) and np.array_equal(got, want)
 
 
 class TestComplexStepPartials:

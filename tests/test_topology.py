@@ -167,19 +167,26 @@ class TestInducedSection:
 def _newton_zero(X, chart, x0, max_iter=40):
     """The scalar Newton iteration find_zeros once ran seed by seed, kept
     as the oracle of the batched one.  Returns the zero or None, the
-    number of iterations (two field evaluations each) and why it stopped."""
+    number of iterations (two field evaluations each) and why it stopped:
+    a singular Jacobian stops it only where |X| has stopped falling."""
     u, v = float(x0[0]), float(x0[1])
+    last = math.inf
     for it in range(1, max_iter + 1):
         f1u, f2u = X.value(chart, Dual(u, 1.0), Dual(v, 0.0))
         f1v, f2v = X.value(chart, Dual(u, 0.0), Dual(v, 1.0))
         f = np.array([value(f1u), value(f2u)], dtype=float)
-        if np.hypot(*f) < 1e-12:
+        mag = np.hypot(*f)
+        if mag < 1e-12:
             return (u, v), it, "converged"
         J = np.array([[value(partial(f1u)), value(partial(f1v))],
                       [value(partial(f2u)), value(partial(f2v))]], dtype=float)
-        if abs(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]) < 1e-14:
+        if abs(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]) < 1e-14 and mag >= last:
             return None, it, "singular"
-        step = np.linalg.solve(J, f)
+        last = mag
+        try:
+            step = np.linalg.solve(J, f)
+        except np.linalg.LinAlgError:
+            return None, it, "non-finite"
         u, v = u - step[0], v - step[1]
         if not (np.isfinite(u) and np.isfinite(v)):
             return None, it, "non-finite"
@@ -256,24 +263,54 @@ class TestBatchedNewton:
             assert n == 1 + iters[chart] + zeros_here
 
     def test_singular_and_non_finite_seeds_drop_out(self, sphere):
-        """Of four seeds on one batch, one sits at a singular Jacobian
-        (|det| = 2e-15 at u = 1e-15, v = 0, under the 1e-14 cut; its step
-        would be finite) and one steps to infinity: at u = 1e-316, v = 1
-        the determinant is 2e-12, above the cut, while the Newton step is
-        9e317.  Both leave the batch as they leave the scalar loop, the
-        other two reach the zeros (+-0.5, 0) in seed order, and X runs
-        once per iteration of the slowest seed."""
+        """Seeds leave the batch where they leave the scalar loop.  Of four
+        seeds on exp(700 v) (u^2 - 1/4), v, one steps to infinity: at u =
+        1e-316, v = 1 the determinant is 2e-12, above the 1e-14 cut, while
+        the Newton step is 9e317.  One sits at a singular Jacobian (|det| =
+        2e-15 at u = 1e-15, v = 0) with no earlier |X| to stall against, so
+        it steps on, to u near 1.25e14, and is still halving back at the
+        40th iteration.  The other two reach the zeros (+-0.5, 0) in seed
+        order, and X runs once per iteration of the slowest seed.  On cos u,
+        sin u + 1e-15 v every |det| is at most 1e-15, and both seeds leave
+        at their second iterate, where |X| has risen from 1 (the cut alone
+        dropped them at the first)."""
         X, calls = _counted(custom_field(sphere, {"south": ("exp(700*v)*(u*u - 0.25)", "v")}))
         seeds = [(0.6, 0.0), (1e-15, 0.0), (1e-316, 1.0), (-0.7, 0.1)]
         oracle = [_newton_zero(X, "south", s) for s in seeds]
         assert [why for _, _, why in oracle] == [
-            "converged", "singular", "non-finite", "converged"]
+            "converged", "max_iter", "non-finite", "converged"]
         calls["south"] = 0
         zu, zv = _newton_zeros(X, "south", *np.transpose(seeds))
-        assert calls["south"] == max(it for _, it, _ in oracle)
+        assert calls["south"] == max(it for _, it, _ in oracle) == 40
         want = [zero for zero, _, _ in oracle if zero is not None]
         assert np.max(np.abs(np.column_stack([zu, zv]) - want)) < 1e-10
         assert np.allclose(zu, [0.5, -0.5]) and np.allclose(zv, 0.0)
+
+        X, calls = _counted(custom_field(sphere, {"south": ("cos(u)", "sin(u) + 1e-15*v")}))
+        seeds = [(0.5, 0.0), (0.3, 0.2)]
+        assert [_newton_zero(X, "south", s) for s in seeds] == [(None, 2, "singular")] * 2
+        calls["south"] = 0
+        zu, zv = _newton_zeros(X, "south", *np.transpose(seeds))
+        assert calls["south"] == 2 and zu.size == zv.size == 0
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_zeros_of_order_three_and_four(self, sphere, order):
+        """z^m / q^2 in the south chart, q = 1 + |z|^2, is -conj(w)^(m-2) /
+        q^2 in the north, a smooth field with zeros of degrees m and 2 - m.
+        Where |X| ~ r^m the Jacobian turns singular (|det| ~ m^2 r^(2m-2)
+        < 1e-14) before |X| < 1e-12, which takes r < 1e-4 (m = 3) or 1e-3
+        (m = 4), so Newton goes on past the cut.  Seeds that reach the
+        zero from different sides stop up to 1e-3 apart at m = 4, and count
+        as one zero."""
+        q = "(1.0+u*u+v*v)**2"
+        zm = {3: ("u*u*u - 3.0*u*v*v", "3.0*u*u*v - v*v*v"),
+              4: ("u*u*u*u - 6.0*u*u*v*v + v*v*v*v", "4.0*u*u*u*v - 4.0*u*v*v*v")}[order]
+        wbar = {3: ("-1.0*(u*(u*u+v*v))", "v*(u*u+v*v)"), 4: ("-1.0*(u*u - v*v)", "2.0*u*v")}[order]
+        X = custom_field(sphere, {"south": tuple(f"({c})/{q}" for c in zm),
+                                  "north": tuple(f"({c})/{q}" for c in wbar)})
+        zeros = find_zeros(X)
+        assert [(z.chart, z.degree) for z in zeros] == [("south", order), ("north", 2 - order)]
+        assert all(math.hypot(*z.location) < 10.0 ** (-12.0 / order) for z in zeros)
 
 
 def _theta_grad_per_axis(X, chart, x1, x2):
