@@ -14,7 +14,6 @@ import numpy as np
 
 from .algebra import pfaffian_norm_constant
 from .connection import AXES, FrameConnection
-from .manifolds import ATLASES
 from .metric import FIBER_ORDER, FinslerMetric, fiber_volume, size_fiber_rule
 from .quadrature import ChartPoints, FormField, complex_step_partials, d_from_partials
 
@@ -25,7 +24,7 @@ class TransgressionForms:
     """Builds the production forms for one (metric, D, nabla) triple and
     keeps the shared volume functions cached.  ``fiber_rules`` maps each
     chart to the (nodes, converged) of its one fiber rule of at most
-    order_fiber nodes, sized on the chart's probes of the metric's atlas
+    order_fiber nodes, sized on the chart's probes of ``metric.atlas``
     (``metric.size_fiber_rule``)."""
 
     def __init__(self, metric: FinslerMetric, D: FrameConnection,
@@ -35,8 +34,7 @@ class TransgressionForms:
         self.nabla = nabla
         self.n = nabla.n
         self.order_fiber = order_fiber
-        atlas = ATLASES[metric.atlas_id]()
-        self.fiber_rules = {c: size_fiber_rule(metric, atlas, c, order_fiber)
+        self.fiber_rules = {c: size_fiber_rule(metric, c, order_fiber)
                             for c in metric.charts}
 
     # --- fiber volume -------------------------------------------------------

@@ -38,6 +38,7 @@ from .quadrature import (
     in_blocks,
 )
 from .topology import (
+    DEGREE_PROBE_RADIUS,
     SectionField,
     constant_field,
     check_euler_characteristic,
@@ -343,10 +344,6 @@ def emit_report(report: Report, out_dir: str | None = None, fmt: str = "table"):
 # scenario assembly
 
 
-def _build_atlas(cfg: ExperimentConfig) -> Atlas:
-    return ATLASES[cfg.manifold]()
-
-
 def _build_field(cfg: ExperimentConfig, atlas: Atlas) -> SectionField:
     kind = cfg.vector_field
     if kind == "rotational":
@@ -365,8 +362,9 @@ def _build_field(cfg: ExperimentConfig, atlas: Atlas) -> SectionField:
     return X
 
 
-def _build_metric(cfg: ExperimentConfig, atlas: Atlas):
-    """The certified zoo metric, with the explicit Ehresmann table of the
+def _build_metric(cfg: ExperimentConfig):
+    """The certified zoo metric on a new atlas of cfg.manifold, which it
+    carries as ``metric.atlas``, with the explicit Ehresmann table of the
     [ehresmann] keys (an entry left out being 0) when any key is given,
     else the canonical spray."""
     table = None
@@ -380,10 +378,11 @@ def _build_metric(cfg: ExperimentConfig, atlas: Atlas):
             ev = {k: e(u=x[0], v=x[1], y1=y[0], y2=y[1]) for k, e in exprs.items()}
             return [[ev["n11"], ev["n12"]], [ev["n21"], ev["n22"]]]
 
-    return install_metric(atlas, cfg.metric, {"eps": cfg.metric_eps}, ehresmann=table)
+    return install_metric(ATLASES[cfg.manifold](), cfg.metric, {"eps": cfg.metric_eps},
+                          ehresmann=table)
 
 
-def _build_connections(cfg: ExperimentConfig, atlas: Atlas, metric):
+def _build_connections(cfg: ExperimentConfig, metric):
     """Returns (frame forms of D, frame forms of its modification, and the
     natural-frame data of the modification), all in the metric's Ehresmann
     splitting.
@@ -398,7 +397,7 @@ def _build_connections(cfg: ExperimentConfig, atlas: Atlas, metric):
     fc_cartan = to_orthonormal_frame(cart, metric)
     if cfg.connection != "perturbed":
         return fc_cartan, fc_cartan, cart
-    P = sinusoidal_perturbation(atlas, fc_cartan, cfg.perturbation_amplitude)
+    P = sinusoidal_perturbation(metric.atlas, fc_cartan, cfg.perturbation_amplitude)
     D = perturb_metric_compatible(fc_cartan, P)
     nabla = perturb_metric_compatible(fc_cartan, horizontal_part(P, metric))
     nabla.label = f"mod({D.label})"
@@ -422,34 +421,36 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
     build forms, pull back, and integrate.
 
     On the sphere the two unit discs r <= 1 tile the base, and every zero
-    sits at a chart centre.  Each chart's unit disc (``AnnulusRegion``) is
-    integrated by one call of ``base_integral_excised``, with the schedule
-    as its sub-disc radii if the chart holds a zero: the integrand runs
-    once per chart, on the nodes of the unit disc's polar rule, and I(1)
-    and every I(eps) are read off those samples.  Its phi rule, and the
-    fiber rule of V, size themselves by nested doubling up to the caps
-    that order_base and order_fiber set, the fiber rule once per chart on
-    a fixed probe grid (``TransgressionForms``); the metadata records per
-    chart the node counts they took, as phi_nodes and fiber_nodes, and
-    marks a rule that stopped at its cap unconverged; the row
-    ``quadrature_rules_converged`` counts such rules and fails on any.  The
-    integrand is -c d(pi_0^1 / V) (``gbc_integrand``).  At the workload
-    orders each chart takes 32 radii x 12 angles, 768 base points in all.
-    The per-eps value is vol(S^1) sum over charts of I(1) - I(eps), with
-    I(eps) = 0 in a chart without a zero; ``normalized_gbc_integral`` is
-    their Neville extrapolation to eps = 0.  The polar rule integrates the
-    O(1/r) integrand through the zero, so ``gbc_disc_limit``, vol(S^1) sum
-    of I(1), is the eps -> 0 limit itself and is held to chi within
-    DISC_LIMIT_TOL."""
+    sits at a chart centre: X vanishes there to Newton's |X| < 1e-12, and
+    the zero found lies within DEGREE_PROBE_RADIUS of it, since Newton
+    places a zero of order m only to about 1e-12 ** (1/m).  Each chart's
+    unit disc (``AnnulusRegion``) is integrated by one call of
+    ``base_integral_excised``, with the schedule as its sub-disc radii if
+    the chart holds a zero: the integrand runs once per chart, on the nodes
+    of the unit disc's polar rule, and I(1) and every I(eps) are read off
+    those samples.  Its phi rule, and the fiber rule of V, size themselves
+    by nested doubling up to the caps that order_base and order_fiber set,
+    the fiber rule once per chart on a fixed probe grid
+    (``TransgressionForms``); the metadata records per chart the node
+    counts they took, as phi_nodes and fiber_nodes, and marks a rule that
+    stopped at its cap unconverged; the row ``quadrature_rules_converged``
+    counts such rules and fails on any.  The integrand is -c d(pi_0^1 / V)
+    (``gbc_integrand``).  At the workload orders each chart takes 32 radii
+    x 12 angles, 768 base points in all.  The per-eps value is vol(S^1) sum
+    over charts of I(1) - I(eps), with I(eps) = 0 in a chart without a
+    zero; ``normalized_gbc_integral`` is their Neville extrapolation to
+    eps = 0.  The polar rule integrates the O(1/r) integrand through the
+    zero, so ``gbc_disc_limit``, vol(S^1) sum of I(1), is the eps -> 0
+    limit itself and is held to chi within DISC_LIMIT_TOL."""
     cfg.validate()
     t0 = time.perf_counter()
-    atlas = _build_atlas(cfg)
-    metric = _build_metric(cfg, atlas)
+    metric = _build_metric(cfg)
+    atlas = metric.atlas
     X = _build_field(cfg, atlas)
     zeros = find_zeros(X)
     chi = check_euler_characteristic(zeros, atlas)
 
-    fcD, fcN, _ = _build_connections(cfg, atlas, metric)
+    fcD, fcN, _ = _build_connections(cfg, metric)
     forms = TransgressionForms(metric, fcD, fcN, order_fiber=cfg.order_fiber)
     integrand = forms.gbc_integrand(X)
 
@@ -462,13 +463,15 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
         per_eps = [(eps, total) for eps in schedule]
         extrap = disc_limit = total
     else:
+        held = {rec.chart for rec in zeros}
+        with np.errstate(all="ignore"):  # a NaN fails the test below
+            at_centre = {c: np.hypot(*X.value(c, np.zeros(1), np.zeros(1))) < 1e-12 for c in held}
         for rec in zeros:
-            if math.hypot(*rec.location) > 1e-4:
+            if not (at_centre[rec.chart] and math.hypot(*rec.location) <= DEGREE_PROBE_RADIUS):
                 raise ValidationError(
                     "built-in scenarios keep zeros at chart centers; "
                     f"found one at {rec.location} in chart {rec.chart}"
                 )
-        held = {rec.chart for rec in zeros}
         discs = {c: base_integral_excised(integrand, AnnulusRegion(c, 1.0), order=cfg.order_base,
                                           radii=schedule if c in held else (), rules=phi_rules)
                  for c in atlas.chart_ids}
@@ -486,7 +489,7 @@ def run_gbc(cfg: ExperimentConfig) -> Report:
     rows.append(_check("gbc_disc_limit", disc_limit, float(atlas.chi), DISC_LIMIT_TOL))
 
     if cfg.metric == "randers":
-        vgrid = _volume_spread(forms, atlas)
+        vgrid = _volume_spread(forms)
         rows.append(
             ReportRow("fiber_volume_spread", vgrid, None, 1e-4, vgrid > 1e-4)
         )
@@ -518,10 +521,10 @@ def _rule_sizes(rules: dict) -> str:
                     for chart, (n, converged) in rules.items())
 
 
-def _volume_spread(forms: TransgressionForms, atlas: Atlas) -> float:
+def _volume_spread(forms: TransgressionForms) -> float:
     g1, g2 = np.meshgrid(np.linspace(-0.9, 0.9, 7), np.linspace(-0.9, 0.9, 7), indexing="ij")
     keep = g1 ** 2 + g2 ** 2 <= 1.0
-    V = np.concatenate([forms.volume_at(c, (g1[keep], g2[keep])) for c in atlas.chart_ids])
+    V = np.concatenate([forms.volume_at(c, (g1[keep], g2[keep])) for c in forms.metric.charts])
     return float(np.max(V) / np.min(V) - 1.0)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import (BigradedElement, SkewMatrixValuedForm, berezin, exp_truncated, pfaffian,
                       pfaffian_norm_constant, sort_with_parity)
 from .chern_forms import TransgressionForms
-from .cli import ExperimentConfig, Report, _bound, _build_atlas, _build_connections, _build_metric
+from .cli import ExperimentConfig, Report, _bound, _build_connections, _build_metric
 from .connection import AXES, CurvatureData, FrameConnection, metric_compat_residual
 from .errors import ValidationError
 from .manifolds import Atlas
@@ -301,11 +301,10 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
     """Pointwise residuals of every identity the pipeline relies on."""
     cfg.validate()
     t0 = time.perf_counter()
-    atlas = _build_atlas(cfg)
-    metric = _build_metric(cfg, atlas)
-    fcD, fcN, nabla_data = _build_connections(cfg, atlas, metric)
+    metric = _build_metric(cfg)
+    fcD, fcN, nabla_data = _build_connections(cfg, metric)
     forms = IdentityForms(metric, fcD, fcN, order_fiber=cfg.order_fiber)
-    batches = _bundle_samples(cfg, atlas, cfg.identity_samples)
+    batches = _bundle_samples(cfg, metric.atlas, cfg.identity_samples)
 
     worst = dict.fromkeys(IDENTITY_BOUNDS, 0.0)
     inv_v = lambda p: 1.0 / forms.volume(p)

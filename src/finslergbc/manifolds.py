@@ -40,28 +40,23 @@ class Atlas:
 
     # --- chart transitions -------------------------------------------------
     def transition(self, src: str, dst: str, x):
-        if src == dst:
-            return np.asarray(x, dtype=float)
-        if self.name == "sphere":
-            z1, z2 = x[0], x[1]
-            r2 = z1 * z1 + z2 * z2
-            # complex reciprocal: both directions use the same formula
-            return np.asarray([z1 / r2, -z2 / r2], dtype=float)
-        return np.asarray(x, dtype=float)
+        """(x1, x2) in chart dst of the points x of chart src (arrays or
+        dual numbers).  On the sphere both ways are 1/z in the north
+        chart's flipped coordinate: (x1, -x2) / |x|^2."""
+        x1, x2 = x[0], x[1]
+        if src == dst or self.name != "sphere":
+            return x1, x2
+        r2 = x1 * x1 + x2 * x2
+        return x1 / r2, -x2 / r2
 
     def transition_jacobian(self, src: str, dst: str, x):
-        """d(transition)/dx as a 2x2 matrix; array slots of x give the
-        batch axes after the two matrix axes."""
-        if src == dst:
-            return np.eye(2)
-        if self.name == "sphere":
-            z1, z2 = np.asarray(x[0], dtype=float), np.asarray(x[1], dtype=float)
-            r2 = z1 * z1 + z2 * z2
-            # d(1/z)/dz = -1/z^2, written as a real 2x2 matrix
-            a = -(z1 * z1 - z2 * z2) / (r2 * r2)
-            b = -(-2.0 * z1 * z2) / (r2 * r2)
-            return np.array([[a, -b], [b, a]])
-        return np.eye(2)
+        """J[i, k] = d(transition)_i / dx_k, from one pass of ``transition``
+        with x1 and x2 seeded side by side (``ad.seed_pair``); the batch
+        axes of x trail the two matrix axes."""
+        x1, x2 = np.asarray(x[0], dtype=float), np.asarray(x[1], dtype=float)
+        shape = (2,) + np.broadcast_shapes(x1.shape, x2.shape)
+        return np.stack([np.broadcast_to(ad.partial(c), shape)
+                         for c in self.transition(src, dst, ad.seed_pair(x1, x2))])
 
     # --- embeddings (used for cross-chart deduplication) --------------------
     def embed(self, chart: str, x):
@@ -110,8 +105,7 @@ def torus_atlas() -> Atlas:
     return Atlas("torus", ("torus",), chi=0)
 
 
-# The built-in atlases by name: the choices of the CLI's --manifold, and
-# what a metric's atlas_id names.
+# The built-in atlases by name: the choices of the CLI's --manifold.
 ATLASES = {"sphere": sphere_atlas, "torus": torus_atlas}
 
 
@@ -126,11 +120,6 @@ def _conformal_round(x, y):
 def _round_alpha(q, y):
     """The round metric 2|y|/q at a base point with q = 1 + |x|^2."""
     return (2.0 / q) * ad.sqrt(y[0] * y[0] + y[1] * y[1])
-
-
-def _round_sphere_metric(atlas: Atlas) -> FinslerMetric:
-    charts = {c: _conformal_round for c in atlas.chart_ids}
-    return FinslerMetric("sphere", charts, label="round_sphere")
 
 
 def _randers_sphere_metric(atlas: Atlas, eps: float) -> FinslerMetric:
@@ -155,13 +144,13 @@ def _randers_sphere_metric(atlas: Atlas, eps: float) -> FinslerMetric:
         return fn
 
     return FinslerMetric(
-        "sphere", {c: make(c) for c in atlas.chart_ids}, label=f"randers({eps})"
+        atlas, {c: make(c) for c in atlas.chart_ids}, label=f"randers({eps})"
     )
 
 
 def _norm_metric(atlas: Atlas, norm: MinkowskiNorm) -> FinslerMetric:
     charts = {c: (lambda x, y: norm.fn(y)) for c in atlas.chart_ids}
-    return FinslerMetric(atlas.name, charts, label=norm.label)
+    return FinslerMetric(atlas, charts, label=norm.label)
 
 
 # The metric zoo: every name install_metric takes, and the choices of the
@@ -171,18 +160,19 @@ METRICS = ("euclidean", "riemannian", "round_sphere", "randers", "quartic")
 
 def install_metric(atlas: Atlas, zoo_id: str, params: dict | None = None,
                    certify: bool = True, ehresmann=None) -> FinslerMetric:
-    """Instantiate a zoo metric (one of METRICS) on the atlas and certify
-    the Minkowski axioms on a sample sweep before any pipeline consumes it.
-    ``ehresmann``, an explicit table ``(chart, x, y) -> N[j][A]``, replaces
-    the geodesic spray as the metric's horizontal splitting (None keeps the
-    spray); this is the one place a metric gets a table."""
+    """Instantiate a zoo metric (one of METRICS) on the atlas, which it
+    carries as ``metric.atlas``, and certify it before any pipeline
+    consumes it.  ``ehresmann``, an explicit table ``(chart, x, y) ->
+    N[j][A]``, replaces the geodesic spray as the horizontal splitting
+    (None keeps it); this is the one place a metric gets a table."""
     params = params or {}
     if zoo_id not in METRICS:
         raise ValidationError(f"unknown metric zoo id: {zoo_id!r}")
     if zoo_id in ("round_sphere", "randers") and atlas.name != "sphere":
         raise ValidationError(f"the {zoo_id} zoo entry lives on the sphere atlas")
     if zoo_id == "round_sphere":
-        metric = _round_sphere_metric(atlas)
+        metric = FinslerMetric(atlas, dict.fromkeys(atlas.chart_ids, _conformal_round),
+                               label="round_sphere")
     elif zoo_id == "randers":
         metric = _randers_sphere_metric(atlas, float(params.get("eps", 0.1)))
     elif zoo_id == "riemannian":
@@ -192,21 +182,26 @@ def install_metric(atlas: Atlas, zoo_id: str, params: dict | None = None,
     else:
         metric = _norm_metric(atlas, euclidean_norm())
     if certify:
-        certify_metric(atlas, metric)
+        certify_metric(metric)
     metric.ehresmann = ehresmann
     return metric
 
 
-def certify_metric(atlas: Atlas, metric: FinslerMetric, samples: int = 60,
-                   seed: int = 7, tol_homog: float = 1e-9) -> None:
+CERTIFY_TOL = 1e-9  # relative, of certification's homogeneity and chart checks
+
+
+def certify_metric(metric: FinslerMetric, samples: int = 60, seed: int = 7) -> None:
     """Fail fast unless F is finite and positive, positively homogeneous and
-    strictly convex (positive definite y-Hessian of F^2/2) at random chart
-    samples, and, on an atlas with several charts, the same function on the
-    sphere bundle: F_dst(phi(x), J(x) y) = F_src(x, y) at overlap samples
-    0.5 <= |x| <= 2, drawn after the axiom samples.  Every check is written
-    so that a NaN fails it.  The samples come from the standard library's
-    ``random.Random(seed)``, which numpy has already imported, so
-    certification does not load ``numpy.random``."""
+    strictly convex (positive definite y-Hessian of F^2/2) at random samples
+    of the region boxes of ``metric.atlas``, and, on an atlas with several
+    charts, the same function on the sphere bundle: F_dst(phi(x), J(x) y) =
+    F_src(x, y), with phi and J the atlas's ``transition`` and its Jacobian,
+    at overlap samples 0.5 <= |x| <= 2 drawn after the axiom samples.  Each
+    check holds to CERTIFY_TOL relative and is written so that a NaN fails
+    it.  The samples come from the standard library's ``random.Random(seed)``,
+    which numpy has already imported, so certification does not load
+    ``numpy.random``."""
+    atlas = metric.atlas
     rng = random.Random(seed)
     # axis rays catch norms that degenerate exactly on coordinate directions
     probes = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]
@@ -221,7 +216,7 @@ def certify_metric(atlas: Atlas, metric: FinslerMetric, samples: int = 60,
         if not np.all(np.isfinite(F1) & (F1 > 0.0)):
             raise InvalidMetricError(f"{metric.label}: F not finite and positive at sample")
         Flam = np.asarray(metric.F(chart, [x1, x2], [lam * y[0], lam * y[1]]), dtype=float)
-        if not np.all(np.abs(Flam - lam * F1) <= tol_homog * np.maximum(1.0, np.abs(Flam))):
+        if not np.all(np.abs(Flam - lam * F1) <= CERTIFY_TOL * np.maximum(1.0, np.abs(Flam))):
             raise InvalidMetricError(f"{metric.label}: homogeneity violated")
         g = metric.norm_at(chart, [x1, x2]).fundamental(y)
         if not np.all(np.linalg.eigvalsh(np.moveaxis(g, -1, 0)) > 0.0):
@@ -233,9 +228,9 @@ def certify_metric(atlas: Atlas, metric: FinslerMetric, samples: int = 60,
         y = [np.cos(th), np.sin(th)]
         J = atlas.transition_jacobian(src, dst, x)
         F_src = np.asarray(metric.F(src, x, y), dtype=float)
-        F_dst = np.asarray(metric.F(dst, list(atlas.transition(src, dst, x)),
+        F_dst = np.asarray(metric.F(dst, atlas.transition(src, dst, x),
                                     [J[i, 0] * y[0] + J[i, 1] * y[1] for i in range(2)]),
                            dtype=float)
-        if not np.all(np.abs(F_dst - F_src) <= tol_homog * np.maximum(1.0, np.abs(F_src))):
+        if not np.all(np.abs(F_dst - F_src) <= CERTIFY_TOL * np.maximum(1.0, np.abs(F_src))):
             raise InvalidMetricError(
                 f"{metric.label}: charts {src} and {dst} disagree on their overlap")

@@ -234,7 +234,7 @@ class FinslerMetric:
     """Chart-local Finsler metric on a surface: per-chart F(x, y) with all
     arguments accepting dual numbers and the y slots Taylor jets
     (y-derivatives to third order and x-derivatives to first order are
-    taken).
+    taken), on the charts of ``atlas``, the ``manifolds.Atlas`` it carries.
 
     ``ehresmann`` is the horizontal splitting the connection layer takes:
     None for the geodesic spray's, or an explicit table ``(chart, x, y) ->
@@ -242,8 +242,8 @@ class FinslerMetric:
 
     ehresmann = None
 
-    def __init__(self, atlas_id: str, charts: dict[str, callable], label: str = "metric"):
-        self.atlas_id = atlas_id
+    def __init__(self, atlas, charts: dict[str, callable], label: str = "metric"):
+        self.atlas = atlas
         self.charts = charts
         self.label = label
 
@@ -312,13 +312,14 @@ def fiber_volume(metric: FinslerMetric, x, chart: str, nodes: int = FIBER_ORDER)
     return ((s[:, 0] + s[:, 1]) * (2.0 * math.pi / nodes)).reshape(shape)
 
 
-def size_fiber_rule(metric: FinslerMetric, atlas, chart: str, cap: int = FIBER_ORDER):
+def size_fiber_rule(metric: FinslerMetric, chart: str, cap: int = FIBER_ORDER):
     """(nodes, converged): one fiber node count for the whole chart, from
     the nested periodic rule (``quadrature.nested_periodic_rule``) of at
-    most cap nodes on the chart's probes, the 9 x 9 uniform grid over
-    atlas.region_box(chart) kept where atlas.in_region holds.  It stops
+    most cap nodes on the chart's probes, the 9 x 9 uniform grid over its
+    region box in ``metric.atlas``, kept where in_region holds.  It stops
     once, from n/2 to n nodes, no probe's V moves by more than NESTED_TOL
     of itself, converged, or at the cap, unconverged."""
+    atlas = metric.atlas
     (lo1, hi1), (lo2, hi2) = atlas.region_box(chart)
     x1, x2 = (a.ravel() for a in np.meshgrid(np.linspace(lo1, hi1, 9), np.linspace(lo2, hi2, 9)))
     keep = atlas.in_region(chart, (x1, x2))

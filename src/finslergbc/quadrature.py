@@ -153,8 +153,9 @@ class PointwiseForm:
     def __init__(self, coeffs: dict[Index, np.ndarray] | None = None):
         self.coeffs = coeffs if coeffs is not None else {}
 
-    def get(self, key: Index, default=0.0):
-        return self.coeffs.get(tuple(key), default)
+    def get(self, key: Index):
+        """The coefficient of key, 0.0 where the table has none."""
+        return self.coeffs.get(tuple(key), 0.0)
 
     def add_term(self, key, value) -> None:
         key_s, sign = sort_with_parity(key)

@@ -92,10 +92,11 @@ def height_gradient_field(atlas: Atlas) -> SectionField:
     return SectionField(atlas, comps, "height_gradient")
 
 
-def constant_field(atlas: Atlas, c=(1.0, 0.5)) -> SectionField:
+def constant_field(atlas: Atlas) -> SectionField:
+    """The constant field (1, 0.5) on the torus; no zeros."""
     if atlas.name != "torus":
         raise ValidationError("constant field lives on the torus")
-    comps = {"torus": lambda u, v: (c[0] + 0.0 * u, c[1] + 0.0 * v)}
+    comps = {"torus": lambda u, v: (1.0 + 0.0 * u, 0.5 + 0.0 * v)}
     return SectionField(atlas, comps, "constant")
 
 
@@ -124,7 +125,7 @@ def stereographic_power_field(atlas: Atlas, k: int) -> SectionField:
     return SectionField(atlas, {"south": south, "north": north}, f"z^{k}")
 
 
-def custom_field(atlas: Atlas, exprs: dict, label: str = "custom") -> SectionField:
+def custom_field(atlas: Atlas, exprs: dict) -> SectionField:
     """Per-chart component expressions in (u, v), e.g. "u**2 - v**2".
 
     Expressions are compiled by ``ad.expression`` (arithmetic and the
@@ -136,7 +137,7 @@ def custom_field(atlas: Atlas, exprs: dict, label: str = "custom") -> SectionFie
         e1, e2 = (ad.expression(src, ("u", "v")) for src in pair)
         return lambda u, v: (e1(u=u, v=v), e2(u=u, v=v))
 
-    return SectionField(atlas, {c: make(p) for c, p in exprs.items()}, label)
+    return SectionField(atlas, {c: make(p) for c, p in exprs.items()}, "custom")
 
 
 def local_field(atlas: Atlas, chart: str, kind: str) -> SectionField:

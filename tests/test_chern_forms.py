@@ -691,19 +691,17 @@ class TestExactIntegrand:
         and connection, V at the chart's count in both.
         The FD error over seeds 1-3 and 95 on these batches is at most
         1.0e-12 (7.6e-13 at this seed), so the bound is 3e-12."""
-        from finslergbc.cli import (
-            ExperimentConfig, _build_atlas, _build_connections, _build_metric)
+        from finslergbc.cli import ExperimentConfig, _build_connections, _build_metric
         from finslergbc.quadrature import central_partials
 
         cfg = ExperimentConfig(
             manifold="sphere" if metric in ("round_sphere", "randers") else "torus",
             metric=metric, connection=connection,
             ehresmann_exprs=_EXPLICIT_N if ehresmann == "explicit" else {})
-        atlas = _build_atlas(cfg)
-        met = _build_metric(cfg, atlas)
-        D, nabla, _ = _build_connections(cfg, atlas, met)
+        met = _build_metric(cfg)
+        D, nabla, _ = _build_connections(cfg, met)
         integrand = TransgressionForms(met, D, nabla).gbc_integrand()
-        fresh = lambda: bundle_points(atlas.chart_ids[-1], 25, seed=95)
+        fresh = lambda: bundle_points(met.atlas.chart_ids[-1], 25, seed=95)
         got = integrand(fresh())
         spy_on_pi_sweeps(monkeypatch,
                          lambda payload, pts, directions: central_partials(payload, pts))
@@ -721,13 +719,11 @@ class TestExactIntegrand:
         from nabla's pi_0^1 alone, with D != nabla: |Omega^D - Omega^nabla|
         reaches 0.08 (eps 0.1) and 0.17 (eps 0.7) on these points, and the
         two sides agree to 2.9e-12 and 8.0e-12."""
-        from finslergbc.cli import ExperimentConfig, _build_atlas, _build_connections
-        from finslergbc.manifolds import install_metric
+        from finslergbc.cli import ExperimentConfig, _build_connections, _build_metric
 
         cfg = ExperimentConfig(metric="randers", metric_eps=eps, connection="perturbed")
-        atlas = _build_atlas(cfg)
-        met = install_metric(atlas, "randers", {"eps": eps})
-        D, nabla, _ = _build_connections(cfg, atlas, met)
+        met = _build_metric(cfg)
+        D, nabla, _ = _build_connections(cfg, met)
         forms = IdentityForms(met, D, nabla)
         pts = bundle_points("south", 200, seed=98)
         assert (forms.omega_D()(pts) - forms.omega_nabla()(pts)).max_abs() > 0.05
@@ -754,16 +750,15 @@ class TestSectionIntegrand:
         rotational symmetry of the Randers metric, and the torus constant
         field has t = 0."""
         from finslergbc.cli import (
-            ExperimentConfig, _build_atlas, _build_connections, _build_field)
-        from finslergbc.manifolds import install_metric
+            ExperimentConfig, _build_connections, _build_field, _build_metric)
         from finslergbc.quadrature import pullback_by_section
 
         manifold, metric, eps, connection, field = case
         cfg = ExperimentConfig(manifold=manifold, metric=metric, metric_eps=eps,
                                connection=connection, vector_field=field, field_power=2)
-        atlas = _build_atlas(cfg)
-        met = install_metric(atlas, metric, {"eps": eps})
-        D, nabla, _ = _build_connections(cfg, atlas, met)
+        met = _build_metric(cfg)
+        atlas = met.atlas
+        D, nabla, _ = _build_connections(cfg, met)
         forms = TransgressionForms(met, D, nabla)
         X = _build_field(cfg, atlas)
         t_max = 0.0

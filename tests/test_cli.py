@@ -113,12 +113,11 @@ class TestConfig:
         with no share gets no batch.  An even count on the sphere draws
         the same points as the even split it always had, count // 2 per
         chart in chart order."""
-        from finslergbc.cli import _build_atlas
         from finslergbc.identities import _bundle_samples
+        from finslergbc.manifolds import ATLASES
 
         cfg = ExperimentConfig(manifold=manifold, seed=1234)
-        atlas = _build_atlas(cfg)
-        batches = _bundle_samples(cfg, atlas, count)
+        batches = _bundle_samples(cfg, ATLASES[manifold](), count)
         sizes = [b.size for b in batches]
         assert sum(sizes) == count
         assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
@@ -734,6 +733,37 @@ class TestMainEntry:
         report = run_gbc(ExperimentConfig.from_file(path))
         assert report.passed
         assert abs(report.row("gbc_disc_limit").value - 2.0) <= 1e-14
+
+    def test_order_four_zero_at_chart_centre(self, tmp_path, capsys):
+        """A smooth field with a zero of order 4 at the south centre, z^4 /
+        q^2 there and -w^2 / q^2 in the north (degrees 4 and -2), exits 0:
+        Newton places z^4 only to about 1e-3, so the centre check reads X
+        at the centre itself.  gbc_disc_limit lies within 1e-14 of chi = 2,
+        and on the round sphere each per-eps value within 1e-14 of the
+        closed form 2 (1 - eps^2) / (1 + eps^2)."""
+        q = "(1.0+u*u+v*v)**2"
+        path = tmp_path / "z4.ini"
+        path.write_text("[vector_field]\ntype = custom\n"
+                        f"south_u = (u*u*u*u - 6.0*u*u*v*v + v*v*v*v)/{q}\n"
+                        f"south_v = (4.0*u*u*u*v - 4.0*u*v*v*v)/{q}\n"
+                        f"north_u = -1.0*(u*u - v*v)/{q}\nnorth_v = 2.0*u*v/{q}\n")
+        assert main(["gbc", "--config", str(path)]) == 0, capsys.readouterr().err
+        report = run_gbc(ExperimentConfig.from_file(str(path)))
+        assert report.passed
+        assert abs(report.row("gbc_disc_limit").value - 2.0) <= 1e-14
+        for eps, value in report.convergence:
+            assert abs(value - 2.0 * (1.0 - eps * eps) / (1.0 + eps * eps)) <= 1e-14, eps
+
+    def test_zero_near_but_off_the_centre_rejected(self, tmp_path, capsys):
+        """A zero 0.01 from the south centre lies within the degree probe's
+        radius, but X does not vanish at the centre, so the unit discs would
+        integrate the wrong excision: ValidationError, exit 2."""
+        path = tmp_path / "near.ini"
+        path.write_text("[vector_field]\ntype = custom\nsouth_u = u - 0.01\nsouth_v = v\n"
+                        "north_u = -1.0*u\nnorth_v = -1.0*v\n")
+        assert main(["gbc", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "ValidationError" in err and "chart centers" in err
 
     def test_variable_exponent_in_custom_field(self, tmp_path, capsys):
         """A power whose exponent holds a variable, under the dual numbers

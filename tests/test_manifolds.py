@@ -17,7 +17,7 @@ class TestSphereAtlas:
             if np.hypot(*a) < 0.3:
                 continue
             b = sphere.transition("south", "north", a)
-            back = sphere.transition("north", "south", b)
+            back = np.array(sphere.transition("north", "south", b))
             assert np.max(np.abs(back - a)) < 1e-12
 
     def test_transition_orientation_preserving(self, sphere):
@@ -36,10 +36,33 @@ class TestSphereAtlas:
         for k in range(2):
             e = np.eye(2)[k] * h
             fd = (
-                sphere.transition("south", "north", a + e)
-                - sphere.transition("south", "north", a - e)
+                np.array(sphere.transition("south", "north", a + e))
+                - np.array(sphere.transition("south", "north", a - e))
             ) / (2 * h)
             assert np.max(np.abs(J[:, k] - fd)) < 1e-8
+
+    def test_jacobian_of_a_chart_to_itself_is_the_identity(self, sphere, torus):
+        """From a chart to itself the transition is the identity, and so is
+        its Jacobian at every point of the batch, which trails the two
+        matrix axes as it does between charts."""
+        x = (np.linspace(0.1, 2.0, 5), np.linspace(-1.0, 3.0, 5))
+        for atlas, chart in ((sphere, "south"), (sphere, "north"), (torus, "torus")):
+            J = atlas.transition_jacobian(chart, chart, x)
+            assert np.array_equal(J, np.broadcast_to(np.eye(2)[:, :, None], (2, 2, 5)))
+        assert sphere.transition_jacobian("south", "north", x).shape == (2, 2, 5)
+
+    def test_transition_takes_dual_numbers(self, sphere):
+        """A dual seed passes through the transition w = 1/z: the
+        derivative it carries along x1 is dw/dz = -1/z^2, the first column
+        of the Jacobian, which is that number's Cauchy-Riemann matrix."""
+        from finslergbc.ad import Dual
+
+        a = np.array([0.7, -0.4])
+        b1, b2 = sphere.transition("south", "north", (Dual(a[0], 1.0), Dual(a[1], 0.0)))
+        dz = -1.0 / complex(*a) ** 2
+        assert np.allclose([b1.eps, b2.eps], [dz.real, dz.imag], rtol=0.0, atol=1e-14)
+        assert np.allclose(sphere.transition_jacobian("south", "north", a),
+                           [[dz.real, -dz.imag], [dz.imag, dz.real]], rtol=0.0, atol=1e-14)
 
     def test_embedding_consistency_on_overlap(self, sphere):
         """Both charts embed an overlap point to the same R^3 location."""
@@ -140,7 +163,11 @@ class TestMetricZoo:
         assert next(s for s in SETTINGS if s.field == "metric").choices is METRICS
         for name in METRICS:
             atlas = sphere if name in ("round_sphere", "randers") else torus
-            assert install_metric(atlas, name).atlas_id == atlas.name
+            assert install_metric(atlas, name).atlas is atlas
+
+    def test_metric_carries_the_atlas_it_was_installed_on(self, torus):
+        """The metric holds the very atlas object it was installed on."""
+        assert install_metric(torus, "quartic").atlas is torus
 
     def test_certification_passes_for_zoo(self, sphere, torus):
         """Fail-fast certification runs clean across the whole zoo."""
@@ -164,15 +191,15 @@ class TestMetricZoo:
 
     def test_chart_consistency_checks_overlap_draws(self, sphere, monkeypatch):
         """The chart check compares the two charts at the same bundle
-        points, so breaking the transition map breaks certification."""
+        points, so breaking the transition map, and with it the Jacobian
+        taken through it, breaks certification."""
         from finslergbc.manifolds import certify_metric
 
         randers = install_metric(sphere, "randers", {"eps": 0.1}, certify=False)
-        certify_metric(sphere, randers)
-        monkeypatch.setattr(type(sphere), "transition",
-                            lambda self, src, dst, x: np.asarray(x, dtype=float))
+        certify_metric(randers)
+        monkeypatch.setattr(type(sphere), "transition", lambda self, src, dst, x: (x[0], x[1]))
         with pytest.raises(InvalidMetricError, match="disagree on their overlap"):
-            certify_metric(sphere, randers)
+            certify_metric(randers)
 
     def test_certification_rejects_infinite_metric(self, torus):
         """quartic(inf) returns F = inf everywhere; inf > 0 holds, so F must
@@ -181,7 +208,7 @@ class TestMetricZoo:
 
         metric = install_metric(torus, "quartic", {"eps": math.inf}, certify=False)
         with pytest.raises(InvalidMetricError, match="finite"):
-            certify_metric(torus, metric)
+            certify_metric(metric)
 
     def test_certification_nan_fails_homogeneity(self, torus):
         """A norm that is NaN off the unit circle (|y| > 1.5) is finite on
@@ -195,9 +222,9 @@ class TestMetricZoo:
             r = (y[0] * y[0] + y[1] * y[1]) ** 0.5
             return r + np.where(np.asarray(value(r)) > 1.5, np.nan, 0.0)
 
-        metric = FinslerMetric(torus.name, {c: fn for c in torus.chart_ids})
+        metric = FinslerMetric(torus, {c: fn for c in torus.chart_ids})
         with pytest.raises(InvalidMetricError, match="homogeneity"):
-            certify_metric(torus, metric)
+            certify_metric(metric)
 
     @pytest.mark.parametrize("G", [np.eye(3), np.ones((2, 3)), np.ones(2)],
                              ids=["3x3", "2x3", "vector"])
@@ -224,7 +251,7 @@ class TestMetricZoo:
         Hessian eigenvalue oracle over both charts)."""
         from finslergbc.manifolds import certify_metric
 
-        certify_metric(sphere, randers_metric, samples=500, seed=99)
+        certify_metric(randers_metric, samples=500, seed=99)
 
     @pytest.mark.parametrize("eps", [0.1, 0.7])
     @pytest.mark.parametrize("kind", ["float", "complex", "dual", "jet", "dual-jet"])

@@ -501,13 +501,37 @@ class TestFiberVolume:
         from finslergbc.manifolds import install_metric
 
         met = install_metric(torus, "riemannian", {"G": [[5.0, 1.2], [1.2, 1.0]]})
-        for m, atlas, chart, x in ((met, torus, "torus", [1.0, 2.0]),
-                                   (round_metric, sphere, "south", [0.4, -0.7])):
-            nodes, converged = size_fiber_rule(m, atlas, chart)
+        for m, chart, x in ((met, "torus", [1.0, 2.0]), (round_metric, "south", [0.4, -0.7])):
+            nodes, converged = size_fiber_rule(m, chart)
             assert converged
             assert fiber_volume(m, x, chart, nodes) == pytest.approx(2 * math.pi, abs=1e-9)
-        assert size_fiber_rule(met, torus, "torus")[0] > \
-            size_fiber_rule(round_metric, sphere, "south")[0]
+        assert size_fiber_rule(met, "torus")[0] > size_fiber_rule(round_metric, "south")[0]
+
+    def test_sizes_on_the_probes_of_the_metrics_atlas(self, sphere, randers_metric):
+        """The fiber rule is sized on the region box of the atlas the metric
+        was installed on, read once per sizing from ``metric.atlas``: a
+        wrapped atlas that counts its region_box calls sees the call, and
+        the count equals the one on the plain atlas."""
+        from finslergbc.manifolds import install_metric
+
+        class CountingRegions:
+            def __init__(self, atlas):
+                self.atlas, self.boxes = atlas, []
+
+            def __getattr__(self, name):
+                return getattr(self.atlas, name)
+
+            def region_box(self, chart):
+                self.boxes.append(chart)
+                return self.atlas.region_box(chart)
+
+        wrapped = CountingRegions(sphere)
+        met = install_metric(wrapped, "randers", {"eps": 0.1})
+        assert met.atlas is wrapped
+        wrapped.boxes.clear()
+        for chart in ("south", "north"):
+            assert size_fiber_rule(met, chart) == size_fiber_rule(randers_metric, chart)
+        assert wrapped.boxes == ["south", "north"]
 
     def test_randers_against_arclength_oracle(self, randers_metric):
         """rho(theta) equals the induced arc length |c'(theta)|_g of the
@@ -549,11 +573,11 @@ class TestFiberVolume:
         x = [radii * np.cos(angle), radii * np.sin(angle)]
         want = _randers_agm_volume(eps, *x)
         for chart in ("south", "north"):
-            nodes, converged = size_fiber_rule(met, sphere, chart)
+            nodes, converged = size_fiber_rule(met, chart)
             assert (nodes, converged) == ({0.1: 16, 0.5: 32, 0.9: 128}[eps], True)
             assert np.max(np.abs(fiber_volume(met, x, chart, nodes) - want)) <= 1e-14
         if eps == 0.9:
-            assert size_fiber_rule(met, sphere, "north", 64) == (64, False)
+            assert size_fiber_rule(met, "north", 64) == (64, False)
             assert np.max(np.abs(fiber_volume(met, x, "south", 64) - want)) > 1e-13
 
     @pytest.mark.parametrize("eps", [0.1, 0.5, 0.9])
@@ -571,7 +595,7 @@ class TestFiberVolume:
         radii = np.array([0.2, 0.5, 0.8, 1.0, 1.3, 2.5])
         angle = np.linspace(0.3, 5.0, len(radii))
         for chart in ("south", "north"):
-            nodes, _ = size_fiber_rule(met, sphere, chart)
+            nodes, _ = size_fiber_rule(met, chart)
             pts = ChartPoints(chart, (radii * np.cos(angle), radii * np.sin(angle)))
             want = complex_step_partials(
                 lambda q: {"V": _randers_agm_volume(eps, *q.coords)}, pts)
@@ -595,10 +619,10 @@ class TestFiberVolume:
         th, w = periodic_rule(512)
         want = float(np.sum(w * fiber_volume_form(met, [np.full(512, 0.3), np.full(512, 0.2)],
                                                   th, "torus")))
-        assert size_fiber_rule(met, torus, "torus") == (256, True)
+        assert size_fiber_rule(met, "torus") == (256, True)
         V = fiber_volume(met, [np.array([0.3]), np.array([0.2])], "torus", 256)
         assert abs(float(V[0]) - want) <= 1e-15 * want
-        assert size_fiber_rule(met, torus, "torus", 128) == (128, False)
+        assert size_fiber_rule(met, "torus", 128) == (128, False)
         V = fiber_volume(met, [np.array([0.3]), np.array([0.2])], "torus", 128)
         assert abs(float(V[0]) - want) > 1e-13 * want
 
@@ -611,7 +635,7 @@ class TestFiberVolume:
         from finslergbc.quadrature import gauss_legendre
 
         met = install_metric(sphere, "randers", {"eps": eps})
-        nodes, _ = size_fiber_rule(met, sphere, "south")
+        nodes, _ = size_fiber_rule(met, "south")
         rng = np.random.default_rng(23)
         r, ph = np.sqrt(rng.uniform(0.0, 1.0, 50)), rng.uniform(0.0, 2.0 * math.pi, 50)
         x1, x2 = r * np.cos(ph), r * np.sin(ph)
@@ -629,7 +653,7 @@ class TestFiberVolume:
         from finslergbc.manifolds import install_metric
 
         met = install_metric(sphere, "randers", {"eps": 0.8})
-        nodes, converged = size_fiber_rule(met, sphere, "south")
+        nodes, converged = size_fiber_rule(met, "south")
         assert converged
         x1, x2 = 0.2108 + np.linspace(-4e-4, 4e-4, 801), np.full(801, -0.1408)
         th, w = periodic_rule(512)
@@ -669,7 +693,7 @@ class TestFiberVolume:
         rng = np.random.default_rng(17)
         met = (install_metric(sphere, "randers", {"eps": 0.7}) if case == "strong-metric"
                else randers_metric)
-        nodes, _ = size_fiber_rule(met, sphere, "south", 64)
+        nodes, _ = size_fiber_rule(met, "south", 64)
         assert nodes == (64 if case == "strong-metric" else 16)
         if case == "one-point-blocks":
             monkeypatch.setattr(quadrature, "_BLOCK_NODES", 1)
@@ -841,7 +865,7 @@ class TestMetricJets:
 
         met, chart = jet_metrics["randers-south"]
         calls = []
-        counted = FinslerMetric(met.atlas_id, {
+        counted = FinslerMetric(met.atlas, {
             chart: lambda x, y: calls.append(1) or met.charts[chart](x, y)})
         th = np.linspace(0.0, 2.0 * math.pi, 7)
         jets = metric_jets(counted, chart, 0.3 + 0.0 * th, -0.2 + 0.0 * th, th)

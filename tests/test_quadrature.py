@@ -141,7 +141,7 @@ class TestExteriorDerivative:
         pts = ChartPoints.of("c", [0.3, 1.0], [0.4, -2.0], [0.1, 0.2])
         w = exterior_derivative(f)(pts)
         assert np.allclose(w.get((0, 1)), 1.0, atol=1e-10)
-        assert float(np.max(np.abs(np.asarray(w.get((0, 2), 0.0))))) < 1e-10
+        assert float(np.max(np.abs(np.asarray(w.get((0, 2)))))) < 1e-10
 
     def test_d_squared_zero(self):
         def fn(p):
@@ -630,7 +630,7 @@ class TestDiscRule:
         construction they replace: the outer annulus eps_0 <= r <= 1 by
         Gauss-Legendre panels plus, per zero, disc(eps_0) - disc(eps)."""
         from finslergbc.cli import (
-            VOL_S1, ExperimentConfig, _build_atlas, _build_connections, _build_field,
+            VOL_S1, ExperimentConfig, _build_connections, _build_field,
             _build_metric, run_gbc,
         )
         from finslergbc.chern_forms import TransgressionForms
@@ -639,9 +639,9 @@ class TestDiscRule:
                                perturbation_amplitude=0.2, order_base=order, order_fiber=16,
                                epsilon_schedule=(0.2, 0.1, 0.05))
         report = run_gbc(cfg)
-        atlas = _build_atlas(cfg)
-        metric = _build_metric(cfg, atlas)
-        fcD, fcN, _ = _build_connections(cfg, atlas, metric)
+        metric = _build_metric(cfg)
+        atlas = metric.atlas
+        fcD, fcN, _ = _build_connections(cfg, metric)
         forms = TransgressionForms(metric, fcD, fcN, order_fiber=cfg.order_fiber)
         f = forms.gbc_integrand(_build_field(cfg, atlas))
         schedule = [eps for eps, _ in report.convergence]
@@ -666,7 +666,7 @@ class TestDiscRule:
         and each unit disc 3.4e-7 off: on this metric the phi rule, not the
         radial one, sets the per-eps error.)"""
         from finslergbc.cli import (
-            VOL_S1, ExperimentConfig, _build_atlas, _build_connections, _build_field,
+            VOL_S1, ExperimentConfig, _build_connections, _build_field,
             _build_metric, run_gbc,
         )
         from finslergbc.chern_forms import TransgressionForms
@@ -676,9 +676,9 @@ class TestDiscRule:
                                vector_field="stereographic_power", order_base=48,
                                order_fiber=64, epsilon_schedule=(0.5, 0.2, 0.05, 0.01))
         report = run_gbc(cfg)
-        atlas = _build_atlas(cfg)
-        metric = _build_metric(cfg, atlas)
-        fcD, fcN, _ = _build_connections(cfg, atlas, metric)
+        metric = _build_metric(cfg)
+        atlas = metric.atlas
+        fcD, fcN, _ = _build_connections(cfg, metric)
         X = _build_field(cfg, atlas)
         f = TransgressionForms(metric, fcD, fcN, order_fiber=cfg.order_fiber).gbc_integrand(X)
         held = {rec.chart for rec in find_zeros(X)}
@@ -700,7 +700,7 @@ class TestDiscRule:
         32-node phi rule missed the per-eps values by 1.9e-11 and each I(1)
         by 3.4e-7, with opposite signs in the two charts."""
         from finslergbc.cli import (
-            ExperimentConfig, _build_atlas, _build_connections, _build_field, _build_metric,
+            ExperimentConfig, _build_connections, _build_field, _build_metric,
             run_gbc,
         )
         from finslergbc.chern_forms import TransgressionForms
@@ -714,9 +714,9 @@ class TestDiscRule:
         report = run_gbc(cfg)
         for (eps, value), want in zip(report.convergence, reference):
             assert abs(value - want) <= 1e-13, eps
-        atlas = _build_atlas(cfg)
-        metric = _build_metric(cfg, atlas)
-        fcD, fcN, _ = _build_connections(cfg, atlas, metric)
+        metric = _build_metric(cfg)
+        atlas = metric.atlas
+        fcD, fcN, _ = _build_connections(cfg, metric)
         X = _build_field(cfg, atlas)
         f = TransgressionForms(metric, fcD, fcN, order_fiber=cfg.order_fiber).gbc_integrand(X)
         held = {rec.chart for rec in find_zeros(X)}
