@@ -15,14 +15,16 @@ production path.  On a stencil stack displaced along axis a it skips the
 partials along a, whose components the enclosing d never reads, and
 leaves them NaN.  ``FrameConnection.pi`` is computed once per displaced
 point set and kept on the stack's root batch, so the stacks along a then
-b and along b then a share one run of the tensor chain.
+b and along b then a share one run of the tensor chain; the stacks of one
+sweep over a root batch share one run too, on their points concatenated.
 
 A batch's tensors, frame B, B^{-1}, dB included, are one ``ChartTensors``
 record that ``bundle_tensors`` builds once and keeps in the batch's own
 ``cache``; that cache is the only per-batch memo.  A perturbation's value
-P(pts) sits there too, keyed ("P", P), so D, its modification and the
-natural-frame data evaluate it once per batch; the coefficient providers,
-``gamma_of(tens, pts)`` and ``rho_of(tens, pts)``, take the batch for it.
+P(pts), like pi, is kept on the root, keyed ("P", P) and the batch's
+displacement, so D, its modification and the natural-frame data evaluate
+it once per point set; the coefficient providers, ``gamma_of(tens, pts)``
+and ``rho_of(tens, pts)``, take the batch for it.
 
 Index conventions follow  D s_i = theta_i^j (x) s_j  and  nabla e_i =
 varpi_i^j (x) e_j, with matrices stored as m[i][j] = (lower i, upper j).
@@ -321,11 +323,14 @@ class FrameConnection:
         self.pi_of = pi_of  # callable(ChartPoints) -> pi[axis] of varpi_0^1
 
     def pi(self, pts: ChartPoints):
-        """pi at the batch, kept on its root batch (``ChartPoints.shared``):
+        """pi at the batch, kept on its root batch (``ChartPoints.grouped``):
         a stack that reaches points another route displaced the same way
-        takes it there without the tensor chain.  The root keeps only
-        these three arrays; tensors, V and curvature die with each stack."""
-        return pts.shared(("pi", self), lambda: self.pi_of(pts))
+        takes it there without the tensor chain, and the stacks of a root
+        sweep take theirs from one run of pi_of on all their points, which
+        pays the chain's per-call cost once.  The root keeps only these
+        three arrays per point set; tensors, V and curvature die with the
+        batch they were computed on."""
+        return pts.grouped(("pi", self), self.pi_of)
 
     def table(self, pts: ChartPoints):
         pi = self.pi(pts)
@@ -444,11 +449,13 @@ def sinusoidal_perturbation(atlas, base: FrameConnection, amplitude: float):
     (through the atlas embedding scalars, with AD-exact differentials) and
     the base connection's own frame form, so it carries a genuine
     dtheta-component and the modification of the perturbed connection
-    differs from the perturbed modification.  The value is cached on the
-    batch under ("P", P)."""
+    differs from the perturbed modification.  The value is kept on the
+    batch's root under ("P", P) and its displacement (``ChartPoints.shared``),
+    so the passes of D and nabla on one sweep's stacks, each on a batch of
+    its own (``FrameConnection.pi``), evaluate it once."""
 
     def P(pts: ChartPoints):
-        return pts.cached(("P", P), lambda: build(pts))
+        return pts.shared(("P", P), lambda: build(pts))
 
     def build(pts: ChartPoints):
         x1, x2 = pts.coords[:2]

@@ -185,7 +185,8 @@ def find_zeros(X: SectionField) -> list[ZeroRecord]:
     times the median of |X| over the grid.  The seeds keep their grid
     order, so the first seed that refines to a zero gives its recorded
     location.  Each zero's degree is the winding of X on a circle of
-    DEGREE_PROBE_RADIUS."""
+    DEGREE_PROBE_RADIUS.  The 1e-12 acceptance is absolute, so it depends
+    on the scale of X (see ``_newton_zeros``)."""
     atlas = X.atlas
     records: list[ZeroRecord] = []
     embedded: list[np.ndarray] = []
@@ -230,7 +231,10 @@ def _newton_zeros(X: SectionField, chart: str, u, v):
     after 40 iterations.  A singular Jacobian alone does not drop a seed:
     at a zero of order m, |X| ~ r^m and |det| ~ m^2 r^(2m - 2), so from
     m = 3 on the Jacobian turns singular before |X| reaches 1e-12, while
-    Newton still shrinks r by 1 - 1/m a step.  The converged seeds come
+    Newton still shrinks r by 1 - 1/m a step.  The |X| < 1e-12 test is
+    absolute, not relative to the size of X: near a zero of order m, where
+    |X| ~ k r^m, a seed is accepted within r ~ (1e-12 / k)^(1/m) of it, so
+    scaling X by c moves that radius by c^(-1/m).  The converged seeds come
     back in their input order."""
     idx = np.arange(np.size(u))
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)

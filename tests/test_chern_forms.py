@@ -626,18 +626,24 @@ class TestStackedStencil:
     def test_root_batch_freed_after_shared_sweep(self, perturbed_setup):
         """The batch a sweep starts from keeps the frame forms of every point
         set its stacks reached (the 3 stacks and the 3 pairs of axes) in
-        its own cache, but no reference to itself: once its last reference
-        goes, it is released by reference counting alone."""
+        its own cache, and those of its sweep's 3 stacks together, keyed by
+        the tuple of their displacements, but no reference to itself: once
+        its last reference goes, it is released by reference counting
+        alone."""
         import gc
         import weakref
 
+        h = FD_STEP
+        sweep = tuple(((a, (h, -h, 0.5 * h, -0.5 * h)),) for a in range(3))
         gc.disable()
         try:
             pts = bundle_points("south", 10, seed=97)
             exterior_derivatives(self._identity_fields(perturbed_setup), pts)
             perturbed_setup.omega_nabla()(pts)
-            shared = {tuple(a for a, _ in key[1]) for key in pts.cache
-                      if isinstance(key[0], tuple) and key[0][0] == "pi"}
+            keys = {key[1] for key in pts.cache
+                    if isinstance(key[0], tuple) and key[0][0] == "pi"}
+            assert sweep in keys
+            shared = {tuple(a for a, _ in d) for d in keys - {sweep}}
             assert shared == {(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)}
             ref = weakref.ref(pts)
             del pts

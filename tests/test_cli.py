@@ -283,11 +283,14 @@ class TestRunners:
 
     def test_identities_tensor_chain_once_per_point_set(self, monkeypatch):
         """On the identities-randers benchmark configuration each chart batch
-        runs the tensor chain on 8 point sets: the batch (100 points), its
-        complex-step pass (300), the 3 stacks (400 each) and the 3 pairs of
-        axes (1,600 each), which both routes to a pair share.  So 16
-        metric_jets calls cover 12,800 points, and bundle_tensors is called
-        18 times: once more per chart batch, a cache hit for the prop32 row."""
+        runs the tensor chain on 8 point sets in 6 passes: the batch (100
+        points), its complex-step pass (300), the 3 stacks of its sweep in
+        one pass (1,200) and the 3 pairs of axes (1,600 each), which both
+        routes to a pair share.  So 12 metric_jets calls cover 12,800
+        points, and bundle_tensors is called 14 times: once more per chart
+        batch, a cache hit for the prop32 row.  The nested pairs keep a pass
+        each, so the largest pass, which sets the peak memory of the chain,
+        is one pair's 1,600 points."""
         import finslergbc.connection as cn
 
         jets, tensors = [], []
@@ -300,22 +303,24 @@ class TestRunners:
                                metric_eps=0.1, connection="cartan", identity_samples=200,
                                seed=1234)
         assert run_identity_suite(cfg).passed
-        assert (len(jets), sum(jets), len(tensors)) == (16, 12800, 18)
+        assert (len(jets), sum(jets), len(tensors)) == (12, 12800, 14)
+        assert max(jets) == 1600
 
     def test_identities_evaluates_perturbation_once_per_batch(self, monkeypatch):
         """On identities with D = cartan + P (Randers 0.1, seed 1234), D, its
-        modification and the prop32 natural-frame data read P through its
-        batch cache entry, and a stencil stack whose points another route
-        displaced the same way takes pi from its root batch: P's body runs
-        once on each of the 8 point sets per chart batch (the batch, its
-        complex-step pass, 3 stacks and 3 pairs of axes), 16 in all."""
+        modification and the prop32 natural-frame data read P through one
+        entry on the root batch, and a stencil stack whose points another
+        route displaced the same way takes pi from its root batch: P's body
+        runs once on each of the 6 passes per chart batch (the batch, its
+        complex-step pass, the 3 stacks of its sweep together and the 3
+        pairs of axes), 12 in all."""
         evaluations = []
         make = cli.sinusoidal_perturbation
         monkeypatch.setattr(cli, "sinusoidal_perturbation", lambda atlas, *a:
                             make(CountingAtlas(atlas, evaluations), *a))
         cfg = ExperimentConfig(scenario="identities", metric="randers", connection="perturbed")
         assert run_identity_suite(cfg).passed
-        assert len(evaluations) == 16
+        assert len(evaluations) == 12
 
     def test_gbc_makes_no_displaced_batch(self, monkeypatch):
         """The production integrand takes its curvature from complex-step

@@ -582,6 +582,30 @@ class TestSharedFrameForms:
         for (stack, t), partials in zip(stacks, got):
             self._assert_unshared_bits(cartan_frame_randers, stack, t, partials)
 
+    @pytest.mark.parametrize("route", ["cartan", "perturbed"])
+    @pytest.mark.parametrize("manifold", ["sphere", "torus"])
+    def test_root_sweep_evaluates_pi_once(self, request, manifold, route):
+        """The 3 stacks of a sweep over a root batch take pi from one run of
+        pi_of on all their points, and each stack's pi has the bits of a
+        run on that stack alone."""
+        atlas = request.getfixturevalue(manifold)
+        metric = request.getfixturevalue("randers_metric" if manifold == "sphere"
+                                         else "quartic_metric")
+        base = to_orthonormal_frame(cartan_connection(), metric)
+        if route == "perturbed":
+            base = perturb_metric_compatible(base, sinusoidal_perturbation(atlas, base, 0.2))
+        fc, runs = self._counting(base)
+        pts = bundle_points("south" if manifold == "sphere" else "torus", 7, seed=53)
+        stacks = pts.stacks(range(3), self.STEPS)
+        got = [fc.pi(stack) for stack in stacks]
+        assert runs == [tuple(stack.displacement for stack in stacks)]
+        for stack, pi in zip(stacks, got):
+            want = base.pi_of(ChartPoints(stack.chart, stack.coords))
+            assert len(pi) == len(want) == 3
+            for a in range(3):
+                assert pi[a].shape == want[a].shape == (4, 7)
+                assert pi[a].tobytes() == want[a].tobytes(), a
+
 
 class TestPerturbation:
     @pytest.mark.parametrize("manifold", ["sphere", "torus"])
@@ -697,9 +721,9 @@ class TestPerturbation:
                                                                cartan_frame_randers):
         """gamma and rho of the natural-frame data, D = cartan + P and its
         modification cartan + P^h all read one value of P per batch: P
-        runs once among them and sits in the batch's own cache under ("P",
-        P), and no natural-frame Q is cached.  A fresh batch evaluates P
-        again."""
+        runs once among them and sits in the batch's own cache under (("P",
+        P), ()), the key of a root's own points, and no natural-frame Q is
+        cached.  A fresh batch evaluates P again."""
         evaluations = []
         P = sinusoidal_perturbation(CountingAtlas(sphere, evaluations), cartan_frame_randers, 0.2)
         Dd = perturbed_connection_data(cartan_connection(), P)
@@ -712,7 +736,7 @@ class TestPerturbation:
         D.pi(pts)
         nabla.pi(pts)
         assert len(evaluations) == 1 and evaluations[0] is pts.coords[0]
-        assert ("P", P) in pts.cache
+        assert (("P", P), ()) in pts.cache
         assert not any(key[0] == "Q" for key in pts.cache)
         fresh = bundle_points("south", 8, seed=28)
         Dd.rho_of(bundle_tensors(randers_metric, fresh), fresh)

@@ -53,3 +53,23 @@ def test_eq32_batched_matches_per_draw(seed):
     got = _eq32_residual(seed)
     assert repr(got) == repr(_eq32_per_draw(seed))
     assert 0.0 < got < 1e-12
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="eq34_gbc_exactness reads 2.03e-11 (cartan) and 2.15e-11 "
+                   "(perturbed) against 2e-11: rounding of the finite-difference "
+                   "oracle, which exact derivatives in the oracle sweep would remove")
+@pytest.mark.parametrize("connection", ["cartan", "perturbed"])
+def test_strong_randers_at_seed_41_passes(connection):
+    """A known failure kept in sight: Randers 0.9 at seed 41 fails eq34 on
+    both connections, the only failures of the identities grid over seeds
+    11-60.  Once the oracle's rounding is mended the run passes, and this
+    test then fails as an unexpected pass, so the mark comes off."""
+    from finslergbc.cli import ExperimentConfig
+    from finslergbc.identities import run_identity_suite
+
+    cfg = ExperimentConfig(scenario="identities", metric="randers", metric_eps=0.9,
+                           connection=connection, seed=41)
+    report = run_identity_suite(cfg)
+    assert [r.name for r in report.rows if not r.passed] == []
+    assert report.passed

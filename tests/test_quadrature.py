@@ -255,6 +255,39 @@ class TestCentralPartials:
             want = central_partials(payload, ChartPoints(stack.chart, stack.coords), [t])[t]["s"]
             assert got.shape == (len(steps), 3) and np.array_equal(got, want)
 
+    def test_each_stack_freed_before_the_next_pass(self):
+        """A sweep builds all its stacks before the payload runs, but holds
+        each only through its own pass: on a root batch and on a stack, a
+        stack, with what its cache holds, is released by reference counting
+        alone before the next stack's payload runs.  The stacks of the root
+        sweep share one record of their points, the nested ones none."""
+        import gc
+        import weakref
+
+        pts = ChartPoints.of("c", [0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9])
+        refs, sweeps = [], []
+
+        def payload(q):
+            assert all(r() is None for r in refs)
+            refs.append(weakref.ref(q))
+            sweeps.append(q.sweep)
+            q.cache["big"] = np.zeros(1000)
+            return {"s": q.coords[0] * q.coords[2]}
+
+        gc.disable()
+        try:
+            for batch in (pts, pts.shifted(1, (1e-3, -1e-3))):
+                refs.clear()
+                sweeps.clear()
+                central_partials(payload, batch, [0, 2])
+                assert len(refs) == 2 and all(r() is None for r in refs)
+                if batch is pts:
+                    assert sweeps[0] is sweeps[1] is not None
+                else:
+                    assert sweeps == [None, None]
+        finally:
+            gc.enable()
+
 
 class TestComplexStepPartials:
     @pytest.mark.parametrize("dim", [2, 3])
