@@ -18,6 +18,7 @@ single evaluation differentiates a whole batch of points at once.
 from __future__ import annotations
 
 import ast
+import math
 import operator
 
 import numpy as np
@@ -264,7 +265,10 @@ def expression(source: str, names):
     Only numeric constants, those names, + - * / **, unary minus and calls
     of sin, cos, sqrt, exp and log (the dual-aware versions above) are
     accepted; anything else, and text that does not parse, raises
-    ValidationError.  The result takes the variables as keyword arguments.
+    ValidationError.  Each subexpression free of the variables is evaluated
+    once, here, by the operators the result would use; one that raises or
+    is not a finite real number raises ValidationError too.  The result
+    takes the variables as keyword arguments.
     """
     try:
         tree = ast.parse(source, mode="eval").body
@@ -272,22 +276,34 @@ def expression(source: str, names):
         raise ValidationError(f"expression {source!r} does not parse: {exc}") from None
 
     def build(node):
-        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            return lambda env, c=node.value: c
         if isinstance(node, ast.Name) and node.id in names:
             return lambda env, k=node.id: env[k]
-        if isinstance(node, ast.BinOp) and type(node.op) in _EXPRESSION_OPERATORS:
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            run = lambda env, c=node.value: c
+        elif isinstance(node, ast.BinOp) and type(node.op) in _EXPRESSION_OPERATORS:
             op, a, b = _EXPRESSION_OPERATORS[type(node.op)], build(node.left), build(node.right)
-            return lambda env: op(a(env), b(env))
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            run = lambda env: op(a(env), b(env))
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             a = build(node.operand)
-            return lambda env: -a(env)
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            run = lambda env: -a(env)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id in _EXPRESSION_FUNCTIONS
                 and len(node.args) == 1 and not node.keywords):
             fn, a = _EXPRESSION_FUNCTIONS[node.func.id], build(node.args[0])
-            return lambda env: fn(a(env))
-        raise ValidationError(f"expression {source!r}: {ast.unparse(node)!r} is not allowed")
+            run = lambda env: fn(a(env))
+        else:
+            raise ValidationError(f"expression {source!r}: {ast.unparse(node)!r} is not allowed")
+        if any(isinstance(n, ast.Name) and n.id in names for n in ast.walk(node)):
+            return run
+        try:  # a constant subexpression: evaluated once, here
+            with np.errstate(all="raise"):
+                c = run({})
+            if math.isfinite(c):
+                return lambda env: c
+        except (ArithmeticError, TypeError):  # an overflow, a division by 0, a complex
+            pass
+        raise ValidationError(f"expression {source!r}: {ast.unparse(node)!r} "
+                              "is not a finite real number")
 
     run = build(tree)
     return lambda **env: run(env)

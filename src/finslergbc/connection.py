@@ -14,17 +14,17 @@ Richardson): it is the identity checks' oracle, independent of the
 production path.  On a stencil stack displaced along axis a it skips the
 partials along a, whose components the enclosing d never reads, and
 leaves them NaN.  ``FrameConnection.pi`` is computed once per displaced
-point set and kept on the stack's root batch, so the stacks along a then
-b and along b then a share one run of the tensor chain; the stacks of one
-sweep over a root batch share one run too, on their points concatenated.
+point set and kept on the root batch (``ChartPoints.shared``), so the
+stacks along a then b and along b then a share one run of the tensor chain,
+as do the stacks of one sweep over a root batch, on their points at once.
 
 A batch's tensors, frame B, B^{-1}, dB included, are one ``ChartTensors``
 record that ``bundle_tensors`` builds once and keeps in the batch's own
 ``cache``; that cache is the only per-batch memo.  A perturbation's value
-P(pts), like pi, is kept on the root, keyed ("P", P) and the batch's
-displacement, so D, its modification and the natural-frame data evaluate
-it once per point set; the coefficient providers, ``gamma_of(tens, pts)``
-and ``rho_of(tens, pts)``, take the batch for it.
+P(pts) is kept on the root as pi is, by the same ``shared``, so D, its
+modification and the natural-frame data evaluate it once per point set;
+the coefficient providers, ``gamma_of(tens, pts)`` and ``rho_of(tens,
+pts)``, take the batch for it.
 
 Index conventions follow  D s_i = theta_i^j (x) s_j  and  nabla e_i =
 varpi_i^j (x) e_j, with matrices stored as m[i][j] = (lower i, upper j).
@@ -67,20 +67,19 @@ AXES = 3  # chart coordinates (x1, x2, theta)
 
 class ChartTensors:
     """Everything the connection pipeline needs at one batch of sphere
-    bundle chart points: the metric jets, g, A, Ar = g^{-1} A, N, the Chern
-    horizontal coefficients, l = u/F, the chart derivatives dg[i][j][axis]
-    and dl[i][axis], and the g-orthonormal frame B, B^{-1}, dB[i][k][axis]."""
+    bundle chart points: the metric jets, g, Ar = g^{-1} A, N, the Chern
+    horizontal coefficients, the chart derivatives dg[i][j][axis], and the
+    g-orthonormal frame B, B^{-1}, dB[i][k][axis] (from g, l = u/F and dl)."""
 
-    def __init__(self, jets: MetricJets, g: list, A: list, Ar: list, N: list,
-                 gamma_chern: list, l: list, dg: list, dl: list):
+    def __init__(self, jets: MetricJets, g: list, Ar: list, N: list,
+                 gamma_chern: list, dg: list, l: list, dl: list):
         self.jets = jets
-        self.g, self.A, self.Ar, self.N, self.gamma_chern = g, A, Ar, N, gamma_chern
-        self.l, self.dg, self.dl = l, dg, dl
+        self.g, self.Ar, self.N, self.gamma_chern, self.dg = g, Ar, N, gamma_chern, dg
         self.B, self.Binv, self.dB = _frame_fields(g, dg, l, dl)
 
 
 def _derived_tensors(jets: MetricJets, N=None):
-    """g, A, Ar, N and the Chern horizontal coefficients gamma from the jets;
+    """g, Ar, N and the Chern horizontal coefficients gamma from the jets;
     N is the given Ehresmann table's, or the geodesic spray's when None."""
     n = N_RANK
     T1, T2, T3 = jets.T1, jets.T2, jets.T3
@@ -161,7 +160,7 @@ def _derived_tensors(jets: MetricJets, N=None):
         ]
         for i in range(n)
     ]
-    return g, A, Ar, N, gamma
+    return g, Ar, N, gamma
 
 
 def bundle_tensors(metric: FinslerMetric, pts: ChartPoints) -> ChartTensors:
@@ -175,7 +174,7 @@ def _chart_tensors(metric: FinslerMetric, pts: ChartPoints) -> ChartTensors:
     n = N_RANK
     table = metric.ehresmann
     N = None if table is None else table(pts.chart, [x1, x2], jets.u)
-    g, A, Ar, N, gamma = _derived_tensors(jets, N)
+    g, Ar, N, gamma = _derived_tensors(jets, N)
     F, u, v = jets.F, jets.u, jets.v
     l = [u[i] / F for i in range(n)]
     F_th = sum(jets.T1[k] * v[k] for k in range(n)) / (2.0 * F)
@@ -198,7 +197,7 @@ def _chart_tensors(metric: FinslerMetric, pts: ChartPoints) -> ChartTensors:
         ]
         for i in range(n)
     ]
-    return ChartTensors(jets, g, A, Ar, N, gamma, l, dg, dl)
+    return ChartTensors(jets, g, Ar, N, gamma, dg, l, dl)
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +322,14 @@ class FrameConnection:
         self.pi_of = pi_of  # callable(ChartPoints) -> pi[axis] of varpi_0^1
 
     def pi(self, pts: ChartPoints):
-        """pi at the batch, kept on its root batch (``ChartPoints.grouped``):
+        """pi at the batch, kept on its root batch (``ChartPoints.shared``):
         a stack that reaches points another route displaced the same way
         takes it there without the tensor chain, and the stacks of a root
         sweep take theirs from one run of pi_of on all their points, which
         pays the chain's per-call cost once.  The root keeps only these
         three arrays per point set; tensors, V and curvature die with the
         batch they were computed on."""
-        return pts.grouped(("pi", self), self.pi_of)
+        return pts.shared(("pi", self), self.pi_of)
 
     def table(self, pts: ChartPoints):
         pi = self.pi(pts)
@@ -450,12 +449,11 @@ def sinusoidal_perturbation(atlas, base: FrameConnection, amplitude: float):
     the base connection's own frame form, so it carries a genuine
     dtheta-component and the modification of the perturbed connection
     differs from the perturbed modification.  The value is kept on the
-    batch's root under ("P", P) and its displacement (``ChartPoints.shared``),
-    so the passes of D and nabla on one sweep's stacks, each on a batch of
-    its own (``FrameConnection.pi``), evaluate it once."""
+    batch's root under ("P", P) (``ChartPoints.shared``, as pi is), so the
+    passes of D and nabla over one point set evaluate it once."""
 
     def P(pts: ChartPoints):
-        return pts.shared(("P", P), lambda: build(pts))
+        return pts.shared(("P", P), build)
 
     def build(pts: ChartPoints):
         x1, x2 = pts.coords[:2]

@@ -315,10 +315,10 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
     # five fields, the curvature along the two axes across the stack's: 3
     # stacks, 6 nested ones on them and 3 for the curvature at the batch.
     # Those 12 stacks hold 6 point sets (the 3 stacks and the 3 pairs of
-    # axes), and pi runs in 4 passes per chart batch: one on the 3 stacks
-    # together and one on each pair, whose 1,600 points stay the largest
-    # pass.  A stack reaching points seen before takes pi from the batch
-    # (ChartPoints.grouped).
+    # axes), and pi, like a perturbation's P, runs in 4 passes per chart
+    # batch: one on the 3 stacks together and one on each pair, whose 1,600
+    # points stay the largest pass.  A stack reaching points seen before
+    # takes them from the batch (ChartPoints.shared).
     # gbc_integrand takes its exact complex-step partials as in production,
     # so eq34 compares them with this FD sweep.
     differentiated = [forms.pi(), forms.upsilon1().scale_by(inv_v), forms.upsilon0(),

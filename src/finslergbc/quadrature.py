@@ -21,10 +21,9 @@ returns the partials alone; the finite-difference stencil
 ``central_partials`` serves the exterior derivatives of the identity
 checks as an independent oracle, in one pass per chart axis, on stencil
 stacks that two routes to the same displaced points lay out alike
-(``ChartPoints.shifted``), so they can share values through their root.
-The stacks of one sweep over a root batch share one ``Sweep`` record of
-their points, so a value they all need can be computed on them at once
-(``ChartPoints.grouped``).
+(``ChartPoints.shifted``), so they can share values through their root
+(``ChartPoints.shared``), which computes a value the stacks of one sweep
+over a root batch all need on their points at once.
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ class ChartPoints:
     then a are then the same arrays, and share entries through ``shared``.
     A stack of a sweep over a root batch (``stacks``) also holds the
     ``sweep`` record that its sibling stacks hold (None elsewhere), so an
-    entry they all need runs once on all of them (``grouped``)."""
+    entry they all need runs once on all of them (``shared``)."""
 
     def __init__(self, chart: str, coords: tuple, root: "ChartPoints | None" = None,
                  displacement: tuple = ()):
@@ -108,34 +107,40 @@ class ChartPoints:
         return hit
 
     def shared(self, key, compute):
-        """The entry at key for this batch's points, kept in the root's
-        cache under (key, displacement): every stack that reaches the same
-        displaced points takes it there.  Only small values belong here,
-        as they live as long as the root: the frame forms and a
-        perturbation's value."""
+        """The entry at key for this batch's points, made by compute(batch)
+        -> a list of arrays elementwise over the batch, and kept in the
+        root's cache under (key, displacement), where every stack that
+        reaches the same displaced points takes it.  On a stack of a root
+        sweep compute runs once for the whole sweep, on a fresh batch of its
+        points (so the pass's tensors die with it) whose entry the root
+        keeps under the tuple of the stacks' displacements, and the stack's
+        entry is its slice of that one.  Only small values belong here, as
+        they live as long as the root: the frame forms and a perturbation's
+        value."""
         root = self if self.root is None else self.root
-        return root.cached((key, self.displacement), compute)
+        if self.sweep is None:
+            return root.cached((key, self.displacement), lambda: compute(self))
+        coords, displacements = self.sweep
 
-    def grouped(self, key, compute):
-        """The entry at key for this batch's points, kept as ``shared``
-        keeps it, made by compute(batch) -> a list of arrays elementwise
-        over the batch.  On a stack of a root sweep compute runs once for
-        the whole sweep, on ``Sweep.points``, whose entry the root keeps
-        too, and each stack's entry is its slice of that one: so the stacks
-        of the sweep pay one pass, and the bits of their own."""
-        sweep = self.sweep
-        if sweep is None:
-            return self.shared(key, lambda: compute(self))
-        return self.shared(key, lambda: sweep.part(self, sweep.points().grouped(key, compute)))
+        def part():
+            whole = root.cached((key, displacements), lambda: compute(
+                ChartPoints(self.chart, coords, root, displacements)))
+            n = len(coords[0]) // len(displacements)
+            k = displacements.index(self.displacement) * n
+            return [np.broadcast_to(c, coords[0].shape)[k:k + n] for c in whole]
+
+        return root.cached((key, self.displacement), part)
 
     def stacks(self, axes, steps) -> list["ChartPoints"]:
-        """``shifted(axis, steps)`` for each of axes.  On a root batch the
-        stacks share one ``Sweep`` record of their points; a nested sweep's
-        stacks stay apart, as each of them is already the largest pass of
-        its chain."""
+        """``shifted(axis, steps)`` for each of axes.  On a root batch each
+        stack holds the one ``sweep`` record of them all, their coordinates
+        concatenated on the leading axis, where each put its steps, and
+        their displacements; a nested sweep's stacks stay apart, as each of
+        them is already the largest pass of its chain."""
         stacks = [self.shifted(axis, steps) for axis in axes]
         if self.root is None:
-            sweep = Sweep(self, stacks)
+            sweep = (tuple(np.concatenate(c) for c in zip(*(s.coords for s in stacks))),
+                     tuple(s.displacement for s in stacks))
             for stack in stacks:
                 stack.sweep = sweep
         return stacks
@@ -171,33 +176,6 @@ class ChartPoints:
         displacement = self.displacement[:lead] + ((axis, steps),) + self.displacement[lead:]
         return ChartPoints(self.chart, tuple(coords),
                            self if self.root is None else self.root, displacement)
-
-
-class Sweep:
-    """The stacks of one stencil sweep over a root batch, as one batch of
-    points.  Every stack of the sweep holds this record and none holds
-    another, and the record holds their coordinates, concatenated on the
-    leading axis, which on a root is where each stack puts its steps.
-    ``points()`` is a fresh batch of them all on each call, so the tensors
-    a pass caches on it die with the pass; its root is the stacks' root,
-    and its displacement the tuple of theirs, a key that no single stack
-    has, under which the root keeps the grouped entries."""
-
-    def __init__(self, root: ChartPoints, stacks: list):
-        self.root = root
-        self.displacement = tuple(s.displacement for s in stacks)
-        self.coords = tuple(np.concatenate(c) for c in zip(*(s.coords for s in stacks)))
-
-    def points(self) -> ChartPoints:
-        return ChartPoints(self.root.chart, self.coords, self.root, self.displacement)
-
-    def part(self, stack: ChartPoints, entry: list) -> list:
-        """The rows of a grouped entry that belong to one stack; the
-        stacks of a sweep all have the same shape."""
-        shape = self.coords[0].shape
-        n = shape[0] // len(self.displacement)
-        k = self.displacement.index(stack.displacement)
-        return [np.broadcast_to(c, shape)[k * n:(k + 1) * n] for c in entry]
 
 
 class PointwiseForm:
@@ -302,9 +280,9 @@ def central_partials(payload, pts: ChartPoints, axes=None) -> list[dict]:
     wherever the stack put that axis (``ChartPoints.leading_axis``); every
     entry is broadcast to the stacked shape, so a constant entry such as
     0.0 differentiates to 0.  All the stacks are built before the payload
-    runs (``ChartPoints.stacks``): on a root batch they share one
-    ``Sweep``, so what the payload takes through ``ChartPoints.grouped``
-    (the frame forms) runs once for the whole sweep.  The partials along
+    runs (``ChartPoints.stacks``): on a root batch they share one sweep
+    record, so what the payload takes through ``ChartPoints.shared`` (the
+    frame forms) runs once for the whole sweep.  The partials along
     an axis left out are NaN, so a reader of them fails loudly instead of
     reading a silent zero: on a stack along axis a, the d of an enclosing
     sweep reads only the coefficients whose key omits a
@@ -389,7 +367,7 @@ def exterior_derivatives(fields, pts: ChartPoints) -> list[PointwiseForm]:
     it, axis by axis; the frame forms are kept on the root, once per
     displaced point set, which the nested stacks along a then b and along
     b then a share, and the sweep's own stacks take theirs from one pass
-    on all of them (``ChartPoints.grouped``).  The d along axis a reads
+    on all of them (``ChartPoints.shared``).  The d along axis a reads
     only coefficients whose key omits a, so a curvature on the stack
     along a is taken along the other axes alone (``CurvatureData``)."""
 

@@ -729,6 +729,26 @@ class TestMainEntry:
         assert main(["gbc", "--config", str(path)]) == 2
         assert "ValidationError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("group", [
+        "[ehresmann]\nn22 = {}\n",
+        "[vector_field]\ntype = custom\nsouth_u = {}\nsouth_v = u\nnorth_u = v\nnorth_v = -1.0*u\n",
+    ], ids=["ehresmann", "vector_field"])
+    @pytest.mark.parametrize("expr", ["1/0*u", "0**-1*u", "10.0**400*u", "u*2**10000",
+                                      "(-1.0)**0.5*u"],
+                             ids=["zero-division", "zero-power", "float-overflow",
+                                  "int-overflow", "complex"])
+    def test_bad_constant_in_expression_rejected(self, group, expr, tmp_path, capsys):
+        """A constant subexpression that raises (a division by zero, an
+        overflow) or is complex exits 2 with a ValidationError naming the
+        expression, not a traceback: each is evaluated once as the
+        expression compiles."""
+        path = tmp_path / "bad.ini"
+        path.write_text(group.format(expr))
+        assert main(["gbc", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "ValidationError" in err and repr(expr) in err
+        assert "Traceback" not in err
+
     def test_order_three_zero_config(self):
         """configs/order3_zero_gbc.ini holds zeros of degrees 3 and -1, where
         Newton's Jacobian turns singular before |X| < 1e-12; both are found,
@@ -1131,6 +1151,28 @@ class TestFieldAndMetricIndependence:
         rep = run_gbc(cfg)
         assert rep.row("normalized_gbc_integral").value == pytest.approx(2.0, abs=2e-2)
         assert rep.row("fiber_volume_spread").value > 1e-2
+
+    def test_weak_randers_volume_row_passes(self, capsys):
+        """At eps 0.02 V moves by 7.5e-5 over the grid, yet matches its
+        closed form there, so the run exits 0."""
+        assert main(["gbc", "--metric", "randers", "--metric-eps", "0.02"]) == 0
+        assert "fiber_volume_spread" in capsys.readouterr().out
+
+    def test_volume_row_fails_on_a_wrong_volume(self, monkeypatch):
+        """V scaled by 1 + 1e-9 away from x = 0 fails the row, whose spread
+        stays above the 1e-4 that a spread threshold would pass."""
+        from finslergbc.chern_forms import TransgressionForms
+
+        volume_at = TransgressionForms.volume_at
+
+        def scaled(self, chart, x):
+            V = volume_at(self, chart, x)
+            return V * np.where(np.abs(x[0]) + np.abs(x[1]) > 0.0, 1.0 + 1e-9, 1.0)
+
+        monkeypatch.setattr(TransgressionForms, "volume_at", scaled)
+        row = run_gbc(ExperimentConfig(metric="randers", metric_eps=0.1,
+                                       order_base=16)).row("fiber_volume_spread")
+        assert not row.passed and row.value > 1e-4
 
 
 class TestEhresmannModes:

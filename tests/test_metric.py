@@ -330,15 +330,18 @@ class TestCartanTensor:
                     assert A[i, j, k] == pytest.approx(oracle, abs=1e-6)
 
     def test_metric_level_op_raised_index(self, randers_metric):
-        """Lowering the raised Cartan tensor of ``bundle_tensors`` gives A
-        back: g_ij Ar^j_kl = A_ikl over a batch."""
+        """Lowering the raised Cartan tensor of ``bundle_tensors`` gives A =
+        F T3 / 4 back from the batch's jets: g_ij Ar^j_kl = A_ikl."""
         tens = bundle_tensors(randers_metric, bundle_points("south", 40, seed=29))
+        jets = tens.jets
+        A = [[[jets.F * jets.T3[i][k][l] * 0.25 for l in range(2)] for k in range(2)]
+             for i in range(2)]
         worst = max(
             float(np.max(np.abs(sum(tens.g[i][j] * tens.Ar[j][k][l] for j in range(2))
-                                - tens.A[i][k][l])))
+                                - A[i][k][l])))
             for i in range(2) for k in range(2) for l in range(2))
         assert worst < 1e-12
-        assert max(float(np.max(np.abs(tens.A[i][k][l])))
+        assert max(float(np.max(np.abs(A[i][k][l])))
                    for i in range(2) for k in range(2) for l in range(2)) > 1e-2
 
 
