@@ -92,12 +92,6 @@ def _radii(text: str) -> tuple:
     return tuple(float(s) for s in text.split(","))
 
 
-def _boolean(text: str) -> bool:
-    if text.lower() not in ("true", "false"):
-        raise ValueError("expected true or false")
-    return text.lower() == "true"
-
-
 class Setting:
     """One scalar setting: its ExperimentConfig field and default, the INI
     [section] key and the flag (None: INI only) that set it, the parser
@@ -140,8 +134,6 @@ SETTINGS = (
     Setting("epsilon_schedule", (0.2, 0.1, 0.05), "quadrature", "epsilon_schedule",
             "--epsilon-schedule", _radii),
     Setting("out_dir", None, "output", "dir", "--out"),
-    Setting("fmt", "table", "output", "format", "--format", choices=("csv", "table")),
-    Setting("dump_forms", False, "output", "dump_forms", "--dump-forms", _boolean),
 )
 
 # The INI-only expression groups: an explicit Ehresmann table, which any
@@ -222,6 +214,10 @@ class ExperimentConfig:
             if s.choices and getattr(self, s.field) not in s.choices:
                 raise ValidationError(f"[{s.section}] {s.key} must be one of "
                                       f"{' | '.join(s.choices)}, got {getattr(self, s.field)!r}")
+        if self.field_exprs and self.vector_field != "custom":
+            keys = ", ".join(f"{c}_{a}" for c in self.field_exprs for a in "uv")
+            raise ValidationError(f"[vector_field] {keys} need type = custom, "
+                                  f"got type = {self.vector_field}")
         if self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed}")
         if not 1 <= self.identity_samples <= MAX_IDENTITY_SAMPLES:
@@ -288,8 +284,9 @@ def _bound(name: str, value: float, tol: float) -> ReportRow:
     return ReportRow(name, float(value), 0.0, float(tol), abs(float(value)) <= float(tol))
 
 
-def emit_report(report: Report, out_dir: str | None = None, fmt: str = "table"):
-    """Write the report table and machine CSVs; returns written paths.
+def emit_report(report: Report, out_dir: str | None = None):
+    """Write the report table to stdout and, with out_dir, the machine CSVs
+    and report.txt there; returns the written paths.
 
     CSV content is a pure function of config and seed (no timestamps), so
     repeated runs diff clean."""
@@ -335,8 +332,7 @@ def emit_report(report: Report, out_dir: str | None = None, fmt: str = "table"):
         with open(tp, "w") as fh:
             fh.write(text)
         paths.append(tp)
-    if fmt == "table" or not out_dir:
-        sys.stdout.write(text)
+    sys.stdout.write(text)
     return paths
 
 
@@ -674,13 +670,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     text that ``_merge`` parses, so a bad value exits 2 as an INI one does."""
     p.add_argument("--config", help="INI config file; flags override it")
     for s in SETTINGS:
-        if s.flag is None:
-            continue
-        text = f"INI [{s.section}] {s.key}" + (f": {' | '.join(s.choices)}" if s.choices else "")
-        if s.parse is _boolean:
-            p.add_argument(s.flag, dest=s.field, action="store_const", const="true", help=text)
-        else:
-            p.add_argument(s.flag, dest=s.field, help=text)
+        if s.flag:
+            p.add_argument(s.flag, dest=s.field, help=f"INI [{s.section}] {s.key}"
+                           + (f": {' | '.join(s.choices)}" if s.choices else ""))
 
 
 def _merge(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
@@ -716,7 +708,7 @@ def main(argv=None) -> int:
         if cfg.out_dir:
             os.makedirs(cfg.out_dir, exist_ok=True)
         report = runners[args.command](cfg)
-        emit_report(report, cfg.out_dir, cfg.fmt)
+        emit_report(report, cfg.out_dir)
     except (FinslerError, OSError) as exc:
         if isinstance(exc, OSError):
             exc = ValidationError(f"cannot write the output: {exc}")

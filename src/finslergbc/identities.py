@@ -13,7 +13,6 @@ bundle points.  Only the ``identities`` scenario loads this module.
 from __future__ import annotations
 
 import math
-import os
 import time
 from itertools import permutations
 
@@ -354,9 +353,6 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
     rows.append(_bound("eq32_component_identity", _eq32_residual(cfg.seed), 1e-10))
     rows.append(_bound("gamma_coefficient_identity", _gamma_identity_residual(), 1e-14))
 
-    if cfg.dump_forms and cfg.out_dir:
-        _dump_forms(cfg, forms, batches)
-
     meta = {
         "metric": metric.label,
         "connection": fcD.label,
@@ -413,22 +409,3 @@ def _gamma_identity_residual() -> float:
         quad = float(np.sum(w * t ** m * np.exp(-t * t)))
         worst = max(worst, abs(quad - 0.5 * math.gamma((n - 2 * k) / 2.0)))
     return worst
-
-
-def _dump_forms(cfg: ExperimentConfig, forms: IdentityForms, batches):
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    named = {"pi": forms.pi(), "upsilon1": forms.upsilon1(), "omega_nabla": forms.omega_nabla()}
-    for name, ff in named.items():
-        path = os.path.join(cfg.out_dir, f"form_{name}.csv")
-        with open(path, "w") as fh:
-            fh.write("chart,x1,x2,theta,component,value\n")
-            for pts in batches:
-                w = ff(pts)
-                x1, x2, th = pts.coords
-                for key, arr in sorted(w.coeffs.items()):
-                    arr = np.broadcast_to(np.asarray(arr, dtype=float), x1.shape)
-                    for i in range(x1.size):
-                        fh.write(
-                            f"{pts.chart},{x1[i]:.10e},{x2[i]:.10e},{th[i]:.10e},"
-                            f"{'d'.join(str(a) for a in key)},{arr[i]:.12e}\n"
-                        )

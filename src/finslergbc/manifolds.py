@@ -175,8 +175,8 @@ def install_metric(atlas: Atlas, zoo_id: str, params: dict | None = None,
                                label="round_sphere")
     elif zoo_id == "randers":
         metric = _randers_sphere_metric(atlas, float(params.get("eps", 0.1)))
-    elif zoo_id == "riemannian":
-        metric = _norm_metric(atlas, riemannian_norm(params.get("G", np.eye(2))))
+    elif zoo_id == "riemannian":  # the default G is not euclidean's identity
+        metric = _norm_metric(atlas, riemannian_norm(params.get("G", [[2.0, 0.3], [0.3, 1.0]])))
     elif zoo_id == "quartic":
         metric = _norm_metric(atlas, quartic_norm(float(params.get("eps", 0.05))))
     else:

@@ -33,7 +33,7 @@ SETTING_TEXT = {
     "seed": "7", "identity_samples": "7", "manifold": "torus", "metric": "randers",
     "metric_eps": "0.15", "connection": "perturbed", "perturbation_amplitude": "0.15",
     "vector_field": "custom", "field_power": "1", "order_fiber": "7", "order_base": "7",
-    "epsilon_schedule": "0.3,0.15", "out_dir": "out", "fmt": "csv", "dump_forms": "true",
+    "epsilon_schedule": "0.3,0.15", "out_dir": "out",
 }
 
 
@@ -87,7 +87,7 @@ class TestConfig:
             "[vector_field]\ntype = stereographic_power\npower = 2\n"
             "[quadrature]\norder_fiber = 32\norder_base = 24\n"
             "epsilon_schedule = 0.3,0.15\n"
-            "[output]\ndir = out\nformat = csv\n"
+            "[output]\ndir = out\n"
         )
         cfg = ExperimentConfig.from_file(str(path))
         assert cfg.seed == 77
@@ -95,7 +95,7 @@ class TestConfig:
         assert cfg.connection == "perturbed" and cfg.perturbation_amplitude == 0.1
         assert cfg.vector_field == "stereographic_power" and cfg.field_power == 2
         assert cfg.epsilon_schedule == (0.3, 0.15)
-        assert cfg.out_dir == "out" and cfg.fmt == "csv"
+        assert cfg.out_dir == "out"
 
     def test_custom_field_exprs(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -168,8 +168,7 @@ class TestConfig:
             connection="perturbed", perturbation_amplitude=0.3,
             ehresmann_exprs={"n11": "0"}, vector_field="custom", field_power=3,
             field_exprs={"torus": ("1", "0")}, order_fiber=32, order_base=24,
-            epsilon_schedule=(0.3, 0.1), identity_samples=50, out_dir="out", fmt="csv",
-            dump_forms=True)
+            epsilon_schedule=(0.3, 0.1), identity_samples=50, out_dir="out")
         before = dict(vars(cfg))
         merged = _merge(cfg, argparse.Namespace(seed=11, order_base=None,
                                                 epsilon_schedule="0.25,0.05"))
@@ -185,7 +184,7 @@ class TestConfig:
             "ehresmann_exprs": {}, "vector_field": "rotational",
             "field_power": 2, "field_exprs": {}, "order_fiber": 64, "order_base": 48,
             "epsilon_schedule": (0.2, 0.1, 0.05), "identity_samples": 200,
-            "out_dir": "results", "fmt": "table", "dump_forms": False,
+            "out_dir": "results",
         }
 
     @pytest.mark.parametrize("setting", [s for s in SETTINGS if s.flag],
@@ -203,9 +202,8 @@ class TestConfig:
                             lambda cfg: seen.append(cfg) or Report("gbc", []))
         path = tmp_path / "one.ini"
         path.write_text(f"[{setting.section}]\n{setting.key} = {text}\n")
-        flag = [setting.flag] if setting.parse is cli._boolean else [setting.flag, text]
         assert main(["gbc", "--config", str(path)]) == 0
-        assert main(["gbc", *flag]) == 0
+        assert main(["gbc", setting.flag, text]) == 0
         from_ini, from_flag = (getattr(cfg, setting.field) for cfg in seen)
         assert from_ini == from_flag != setting.default
 
@@ -251,6 +249,16 @@ class TestRunners:
         assert report.row("normalized_gbc_integral").value == pytest.approx(0.0, abs=1e-9)
         assert report.row("gbc_disc_limit").value == report.row("normalized_gbc_integral").value
         assert report.passed
+
+    @pytest.mark.parametrize("connection", ["cartan", "perturbed"])
+    def test_riemannian_is_not_euclidean(self, connection):
+        """The zoo's riemannian metric, whose default G is not the identity,
+        is no second name for euclidean: on the torus at seed 1234 the
+        identity rows differ, so its grid cells can fail on their own."""
+        rows = {m: [repr(r.value) for r in run_identity_suite(ExperimentConfig(
+            "identities", manifold="torus", metric=m, connection=connection,
+            identity_samples=8)).rows] for m in ("euclidean", "riemannian")}
+        assert rows["riemannian"] != rows["euclidean"]
 
     def test_identities_fast(self, fast_cfg):
         report = run_identity_suite(fast_cfg)
@@ -569,9 +577,12 @@ class TestEmission:
         )
 
     def test_csv_written(self, tmp_path, capsys):
-        paths = emit_report(self._report(), str(tmp_path), "csv")
+        """With a directory, the CSVs and report.txt go there, and stdout
+        carries the same table as report.txt."""
+        paths = emit_report(self._report(), str(tmp_path))
         assert {os.path.basename(p) for p in paths} == {
             "report.csv", "convergence.csv", "report.txt"}
+        assert capsys.readouterr().out == (tmp_path / "report.txt").read_text()
         lines = open(os.path.join(tmp_path, "convergence.csv")).read().splitlines()
         assert lines[0] == "scenario,epsilon,value"
         assert len(lines) == 3
@@ -586,7 +597,7 @@ class TestEmission:
         for run in ("one", "two"):
             out = tmp_path / run
             report = run_gbc(cfg)
-            emit_report(report, str(out), "csv")
+            emit_report(report, str(out))
             blobs.append(
                 open(out / "report.csv", "rb").read()
                 + open(out / "convergence.csv", "rb").read()
@@ -594,7 +605,7 @@ class TestEmission:
         assert blobs[0] == blobs[1]
 
     def test_table_to_stdout(self, capsys):
-        emit_report(self._report(), None, "table")
+        emit_report(self._report())
         out = capsys.readouterr().out
         assert "demo" in out and "pass" in out
 
@@ -677,7 +688,7 @@ class TestMainEntry:
         ["--connection", "perturbed", "--amplitude", "nan"],
         ["--connection", "perturbed", "--amplitude", "inf"],
         ["--manifold", "klein"],
-        ["--format", "xml"],
+        ["--field", "spiral"],
         ["--seed", "abc"],
         ["--seed", "-1"],
         ["--manifold", "torus", "--metric", "euclidean", "--field", "custom"],
@@ -686,7 +697,7 @@ class TestMainEntry:
         """Nonpositive, repeated or non-numeric radii, radii past the unit
         chart disk, empty quadrature rules, no identity samples, a config
         file that does not exist, a non-finite perturbation amplitude, a
-        manifold or output format outside its choices, a seed that is not
+        manifold or vector field outside its choices, a seed that is not
         a number, a negative seed and a custom field with no component in
         the torus chart exit 2 before any work is done."""
         assert main(["gbc", *flags]) == 2
@@ -721,9 +732,9 @@ class TestMainEntry:
         """An incomplete field pair, expressions outside the arithmetic
         whitelist, a malformed number, a non-finite amplitude, a custom field
         that leaves out the north chart (its degree-2 zero in the south
-        chart alone sums to chi, so only the chart check stops it) and an
-        output format other than csv or table exit 2 with a ValidationError,
-        not a traceback."""
+        chart alone sums to chi, so only the chart check stops it) and the
+        retired [output] format key exit 2 with a ValidationError, not a
+        traceback."""
         path = tmp_path / "bad.ini"
         path.write_text(section)
         assert main(["gbc", "--config", str(path)]) == 2
@@ -816,8 +827,11 @@ class TestMainEntry:
         "[DEFAULT]\nseed = 5\n",
         "[vector_field]\nwest_u = u\nwest_v = v\n",
         "[ehresmann]\ntype = explicit\nn11 = 0.1*y1\n",
+        "[output]\nformat = csv\n",
+        "[output]\ndump_forms = true\n",
     ], ids=["both-typos", "misspelt-key", "unknown-section", "empty-unknown-section",
-            "default-section", "unknown-chart", "ehresmann-type"])
+            "default-section", "unknown-chart", "ehresmann-type", "output-format",
+            "output-dump-forms"])
     def test_unknown_ini_key_rejected(self, text, tmp_path, capsys):
         """A section or key that no setting and no expression group reads
         exits 2 with a ValidationError, so a misspelt key cannot leave its
@@ -826,6 +840,35 @@ class TestMainEntry:
         path.write_text(text)
         assert main(["identities", "--samples", "2", "--config", str(path)]) == 2
         assert "ValidationError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gbc", "--format", "csv"],
+        ["gbc", "--format", "xml"],
+        ["identities", "--dump-forms", "--samples", "8"],
+    ], ids=["gbc-format-csv", "gbc-format-xml", "identities-dump-forms"])
+    def test_retired_output_flag_rejected(self, argv, capsys):
+        """--format, which only silenced stdout under --out, and
+        --dump-forms, which only identities --out read, are no flags:
+        argparse exits 2 before any work is done."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("type_line,kind", [("", "rotational"),
+                                                ("type = height_gradient\n", "height_gradient")],
+                             ids=["no-type", "height-gradient"])
+    def test_field_exprs_need_custom_type(self, type_line, kind, tmp_path, capsys):
+        """Field expressions under any type other than custom exit 2 with a
+        ValidationError naming the keys and the type, rather than running
+        the named (or the default rotational) field without them."""
+        path = tmp_path / "field.ini"
+        path.write_text(f"[vector_field]\n{type_line}south_u = u\nsouth_v = v\n"
+                        "north_u = -1.0*u\nnorth_v = -1.0*v\n")
+        assert main(["gbc", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "ValidationError" in err and "south_u, south_v, north_u, north_v" in err
+        assert f"type = {kind}" in err
 
     def test_ini_id_of_another_subcommand_rejected(self, tmp_path, capsys):
         """A [scenario] id names the subcommand the file is for: running
@@ -905,8 +948,8 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("argv", [
         ["minkowski-props"],
-        ["identities", "--dump-forms", "--samples", "8"],
-    ], ids=["minkowski-props", "identities-dump-forms"])
+        ["identities", "--samples", "8"],
+    ], ids=["minkowski-props", "identities"])
     def test_unusable_out_dir_rejected(self, argv, tmp_path, capsys, monkeypatch):
         """An --out path under a regular file exits 2 with a ValidationError
         before the runner starts, not a NotADirectoryError traceback."""
@@ -1217,18 +1260,6 @@ class TestEhresmannModes:
         spray = dict(run_gbc(cfg).convergence)[0.05]
         assert explicit == pytest.approx(2.077261251905, abs=1e-11)
         assert spray == pytest.approx(1.978508849812, abs=1e-11)
-
-    def test_dump_forms(self, tmp_path):
-        cfg = ExperimentConfig(
-            metric="round_sphere", identity_samples=4, order_fiber=32,
-            dump_forms=True, out_dir=str(tmp_path),
-        )
-        run_identity_suite(cfg)
-        for name in ("pi", "upsilon1", "omega_nabla"):
-            path = tmp_path / f"form_{name}.csv"
-            lines = path.read_text().splitlines()
-            assert lines[0] == "chart,x1,x2,theta,component,value"
-            assert len(lines) > 4
 
 
 def _scale_pi_weights(m, cf, idn, cn):
